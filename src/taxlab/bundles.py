@@ -13,9 +13,13 @@ from typing import Iterator
 MAX_ITEMS = 16
 
 
+class DomainError(ValueError):
+    """Input outside an operation's declared domain."""
+
+
 def check_m(m: int) -> None:
     if not 1 <= m <= MAX_ITEMS:
-        raise ValueError(f"item count must be in 1..{MAX_ITEMS}, got {m}")
+        raise DomainError(f"item count must be in 1..{MAX_ITEMS}, got {m}")
 
 
 def all_bundles(m: int) -> range:
@@ -37,16 +41,6 @@ def size(mask: int) -> int:
 
 def contains(outer: int, inner: int) -> bool:
     return outer & inner == inner
-
-
-def members(mask: int) -> Iterator[int]:
-    """0-based item indices in ascending order."""
-    j = 0
-    while mask:
-        if mask & 1:
-            yield j
-        mask >>= 1
-        j += 1
 
 
 def subsets(mask: int) -> Iterator[int]:
@@ -72,6 +66,3 @@ def bundles_of_size(m: int, k: int) -> list[int]:
     out = [sum(1 << j for j in combo) for combo in combinations(range(m), k)]
     return sorted(out)
 
-
-def format_bundle(mask: int, m: int) -> str:
-    return "{" + ",".join(str(j + 1) for j in members(mask)) + "}"

@@ -34,7 +34,7 @@ from typing import Optional
 
 from . import suites
 from .library import default_catalog, make_example
-from .protocol import measure_complexities
+from .protocol import Session, run_mechanism
 from .reporting import audit_rows_to_csv, emit_report, write_text
 from .transforms import build_tables, deviation_audit, strictify_catalog, to_simultaneous
 from .valuations import DomainError, ValuationCatalog, valuation_from_json
@@ -93,6 +93,8 @@ def load_config(path: Path, seed_override: Optional[int] = None,
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError("config must be a JSON object")
     suite_names = list(doc.get("suites", []))
     for name in suite_names:
         if name not in SUITES:
@@ -137,11 +139,10 @@ def run_suites(cfg: Config, jobs: int = 1) -> tuple[int, list[str], list[Path]]:
                 return list(pool.map(fn, items))
         return [fn(x) for x in items]
 
+    sessions = [Session(e.spec, e.catalog) for e in cfg.mechanisms]
     reports = None
     if "measure" in cfg.suite_names or "theorem-check" in cfg.suite_names:
-        reports = pool_map(
-            lambda e: measure_complexities(e.spec, e.catalog), cfg.mechanisms
-        )
+        reports = pool_map(Session.report, sessions)
 
     if "measure" in cfg.suite_names:
         artifacts += emit_report(reports, cfg.out)
@@ -159,47 +160,33 @@ def run_suites(cfg: Config, jobs: int = 1) -> tuple[int, list[str], list[Path]]:
         artifacts.append(path)
 
     if "reconstruct-value" in cfg.suite_names:
-        for entry in cfg.mechanisms:
-            if entry.spec.mode == "value":
-                record(suites.value_reconstruction_check(entry.spec, entry.catalog))
+        for session in sessions:
+            if session.spec.mode == "value":
+                record(suites.value_reconstruction_check(session))
         record(suites.useless_learner_trials(
             int(cfg.trials.get("useless", 100)), cfg.seed))
 
     if "reconstruct-comm" in cfg.suite_names:
-        from .comm_reconstruct import menu_catalog, reconstruct_menu_comm
         traces = []
-        for entry in cfg.mechanisms:
-            check = suites.comm_reconstruction_check(entry.spec, entry.catalog, cfg.seed)
+        for session in sessions:
+            check, done = suites.comm_reconstruction_check(session, cfg.seed)
             record(check)
-            steps = []
-            for i in range(entry.spec.n):
-                pre = menu_catalog(entry.spec, entry.catalog, i)
-                seen = set()
-                for profile in entry.catalog.profiles():
-                    v_minus = profile[:i] + profile[i + 1:]
-                    key = tuple(v.table for v in v_minus)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    rec = reconstruct_menu_comm(entry.spec, entry.catalog, i,
-                                                v_minus, seed=cfg.seed,
-                                                precomputed=pre)
-                    steps.append({
-                        "player": i,
-                        "menus": len(pre),
-                        "bits": rec.bits,
-                        "price_bits": rec.price_bits,
-                        "disjointness_bits": rec.disjointness_bits,
-                        "bookkeeping_bits": rec.bookkeeping_bits,
-                        "steps": [
-                            {"branch": st.branch, "bundle": st.bundle,
-                             "live_before": st.live_before,
-                             "live_after": st.live_after,
-                             "bands": st.bands}
-                            for st in rec.steps
-                        ],
-                    })
-            traces.append({"mechanism": entry.spec.mech_id,
+            steps = [{
+                "player": i,
+                "menus": n_menus,
+                "bits": rec.bits,
+                "price_bits": rec.price_bits,
+                "disjointness_bits": rec.disjointness_bits,
+                "bookkeeping_bits": rec.bookkeeping_bits,
+                "steps": [
+                    {"branch": st.branch, "bundle": st.bundle,
+                     "live_before": st.live_before,
+                     "live_after": st.live_after,
+                     "bands": st.bands}
+                    for st in rec.steps
+                ],
+            } for i, n_menus, rec in done]
+            traces.append({"mechanism": session.spec.mech_id,
                            "result": check.render(),
                            "reconstructions": steps})
         path = cfg.out / "reconstruction_traces.json"
@@ -207,15 +194,14 @@ def run_suites(cfg: Config, jobs: int = 1) -> tuple[int, list[str], list[Path]]:
         artifacts.append(path)
 
     if "extract-min-affine" in cfg.suite_names:
-        for entry in cfg.mechanisms:
-            if entry.spec.mode == "demand":
-                record(suites.min_affine_check(entry.spec, entry.catalog))
+        for session in sessions:
+            if session.spec.mode == "demand":
+                record(suites.min_affine_check(session))
 
     if "verify-menu" in cfg.suite_names:
         per_class = int(cfg.trials.get("verify", 50))
-        for entry in cfg.mechanisms:
-            record(suites.verify_menu_trials(entry.spec, entry.catalog,
-                                             per_class, cfg.seed))
+        for session in sessions:
+            record(suites.verify_menu_trials(session, per_class, cfg.seed))
 
     if "disjointness" in cfg.suite_names:
         check, c_val = suites.disjointness_trials(
@@ -226,10 +212,10 @@ def run_suites(cfg: Config, jobs: int = 1) -> tuple[int, list[str], list[Path]]:
         artifacts.append(path)
 
     if "transform" in cfg.suite_names:
-        for entry in cfg.mechanisms:
+        for entry, session in zip(cfg.mechanisms, sessions):
             if entry.spec.n != 2:
                 continue
-            tables = build_tables(entry.spec, entry.catalog)
+            tables = build_tables(session)
             report = deviation_audit(tables)
             ok = report.clean
             record(suites.CheckLine(
@@ -244,7 +230,6 @@ def run_suites(cfg: Config, jobs: int = 1) -> tuple[int, list[str], list[Path]]:
             artifacts.append(path)
 
     if "simultaneous" in cfg.suite_names:
-        from .protocol import run_mechanism
         for entry in cfg.mechanisms:
             if entry.spec.n != 2:
                 continue

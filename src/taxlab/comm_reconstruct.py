@@ -20,16 +20,17 @@ sampled witness count obeys the representation bound.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 from math import comb, log2
 from typing import Optional, Sequence
 
 from .bundles import all_bundles
 from .disjointness import ZDisjointnessInstance, max_intersection, solve_z_with_consistency
 from .menus import Menu
-from .protocol import MechanismSpec, extract_menu, log2_ceil, price_run
+from .protocol import Session, log2_ceil
 from .rational import Price, is_finite
 from .rng import stream
-from .valuations import DomainError, Valuation, ValuationCatalog
+from .valuations import DomainError, Valuation
 
 
 class SamplingFailure(RuntimeError):
@@ -102,33 +103,6 @@ def representation_set(zprime: Sequence[Menu], zband: Sequence[Menu], z: int,
     raise SamplingFailure("no representing bundle set after 64 attempts")
 
 
-class QCache:
-    """Memoized runs of the declared price protocol over catalog profiles."""
-
-    def __init__(self, spec: MechanismSpec, catalog: ValuationCatalog, i: int):
-        self.spec = spec
-        self.i = i
-        self.player_ids = [j for j in range(catalog.n) if j != i]
-        self.full_others = [catalog.players[j] for j in self.player_ids]
-        self._runs: dict[tuple, tuple[Price, tuple, int]] = {}
-
-    def run(self, v_minus: tuple[Valuation, ...], s: int) -> tuple[Price, tuple, int]:
-        key = (tuple(v.table for v in v_minus), s)
-        if key not in self._runs:
-            pr = price_run(self.spec, self.i, v_minus, s)
-            self._runs[key] = (pr.price, pr.transcript_id(), pr.bits)
-        return self._runs[key]
-
-
-def combos_of(groups: Sequence[Sequence[Valuation]]):
-    if not groups:
-        yield ()
-        return
-    for v in groups[0]:
-        for rest in combos_of(groups[1:]):
-            yield (v,) + rest
-
-
 @dataclass(frozen=True)
 class ProofInstance:
     instance: ZDisjointnessInstance
@@ -137,23 +111,24 @@ class ProofInstance:
     strings: tuple[dict, ...]  # per party: valuation table -> proof string
 
 
-def build_disjointness_instance(qcache: QCache, cand: Sequence[Sequence[Valuation]],
+def build_disjointness_instance(session: Session, i: int,
+                                cand: Sequence[Sequence[Valuation]],
                                 sample: Sequence[int], p_table: Sequence[Price],
                                 zprime_size: int,
                                 actual_v_minus: tuple[Valuation, ...]) -> ProofInstance:
     """One block per sampled bundle; one bit per realizable transcript of
-    the price protocol over the candidate sets.  A party's bit is set when
-    some choice of the remaining candidates makes that transcript happen
-    with a price off the majority table."""
+    the price protocol (run for player i) over the candidate sets.  A
+    party's bit is set when some choice of the remaining candidates makes
+    that transcript happen with a price off the majority table."""
     n_parties = len(cand)
     bundles = sorted(sample)
 
     all_runs: dict[int, dict[tuple, tuple]] = {}
     for s in bundles:
         per_combo = {}
-        for combo in combos_of(cand):
-            price, tid, _ = qcache.run(combo, s)
-            per_combo[tuple(v.table for v in combo)] = (price, tid)
+        for combo in product(*cand):
+            pr = session.price_run(i, combo, s)
+            per_combo[tuple(v.table for v in combo)] = (pr.price, pr.transcript_id())
         all_runs[s] = per_combo
 
     bit_keys: list[tuple[int, tuple]] = []
@@ -233,29 +208,26 @@ class CommReconstruction:
     proofs: tuple[ProofInstance, ...] = ()
 
 
-def menu_catalog(spec: MechanismSpec, catalog: ValuationCatalog, i: int) -> list[Menu]:
-    seen: dict[tuple, Menu] = {}
-    others = [catalog.players[j] for j in range(catalog.n) if j != i]
-    for combo in combos_of(others):
-        menu = extract_menu(spec, i, combo)
-        seen[menu.price] = menu
-    return sorted(seen.values(), key=Menu.sort_key)
+def menu_catalog(session: Session, i: int) -> list[Menu]:
+    """The distinct menus player i can face over the catalog, canonically
+    ordered."""
+    return list(session.menus(i))
 
 
-def reconstruct_menu_comm(spec: MechanismSpec, catalog: ValuationCatalog, i: int,
-                          v_minus_i: Sequence[Valuation], seed: int = 0,
+def reconstruct_menu_comm(session: Session, i: int, v_minus_i: Sequence[Valuation],
+                          seed: int = 0,
                           precomputed: Optional[Sequence[Menu]] = None) -> CommReconstruction:
     """Find the menu presented to player i by v_minus_i among the catalog's
     menus, spending price-protocol and disjointness bits; every completed
     shrinkage step at least halves the live set."""
     actual = tuple(v_minus_i)
-    live = list(precomputed) if precomputed is not None else menu_catalog(spec, catalog, i)
+    live = list(precomputed) if precomputed is not None else menu_catalog(session, i)
     if not live:
         raise DomainError("empty menu catalog")
-    truth = extract_menu(spec, i, actual)
-    qcache = QCache(spec, catalog, i)
-    m = spec.m
-    cand: list[list[Valuation]] = [list(group) for group in qcache.full_others]
+    truth = session.menu(i, actual)
+    m = session.spec.m
+    players = session.catalog.players
+    cand: list[list[Valuation]] = [list(group) for group in players[:i] + players[i + 1:]]
 
     price_bits = 0
     dis_bits = 0
@@ -269,26 +241,19 @@ def reconstruct_menu_comm(spec: MechanismSpec, catalog: ValuationCatalog, i: int
         """Run the price protocol on the actual profile; its transcript
         shrinks every party's candidate set to the consistent rectangle."""
         nonlocal price_bits
-        price, tid, used = qcache.run(actual, s)
-        price_bits += used
+        run = session.price_run(i, actual, s)
+        tid = run.transcript_id()
+        price_bits += run.bits
         for party in range(len(cand)):
-            kept = []
-            for w in cand[party]:
-                ok = False
-                for combo in combos_of(cand):
-                    if combo[party].table != w.table:
-                        continue
-                    _, run_tid, _ = qcache.run(combo, s)
-                    if run_tid == tid:
-                        ok = True
-                        break
-                if ok:
-                    kept.append(w)
-            cand[party] = kept
+            cand[party] = [
+                w for w in cand[party]
+                if any(session.price_run(i, combo, s).transcript_id() == tid
+                       for combo in product(*cand[:party], (w,), *cand[party + 1:]))
+            ]
         if not all(any(w.table == actual[p].table for w in cand[p])
                    for p in range(len(cand))):
             raise SoundnessError("the actual profile fell out of its own rectangle")
-        return price
+        return run.price
 
     for _step in range(step_budget):
         if len(live) <= 1:
@@ -325,7 +290,7 @@ def reconstruct_menu_comm(spec: MechanismSpec, catalog: ValuationCatalog, i: int
                     rec.bands.append(t)
                     sample = representation_set(zprime, band, t, p_table, seed)
                     proof = build_disjointness_instance(
-                        qcache, cand, sample, p_table, len(zprime), actual
+                        session, i, cand, sample, p_table, len(zprime), actual
                     )
                     proofs.append(proof)
                     verdict, kept_strings = solve_z_with_consistency(proof.instance)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 from .bundles import all_bundles, bit, size
 from .menus import Menu, MinAffineMenu, eval_min_affine
@@ -37,10 +37,13 @@ def canonical_valuation(menu: Menu, bound: Fraction) -> Valuation:
     return Valuation(menu.m, table)
 
 
-def extract_min_affine(spec: MechanismSpec, i: int, v_minus_i: Sequence[Valuation]) -> MinAffineMenu:
+def extract_min_affine(spec: MechanismSpec, i: int, v_minus_i: Sequence[Valuation],
+                       truth: Optional[Menu] = None) -> MinAffineMenu:
+    """`truth` is the menu v_minus_i presents, extracted here when not given."""
     if spec.mode != "demand":
         raise DomainError("min-affine extraction applies to demand-mode mechanisms")
-    truth = extract_menu(spec, i, v_minus_i)
+    if truth is None:
+        truth = extract_menu(spec, i, v_minus_i)
     v_i = canonical_valuation(truth, spec.bound)
     res = run_mechanism(spec, insert_player(tuple(v_minus_i), i, v_i))
 

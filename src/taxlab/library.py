@@ -25,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import floor
 
-from .bundles import all_bundles, bit, bundles_of_size, grand, size
+from .bundles import all_bundles, bit, bundles_of_size, check_m, grand, size
 from .menus import MinAffineMenu, eval_min_affine, min_affine_table
 from .protocol import MechanismSpec, PriceRun
 from .queries import demand_query
@@ -263,11 +263,6 @@ def demand_tightness_catalog(spec: MechanismSpec, count: int) -> ValuationCatalo
 
 
 # ------------------------------------------------------------- M_T gadget
-
-def mt_bump_set(v1: Valuation, m: int) -> list[int]:
-    half = m // 2
-    return [s for s in bundles_of_size(m, half) if v1.value(s) == QUARTER]
-
 
 def mt_price(s: int, bump: list[int]) -> Fraction:
     return Fraction(size(s)) + (HALF if s in bump else Fraction(0))
@@ -523,10 +518,6 @@ def drop_price(m: int) -> MechanismSpec:
         raise DomainError("drop_price needs even m >= 2")
     sized = half_size_bundles(m)
 
-    def price_of_a(v1: Valuation, v2: Valuation) -> Fraction:
-        hit = any(v1.value(s) == 1 and v2.value(s) == 1 for s in sized)
-        return Fraction(1) if hit else Fraction(2)
-
     def program(profile, rec):
         v1, v2, v3 = profile
         xbits = tuple(int(v1.value(s) == 1) for s in sized)
@@ -657,6 +648,8 @@ def posted_catalog(spec: MechanismSpec) -> ValuationCatalog:
 
 def make_example(mech_id: str, params: dict | None = None) -> MechanismSpec:
     params = dict(params or {})
+    if "m" in params:
+        check_m(params["m"])  # before any 2^m table is built
     makers = {
         "warmup_tightness": lambda: warmup_tightness(
             params["c"], params.get("m", 2)

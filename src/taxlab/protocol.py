@@ -10,13 +10,18 @@ query log counts oracle calls per player.
 extract_menu is the ground-truth menu oracle: it prices each bundle by
 running the mechanism against an additive probe worth 3B on the bundle's
 items, reading the payment off the allocation.
+
+Session is the single oracle memo layer: one per (mechanism, catalog)
+pair, it answers run, menu and price-run questions once each and holds
+the complexity report, and every suite over that pair asks through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from itertools import product
+from typing import Callable, Iterator, Optional, Sequence
 
 from .bundles import all_bundles, bit, contains
 from .menus import Menu, ContractError, menu_complexity, normalize_menu, profit_argmax_set
@@ -265,33 +270,78 @@ def log2_ceil(count: int) -> int:
     return (count - 1).bit_length() if count > 0 else 0
 
 
-def others(catalog: ValuationCatalog, i: int):
-    """All v_minus_i combinations, row-major."""
-    def rec(players):
-        if not players:
-            yield ()
-            return
-        for v in players[0]:
-            for rest in rec(players[1:]):
-                yield (v,) + rest
-    reduced = catalog.players[:i] + catalog.players[i + 1:]
-    return rec(reduced)
+class Session:
+    """The memoized oracle layer over one (mechanism, catalog) pair.
+
+    Every suite that studies a mechanism on its catalog asks the same
+    questions (a run on a profile, the menu some v_minus presents, one
+    price-protocol run), so they share one Session and each answer is
+    computed once.  Memo keys hold valuations by object identity, not by
+    their Fraction tables, which are slow to hash; every entry keeps its
+    valuations alive, so an id in a key cannot be reused.  A valuation
+    equal to but not the same object as a memoized one is only a miss.
+    """
+
+    def __init__(self, spec: MechanismSpec, catalog: ValuationCatalog):
+        if catalog.n != spec.n or catalog.m != spec.m:
+            raise DomainError("catalog shape must match the mechanism")
+        self.spec = spec
+        self.catalog = catalog
+        self._runs: dict[tuple, tuple] = {}
+        self._menus: dict[tuple, tuple] = {}
+        self._prices: dict[tuple, tuple] = {}
+        self._menu_lists: dict[int, tuple[Menu, ...]] = {}
+        self._report: Optional[ComplexityReport] = None
+
+    def run(self, profile: Sequence[Valuation]) -> RunResult:
+        key = tuple(map(id, profile))
+        hit = self._runs.get(key)
+        if hit is None:
+            hit = self._runs[key] = (tuple(profile), run_mechanism(self.spec, profile))
+        return hit[1]
+
+    def menu(self, i: int, v_minus_i: Sequence[Valuation]) -> Menu:
+        key = (i, *map(id, v_minus_i))
+        hit = self._menus.get(key)
+        if hit is None:
+            hit = self._menus[key] = (tuple(v_minus_i), extract_menu(self.spec, i, v_minus_i))
+        return hit[1]
+
+    def price_run(self, i: int, v_minus_i: Sequence[Valuation], s: int) -> PriceRun:
+        key = (i, s, *map(id, v_minus_i))
+        hit = self._prices.get(key)
+        if hit is None:
+            hit = self._prices[key] = (tuple(v_minus_i), price_run(self.spec, i, v_minus_i, s))
+        return hit[1]
+
+    def others(self, i: int) -> Iterator[tuple[Valuation, ...]]:
+        """Every catalog v_minus_i, row-major."""
+        return product(*self.catalog.players[:i], *self.catalog.players[i + 1:])
+
+    def menus(self, i: int) -> tuple[Menu, ...]:
+        """The distinct menus player i can face, in canonical order."""
+        if i not in self._menu_lists:
+            seen = {}
+            for v_minus in self.others(i):
+                menu = self.menu(i, v_minus)
+                seen[menu.price] = menu
+            self._menu_lists[i] = tuple(sorted(seen.values(), key=Menu.sort_key))
+        return self._menu_lists[i]
+
+    def report(self) -> ComplexityReport:
+        if self._report is None:
+            self._report = measure_complexities(self.spec, self.catalog, self)
+        return self._report
 
 
-def measure_complexities(spec: MechanismSpec, catalog: ValuationCatalog) -> ComplexityReport:
+def measure_complexities(spec: MechanismSpec, catalog: ValuationCatalog,
+                         session: Optional[Session] = None) -> ComplexityReport:
     """Enumerate all profiles: distinct menus per player, transcript and
     query maxima, declared price/tie protocol costs, and the per-profile
-    taxation-principle check."""
-    if catalog.n != spec.n or catalog.m != spec.m:
-        raise DomainError("catalog shape must match the mechanism")
-
-    menu_cache: dict[tuple, Menu] = {}
-
-    def menu_for(i: int, v_minus) -> Menu:
-        key = (i, tuple(v.table for v in v_minus))
-        if key not in menu_cache:
-            menu_cache[key] = extract_menu(spec, i, v_minus)
-        return menu_cache[key]
+    taxation-principle check.  A given session (over the same spec and
+    catalog) lends its memos."""
+    if session is None:
+        session = Session(spec, catalog)
 
     cc = 0
     val = 0
@@ -300,29 +350,20 @@ def measure_complexities(spec: MechanismSpec, catalog: ValuationCatalog) -> Comp
     valid = True
     witness = None
     for profile in catalog.profiles():
-        res = run_mechanism(spec, profile)
+        res = run_mechanism(spec, profile)  # each profile runs once here
         cc = max(cc, res.transcript.bits)
         val = max(val, res.qlog.total_value)
         dem = max(dem, res.qlog.total_demand)
         tie_bits = max(tie_bits, spec.tie_cost(profile))
         for i in range(spec.n):
-            v_minus = profile[:i] + profile[i + 1:]
-            menu = menu_for(i, v_minus)
+            menu = session.menu(i, profile[:i] + profile[i + 1:])
             argmax = profit_argmax_set(menu, profile[i])
             ok = res.allocation[i] in argmax and res.payments[i] == menu.price[res.allocation[i]]
             if not ok and valid:
                 valid = False
                 witness = f"player {i}, profile {[str(v.table) for v in profile]}"
 
-    per_player_menus: list[tuple[Menu, ...]] = []
-    for i in range(spec.n):
-        seen: dict[tuple, Menu] = {}
-        for v_minus in others(catalog, i):
-            menu = menu_for(i, v_minus)
-            seen[menu.price] = menu
-        ordered = tuple(sorted(seen.values(), key=Menu.sort_key))
-        per_player_menus.append(ordered)
-
+    per_player_menus = [session.menus(i) for i in range(spec.n)]
     menu_counts = tuple(len(ms) for ms in per_player_menus)
     tax = max(log2_ceil(c) for c in menu_counts)
 
@@ -339,11 +380,12 @@ def measure_complexities(spec: MechanismSpec, catalog: ValuationCatalog) -> Comp
                         f"{spec.mech_id}: extracted price {p} exceeds declared bound {spec.bound}"
                     )
 
-    price_bits = 0
-    for i in range(spec.n):
-        for v_minus in others(catalog, i):
-            for s in all_bundles(spec.m):
-                price_bits = max(price_bits, price_run(spec, i, v_minus, s).bits)
+    price_bits = max(
+        session.price_run(i, v_minus, s).bits
+        for i in range(spec.n)
+        for v_minus in session.others(i)
+        for s in all_bundles(spec.m)
+    )
 
     return ComplexityReport(
         mechanism=spec.mech_id,

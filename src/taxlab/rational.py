@@ -61,10 +61,6 @@ INF = Infinite()
 Price = Union[Fraction, Infinite]
 
 
-def rat(num, den=1) -> Fraction:
-    return Fraction(num, den)
-
-
 def is_finite(x: Price) -> bool:
     return not isinstance(x, Infinite)
 

@@ -10,8 +10,8 @@ from math import log2
 from typing import Optional, Sequence
 
 from .bundles import all_bundles, bit, bundles_of_size
-from .comm_reconstruct import (build_disjointness_instance, menu_catalog,
-                               reconstruct_menu_comm)
+from .comm_reconstruct import (CommReconstruction, build_disjointness_instance,
+                               menu_catalog, reconstruct_menu_comm)
 from .demand_menus import (covers, demand_cover, extract_min_affine,
                            hidden_bump_price, hidden_problem_valuation,
                            mt_gadget_argmax)
@@ -20,8 +20,8 @@ from .disjointness import (ZDisjointnessInstance, brute_force_verdict,
 from .library import (default_catalog, drop_price, drop_tax, drop_tie,
                       encode_disjointness_string, half_size_bundles,
                       make_example, single_item_valuation)
-from .protocol import (ComplexityReport, MechanismSpec, extract_menu,
-                       insert_player, measure_complexities, run_mechanism)
+from .protocol import (ComplexityReport, MechanismSpec, Session, insert_player,
+                       measure_complexities, run_mechanism)
 from .queries import demand_query
 from .rational import is_finite
 from .rng import stream
@@ -71,11 +71,6 @@ class CheckLine:
         return f"{self.name}: {status}{tail}"
 
 
-def measure_bench(bench=STANDARD_BENCH) -> list[ComplexityReport]:
-    return [measure_complexities(*bench_instance(mech_id, params))
-            for mech_id, params in bench]
-
-
 def theorem_check_lines(reports: Sequence[ComplexityReport],
                         specs: Optional[Sequence[MechanismSpec]] = None) -> list[CheckLine]:
     """The measured-inequality battery over finished reports."""
@@ -119,16 +114,14 @@ def warmup_scaling_lines(cs=(1, 2, 3, 4)) -> list[CheckLine]:
     return lines
 
 
-def verify_menu_trials(spec: MechanismSpec, catalog: ValuationCatalog,
-                       trials_per_class: int, seed: int) -> CheckLine:
+def verify_menu_trials(session: Session, trials_per_class: int, seed: int) -> CheckLine:
     """Random base functions per class against the brute-force predicate,
     plus the structural probe checks."""
-    rep = measure_complexities(spec, catalog)
-    grid = menu_price_grid([mn for ms in rep.menus for mn in ms])
-    finite_grid = tuple(p for p in grid if is_finite(p))
+    spec, catalog = session.spec, session.catalog
+    grid = menu_price_grid([mn for ms in session.report().menus for mn in ms])
     i = spec.n - 1
     v_minus = tuple(catalog.players[j][-1] for j in range(spec.n) if j != i)
-    truth = extract_menu(spec, i, v_minus)
+    truth = session.menu(i, v_minus)
     rng = stream(seed, "verify", spec.mech_id)
     from .verify import submodular_probe, xos_probe
     mismatches = 0
@@ -160,21 +153,16 @@ def verify_menu_trials(spec: MechanismSpec, catalog: ValuationCatalog,
     )
 
 
-def value_reconstruction_check(spec: MechanismSpec, catalog: ValuationCatalog) -> CheckLine:
+def value_reconstruction_check(session: Session) -> CheckLine:
     """Exact ladder reconstruction for every profile, menu complexity as
     the promised bound, call budget enforced."""
+    from .menus import menu_complexity
+    spec = session.spec
     errors = []
     count = 0
     for i in range(spec.n):
-        seen = set()
-        for profile in catalog.profiles():
-            v_minus = profile[:i] + profile[i + 1:]
-            key = tuple(v.table for v in v_minus)
-            if key in seen:
-                continue
-            seen.add(key)
-            truth = extract_menu(spec, i, v_minus)
-            from .menus import menu_complexity
+        for v_minus in session.others(i):
+            truth = session.menu(i, v_minus)
             mc = menu_complexity(truth)[0]
             po = PriceOracle(truth, cost_per_call=spec.price_query_cost)
             rec = reconstruct_menu_value(po, mc_bound=max(1, mc))
@@ -214,22 +202,17 @@ def useless_learner_trials(trials: int, seed: int, m_max: int = 8, k_max: int = 
     )
 
 
-def min_affine_check(spec: MechanismSpec, catalog: ValuationCatalog) -> CheckLine:
+def min_affine_check(session: Session) -> CheckLine:
     """Extraction evaluates to the ground truth everywhere with alpha/beta
     within the canonical run's per-player query counts."""
     from .demand_menus import canonical_valuation
+    spec = session.spec
     errors = []
     count = 0
     for i in range(spec.n):
-        seen = set()
-        for profile in catalog.profiles():
-            v_minus = profile[:i] + profile[i + 1:]
-            key = tuple(v.table for v in v_minus)
-            if key in seen:
-                continue
-            seen.add(key)
-            truth = extract_menu(spec, i, v_minus)
-            ma = extract_min_affine(spec, i, v_minus)  # raises on mismatch
+        for v_minus in session.others(i):
+            truth = session.menu(i, v_minus)
+            ma = extract_min_affine(spec, i, v_minus, truth)  # raises on mismatch
             canon = canonical_valuation(truth, spec.bound)
             res = run_mechanism(spec, insert_player(v_minus, i, canon))
             if ma.alpha > res.qlog.demand_counts[i] or ma.beta > res.qlog.value_counts[i]:
@@ -359,28 +342,23 @@ def disjointness_trials(trials: int, seed: int) -> tuple[CheckLine, float]:
     return line, worst_c
 
 
-def comm_reconstruction_check(spec: MechanismSpec, catalog: ValuationCatalog,
-                              seed: int) -> CheckLine:
+def comm_reconstruction_check(session: Session, seed: int
+                              ) -> tuple[CheckLine, list[tuple[int, int, CommReconstruction]]]:
     """Exact reconstruction for every profile and player; halving and the
     one-intersecting-bit-per-block claim checked on the instances actually
-    built along the way."""
+    built along the way.  Also returns each reconstruction as (player,
+    size of the player's menu catalog, result)."""
     from .disjointness import max_intersection
+    spec = session.spec
     errors = []
-    count = 0
+    done = []
     blocks_checked = 0
     for i in range(spec.n):
-        pre = menu_catalog(spec, catalog, i)
-        seen = set()
-        for profile in catalog.profiles():
-            v_minus = profile[:i] + profile[i + 1:]
-            key = tuple(v.table for v in v_minus)
-            if key in seen:
-                continue
-            seen.add(key)
-            truth = extract_menu(spec, i, v_minus)
-            rec = reconstruct_menu_comm(spec, catalog, i, v_minus, seed=seed,
-                                        precomputed=pre)
-            count += 1
+        pre = menu_catalog(session, i)
+        for v_minus in session.others(i):
+            truth = session.menu(i, v_minus)
+            rec = reconstruct_menu_comm(session, i, v_minus, seed=seed, precomputed=pre)
+            done.append((i, len(pre), rec))
             if rec.menu.price != truth.price:
                 errors.append(f"player {i} wrong menu")
             if len(rec.steps) > max(1, (len(pre) - 1).bit_length()):
@@ -400,27 +378,28 @@ def comm_reconstruction_check(spec: MechanismSpec, catalog: ValuationCatalog,
                     blocks_checked += 1
                     if max_intersection(restricted, proof.instance.l) > 1:
                         errors.append(f"block {s} holds two intersecting bits")
-    return CheckLine(
+    line = CheckLine(
         f"reconstruct-comm[{spec.mech_id}]",
         not errors,
-        f"{count} reconstructions, {blocks_checked} blocks"
+        f"{len(done)} reconstructions, {blocks_checked} blocks"
         + (f"; {errors[:2]}" if errors else ""),
     )
+    return line, done
 
 
-def block_bound_check(spec: MechanismSpec, catalog: ValuationCatalog, seed: int) -> CheckLine:
+def block_bound_check(session: Session, seed: int) -> CheckLine:
     """Every block of every instance built over the full catalogs carries
     at most one intersecting bit (checked by the exact DP per block)."""
-    from .comm_reconstruct import QCache, most_frequent_prices
+    from .comm_reconstruct import most_frequent_prices
     from .disjointness import max_intersection
+    spec, players = session.spec, session.catalog.players
     bad = 0
     built = 0
     for i in range(spec.n):
-        pre = menu_catalog(spec, catalog, i)
+        pre = menu_catalog(session, i)
         if len(pre) < 2:
             continue
-        qcache = QCache(spec, catalog, i)
-        cand = qcache.full_others
+        cand = players[:i] + players[i + 1:]
         p_table = most_frequent_prices(pre, spec.m)
         sample = sorted(set(
             s for menu in pre for s in all_bundles(spec.m)
@@ -429,7 +408,7 @@ def block_bound_check(spec: MechanismSpec, catalog: ValuationCatalog, seed: int)
         actual = tuple(group[0] for group in cand)
         try:
             proof = build_disjointness_instance(
-                qcache, cand, sample, p_table, len(pre), actual
+                session, i, cand, sample, p_table, len(pre), actual
             )
         except Exception:
             continue

@@ -23,7 +23,7 @@ from typing import Optional, Union
 
 from .bundles import all_bundles, grand, size
 from .menus import Menu, profit_argmax_set
-from .protocol import MechanismSpec, extract_menu, log2_ceil, run_mechanism
+from .protocol import MechanismSpec, Session, log2_ceil
 from .rational import Price, is_finite
 from .rng import stream
 from .valuations import DomainError, Valuation, ValuationCatalog
@@ -50,37 +50,37 @@ Strategy = Union[str, DeviationStrategy]  # "truthful" or a deviation
 @dataclass(frozen=True)
 class TwoPlayerTables:
     """Public structure the wrapper needs: each player's possible presented
-    menus (sorted canonically) and the map from valuation to menu index."""
+    menus (sorted canonically) and the map from valuation to menu index,
+    over the session whose memoized runs the wrapper plays."""
 
-    spec: MechanismSpec
-    catalog: ValuationCatalog
+    session: Session
     presented: tuple[tuple[Menu, ...], tuple[Menu, ...]]  # menus presented BY player i
     index_of: tuple[dict, dict]  # valuation table -> index into presented[i]
     tax_bits: int
 
+    @property
+    def spec(self) -> MechanismSpec:
+        return self.session.spec
 
-def build_tables(spec: MechanismSpec, catalog: ValuationCatalog) -> TwoPlayerTables:
-    if spec.n != 2 or catalog.n != 2:
+    @property
+    def catalog(self) -> ValuationCatalog:
+        return self.session.catalog
+
+
+def build_tables(session: Session) -> TwoPlayerTables:
+    if session.spec.n != 2:
         raise DomainError("the transformation handles two-player mechanisms")
     presented = []
     index_of = []
     for i in (0, 1):
         other = 1 - i
-        seen: dict[tuple, Menu] = {}
-        for v in catalog.players[i]:
-            menu = extract_menu(spec, other, (v,))
-            seen.setdefault(menu.price, menu)
-        menus = tuple(sorted(seen.values(), key=Menu.sort_key))
-        lookup = {}
-        for v in catalog.players[i]:
-            menu = extract_menu(spec, other, (v,))
-            lookup[v.table] = next(
-                k for k, mn in enumerate(menus) if mn.price == menu.price
-            )
+        menus = session.menus(other)
+        position = {menu.price: k for k, menu in enumerate(menus)}
         presented.append(menus)
-        index_of.append(lookup)
+        index_of.append({v.table: position[session.menu(other, (v,)).price]
+                         for v in session.catalog.players[i]})
     tax_bits = max(log2_ceil(len(presented[0])), log2_ceil(len(presented[1])), 1)
-    return TwoPlayerTables(spec, catalog, (presented[0], presented[1]),
+    return TwoPlayerTables(session, (presented[0], presented[1]),
                            (index_of[0], index_of[1]), tax_bits)
 
 
@@ -92,7 +92,6 @@ def smallest_argmax(menu: Menu, v: Valuation) -> int:
 class WrapperOutcome:
     allocation: tuple[int, int]
     payments: tuple[Price, Price]
-    bits: int
     bits_constructed: int  # 2(tax+m) + inner run bits
     bits_theorem: int      # 2(tax+m) + declared tie bits
     inconsistent: Optional[int]
@@ -100,7 +99,6 @@ class WrapperOutcome:
 
 def _wrapper_messages(tables: TwoPlayerTables, profile, strategies):
     """The four announcements plus the inner run, as played."""
-    spec = tables.spec
     msgs = []
     menu_idx = []
     for i in (0, 1):
@@ -128,7 +126,7 @@ def _wrapper_messages(tables: TwoPlayerTables, profile, strategies):
         profile[i] if strategies[i] == "truthful" else strategies[i].inner
         for i in (0, 1)
     )
-    inner = run_mechanism(spec, inner_profile)
+    inner = tables.session.run(inner_profile)
     for tok in inner.transcript.tokens:
         msgs.append(("inner", tok[0], tok[:3]))
     return msgs, menu_idx, bundles, inner
@@ -213,7 +211,6 @@ def to_dominant_run(tables: TwoPlayerTables, profile, strategies,
     outcome = WrapperOutcome(
         allocation=allocation,
         payments=payments,
-        bits=bits_constructed,
         bits_constructed=bits_constructed,
         bits_theorem=bits_theorem,
         inconsistent=culprit,
@@ -262,47 +259,65 @@ def utility(v: Valuation, allocation: int, payment: Price) -> Fraction:
     return v.value(allocation) - payment
 
 
+def _seated(i: int, mine, theirs) -> tuple:
+    """The pair with `mine` in seat i and `theirs` in the other seat."""
+    return (mine, theirs) if i == 0 else (theirs, mine)
+
+
 def deviation_audit(tables: TwoPlayerTables, keep_rows: bool = False) -> AuditReport:
     """Dominance check over the deviation family: for every player, true
     valuation, opponent behavior (truthful as each catalog valuation, or
     any DeviationStrategy, which pins the opponent's play outright), and
-    own deviation, truthful play must pay at least as much as deviating."""
+    own deviation, truthful play must pay at least as much as deviating.
+
+    A deviating player's outcome depends on the opponent's behavior and
+    the deviation, never on their own valuation: each is computed once and
+    weighed by every valuation of theirs.  Rows and the worst row (the
+    first of the largest gap) follow (player, valuation, opponent,
+    deviation) order."""
     ttable = _truthful_transcript_table(tables)
     rows: list[AuditRow] = []
-    max_gap: Optional[Fraction] = None
-    worst = None
-    placeholder = {i: tables.catalog.players[i][0] for i in (0, 1)}
+    worst: Optional[AuditRow] = None
     for i in (0, 1):
         other = 1 - i
+        valuations = tables.catalog.players[i]
         my_devs = deviation_family(tables, i)
         opponents: list[tuple[str, Strategy, Valuation]] = [
             (f"truthful:{k}", "truthful", w)
             for k, w in enumerate(tables.catalog.players[other])
         ] + [
-            (f"dev:{k}", dev, placeholder[other])
+            (f"dev:{k}", dev, tables.catalog.players[other][0])
             for k, dev in enumerate(deviation_family(tables, other))
         ]
-        for vi_idx, v_i in enumerate(tables.catalog.players[i]):
-            for opp_label, opp_strategy, opp_valuation in opponents:
-                profile = [None, None]
-                profile[i] = v_i
-                profile[other] = opp_valuation
-                strategies = [None, None]
-                strategies[other] = opp_strategy
-                strategies[i] = "truthful"
-                base = to_dominant_run(tables, tuple(profile), tuple(strategies), ttable)
-                u_truth = utility(v_i, base.outcome.allocation[i], base.outcome.payments[i])
-                for dev_idx, dev in enumerate(my_devs):
-                    strategies[i] = dev
-                    alt = to_dominant_run(tables, tuple(profile), tuple(strategies), ttable)
-                    u_dev = utility(v_i, alt.outcome.allocation[i], alt.outcome.payments[i])
-                    row = AuditRow(i, vi_idx, opp_label, dev_idx, u_truth, u_dev)
-                    if keep_rows or row.gap > 0:
-                        rows.append(row)
-                    if max_gap is None or row.gap > max_gap:
-                        max_gap = row.gap
-                        worst = row
-    return AuditReport(tuple(rows), max_gap if max_gap is not None else Fraction(0), worst)
+        kept: list[list[AuditRow]] = [[] for _ in valuations]
+        top_gap: list[Optional[Fraction]] = [None] * len(valuations)
+        top_row: list[Optional[AuditRow]] = [None] * len(valuations)
+        for opp_label, opp_strategy, opp_valuation in opponents:
+            deviated = []  # player i's (bundle, payment) per deviation
+            for dev in my_devs:
+                alt = to_dominant_run(tables, _seated(i, valuations[0], opp_valuation),
+                                      _seated(i, dev, opp_strategy), ttable).outcome
+                deviated.append((alt.allocation[i], alt.payments[i]))
+            for vi_idx, v_i in enumerate(valuations):
+                base = to_dominant_run(tables, _seated(i, v_i, opp_valuation),
+                                       _seated(i, "truthful", opp_strategy), ttable).outcome
+                u_truth = utility(v_i, base.allocation[i], base.payments[i])
+                for dev_idx, (won, paid) in enumerate(deviated):
+                    u_dev = utility(v_i, won, paid)
+                    gap = u_dev - u_truth
+                    new_top = top_gap[vi_idx] is None or gap > top_gap[vi_idx]
+                    if keep_rows or gap > 0 or new_top:
+                        row = AuditRow(i, vi_idx, opp_label, dev_idx, u_truth, u_dev)
+                        if keep_rows or gap > 0:
+                            kept[vi_idx].append(row)
+                        if new_top:
+                            top_gap[vi_idx] = gap
+                            top_row[vi_idx] = row
+        for part, gap, row in zip(kept, top_gap, top_row):
+            rows.extend(part)
+            if worst is None or gap > worst.gap:
+                worst = row
+    return AuditReport(tuple(rows), worst.gap if worst is not None else Fraction(0), worst)
 
 
 def size_tilt(v: Valuation, eps: Fraction) -> Valuation:
@@ -383,7 +398,7 @@ def strictify_catalog(spec: MechanismSpec, catalog: ValuationCatalog, seed: int 
                for i in (0, 1)]
     for _round in range(max_rounds):
         cat = ValuationCatalog((tuple(players[0]), tuple(players[1])))
-        tables = build_tables(spec, cat)
+        tables = build_tables(Session(spec, cat))
         dirty = False
         for i in (0, 1):
             menus = reachable_menus(tables, i)
@@ -425,7 +440,7 @@ class SimultaneousTable:
 def to_simultaneous(spec: MechanismSpec, catalog: ValuationCatalog) -> SimultaneousTable:
     """Compile a precise mechanism into the one-round protocol; the output
     allocation always contains the mechanism's allocation sidewise."""
-    tables = build_tables(spec, catalog)
+    tables = build_tables(Session(spec, catalog))
     flaw = is_precise(tables)
     if flaw is not None:
         raise PrecisionError(flaw)

@@ -4,14 +4,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 from typing import Optional, Sequence
 
-from .bundles import all_bundles, bit, check_m, grand
+from .bundles import DomainError, all_bundles, bit, check_m, grand
 from .rational import format_price, parse_price
-
-
-class DomainError(ValueError):
-    """Input outside an operation's declared domain."""
 
 
 @dataclass(frozen=True)
@@ -173,14 +170,7 @@ class ValuationCatalog:
 
     def profiles(self):
         """All valuation profiles, in row-major catalog order."""
-        def rec(i):
-            if i == len(self.players):
-                yield ()
-                return
-            for v in self.players[i]:
-                for rest in rec(i + 1):
-                    yield (v,) + rest
-        return rec(0)
+        return product(*self.players)
 
 
 def random_monotone_valuation(m: int, rng, grid=8, scale=Fraction(4)) -> Valuation:

@@ -5,7 +5,7 @@ import time
 
 from taxlab import suites
 from taxlab.bundles import bundles_of_size
-from taxlab.protocol import measure_complexities, run_mechanism
+from taxlab.protocol import Session, measure_complexities, run_mechanism
 from taxlab.rng import stream
 from taxlab.transforms import (build_tables, deviation_audit, is_precise,
                                reachable_menus, strictify_catalog,
@@ -70,7 +70,8 @@ def test_criterion_03_menu_verification():
     for mech_id, params in suites.STANDARD_BENCH:
         spec, cat = suites.bench_instance(mech_id, params)
         assert spec.m <= 5
-        lines.append(suites.verify_menu_trials(spec, cat, trials_per_class=500, seed=41))
+        lines.append(suites.verify_menu_trials(Session(spec, cat), trials_per_class=500,
+                                                seed=41))
     # probe submodularity on a dedicated random sample
     rng = stream(42, "probe-structure")
     submodular_ok = True
@@ -102,7 +103,7 @@ def test_criterion_04_value_query_ladder():
                             ("value_tightness", {"c": 4, "m": 6})):
         spec, cat = suites.bench_instance(mech_id, params)
         assert spec.m <= 6
-        lines.append(suites.value_reconstruction_check(spec, cat))
+        lines.append(suites.value_reconstruction_check(Session(spec, cat)))
     budget_line = suites.useless_learner_trials(500, seed=43, m_max=8, k_max=8)
     lines.append(budget_line)
     ok = all(line.passed for line in lines)
@@ -135,7 +136,7 @@ def test_criterion_06_min_affine_characterization():
     for mech_id, params, spec, cat, rep in bench_reports():
         if spec.mode == "demand":
             assert spec.m <= 6
-            lines.append(suites.min_affine_check(spec, cat))
+            lines.append(suites.min_affine_check(Session(spec, cat)))
     ok = all(line.passed for line in lines)
     emit("6 (min-affine extraction equals the menu)", ok,
          "; ".join(line.detail for line in lines) + f"; {time.time()-t0:.1f}s")
@@ -169,8 +170,9 @@ def test_criterion_09_menu_reconstruction():
     for mech_id, params, spec, cat, rep in bench_reports():
         assert spec.n <= 3 and spec.m <= 6
         assert all(len(group) <= 64 for group in cat.players)
-        lines.append(suites.comm_reconstruction_check(spec, cat, seed=47))
-        lines.append(suites.block_bound_check(spec, cat, seed=47))
+        session = Session(spec, cat)
+        lines.append(suites.comm_reconstruction_check(session, seed=47)[0])
+        lines.append(suites.block_bound_check(session, seed=47))
     ok = all(line.passed for line in lines)
     detail = "; ".join(line.detail for line in lines if "reconstruction" in line.detail)
     emit("9 (communication menu reconstruction)", ok,
@@ -185,7 +187,7 @@ def test_criterion_10_dominant_strategy_transform():
     ok = True
     for mech_id, params in suites.TWO_PLAYER_BENCH:
         spec, cat = suites.bench_instance(mech_id, params)
-        tables = build_tables(spec, cat)
+        tables = build_tables(Session(spec, cat))
         for profile in cat.profiles():
             run = to_dominant_run(tables, profile, ("truthful", "truthful"))
             base = run_mechanism(spec, profile)

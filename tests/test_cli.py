@@ -136,3 +136,21 @@ def test_report_rows_sorted(tmp_path):
     rows = (tmp_path / "reports.csv").read_text().splitlines()[1:]
     names = [row.split(",")[0] for row in rows]
     assert names == sorted(names)
+
+
+def test_oversized_m_and_non_object_config_exit_two(tmp_path, capsys, monkeypatch):
+    import taxlab.library as library
+
+    def never(*args):
+        raise AssertionError("a mechanism was built before m was checked")
+
+    monkeypatch.setattr(library, "drop_tax", never)
+    big = write_config(tmp_path, {"mechanisms": [{"id": "drop_tax", "params": {"m": 20}}],
+                                  "suites": ["measure"]})
+    listed = tmp_path / "list.json"
+    listed.write_text(json.dumps([BASE]))
+    for command in ("validate", "run"):
+        for path in (big, listed):
+            assert main([command, "--config", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error:") and err.count("\n") == 1

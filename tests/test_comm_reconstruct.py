@@ -3,14 +3,13 @@
 from fractions import Fraction
 
 from taxlab.bundles import all_bundles, bit
-from taxlab.comm_reconstruct import (QCache, build_disjointness_instance,
-                                     menu_catalog, most_frequent_prices,
+from taxlab.comm_reconstruct import (build_disjointness_instance, menu_catalog, most_frequent_prices,
                                      reconstruct_menu_comm, representation_set,
                                      witness_bundles, within_log_budget)
 from taxlab.disjointness import max_intersection, solve_z_disjointness
 from taxlab.library import default_catalog, make_example, warmup_catalog
 from taxlab.menus import Menu
-from taxlab.protocol import extract_menu
+from taxlab.protocol import Session, extract_menu
 from taxlab.rational import INF
 from taxlab.valuations import single_item_valuation
 
@@ -69,12 +68,12 @@ def test_representation_sampling_never_exhausts():
 def test_warmup_block_structure():
     spec = make_example("warmup_tightness", {"c": 2})
     cat = warmup_catalog(2)
-    qcache = QCache(spec, cat, 1)
-    live = menu_catalog(spec, cat, 1)
+    session = Session(spec, cat)
+    live = menu_catalog(session, 1)
     p_table = most_frequent_prices(live, 2)
     actual = (single_item_valuation(2, 0, 3),)
     proof = build_disjointness_instance(
-        qcache, qcache.full_others, [bit(0)], p_table, len(live), actual
+        session, 1, cat.players[:1], [bit(0)], p_table, len(live), actual
     )
     # one block for item a, one bit per announced index
     assert len(proof.blocks) == 1
@@ -95,17 +94,18 @@ def test_every_block_carries_at_most_one_intersecting_bit():
         spec = make_example(mech_id, params)
         cat = default_catalog(mech_id, spec, params)
         for i in range(spec.n):
-            live = menu_catalog(spec, cat, i)
+            session = Session(spec, cat)
+            live = menu_catalog(session, i)
             if len(live) < 2:
                 continue
-            qcache = QCache(spec, cat, i)
+            others = cat.players[:i] + cat.players[i + 1:]
             p_table = most_frequent_prices(live, spec.m)
             sample = sorted({
                 s for menu in live for s in witness_bundles(menu, p_table)
             })
-            actual = tuple(group[0] for group in qcache.full_others)
+            actual = tuple(group[0] for group in others)
             proof = build_disjointness_instance(
-                qcache, qcache.full_others, sample, p_table, len(live), actual
+                session, i, others, sample, p_table, len(live), actual
             )
             for s, bit_range in proof.blocks:
                 mask = 0
@@ -122,7 +122,7 @@ def test_warmup_single_direct_check():
     spec = make_example("warmup_tightness", {"c": 2})
     cat = warmup_catalog(2)
     actual = (single_item_valuation(2, 0, 3),)
-    rec = reconstruct_menu_comm(spec, cat, 1, actual, seed=2)
+    rec = reconstruct_menu_comm(Session(spec, cat), 1, actual, seed=2)
     assert len(rec.steps) == 1 and rec.steps[0].branch == "direct"
     assert rec.steps[0].live_before == 4 and rec.steps[0].live_after == 1
     truth = extract_menu(spec, 1, actual)
@@ -133,7 +133,7 @@ def test_trivial_single_menu():
     spec = make_example("drop_tie", {"m": 4})
     cat = default_catalog("drop_tie", spec, {"m": 4})
     actual = (cat.players[0][0],)
-    rec = reconstruct_menu_comm(spec, cat, 1, actual, seed=2)
+    rec = reconstruct_menu_comm(Session(spec, cat), 1, actual, seed=2)
     assert rec.steps == () and rec.bits == 0
 
 
@@ -149,7 +149,8 @@ def test_rich_catalog_multi_step_shrinkage():
     p2 = tuple(encode_disjointness_string(m, s, high=2) for s in strings)
     cat = ValuationCatalog((p1, p2))
     spec = drop_tax(m)
-    pre = menu_catalog(spec, cat, 1)
+    session = Session(spec, cat)
+    pre = menu_catalog(session, 1)
     assert len(pre) == 16
     deepest = 0
     seen = set()
@@ -160,7 +161,7 @@ def test_rich_catalog_multi_step_shrinkage():
             continue
         seen.add(key)
         truth = extract_menu(spec, 1, v_minus)
-        rec = reconstruct_menu_comm(spec, cat, 1, v_minus, seed=9, precomputed=pre)
+        rec = reconstruct_menu_comm(session, 1, v_minus, seed=9, precomputed=pre)
         assert rec.menu.price == truth.price
         deepest = max(deepest, len(rec.steps))
         for st in rec.steps:
@@ -175,8 +176,9 @@ def test_sweep_small_mechanisms():
                             ("posted_prices", {"prices": ["1", "1", "2"], "n": 3})]:
         spec = make_example(mech_id, params)
         cat = default_catalog(mech_id, spec, params)
+        session = Session(spec, cat)
         for i in range(spec.n):
-            pre = menu_catalog(spec, cat, i)
+            pre = menu_catalog(session, i)
             seen = set()
             for profile in cat.profiles():
                 v_minus = profile[:i] + profile[i + 1:]
@@ -185,7 +187,7 @@ def test_sweep_small_mechanisms():
                     continue
                 seen.add(key)
                 truth = extract_menu(spec, i, v_minus)
-                rec = reconstruct_menu_comm(spec, cat, i, v_minus, seed=3,
+                rec = reconstruct_menu_comm(session, i, v_minus, seed=3,
                                             precomputed=pre)
                 assert rec.menu.price == truth.price
                 for st in rec.steps:

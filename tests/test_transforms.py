@@ -8,7 +8,7 @@ import pytest
 from taxlab.bundles import all_bundles, bit, size
 from taxlab.library import default_catalog, make_example, warmup_catalog
 from taxlab.menus import profit_argmax_set
-from taxlab.protocol import run_mechanism
+from taxlab.protocol import Session, run_mechanism
 from taxlab.rng import stream
 from taxlab.transforms import (DeviationStrategy, PrecisionError, build_tables,
                                default_eps, deviation_audit, is_precise,
@@ -25,7 +25,7 @@ F = Fraction
 def warmup_tables(c=1):
     spec = make_example("warmup_tightness", {"c": c})
     cat = warmup_catalog(c)
-    return spec, cat, build_tables(spec, cat)
+    return spec, cat, build_tables(Session(spec, cat))
 
 
 def test_truthful_path_reproduces_mechanism():
@@ -86,7 +86,7 @@ def test_audit_examples():
                             ("warmup_tightness", {"c": 2, "m": 2})]:
         spec = make_example(mech_id, params)
         cat = default_catalog(mech_id, spec, params)
-        tables = build_tables(spec, cat)
+        tables = build_tables(Session(spec, cat))
         report = deviation_audit(tables)
         assert report.clean, (mech_id, report.worst)
         assert report.max_gap <= 0
@@ -135,7 +135,7 @@ def test_strictified_catalog_is_precise():
     stats = {}
     scat = strictify_catalog(spec, cat, seed=11, stats=stats)
     assert stats["max_resamples"] <= 3
-    tables = build_tables(spec, scat)
+    tables = build_tables(Session(spec, scat))
     assert is_precise(tables) is None
     for i in (0, 1):
         for menu in reachable_menus(tables, i):
