@@ -1,6 +1,6 @@
 """taxlab command line: run experiment suites from a JSON config.
 
-    taxlab run --config cfg.json [--seed N] [--out DIR] [--jobs K]
+    taxlab run --config cfg.json [--seed N] [--out DIR] [-v]
     taxlab validate --config cfg.json
 
 Config document:
@@ -27,7 +27,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -39,9 +38,7 @@ from .reporting import audit_rows_to_csv, emit_report, write_text
 from .transforms import build_tables, deviation_audit, strictify_catalog, to_simultaneous
 from .valuations import DomainError, ValuationCatalog, valuation_from_json
 
-SUITES = ("measure", "theorem-check", "reconstruct-value", "reconstruct-comm",
-          "extract-min-affine", "verify-menu", "disjointness", "transform",
-          "simultaneous")
+TRIAL_DEFAULTS = {"verify": 50, "useless": 100, "disjointness": 200}
 
 
 class ConfigError(ValueError):
@@ -51,7 +48,6 @@ class ConfigError(ValueError):
 @dataclass
 class MechanismEntry:
     mech_id: str
-    params: dict
     catalog: ValuationCatalog
     spec: object
 
@@ -62,13 +58,13 @@ class Config:
     suite_names: list[str]
     seed: int
     out: Path
-    trials: dict
+    trials: dict  # every TRIAL_DEFAULTS key -> trial count
 
 
 def load_catalog(doc, base: Path) -> Optional[ValuationCatalog]:
     if doc is None or doc == "default":
         return None
-    if isinstance(doc, dict) and "files" in doc:
+    if isinstance(doc, dict) and isinstance(doc.get("files"), list):
         groups = []
         for rel in doc["files"]:
             path = (base / rel) if not Path(rel).is_absolute() else Path(rel)
@@ -85,6 +81,13 @@ def load_catalog(doc, base: Path) -> Optional[ValuationCatalog]:
     raise ConfigError("catalogs must be 'default', a list per player, or {files: [...]}")
 
 
+def config_int(value, what: str, low: Optional[int] = None) -> int:
+    if type(value) is not int or (low is not None and value < low):
+        bound = "" if low is None else f" >= {low}"
+        raise ConfigError(f"{what} must be an integer{bound}, got {value!r}")
+    return value
+
+
 def load_config(path: Path, seed_override: Optional[int] = None,
                 out_override: Optional[str] = None) -> Config:
     if not path.exists():
@@ -95,158 +98,183 @@ def load_config(path: Path, seed_override: Optional[int] = None,
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
-    suite_names = list(doc.get("suites", []))
+    suite_names = doc.get("suites", [])
+    if not isinstance(suite_names, list):
+        raise ConfigError("suites must be a list of suite names")
     for name in suite_names:
-        if name not in SUITES:
-            raise ConfigError(f"unknown suite {name!r}; choose from {SUITES}")
+        if not isinstance(name, str) or name not in SUITES:
+            raise ConfigError(f"unknown suite {name!r}; choose from {tuple(SUITES)}")
+    seed = config_int(doc.get("seed", 0), "seed")
+    if seed_override is not None:
+        seed = seed_override
+    out = out_override if out_override is not None else doc.get("out", "out")
+    if not isinstance(out, str):
+        raise ConfigError(f"out must be a directory path, got {out!r}")
+    trials = doc.get("trials", {})
+    if not isinstance(trials, dict):
+        raise ConfigError("trials must be an object of trial counts")
+    trials = {key: config_int(trials.get(key, default), f"trials.{key}", low=0)
+              for key, default in TRIAL_DEFAULTS.items()}
+    entries = doc.get("mechanisms", [])
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise ConfigError("mechanisms must be a list of {id, params, catalogs} objects")
+    if "measure" in suite_names and not entries:
+        raise ConfigError("the measure suite needs at least one mechanism")
     mechanisms = []
-    for entry in doc.get("mechanisms", []):
+    for entry in entries:
         mech_id = entry.get("id")
-        params = dict(entry.get("params", {}))
         try:
+            params = dict(entry.get("params", {}))
             spec = make_example(mech_id, params)
-        except (KeyError, DomainError) as exc:
+            catalog = load_catalog(entry.get("catalogs"), path.parent)
+            if catalog is None:
+                catalog = default_catalog(mech_id, spec, params)
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad mechanism entry {entry!r}: {exc}") from exc
-        catalog = load_catalog(entry.get("catalogs"), path.parent)
-        if catalog is None:
-            catalog = default_catalog(mech_id, spec, params)
         if catalog.n != spec.n or catalog.m != spec.m:
             raise ConfigError(
                 f"catalog shape ({catalog.n} players, m={catalog.m}) does not "
                 f"match mechanism {spec.mech_id}"
             )
-        mechanisms.append(MechanismEntry(mech_id, params, catalog, spec))
-    seed = seed_override if seed_override is not None else int(doc.get("seed", 0))
-    out = Path(out_override if out_override is not None else doc.get("out", "out"))
-    trials = dict(doc.get("trials", {}))
-    return Config(mechanisms, suite_names, seed, out, trials)
+        mechanisms.append(MechanismEntry(mech_id, catalog, spec))
+    return Config(mechanisms, suite_names, seed, Path(out), trials)
 
 
-def run_suites(cfg: Config, jobs: int = 1) -> tuple[int, list[str], list[Path]]:
-    lines: list[str] = []
-    failed = False
-    artifacts: list[Path] = []
+# Each suite maps (config, one Session per mechanism entry) to its output
+# lines -- CheckLines, which decide the exit status, or plain text -- and
+# the artifact paths it wrote.
 
-    def record(check) -> None:
-        nonlocal failed
-        lines.append(check.render())
-        if not check.passed:
-            failed = True
+def measure_suite(cfg: Config, sessions: list[Session]):
+    reports = [session.report() for session in sessions]
+    artifacts = emit_report(reports, cfg.out)
+    return [f"measured {rep.mechanism}: tax={rep.tax} cc={rep.cc} "
+            f"price={rep.price} tie={rep.tie} mc={rep.mc} "
+            f"val={rep.val} dem={rep.dem} d={rep.d} valid={rep.valid}"
+            for rep in reports], artifacts
 
-    def pool_map(fn, items):
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                return list(pool.map(fn, items))
-        return [fn(x) for x in items]
 
+def theorem_check_suite(cfg: Config, sessions: list[Session]):
+    checks = suites.theorem_check_lines([session.report() for session in sessions])
+    path = cfg.out / "theorem_check.txt"
+    write_text(path, "\n".join(c.render() for c in checks) + "\n")
+    return checks, [path]
+
+
+def reconstruct_value_suite(cfg: Config, sessions: list[Session]):
+    checks = [suites.value_reconstruction_check(session)
+              for session in sessions if session.spec.mode == "value"]
+    checks.append(suites.useless_learner_trials(cfg.trials["useless"], cfg.seed))
+    return checks, []
+
+
+def reconstruct_comm_suite(cfg: Config, sessions: list[Session]):
+    checks, traces = [], []
+    for session in sessions:
+        check, done = suites.comm_reconstruction_check(session, cfg.seed)
+        checks.append(check)
+        steps = [{
+            "player": i,
+            "menus": n_menus,
+            "bits": rec.bits,
+            "price_bits": rec.price_bits,
+            "disjointness_bits": rec.disjointness_bits,
+            "bookkeeping_bits": rec.bookkeeping_bits,
+            "steps": [
+                {"branch": st.branch, "bundle": st.bundle,
+                 "live_before": st.live_before,
+                 "live_after": st.live_after,
+                 "bands": st.bands}
+                for st in rec.steps
+            ],
+        } for i, n_menus, rec in done]
+        traces.append({"mechanism": session.spec.mech_id,
+                       "result": check.render(),
+                       "reconstructions": steps})
+    path = cfg.out / "reconstruction_traces.json"
+    write_text(path, json.dumps(traces, indent=2, sort_keys=True) + "\n")
+    return checks, [path]
+
+
+def extract_min_affine_suite(cfg: Config, sessions: list[Session]):
+    return [suites.min_affine_check(session)
+            for session in sessions if session.spec.mode == "demand"], []
+
+
+def verify_menu_suite(cfg: Config, sessions: list[Session]):
+    return [suites.verify_menu_trials(session, cfg.trials["verify"], cfg.seed)
+            for session in sessions], []
+
+
+def disjointness_suite(cfg: Config, sessions: list[Session]):
+    check, c_val = suites.disjointness_trials(cfg.trials["disjointness"], cfg.seed)
+    path = cfg.out / "disjointness.txt"
+    write_text(path, check.render() + f"\nempirical-C {c_val:.4f}\n")
+    return [check], [path]
+
+
+def transform_suite(cfg: Config, sessions: list[Session]):
+    checks, artifacts = [], []
+    for entry, session in zip(cfg.mechanisms, sessions):
+        if entry.spec.n != 2:
+            continue
+        report = deviation_audit(build_tables(session))
+        checks.append(suites.CheckLine(
+            f"deviation-audit[{entry.spec.mech_id}]", report.clean,
+            f"max gap {report.max_gap}",
+        ))
+        rows = list(report.rows)
+        if report.worst is not None and report.worst not in rows:
+            rows.append(report.worst)
+        path = cfg.out / f"audit_{entry.mech_id}.csv"
+        write_text(path, audit_rows_to_csv(entry.spec.mech_id, rows))
+        artifacts.append(path)
+    return checks, artifacts
+
+
+def simultaneous_suite(cfg: Config, sessions: list[Session]):
+    checks = []
+    for entry in cfg.mechanisms:
+        if entry.spec.n != 2:
+            continue
+        table = to_simultaneous(strictify_catalog(entry.spec, entry.catalog, seed=cfg.seed))
+        ok = True
+        for profile in table.tables.catalog.profiles():
+            base = run_mechanism(entry.spec, profile)
+            (s1, s2), bits = table.run(profile)
+            ok &= base.allocation[0] & ~s1 == 0
+            ok &= base.allocation[1] & ~s2 == 0
+            ok &= bits == 2 * table.tables.tax_bits
+        checks.append(suites.CheckLine(
+            f"simultaneous[{entry.spec.mech_id}]", ok,
+            f"message bits {2 * table.tables.tax_bits}",
+        ))
+    return checks, []
+
+
+# run order, whatever order a config lists the suites in
+SUITES = {"measure": measure_suite, "theorem-check": theorem_check_suite,
+          "reconstruct-value": reconstruct_value_suite,
+          "reconstruct-comm": reconstruct_comm_suite,
+          "extract-min-affine": extract_min_affine_suite,
+          "verify-menu": verify_menu_suite, "disjointness": disjointness_suite,
+          "transform": transform_suite, "simultaneous": simultaneous_suite}
+
+
+def run_suites(cfg: Config) -> tuple[int, list[str], list[Path]]:
     sessions = [Session(e.spec, e.catalog) for e in cfg.mechanisms]
-    reports = None
-    if "measure" in cfg.suite_names or "theorem-check" in cfg.suite_names:
-        reports = pool_map(Session.report, sessions)
-
-    if "measure" in cfg.suite_names:
-        artifacts += emit_report(reports, cfg.out)
-        for rep in reports:
-            lines.append(f"measured {rep.mechanism}: tax={rep.tax} cc={rep.cc} "
-                         f"price={rep.price} tie={rep.tie} mc={rep.mc} "
-                         f"val={rep.val} dem={rep.dem} d={rep.d} valid={rep.valid}")
-
-    if "theorem-check" in cfg.suite_names:
-        checks = suites.theorem_check_lines(reports)
-        for check in checks:
-            record(check)
-        path = cfg.out / "theorem_check.txt"
-        write_text(path, "\n".join(c.render() for c in checks) + "\n")
-        artifacts.append(path)
-
-    if "reconstruct-value" in cfg.suite_names:
-        for session in sessions:
-            if session.spec.mode == "value":
-                record(suites.value_reconstruction_check(session))
-        record(suites.useless_learner_trials(
-            int(cfg.trials.get("useless", 100)), cfg.seed))
-
-    if "reconstruct-comm" in cfg.suite_names:
-        traces = []
-        for session in sessions:
-            check, done = suites.comm_reconstruction_check(session, cfg.seed)
-            record(check)
-            steps = [{
-                "player": i,
-                "menus": n_menus,
-                "bits": rec.bits,
-                "price_bits": rec.price_bits,
-                "disjointness_bits": rec.disjointness_bits,
-                "bookkeeping_bits": rec.bookkeeping_bits,
-                "steps": [
-                    {"branch": st.branch, "bundle": st.bundle,
-                     "live_before": st.live_before,
-                     "live_after": st.live_after,
-                     "bands": st.bands}
-                    for st in rec.steps
-                ],
-            } for i, n_menus, rec in done]
-            traces.append({"mechanism": session.spec.mech_id,
-                           "result": check.render(),
-                           "reconstructions": steps})
-        path = cfg.out / "reconstruction_traces.json"
-        write_text(path, json.dumps(traces, indent=2, sort_keys=True) + "\n")
-        artifacts.append(path)
-
-    if "extract-min-affine" in cfg.suite_names:
-        for session in sessions:
-            if session.spec.mode == "demand":
-                record(suites.min_affine_check(session))
-
-    if "verify-menu" in cfg.suite_names:
-        per_class = int(cfg.trials.get("verify", 50))
-        for session in sessions:
-            record(suites.verify_menu_trials(session, per_class, cfg.seed))
-
-    if "disjointness" in cfg.suite_names:
-        check, c_val = suites.disjointness_trials(
-            int(cfg.trials.get("disjointness", 200)), cfg.seed)
-        record(check)
-        path = cfg.out / "disjointness.txt"
-        write_text(path, check.render() + f"\nempirical-C {c_val:.4f}\n")
-        artifacts.append(path)
-
-    if "transform" in cfg.suite_names:
-        for entry, session in zip(cfg.mechanisms, sessions):
-            if entry.spec.n != 2:
-                continue
-            tables = build_tables(session)
-            report = deviation_audit(tables)
-            ok = report.clean
-            record(suites.CheckLine(
-                f"deviation-audit[{entry.spec.mech_id}]", ok,
-                f"max gap {report.max_gap}",
-            ))
-            rows = list(report.rows)
-            if report.worst is not None and report.worst not in rows:
-                rows.append(report.worst)
-            path = cfg.out / f"audit_{entry.mech_id}.csv"
-            write_text(path, audit_rows_to_csv(entry.spec.mech_id, rows))
-            artifacts.append(path)
-
-    if "simultaneous" in cfg.suite_names:
-        for entry in cfg.mechanisms:
-            if entry.spec.n != 2:
-                continue
-            scat = strictify_catalog(entry.spec, entry.catalog, seed=cfg.seed)
-            table = to_simultaneous(entry.spec, scat)
-            ok = True
-            for profile in scat.profiles():
-                base = run_mechanism(entry.spec, profile)
-                (s1, s2), bits = table.run(profile)
-                ok &= base.allocation[0] & ~s1 == 0
-                ok &= base.allocation[1] & ~s2 == 0
-                ok &= bits == 2 * table.tables.tax_bits
-            record(suites.CheckLine(
-                f"simultaneous[{entry.spec.mech_id}]", ok,
-                f"message bits {2 * table.tables.tax_bits}",
-            ))
-
+    failed = False
+    lines: list[str] = []
+    artifacts: list[Path] = []
+    for name, suite in SUITES.items():
+        if name not in cfg.suite_names:
+            continue
+        out, paths = suite(cfg, sessions)
+        for line in out:
+            if isinstance(line, suites.CheckLine):
+                failed |= not line.passed
+                line = line.render()
+            lines.append(line)
+        artifacts += paths
     return (1 if failed else 0), lines, artifacts
 
 
@@ -258,7 +286,6 @@ def main(argv=None) -> int:
     run_p.add_argument("--config", required=True, type=Path)
     run_p.add_argument("--seed", type=int, default=None)
     run_p.add_argument("--out", type=str, default=None)
-    run_p.add_argument("--jobs", type=int, default=1)
     run_p.add_argument("-v", "--verbose", action="store_true",
                        help="also list emitted artifact paths")
     val_p = sub.add_parser("validate", help="check a config without running")
@@ -277,7 +304,7 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        status, lines, artifacts = run_suites(cfg, jobs=args.jobs)
+        status, lines, artifacts = run_suites(cfg)
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return 2

@@ -100,6 +100,7 @@ def min_affine_argmax(ma: MinAffineMenu, oracle: Callable[[Sequence[Price]], tup
 class GadgetResult:
     bundle: int
     profit: Fraction
+    price: Fraction  # the menu price of `bundle`
     demand_queries: int
 
 
@@ -116,11 +117,12 @@ def mt_gadget_argmax(m: int, oracle: Callable[[Sequence[Price]], tuple[int, Frac
     is already optimal.  Otherwise two batches (one item of the bump made
     unaffordable / one outside item discounted to a half with the bump
     free) cover the off-bump and strict-superset candidates.  price_check
-    tells whether a bundle carries the bump, at one demand query.
+    tells whether a bundle carries the bump, at one demand query; it is
+    asked once per run, about the phase-1 answer.
     """
     if m % 2:
         raise DomainError("the gadget needs an even item count")
-    queries = 0
+    queries = 1  # the price check
 
     def ask(prices):
         nonlocal queries
@@ -129,10 +131,9 @@ def mt_gadget_argmax(m: int, oracle: Callable[[Sequence[Price]], tuple[int, Frac
 
     ones = tuple(Fraction(1) for _ in range(m))
     d0, v0 = ask(ones)
-    queries += 1  # the price check below costs one demand query
-    if not (size(d0) == m // 2 and price_check(d0)):
-        profit = v0 - Fraction(size(d0))
-        return GadgetResult(d0, profit, queries)
+    if not (price_check(d0) and size(d0) == m // 2):
+        price = Fraction(size(d0))
+        return GadgetResult(d0, v0 - price, price, queries)
 
     t_mask = d0
     candidates = [(t_mask, v0 - hidden_bump_price(t_mask, t_mask)), (0, Fraction(0))]
@@ -153,7 +154,7 @@ def mt_gadget_argmax(m: int, oracle: Callable[[Sequence[Price]], tuple[int, Frac
     for mask, profit in candidates:
         if profit > best_profit or (profit == best_profit and mask < best_mask):
             best_mask, best_profit = mask, profit
-    return GadgetResult(best_mask, best_profit, queries)
+    return GadgetResult(best_mask, best_profit, hidden_bump_price(best_mask, t_mask), queries)
 
 
 def hidden_problem_valuation(m: int, t_mask: int) -> Valuation:

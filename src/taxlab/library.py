@@ -26,6 +26,8 @@ from fractions import Fraction
 from math import floor
 
 from .bundles import all_bundles, bit, bundles_of_size, check_m, grand, size
+from .demand_menus import (HALF, QUARTER, hidden_problem_valuation, min_affine_argmax,
+                           mt_gadget_argmax)
 from .menus import MinAffineMenu, eval_min_affine, min_affine_table
 from .protocol import MechanismSpec, PriceRun
 from .queries import demand_query
@@ -41,9 +43,6 @@ from .valuations import (
 
 ITEM_A = bit(0)
 ITEM_B = bit(1)
-
-HALF = Fraction(1, 2)
-QUARTER = Fraction(1, 4)
 
 
 def round_to_range(x: Fraction, lo: int, hi: int) -> int:
@@ -118,9 +117,7 @@ def value_tightness(bundle_list: tuple[int, ...], m: int) -> MechanismSpec:
         }
 
     def program(profile, rec):
-        v_alice, v_bob = profile
-        a_val = rec.value_query(0, ITEM_A)
-        t = round_to_range(a_val, 1, c)
+        t = round_to_range(rec.value_query(0, ITEM_A), 1, c)
         prices = menu_prices(t)
         best_mask, best_profit = 0, Fraction(0)
         for s in bundle_list:
@@ -213,19 +210,9 @@ def demand_tightness(menus: tuple[MinAffineMenu, ...], m: int) -> MechanismSpec:
                 bound = p
 
     def program(profile, rec):
-        v_alice, v_bob = profile
-        a_val = rec.value_query(0, ITEM_A)
-        t = round_to_range(a_val, 1, len(menus))
+        t = round_to_range(rec.value_query(0, ITEM_A), 1, len(menus))
         ma = menus[t - 1]
-        best_mask, best_profit = 0, Fraction(0)
-        for vec, _r in zip(ma.vectors, ma.offsets):
-            d_mask, d_val = rec.demand_query(1, vec)
-            p = eval_min_affine(ma, d_mask)
-            if not is_finite(p):
-                continue
-            profit = d_val - p
-            if profit > best_profit or (profit == best_profit and d_mask < best_mask):
-                best_mask, best_profit = d_mask, profit
+        best_mask = min_affine_argmax(ma, lambda vec: rec.demand_query(1, vec))
         pay = eval_min_affine(ma, best_mask) if best_mask else Fraction(0)
         return (0, best_mask), (Fraction(0), pay)
 
@@ -264,10 +251,6 @@ def demand_tightness_catalog(spec: MechanismSpec, count: int) -> ValuationCatalo
 
 # ------------------------------------------------------------- M_T gadget
 
-def mt_price(s: int, bump: list[int]) -> Fraction:
-    return Fraction(size(s)) + (HALF if s in bump else Fraction(0))
-
-
 def mt_gadget(m: int) -> MechanismSpec:
     """Size-priced menu with a half-unit bump on the half-size bundle the
     first player values at 1/4; the buyer's optimum is located with at most
@@ -275,40 +258,14 @@ def mt_gadget(m: int) -> MechanismSpec:
     if m < 2 or m % 2:
         raise DomainError("mt_gadget needs even m >= 2")
     bound = Fraction(m)
-    ones = tuple(Fraction(1) for _ in range(m))
 
     def program(profile, rec):
-        v1, v2 = profile
-        d0, val0 = rec.demand_query(1, ones)
-        check_prices = tuple(
-            Fraction(0) if d0 & bit(j) else INF for j in range(m)
-        )
-        _, v1_at_d0 = rec.demand_query(0, check_prices)
-        hit = size(d0) == m // 2 and v1_at_d0 == QUARTER
-        if not hit:
-            pay = Fraction(size(d0)) if d0 else Fraction(0)
-            return (0, d0), (Fraction(0), pay)
-        t_mask = d0
-        candidates = [(t_mask, val0 - mt_price(t_mask, [t_mask])), (0, Fraction(0))]
-        for j in range(m):
-            if t_mask & bit(j):
-                prices = tuple(INF if k == j else Fraction(1) for k in range(m))
-                d, dv = rec.demand_query(1, prices)
-                candidates.append((d, dv - mt_price(d, [t_mask])))
-        for j in range(m):
-            if not t_mask & bit(j):
-                prices = tuple(
-                    Fraction(0) if t_mask & bit(k) else (HALF if k == j else Fraction(1))
-                    for k in range(m)
-                )
-                d, dv = rec.demand_query(1, prices)
-                candidates.append((d, dv - mt_price(d, [t_mask])))
-        best_mask, best_profit = 0, Fraction(0)
-        for mask, profit in candidates:
-            if profit > best_profit or (profit == best_profit and mask < best_mask):
-                best_mask, best_profit = mask, profit
-        pay = mt_price(best_mask, [t_mask]) if best_mask else Fraction(0)
-        return (0, best_mask), (Fraction(0), pay)
+        def price_check(d: int) -> bool:
+            only_d = tuple(Fraction(0) if d & bit(j) else INF for j in range(m))
+            return rec.demand_query(0, only_d)[1] == QUARTER
+
+        got = mt_gadget_argmax(m, lambda prices: rec.demand_query(1, prices), price_check)
+        return (0, got.bundle), (Fraction(0), got.price)
 
     def price_protocol(spec, i, v_minus_i, s):
         if i == 0:
@@ -331,27 +288,12 @@ def mt_gadget(m: int) -> MechanismSpec:
     )
 
 
-def hidden_bump_valuation(m: int, t_mask: int) -> Valuation:
-    """0 below half size, 1/4 exactly on the hidden bundle, 1 above."""
-    half = m // 2
-    table = []
-    for s in all_bundles(m):
-        k = size(s)
-        if k < half:
-            table.append(Fraction(0))
-        elif k == half:
-            table.append(QUARTER if s == t_mask else Fraction(0))
-        else:
-            table.append(Fraction(1))
-    return Valuation(m, tuple(table))
-
-
 def mt_catalog(m: int, t_masks=None, buyer=None) -> ValuationCatalog:
     half = m // 2
     if t_masks is None:
         sized = bundles_of_size(m, half)
         t_masks = sorted({sized[0], sized[-1], sized[len(sized) // 2]})
-    p1 = tuple(hidden_bump_valuation(m, t) for t in t_masks)
+    p1 = tuple(hidden_problem_valuation(m, t) for t in t_masks)
     if buyer is None:
         # the additive-2-on-T buyers answer T to the opening all-ones query,
         # driving the full three-phase path when T is the hidden bundle

@@ -7,16 +7,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import log2
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .bundles import all_bundles, bit, bundles_of_size
-from .comm_reconstruct import (CommReconstruction, build_disjointness_instance,
+from .comm_reconstruct import (CommReconstruction, ProofInstance, build_disjointness_instance,
                                menu_catalog, reconstruct_menu_comm)
-from .demand_menus import (covers, demand_cover, extract_min_affine,
+from .demand_menus import (QUARTER, covers, demand_cover, extract_min_affine,
                            hidden_bump_price, hidden_problem_valuation,
                            mt_gadget_argmax)
 from .disjointness import (ZDisjointnessInstance, brute_force_verdict,
-                           solve_z_disjointness)
+                           max_intersection, solve_z_disjointness)
 from .library import (default_catalog, drop_price, drop_tax, drop_tie,
                       encode_disjointness_string, half_size_bundles,
                       make_example, single_item_valuation)
@@ -71,8 +71,7 @@ class CheckLine:
         return f"{self.name}: {status}{tail}"
 
 
-def theorem_check_lines(reports: Sequence[ComplexityReport],
-                        specs: Optional[Sequence[MechanismSpec]] = None) -> list[CheckLine]:
+def theorem_check_lines(reports: Sequence[ComplexityReport]) -> list[CheckLine]:
     """The measured-inequality battery over finished reports."""
     lines = []
 
@@ -248,11 +247,9 @@ def gadget_trials(trials: int, seed: int, ms=(4, 6)) -> CheckLine:
         for _ in range(trials):
             t_mask = sized[rng.randrange(len(sized))]
             v = random_monotone_valuation(m, rng)
-            got = mt_gadget_argmax(
-                m,
-                lambda prices: demand_query(v, prices),
-                lambda s: hidden_problem_valuation(m, t_mask).value(s) == Fraction(1, 4),
-            )
+            hidden = hidden_problem_valuation(m, t_mask)
+            got = mt_gadget_argmax(m, lambda prices: demand_query(v, prices),
+                                   lambda s: hidden.value(s) == QUARTER)
             brute = max(v.value(s) - hidden_bump_price(s, t_mask) for s in all_bundles(m))
             achieved = v.value(got.bundle) - hidden_bump_price(got.bundle, t_mask)
             if got.profit != brute or achieved != brute or got.demand_queries > m + 2:
@@ -342,13 +339,24 @@ def disjointness_trials(trials: int, seed: int) -> tuple[CheckLine, float]:
     return line, worst_c
 
 
+def blocks_with_two_intersecting_bits(proof: ProofInstance) -> list[int]:
+    """The bundles of a disjointness proof whose bit block, with every
+    allowed string restricted to it, still holds two intersecting bits."""
+    bad = []
+    for s, bit_range in proof.blocks:
+        mask = sum(1 << k for k in bit_range)
+        restricted = [tuple(a & mask for a in strings) for strings in proof.instance.allowed]
+        if max_intersection(restricted, proof.instance.l) > 1:
+            bad.append(s)
+    return bad
+
+
 def comm_reconstruction_check(session: Session, seed: int
                               ) -> tuple[CheckLine, list[tuple[int, int, CommReconstruction]]]:
     """Exact reconstruction for every profile and player; halving and the
     one-intersecting-bit-per-block claim checked on the instances actually
     built along the way.  Also returns each reconstruction as (player,
     size of the player's menu catalog, result)."""
-    from .disjointness import max_intersection
     spec = session.spec
     errors = []
     done = []
@@ -367,17 +375,9 @@ def comm_reconstruction_check(session: Session, seed: int
                 if st.branch != "majority" and 2 * st.live_after > st.live_before:
                     errors.append("halving failed")
             for proof in rec.proofs:
-                for s, bit_range in proof.blocks:
-                    mask = 0
-                    for k in bit_range:
-                        mask |= 1 << k
-                    restricted = [
-                        tuple(a & mask for a in strings)
-                        for strings in proof.instance.allowed
-                    ]
-                    blocks_checked += 1
-                    if max_intersection(restricted, proof.instance.l) > 1:
-                        errors.append(f"block {s} holds two intersecting bits")
+                blocks_checked += len(proof.blocks)
+                errors += [f"block {s} holds two intersecting bits"
+                           for s in blocks_with_two_intersecting_bits(proof)]
     line = CheckLine(
         f"reconstruct-comm[{spec.mech_id}]",
         not errors,
@@ -391,7 +391,6 @@ def block_bound_check(session: Session, seed: int) -> CheckLine:
     """Every block of every instance built over the full catalogs carries
     at most one intersecting bit (checked by the exact DP per block)."""
     from .comm_reconstruct import most_frequent_prices
-    from .disjointness import max_intersection
     spec, players = session.spec, session.catalog.players
     bad = 0
     built = 0
@@ -413,16 +412,7 @@ def block_bound_check(session: Session, seed: int) -> CheckLine:
         except Exception:
             continue
         built += 1
-        for s, bit_range in proof.blocks:
-            block_mask = 0
-            for k in bit_range:
-                block_mask |= 1 << k
-            restricted = [
-                tuple(a & block_mask for a in strings)
-                for strings in proof.instance.allowed
-            ]
-            if max_intersection(restricted, proof.instance.l) > 1:
-                bad += 1
+        bad += len(blocks_with_two_intersecting_bits(proof))
     return CheckLine(
         f"block-bound[{spec.mech_id}]", bad == 0,
         f"{built} instances checked",

@@ -382,11 +382,12 @@ def is_precise(tables: TwoPlayerTables) -> Optional[str]:
 
 def strictify_catalog(spec: MechanismSpec, catalog: ValuationCatalog, seed: int = 0,
                       max_rounds: int = 16, max_resamples: int = 100,
-                      stats: Optional[dict] = None) -> ValuationCatalog:
+                      stats: Optional[dict] = None) -> TwoPlayerTables:
     """Strictify every catalog valuation until the mechanism is precise on
     the strictified catalog itself.  Menus are re-extracted each round
     (strictifying one side can move the menus the other side faces);
-    collisions resample with derived seeds."""
+    collisions resample with derived seeds.  Returns the final round's
+    tables, whose `catalog` is the strictified catalog."""
     grid_l = default_grid_l(spec.m, log2_ceil(max(len(g) for g in catalog.players)))
     attempts = [[0] * len(g) for g in catalog.players]
 
@@ -417,7 +418,7 @@ def strictify_catalog(spec: MechanismSpec, catalog: ValuationCatalog, seed: int 
         if not dirty:
             if stats is not None:
                 stats["max_resamples"] = max(max(g) for g in attempts)
-            return cat
+            return tables
     raise PrecisionError("strictified catalog did not stabilize")
 
 
@@ -437,10 +438,9 @@ class SimultaneousTable:
         return (s1, grand(t.spec.m) & ~s1), 2 * t.tax_bits
 
 
-def to_simultaneous(spec: MechanismSpec, catalog: ValuationCatalog) -> SimultaneousTable:
+def to_simultaneous(tables: TwoPlayerTables) -> SimultaneousTable:
     """Compile a precise mechanism into the one-round protocol; the output
     allocation always contains the mechanism's allocation sidewise."""
-    tables = build_tables(Session(spec, catalog))
     flaw = is_precise(tables)
     if flaw is not None:
         raise PrecisionError(flaw)
@@ -448,7 +448,7 @@ def to_simultaneous(spec: MechanismSpec, catalog: ValuationCatalog) -> Simultane
     for faced_idx, faced in enumerate(tables.presented[1]):
         for shown_idx in range(len(tables.presented[0])):
             mask = 0
-            for v in catalog.players[0]:
+            for v in tables.catalog.players[0]:
                 if tables.index_of[0][v.table] != shown_idx:
                     continue
                 mask |= smallest_argmax(faced, v)

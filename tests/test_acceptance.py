@@ -210,9 +210,9 @@ def test_criterion_11_simultaneous_compiler():
     for mech_id, params in suites.TWO_PLAYER_BENCH:
         spec, cat = suites.bench_instance(mech_id, params)
         stats = {}
-        scat = strictify_catalog(spec, cat, seed=48, stats=stats)
+        table = to_simultaneous(strictify_catalog(spec, cat, seed=48, stats=stats))
+        scat = table.tables.catalog
         ok &= stats["max_resamples"] <= 3
-        table = to_simultaneous(spec, scat)
         ok &= is_precise(table.tables) is None
         for i in (0, 1):
             for menu in reachable_menus(table.tables, i):

@@ -110,16 +110,26 @@ def test_empty_suites_no_artifacts(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
-def test_jobs_flag_matches_serial(tmp_path):
-    doc = dict(BASE, out=str(tmp_path / "serial"))
-    cfg_path = write_config(tmp_path, doc)
-    assert main(["run", "--config", str(cfg_path)]) == 0
-    doc2 = dict(BASE, out=str(tmp_path / "parallel"))
-    cfg2 = tmp_path / "cfg-par.json"
-    cfg2.write_text(json.dumps(doc2))
-    assert main(["run", "--config", str(cfg2), "--jobs", "4"]) == 0
-    assert (tmp_path / "serial" / "reports.csv").read_bytes() == \
-        (tmp_path / "parallel" / "reports.csv").read_bytes()
+def test_suites_run_in_registry_order_and_once(tmp_path, capsys):
+    demo = json.loads((Path(__file__).resolve().parents[1] / "configs" / "demo.json").read_text())
+    doc = {
+        "mechanisms": [{"id": "warmup_tightness", "params": {"c": 1}},
+                       {"id": "drop_tax", "params": {"m": 2}}],
+        "seed": 1,
+        "trials": {"verify": 2, "useless": 5, "disjointness": 5},
+    }
+    shuffled = demo["suites"][::-1] + [demo["suites"][2]]
+    stdout = []
+    for tag, names in (("demo", demo["suites"]), ("shuffled", shuffled)):
+        cfg_path = write_config(tmp_path, dict(doc, suites=names, out=str(tmp_path / tag)))
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        stdout.append(capsys.readouterr().out)
+    assert stdout[0] == stdout[1]
+    names = sorted(p.name for p in (tmp_path / "demo").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "shuffled").iterdir())
+    for name in names:
+        assert (tmp_path / "demo" / name).read_bytes() == \
+            (tmp_path / "shuffled" / name).read_bytes()
 
 
 def test_report_rows_sorted(tmp_path):
@@ -149,8 +159,22 @@ def test_oversized_m_and_non_object_config_exit_two(tmp_path, capsys, monkeypatc
                                   "suites": ["measure"]})
     listed = tmp_path / "list.json"
     listed.write_text(json.dumps([BASE]))
+    malformed = [
+        {"mechanisms": [{"id": "warmup_tightness", "params": {"c": "2"}}], "suites": []},
+        {"mechanisms": [{"id": "posted_prices", "params": {"prices": ["x", "1"]}}],
+         "suites": []},
+        dict(BASE, seed="abc"),
+        dict(BASE, trials={"verify": "x"}),
+        {"mechanisms": ["warmup_tightness"], "suites": []},
+        {"mechanisms": [], "suites": ["measure"]},
+        dict(BASE, suites="measure"),
+    ]
+    paths = [big, listed]
+    for k, doc in enumerate(malformed):
+        paths.append(tmp_path / f"malformed{k}.json")
+        paths[-1].write_text(json.dumps(doc))
     for command in ("validate", "run"):
-        for path in (big, listed):
+        for path in paths:
             assert main([command, "--config", str(path)]) == 2
             err = capsys.readouterr().err
             assert err.startswith("config error:") and err.count("\n") == 1

@@ -104,11 +104,36 @@ def test_min_affine_argmax_matches_brute_force():
 
 
 def run_gadget(m, t_mask, v):
-    return mt_gadget_argmax(
-        m,
-        lambda prices: demand_query(v, prices),
-        lambda s: hidden_problem_valuation(m, t_mask).value(s) == F(1, 4),
-    )
+    hidden = hidden_problem_valuation(m, t_mask)
+    return mt_gadget_argmax(m, lambda prices: demand_query(v, prices),
+                            lambda s: hidden.value(s) == F(1, 4))
+
+
+def test_gadget_price_checks_once_and_counts_every_query():
+    rng = stream(5, "gadget-count")
+    for m in (2, 4, 6):
+        sized = bundles_of_size(m, m // 2)
+        # the zero buyer's opening answer is the empty bundle, not half-size
+        buyers = [additive_valuation([0] * m), additive_valuation([2] * m)]
+        buyers += [random_monotone_valuation(m, rng) for _ in range(20)]
+        for v in buyers:
+            t_mask = sized[rng.randrange(len(sized))]
+            hidden = hidden_problem_valuation(m, t_mask)
+            asked, checked = [], []
+
+            def oracle(prices):
+                asked.append(prices)
+                return demand_query(v, prices)
+
+            def price_check(s):
+                checked.append(s)
+                return hidden.value(s) == F(1, 4)
+
+            got = mt_gadget_argmax(m, oracle, price_check)
+            assert checked == [demand_query(v, asked[0])[0]]
+            assert got.demand_queries == len(asked) + len(checked)
+            assert got.price == hidden_bump_price(got.bundle, t_mask)
+            assert got.profit == v.value(got.bundle) - got.price
 
 
 def test_gadget_spec_cases():
@@ -151,3 +176,85 @@ def test_demand_cover_matches_reference():
         brute = {t for t in targets if covers(prices, t, 4)}
         assert len(brute) <= 1
         assert demand_cover(prices, 4) == brute
+
+
+def reference_demand_tightness_program(menus):
+    """The demand_tightness program as it was written inline, before it
+    called min_affine_argmax."""
+    def program(profile, rec):
+        t = min(len(menus), max(1, int(rec.value_query(0, 1) + F(1, 2))))
+        ma = menus[t - 1]
+        best_mask, best_profit = 0, F(0)
+        for vec in ma.vectors:
+            d_mask, d_val = rec.demand_query(1, vec)
+            p = eval_min_affine(ma, d_mask)
+            if p == INF:
+                continue
+            if d_val - p > best_profit or (d_val - p == best_profit and d_mask < best_mask):
+                best_mask, best_profit = d_mask, d_val - p
+        pay = eval_min_affine(ma, best_mask) if best_mask else F(0)
+        return (0, best_mask), (F(0), pay)
+    return program
+
+
+def reference_mt_gadget_program(m):
+    """The mt_gadget program as it was written inline, before it called
+    mt_gadget_argmax."""
+    def program(profile, rec):
+        d0, val0 = rec.demand_query(1, tuple(F(1) for _ in range(m)))
+        check = tuple(F(0) if d0 >> j & 1 else INF for j in range(m))
+        _, at_d0 = rec.demand_query(0, check)
+        if not (bin(d0).count("1") == m // 2 and at_d0 == F(1, 4)):
+            return (0, d0), (F(0), F(bin(d0).count("1")))
+        t_mask = d0
+        candidates = [(t_mask, val0 - hidden_bump_price(t_mask, t_mask)), (0, F(0))]
+        for j in range(m):
+            if t_mask >> j & 1:
+                d, dv = rec.demand_query(1, tuple(INF if k == j else F(1) for k in range(m)))
+                candidates.append((d, dv - hidden_bump_price(d, t_mask)))
+        for j in range(m):
+            if not t_mask >> j & 1:
+                d, dv = rec.demand_query(1, tuple(
+                    F(0) if t_mask >> k & 1 else (F(1, 2) if k == j else F(1))
+                    for k in range(m)))
+                candidates.append((d, dv - hidden_bump_price(d, t_mask)))
+        best_mask, best_profit = 0, F(0)
+        for mask, profit in candidates:
+            if profit > best_profit or (profit == best_profit and mask < best_mask):
+                best_mask, best_profit = mask, profit
+        pay = hidden_bump_price(best_mask, t_mask) if best_mask else F(0)
+        return (0, best_mask), (F(0), pay)
+    return program
+
+
+@pytest.mark.parametrize("mech_id, params", [
+    ("demand_tightness", {"m": 2, "alpha": 2, "count": 4}),
+    ("demand_tightness", {"m": 4, "alpha": 2, "count": 4}),
+    ("mt_gadget", {"m": 2}),
+    ("mt_gadget", {"m": 4}),
+    ("mt_gadget", {"m": 6}),
+])
+def test_library_programs_match_their_inline_reference(mech_id, params):
+    from dataclasses import replace
+
+    from taxlab.library import make_min_affine_family
+    from taxlab.protocol import run_mechanism
+
+    spec = make_example(mech_id, params)
+    m = spec.m
+    if mech_id == "mt_gadget":
+        program = reference_mt_gadget_program(m)
+    else:
+        program = reference_demand_tightness_program(
+            make_min_affine_family(m, params["alpha"], params["count"]))
+    reference = replace(spec, program=program)
+    cat = default_catalog(mech_id, spec, params)
+    rng = stream(7, "program-reference", mech_id, m)
+    buyers = cat.players[1] + tuple(random_monotone_valuation(m, rng) for _ in range(12))
+    for first in cat.players[0]:
+        for buyer in buyers:
+            got = run_mechanism(spec, (first, buyer))
+            want = run_mechanism(reference, (first, buyer))
+            assert (got.allocation, got.payments) == (want.allocation, want.payments)
+            assert got.qlog.trace == want.qlog.trace
+            assert got.transcript == want.transcript

@@ -182,9 +182,9 @@ def test_price_protocols_match_extracted_menus():
 
 def test_mt_gadget_spec_examples():
     spec = make_example("mt_gadget", {"m": 4})
-    from taxlab.library import hidden_bump_valuation
+    from taxlab.demand_menus import hidden_problem_valuation
     t_mask = 0b0011
-    v1 = hidden_bump_valuation(4, t_mask)
+    v1 = hidden_problem_valuation(4, t_mask)
     zero = additive_valuation([0] * 4)
     res = run_mechanism(spec, (v1, zero))
     assert res.allocation[1] == 0  # nothing profitable for a zero buyer

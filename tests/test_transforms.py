@@ -133,9 +133,9 @@ def test_strictified_catalog_is_precise():
     spec = make_example("warmup_tightness", {"c": 2})
     cat = warmup_catalog(2)
     stats = {}
-    scat = strictify_catalog(spec, cat, seed=11, stats=stats)
+    tables = strictify_catalog(spec, cat, seed=11, stats=stats)
+    scat = tables.catalog
     assert stats["max_resamples"] <= 3
-    tables = build_tables(Session(spec, scat))
     assert is_precise(tables) is None
     for i in (0, 1):
         for menu in reachable_menus(tables, i):
@@ -148,7 +148,7 @@ def test_simultaneous_single_menu_each():
     v0 = additive_valuation([2, 0])
     v1 = additive_valuation([0, 3])
     cat = ValuationCatalog(((v0,), (v1,)))
-    table = to_simultaneous(spec, cat)
+    table = to_simultaneous(build_tables(Session(spec, cat)))
     assert len(table.union_win) == 1
     (alloc, bits) = table.run((v0, v1))
     base = run_mechanism(spec, (v0, v1))
@@ -159,8 +159,8 @@ def test_simultaneous_single_menu_each():
 def test_simultaneous_warmup_containment_and_welfare():
     spec = make_example("warmup_tightness", {"c": 2})
     cat = warmup_catalog(2)
-    scat = strictify_catalog(spec, cat, seed=12)
-    table = to_simultaneous(spec, scat)
+    table = to_simultaneous(strictify_catalog(spec, cat, seed=12))
+    scat = table.tables.catalog
     for profile in scat.profiles():
         base = run_mechanism(spec, profile)
         (s1, s2), bits = table.run(profile)
@@ -177,4 +177,4 @@ def test_imprecise_catalog_rejected():
     spec = make_example("warmup_tightness", {"c": 2})
     cat = warmup_catalog(2)
     with pytest.raises(PrecisionError):
-        to_simultaneous(spec, cat)  # raw integer catalog ties everywhere
+        to_simultaneous(build_tables(Session(spec, cat)))  # raw integer catalog ties everywhere
