@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 from .bundles import all_bundles, bit, size
@@ -104,7 +105,9 @@ class GadgetResult:
     demand_queries: int
 
 
-def hidden_bump_price(s: int, t_mask: int) -> Fraction:
+def hidden_bump_price(s: int, t_mask: Optional[int]) -> Fraction:
+    """Menu price of s: its size, plus a half unit on the hidden bundle
+    t_mask (None: no bump)."""
     return Fraction(size(s)) + (HALF if s == t_mask else Fraction(0))
 
 
@@ -157,8 +160,14 @@ def mt_gadget_argmax(m: int, oracle: Callable[[Sequence[Price]], tuple[int, Frac
     return GadgetResult(best_mask, best_profit, hidden_bump_price(best_mask, t_mask), queries)
 
 
+@lru_cache(maxsize=256)
 def hidden_problem_valuation(m: int, t_mask: int) -> Valuation:
-    """0 below half size, 1/4 on the hidden bundle alone, 1 above."""
+    """0 below half size, 1/4 on the hidden bundle alone, 1 above.
+
+    Memoized: the valuation is immutable, so every caller shares the one
+    built (and validated) per (m, t_mask).  256 entries hold every
+    half-size bundle for m <= 10 without keeping thousands of 2^m tables
+    at larger m."""
     half = m // 2
     table = []
     for s in all_bundles(m):

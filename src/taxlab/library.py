@@ -26,8 +26,8 @@ from fractions import Fraction
 from math import floor
 
 from .bundles import all_bundles, bit, bundles_of_size, check_m, grand, size
-from .demand_menus import (HALF, QUARTER, hidden_problem_valuation, min_affine_argmax,
-                           mt_gadget_argmax)
+from .demand_menus import (HALF, QUARTER, hidden_bump_price, hidden_problem_valuation,
+                           min_affine_argmax, mt_gadget_argmax)
 from .menus import MinAffineMenu, eval_min_affine, min_affine_table
 from .protocol import MechanismSpec, PriceRun
 from .queries import demand_query
@@ -270,10 +270,8 @@ def mt_gadget(m: int) -> MechanismSpec:
     def price_protocol(spec, i, v_minus_i, s):
         if i == 0:
             return PriceRun(Fraction(0) if s == 0 else INF, ())
-        v1 = v_minus_i[0]
-        hit = size(s) == m // 2 and v1.value(s) == QUARTER
-        return PriceRun(Fraction(size(s)) + (HALF if hit else Fraction(0)),
-                        ((0, 1 if hit else 0, 2),))
+        hit = size(s) == m // 2 and v_minus_i[0].value(s) == QUARTER
+        return PriceRun(hidden_bump_price(s, s if hit else None), ((0, 1 if hit else 0, 2),))
 
     return MechanismSpec(
         mech_id=f"mt_gadget(m={m})",
@@ -626,7 +624,8 @@ def default_catalog(mech_id: str, spec: MechanismSpec, params: dict | None = Non
     if mech_id == "warmup_tightness":
         return warmup_catalog(params["c"], params.get("m", 2))
     if mech_id == "value_tightness":
-        return value_tightness_catalog(spec, params["c"])
+        c = params["c"] if "c" in params else len(params["bundles"])
+        return value_tightness_catalog(spec, c)
     if mech_id == "demand_tightness":
         return demand_tightness_catalog(spec, params.get("count", 4))
     if mech_id == "mt_gadget":

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .bundles import all_bundles, bit
@@ -31,16 +32,30 @@ def bundle_price(prices: Sequence[Price], mask: int) -> Price:
 def demand_query(v: Valuation, prices: Sequence[Price]) -> tuple[int, Fraction]:
     """Profit-maximizing bundle under per-item prices, smallest mask among
     ties; bundles holding an infinitely-priced item never win.  Returns the
-    bundle and its value."""
+    bundle and its value.
+
+    Exact integer kernel: the table and the finite prices are scaled to one
+    common denominator, and the subset-sum DP prices every bundle with one
+    addition, cost[s | 2^j] = cost[s] + p_j for s < 2^j."""
     if len(prices) != v.m:
         raise DomainError("price vector length must equal m")
-    best_mask = 0
-    best_profit = Fraction(0)
+    d, values = v.scaled_table
+    den = lcm(d, *(p.denominator for p in prices if is_finite(p)))
+    scale = den // d
+    cost = [0]
+    blocked = 0
+    for j, p in enumerate(prices):
+        if is_finite(p):
+            q = p.numerator * (den // p.denominator)
+            cost += [c + q for c in cost]
+        else:
+            blocked |= bit(j)
+            cost += cost
+    best_mask, best_profit = 0, 0
     for s in all_bundles(v.m):
-        cost = bundle_price(prices, s)
-        if not is_finite(cost):
+        if s & blocked:
             continue
-        profit = v.table[s] - cost
+        profit = values[s] * scale - cost[s]
         if profit > best_profit:
             best_mask, best_profit = s, profit
     return best_mask, v.table[best_mask]

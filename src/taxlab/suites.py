@@ -12,8 +12,8 @@ from typing import Sequence
 from .bundles import all_bundles, bit, bundles_of_size
 from .comm_reconstruct import (CommReconstruction, ProofInstance, build_disjointness_instance,
                                menu_catalog, reconstruct_menu_comm)
-from .demand_menus import (QUARTER, covers, demand_cover, extract_min_affine,
-                           hidden_bump_price, hidden_problem_valuation,
+from .demand_menus import (QUARTER, canonical_valuation, covers, demand_cover,
+                           extract_min_affine, hidden_bump_price, hidden_problem_valuation,
                            mt_gadget_argmax)
 from .disjointness import (ZDisjointnessInstance, brute_force_verdict,
                            max_intersection, solve_z_disjointness)
@@ -22,7 +22,7 @@ from .library import (default_catalog, drop_price, drop_tax, drop_tie,
                       make_example, single_item_valuation)
 from .protocol import (ComplexityReport, MechanismSpec, Session, insert_player,
                        measure_complexities, run_mechanism)
-from .queries import demand_query
+from .queries import bundle_price, demand_query
 from .rational import is_finite
 from .rng import stream
 from .valuations import ValuationCatalog, classify_valuation, random_monotone_valuation
@@ -204,7 +204,6 @@ def useless_learner_trials(trials: int, seed: int, m_max: int = 8, k_max: int = 
 def min_affine_check(session: Session) -> CheckLine:
     """Extraction evaluates to the ground truth everywhere with alpha/beta
     within the canonical run's per-player query counts."""
-    from .demand_menus import canonical_valuation
     spec = session.spec
     errors = []
     count = 0
@@ -223,7 +222,6 @@ def min_affine_check(session: Session) -> CheckLine:
                     continue
                 terms = []
                 for vec, r in zip(ma.vectors, ma.offsets):
-                    from .queries import bundle_price
                     t = bundle_price(vec, s)
                     if is_finite(t):
                         terms.append(t + r)

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
+from math import lcm
 from typing import Optional, Sequence
 
 from .bundles import DomainError, all_bundles, bit, check_m, grand
@@ -61,6 +63,13 @@ class Valuation:
 
     def max_value(self) -> Fraction:
         return self.table[grand(self.m)]
+
+    @cached_property
+    def scaled_table(self) -> tuple[int, tuple[int, ...]]:
+        """The table over one common denominator: (D, ints) with
+        table[s] == ints[s] / D, D the lcm of the table's denominators."""
+        d = lcm(*(x.denominator for x in self.table))
+        return d, tuple(x.numerator * (d // x.denominator) for x in self.table)
 
 
 def valuation_from_values(m: int, pairs) -> Valuation:

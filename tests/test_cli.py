@@ -178,3 +178,18 @@ def test_oversized_m_and_non_object_config_exit_two(tmp_path, capsys, monkeypatc
             assert main([command, "--config", str(path)]) == 2
             err = capsys.readouterr().err
             assert err.startswith("config error:") and err.count("\n") == 1
+
+
+def test_value_tightness_bundles_without_c_uses_default_catalog(tmp_path, capsys):
+    entry = {"id": "value_tightness", "params": {"m": 2, "bundles": [1, 2]}}
+    cfg_path = write_config(tmp_path, {"mechanisms": [entry], "suites": []})
+    assert main(["validate", "--config", str(cfg_path)]) == 0
+    alice = load_config(cfg_path).mechanisms[0].catalog.players[0]
+    assert len(alice) == 2  # c = the bundle count
+    neither = write_config(tmp_path, {"mechanisms": [{"id": "value_tightness",
+                                                      "params": {"m": 2}}],
+                                      "suites": []})
+    capsys.readouterr()
+    assert main(["validate", "--config", str(neither)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1

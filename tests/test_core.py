@@ -89,6 +89,55 @@ def test_demand_query_optimality_exhaustive():
                 assert ans <= s  # mask minimality among maximizers
 
 
+def reference_demand_query(v, prices):
+    """The Fraction loop the integer kernel replaced: every bundle priced
+    by an O(m) sum, strict improvement in ascending mask order."""
+    best_mask, best_profit = 0, Fraction(0)
+    for s in all_bundles(v.m):
+        cost = bundle_price(prices, s)
+        if not is_finite(cost):
+            continue
+        profit = v.table[s] - cost
+        if profit > best_profit:
+            best_mask, best_profit = s, profit
+    return best_mask, v.table[best_mask]
+
+
+@st.composite
+def grid_demand_questions(draw):
+    """Grid-valued valuations and mixed-denominator prices: many ties."""
+    m = draw(st.integers(1, 8))
+    grid = draw(st.sampled_from([1, 2, 3, 4, 8]))
+    scale = draw(st.sampled_from([Fraction(1), Fraction(4), Fraction(5, 3)]))
+    v = random_monotone_valuation(m, draw(st.randoms(use_true_random=False)), grid, scale)
+    finite = st.builds(Fraction, st.integers(0, 16), st.sampled_from([1, 2, 3, 7, 8]))
+    price = st.one_of(st.just(INF), finite)
+    prices = tuple(draw(st.lists(price, min_size=m, max_size=m)))
+    return v, prices
+
+
+@settings(max_examples=400, deadline=None)
+@given(grid_demand_questions())
+def test_demand_query_matches_fraction_reference(question):
+    v, prices = question
+    ans, val = demand_query(v, prices)
+    assert (ans, val) == reference_demand_query(v, prices)
+    assert isinstance(val, Fraction)
+    d, ints = v.scaled_table
+    assert tuple(Fraction(x, d) for x in ints) == v.table
+    with pytest.raises(DomainError):
+        demand_query(v, prices + (Fraction(0),))
+
+
+def test_integer_form_leaves_equality_hash_and_repr_alone():
+    v = valuation_from_values(2, {0b01: Fraction(1, 2), 0b10: Fraction(2, 3), 0b11: 1})
+    before = repr(v)
+    assert v.scaled_table == (6, (0, 3, 4, 6))
+    twin = valuation_from_values(2, dict(enumerate(v.table)))
+    assert v == twin and hash(v) == hash(twin) and repr(v) == before
+    assert valuation_to_json(v) == valuation_to_json(twin)
+
+
 def test_classify_examples():
     assert classify_valuation(additive_valuation([1, 1])) >= {"additive", "submodular", "subadditive"}
     v = valuation_from_values(2, {0b01: 1, 0b10: 1, 0b11: 1})

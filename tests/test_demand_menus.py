@@ -1,6 +1,7 @@
 """Min-affine extraction, the few-query optimizer, and the hidden-bundle
 gadget."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -166,6 +167,24 @@ def test_demand_cover_examples():
     assert demand_cover((F(1, 10), F(1, 10), F(1), F(1)), 4) == {0b0011}
     assert demand_cover((F(1),) * 4, 4) == set()
     assert demand_cover((F(1, 8), F(1, 8), F(1, 2), F(1, 2)), 4) == set()
+
+
+def test_hidden_problem_valuation_is_built_once_per_bundle():
+    for m in (4, 6):
+        for t_mask in bundles_of_size(m, m // 2):
+            shared = hidden_problem_valuation(m, t_mask)
+            assert hidden_problem_valuation(m, t_mask) is shared
+            fresh = hidden_problem_valuation.__wrapped__(m, t_mask)
+            assert fresh is not shared and fresh.table == shared.table
+
+
+def test_demand_cover_matches_covers_on_the_full_grid():
+    grid = [F(0), F(1, 8), F(1, 4), F(1, 2), F(1), INF]
+    targets = bundles_of_size(4, 2)
+    for prices in itertools.product(grid, repeat=4):
+        brute = {t for t in targets if covers(prices, t, 4)}
+        assert len(brute) <= 1
+        assert demand_cover(prices, 4) == brute
 
 
 def test_demand_cover_matches_reference():
