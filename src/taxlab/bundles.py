@@ -8,7 +8,7 @@ capped at 16 so dense 2^m tables stay cheap.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterator
+from typing import Iterator, Sequence
 
 MAX_ITEMS = 16
 
@@ -66,3 +66,19 @@ def bundles_of_size(m: int, k: int) -> list[int]:
     out = [sum(1 << j for j in combo) for combo in combinations(range(m), k)]
     return sorted(out)
 
+
+def max_below(table: Sequence, s: int, floor):
+    """The largest of floor and table[s minus one item] over s's items."""
+    for j in range(s.bit_length()):
+        if s & bit(j) and table[s & ~bit(j)] > floor:
+            floor = table[s & ~bit(j)]
+    return floor
+
+
+def subset_sums(weights: Sequence[int]) -> list[int]:
+    """Total weight of every bundle, indexed by mask: the doubling DP
+    sums[s | 2^j] = sums[s] + weights[j] for s < 2^j."""
+    sums = [0]
+    for q in weights:
+        sums += [x + q for x in sums] if q else sums
+    return sums

@@ -3,7 +3,8 @@
 Each maker returns a MechanismSpec whose program, declared price protocol,
 and declared tie protocol realize one of the benchmark constructions:
 
-* warmup_tightness(c)   -- rounded single-item handoff; cc = c+1, tax = c.
+* warmup_tightness(c)   -- rounded single-item handoff; cc = c+1, tax = c;
+                           c <= WARMUP_MAX_C = 8.
 * value_tightness(T, c) -- bundle list priced by size with one half-unit
                            bump chosen by a rounded value query.
 * demand_tightness      -- a family of min-affine menus indexed by a
@@ -52,9 +53,12 @@ def round_to_range(x: Fraction, lo: int, hi: int) -> int:
 
 # ---------------------------------------------------------------- warm-up
 
+WARMUP_MAX_C = 8  # the catalog holds 2^(c+1) + 1 valuations
+
+
 def warmup_tightness(c: int, m: int = 2) -> MechanismSpec:
-    if c < 1 or m < 1:
-        raise DomainError("warmup_tightness needs c >= 1, m >= 1")
+    if not 1 <= c <= WARMUP_MAX_C or m < 1:
+        raise DomainError(f"warmup_tightness needs 1 <= c <= {WARMUP_MAX_C}, m >= 1")
     top = 1 << c
     bound = Fraction(top)
 
@@ -94,6 +98,8 @@ def warmup_tightness(c: int, m: int = 2) -> MechanismSpec:
 
 
 def warmup_catalog(c: int, m: int = 2) -> ValuationCatalog:
+    if not 1 <= c <= WARMUP_MAX_C:
+        raise DomainError(f"warmup_catalog needs 1 <= c <= {WARMUP_MAX_C}")
     top = 1 << c
     alice = tuple(single_item_valuation(m, 0, t) for t in range(1, top + 1))
     bob = tuple(single_item_valuation(m, 0, t) for t in range(0, top + 2))

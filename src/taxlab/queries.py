@@ -6,8 +6,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from .bundles import all_bundles, bit
-from .rational import INF, Price, is_finite
+from .bundles import all_bundles, bit, subset_sums
+from .rational import INF, Price, common_denominator, is_finite
 from .valuations import DomainError, Valuation
 
 
@@ -35,22 +35,16 @@ def demand_query(v: Valuation, prices: Sequence[Price]) -> tuple[int, Fraction]:
     bundle and its value.
 
     Exact integer kernel: the table and the finite prices are scaled to one
-    common denominator, and the subset-sum DP prices every bundle with one
-    addition, cost[s | 2^j] = cost[s] + p_j for s < 2^j."""
+    common denominator, an INF item weighs 0 and goes in the blocked mask,
+    and `subset_sums` prices every bundle with one int addition."""
     if len(prices) != v.m:
         raise DomainError("price vector length must equal m")
     d, values = v.scaled_table
-    den = lcm(d, *(p.denominator for p in prices if is_finite(p)))
-    scale = den // d
-    cost = [0]
-    blocked = 0
-    for j, p in enumerate(prices):
-        if is_finite(p):
-            q = p.numerator * (den // p.denominator)
-            cost += [c + q for c in cost]
-        else:
-            blocked |= bit(j)
-            cost += cost
+    blocked = sum(bit(j) for j, p in enumerate(prices) if not is_finite(p))
+    dp, weights = common_denominator([p if is_finite(p) else 0 for p in prices])
+    den = lcm(d, dp)
+    scale, price_scale = den // d, den // dp
+    cost = subset_sums([q * price_scale for q in weights])
     best_mask, best_profit = 0, 0
     for s in all_bundles(v.m):
         if s & blocked:

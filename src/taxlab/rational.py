@@ -8,7 +8,8 @@ price in comparisons; it is hashable and serializes as ``"inf"``.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Union
+from math import lcm
+from typing import Iterable, Sequence, Union
 
 
 class Infinite:
@@ -72,6 +73,13 @@ def sum_prices(xs: Iterable[Price]) -> Price:
             return INF
         total = total + x
     return total
+
+
+def common_denominator(xs: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
+    """The rationals over their lcm: (D, ints) with xs[k] == ints[k] / D."""
+    pairs = [x.as_integer_ratio() for x in xs]
+    d = lcm(*[q for _, q in pairs])
+    return d, tuple([p * (d // q) for p, q in pairs])
 
 
 def parse_price(s: str) -> Price:

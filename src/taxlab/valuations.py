@@ -6,11 +6,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from math import lcm
 from typing import Optional, Sequence
 
-from .bundles import DomainError, all_bundles, bit, check_m, grand
-from .rational import format_price, parse_price
+from .bundles import (DomainError, all_bundles, bit, check_m, grand, max_below,
+                      subset_sums)
+from .rational import common_denominator, format_price, parse_price
 
 
 @dataclass(frozen=True)
@@ -30,10 +30,6 @@ class XOSClauses:
             if any(a < 0 for a in cl):
                 raise DomainError("clause entries must be nonnegative")
 
-    def clause_value(self, r: int, mask: int) -> Fraction:
-        cl = self.clauses[r]
-        return sum((cl[j] for j in range(self.m) if mask & bit(j)), Fraction(0))
-
 
 @dataclass(frozen=True)
 class Valuation:
@@ -51,10 +47,11 @@ class Valuation:
             raise DomainError("table entries must be exact rationals")
         if self.table[0] != 0:
             raise DomainError("valuation must be normalized: v(empty) = 0")
-        for s in all_bundles(self.m):
-            for j in range(self.m):
-                if not s & bit(j) and self.table[s] > self.table[s | bit(j)]:
-                    raise DomainError("valuation must be monotone")
+        ints = self.scaled_table[1]
+        for j in range(self.m):
+            b = bit(j)
+            if any(ints[s] > ints[s | b] for s in all_bundles(self.m) if not s & b):
+                raise DomainError("valuation must be monotone")
 
     def value(self, mask: int) -> Fraction:
         if not 0 <= mask < (1 << self.m):
@@ -68,8 +65,7 @@ class Valuation:
     def scaled_table(self) -> tuple[int, tuple[int, ...]]:
         """The table over one common denominator: (D, ints) with
         table[s] == ints[s] / D, D the lcm of the table's denominators."""
-        d = lcm(*(x.denominator for x in self.table))
-        return d, tuple(x.numerator * (d // x.denominator) for x in self.table)
+        return common_denominator(self.table)
 
 
 def valuation_from_values(m: int, pairs) -> Valuation:
@@ -81,22 +77,14 @@ def valuation_from_values(m: int, pairs) -> Valuation:
     table[0] = Fraction(0) if table[0] is None else table[0]
     for s in all_bundles(m):
         if table[s] is None:
-            best = Fraction(0)
-            for j in range(m):
-                if s & bit(j):
-                    prev = table[s & ~bit(j)]
-                    if prev > best:
-                        best = prev
-            table[s] = best
+            table[s] = max_below(table, s, Fraction(0))
     return Valuation(m, tuple(table))
 
 
 def additive_valuation(per_item: Sequence) -> Valuation:
     items = [Fraction(x) for x in per_item]
-    m = len(items)
-    table = [sum((items[j] for j in range(m) if s & bit(j)), Fraction(0))
-             for s in all_bundles(m)]
-    return Valuation(m, tuple(table))
+    d, ints = common_denominator(items)
+    return Valuation(len(items), tuple(Fraction(x, d) for x in subset_sums(ints)))
 
 
 def single_item_valuation(m: int, item_j: int, value) -> Valuation:
@@ -108,27 +96,27 @@ def single_item_valuation(m: int, item_j: int, value) -> Valuation:
 
 
 def xos_from_clauses(c: XOSClauses) -> Valuation:
-    table = []
-    for s in all_bundles(c.m):
-        table.append(max(c.clause_value(r, s) for r in range(len(c.clauses))))
-    return Valuation(c.m, tuple(table), clauses=c)
+    """v(S) = max_r a_r(S): each clause's additive table by `subset_sums`
+    over the clauses' common denominator, then the elementwise max."""
+    m = c.m
+    d, ints = common_denominator([a for cl in c.clauses for a in cl])
+    best = subset_sums(ints[:m])
+    for r in range(m, len(ints), m):
+        best = [x if x >= y else y for x, y in zip(best, subset_sums(ints[r:r + m]))]
+    return Valuation(m, tuple(Fraction(x, d) for x in best), clauses=c)
 
 
 def classify_valuation(v: Valuation) -> frozenset[str]:
     """Class flags {additive, submodular, xos, subadditive} by exhaustive
-    pairwise checks; xos is set only for a verified clause witness."""
+    pairwise checks over the integer table; xos is set only for a verified
+    clause witness."""
     flags = set()
-    m, t = v.m, v.table
-    additive = all(
-        t[s] == sum((t[bit(j)] for j in range(m) if s & bit(j)), Fraction(0))
-        for s in all_bundles(m)
-    )
+    m, t = v.m, v.scaled_table[1]
+    additive = list(t) == subset_sums([t[bit(j)] for j in range(m)])
     submodular = True
     subadditive = True
     for s in all_bundles(m):
-        for u in all_bundles(m):
-            if u < s:
-                continue
+        for u in range(s, 1 << m):
             vs, vu = t[s], t[u]
             if submodular and vs + vu < t[s | u] + t[s & u]:
                 submodular = False
@@ -142,7 +130,7 @@ def classify_valuation(v: Valuation) -> frozenset[str]:
         flags.add("submodular")
     if subadditive:
         flags.add("subadditive")
-    if v.clauses is not None and xos_from_clauses(v.clauses).table == t:
+    if v.clauses is not None and xos_from_clauses(v.clauses).table == v.table:
         flags.add("xos")
     return frozenset(flags)
 
@@ -188,13 +176,7 @@ def random_monotone_valuation(m: int, rng, grid=8, scale=Fraction(4)) -> Valuati
     raw = [Fraction(rng.randrange(grid + 1), grid) * scale for _ in all_bundles(m)]
     table = [Fraction(0)] * (1 << m)
     for s in all_bundles(m):
-        best = raw[s] if s else Fraction(0)
-        for j in range(m):
-            if s & bit(j):
-                prev = table[s & ~bit(j)]
-                if prev > best:
-                    best = prev
-        table[s] = best
+        table[s] = max_below(table, s, raw[s] if s else Fraction(0))
     return Valuation(m, tuple(table))
 
 

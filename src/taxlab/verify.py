@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .bundles import all_bundles, bit, bundles_of_size, check_m, size
+from .bundles import all_bundles, bit, bundles_of_size, check_m, max_below, size
 from .menus import ContractError, Menu
 from .protocol import MechanismSpec, insert_player, run_mechanism
 from .rational import INF, Price, is_finite
@@ -163,21 +163,15 @@ def random_base_function(m: int, bound: Fraction, rng,
     pool = [x for x in values if not is_finite(x) or (0 <= x <= bound)]
     table: list[Price] = [Fraction(0)] * (1 << m)
     for s in all_bundles(m):
-        if s == 0:
-            continue
-        pick = pool[rng.randrange(len(pool))]
-        best: Price = pick
-        for j in range(m):
-            if s & bit(j):
-                prev = table[s & ~bit(j)]
-                if prev > best:
-                    best = prev
-        table[s] = best
+        if s:
+            table[s] = max_below(table, s, pool[rng.randrange(len(pool))])
     return BaseFunction(m, tuple(table))
 
 
 def pairwise_submodular(v: Valuation) -> bool:
-    t = v.table
+    """v(S) + v(U) >= v(S | U) + v(S & U) for every pair, over the integer
+    table."""
+    t = v.scaled_table[1]
     for s in all_bundles(v.m):
         for u in range(s, 1 << v.m):
             if t[s] + t[u] < t[s | u] + t[s & u]:

@@ -168,6 +168,7 @@ def test_oversized_m_and_non_object_config_exit_two(tmp_path, capsys, monkeypatc
         {"mechanisms": ["warmup_tightness"], "suites": []},
         {"mechanisms": [], "suites": ["measure"]},
         dict(BASE, suites="measure"),
+        {"mechanisms": [{"id": "warmup_tightness", "params": {"c": 40}}], "suites": []},
     ]
     paths = [big, listed]
     for k, doc in enumerate(malformed):

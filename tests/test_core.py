@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taxlab.bundles import all_bundles, bit, bundles_of_size, size, subsets, supersets
+from taxlab.bundles import (all_bundles, bit, bundles_of_size, size, subset_sums, subsets,
+                            supersets)
 from taxlab.queries import bundle_price, demand_query, optimal_welfare, value_query
-from taxlab.rational import INF, format_price, is_finite, parse_price, sum_prices
+from taxlab.rational import (INF, common_denominator, format_price, is_finite, parse_price,
+                             sum_prices)
 from taxlab.rng import stream
-from taxlab.valuations import (DomainError, ValuationCatalog, XOSClauses,
+from taxlab.valuations import (DomainError, Valuation, ValuationCatalog, XOSClauses,
                                additive_valuation, classify_valuation,
                                random_monotone_valuation, single_item_valuation,
                                valuation_from_json, valuation_from_values,
@@ -37,16 +39,38 @@ def test_bundle_helpers():
     assert list(supersets(0b001, 2)) == [0b01, 0b11]
     assert bundles_of_size(4, 2)[0] == 0b0011
     assert size(0b1011) == 3
+    assert subset_sums([1, 10, 100]) == [0, 1, 10, 11, 100, 101, 110, 111]
+    assert subset_sums([]) == [0]
+    assert common_denominator([Fraction(1, 2), Fraction(2, 3), Fraction(0)]) == (6, (3, 4, 0))
+    assert common_denominator([]) == (1, ())
 
 
 def test_valuation_validation():
     with pytest.raises(DomainError):
         # not normalized
-        from taxlab.valuations import Valuation
         Valuation(1, (Fraction(1), Fraction(2)))
     with pytest.raises(DomainError):
-        from taxlab.valuations import Valuation
         Valuation(2, (Fraction(0), Fraction(2), Fraction(0), Fraction(1)))
+
+
+def test_monotonicity_is_checked_across_denominators():
+    F = Fraction
+    # v({1}) = 1/2 > v({1, 2}) = 3/7, though the numerators rise 1 -> 3
+    with pytest.raises(DomainError, match="monotone"):
+        Valuation(2, (F(0), F(1, 2), F(0), F(3, 7)))
+    # v({1}) = 3/7 < v({1, 2}) = 1/2, though the numerators fall 3 -> 1
+    ok = Valuation(2, (F(0), F(3, 7), F(0), F(1, 2)))
+    assert ok.scaled_table == (14, (0, 6, 0, 7))
+    # equal values over different denominators are monotone
+    assert Valuation(2, (F(0), F(2, 4), F(1, 2), F(1, 2))).max_value() == F(1, 2)
+
+
+def test_int_or_float_entries_are_refused():
+    # ints carry .numerator/.denominator too, so only the type check stops them
+    for table in ((Fraction(0), 1), (0, Fraction(1)), (Fraction(0), 0.5),
+                  (Fraction(0), True)):
+        with pytest.raises(DomainError, match="exact rationals"):
+            Valuation(1, table)
 
 
 def test_value_query_examples():
@@ -136,6 +160,91 @@ def test_integer_form_leaves_equality_hash_and_repr_alone():
     twin = valuation_from_values(2, dict(enumerate(v.table)))
     assert v == twin and hash(v) == hash(twin) and repr(v) == before
     assert valuation_to_json(v) == valuation_to_json(twin)
+
+
+def reference_additive_table(per_item):
+    """The Fraction loop `additive_valuation` replaced: an O(m) sum per bundle."""
+    items = [Fraction(x) for x in per_item]
+    m = len(items)
+    return tuple(sum((items[j] for j in range(m) if s & bit(j)), Fraction(0))
+                 for s in all_bundles(m))
+
+
+def reference_clause_value(c, r, mask):
+    cl = c.clauses[r]
+    return sum((cl[j] for j in range(c.m) if mask & bit(j)), Fraction(0))
+
+
+def reference_xos_table(c):
+    """The Fraction loop `xos_from_clauses` replaced: one clause sum per
+    (bundle, clause)."""
+    return tuple(max(reference_clause_value(c, r, s) for r in range(len(c.clauses)))
+                 for s in all_bundles(c.m))
+
+
+def reference_classify(v):
+    """The Fraction loops `classify_valuation` replaced."""
+    flags = set()
+    m, t = v.m, v.table
+    additive = all(
+        t[s] == sum((t[bit(j)] for j in range(m) if s & bit(j)), Fraction(0))
+        for s in all_bundles(m)
+    )
+    submodular = True
+    subadditive = True
+    for s in all_bundles(m):
+        for u in all_bundles(m):
+            if u < s:
+                continue
+            vs, vu = t[s], t[u]
+            if submodular and vs + vu < t[s | u] + t[s & u]:
+                submodular = False
+            if subadditive and vs + vu < t[s | u]:
+                subadditive = False
+        if not submodular and not subadditive:
+            break
+    if additive:
+        flags.add("additive")
+    if submodular:
+        flags.add("submodular")
+    if subadditive:
+        flags.add("subadditive")
+    if v.clauses is not None and reference_xos_table(v.clauses) == t:
+        flags.add("xos")
+    return frozenset(flags)
+
+
+# small numerators over mixed denominators: many ties, some across denominators
+mixed_rationals = st.builds(Fraction, st.integers(0, 6), st.sampled_from([1, 2, 3, 7, 8]))
+
+
+@st.composite
+def clause_sets(draw):
+    m = draw(st.integers(1, 6))
+    clause = st.lists(mixed_rationals, min_size=m, max_size=m).map(tuple)
+    return XOSClauses(m, tuple(draw(st.lists(clause, min_size=1, max_size=5))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(clause_sets())
+def test_xos_and_additive_tables_match_fraction_reference(c):
+    v = xos_from_clauses(c)
+    assert v.table == reference_xos_table(c) and v.clauses is c
+    assert all(type(x) is Fraction for x in v.table)
+    assert classify_valuation(v) == reference_classify(v)
+    a = additive_valuation(c.clauses[0])
+    assert a.table == reference_additive_table(c.clauses[0]) and a.clauses is None
+    assert repr(a) == repr(Valuation(c.m, reference_additive_table(c.clauses[0])))
+    assert classify_valuation(a) == reference_classify(a)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 6), st.sampled_from([1, 2, 3, 4, 8]),
+       st.sampled_from([Fraction(1), Fraction(5, 3), Fraction(7, 8)]),
+       st.randoms(use_true_random=False))
+def test_classify_matches_fraction_reference(m, grid, scale, rnd):
+    v = random_monotone_valuation(m, rnd, grid, scale)
+    assert classify_valuation(v) == reference_classify(v)
 
 
 def test_classify_examples():

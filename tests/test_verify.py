@@ -3,16 +3,19 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from taxlab.bundles import all_bundles
 from taxlab.library import default_catalog, make_example
 from taxlab.protocol import extract_menu, measure_complexities
 from taxlab.rational import INF
 from taxlab.rng import stream
-from taxlab.valuations import classify_valuation
+from taxlab.valuations import classify_valuation, random_monotone_valuation
 from taxlab.verify import (BaseFunction, build_probe, exceeds_somewhere,
-                           general_probe, menu_price_grid, random_base_function,
-                           submodular_probe, subadditive_probe, verify_menu,
-                           xos_probe)
+                           general_probe, menu_price_grid, pairwise_submodular,
+                           random_base_function, submodular_probe, subadditive_probe,
+                           verify_menu, xos_probe)
 
 F = Fraction
 
@@ -79,6 +82,35 @@ def test_submodular_probe_level_at_top():
     assert probe_g.value(0b11) == 2 * t
     assert probe_g.value(0b01) == t
     assert "submodular" in classify_valuation(probe_g)
+
+
+def reference_pairwise_submodular(v):
+    """The Fraction pair loop `pairwise_submodular` replaced."""
+    t = v.table
+    for s in all_bundles(v.m):
+        for u in range(s, 1 << v.m):
+            if t[s] + t[u] < t[s | u] + t[s & u]:
+                return False
+    return True
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(1, 6), st.sampled_from([F(1), F(7, 8), F(5, 3)]),
+       st.randoms(use_true_random=False))
+def test_pairwise_submodular_matches_fraction_reference(m, bound, rnd):
+    """Staircase probes (submodular) and random grid valuations (mostly
+    not), with prices over mixed denominators."""
+    values = [F(q, d) for q in range(3) for d in (1, 2, 3, 7, 8)] + [INF]
+    f = random_base_function(m, bound, rnd, values=values)
+    k = rnd.randrange(1, m + 1)
+    for w in sorted({f.table[s] for s in all_bundles(m) if bin(s).count("1") == k}):
+        probe = submodular_probe(f, bound, k, w)
+        assert pairwise_submodular(probe) == reference_pairwise_submodular(probe) is True
+    other = random_monotone_valuation(m, rnd, rnd.choice([1, 2, 3, 8]), bound)
+    assert pairwise_submodular(other) == reference_pairwise_submodular(other)
+    for r in range(1, m + 1):
+        probe = xos_probe(f, bound, r)
+        assert pairwise_submodular(probe) == reference_pairwise_submodular(probe)
 
 
 def test_build_probe_dispatch():
