@@ -18,8 +18,11 @@ Config document:
 
 Per-mechanism catalogs are inline valuation-JSON lists per player or
 {"files": [path, ...]} with one JSON list per player; omitted catalogs
-fall back to the mechanism's builtin default.  Exit status: 0 all suites
-passed, 1 a suite failed (the failing check is named), 2 bad config.
+fall back to the mechanism's builtin default.  Each entry's params are
+checked against its schema in `library.MECHANISMS` before anything is
+built, and an entry whose measurement would exceed MAX_MEASURE_WORK is
+refused before any mechanism runs.  Exit status: 0 all suites passed, 1 a
+suite failed (the failing check is named), 2 bad config.
 """
 
 from __future__ import annotations
@@ -28,17 +31,25 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
+from math import prod
 from pathlib import Path
 from typing import Optional
 
 from . import suites
-from .library import default_catalog, make_example
+from .bundles import MAX_ITEMS
+from .library import default_catalog, make_example, mechanism
 from .protocol import Session, run_mechanism
 from .reporting import audit_rows_to_csv, emit_report, write_text
 from .transforms import build_tables, deviation_audit, strictify_catalog, to_simultaneous
 from .valuations import DomainError, ValuationCatalog, valuation_from_json
 
 TRIAL_DEFAULTS = {"verify": 50, "useless": 100, "disjointness": 200}
+
+# A full measurement runs every profile plus, per player and opponent
+# profile, 2^m probe runs, each over a 2^m table.  The demo's entries need
+# at most 11k steps; mt_gadget needs 7.4M at m = 10 and 3e10 at m = 16.
+MAX_MEASURE_WORK = 1 << 24
 
 
 class ConfigError(ValueError):
@@ -65,27 +76,64 @@ def load_catalog(doc, base: Path) -> Optional[ValuationCatalog]:
     if doc is None or doc == "default":
         return None
     if isinstance(doc, dict) and isinstance(doc.get("files"), list):
-        groups = []
-        for rel in doc["files"]:
-            path = (base / rel) if not Path(rel).is_absolute() else Path(rel)
-            if not path.exists():
-                raise ConfigError(f"catalog file not found: {path}")
-            groups.append(tuple(valuation_from_json(v)
-                                for v in json.loads(path.read_text())))
-        return ValuationCatalog(tuple(groups))
-    if isinstance(doc, list):
-        groups = tuple(
-            tuple(valuation_from_json(v) for v in group) for group in doc
-        )
-        return ValuationCatalog(groups)
-    raise ConfigError("catalogs must be 'default', a list per player, or {files: [...]}")
+        doc = [json.loads((base / rel).read_text()) for rel in doc["files"]]
+    if not isinstance(doc, list):
+        raise ConfigError("catalogs must be 'default', a list per player, or {files: [...]}")
+    return ValuationCatalog(tuple(tuple(valuation_from_json(v) for v in group) for group in doc))
 
 
-def config_int(value, what: str, low: Optional[int] = None) -> int:
-    if type(value) is not int or (low is not None and value < low):
-        bound = "" if low is None else f" >= {low}"
+def config_int(value, what: str, low: Optional[int] = None,
+               high: Optional[int] = None) -> int:
+    if (type(value) is not int or (low is not None and value < low)
+            or (high is not None and value > high)):
+        bound = ("" if low is None else f" >= {low}") if high is None else f" in {low}..{high}"
         raise ConfigError(f"{what} must be an integer{bound}, got {value!r}")
     return value
+
+
+def config_rational(value, what: str, low: int, high: Optional[int] = None) -> None:
+    """An int or a string such as "1/2" in low..high (a float is refused, so
+    no binary rounding enters a price)."""
+    try:
+        x = Fraction(value) if type(value) in (int, str) else None
+    except (ValueError, ZeroDivisionError):
+        x = None
+    if x is None or x < low or (high is not None and x > high):
+        bound = f" >= {low}" if high is None else f" in {low}..{high}"
+        raise ConfigError(f'{what} must be a rational{bound} such as "1/2", got {value!r}')
+
+
+def check_params(mech_id, params) -> dict:
+    """An entry's params checked against its mechanism's schema, nothing
+    built, and returned with the defaults filled in."""
+    mech = mechanism(mech_id)
+    if not isinstance(params, dict):
+        raise ConfigError(f"{mech_id}.params must be an object, got {params!r}")
+    for name in sorted(params.keys() - mech.params.keys()):
+        raise ConfigError(f"{mech_id} has no param {name!r}; it takes {tuple(mech.params)}")
+    for name, p in mech.params.items():
+        what, value = f"{mech_id}.{name}", params.get(name)
+        if name not in params:
+            if p.required:
+                raise ConfigError(f"{what} is required")
+        elif p.kind == "int":
+            config_int(value, what, p.low, p.high)
+        elif not isinstance(value, list) or not 1 <= len(value) <= MAX_ITEMS:
+            raise ConfigError(f"{what} must be a list of 1..{MAX_ITEMS} entries, got {value!r}")
+        else:
+            check = config_int if p.kind == "ints" else config_rational
+            for x in value:
+                check(x, f"{what} entry", p.low, p.high)
+    return mech.complete(params)
+
+
+def check_work(mech_id: str, m: int, sizes: list[int]) -> None:
+    """Refuse (profiles + sum_i |others_i| 2^m) 2^m > MAX_MEASURE_WORK steps."""
+    profiles = prod(sizes)
+    work = (profiles + (sum(profiles // k for k in sizes) << m)) << m
+    if work > MAX_MEASURE_WORK:
+        raise ConfigError(f"{mech_id} at m={m}: measuring catalogs of sizes {sizes} (or larger) "
+                          f"needs {work} table steps, over the cap of {MAX_MEASURE_WORK}")
 
 
 def load_config(path: Path, seed_override: Optional[int] = None,
@@ -123,19 +171,23 @@ def load_config(path: Path, seed_override: Optional[int] = None,
     mechanisms = []
     for entry in entries:
         mech_id = entry.get("id")
+        params = check_params(mech_id, entry.get("params", {}))
+        # one valuation of one player bounds the work from below: refuse
+        # before a builder or a default catalog fills its 2^m tables
+        # (posted_prices takes m from its price list and builds cheaply)
+        check_work(mech_id, params.get("m", 1), [1])
+        spec = make_example(mech_id, params)
         try:
-            params = dict(entry.get("params", {}))
-            spec = make_example(mech_id, params)
-            catalog = load_catalog(entry.get("catalogs"), path.parent)
-            if catalog is None:
-                catalog = default_catalog(mech_id, spec, params)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad mechanism entry {entry!r}: {exc}") from exc
+            catalog = (load_catalog(entry.get("catalogs"), path.parent)
+                       or default_catalog(mech_id, spec, params))
+        except (KeyError, TypeError, ValueError, ArithmeticError, OSError) as exc:
+            raise ConfigError(f"{mech_id}.catalogs: {exc}") from exc
         if catalog.n != spec.n or catalog.m != spec.m:
             raise ConfigError(
                 f"catalog shape ({catalog.n} players, m={catalog.m}) does not "
                 f"match mechanism {spec.mech_id}"
             )
+        check_work(mech_id, spec.m, [len(vs) for vs in catalog.players])
         mechanisms.append(MechanismEntry(mech_id, catalog, spec))
     return Config(mechanisms, suite_names, seed, Path(out), trials)
 

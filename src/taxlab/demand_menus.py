@@ -21,7 +21,7 @@ from .menus import Menu, MinAffineMenu, eval_min_affine
 from .protocol import MechanismSpec, extract_menu, insert_player, run_mechanism
 from .queries import bundle_price, demand_query
 from .rational import INF, Price, is_finite
-from .valuations import DomainError, Valuation
+from .valuations import DomainError, Valuation, layered_valuation
 
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
@@ -168,17 +168,7 @@ def hidden_problem_valuation(m: int, t_mask: int) -> Valuation:
     built (and validated) per (m, t_mask).  256 entries hold every
     half-size bundle for m <= 10 without keeping thousands of 2^m tables
     at larger m."""
-    half = m // 2
-    table = []
-    for s in all_bundles(m):
-        k = size(s)
-        if k < half:
-            table.append(Fraction(0))
-        elif k == half:
-            table.append(QUARTER if s == t_mask else Fraction(0))
-        else:
-            table.append(Fraction(1))
-    return Valuation(m, tuple(table))
+    return layered_valuation(m, {t_mask: QUARTER}, Fraction(1))
 
 
 def demand_cover(prices: Sequence[Price], m: int) -> set[int]:

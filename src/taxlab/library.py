@@ -5,7 +5,8 @@ and declared tie protocol realize one of the benchmark constructions:
 
 * warmup_tightness(c)   -- rounded single-item handoff; cc = c+1, tax = c;
                            c <= WARMUP_MAX_C = 8.
-* value_tightness(T, c) -- bundle list priced by size with one half-unit
+* value_tightness(m, c | bundles) -- bundle list (or the first c
+                           singletons) priced by size with one half-unit
                            bump chosen by a rounded value query.
 * demand_tightness      -- a family of min-affine menus indexed by a
                            rounded value query; the buyer optimizes with
@@ -19,25 +20,31 @@ and declared tie protocol realize one of the benchmark constructions:
 * drop_price(m)         -- three players; item a priced 1 or 2 by a
                            common-one test between the first two.
 * posted_prices(p)      -- sequential fixed item prices (plumbing baseline).
+
+MECHANISMS declares each one once: its builder, its default catalog and
+the schema of its config params.  Both take the params as keywords.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
+from typing import Callable, Optional
 
-from .bundles import all_bundles, bit, bundles_of_size, check_m, grand, size
+from .bundles import MAX_ITEMS, all_bundles, bit, bundles_of_size, grand, size
 from .demand_menus import (HALF, QUARTER, hidden_bump_price, hidden_problem_valuation,
                            min_affine_argmax, mt_gadget_argmax)
 from .menus import MinAffineMenu, eval_min_affine, min_affine_table
 from .protocol import MechanismSpec, PriceRun
 from .queries import demand_query
-from .rational import INF, Price, is_finite
+from .rational import INF, Price
 from .valuations import (
     DomainError,
     Valuation,
     ValuationCatalog,
     additive_valuation,
+    layered_valuation,
     single_item_valuation,
     valuation_from_values,
 )
@@ -51,14 +58,21 @@ def round_to_range(x: Fraction, lo: int, hi: int) -> int:
     return min(hi, max(lo, floor(x + HALF)))
 
 
+def buyer_only(buyer: int, protocol):
+    """The price protocol of a mechanism in which only player `buyer` can
+    buy: every other player sees only the empty bundle, at price 0."""
+    def run(spec, i, v_minus_i, s):
+        return (protocol(spec, i, v_minus_i, s) if i == buyer
+                else PriceRun(Fraction(0) if s == 0 else INF, ()))
+    return run
+
+
 # ---------------------------------------------------------------- warm-up
 
 WARMUP_MAX_C = 8  # the catalog holds 2^(c+1) + 1 valuations
 
 
 def warmup_tightness(c: int, m: int = 2) -> MechanismSpec:
-    if not 1 <= c <= WARMUP_MAX_C or m < 1:
-        raise DomainError(f"warmup_tightness needs 1 <= c <= {WARMUP_MAX_C}, m >= 1")
     top = 1 << c
     bound = Fraction(top)
 
@@ -73,8 +87,6 @@ def warmup_tightness(c: int, m: int = 2) -> MechanismSpec:
         return (0, 0), (Fraction(0), Fraction(0))
 
     def price_protocol(spec, i, v_minus_i, s):
-        if i == 0:
-            return PriceRun(Fraction(0) if s == 0 else INF, ())
         t = round_to_range(v_minus_i[0].value(ITEM_A), 1, top)
         if s == 0:
             price: Price = Fraction(0)
@@ -92,14 +104,12 @@ def warmup_tightness(c: int, m: int = 2) -> MechanismSpec:
         mode="bit",
         program=program,
         grid_bits=max(1, c),
-        price_protocol=price_protocol,
+        price_protocol=buyer_only(1, price_protocol),
         tie_cost_fn=lambda profile: 1,
     )
 
 
 def warmup_catalog(c: int, m: int = 2) -> ValuationCatalog:
-    if not 1 <= c <= WARMUP_MAX_C:
-        raise DomainError(f"warmup_catalog needs 1 <= c <= {WARMUP_MAX_C}")
     top = 1 << c
     alice = tuple(single_item_valuation(m, 0, t) for t in range(1, top + 1))
     bob = tuple(single_item_valuation(m, 0, t) for t in range(0, top + 2))
@@ -108,12 +118,16 @@ def warmup_catalog(c: int, m: int = 2) -> ValuationCatalog:
 
 # ------------------------------------------------------- value tightness
 
-def value_tightness(bundle_list: tuple[int, ...], m: int) -> MechanismSpec:
+def value_tightness(m: int, c: Optional[int] = None, bundles=None) -> MechanismSpec:
     """Bundles priced by size, with the rounded first value query choosing
-    which one costs an extra half unit."""
+    which one costs an extra half unit.  The bundle list is `bundles`, or
+    else the first c singletons."""
+    if (c is None) == (bundles is None):
+        raise DomainError("value_tightness needs exactly one of c and bundles")
+    bundle_list = tuple(bit(j) for j in range(c)) if bundles is None else tuple(bundles)
     c = len(bundle_list)
     if c < 1 or any(s == 0 or s >= (1 << m) for s in bundle_list):
-        raise DomainError("value_tightness needs nonempty bundles within m items")
+        raise DomainError("value_tightness needs c <= m, or bundles within m items")
     bound = Fraction(max(size(s) for s in bundle_list)) + HALF
 
     def menu_prices(t: int) -> dict[int, Fraction]:
@@ -134,8 +148,6 @@ def value_tightness(bundle_list: tuple[int, ...], m: int) -> MechanismSpec:
         return (0, best_mask), (Fraction(0), pay)
 
     def price_protocol(spec, i, v_minus_i, s):
-        if i == 0:
-            return PriceRun(Fraction(0) if s == 0 else INF, ())
         t = round_to_range(v_minus_i[0].value(ITEM_A), 1, c)
         prices = menu_prices(t)
         best: Price = INF
@@ -153,23 +165,15 @@ def value_tightness(bundle_list: tuple[int, ...], m: int) -> MechanismSpec:
         mode="value",
         program=program,
         grid_bits=6,
-        price_protocol=price_protocol,
+        price_protocol=buyer_only(1, price_protocol),
         tie_cost_fn=lambda profile: m,
     )
 
 
-def value_tightness_default(c: int, m: int) -> MechanismSpec:
-    if c > m:
-        raise DomainError("default bundle list uses the first c singletons")
-    return value_tightness(tuple(bit(j) for j in range(c)), m)
-
-
-def value_tightness_catalog(spec: MechanismSpec, c: int, bob_values=None) -> ValuationCatalog:
-    m = spec.m
+def value_tightness_catalog(m: int, c: Optional[int] = None, bundles=None) -> ValuationCatalog:
+    c = len(bundles) if c is None else c
     alice = tuple(single_item_valuation(m, 0, t) for t in range(1, c + 1))
-    if bob_values is None:
-        bob_values = [0, HALF, 1, Fraction(3, 2), 2]
-    bob = tuple(additive_valuation([Fraction(x)] * m) for x in bob_values)
+    bob = tuple(additive_valuation([Fraction(x)] * m) for x in (0, HALF, 1, Fraction(3, 2), 2))
     return ValuationCatalog((alice, bob))
 
 
@@ -180,8 +184,6 @@ def make_min_affine_family(m: int, alpha: int, count: int) -> tuple[MinAffineMen
     supported on the first m/2 items (everything touching the rest is
     infinitely priced)."""
     half = m // 2
-    if half < 1 or alpha < 1 or count < 1:
-        raise DomainError("need m >= 2, alpha >= 1, count >= 1")
     menus = []
     for t in range(1, count + 1):
         vectors = []
@@ -194,26 +196,19 @@ def make_min_affine_family(m: int, alpha: int, count: int) -> tuple[MinAffineMen
             vectors.append(tuple(vec))
             offsets.append(Fraction(0) if k == 0 else Fraction(k, 4))
         menus.append(MinAffineMenu(m, tuple(vectors), tuple(offsets)))
-    tables = {min_affine_table(ma).price for ma in menus}
-    if len(tables) != count:
+    tables = [min_affine_table(ma) for ma in menus]
+    if len({t.price for t in tables}) != count:
         raise DomainError("min-affine family members must be distinct")
-    for ma in menus:
-        if not min_affine_table(ma).is_normalized():
-            raise DomainError("min-affine family members must be normalized menus")
+    if not all(t.is_normalized() for t in tables):
+        raise DomainError("min-affine family members must be normalized menus")
     return tuple(menus)
 
 
-def demand_tightness(menus: tuple[MinAffineMenu, ...], m: int) -> MechanismSpec:
-    if any(ma.beta != 0 for ma in menus):
-        raise DomainError("demand_tightness menus must have no exceptions")
-    if any(ma.m != m for ma in menus):
-        raise DomainError("menu item count mismatch")
-    bound = Fraction(0)
-    for ma in menus:
-        for s in all_bundles(m):
-            p = eval_min_affine(ma, s)
-            if is_finite(p) and p > bound:
-                bound = p
+def demand_tightness(m: int, alpha: int, count: int) -> MechanismSpec:
+    menus = make_min_affine_family(m, alpha, count)
+    # prices rise with the bundle and are finite only on the first m/2
+    # items, so that bundle is every menu's dearest finite one
+    bound = max(eval_min_affine(ma, grand(m // 2)) for ma in menus)
 
     def program(profile, rec):
         t = round_to_range(rec.value_query(0, ITEM_A), 1, len(menus))
@@ -223,8 +218,6 @@ def demand_tightness(menus: tuple[MinAffineMenu, ...], m: int) -> MechanismSpec:
         return (0, best_mask), (Fraction(0), pay)
 
     def price_protocol(spec, i, v_minus_i, s):
-        if i == 0:
-            return PriceRun(Fraction(0) if s == 0 else INF, ())
         t = round_to_range(v_minus_i[0].value(ITEM_A), 1, len(menus))
         return PriceRun(eval_min_affine(menus[t - 1], s), ((0, t, len(menus)),))
 
@@ -236,13 +229,13 @@ def demand_tightness(menus: tuple[MinAffineMenu, ...], m: int) -> MechanismSpec:
         mode="demand",
         program=program,
         grid_bits=6,
-        price_protocol=price_protocol,
+        price_protocol=buyer_only(1, price_protocol),
         tie_cost_fn=lambda profile: m,
     )
 
 
-def demand_tightness_catalog(spec: MechanismSpec, count: int) -> ValuationCatalog:
-    m = spec.m
+def demand_tightness_catalog(m: int, alpha: int, count: int) -> ValuationCatalog:
+    """The catalog does not depend on alpha."""
     alice = tuple(single_item_valuation(m, 0, t) for t in range(1, count + 1))
     half = m // 2
     support = [Fraction(2) if j < half else Fraction(0) for j in range(m)]
@@ -274,8 +267,6 @@ def mt_gadget(m: int) -> MechanismSpec:
         return (0, got.bundle), (Fraction(0), got.price)
 
     def price_protocol(spec, i, v_minus_i, s):
-        if i == 0:
-            return PriceRun(Fraction(0) if s == 0 else INF, ())
         hit = size(s) == m // 2 and v_minus_i[0].value(s) == QUARTER
         return PriceRun(hidden_bump_price(s, s if hit else None), ((0, 1 if hit else 0, 2),))
 
@@ -287,65 +278,42 @@ def mt_gadget(m: int) -> MechanismSpec:
         mode="demand",
         program=program,
         grid_bits=6,
-        price_protocol=price_protocol,
+        price_protocol=buyer_only(1, price_protocol),
         tie_cost_fn=lambda profile: m,
     )
 
 
-def mt_catalog(m: int, t_masks=None, buyer=None) -> ValuationCatalog:
-    half = m // 2
-    if t_masks is None:
-        sized = bundles_of_size(m, half)
-        t_masks = sorted({sized[0], sized[-1], sized[len(sized) // 2]})
+def mt_catalog(m: int) -> ValuationCatalog:
+    sized = bundles_of_size(m, m // 2)
+    t_masks = sorted({sized[0], sized[-1], sized[len(sized) // 2]})
     p1 = tuple(hidden_problem_valuation(m, t) for t in t_masks)
-    if buyer is None:
-        # the additive-2-on-T buyers answer T to the opening all-ones query,
-        # driving the full three-phase path when T is the hidden bundle
-        focused = [
-            additive_valuation(
-                [Fraction(2) if t & bit(j) else Fraction(0) for j in range(m)]
-            )
-            for t in t_masks[:2]
-        ]
-        buyer = tuple(focused) + (
-            additive_valuation([Fraction(2)] * m),
-            valuation_from_values(
-                m, {s: Fraction(min(size(s), m // 2 + 1)) for s in all_bundles(m)}
-            ),
+    # the additive-2-on-T buyers answer T to the opening all-ones query,
+    # driving the full three-phase path when T is the hidden bundle
+    focused = [
+        additive_valuation(
+            [Fraction(2) if t & bit(j) else Fraction(0) for j in range(m)]
         )
-    return ValuationCatalog((p1, tuple(buyer)))
+        for t in t_masks[:2]
+    ]
+    buyer = tuple(focused) + (
+        additive_valuation([Fraction(2)] * m),
+        valuation_from_values(
+            m, {s: Fraction(min(size(s), m // 2 + 1)) for s in all_bundles(m)}
+        ),
+    )
+    return ValuationCatalog((p1, buyer))
 
 
 # ------------------------------------------------------- App E reductions
 
-def half_size_bundles(m: int) -> list[int]:
-    return bundles_of_size(m, m // 2)
-
-
-def layered_valuation(m: int, level_bits: dict[int, int], high=Fraction(1)) -> Valuation:
-    """0 below half size, the given bit per half-size bundle, `high` above."""
-    half = m // 2
-    high = Fraction(high)
-    table = []
-    for s in all_bundles(m):
-        k = size(s)
-        if k < half:
-            table.append(Fraction(0))
-        elif k == half:
-            table.append(high if level_bits.get(s, 0) else Fraction(0))
-        else:
-            table.append(high)
-    return Valuation(m, tuple(table))
-
-
 def encode_disjointness_string(m: int, bits: str, high=Fraction(1)) -> Valuation:
-    """One bit per half-size bundle in ascending mask order."""
-    sized = half_size_bundles(m)
+    """One bit per half-size bundle in ascending mask order, worth `high`."""
+    sized = bundles_of_size(m, m // 2)
     if len(bits) != len(sized):
         raise DomainError(f"need {len(sized)} bits for m={m}")
-    return layered_valuation(
-        m, {s: int(b) for s, b in zip(sized, bits)}, high=high
-    )
+    high = Fraction(high)
+    return layered_valuation(m, {s: high if int(b) else Fraction(0)
+                                 for s, b in zip(sized, bits)}, high)
 
 
 def drop_tie(m: int) -> MechanismSpec:
@@ -353,7 +321,7 @@ def drop_tie(m: int) -> MechanismSpec:
     the half-size equality rule, which costs exponential communication."""
     if m < 2 or m % 2:
         raise DomainError("drop_tie needs even m >= 2")
-    sized = half_size_bundles(m)
+    sized = bundles_of_size(m, m // 2)
 
     def binary_only(v: Valuation) -> bool:
         return all(x == 0 or x == 1 for x in v.table)
@@ -382,8 +350,6 @@ def drop_tie(m: int) -> MechanismSpec:
         return (0, won), (Fraction(0), Fraction(0))
 
     def price_protocol(spec, i, v_minus_i, s):
-        if i == 0:
-            return PriceRun(Fraction(0) if s == 0 else INF, ())
         price: Price = Fraction(0) if s in (0, ITEM_A, ITEM_B) else INF
         return PriceRun(price, ())
 
@@ -403,7 +369,7 @@ def drop_tie(m: int) -> MechanismSpec:
         mode="bit",
         program=program,
         grid_bits=2,
-        price_protocol=price_protocol,
+        price_protocol=buyer_only(1, price_protocol),
         tie_cost_fn=tie_cost,
     )
 
@@ -413,7 +379,7 @@ def drop_tax(m: int) -> MechanismSpec:
     them at >= 1; the buyer takes his highest-value eligible bundle."""
     if m < 2 or m % 2:
         raise DomainError("drop_tax needs even m >= 2")
-    sized = half_size_bundles(m)
+    sized = bundles_of_size(m, m // 2)
 
     def program(profile, rec):
         v1, v2 = profile
@@ -434,8 +400,6 @@ def drop_tax(m: int) -> MechanismSpec:
         return (0, best_mask), (Fraction(0), pay)
 
     def price_protocol(spec, i, v_minus_i, s):
-        if i == 0:
-            return PriceRun(Fraction(0) if s == 0 else INF, ())
         if s == 0:
             return PriceRun(Fraction(0), ())
         if size(s) > m // 2:
@@ -452,7 +416,7 @@ def drop_tax(m: int) -> MechanismSpec:
         mode="bit",
         program=program,
         grid_bits=2,
-        price_protocol=price_protocol,
+        price_protocol=buyer_only(1, price_protocol),
         tie_cost_fn=lambda profile: m,
     )
 
@@ -462,7 +426,7 @@ def drop_price(m: int) -> MechanismSpec:
     share a half-size bundle they both value at exactly 1, else 2."""
     if m < 2 or m % 2:
         raise DomainError("drop_price needs even m >= 2")
-    sized = half_size_bundles(m)
+    sized = bundles_of_size(m, m // 2)
 
     def program(profile, rec):
         v1, v2, v3 = profile
@@ -479,8 +443,6 @@ def drop_price(m: int) -> MechanismSpec:
         return (0, 0, 0), (Fraction(0), Fraction(0), Fraction(0))
 
     def price_protocol(spec, i, v_minus_i, s):
-        if i != 2:
-            return PriceRun(Fraction(0) if s == 0 else INF, ())
         if s == 0:
             return PriceRun(Fraction(0), ())
         if s != ITEM_A:
@@ -499,54 +461,54 @@ def drop_price(m: int) -> MechanismSpec:
         mode="bit",
         program=program,
         grid_bits=2,
-        price_protocol=price_protocol,
+        price_protocol=buyer_only(2, price_protocol),
         tie_cost_fn=lambda profile: 0,
     )
 
 
-def drop_family_catalog(mech: str, m: int, strings: list[str] | None = None) -> ValuationCatalog:
-    sized = half_size_bundles(m)
-    width = len(sized)
-    if strings is None:
-        strings = ["0" * width, "1" * width, ("10" * width)[:width], ("01" * width)[:width]]
-    if mech == "drop_tie":
-        p1 = tuple(encode_disjointness_string(m, s) for s in strings)
-        p2 = p1
-        return ValuationCatalog((p1, p2))
-    if mech == "drop_tax":
-        p1 = tuple(encode_disjointness_string(m, s) for s in strings)
-        p2 = tuple(encode_disjointness_string(m, s, high=Fraction(2)) for s in strings)
-        return ValuationCatalog((p1, p2))
-    if mech == "drop_price":
-        p1 = tuple(encode_disjointness_string(m, s) for s in strings)
-        p2 = p1
-        p3 = tuple(
-            single_item_valuation(m, 0, x)
-            for x in (HALF, Fraction(3, 2), Fraction(5, 2))
-        )
-        return ValuationCatalog((p1, p2, p3))
-    raise DomainError(f"unknown drop-family mechanism {mech}")
+def layer_catalog(m: int, high=Fraction(1)) -> tuple[Valuation, ...]:
+    """The all-zero, all-one and two alternating half-size layers."""
+    width = len(bundles_of_size(m, m // 2))
+    strings = ["0" * width, "1" * width, ("10" * width)[:width], ("01" * width)[:width]]
+    return tuple(encode_disjointness_string(m, s, high=high) for s in strings)
+
+
+def drop_tie_catalog(m: int) -> ValuationCatalog:
+    p1 = layer_catalog(m)
+    return ValuationCatalog((p1, p1))
+
+
+def drop_tax_catalog(m: int) -> ValuationCatalog:
+    return ValuationCatalog((layer_catalog(m), layer_catalog(m, high=Fraction(2))))
+
+
+def drop_price_catalog(m: int) -> ValuationCatalog:
+    p1 = layer_catalog(m)
+    p3 = tuple(single_item_valuation(m, 0, x) for x in (HALF, Fraction(3, 2), Fraction(5, 2)))
+    return ValuationCatalog((p1, p1, p3))
 
 
 # ----------------------------------------------------------- posted prices
 
-def posted_prices(per_item, n: int = 2) -> MechanismSpec:
-    prices = tuple(Fraction(p) for p in per_item)
+def posted_prices(prices, n: int = 2) -> MechanismSpec:
+    prices = tuple(Fraction(p) for p in prices)
     m = len(prices)
     bound = sum(prices, Fraction(0))
+
+    def offer(remaining: int) -> tuple[Price, ...]:
+        return tuple(prices[j] if remaining & bit(j) else INF for j in range(m))
+
+    def cost(mask: int) -> Fraction:
+        return sum((prices[j] for j in range(m) if mask & bit(j)), Fraction(0))
 
     def program(profile, rec):
         remaining = grand(m)
         allocation = []
         payments = []
         for i in range(n):
-            offer = tuple(
-                prices[j] if remaining & bit(j) else INF for j in range(m)
-            )
-            d_mask, _ = rec.demand_query(i, offer)
+            d_mask, _ = rec.demand_query(i, offer(remaining))
             allocation.append(d_mask)
-            payments.append(sum((prices[j] for j in range(m) if d_mask & bit(j)),
-                                Fraction(0)))
+            payments.append(cost(d_mask))
             remaining &= ~d_mask
         return tuple(allocation), tuple(payments)
 
@@ -554,17 +516,10 @@ def posted_prices(per_item, n: int = 2) -> MechanismSpec:
         remaining = grand(m)
         tokens = []
         for j in range(i):
-            offer = tuple(
-                prices[k] if remaining & bit(k) else INF for k in range(m)
-            )
-            d_mask, _ = demand_query(v_minus_i[j], offer)
+            d_mask, _ = demand_query(v_minus_i[j], offer(remaining))
             tokens.append((j, d_mask, 1 << m))
             remaining &= ~d_mask
-        if s & remaining == s:
-            price: Price = sum((prices[j] for j in range(m) if s & bit(j)), Fraction(0))
-        else:
-            price = INF
-        return PriceRun(price, tuple(tokens))
+        return PriceRun(cost(s) if s & remaining == s else INF, tuple(tokens))
 
     return MechanismSpec(
         mech_id=f"posted_prices(m={m},n={n})",
@@ -575,69 +530,83 @@ def posted_prices(per_item, n: int = 2) -> MechanismSpec:
         program=program,
         grid_bits=6,
         price_protocol=price_protocol,
-        tie_cost_fn=lambda profile: n * m,
     )
 
 
-def posted_catalog(spec: MechanismSpec) -> ValuationCatalog:
-    m, n = spec.m, spec.n
+def posted_catalog(prices, n: int = 2) -> ValuationCatalog:
+    m = len(prices)  # at m = 1 two of the four tables repeat; the first copy stays
     base = [
         additive_valuation([Fraction(0)] * m),
         additive_valuation([Fraction(2)] * m),
         additive_valuation([Fraction(j % 2 * 3, 2) for j in range(m)]),
         valuation_from_values(m, {grand(m): Fraction(2)}),
     ]
-    return ValuationCatalog(tuple(tuple(base) for _ in range(n)))
+    return ValuationCatalog(tuple(tuple(dict.fromkeys(base)) for _ in range(n)))
 
 
-# ------------------------------------------------------------- dispatcher
+# --------------------------------------------------------------- registry
+
+@dataclass(frozen=True)
+class Param:
+    """An "int", or a list of 1..MAX_ITEMS "ints" or "rationals", each in low..high
+    (high None: unbounded); an omitted param takes `default` unless required."""
+
+    kind: str
+    low: int
+    high: Optional[int] = None
+    default: object = None
+    required: bool = False
+
+
+@dataclass(frozen=True)
+class Mechanism:
+    build: Callable[..., MechanismSpec]  # params as keywords -> spec
+    catalog: Callable[..., ValuationCatalog]  # params as keywords -> default catalog
+    params: dict[str, Param]
+
+    def complete(self, params: dict) -> dict:
+        """`params` plus the default of every omitted optional param."""
+        return {**{k: p.default for k, p in self.params.items() if not p.required}, **params}
+
+
+# an even m is checked by the builders that need one
+HALVED_M = {"m": Param("int", 2, MAX_ITEMS, required=True)}
+
+MECHANISMS: dict[str, Mechanism] = {
+    "warmup_tightness": Mechanism(warmup_tightness, warmup_catalog, {
+        "c": Param("int", 1, WARMUP_MAX_C, required=True),
+        "m": Param("int", 1, MAX_ITEMS, default=2)}),
+    "value_tightness": Mechanism(value_tightness, value_tightness_catalog, {
+        "m": Param("int", 1, MAX_ITEMS, required=True),
+        "c": Param("int", 1, MAX_ITEMS),
+        "bundles": Param("ints", 1, (1 << MAX_ITEMS) - 1)}),
+    # alpha and count are capped so the family's tables stay small
+    "demand_tightness": Mechanism(demand_tightness, demand_tightness_catalog, {
+        "m": Param("int", 2, MAX_ITEMS, required=True),
+        "alpha": Param("int", 1, 8, default=2),
+        "count": Param("int", 1, 64, default=4)}),
+    "mt_gadget": Mechanism(mt_gadget, mt_catalog, HALVED_M),
+    "drop_tie": Mechanism(drop_tie, drop_tie_catalog, HALVED_M),
+    "drop_tax": Mechanism(drop_tax, drop_tax_catalog, HALVED_M),
+    "drop_price": Mechanism(drop_price, drop_price_catalog, HALVED_M),
+    "posted_prices": Mechanism(posted_prices, posted_catalog, {
+        "prices": Param("rationals", 0, required=True),
+        "n": Param("int", 1, MAX_ITEMS, default=2)}),
+}
+
+
+def mechanism(mech_id) -> Mechanism:
+    if not isinstance(mech_id, str) or mech_id not in MECHANISMS:
+        raise DomainError(f"unknown mechanism id {mech_id!r}; choose from {tuple(MECHANISMS)}")
+    return MECHANISMS[mech_id]
+
 
 def make_example(mech_id: str, params: dict | None = None) -> MechanismSpec:
-    params = dict(params or {})
-    if "m" in params:
-        check_m(params["m"])  # before any 2^m table is built
-    makers = {
-        "warmup_tightness": lambda: warmup_tightness(
-            params["c"], params.get("m", 2)
-        ),
-        "value_tightness": lambda: (
-            value_tightness(tuple(params["bundles"]), params["m"])
-            if "bundles" in params
-            else value_tightness_default(params["c"], params["m"])
-        ),
-        "demand_tightness": lambda: demand_tightness(
-            params.get("menus")
-            or make_min_affine_family(
-                params["m"], params.get("alpha", 2), params.get("count", 4)
-            ),
-            params["m"],
-        ),
-        "mt_gadget": lambda: mt_gadget(params["m"]),
-        "drop_tie": lambda: drop_tie(params["m"]),
-        "drop_tax": lambda: drop_tax(params["m"]),
-        "drop_price": lambda: drop_price(params["m"]),
-        "posted_prices": lambda: posted_prices(
-            params["prices"], params.get("n", 2)
-        ),
-    }
-    if mech_id not in makers:
-        raise DomainError(f"unknown mechanism id {mech_id!r}")
-    return makers[mech_id]()
+    mech = mechanism(mech_id)
+    return mech.build(**mech.complete(params or {}))
 
 
 def default_catalog(mech_id: str, spec: MechanismSpec, params: dict | None = None) -> ValuationCatalog:
-    params = dict(params or {})
-    if mech_id == "warmup_tightness":
-        return warmup_catalog(params["c"], params.get("m", 2))
-    if mech_id == "value_tightness":
-        c = params["c"] if "c" in params else len(params["bundles"])
-        return value_tightness_catalog(spec, c)
-    if mech_id == "demand_tightness":
-        return demand_tightness_catalog(spec, params.get("count", 4))
-    if mech_id == "mt_gadget":
-        return mt_catalog(spec.m)
-    if mech_id in ("drop_tie", "drop_tax", "drop_price"):
-        return drop_family_catalog(mech_id, spec.m)
-    if mech_id == "posted_prices":
-        return posted_catalog(spec)
-    raise DomainError(f"unknown mechanism id {mech_id!r}")
+    """The canonical catalog; it depends on the params alone, not on `spec`."""
+    mech = mechanism(mech_id)
+    return mech.catalog(**mech.complete(params or {}))

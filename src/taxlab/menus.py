@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .bundles import all_bundles, bit, check_m, grand, supersets
 from .rational import INF, Price, format_price, is_finite, parse_price, sum_prices
-from .valuations import DomainError, Valuation
+from .valuations import DomainError, Valuation, table_from_json
 
 
 class ContractError(ValueError):
@@ -185,15 +185,7 @@ def menu_to_json(menu: Menu) -> dict:
 
 
 def menu_from_json(doc: dict) -> Menu:
-    m = int(doc["m"])
-    values = doc["values"]
-    table = []
-    for s in all_bundles(m):
-        key = str(s)
-        if key not in values:
-            raise DomainError(f"menu JSON omits mask {s}")
-        table.append(parse_price(values[key]))
-    return Menu(m, tuple(table))
+    return Menu(*table_from_json(doc))
 
 
 def min_affine_to_json(ma: MinAffineMenu) -> dict:

@@ -144,7 +144,6 @@ class MechanismSpec:
     grid_bits: int = 6
     price_protocol: Optional[Callable[["MechanismSpec", int, Sequence[Valuation], int], PriceRun]] = None
     tie_cost_fn: Optional[Callable[[Sequence[Valuation]], int]] = None
-    price_query_cost: int = 1
 
     def tie_cost(self, profile: Sequence[Valuation]) -> int:
         if self.tie_cost_fn is None:

@@ -83,6 +83,8 @@ def common_denominator(xs: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
 
 
 def parse_price(s: str) -> Price:
+    if not isinstance(s, str):
+        raise ValueError(f'a price is a string such as "1/2" or "inf", got {s!r}')
     s = s.strip()
     if s == "inf":
         return INF

@@ -17,9 +17,8 @@ from .demand_menus import (QUARTER, canonical_valuation, covers, demand_cover,
                            mt_gadget_argmax)
 from .disjointness import (ZDisjointnessInstance, brute_force_verdict,
                            max_intersection, solve_z_disjointness)
-from .library import (default_catalog, drop_price, drop_tax, drop_tie,
-                      encode_disjointness_string, half_size_bundles,
-                      make_example, single_item_valuation)
+from .library import (default_catalog, encode_disjointness_string, make_example,
+                      single_item_valuation)
 from .protocol import (ComplexityReport, MechanismSpec, Session, insert_player,
                        measure_complexities, run_mechanism)
 from .queries import bundle_price, demand_query
@@ -163,7 +162,7 @@ def value_reconstruction_check(session: Session) -> CheckLine:
         for v_minus in session.others(i):
             truth = session.menu(i, v_minus)
             mc = menu_complexity(truth)[0]
-            po = PriceOracle(truth, cost_per_call=spec.price_query_cost)
+            po = PriceOracle(truth)
             rec = reconstruct_menu_value(po, mc_bound=max(1, mc))
             count += 1
             if rec.menu.price != truth.price:
@@ -420,8 +419,8 @@ def block_bound_check(session: Session, seed: int) -> CheckLine:
 def drop_reduction_trials(mech_id: str, m: int, trials: int, seed: int) -> CheckLine:
     """Random disjointness strings decode correctly through the drop-family
     mechanisms."""
-    sized = half_size_bundles(m)
-    width = len(sized)
+    width = len(bundles_of_size(m, m // 2))
+    spec = make_example(mech_id, {"m": m})
     rng = stream(seed, "drop", mech_id, m)
     bad = 0
     for _ in range(trials):
@@ -432,27 +431,12 @@ def drop_reduction_trials(mech_id: str, m: int, trials: int, seed: int) -> Check
         else:
             y = "".join(rng.choice("01") for _ in range(width))
         intersects = any(a == "1" and b == "1" for a, b in zip(x, y))
-        if mech_id == "drop_tie":
-            spec = drop_tie(m)
-            profile = (encode_disjointness_string(m, x),
-                       encode_disjointness_string(m, y))
-            res = run_mechanism(spec, profile)
-            decoded = res.allocation[1] == bit(0)
-        elif mech_id == "drop_tax":
-            spec = drop_tax(m)
-            profile = (encode_disjointness_string(m, x),
-                       encode_disjointness_string(m, y, high=Fraction(2)))
-            res = run_mechanism(spec, profile)
-            decoded = res.allocation[1] != 0
-        else:
-            spec = drop_price(m)
-            profile = (encode_disjointness_string(m, x),
-                       encode_disjointness_string(m, y),
-                       single_item_valuation(m, 0, Fraction(3, 2)))
-            res = run_mechanism(spec, profile)
-            decoded = res.allocation[2] == bit(0)
-        if decoded != intersects:
-            bad += 1
+        profile = (encode_disjointness_string(m, x),
+                   encode_disjointness_string(m, y, high=2 if mech_id == "drop_tax" else 1))
+        if mech_id == "drop_price":
+            profile += (single_item_valuation(m, 0, Fraction(3, 2)),)
+        won = run_mechanism(spec, profile).allocation[-1]
+        bad += (won != 0 if mech_id == "drop_tax" else won == bit(0)) != intersects
     return CheckLine(
         f"drop-reduction[{mech_id},m={m}]", bad == 0,
         f"{trials} strings",

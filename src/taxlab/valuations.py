@@ -8,9 +8,9 @@ from functools import cached_property
 from itertools import product
 from typing import Optional, Sequence
 
-from .bundles import (DomainError, all_bundles, bit, check_m, grand, max_below,
+from .bundles import (DomainError, all_bundles, bit, check_m, grand, max_below, size,
                       subset_sums)
-from .rational import common_denominator, format_price, parse_price
+from .rational import Price, common_denominator, format_price, parse_price
 
 
 @dataclass(frozen=True)
@@ -93,6 +93,13 @@ def single_item_valuation(m: int, item_j: int, value) -> Valuation:
     v = Fraction(value)
     table = [v if s & bit(item_j) else Fraction(0) for s in all_bundles(m)]
     return Valuation(m, tuple(table))
+
+
+def layered_valuation(m: int, level: dict[int, Fraction], high: Fraction) -> Valuation:
+    """`high` above half size, level.get(s, 0) on every other bundle s;
+    `level` holds half-size bundles only."""
+    return Valuation(m, tuple(high if size(s) > m // 2 else level.get(s, Fraction(0))
+                              for s in all_bundles(m)))
 
 
 def xos_from_clauses(c: XOSClauses) -> Valuation:
@@ -187,20 +194,22 @@ def valuation_to_json(v: Valuation) -> dict:
     }
 
 
-def valuation_from_json(doc: dict) -> Valuation:
+def table_from_json(doc: dict) -> tuple[int, tuple[Price, ...]]:
+    """m and the price table of valuation or menu JSON, with every mask."""
     m = int(doc["m"])
     check_m(m)
     values = doc["values"]
-    table = []
     for s in all_bundles(m):
-        key = str(s)
-        if key not in values:
-            raise DomainError(f"valuation JSON omits mask {s}")
-        x = parse_price(values[key])
-        if not isinstance(x, Fraction):
-            raise DomainError("valuation entries must be finite")
-        table.append(x)
-    return Valuation(m, tuple(table))
+        if str(s) not in values:
+            raise DomainError(f"JSON table omits mask {s}")
+    return m, tuple(parse_price(values[str(s)]) for s in all_bundles(m))
+
+
+def valuation_from_json(doc: dict) -> Valuation:
+    m, table = table_from_json(doc)
+    if not all(isinstance(x, Fraction) for x in table):
+        raise DomainError("valuation entries must be finite")
+    return Valuation(m, table)
 
 
 def xos_from_json(doc: dict) -> Valuation:

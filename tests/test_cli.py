@@ -1,6 +1,7 @@
 """CLI: config loading, suite execution, artifacts, exit codes."""
 
 import json
+import time
 from pathlib import Path
 
 from taxlab.cli import load_config, main
@@ -149,12 +150,15 @@ def test_report_rows_sorted(tmp_path):
 
 
 def test_oversized_m_and_non_object_config_exit_two(tmp_path, capsys, monkeypatch):
+    from dataclasses import replace
+
     import taxlab.library as library
 
-    def never(*args):
+    def never(**params):
         raise AssertionError("a mechanism was built before m was checked")
 
-    monkeypatch.setattr(library, "drop_tax", never)
+    monkeypatch.setitem(library.MECHANISMS, "drop_tax",
+                        replace(library.MECHANISMS["drop_tax"], build=never))
     big = write_config(tmp_path, {"mechanisms": [{"id": "drop_tax", "params": {"m": 20}}],
                                   "suites": ["measure"]})
     listed = tmp_path / "list.json"
@@ -170,15 +174,48 @@ def test_oversized_m_and_non_object_config_exit_two(tmp_path, capsys, monkeypatc
         dict(BASE, suites="measure"),
         {"mechanisms": [{"id": "warmup_tightness", "params": {"c": 40}}], "suites": []},
     ]
+    # schema, catalog and work-cap refusals: each line names the mechanism
+    # and the field
+    numeric_values = {"m": 2, "values": {"0": 0, "1": 1, "2": 0, "3": 1}}
+    named = [
+        ({"id": "warmup_tightness", "params": {"c": True}}, ".c must"),
+        ({"id": "value_tightness", "params": {"m": 3, "bundles": [1.5]}}, ".bundles entry"),
+        ({"id": "demand_tightness", "params": {"m": 4, "menus": [1]}}, "'menus'"),
+        ({"id": "drop_tie", "params": {"m": 4, "bogus": 1}}, "'bogus'"),
+        ({"id": "posted_prices", "params": {"prices": ["-1", "2"]}}, ".prices entry"),
+        ({"id": "posted_prices", "params": {"prices": [0.5, "2"]}}, ".prices entry"),
+        ({"id": "value_tightness", "params": {"c": 2, "m": 3, "bundles": [1, 2, 4]}},
+         "c and bundles"),
+        ({"id": "demand_tightness", "params": {"m": 4, "alpha": 200000}}, ".alpha must"),
+        ({"id": "demand_tightness", "params": {"m": 16, "count": 100000}}, ".count must"),
+        ({"id": "mt_gadget", "params": {"m": 16}}, "m=16"),
+        ({"id": "posted_prices", "params": {"prices": ["1", "1", "2"], "n": 12}}, "[4, 4, 4"),
+        ({"id": "warmup_tightness", "params": {"c": 1},
+          "catalogs": [[numeric_values], [numeric_values]]}, ".catalogs:"),
+    ]
     paths = [big, listed]
-    for k, doc in enumerate(malformed):
+    for k, doc in enumerate(malformed + [{"mechanisms": [entry], "suites": ["transform"]}
+                                         for entry, _ in named]):
         paths.append(tmp_path / f"malformed{k}.json")
         paths[-1].write_text(json.dumps(doc))
+    words = [()] * (len(paths) - len(named)) + [
+        (entry["id"] + w,) if w[0] == "." else (entry["id"], w) for entry, w in named]
     for command in ("validate", "run"):
-        for path in paths:
+        for path, expect in zip(paths, words):
+            started = time.perf_counter()
             assert main([command, "--config", str(path)]) == 2
+            assert time.perf_counter() - started < 1
             err = capsys.readouterr().err
             assert err.startswith("config error:") and err.count("\n") == 1
+            assert all(w in err for w in expect)
+
+
+def test_one_price_posted_prices_validates(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"mechanisms": [{"id": "posted_prices",
+                                                  "params": {"prices": ["1"]}}],
+                                  "suites": []})
+    assert main(["validate", "--config", str(cfg)]) == 0
+    assert [len(vs) for vs in load_config(cfg).mechanisms[0].catalog.players] == [2, 2]
 
 
 def test_value_tightness_bundles_without_c_uses_default_catalog(tmp_path, capsys):

@@ -107,7 +107,7 @@ def test_reconstruction_matches_mechanism_menus():
             seen.add(key)
             truth = extract_menu(spec, i, v_minus)
             mc = menu_complexity(truth)[0]
-            po = PriceOracle(truth, cost_per_call=spec.price_query_cost)
+            po = PriceOracle(truth)
             rec = reconstruct_menu_value(po, mc_bound=max(1, mc))
             assert rec.menu.price == truth.price
 
