@@ -7,8 +7,9 @@ capped at 16 so dense 2^m tables stay cheap.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 MAX_ITEMS = 16
 
@@ -73,6 +74,27 @@ def max_below(table: Sequence, s: int, floor):
         if s & bit(j) and table[s & ~bit(j)] > floor:
             floor = table[s & ~bit(j)]
     return floor
+
+
+def is_monotone(table: Sequence, m: int) -> bool:
+    """No bundle is priced or valued above a superset with one more item:
+    table[s] <= table[s | 2^j] for every s without item j."""
+    for j in range(m):
+        b = bit(j)
+        if any(table[s] > table[s | b] for s in all_bundles(m) if not s & b):
+            return False
+    return True
+
+
+def best_bundle(candidates: Iterable[tuple[int, Fraction]]) -> tuple[int, Fraction]:
+    """The (mask, profit) candidate of largest profit, smallest mask among
+    ties, with (0, 0) always competing; read in order, so a generator that
+    queries as it goes keeps its query order."""
+    best_mask, best_profit = 0, Fraction(0)
+    for mask, profit in candidates:
+        if profit > best_profit or (profit == best_profit and mask < best_mask):
+            best_mask, best_profit = mask, profit
+    return best_mask, best_profit
 
 
 def subset_sums(weights: Sequence[int]) -> list[int]:

@@ -39,12 +39,14 @@ from typing import Optional
 from . import suites
 from .bundles import MAX_ITEMS
 from .library import default_catalog, make_example, mechanism
-from .protocol import Session, run_mechanism
+from .protocol import REPORT_FIELDS, Session, run_mechanism
 from .reporting import audit_rows_to_csv, emit_report, write_text
 from .transforms import build_tables, deviation_audit, strictify_catalog, to_simultaneous
 from .valuations import DomainError, ValuationCatalog, valuation_from_json
 
 TRIAL_DEFAULTS = {"verify": 50, "useless": 100, "disjointness": 200}
+CONFIG_KEYS = ("mechanisms", "suites", "seed", "out", "trials")
+ENTRY_KEYS = ("id", "params", "catalogs")
 
 # A full measurement runs every profile plus, per player and opponent
 # profile, 2^m probe runs, each over a 2^m table.  The demo's entries need
@@ -103,14 +105,19 @@ def config_rational(value, what: str, low: int, high: Optional[int] = None) -> N
         raise ConfigError(f'{what} must be a rational{bound} such as "1/2", got {value!r}')
 
 
+def check_keys(doc: dict, known, what: str) -> None:
+    """Refuse a key outside `known`, so a misspelt field is not ignored."""
+    for key in sorted(doc.keys() - set(known)):
+        raise ConfigError(f"{what} has no key {key!r}; it takes {tuple(known)}")
+
+
 def check_params(mech_id, params) -> dict:
     """An entry's params checked against its mechanism's schema, nothing
     built, and returned with the defaults filled in."""
     mech = mechanism(mech_id)
     if not isinstance(params, dict):
         raise ConfigError(f"{mech_id}.params must be an object, got {params!r}")
-    for name in sorted(params.keys() - mech.params.keys()):
-        raise ConfigError(f"{mech_id} has no param {name!r}; it takes {tuple(mech.params)}")
+    check_keys(params, mech.params, mech_id)
     for name, p in mech.params.items():
         what, value = f"{mech_id}.{name}", params.get(name)
         if name not in params:
@@ -146,6 +153,7 @@ def load_config(path: Path, seed_override: Optional[int] = None,
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
+    check_keys(doc, CONFIG_KEYS, "the config")
     suite_names = doc.get("suites", [])
     if not isinstance(suite_names, list):
         raise ConfigError("suites must be a list of suite names")
@@ -161,6 +169,7 @@ def load_config(path: Path, seed_override: Optional[int] = None,
     trials = doc.get("trials", {})
     if not isinstance(trials, dict):
         raise ConfigError("trials must be an object of trial counts")
+    check_keys(trials, TRIAL_DEFAULTS, "trials")
     trials = {key: config_int(trials.get(key, default), f"trials.{key}", low=0)
               for key, default in TRIAL_DEFAULTS.items()}
     entries = doc.get("mechanisms", [])
@@ -171,6 +180,7 @@ def load_config(path: Path, seed_override: Optional[int] = None,
     mechanisms = []
     for entry in entries:
         mech_id = entry.get("id")
+        check_keys(entry, ENTRY_KEYS, f"mechanism entry {mech_id!r}")
         params = check_params(mech_id, entry.get("params", {}))
         # one valuation of one player bounds the work from below: refuse
         # before a builder or a default catalog fills its 2^m tables
@@ -199,10 +209,9 @@ def load_config(path: Path, seed_override: Optional[int] = None,
 def measure_suite(cfg: Config, sessions: list[Session]):
     reports = [session.report() for session in sessions]
     artifacts = emit_report(reports, cfg.out)
-    return [f"measured {rep.mechanism}: tax={rep.tax} cc={rep.cc} "
-            f"price={rep.price} tie={rep.tie} mc={rep.mc} "
-            f"val={rep.val} dem={rep.dem} d={rep.d} valid={rep.valid}"
-            for rep in reports], artifacts
+    return [f"measured {row['mechanism']}: "
+            + " ".join(f"{name}={row[name]}" for name in REPORT_FIELDS[3:])
+            for row in (rep.row() for rep in reports)], artifacts
 
 
 def theorem_check_suite(cfg: Config, sessions: list[Session]):

@@ -28,7 +28,7 @@ from .bundles import all_bundles
 from .disjointness import ZDisjointnessInstance, max_intersection, solve_z_with_consistency
 from .menus import Menu
 from .protocol import Session, log2_ceil
-from .rational import Price, is_finite
+from .rational import Price, price_key
 from .rng import stream
 from .valuations import DomainError, Valuation
 
@@ -48,25 +48,21 @@ class SoundnessError(RuntimeError):
 PRODUCT_CAP = 20_000_000  # largest z-product bit count we are willing to build
 
 
-def price_sort_key(p: Price):
-    return (0, p.numerator, p.denominator) if is_finite(p) else (1,)
-
-
 def witness_bundles(menu: Menu, p_table: Sequence[Price]) -> list[int]:
     return [s for s in all_bundles(menu.m) if menu.price[s] != p_table[s]]
 
 
 def most_frequent_prices(live: Sequence[Menu], m: int) -> list[Price]:
-    """Per bundle, the price shared by the most live menus (ties to the
-    smallest price, finite first)."""
+    """Per bundle, the price shared by the most live menus; ties go to the
+    first price in `price_key` order (finite before INF, then by numerator:
+    2 beats 3/2)."""
     table: list[Price] = []
     for s in all_bundles(m):
         counts: dict[Price, int] = {}
         for menu in live:
             counts[menu.price[s]] = counts.get(menu.price[s], 0) + 1
         top = max(counts.values())
-        cands = sorted((p for p, c in counts.items() if c == top), key=price_sort_key)
-        table.append(cands[0])
+        table.append(min((p for p, c in counts.items() if c == top), key=price_key))
     return table
 
 
@@ -215,13 +211,12 @@ def menu_catalog(session: Session, i: int) -> list[Menu]:
 
 
 def reconstruct_menu_comm(session: Session, i: int, v_minus_i: Sequence[Valuation],
-                          seed: int = 0,
-                          precomputed: Optional[Sequence[Menu]] = None) -> CommReconstruction:
+                          seed: int = 0) -> CommReconstruction:
     """Find the menu presented to player i by v_minus_i among the catalog's
     menus, spending price-protocol and disjointness bits; every completed
     shrinkage step at least halves the live set."""
     actual = tuple(v_minus_i)
-    live = list(precomputed) if precomputed is not None else menu_catalog(session, i)
+    live = list(session.menus(i))
     if not live:
         raise DomainError("empty menu catalog")
     truth = session.menu(i, actual)

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
-from .bundles import all_bundles, bit, size
+from .bundles import all_bundles, best_bundle, bit, size
 from .menus import Menu, MinAffineMenu, eval_min_affine
 from .protocol import MechanismSpec, extract_menu, insert_player, run_mechanism
 from .queries import bundle_price, demand_query
@@ -85,16 +85,15 @@ def min_affine_argmax(ma: MinAffineMenu, oracle: Callable[[Sequence[Price]], tup
     price vector with (bundle, value)."""
     if ma.beta != 0:
         raise DomainError("the few-query optimizer needs an exception-free menu")
-    best_mask, best_profit = 0, Fraction(0)
-    for vec in ma.vectors:
-        d_mask, d_val = oracle(vec)
-        price = eval_min_affine(ma, d_mask)
-        if not is_finite(price):
-            continue
-        profit = d_val - price
-        if profit > best_profit or (profit == best_profit and d_mask < best_mask):
-            best_mask, best_profit = d_mask, profit
-    return best_mask
+
+    def candidates():
+        for vec in ma.vectors:
+            d_mask, d_val = oracle(vec)
+            price = eval_min_affine(ma, d_mask)
+            if is_finite(price):
+                yield d_mask, d_val - price
+
+    return best_bundle(candidates())[0]
 
 
 @dataclass(frozen=True)
@@ -139,7 +138,7 @@ def mt_gadget_argmax(m: int, oracle: Callable[[Sequence[Price]], tuple[int, Frac
         return GadgetResult(d0, v0 - price, price, queries)
 
     t_mask = d0
-    candidates = [(t_mask, v0 - hidden_bump_price(t_mask, t_mask)), (0, Fraction(0))]
+    candidates = [(t_mask, v0 - hidden_bump_price(t_mask, t_mask))]
     for j in range(m):
         if t_mask & bit(j):
             prices = tuple(INF if k == j else Fraction(1) for k in range(m))
@@ -153,10 +152,7 @@ def mt_gadget_argmax(m: int, oracle: Callable[[Sequence[Price]], tuple[int, Frac
             )
             d, dv = ask(prices)
             candidates.append((d, dv - hidden_bump_price(d, t_mask)))
-    best_mask, best_profit = 0, Fraction(0)
-    for mask, profit in candidates:
-        if profit > best_profit or (profit == best_profit and mask < best_mask):
-            best_mask, best_profit = mask, profit
+    best_mask, best_profit = best_bundle(candidates)
     return GadgetResult(best_mask, best_profit, hidden_bump_price(best_mask, t_mask), queries)
 
 

@@ -39,6 +39,21 @@ def bits_to_mask(bits: str) -> int:
     return mask
 
 
+def lowest_bit(a: int) -> Optional[int]:
+    """Index of the lowest set bit of a; None for 0."""
+    return (a & -a).bit_length() - 1 if a else None
+
+
+def neighbourhood(strings: Sequence[int], k: int, live: int) -> int:
+    """The live bits co-occurring with bit k in some string; k must be a
+    live bit."""
+    nb = 0
+    for a in strings:
+        if a >> k & 1:
+            nb |= a & live
+    return nb
+
+
 def mask_to_bits(mask: int, l: int) -> str:
     return "".join("1" if mask >> k & 1 else "0" for k in range(l))
 
@@ -103,15 +118,9 @@ def small_candidate(strings: Sequence[int], own: int, live: int, r_s: int, n: in
     live window has at most (1 - 1/2n) r_s bits."""
     cand = own & live
     while cand:
-        k = (cand & -cand).bit_length() - 1
+        k = lowest_bit(cand)
         cand &= cand - 1
-        nb = 0
-        kbit = 1 << k
-        for a in strings:
-            a_live = a & live
-            if a_live & kbit:
-                nb |= a_live
-        if 2 * n * popcount(nb) <= (2 * n - 1) * r_s:
+        if 2 * n * popcount(neighbourhood(strings, k, live)) <= (2 * n - 1) * r_s:
             return k
     return None
 
@@ -134,12 +143,9 @@ def run_one_disjointness(n: int, l: int, allowed: Sequence[Sequence[int]],
     consistent = [list(strings) for strings in allowed]
 
     if n == 1:
-        def first_bit(a: int) -> Optional[int]:
-            return (a & -a).bit_length() - 1 if a else None
-
         bits = announce_cost(l)
-        hit = first_bit(inputs[0])
-        consistent[0] = [a for a in consistent[0] if first_bit(a) == hit]
+        hit = lowest_bit(inputs[0])
+        consistent[0] = [a for a in consistent[0] if lowest_bit(a) == hit]
         return OneDisjointnessRun(Verdict(hit, bits), tuple(map(tuple, consistent)), 1)
 
     while True:
@@ -156,7 +162,7 @@ def run_one_disjointness(n: int, l: int, allowed: Sequence[Sequence[int]],
             hits = popcount(common)
             if hits >= 2:
                 raise PromiseError("two intersecting bits observed in one window")
-            hit = (common & -common).bit_length() - 1 if common else None
+            hit = lowest_bit(common)
             return OneDisjointnessRun(Verdict(hit, bits), tuple(map(tuple, consistent)),
                                       rounds, tuple(live_sizes))
 
@@ -175,13 +181,7 @@ def run_one_disjointness(n: int, l: int, allowed: Sequence[Sequence[int]],
         if speaker is None:
             return OneDisjointnessRun(Verdict(None, bits), tuple(map(tuple, consistent)),
                                       rounds, tuple(live_sizes))
-        kbit = 1 << announced[speaker]
-        nb = 0
-        for a in allowed[speaker]:
-            a_live = a & live
-            if a_live & kbit:
-                nb |= a_live
-        live = nb
+        live = neighbourhood(allowed[speaker], announced[speaker], live)
 
 
 def solve_one_disjointness(inst: ZDisjointnessInstance) -> Verdict:
@@ -273,7 +273,7 @@ def brute_force_verdict(inst: ZDisjointnessInstance) -> Optional[int]:
     common = (1 << inst.l) - 1
     for a in inst.inputs:
         common &= a
-    return (common & -common).bit_length() - 1 if common else None
+    return lowest_bit(common)
 
 
 def instance_to_json(inst: ZDisjointnessInstance) -> dict:

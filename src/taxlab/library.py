@@ -32,10 +32,10 @@ from fractions import Fraction
 from math import floor
 from typing import Callable, Optional
 
-from .bundles import MAX_ITEMS, all_bundles, bit, bundles_of_size, grand, size
+from .bundles import MAX_ITEMS, all_bundles, best_bundle, bit, bundles_of_size, grand, size
 from .demand_menus import (HALF, QUARTER, hidden_bump_price, hidden_problem_valuation,
                            min_affine_argmax, mt_gadget_argmax)
-from .menus import MinAffineMenu, eval_min_affine, min_affine_table
+from .menus import MinAffineMenu, cheapest_superset, eval_min_affine, min_affine_table
 from .protocol import MechanismSpec, PriceRun
 from .queries import demand_query
 from .rational import INF, Price
@@ -139,22 +139,13 @@ def value_tightness(m: int, c: Optional[int] = None, bundles=None) -> MechanismS
     def program(profile, rec):
         t = round_to_range(rec.value_query(0, ITEM_A), 1, c)
         prices = menu_prices(t)
-        best_mask, best_profit = 0, Fraction(0)
-        for s in bundle_list:
-            profit = rec.value_query(1, s) - prices[s]
-            if profit > best_profit or (profit == best_profit and s < best_mask):
-                best_mask, best_profit = s, profit
+        best_mask, _ = best_bundle((s, rec.value_query(1, s) - prices[s]) for s in bundle_list)
         pay = prices[best_mask] if best_mask else Fraction(0)
         return (0, best_mask), (Fraction(0), pay)
 
     def price_protocol(spec, i, v_minus_i, s):
         t = round_to_range(v_minus_i[0].value(ITEM_A), 1, c)
-        prices = menu_prices(t)
-        best: Price = INF
-        for k, p in prices.items():
-            if k & s == s and p < best:
-                best = p
-        price = Fraction(0) if s == 0 else best
+        price = Fraction(0) if s == 0 else cheapest_superset(menu_prices(t), s)
         return PriceRun(price, ((0, t, c),))
 
     return MechanismSpec(
@@ -389,12 +380,8 @@ def drop_tax(m: int) -> MechanismSpec:
             rec.send_bit(0, int(ok))
             if ok:
                 offered.append(s)
-        best_mask, best_value = 0, None
-        for s in offered:
-            val = v2.value(s)
-            if val >= 1 and (best_value is None or val > best_value
-                             or (val == best_value and s < best_mask)):
-                best_mask, best_value = s, val
+        # all cost 1: ranked by value, so a zero-profit bundle beats the empty one
+        best_mask, _ = best_bundle((s, val) for s in offered if (val := v2.value(s)) >= 1)
         rec.send_number(1, best_mask, 1 << m)
         pay = Fraction(1) if best_mask else Fraction(0)
         return (0, best_mask), (Fraction(0), pay)

@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bundles import all_bundles, bit, check_m, grand, supersets
-from .rational import INF, Price, format_price, is_finite, parse_price, sum_prices
-from .valuations import DomainError, Valuation, table_from_json
+from .bundles import all_bundles, bit, check_m, grand, is_monotone, supersets
+from .rational import INF, Price, format_price, is_finite, parse_price, price_key, sum_prices
+from .valuations import DomainError, Valuation, table_from_json, table_to_json
 
 
 class ContractError(ValueError):
@@ -32,19 +32,10 @@ class Menu:
             raise DomainError("menu must price all 2^m bundles")
 
     def is_normalized(self) -> bool:
-        if self.price[0] != 0:
-            return False
-        for s in all_bundles(self.m):
-            for j in range(self.m):
-                if not s & bit(j) and not self.price[s] <= self.price[s | bit(j)]:
-                    return False
-        return True
+        return self.price[0] == 0 and is_monotone(self.price, self.m)
 
     def sort_key(self):
-        return tuple(
-            (1,) if not is_finite(p) else (0, p.numerator, p.denominator)
-            for p in self.price
-        )
+        return tuple(map(price_key, self.price))
 
 
 def normalize_menu(raw: Menu) -> Menu:
@@ -104,17 +95,20 @@ def menu_complexity(menu: Menu) -> tuple[int, tuple[int, ...]]:
     return len(out), tuple(out)
 
 
+def cheapest_superset(priced: dict[int, Fraction], s: int) -> Price:
+    """The lowest price among the priced bundles containing s; INF when
+    none does."""
+    best: Price = INF
+    for k, p in priced.items():
+        if k & s == s and p < best:
+            best = p
+    return best
+
+
 def in_menu_rebuild(m: int, priced: dict[int, Fraction]) -> Menu:
     """Menu determined by its in-menu bundles: each bundle costs the cheapest
     in-menu superset, infinite when none exists."""
-    table: list[Price] = []
-    for s in all_bundles(m):
-        best: Price = INF
-        for k, p in priced.items():
-            if k & s == s and p < best:
-                best = p
-        table.append(best)
-    return Menu(m, tuple(table))
+    return Menu(m, tuple(cheapest_superset(priced, s) for s in all_bundles(m)))
 
 
 @dataclass(frozen=True)
@@ -178,10 +172,7 @@ def min_affine_table(ma: MinAffineMenu) -> Menu:
 
 
 def menu_to_json(menu: Menu) -> dict:
-    return {
-        "m": menu.m,
-        "values": {str(s): format_price(menu.price[s]) for s in all_bundles(menu.m)},
-    }
+    return table_to_json(menu.m, menu.price)
 
 
 def menu_from_json(doc: dict) -> Menu:

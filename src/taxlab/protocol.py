@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Callable, Iterator, Optional, Sequence
 
-from .bundles import all_bundles, bit, contains
+from .bundles import all_bundles, bit, contains, is_monotone
 from .menus import Menu, ContractError, menu_complexity, normalize_menu, profit_argmax_set
 from .queries import demand_query, value_query
 from .rational import INF, Price, is_finite
@@ -174,37 +174,31 @@ def run_mechanism(spec: MechanismSpec, profile: Sequence[Valuation]) -> RunResul
     return RunResult(tuple(allocation), tuple(payments), rec.transcript(), rec.qlog)
 
 
-def probe_valuation(m: int, s: int, bound: Fraction) -> Valuation:
-    """Additive probe worth 3B per item of s (Prop-E.1-style price probe)."""
-    return additive_valuation([3 * bound if s & bit(j) else Fraction(0) for j in range(m)])
-
-
 def insert_player(v_minus: Sequence[Valuation], i: int, v: Valuation) -> tuple[Valuation, ...]:
     out = list(v_minus)
     out.insert(i, v)
     return tuple(out)
 
 
+def probe_price(spec: MechanismSpec, i: int, v_minus_i: Sequence[Valuation],
+                s: int) -> tuple[Price, RunResult]:
+    """Player i's menu price of s and the run it is read off.  The additive
+    probe worth 3B per item of s (Prop-E.1-style) wins some superset of s at
+    s's menu price whenever that price is finite, else nothing containing s."""
+    probe = additive_valuation([3 * spec.bound if s & bit(j) else Fraction(0)
+                                for j in range(spec.m)])
+    res = run_mechanism(spec, insert_player(v_minus_i, i, probe))
+    return (res.payments[i] if contains(res.allocation[i], s) else INF), res
+
+
 def extract_menu(spec: MechanismSpec, i: int, v_minus_i: Sequence[Valuation]) -> Menu:
     """Ground-truth menu presented to player i by v_minus_i, via one probe
-    run per bundle.  The probe on S wins some superset of S at S's menu
-    price whenever that price is finite; otherwise it wins nothing
-    containing S."""
+    run per bundle."""
     if len(v_minus_i) != spec.n - 1:
         raise DomainError("v_minus_i must hold the other n-1 valuations")
-    raw: list[Price] = []
-    for s in all_bundles(spec.m):
-        probe = probe_valuation(spec.m, s, spec.bound)
-        res = run_mechanism(spec, insert_player(v_minus_i, i, probe))
-        won = res.allocation[i]
-        raw.append(res.payments[i] if contains(won, s) else INF)
-    check = Menu(spec.m, tuple(raw))
-    if not all(
-        check.price[s] <= check.price[s | bit(j)]
-        for s in all_bundles(spec.m)
-        for j in range(spec.m)
-        if not s & bit(j)
-    ):
+    check = Menu(spec.m, tuple(probe_price(spec, i, v_minus_i, s)[0]
+                               for s in all_bundles(spec.m)))
+    if not is_monotone(check.price, spec.m):
         raise TaxationViolation(
             f"{spec.mech_id}: extracted prices for player {i} are not monotone"
         )
@@ -214,10 +208,7 @@ def extract_menu(spec: MechanismSpec, i: int, v_minus_i: Sequence[Valuation]) ->
 def default_price_run(spec: MechanismSpec, i: int, v_minus_i: Sequence[Valuation], s: int) -> PriceRun:
     """Fallback price protocol: a single probe run; its transcript is the
     mechanism's transcript on the probe profile."""
-    probe = probe_valuation(spec.m, s, spec.bound)
-    res = run_mechanism(spec, insert_player(v_minus_i, i, probe))
-    won = res.allocation[i]
-    price = res.payments[i] if contains(won, s) else INF
+    price, res = probe_price(spec, i, v_minus_i, s)
     tokens = tuple(
         (tok[0], (tok[1], tok[2]), 1 << tok[3]) for tok in res.transcript.tokens
     )
@@ -228,6 +219,10 @@ def price_run(spec: MechanismSpec, i: int, v_minus_i: Sequence[Valuation], s: in
     if spec.price_protocol is not None:
         return spec.price_protocol(spec, i, v_minus_i, s)
     return default_price_run(spec, i, v_minus_i, s)
+
+
+REPORT_FIELDS = ("mechanism", "m", "n", "tax", "cc", "price", "tie",
+                 "mc", "val", "dem", "d", "valid")
 
 
 @dataclass(frozen=True)
@@ -249,20 +244,7 @@ class ComplexityReport:
     menus: tuple[tuple[Menu, ...], ...] = field(default=(), compare=False, repr=False)
 
     def row(self) -> dict:
-        return {
-            "mechanism": self.mechanism,
-            "m": self.m,
-            "n": self.n,
-            "tax": self.tax,
-            "cc": self.cc,
-            "price": self.price,
-            "tie": self.tie,
-            "mc": self.mc,
-            "val": self.val,
-            "dem": self.dem,
-            "d": self.d,
-            "valid": self.valid,
-        }
+        return {name: getattr(self, name) for name in REPORT_FIELDS}
 
 
 def log2_ceil(count: int) -> int:

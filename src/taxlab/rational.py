@@ -75,6 +75,13 @@ def sum_prices(xs: Iterable[Price]) -> Price:
     return total
 
 
+def price_key(p: Price) -> tuple:
+    """Canonical price order: finite prices by (numerator, denominator), not
+    by value (2 sorts before 3/2), then INF.  Menu indices and reconstruction
+    traces depend on it, so value order would change the artifacts."""
+    return (0, p.numerator, p.denominator) if is_finite(p) else (1,)
+
+
 def common_denominator(xs: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
     """The rationals over their lcm: (D, ints) with xs[k] == ints[k] / D."""
     pairs = [x.as_integer_ratio() for x in xs]

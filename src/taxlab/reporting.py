@@ -8,19 +8,20 @@ import json
 from pathlib import Path
 from typing import Sequence
 
-from .protocol import ComplexityReport
+from .protocol import REPORT_FIELDS, ComplexityReport
 
-CSV_HEADER = ["mechanism", "m", "n", "tax", "cc", "price", "tie",
-              "mc", "val", "dem", "d", "valid"]
+
+def sorted_rows(reports: Sequence[ComplexityReport]) -> list[dict]:
+    """Report rows by (mechanism, m, n), the order both formats emit."""
+    return sorted((r.row() for r in reports),
+                  key=lambda row: (row["mechanism"], row["m"], row["n"]))
 
 
 def reports_to_csv(reports: Sequence[ComplexityReport]) -> str:
-    rows = sorted((r.row() for r in reports),
-                  key=lambda row: (row["mechanism"], row["m"], row["n"]))
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=CSV_HEADER, lineterminator="\n")
+    writer = csv.DictWriter(buf, fieldnames=REPORT_FIELDS, lineterminator="\n")
     writer.writeheader()
-    for row in rows:
+    for row in sorted_rows(reports):
         out = dict(row)
         out["valid"] = "true" if row["valid"] else "false"
         writer.writerow(out)
@@ -28,9 +29,7 @@ def reports_to_csv(reports: Sequence[ComplexityReport]) -> str:
 
 
 def reports_to_json(reports: Sequence[ComplexityReport]) -> str:
-    rows = sorted((r.row() for r in reports),
-                  key=lambda row: (row["mechanism"], row["m"], row["n"]))
-    return json.dumps(rows, indent=2, sort_keys=True) + "\n"
+    return json.dumps(sorted_rows(reports), indent=2, sort_keys=True) + "\n"
 
 
 def write_text(path: Path, content: str) -> None:

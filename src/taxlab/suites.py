@@ -11,7 +11,7 @@ from typing import Sequence
 
 from .bundles import all_bundles, bit, bundles_of_size
 from .comm_reconstruct import (CommReconstruction, ProofInstance, build_disjointness_instance,
-                               menu_catalog, reconstruct_menu_comm)
+                               menu_catalog, most_frequent_prices, reconstruct_menu_comm)
 from .demand_menus import (QUARTER, canonical_valuation, covers, demand_cover,
                            extract_min_affine, hidden_bump_price, hidden_problem_valuation,
                            mt_gadget_argmax)
@@ -19,6 +19,7 @@ from .disjointness import (ZDisjointnessInstance, brute_force_verdict,
                            max_intersection, solve_z_disjointness)
 from .library import (default_catalog, encode_disjointness_string, make_example,
                       single_item_valuation)
+from .menus import menu_complexity
 from .protocol import (ComplexityReport, MechanismSpec, Session, insert_player,
                        measure_complexities, run_mechanism)
 from .queries import bundle_price, demand_query
@@ -28,7 +29,7 @@ from .valuations import ValuationCatalog, classify_valuation, random_monotone_va
 from .value_reconstruct import (PriceOracle, learn_useless,
                                 reconstruct_menu_value, useless_query_budget)
 from .verify import (exceeds_somewhere, menu_price_grid, random_base_function,
-                     verify_menu)
+                     submodular_probe, verify_menu, xos_probe)
 
 STANDARD_BENCH: tuple[tuple[str, dict], ...] = (
     ("warmup_tightness", {"c": 2}),
@@ -121,7 +122,6 @@ def verify_menu_trials(session: Session, trials_per_class: int, seed: int) -> Ch
     v_minus = tuple(catalog.players[j][-1] for j in range(spec.n) if j != i)
     truth = session.menu(i, v_minus)
     rng = stream(seed, "verify", spec.mech_id)
-    from .verify import submodular_probe, xos_probe
     mismatches = 0
     done = 0
     for cls in ("general", "subadditive", "xos", "submodular"):
@@ -154,7 +154,6 @@ def verify_menu_trials(session: Session, trials_per_class: int, seed: int) -> Ch
 def value_reconstruction_check(session: Session) -> CheckLine:
     """Exact ladder reconstruction for every profile, menu complexity as
     the promised bound, call budget enforced."""
-    from .menus import menu_complexity
     spec = session.spec
     errors = []
     count = 0
@@ -362,7 +361,7 @@ def comm_reconstruction_check(session: Session, seed: int
         pre = menu_catalog(session, i)
         for v_minus in session.others(i):
             truth = session.menu(i, v_minus)
-            rec = reconstruct_menu_comm(session, i, v_minus, seed=seed, precomputed=pre)
+            rec = reconstruct_menu_comm(session, i, v_minus, seed=seed)
             done.append((i, len(pre), rec))
             if rec.menu.price != truth.price:
                 errors.append(f"player {i} wrong menu")
@@ -387,7 +386,6 @@ def comm_reconstruction_check(session: Session, seed: int
 def block_bound_check(session: Session, seed: int) -> CheckLine:
     """Every block of every instance built over the full catalogs carries
     at most one intersecting bit (checked by the exact DP per block)."""
-    from .comm_reconstruct import most_frequent_prices
     spec, players = session.spec, session.catalog.players
     bad = 0
     built = 0

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Union
 
 from .bundles import all_bundles, grand, size
@@ -66,6 +67,17 @@ class TwoPlayerTables:
     def catalog(self) -> ValuationCatalog:
         return self.session.catalog
 
+    @cached_property
+    def truthful_prefixes(self) -> frozenset[tuple]:
+        """Every nonempty prefix of a truthful wrapper transcript over the
+        catalog pairs.  A run's culprit owns its first message whose prefix
+        is not in here; an out-of-range menu index never is."""
+        out = set()
+        for profile in self.catalog.profiles():
+            msgs = _wrapper_messages(self, profile, ("truthful", "truthful"))[0]
+            out.update(tuple(msgs[:k]) for k in range(1, len(msgs) + 1))
+        return frozenset(out)
+
 
 def build_tables(session: Session) -> TwoPlayerTables:
     if session.spec.n != 2:
@@ -82,10 +94,6 @@ def build_tables(session: Session) -> TwoPlayerTables:
     tax_bits = max(log2_ceil(len(presented[0])), log2_ceil(len(presented[1])), 1)
     return TwoPlayerTables(session, (presented[0], presented[1]),
                            (index_of[0], index_of[1]), tax_bits)
-
-
-def smallest_argmax(menu: Menu, v: Valuation) -> int:
-    return profit_argmax_set(menu, v)[0]
 
 
 @dataclass(frozen=True)
@@ -112,15 +120,13 @@ def _wrapper_messages(tables: TwoPlayerTables, profile, strategies):
     for i in (0, 1):
         s = strategies[i]
         other = 1 - i
-        faced = tables.presented[other][menu_idx[other]] \
-            if 0 <= menu_idx[other] < len(tables.presented[other]) else None
-        if s == "truthful":
-            if faced is None:
-                bundles.append(0)
-            else:
-                bundles.append(smallest_argmax(faced, profile[i]))
-        else:
+        if s != "truthful":
             bundles.append(s.bundle)
+        elif 0 <= menu_idx[other] < len(tables.presented[other]):
+            bundles.append(profit_argmax_set(tables.presented[other][menu_idx[other]],
+                                             profile[i])[0])
+        else:
+            bundles.append(0)  # the menu faced is out of range
         msgs.append(("bundle", i, bundles[i]))
     inner_profile = tuple(
         profile[i] if strategies[i] == "truthful" else strategies[i].inner
@@ -132,32 +138,6 @@ def _wrapper_messages(tables: TwoPlayerTables, profile, strategies):
     return msgs, menu_idx, bundles, inner
 
 
-def _truthful_transcript_table(tables: TwoPlayerTables):
-    """Cache of wrapper transcripts under truthful play for every catalog
-    pair; consistency scanning is prefix matching against this table."""
-    out = {}
-    for v1 in tables.catalog.players[0]:
-        for v2 in tables.catalog.players[1]:
-            msgs, _, _, _ = _wrapper_messages(
-                tables, (v1, v2), ("truthful", "truthful")
-            )
-            out[(v1.table, v2.table)] = msgs
-    return out
-
-
-def find_inconsistent(observed, table) -> Optional[int]:
-    """The player whose message first leaves every catalog pair's
-    transcript, or None when some pair matches the whole transcript."""
-    pairs = list(table.values())
-    live = pairs
-    for idx, msg in enumerate(observed):
-        nxt = [t for t in live if len(t) > idx and t[idx] == msg]
-        if not nxt:
-            return msg[1]
-        live = nxt
-    return None
-
-
 @dataclass(frozen=True)
 class DominantRun:
     outcome: WrapperOutcome
@@ -165,8 +145,7 @@ class DominantRun:
     bundles: tuple[int, int]
 
 
-def to_dominant_run(tables: TwoPlayerTables, profile, strategies,
-                    transcript_table=None) -> DominantRun:
+def to_dominant_run(tables: TwoPlayerTables, profile, strategies) -> DominantRun:
     """One run of the wrapper under the given strategies ("truthful" or a
     DeviationStrategy per player), with both communication accountings."""
     spec = tables.spec
@@ -174,17 +153,9 @@ def to_dominant_run(tables: TwoPlayerTables, profile, strategies,
         if strategies[i] != "truthful" and not isinstance(strategies[i], DeviationStrategy):
             raise DomainError("strategies are 'truthful' or DeviationStrategy")
     msgs, menu_idx, bundles, inner = _wrapper_messages(tables, profile, strategies)
-    if transcript_table is None:
-        transcript_table = _truthful_transcript_table(tables)
-
-    out_of_range = [
-        i for i in (0, 1)
-        if not 0 <= menu_idx[i] < len(tables.presented[i])
-    ]
-    if out_of_range:
-        culprit = min(out_of_range)
-    else:
-        culprit = find_inconsistent(msgs, transcript_table)
+    prefixes = tables.truthful_prefixes
+    culprit = next((msg[1] for k, msg in enumerate(msgs)
+                    if tuple(msgs[:k + 1]) not in prefixes), None)
 
     m = spec.m
     announce_bits = 2 * (tables.tax_bits + m)
@@ -275,7 +246,6 @@ def deviation_audit(tables: TwoPlayerTables, keep_rows: bool = False) -> AuditRe
     weighed by every valuation of theirs.  Rows and the worst row (the
     first of the largest gap) follow (player, valuation, opponent,
     deviation) order."""
-    ttable = _truthful_transcript_table(tables)
     rows: list[AuditRow] = []
     worst: Optional[AuditRow] = None
     for i in (0, 1):
@@ -296,11 +266,11 @@ def deviation_audit(tables: TwoPlayerTables, keep_rows: bool = False) -> AuditRe
             deviated = []  # player i's (bundle, payment) per deviation
             for dev in my_devs:
                 alt = to_dominant_run(tables, _seated(i, valuations[0], opp_valuation),
-                                      _seated(i, dev, opp_strategy), ttable).outcome
+                                      _seated(i, dev, opp_strategy)).outcome
                 deviated.append((alt.allocation[i], alt.payments[i]))
             for vi_idx, v_i in enumerate(valuations):
                 base = to_dominant_run(tables, _seated(i, v_i, opp_valuation),
-                                       _seated(i, "truthful", opp_strategy), ttable).outcome
+                                       _seated(i, "truthful", opp_strategy)).outcome
                 u_truth = utility(v_i, base.allocation[i], base.payments[i])
                 for dev_idx, (won, paid) in enumerate(deviated):
                     u_dev = utility(v_i, won, paid)
@@ -451,6 +421,6 @@ def to_simultaneous(tables: TwoPlayerTables) -> SimultaneousTable:
             for v in tables.catalog.players[0]:
                 if tables.index_of[0][v.table] != shown_idx:
                     continue
-                mask |= smallest_argmax(faced, v)
+                mask |= profit_argmax_set(faced, v)[0]
             union_win[(faced_idx, shown_idx)] = mask
     return SimultaneousTable(tables, union_win)

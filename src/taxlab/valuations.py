@@ -8,8 +8,8 @@ from functools import cached_property
 from itertools import product
 from typing import Optional, Sequence
 
-from .bundles import (DomainError, all_bundles, bit, check_m, grand, max_below, size,
-                      subset_sums)
+from .bundles import (DomainError, all_bundles, bit, check_m, grand, is_monotone, max_below,
+                      size, subset_sums)
 from .rational import Price, common_denominator, format_price, parse_price
 
 
@@ -47,11 +47,8 @@ class Valuation:
             raise DomainError("table entries must be exact rationals")
         if self.table[0] != 0:
             raise DomainError("valuation must be normalized: v(empty) = 0")
-        ints = self.scaled_table[1]
-        for j in range(self.m):
-            b = bit(j)
-            if any(ints[s] > ints[s | b] for s in all_bundles(self.m) if not s & b):
-                raise DomainError("valuation must be monotone")
+        if not is_monotone(self.scaled_table[1], self.m):
+            raise DomainError("valuation must be monotone")
 
     def value(self, mask: int) -> Fraction:
         if not 0 <= mask < (1 << self.m):
@@ -187,11 +184,14 @@ def random_monotone_valuation(m: int, rng, grid=8, scale=Fraction(4)) -> Valuati
     return Valuation(m, tuple(table))
 
 
+def table_to_json(m: int, table: Sequence[Price]) -> dict:
+    """Valuation or menu JSON: m and every mask's entry; `table_from_json`
+    reads it back."""
+    return {"m": m, "values": {str(s): format_price(table[s]) for s in all_bundles(m)}}
+
+
 def valuation_to_json(v: Valuation) -> dict:
-    return {
-        "m": v.m,
-        "values": {str(s): format_price(v.table[s]) for s in all_bundles(v.m)},
-    }
+    return table_to_json(v.m, v.table)
 
 
 def table_from_json(doc: dict) -> tuple[int, tuple[Price, ...]]:

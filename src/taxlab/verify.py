@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .bundles import all_bundles, bit, bundles_of_size, check_m, max_below, size
+from .bundles import all_bundles, bit, bundles_of_size, check_m, is_monotone, max_below, size
 from .menus import ContractError, Menu
 from .protocol import MechanismSpec, insert_player, run_mechanism
 from .rational import INF, Price, is_finite
@@ -46,10 +46,8 @@ class BaseFunction:
             raise DomainError("base function must cover all 2^m bundles")
         if self.table[0] != 0:
             raise DomainError("base function must vanish on the empty bundle")
-        for s in all_bundles(self.m):
-            for j in range(self.m):
-                if not s & bit(j) and not self.table[s] <= self.table[s | bit(j)]:
-                    raise DomainError("base function must be monotone")
+        if not is_monotone(self.table, self.m):
+            raise DomainError("base function must be monotone")
 
     def check_bound(self, bound: Fraction) -> None:
         for x in self.table:

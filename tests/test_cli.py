@@ -6,7 +6,7 @@ from pathlib import Path
 
 from taxlab.cli import load_config, main
 from taxlab.library import warmup_catalog
-from taxlab.reporting import CSV_HEADER
+from taxlab.protocol import REPORT_FIELDS
 from taxlab.valuations import valuation_to_json
 
 
@@ -34,7 +34,7 @@ def test_validate_and_run(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "tax<=cc[warmup_tightness(c=2)]: PASS" in out
     csv_text = (tmp_path / "out" / "reports.csv").read_text()
-    assert csv_text.splitlines()[0] == ",".join(CSV_HEADER)
+    assert csv_text.splitlines()[0] == ",".join(REPORT_FIELDS)
     assert (tmp_path / "out" / "theorem_check.txt").exists()
 
 
@@ -193,12 +193,21 @@ def test_oversized_m_and_non_object_config_exit_two(tmp_path, capsys, monkeypatc
         ({"id": "warmup_tightness", "params": {"c": 1},
           "catalogs": [[numeric_values], [numeric_values]]}, ".catalogs:"),
     ]
+    # unknown keys at each level: each line names the key
+    unknown = [
+        ({"mechanisms": [{"id": "drop_tax", "params": {"m": 2}}], "suite": ["measure"],
+          "trials": {"verfy": 1}}, ("'suite'",)),
+        (dict(BASE, trials={"verfy": 1}), ("trials", "'verfy'")),
+        ({"mechanisms": [{"id": "drop_tax", "params": {"m": 2}, "catalog": "default"}],
+          "suites": []}, ("drop_tax", "'catalog'")),
+    ]
     paths = [big, listed]
-    for k, doc in enumerate(malformed + [{"mechanisms": [entry], "suites": ["transform"]}
-                                         for entry, _ in named]):
+    for k, doc in enumerate(malformed + [doc for doc, _ in unknown]
+                            + [{"mechanisms": [entry], "suites": ["transform"]}
+                               for entry, _ in named]):
         paths.append(tmp_path / f"malformed{k}.json")
         paths[-1].write_text(json.dumps(doc))
-    words = [()] * (len(paths) - len(named)) + [
+    words = [()] * (len(paths) - len(unknown) - len(named)) + [w for _, w in unknown] + [
         (entry["id"] + w,) if w[0] == "." else (entry["id"], w) for entry, w in named]
     for command in ("validate", "run"):
         for path, expect in zip(paths, words):

@@ -32,6 +32,13 @@ def test_majority_table_and_witnesses():
     assert witness_bundles(menus[0], p) == []
 
 
+def test_majority_tie_goes_to_the_first_price_in_canonical_order():
+    # a 1-1 tie between 3/2 and 2 goes to 2: numerator order, not value order
+    p = most_frequent_prices([menu_of(1, {1: Fraction(3, 2)}), menu_of(1, {1: 2})], 1)
+    assert p[1] == 2
+    assert most_frequent_prices([menu_of(1, {}), menu_of(1, {1: 5})], 1)[1] == 5  # INF last
+
+
 def test_within_log_budget_exact_compare():
     assert within_log_budget(8, 2, 8)
     assert not within_log_budget(9, 2, 8)
@@ -161,7 +168,7 @@ def test_rich_catalog_multi_step_shrinkage():
             continue
         seen.add(key)
         truth = extract_menu(spec, 1, v_minus)
-        rec = reconstruct_menu_comm(session, 1, v_minus, seed=9, precomputed=pre)
+        rec = reconstruct_menu_comm(session, 1, v_minus, seed=9)
         assert rec.menu.price == truth.price
         deepest = max(deepest, len(rec.steps))
         for st in rec.steps:
@@ -187,8 +194,7 @@ def test_sweep_small_mechanisms():
                     continue
                 seen.add(key)
                 truth = extract_menu(spec, i, v_minus)
-                rec = reconstruct_menu_comm(session, i, v_minus, seed=3,
-                                            precomputed=pre)
+                rec = reconstruct_menu_comm(session, i, v_minus, seed=3)
                 assert rec.menu.price == truth.price
                 for st in rec.steps:
                     if st.branch != "majority":

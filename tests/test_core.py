@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taxlab.bundles import (all_bundles, bit, bundles_of_size, size, subset_sums, subsets,
-                            supersets)
+from taxlab.bundles import (all_bundles, best_bundle, bit, bundles_of_size, is_monotone, size,
+                            subset_sums, subsets, supersets)
 from taxlab.queries import bundle_price, demand_query, optimal_welfare, value_query
 from taxlab.rational import (INF, common_denominator, format_price, is_finite, parse_price,
                              sum_prices)
@@ -355,3 +355,73 @@ def test_xos_json():
     from taxlab.valuations import xos_from_json
     v = xos_from_json({"m": 2, "clauses": [["2", "0"], ["0", "2"]]})
     assert v.value(0b11) == 2 and "xos" in classify_valuation(v)
+
+
+def reference_is_monotone(table, m):
+    """The per-item loop each table check spelled out before `is_monotone`."""
+    for s in all_bundles(m):
+        for j in range(m):
+            if not s & bit(j) and not table[s] <= table[s | bit(j)]:
+                return False
+    return True
+
+
+@st.composite
+def bundle_tables(draw, entries):
+    """A table over 2^m bundles: a monotone closure of drawn entries, then
+    maybe one entry redrawn, so both answers are common."""
+    m = draw(st.integers(1, 4))
+    table = [draw(entries) for _ in all_bundles(m)]
+    for s in all_bundles(m):
+        for j in range(m):
+            if s & bit(j) and table[s & ~bit(j)] > table[s]:
+                table[s] = table[s & ~bit(j)]
+    if draw(st.booleans()):
+        table[draw(st.integers(0, (1 << m) - 1))] = draw(entries)
+    return m, tuple(table)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(bundle_tables(st.integers(-3, 6)),
+                 bundle_tables(st.builds(Fraction, st.integers(0, 9), st.integers(1, 4)))))
+def test_is_monotone_matches_per_item_loop(question):
+    m, table = question
+    assert is_monotone(table, m) == reference_is_monotone(table, m)
+    if table[0] == 0 and all(isinstance(x, Fraction) for x in table):
+        if is_monotone(table, m):
+            assert Valuation(m, table).table == table
+        else:
+            with pytest.raises(DomainError, match="valuation must be monotone"):
+                Valuation(m, table)
+
+
+def reference_best_bundle(candidates):
+    """The best-profit loop the mechanism programs and optimizers each kept."""
+    best_mask, best_profit = 0, Fraction(0)
+    for mask, profit in candidates:
+        if profit > best_profit or (profit == best_profit and mask < best_mask):
+            best_mask, best_profit = mask, profit
+    return best_mask, best_profit
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 15),
+                          st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 2, 3])))))
+def test_best_bundle_matches_reference_loop(candidates):
+    read = []
+
+    def lazily():
+        for c in candidates:
+            read.append(c)
+            yield c
+
+    assert best_bundle(lazily()) == reference_best_bundle(candidates)
+    assert read == candidates  # every candidate, in order
+
+
+def test_best_bundle_ties_negatives_and_no_candidates():
+    F = Fraction
+    assert best_bundle([]) == (0, F(0))
+    assert best_bundle([(3, F(-1)), (5, F(-1, 2))]) == (0, F(0))  # the empty bundle wins
+    assert best_bundle([(6, F(1)), (3, F(1)), (5, F(1, 2))]) == (3, F(1))  # smallest mask
+    assert best_bundle([(4, F(0)), (2, F(0))]) == (0, F(0))  # ties with the empty bundle

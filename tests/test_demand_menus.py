@@ -246,12 +246,51 @@ def reference_mt_gadget_program(m):
     return program
 
 
+def reference_value_tightness_program(c):
+    """The value_tightness program with its best-bundle loop written inline."""
+    def program(profile, rec):
+        t = min(c, max(1, int(rec.value_query(0, 1) + F(1, 2))))
+        prices = {1 << j: F(1) + (F(1, 2) if j == t - 1 else F(0)) for j in range(c)}
+        best_mask, best_profit = 0, F(0)
+        for s in prices:
+            profit = rec.value_query(1, s) - prices[s]
+            if profit > best_profit or (profit == best_profit and s < best_mask):
+                best_mask, best_profit = s, profit
+        pay = prices[best_mask] if best_mask else F(0)
+        return (0, best_mask), (F(0), pay)
+    return program
+
+
+def reference_drop_tax_program(m):
+    """The drop_tax program with its best-value loop written inline."""
+    def program(profile, rec):
+        v1, v2 = profile
+        offered = []
+        for s in bundles_of_size(m, m // 2):
+            rec.send_bit(0, int(v1.value(s) >= 1))
+            if v1.value(s) >= 1:
+                offered.append(s)
+        best_mask, best_value = 0, None
+        for s in offered:
+            val = v2.value(s)
+            if val >= 1 and (best_value is None or val > best_value
+                             or (val == best_value and s < best_mask)):
+                best_mask, best_value = s, val
+        rec.send_number(1, best_mask, 1 << m)
+        return (0, best_mask), (F(0), F(1) if best_mask else F(0))
+    return program
+
+
 @pytest.mark.parametrize("mech_id, params", [
     ("demand_tightness", {"m": 2, "alpha": 2, "count": 4}),
     ("demand_tightness", {"m": 4, "alpha": 2, "count": 4}),
     ("mt_gadget", {"m": 2}),
     ("mt_gadget", {"m": 4}),
     ("mt_gadget", {"m": 6}),
+    ("value_tightness", {"c": 3, "m": 3}),
+    ("value_tightness", {"c": 2, "m": 4}),
+    ("drop_tax", {"m": 2}),
+    ("drop_tax", {"m": 4}),
 ])
 def test_library_programs_match_their_inline_reference(mech_id, params):
     from dataclasses import replace
@@ -263,6 +302,10 @@ def test_library_programs_match_their_inline_reference(mech_id, params):
     m = spec.m
     if mech_id == "mt_gadget":
         program = reference_mt_gadget_program(m)
+    elif mech_id == "value_tightness":
+        program = reference_value_tightness_program(params["c"])
+    elif mech_id == "drop_tax":
+        program = reference_drop_tax_program(m)
     else:
         program = reference_demand_tightness_program(
             make_min_affine_family(m, params["alpha"], params["count"]))

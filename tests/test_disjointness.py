@@ -2,11 +2,13 @@
 recursion."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from taxlab.disjointness import (PromiseError, ZDisjointnessInstance,
                                  announce_cost, bits_to_mask, brute_force_verdict,
-                                 instance_from_json, instance_to_json,
-                                 mask_to_bits, max_intersection,
+                                 instance_from_json, instance_to_json, lowest_bit,
+                                 mask_to_bits, max_intersection, neighbourhood,
                                  run_one_disjointness, solve_one_disjointness,
                                  solve_z_disjointness)
 from taxlab.rng import stream
@@ -112,3 +114,33 @@ def test_instance_json_roundtrip():
     back = instance_from_json(doc)
     assert back == inst
     assert doc["allowed"][0][0] == "1000"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, (1 << 40) - 1))
+def test_lowest_bit_matches_reference(a):
+    want = (a & -a).bit_length() - 1 if a else None
+    assert lowest_bit(a) == want
+    assert want is None or (a >> want & 1 and a & ((1 << want) - 1) == 0)
+
+
+@st.composite
+def neighbourhood_questions(draw):
+    l = draw(st.integers(1, 12))
+    strings = draw(st.lists(st.integers(0, (1 << l) - 1), max_size=8))
+    live = draw(st.integers(1, (1 << l) - 1))
+    k = draw(st.sampled_from([j for j in range(l) if live >> j & 1]))
+    return strings, k, live
+
+
+@settings(max_examples=300, deadline=None)
+@given(neighbourhood_questions())
+def test_neighbourhood_matches_reference_loop(question):
+    """Against the loop `small_candidate` and the window update each kept."""
+    strings, k, live = question
+    nb = 0
+    for a in strings:
+        a_live = a & live
+        if a_live & (1 << k):
+            nb |= a_live
+    assert neighbourhood(strings, k, live) == nb

@@ -3,10 +3,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from taxlab.bundles import all_bundles, supersets
-from taxlab.menus import (ContractError, Menu, MinAffineMenu, eval_min_affine,
-                          in_menu_rebuild, menu_complexity, menu_from_json,
+from taxlab.bundles import all_bundles, bit, is_monotone, supersets
+from taxlab.menus import (ContractError, Menu, MinAffineMenu, cheapest_superset,
+                          eval_min_affine, in_menu_rebuild, menu_complexity, menu_from_json,
                           menu_to_json, min_affine_from_json, min_affine_table,
                           min_affine_to_json, normalize_menu, profit_argmax_set)
 from taxlab.rational import INF, is_finite
@@ -157,3 +159,63 @@ def test_in_menu_rebuild_and_json():
     assert rebuilt.price == (F(0), F(1), F(2), F(2))
     doc = menu_to_json(menu)
     assert menu_from_json(doc).price == menu.price
+
+
+prices = st.one_of(st.just(INF), st.builds(F, st.integers(0, 6), st.integers(1, 3)))
+
+
+@st.composite
+def price_tables(draw):
+    """A menu-shaped table with INF entries, made monotone by a running
+    max over subsets and then maybe broken at one bundle."""
+    m = draw(st.integers(1, 4))
+    table = [draw(prices) for _ in all_bundles(m)]
+    table[0] = draw(st.sampled_from([F(0), F(0), F(1), INF]))
+    for s in all_bundles(m):
+        for j in range(m):
+            if s & bit(j) and table[s & ~bit(j)] > table[s]:
+                table[s] = table[s & ~bit(j)]
+    if draw(st.booleans()):
+        table[draw(st.integers(0, (1 << m) - 1))] = draw(prices)
+    return m, tuple(table)
+
+
+@settings(max_examples=300, deadline=None)
+@given(price_tables())
+def test_is_normalized_matches_per_item_loop(question):
+    m, table = question
+    monotone = all(table[s] <= table[s | bit(j)]
+                   for s in all_bundles(m) for j in range(m) if not s & bit(j))
+    assert is_monotone(table, m) == monotone
+    assert Menu(m, table).is_normalized() == (table[0] == 0 and monotone)
+
+
+def reference_cheapest_superset(priced, s):
+    """The scan `in_menu_rebuild` and the value_tightness price protocol
+    each spelled out."""
+    best = INF
+    for k, p in priced.items():
+        if k & s == s and p < best:
+            best = p
+    return best
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda m: st.tuples(
+    st.just(m),
+    st.dictionaries(st.integers(0, (1 << m) - 1),
+                    st.builds(F, st.integers(0, 6), st.integers(1, 3)), max_size=6))))
+def test_cheapest_superset_and_rebuild_match_reference_scan(question):
+    m, priced = question
+    rebuilt = in_menu_rebuild(m, priced)
+    for s in all_bundles(m):
+        want = reference_cheapest_superset(priced, s)
+        assert cheapest_superset(priced, s) == want
+        assert rebuilt.price[s] == want
+
+
+def test_menu_sort_key_is_numerator_then_denominator_order():
+    # 2 = 2/1 sorts before 3/2 by numerator, though it is larger; INF is last
+    two, three_halves, inf = (menu_of(1, {1: p}) for p in (2, F(3, 2), INF))
+    order = sorted([inf, three_halves, two], key=Menu.sort_key)
+    assert [mn.price[1] for mn in order] == [F(2), F(3, 2), INF]

@@ -68,9 +68,6 @@ def test_report_is_measure_complexities_once():
 def reference_deviation_audit(tables, keep_rows=False) -> AuditReport:
     """The audit as a plain loop over (player, valuation, opponent,
     deviation), one wrapper run per comparison."""
-    from taxlab.transforms import _truthful_transcript_table
-
-    ttable = _truthful_transcript_table(tables)
     rows = []
     max_gap = None
     worst = None
@@ -93,11 +90,11 @@ def reference_deviation_audit(tables, keep_rows=False) -> AuditReport:
                 strategies = [None, None]
                 strategies[other] = opp_strategy
                 strategies[i] = "truthful"
-                base = to_dominant_run(tables, tuple(profile), tuple(strategies), ttable)
+                base = to_dominant_run(tables, tuple(profile), tuple(strategies))
                 u_truth = utility(v_i, base.outcome.allocation[i], base.outcome.payments[i])
                 for dev_idx, dev in enumerate(my_devs):
                     strategies[i] = dev
-                    alt = to_dominant_run(tables, tuple(profile), tuple(strategies), ttable)
+                    alt = to_dominant_run(tables, tuple(profile), tuple(strategies))
                     u_dev = utility(v_i, alt.outcome.allocation[i], alt.outcome.payments[i])
                     row = AuditRow(i, vi_idx, opp_label, dev_idx, u_truth, u_dev)
                     if keep_rows or row.gap > 0:

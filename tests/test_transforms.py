@@ -4,14 +4,18 @@ and the one-round compiler."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from taxlab import suites
 from taxlab.bundles import all_bundles, bit, size
 from taxlab.library import default_catalog, make_example, warmup_catalog
 from taxlab.menus import profit_argmax_set
 from taxlab.protocol import Session, run_mechanism
+from taxlab.rational import is_finite
 from taxlab.rng import stream
-from taxlab.transforms import (DeviationStrategy, PrecisionError, build_tables,
-                               default_eps, deviation_audit, is_precise,
+from taxlab.transforms import (DeviationStrategy, PrecisionError, _wrapper_messages,
+                               build_tables, default_eps, deviation_audit, is_precise,
                                reachable_menus, size_tilt, strictify,
                                strictify_catalog, to_dominant_run,
                                to_simultaneous)
@@ -79,6 +83,71 @@ def test_out_of_range_menu_index_is_inconsistency():
     rogue = DeviationStrategy(99, 0, alice)
     run = to_dominant_run(tables, (alice, bob), (rogue, "truthful"))
     assert run.outcome.inconsistent == 0
+
+
+def reference_truthful_table(tables):
+    """The per-pair truthful transcripts the wrapper once rebuilt per run."""
+    return {(v1.table, v2.table): _wrapper_messages(tables, (v1, v2), ("truthful", "truthful"))[0]
+            for v1 in tables.catalog.players[0] for v2 in tables.catalog.players[1]}
+
+
+def reference_outcome(tables, profile, strategies):
+    """Culprit, allocation and payments by the out-of-range rule, then the
+    scan that narrows the live truthful transcripts message by message."""
+    msgs, menu_idx, bundles, inner = _wrapper_messages(tables, profile, strategies)
+    out_of_range = [i for i in (0, 1) if not 0 <= menu_idx[i] < len(tables.presented[i])]
+    culprit = min(out_of_range) if out_of_range else None
+    if not out_of_range:
+        live = list(reference_truthful_table(tables).values())
+        for idx, msg in enumerate(msgs):
+            live = [t for t in live if len(t) > idx and t[idx] == msg]
+            if not live:
+                culprit = msg[1]
+                break
+    if culprit is None:
+        return None, inner.allocation, inner.payments
+    winner = 1 - culprit
+    allocation, payments = [0, 0], [F(0), F(0)]
+    if 0 <= menu_idx[culprit] < len(tables.presented[culprit]):
+        price = tables.presented[culprit][menu_idx[culprit]].price[bundles[winner]]
+        if is_finite(price):
+            allocation[winner], payments[winner] = bundles[winner], price
+    return culprit, tuple(allocation), tuple(payments)
+
+
+_two_player_tables: dict = {}
+
+
+@st.composite
+def wrapper_plays(draw):
+    """(tables, profile, strategies) over TWO_PLAYER_BENCH: each player is
+    truthful or deviates, with menu indices in range or 99."""
+    k = draw(st.integers(0, len(suites.TWO_PLAYER_BENCH) - 1))
+    if k not in _two_player_tables:
+        session = Session(*suites.bench_instance(*suites.TWO_PLAYER_BENCH[k]))
+        _two_player_tables[k] = build_tables(session)
+    tables = _two_player_tables[k]
+    profile, strategies = [], []
+    for i in (0, 1):
+        group = tables.catalog.players[i]
+        profile.append(draw(st.sampled_from(group)))
+        if draw(st.booleans()):
+            strategies.append("truthful")
+        else:
+            index = draw(st.sampled_from(list(range(len(tables.presented[i]))) + [99]))
+            strategies.append(DeviationStrategy(
+                index, draw(st.integers(0, (1 << tables.spec.m) - 1)),
+                draw(st.sampled_from(group))))
+    return tables, tuple(profile), tuple(strategies)
+
+
+@settings(max_examples=300, deadline=None)
+@given(wrapper_plays())
+def test_prefix_set_culprit_matches_transcript_table_scan(play):
+    tables, profile, strategies = play
+    got = to_dominant_run(tables, profile, strategies).outcome
+    want = reference_outcome(tables, profile, strategies)
+    assert (got.inconsistent, got.allocation, got.payments) == want
 
 
 def test_audit_examples():
