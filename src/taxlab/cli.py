@@ -20,8 +20,9 @@ Per-mechanism catalogs are inline valuation-JSON lists per player or
 {"files": [path, ...]} with one JSON list per player; omitted catalogs
 fall back to the mechanism's builtin default.  Each entry's params are
 checked against its schema in `library.MECHANISMS` before anything is
-built, and an entry whose measurement would exceed MAX_MEASURE_WORK is
-refused before any mechanism runs.  Exit status: 0 all suites passed, 1 a
+built, and an entry whose measurement (or, with the transform suite, whose
+deviation audit) would exceed MAX_MEASURE_WORK is refused before any
+mechanism runs.  Exit status: 0 all suites passed, 1 a
 suite failed (the failing check is named), 2 bad config.
 """
 
@@ -134,13 +135,23 @@ def check_params(mech_id, params) -> dict:
     return mech.complete(params)
 
 
-def check_work(mech_id: str, m: int, sizes: list[int]) -> None:
-    """Refuse (profiles + sum_i |others_i| 2^m) 2^m > MAX_MEASURE_WORK steps."""
+def check_work(mech_id: str, m: int, sizes: list[int], transform: bool = False) -> None:
+    """Refuse (profiles + sum_i |others_i| 2^m) 2^m > MAX_MEASURE_WORK steps,
+    and, for the transform suite, a deviation audit of more wrapper plays
+    than that."""
     profiles = prod(sizes)
     work = (profiles + (sum(profiles // k for k in sizes) << m)) << m
     if work > MAX_MEASURE_WORK:
         raise ConfigError(f"{mech_id} at m={m}: measuring catalogs of sizes {sizes} (or larger) "
                           f"needs {work} table steps, over the cap of {MAX_MEASURE_WORK}")
+    if transform and len(sizes) == 2:
+        # player i settles one play per (menu index, bundle) against each of
+        # |c_o| truthful and |presented_o| 2^m |c_o| deviating opponents,
+        # with |presented_i| <= |c_i|
+        plays = sum(((c << m) * (o + (o * o << m))) for c, o in (sizes, sizes[::-1]))
+        if plays > MAX_MEASURE_WORK:
+            raise ConfigError(f"{mech_id} at m={m}: auditing catalogs of sizes {sizes} needs "
+                              f"up to {plays} wrapper plays, over the cap of {MAX_MEASURE_WORK}")
 
 
 def load_config(path: Path, seed_override: Optional[int] = None,
@@ -197,7 +208,8 @@ def load_config(path: Path, seed_override: Optional[int] = None,
                 f"catalog shape ({catalog.n} players, m={catalog.m}) does not "
                 f"match mechanism {spec.mech_id}"
             )
-        check_work(mech_id, spec.m, [len(vs) for vs in catalog.players])
+        check_work(mech_id, spec.m, [len(vs) for vs in catalog.players],
+                   "transform" in suite_names)
         mechanisms.append(MechanismEntry(mech_id, catalog, spec))
     return Config(mechanisms, suite_names, seed, Path(out), trials)
 

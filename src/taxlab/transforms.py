@@ -20,12 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Optional, Union
 
 from .bundles import all_bundles, grand, size
 from .menus import Menu, profit_argmax_set
-from .protocol import MechanismSpec, Session, log2_ceil
-from .rational import Price, is_finite
+from .protocol import MechanismSpec, RunResult, Session, log2_ceil
+from .rational import Price, common_denominator, is_finite
 from .rng import stream
 from .valuations import DomainError, Valuation, ValuationCatalog
 
@@ -74,7 +75,7 @@ class TwoPlayerTables:
         is not in here; an out-of-range menu index never is."""
         out = set()
         for profile in self.catalog.profiles():
-            msgs = _wrapper_messages(self, profile, ("truthful", "truthful"))[0]
+            msgs = _messages(*_play(self, profile, ("truthful", "truthful")))
             out.update(tuple(msgs[:k]) for k in range(1, len(msgs) + 1))
         return frozenset(out)
 
@@ -105,37 +106,60 @@ class WrapperOutcome:
     inconsistent: Optional[int]
 
 
-def _wrapper_messages(tables: TwoPlayerTables, profile, strategies):
-    """The four announcements plus the inner run, as played."""
-    msgs = []
-    menu_idx = []
-    for i in (0, 1):
-        s = strategies[i]
-        if s == "truthful":
-            menu_idx.append(tables.index_of[i][profile[i].table])
-        else:
-            menu_idx.append(s.menu_index)
-        msgs.append(("menu", i, menu_idx[i]))
-    bundles = []
-    for i in (0, 1):
-        s = strategies[i]
-        other = 1 - i
-        if s != "truthful":
-            bundles.append(s.bundle)
-        elif 0 <= menu_idx[other] < len(tables.presented[other]):
-            bundles.append(profit_argmax_set(tables.presented[other][menu_idx[other]],
-                                             profile[i])[0])
-        else:
-            bundles.append(0)  # the menu faced is out of range
-        msgs.append(("bundle", i, bundles[i]))
-    inner_profile = tuple(
-        profile[i] if strategies[i] == "truthful" else strategies[i].inner
-        for i in (0, 1)
-    )
-    inner = tables.session.run(inner_profile)
-    for tok in inner.transcript.tokens:
-        msgs.append(("inner", tok[0], tok[:3]))
-    return msgs, menu_idx, bundles, inner
+def truthful_bundle(tables: TwoPlayerTables, i: int, v: Valuation, faced_idx: int) -> int:
+    """The bundle player i announces truthfully as v when the other player
+    announced menu index faced_idx: its profit argmax, or the empty bundle
+    when the index is out of range."""
+    menus = tables.presented[1 - i]
+    return profit_argmax_set(menus[faced_idx], v)[0] if 0 <= faced_idx < len(menus) else 0
+
+
+def _messages(menu_idx, bundles, inner: Optional[RunResult] = None) -> list[tuple]:
+    """The wrapper transcript: the four announcements, then the inner run's
+    tokens when it was played."""
+    msgs = [("menu", 0, menu_idx[0]), ("menu", 1, menu_idx[1]),
+            ("bundle", 0, bundles[0]), ("bundle", 1, bundles[1])]
+    if inner is not None:
+        msgs += [("inner", tok[0], tok[:3]) for tok in inner.transcript.tokens]
+    return msgs
+
+
+def _play(tables: TwoPlayerTables, profile, strategies):
+    """Each player's announced menu index and bundle, and the inner run, as
+    played."""
+    menu_idx = tuple(tables.index_of[i][profile[i].table] if strategies[i] == "truthful"
+                     else strategies[i].menu_index for i in (0, 1))
+    bundles = tuple(truthful_bundle(tables, i, profile[i], menu_idx[1 - i])
+                    if strategies[i] == "truthful" else strategies[i].bundle for i in (0, 1))
+    inner = tables.session.run(tuple(
+        profile[i] if strategies[i] == "truthful" else strategies[i].inner for i in (0, 1)))
+    return menu_idx, bundles, inner
+
+
+def settle(tables: TwoPlayerTables, menu_idx, bundles, inner: Optional[RunResult] = None):
+    """The wrapper's verdict as (culprit, allocation, payments).  The
+    culprit owns the first message whose prefix is on no truthful
+    transcript; they get nothing, and the other player wins the bundle they
+    announced at its price in the menu the culprit announced (nothing at an
+    infinite or out-of-range price).  With no culprit the inner outcome
+    stands.  Without `inner`, None when the four announcements stay on a
+    truthful transcript, so that only the inner run can settle it."""
+    msgs = _messages(menu_idx, bundles, inner)
+    prefixes = tables.truthful_prefixes
+    culprit = next((msg[1] for k, msg in enumerate(msgs)
+                    if tuple(msgs[:k + 1]) not in prefixes), None)
+    if culprit is None:
+        return None if inner is None else (None, inner.allocation, inner.payments)
+    winner = 1 - culprit
+    menus = tables.presented[culprit]
+    t_w = bundles[winner]
+    price = menus[menu_idx[culprit]].price[t_w] if 0 <= menu_idx[culprit] < len(menus) else None
+    allocation = [0, 0]
+    payments = [Fraction(0), Fraction(0)]
+    if price is not None and is_finite(price):
+        allocation[winner] = t_w
+        payments[winner] = price
+    return culprit, tuple(allocation), tuple(payments)
 
 
 @dataclass(frozen=True)
@@ -152,41 +176,17 @@ def to_dominant_run(tables: TwoPlayerTables, profile, strategies) -> DominantRun
     for i in (0, 1):
         if strategies[i] != "truthful" and not isinstance(strategies[i], DeviationStrategy):
             raise DomainError("strategies are 'truthful' or DeviationStrategy")
-    msgs, menu_idx, bundles, inner = _wrapper_messages(tables, profile, strategies)
-    prefixes = tables.truthful_prefixes
-    culprit = next((msg[1] for k, msg in enumerate(msgs)
-                    if tuple(msgs[:k + 1]) not in prefixes), None)
-
-    m = spec.m
-    announce_bits = 2 * (tables.tax_bits + m)
-    bits_constructed = announce_bits + inner.transcript.bits
-    bits_theorem = announce_bits + spec.tie_cost(profile)
-
-    if culprit is None:
-        allocation = inner.allocation
-        payments = inner.payments
-    else:
-        winner = 1 - culprit
-        faced = tables.presented[culprit][menu_idx[culprit]] \
-            if 0 <= menu_idx[culprit] < len(tables.presented[culprit]) else None
-        t_w = bundles[winner]
-        price = faced.price[t_w] if faced is not None else None
-        allocation = [0, 0]
-        payments = [Fraction(0), Fraction(0)]
-        if price is not None and is_finite(price):
-            allocation[winner] = t_w
-            payments[winner] = price
-        allocation = tuple(allocation)
-        payments = tuple(payments)
-
+    menu_idx, bundles, inner = _play(tables, profile, strategies)
+    culprit, allocation, payments = settle(tables, menu_idx, bundles, inner)
+    announce_bits = 2 * (tables.tax_bits + spec.m)
     outcome = WrapperOutcome(
         allocation=allocation,
         payments=payments,
-        bits_constructed=bits_constructed,
-        bits_theorem=bits_theorem,
+        bits_constructed=announce_bits + inner.transcript.bits,
+        bits_theorem=announce_bits + spec.tie_cost(profile),
         inconsistent=culprit,
     )
-    return DominantRun(outcome, tuple(menu_idx), tuple(bundles))
+    return DominantRun(outcome, menu_idx, bundles)
 
 
 def deviation_family(tables: TwoPlayerTables, i: int) -> list[DeviationStrategy]:
@@ -224,15 +224,88 @@ class AuditReport:
         return self.max_gap <= 0
 
 
-def utility(v: Valuation, allocation: int, payment: Price) -> Fraction:
-    if not is_finite(payment):
-        raise DomainError("infinite payment cannot enter a utility")
-    return v.value(allocation) - payment
-
-
 def _seated(i: int, mine, theirs) -> tuple:
     """The pair with `mine` in seat i and `theirs` in the other seat."""
     return (mine, theirs) if i == 0 else (theirs, mine)
+
+
+class _Outcomes:
+    """Player i's side of the audit: the distinct (won, paid) outcomes they
+    meet, numbered by first occurrence, and the outcome each set of four
+    announcements settles (None when only the inner run can)."""
+
+    def __init__(self, tables: TwoPlayerTables, i: int):
+        self.tables = tables
+        self.i = i
+        self.outcomes: list[tuple[int, Price]] = []
+        self._ids: dict[tuple, int] = {}
+        self._settled: dict[tuple, Optional[int]] = {}
+        faced = range(len(tables.presented[1 - i]))
+        self._truthful = [(tables.index_of[i][v.table],
+                           [truthful_bundle(tables, i, v, k) for k in faced])
+                          for v in tables.catalog.players[i]]
+
+    def _id(self, allocation, payments) -> int:
+        key = (allocation[self.i], payments[self.i])
+        oid = self._ids.get(key)
+        if oid is None:
+            oid = self._ids[key] = len(self.outcomes)
+            self.outcomes.append(key)
+        return oid
+
+    def announced(self, mine: tuple[int, int], theirs: tuple[int, int]) -> Optional[int]:
+        """The outcome of four announcements, each side's (menu index,
+        bundle), or None when they stay on a truthful transcript."""
+        key = mine + theirs
+        if key not in self._settled:
+            verdict = settle(self.tables, _seated(self.i, mine[0], theirs[0]),
+                             _seated(self.i, mine[1], theirs[1]))
+            self._settled[key] = None if verdict is None else self._id(*verdict[1:])
+        return self._settled[key]
+
+    def played(self, profile, strategies) -> int:
+        run = to_dominant_run(self.tables, profile, strategies).outcome
+        return self._id(run.allocation, run.payments)
+
+    def against(self, opp_strategy: Strategy, opp_valuation: Valuation):
+        """Player i's outcomes against one opponent behavior: the truthful
+        outcome per valuation, the outcome per (menu index, bundle) of the
+        deviation family (one id when the announcements settle it, else one
+        per inner valuation), and each outcome's first deviation."""
+        i, tables = self.i, self.tables
+        faced_by_them = range(len(tables.presented[i]))
+        if opp_strategy == "truthful":
+            opp_menu = tables.index_of[1 - i][opp_valuation.table]
+            opp_bundles = [truthful_bundle(tables, 1 - i, opp_valuation, k) for k in faced_by_them]
+        else:
+            opp_menu = opp_strategy.menu_index
+            opp_bundles = [opp_strategy.bundle for _ in faced_by_them]
+        valuations = tables.catalog.players[i]
+        n = len(valuations)
+        truthful = []
+        for (menu, bundles), v in zip(self._truthful, valuations):
+            oid = self.announced((menu, bundles[opp_menu]), (opp_menu, opp_bundles[menu]))
+            if oid is None:
+                oid = self.played(_seated(i, v, opp_valuation),
+                                  _seated(i, "truthful", opp_strategy))
+            truthful.append(oid)
+        layout: list = []
+        first: dict[int, int] = {}
+        for menu in faced_by_them:
+            theirs = (opp_menu, opp_bundles[menu])
+            for bundle in all_bundles(tables.spec.m):
+                oid = self.announced((menu, bundle), theirs)
+                if oid is None:
+                    oid = [self.played(_seated(i, valuations[0], opp_valuation),
+                                       _seated(i, DeviationStrategy(menu, bundle, inner),
+                                               opp_strategy))
+                           for inner in valuations]
+                    for k, each in enumerate(oid):
+                        first.setdefault(each, len(layout) * n + k)
+                else:
+                    first.setdefault(oid, len(layout) * n)
+                layout.append(oid)
+        return truthful, layout, first
 
 
 def deviation_audit(tables: TwoPlayerTables, keep_rows: bool = False) -> AuditReport:
@@ -241,51 +314,50 @@ def deviation_audit(tables: TwoPlayerTables, keep_rows: bool = False) -> AuditRe
     any DeviationStrategy, which pins the opponent's play outright), and
     own deviation, truthful play must pay at least as much as deviating.
 
-    A deviating player's outcome depends on the opponent's behavior and
-    the deviation, never on their own valuation: each is computed once and
-    weighed by every valuation of theirs.  Rows and the worst row (the
-    first of the largest gap) follow (player, valuation, opponent,
-    deviation) order."""
+    A deviating player's outcome never depends on their own valuation, and
+    when the four announcements already name a culprit it does not depend
+    on the misreported inner valuation either: each (menu index, bundle)
+    is settled once per opponent, and only deviations consistent with a
+    truthful transcript play the inner mechanism.  Every valuation is then
+    weighed once per distinct (won, paid) outcome, in integers over one
+    denominator.  Rows and the worst row (the first deviation of the
+    largest gap) follow (player, valuation, opponent, deviation) order."""
     rows: list[AuditRow] = []
     worst: Optional[AuditRow] = None
     for i in (0, 1):
         other = 1 - i
         valuations = tables.catalog.players[i]
-        my_devs = deviation_family(tables, i)
-        opponents: list[tuple[str, Strategy, Valuation]] = [
-            (f"truthful:{k}", "truthful", w)
-            for k, w in enumerate(tables.catalog.players[other])
-        ] + [
-            (f"dev:{k}", dev, tables.catalog.players[other][0])
-            for k, dev in enumerate(deviation_family(tables, other))
-        ]
-        kept: list[list[AuditRow]] = [[] for _ in valuations]
-        top_gap: list[Optional[Fraction]] = [None] * len(valuations)
-        top_row: list[Optional[AuditRow]] = [None] * len(valuations)
-        for opp_label, opp_strategy, opp_valuation in opponents:
-            deviated = []  # player i's (bundle, payment) per deviation
-            for dev in my_devs:
-                alt = to_dominant_run(tables, _seated(i, valuations[0], opp_valuation),
-                                      _seated(i, dev, opp_strategy)).outcome
-                deviated.append((alt.allocation[i], alt.payments[i]))
-            for vi_idx, v_i in enumerate(valuations):
-                base = to_dominant_run(tables, _seated(i, v_i, opp_valuation),
-                                       _seated(i, "truthful", opp_strategy)).outcome
-                u_truth = utility(v_i, base.allocation[i], base.payments[i])
-                for dev_idx, (won, paid) in enumerate(deviated):
-                    u_dev = utility(v_i, won, paid)
-                    gap = u_dev - u_truth
-                    new_top = top_gap[vi_idx] is None or gap > top_gap[vi_idx]
-                    if keep_rows or gap > 0 or new_top:
-                        row = AuditRow(i, vi_idx, opp_label, dev_idx, u_truth, u_dev)
-                        if keep_rows or gap > 0:
-                            kept[vi_idx].append(row)
-                        if new_top:
-                            top_gap[vi_idx] = gap
-                            top_row[vi_idx] = row
-        for part, gap, row in zip(kept, top_gap, top_row):
-            rows.extend(part)
-            if worst is None or gap > worst.gap:
+        n = len(valuations)
+        theirs = tables.catalog.players[other]
+        side = _Outcomes(tables, i)
+        opponents = [(f"truthful:{k}", "truthful", w) for k, w in enumerate(theirs)] + [
+            (f"dev:{k}", dev, theirs[0]) for k, dev in enumerate(deviation_family(tables, other))]
+        met = [(label, side.against(strategy, w)) for label, strategy, w in opponents]
+        if not all(is_finite(paid) for _, paid in side.outcomes):
+            raise DomainError("infinite payment cannot enter a utility")
+        d_paid, paid = common_denominator([paid for _, paid in side.outcomes])
+        for vi, v in enumerate(valuations):
+            d_v, table = v.scaled_table
+            d = lcm(d_v, d_paid)
+            u = [table[won] * (d // d_v) - p * (d // d_paid)
+                 for (won, _), p in zip(side.outcomes, paid)]
+            top = None  # (gap, opponent, deviation, truthful and deviating utility)
+            for label, (truthful, layout, first) in met:
+                u_truth = u[truthful[vi]]
+                gaps = {oid: u[oid] - u_truth for oid in first}
+                for oid, dev in first.items():
+                    if top is None or gaps[oid] > top[0]:
+                        top = (gaps[oid], label, dev, u_truth, u[oid])
+                if not keep_rows and max(gaps.values()) <= 0:
+                    continue
+                truth = Fraction(u_truth, d)
+                for pos, oids in enumerate(layout):
+                    for k, oid in enumerate(oids if isinstance(oids, list) else [oids] * n):
+                        if keep_rows or gaps[oid] > 0:
+                            rows.append(AuditRow(i, vi, label, pos * n + k,
+                                                 truth, Fraction(u[oid], d)))
+            row = AuditRow(i, vi, top[1], top[2], Fraction(top[3], d), Fraction(top[4], d))
+            if worst is None or row.gap > worst.gap:
                 worst = row
     return AuditReport(tuple(rows), worst.gap if worst is not None else Fraction(0), worst)
 

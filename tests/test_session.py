@@ -3,15 +3,16 @@ checked against the direct computation it replaces."""
 
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import given, note, settings
 from hypothesis import strategies as st
 
 from taxlab import suites
-from taxlab.protocol import (Session, extract_menu, measure_complexities, price_run,
-                             run_mechanism)
-from taxlab.transforms import (AuditReport, AuditRow, build_tables, deviation_family,
-                               deviation_audit, to_dominant_run, utility)
-from taxlab.valuations import Valuation
+from taxlab.protocol import (MechanismSpec, Session, extract_menu, measure_complexities,
+                             price_run, run_mechanism)
+from taxlab.rational import is_finite
+from taxlab.transforms import (AuditReport, AuditRow, _Outcomes, _seated, build_tables,
+                               deviation_family, deviation_audit, to_dominant_run)
+from taxlab.valuations import DomainError, Valuation, ValuationCatalog, additive_valuation
 
 _sessions: dict[int, Session] = {}
 
@@ -65,6 +66,12 @@ def test_report_is_measure_complexities_once():
     assert list(session.menus(1)) == list(plain.menus[1])
 
 
+def utility(v, allocation, payment):
+    if not is_finite(payment):
+        raise DomainError("infinite payment cannot enter a utility")
+    return v.value(allocation) - payment
+
+
 def reference_deviation_audit(tables, keep_rows=False) -> AuditReport:
     """The audit as a plain loop over (player, valuation, opponent,
     deviation), one wrapper run per comparison."""
@@ -113,3 +120,96 @@ def test_deviation_audit_matches_reference_loop():
         assert got.rows == want.rows, mech_id
         assert got.max_gap == want.max_gap and got.worst == want.worst, mech_id
         assert deviation_audit(tables) == reference_deviation_audit(tables)
+
+
+def planted_tables():
+    """Tables over a mechanism that is not truthful, so the audit finds
+    gains.  Player 0's win and payment are looked up from their own report,
+    and every truthful transcript is the same four empty-bundle
+    announcements, so a misreport with the empty bundle plays the inner
+    mechanism as that report.  For `victim` (truthful utility 1), reporting
+    `cheap` or `twin` gives one outcome and reporting `bold` another, all
+    worth 2: two deviations share the best outcome, and two distinct
+    outcomes tie on the largest gap."""
+    victim = additive_valuation([3, 1])
+    cheap = additive_valuation([2, 1])
+    bold = additive_valuation([1, 1])
+    twin = additive_valuation([2, 0])
+    looked_up = {victim.table: (0b11, Fraction(3)), cheap.table: (0b01, Fraction(1)),
+                 bold.table: (0b11, Fraction(2)), twin.table: (0b01, Fraction(1))}
+
+    def program(profile, rec):
+        won, paid = looked_up.get(profile[0].table, (0, Fraction(0)))
+        return (won, 0), (paid, Fraction(0))
+
+    spec = MechanismSpec("planted", 2, 2, Fraction(4), "bit", program)
+    catalog = ValuationCatalog(((victim, cheap, bold, twin), (additive_valuation([1, 1]),)))
+    return build_tables(Session(spec, catalog))
+
+
+def test_planted_gaps_expand_rows_and_pick_the_first_best_deviation():
+    tables = planted_tables()
+    for keep_rows in (False, True):
+        got = deviation_audit(tables, keep_rows)
+        want = reference_deviation_audit(tables, keep_rows)
+        assert got.rows == want.rows
+        assert got.max_gap == want.max_gap and got.worst == want.worst
+    report = deviation_audit(tables)
+    # deviations 1 (cheap) and 3 (twin) share the best outcome; 2 (bold)
+    # ties it from a distinct outcome; the first of them is the worst row
+    assert report.worst == AuditRow(0, 0, "truthful:0", 1, Fraction(1), Fraction(2))
+    best = [(row.opponent, row.deviation) for row in report.rows
+            if row.valuation == 0 and row.gap == report.max_gap]
+    assert best[:3] == [("truthful:0", 1), ("truthful:0", 2), ("truthful:0", 3)]
+
+
+_m6_tables: dict = {}
+
+
+def m6_tables(mech_id):
+    if mech_id not in _m6_tables:
+        _m6_tables[mech_id] = build_tables(Session(*suites.bench_instance(mech_id, {"m": 6})))
+    return _m6_tables[mech_id]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["drop_tax", "mt_gadget"]), st.integers(0, 1), st.booleans(), st.data())
+def test_grouped_outcomes_match_wrapper_runs_at_m6(mech_id, i, consistent, data):
+    """The audit's outcome for a sampled (player, opponent, deviation) is
+    the wrapper run's, both where the four announcements settle it and
+    where the deviation stays consistent to the end.  A truthful opponent
+    always admits the latter: misreport a type with its menu and bundle."""
+    tables = m6_tables(mech_id)
+    theirs = tables.catalog.players[1 - i]
+    opponents = [("truthful", w) for w in theirs]
+    if not consistent:
+        opponents += [(dev, theirs[0]) for dev in deviation_family(tables, 1 - i)]
+    strategy, w = data.draw(st.sampled_from(opponents))
+    side = _Outcomes(tables, i)
+    truthful, layout, first = side.against(strategy, w)
+    valuations = tables.catalog.players[i]
+    n = len(valuations)
+    devs = deviation_family(tables, i)
+
+    def direct(profile, strategies):
+        run = to_dominant_run(tables, profile, strategies).outcome
+        return run, (run.allocation[i], run.payments[i])
+
+    for vi, v in enumerate(valuations):
+        _, want = direct(_seated(i, v, w), _seated(i, "truthful", strategy))
+        assert side.outcomes[truthful[vi]] == want
+    if consistent:
+        played = [d for d in range(len(devs)) if isinstance(layout[d // n], list)]
+        candidates = [d for d in played if direct(_seated(i, valuations[0], w),
+                                                  _seated(i, devs[d], strategy))[0].inconsistent
+                      is None]
+    else:
+        candidates = [d for d in range(len(devs)) if not isinstance(layout[d // n], list)]
+    dev = data.draw(st.sampled_from(candidates))
+    note(f"deviation {dev}: {devs[dev]}")
+    entry = layout[dev // n]
+    oid = entry[dev % n] if isinstance(entry, list) else entry
+    run, want = direct(_seated(i, valuations[0], w), _seated(i, devs[dev], strategy))
+    assert side.outcomes[oid] == want
+    assert (run.inconsistent is None) == consistent
+    assert first[oid] <= dev

@@ -14,7 +14,7 @@ from taxlab.menus import profit_argmax_set
 from taxlab.protocol import Session, run_mechanism
 from taxlab.rational import is_finite
 from taxlab.rng import stream
-from taxlab.transforms import (DeviationStrategy, PrecisionError, _wrapper_messages,
+from taxlab.transforms import (DeviationStrategy, PrecisionError, _messages, _play,
                                build_tables, default_eps, deviation_audit, is_precise,
                                reachable_menus, size_tilt, strictify,
                                strictify_catalog, to_dominant_run,
@@ -87,14 +87,15 @@ def test_out_of_range_menu_index_is_inconsistency():
 
 def reference_truthful_table(tables):
     """The per-pair truthful transcripts the wrapper once rebuilt per run."""
-    return {(v1.table, v2.table): _wrapper_messages(tables, (v1, v2), ("truthful", "truthful"))[0]
+    return {(v1.table, v2.table): _messages(*_play(tables, (v1, v2), ("truthful", "truthful")))
             for v1 in tables.catalog.players[0] for v2 in tables.catalog.players[1]}
 
 
 def reference_outcome(tables, profile, strategies):
     """Culprit, allocation and payments by the out-of-range rule, then the
     scan that narrows the live truthful transcripts message by message."""
-    msgs, menu_idx, bundles, inner = _wrapper_messages(tables, profile, strategies)
+    menu_idx, bundles, inner = _play(tables, profile, strategies)
+    msgs = _messages(menu_idx, bundles, inner)
     out_of_range = [i for i in (0, 1) if not 0 <= menu_idx[i] < len(tables.presented[i])]
     culprit = min(out_of_range) if out_of_range else None
     if not out_of_range:
