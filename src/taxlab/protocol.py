@@ -261,6 +261,14 @@ class Session:
     their Fraction tables, which are slow to hash; every entry keeps its
     valuations alive, so an id in a key cannot be reused.  A valuation
     equal to but not the same object as a memoized one is only a miss.
+
+    The one exception is the probe memo of `probe_run`: menu verification
+    builds a fresh probe valuation for every round, and many rounds repeat
+    an earlier probe's table, so it keys the probe by content.  The key is
+    the probe's `scaled_table`, the integers over their lcm: a probe built
+    by `valuation_from_ints` already holds it, and a tuple of ints hashes
+    far faster than a tuple of Fractions.  It stores only the probe
+    player's (won, paid, bits).
     """
 
     def __init__(self, spec: MechanismSpec, catalog: ValuationCatalog):
@@ -271,6 +279,7 @@ class Session:
         self._runs: dict[tuple, tuple] = {}
         self._menus: dict[tuple, tuple] = {}
         self._prices: dict[tuple, tuple] = {}
+        self._probes: dict[tuple, tuple] = {}
         self._menu_lists: dict[int, tuple[Menu, ...]] = {}
         self._report: Optional[ComplexityReport] = None
 
@@ -293,6 +302,19 @@ class Session:
         hit = self._prices.get(key)
         if hit is None:
             hit = self._prices[key] = (tuple(v_minus_i), price_run(self.spec, i, v_minus_i, s))
+        return hit[1]
+
+    def probe_run(self, i: int, v_minus_i: Sequence[Valuation],
+                  probe: Valuation) -> tuple[int, Price, int]:
+        """Player i's (won, paid) and the transcript bits of one run with
+        `probe` seated at i against v_minus_i, memoized by the probe's
+        integer table."""
+        key = (i, *map(id, v_minus_i), probe.scaled_table)
+        hit = self._probes.get(key)
+        if hit is None:
+            res = run_mechanism(self.spec, insert_player(v_minus_i, i, probe))
+            hit = self._probes[key] = (tuple(v_minus_i), (res.allocation[i], res.payments[i],
+                                                          res.transcript.bits))
         return hit[1]
 
     def others(self, i: int) -> Iterator[tuple[Valuation, ...]]:

@@ -129,7 +129,7 @@ def verify_menu_trials(session: Session, trials_per_class: int, seed: int) -> Ch
             values = grid if cls == "submodular" else None
             f = random_base_function(spec.m, spec.bound, rng, values=values)
             want = int(exceeds_somewhere(f, truth))
-            got = verify_menu(spec, i, v_minus, f, cls, price_grid=grid,
+            got = verify_menu(session, i, v_minus, f, cls, price_grid=grid,
                               check_probes=True).answer
             mismatches += int(got != want)
             done += 1
@@ -138,7 +138,7 @@ def verify_menu_trials(session: Session, trials_per_class: int, seed: int) -> Ch
     structural_ok = True
     for k in range(1, spec.m + 1):
         for w in grid[:3]:
-            if any(f.table[s] == w for s in bundles_of_size(spec.m, k)):
+            if (k, w) in f.levels:
                 probe = submodular_probe(f, spec.bound, k, w)
                 flags = classify_valuation(probe)
                 structural_ok &= "submodular" in flags

@@ -30,6 +30,8 @@ from .rational import Price, common_denominator, is_finite
 from .rng import stream
 from .valuations import DomainError, Valuation, ValuationCatalog
 
+ZERO = Fraction(0)  # the payment of whoever wins nothing, shared by every verdict
+
 
 class PrecisionError(ValueError):
     """The mechanism is not precise on the given catalogs."""
@@ -155,7 +157,7 @@ def settle(tables: TwoPlayerTables, menu_idx, bundles, inner: Optional[RunResult
     t_w = bundles[winner]
     price = menus[menu_idx[culprit]].price[t_w] if 0 <= menu_idx[culprit] < len(menus) else None
     allocation = [0, 0]
-    payments = [Fraction(0), Fraction(0)]
+    payments = [ZERO, ZERO]
     if price is not None and is_finite(price):
         allocation[winner] = t_w
         payments[winner] = price

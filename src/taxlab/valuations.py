@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
+from math import gcd
 from typing import Optional, Sequence
 
 from .bundles import (DomainError, all_bundles, bit, check_m, grand, is_monotone, max_below,
@@ -65,6 +66,22 @@ class Valuation:
         return common_denominator(self.table)
 
 
+def valuation_from_ints(m: int, d: int, ints: Sequence[int],
+                        clauses: Optional[XOSClauses] = None) -> Valuation:
+    """The valuation with table[s] == ints[s] / d (d > 0), built without
+    rescaling: (d, ints) is reduced by its gcd, so that it equals
+    `common_denominator(table)`, and seeds `scaled_table` before the
+    ordinary constructor runs its checks, in their order, over it."""
+    g = gcd(d, *ints)
+    if g > 1:
+        d, ints = d // g, [x // g for x in ints]
+    v = Valuation.__new__(Valuation)
+    v.__dict__["scaled_table"] = (d, tuple(ints))
+    exact = {x: Fraction(x, d) for x in set(ints)}  # probes repeat a few values
+    v.__init__(m, tuple([exact[x] for x in ints]), clauses)
+    return v
+
+
 def valuation_from_values(m: int, pairs) -> Valuation:
     """Build a dense table from {mask: value}; missing masks default to the
     maximum value over their subsets (minimal monotone completion)."""
@@ -81,7 +98,7 @@ def valuation_from_values(m: int, pairs) -> Valuation:
 def additive_valuation(per_item: Sequence) -> Valuation:
     items = [Fraction(x) for x in per_item]
     d, ints = common_denominator(items)
-    return Valuation(len(items), tuple(Fraction(x, d) for x in subset_sums(ints)))
+    return valuation_from_ints(len(items), d, subset_sums(ints))
 
 
 def single_item_valuation(m: int, item_j: int, value) -> Valuation:
@@ -99,15 +116,20 @@ def layered_valuation(m: int, level: dict[int, Fraction], high: Fraction) -> Val
                               for s in all_bundles(m)))
 
 
-def xos_from_clauses(c: XOSClauses) -> Valuation:
-    """v(S) = max_r a_r(S): each clause's additive table by `subset_sums`
-    over the clauses' common denominator, then the elementwise max."""
-    m = c.m
-    d, ints = common_denominator([a for cl in c.clauses for a in cl])
+def clause_max(m: int, ints: Sequence[int]) -> list[int]:
+    """max_r a_r(S) for integer clauses a_r, laid end to end m entries
+    each: each clause's additive table by `subset_sums`, then the
+    elementwise max."""
     best = subset_sums(ints[:m])
     for r in range(m, len(ints), m):
         best = [x if x >= y else y for x, y in zip(best, subset_sums(ints[r:r + m]))]
-    return Valuation(m, tuple(Fraction(x, d) for x in best), clauses=c)
+    return best
+
+
+def xos_from_clauses(c: XOSClauses) -> Valuation:
+    """v(S) = max_r a_r(S), over the clauses' common denominator."""
+    d, ints = common_denominator([a for cl in c.clauses for a in cl])
+    return valuation_from_ints(c.m, d, clause_max(c.m, ints), clauses=c)
 
 
 def classify_valuation(v: Valuation) -> frozenset[str]:

@@ -22,13 +22,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
+from math import lcm
 from typing import Optional, Sequence
 
 from .bundles import all_bundles, bit, bundles_of_size, check_m, is_monotone, max_below, size
 from .menus import ContractError, Menu
-from .protocol import MechanismSpec, insert_player, run_mechanism
-from .rational import INF, Price, is_finite
-from .valuations import DomainError, Valuation, XOSClauses, xos_from_clauses
+from .protocol import Session
+from .rational import INF, Price, common_denominator, is_finite
+from .valuations import DomainError, Valuation, XOSClauses, clause_max, valuation_from_ints
 
 CLASSES = ("general", "subadditive", "xos", "submodular")
 
@@ -46,13 +48,33 @@ class BaseFunction:
             raise DomainError("base function must cover all 2^m bundles")
         if self.table[0] != 0:
             raise DomainError("base function must vanish on the empty bundle")
-        if not is_monotone(self.table, self.m):
+        if not is_monotone(self.scaled[1], self.m):
             raise DomainError("base function must be monotone")
 
+    @cached_property
+    def scaled(self) -> tuple[int, tuple[int, ...], int]:
+        """The table over one denominator: (D, ints, top), D the lcm of the
+        finite entries' denominators, table[s] == ints[s] / D where finite,
+        and ints[s] == top, one above every finite int, where infinite; so
+        the ints order like the table."""
+        finite = [is_finite(x) for x in self.table]
+        d, ints = common_denominator([x if ok else 0 for x, ok in zip(self.table, finite)])
+        top = max(ints) + 1
+        return d, tuple([x if ok else top for x, ok in zip(ints, finite)]), top
+
+    @cached_property
+    def levels(self) -> dict[tuple[int, Price], tuple[int, ...]]:
+        """Every nonempty level set {|S| = k, f(S) = w}, keyed by (k, w),
+        members ascending."""
+        out: dict[tuple[int, Price], list[int]] = {}
+        for s in range(1, 1 << self.m):
+            out.setdefault((size(s), self.table[s]), []).append(s)
+        return {key: tuple(members) for key, members in out.items()}
+
     def check_bound(self, bound: Fraction) -> None:
-        for x in self.table:
-            if is_finite(x) and x > bound:
-                raise DomainError("finite base values must stay within the price cap")
+        d, _, top = self.scaled
+        if (top - 1) * bound.denominator > bound.numerator * d:
+            raise DomainError("finite base values must stay within the price cap")
 
     def value(self, s: int) -> Price:
         return self.table[s]
@@ -63,54 +85,84 @@ def exceeds_somewhere(f: BaseFunction, menu: Menu) -> bool:
     return any(f.table[s] > menu.price[s] for s in all_bundles(f.m))
 
 
+def _over(f: BaseFunction, bound: Fraction) -> tuple[int, list[int], int]:
+    """f with infinite entries lifted to 3B, and B, as ints over
+    E = lcm(D_f, B's denominator): (E, lifted ints, B * E)."""
+    d, ints, top = f.scaled
+    e = lcm(d, bound.denominator)
+    b = bound.numerator * (e // bound.denominator)
+    k = e // d
+    return e, [3 * b if x == top else x * k for x in ints], b
+
+
 def general_probe(f: BaseFunction, bound: Fraction) -> Valuation:
-    table = tuple(
-        x if is_finite(x) else 3 * bound for x in f.table
-    )
-    return Valuation(f.m, table)
+    e, lifted, _ = _over(f, bound)
+    return valuation_from_ints(f.m, e, lifted)
 
 
 def subadditive_probe(f: BaseFunction, bound: Fraction) -> tuple[Valuation, Fraction]:
-    base = general_probe(f, bound)
-    shift = max(base.table)
-    table = tuple(
-        Fraction(0) if s == 0 else base.table[s] + shift for s in all_bundles(f.m)
-    )
-    return Valuation(f.m, table), shift
+    e, lifted, _ = _over(f, bound)
+    shift = max(lifted)
+    lifted = [x + shift for x in lifted]
+    lifted[0] = 0
+    return valuation_from_ints(f.m, e, lifted), Fraction(shift, e)
 
 
 def xos_probe(f: BaseFunction, bound: Fraction, r: int) -> Valuation:
+    """One clause per r-bundle T, weight f(T)/r + 3B on T's items (2B/r + 3B
+    where f(T) is infinite), over r * E."""
     if not 1 <= r <= f.m:
         raise DomainError("clause size out of range")
+    e, lifted, b = _over(f, bound)
+    _, ints, top = f.scaled
+    zero = Fraction(0)
+    rows: list[int] = []
     clauses = []
     for t in bundles_of_size(f.m, r):
-        ft = f.table[t]
-        weight = (ft / r + 3 * bound) if is_finite(ft) else (2 * bound / r + 3 * bound)
-        clauses.append(
-            tuple(weight if t & bit(j) else Fraction(0) for j in range(f.m))
-        )
-    return xos_from_clauses(XOSClauses(f.m, tuple(clauses)))
+        weight = (2 * b if ints[t] == top else lifted[t]) + 3 * b * r
+        row = [weight if t & bit(j) else 0 for j in range(f.m)]
+        rows += row
+        w = Fraction(weight, r * e)
+        clauses.append(tuple([w if x else zero for x in row]))
+    return valuation_from_ints(f.m, r * e, clause_max(f.m, rows),
+                               clauses=XOSClauses(f.m, tuple(clauses)))
+
+
+def upward_closure(m: int, members: Sequence[int]) -> list[bool]:
+    """Per bundle, whether it contains some member: one pass per item."""
+    up = [False] * (1 << m)
+    for s in members:
+        up[s] = True
+    for j in range(m):
+        b = bit(j)
+        for s in range(1 << m):
+            if s & b and not up[s] and up[s ^ b]:
+                up[s] = True
+    return up
 
 
 def submodular_probe(f: BaseFunction, bound: Fraction, k: int, w: Price) -> Valuation:
     """Staircase probe for the level set {|S| = k, f(S) = w}: below size k
     the value climbs by t per item; bundles covering a level-set member are
-    worth exactly k*t; everything else falls short by t/2^|S|."""
+    worth exactly k*t; everything else falls short by t/2^|S|.  With
+    t = 2^(m+1) B every entry is an integer multiple of B."""
     if not 1 <= k <= f.m:
         raise DomainError("level size out of range")
-    level = [s for s in bundles_of_size(f.m, k) if f.table[s] == w]
+    level = f.levels.get((k, w))
     if not level:
         raise DomainError("empty level set: skip this (k, w) pair")
-    t = (1 << (f.m + 1)) * bound
-    table = []
-    for s in all_bundles(f.m):
-        if size(s) < k:
-            table.append(size(s) * t)
-        elif any(s & l == l for l in level):
-            table.append(k * t)
+    m = f.m
+    covered = upward_closure(m, level)
+    ints = []
+    for s in range(1 << m):
+        n = size(s)
+        if n < k:
+            ints.append(n << (m + 1))
+        elif covered[s]:
+            ints.append(k << (m + 1))
         else:
-            table.append((k - Fraction(1, 1 << size(s))) * t)
-    return Valuation(f.m, tuple(table))
+            ints.append(((k << n) - 1) << (m + 1 - n))
+    return valuation_from_ints(m, bound.denominator, [x * bound.numerator for x in ints])
 
 
 def build_probe(cls: str, f: BaseFunction, bound: Fraction, *,
@@ -150,20 +202,31 @@ def menu_price_grid(menus: Sequence[Menu]) -> tuple[Price, ...]:
     return tuple(grid)
 
 
+@lru_cache(maxsize=64)
+def _ranked_pool(values: Optional[tuple[Price, ...]],
+                 bound: Fraction) -> tuple[tuple[Price, ...], tuple[int, ...]]:
+    """The drawable prices, distinct and ascending (INF last), and each pool
+    entry's rank among them, in pool order."""
+    if values is None:
+        steps = int(4 * bound) + 1
+        values = tuple(Fraction(q, 4) for q in range(steps)) + (INF,)
+    pool = [x for x in values if not is_finite(x) or (0 <= x <= bound)]
+    ranked = tuple(sorted(set(pool)))
+    rank = {p: r for r, p in enumerate(ranked)}
+    return ranked, tuple(rank[x] for x in pool)
+
+
 def random_base_function(m: int, bound: Fraction, rng,
                          values: Optional[Sequence[Price]] = None) -> BaseFunction:
     """Seeded random monotone base function with entries drawn from the
     given price list (default: quarter-unit grid up to the cap plus the
-    infinite price), monotonized upward."""
-    if values is None:
-        steps = int(4 * bound) + 1
-        values = [Fraction(q, 4) for q in range(steps)] + [INF]
-    pool = [x for x in values if not is_finite(x) or (0 <= x <= bound)]
-    table: list[Price] = [Fraction(0)] * (1 << m)
-    for s in all_bundles(m):
-        if s:
-            table[s] = max_below(table, s, pool[rng.randrange(len(pool))])
-    return BaseFunction(m, tuple(table))
+    infinite price), monotonized upward.  The draws are ranks, so the
+    monotonizing compares ints."""
+    ranked, pool = _ranked_pool(None if values is None else tuple(values), bound)
+    table = [-1] * (1 << m)  # below every rank: the empty bundle's 0
+    for s in range(1, 1 << m):
+        table[s] = max_below(table, s, pool[rng.randrange(len(pool))])
+    return BaseFunction(m, (Fraction(0), *[ranked[r] for r in table[1:]]))
 
 
 def pairwise_submodular(v: Valuation) -> bool:
@@ -184,41 +247,38 @@ class VerificationResult:
     bits: int
 
 
-def verify_menu(spec: MechanismSpec, i: int, v_minus_i, f: BaseFunction,
+def verify_menu(session: Session, i: int, v_minus_i, f: BaseFunction,
                 cls: str, price_grid: Optional[Sequence[Price]] = None,
                 check_probes: bool = False) -> VerificationResult:
     """Run the class-specific probe protocol and report the decision bit.
 
     Communication is charged as runs x (transcript bits + 1): each run of
-    the mechanism plus the one-bit verdict appended after it.  With
-    check_probes every staircase probe is re-verified to be submodular
-    before it runs.
+    the mechanism plus the one-bit verdict appended after it, also where
+    the session's probe memo answers the run.  With check_probes every
+    staircase probe is re-verified to be submodular before it runs.
     """
+    spec = session.spec
     if cls not in CLASSES:
         raise ContractError(f"unknown verification class {cls!r}")
     if f.m != spec.m:
         raise ContractError("base function item count mismatch")
     f.check_bound(spec.bound)
     bound = spec.bound
-
-    def run_with(probe: Valuation):
-        res = run_mechanism(spec, insert_player(tuple(v_minus_i), i, probe))
-        return res.allocation[i], res.payments[i], res.transcript.bits
-
+    v_minus_i = tuple(v_minus_i)
     runs = 0
     bits = 0
     if cls == "general":
         probe = general_probe(f, bound)
-        won, pay, used = run_with(probe)
+        won, pay, used = session.probe_run(i, v_minus_i, probe)
         runs, bits = 1, used + 1
         answer = int(probe.table[won] > pay)
         return VerificationResult(answer, runs, bits)
 
     if cls == "subadditive":
         probe, shift = subadditive_probe(f, bound)
-        won, pay, used = run_with(probe)
+        won, pay, used = session.probe_run(i, v_minus_i, probe)
         runs, bits = 1, used + 1
-        lifted = probe.table[won] - (shift if won else Fraction(0))
+        lifted = probe.table[won] - (shift if won else 0)
         answer = int(lifted > pay)
         return VerificationResult(answer, runs, bits)
 
@@ -226,7 +286,7 @@ def verify_menu(spec: MechanismSpec, i: int, v_minus_i, f: BaseFunction,
         answer = 0
         for r in range(1, spec.m + 1):
             probe = xos_probe(f, bound, r)
-            won, pay, used = run_with(probe)
+            won, pay, used = session.probe_run(i, v_minus_i, probe)
             runs += 1
             bits += used + 1
             if size(won) >= r and probe.table[won] - 3 * bound * r > pay:
@@ -238,16 +298,18 @@ def verify_menu(spec: MechanismSpec, i: int, v_minus_i, f: BaseFunction,
         raise ContractError("submodular verification needs the menu price grid")
     answer = 0
     t = (1 << (spec.m + 1)) * bound
+    levels = f.levels
     for k in range(1, spec.m + 1):
+        covering = k * t
         for w in grid:
-            if not any(f.table[s] == w for s in bundles_of_size(spec.m, k)):
+            if (k, w) not in levels:
                 continue
             probe = submodular_probe(f, bound, k, w)
             if check_probes and not pairwise_submodular(probe):
                 raise ContractError("a staircase probe failed the submodularity check")
-            won, pay, used = run_with(probe)
+            won, pay, used = session.probe_run(i, v_minus_i, probe)
             runs += 1
             bits += used + 1
-            if probe.table[won] == k * t and pay < w:
+            if probe.table[won] == covering and pay < w:
                 answer = 1
     return VerificationResult(answer, runs, bits)

@@ -15,8 +15,8 @@ from taxlab.rng import stream
 from taxlab.valuations import (DomainError, Valuation, ValuationCatalog, XOSClauses,
                                additive_valuation, classify_valuation,
                                random_monotone_valuation, single_item_valuation,
-                               valuation_from_json, valuation_from_values,
-                               valuation_to_json, xos_from_clauses)
+                               valuation_from_ints, valuation_from_json,
+                               valuation_from_values, valuation_to_json, xos_from_clauses)
 
 
 def test_infinite_sentinel_order_and_absorption():
@@ -63,6 +63,34 @@ def test_monotonicity_is_checked_across_denominators():
     assert ok.scaled_table == (14, (0, 6, 0, 7))
     # equal values over different denominators are monotone
     assert Valuation(2, (F(0), F(2, 4), F(1, 2), F(1, 2))).max_value() == F(1, 2)
+
+
+def test_valuation_from_ints_refuses_as_the_constructor_does():
+    F = Fraction
+    cases = [
+        (2, 2, [0, 1, 2], (F(0), F(1, 2), F(1))),                 # wrong length
+        (1, 3, [1, 2], (F(1, 3), F(2, 3))),                        # nonzero empty bundle
+        (2, 7, [0, 3, 0, 2], (F(0), F(3, 7), F(0), F(2, 7))),     # not monotone
+        (0, 1, [0], (F(0),)),                                      # item count
+    ]
+    for m, d, ints, table in cases:
+        with pytest.raises(DomainError) as direct:
+            Valuation(m, table)
+        with pytest.raises(DomainError) as built:
+            valuation_from_ints(m, d, ints)
+        assert str(built.value) == str(direct.value)
+
+
+def test_valuation_from_ints_reduces_its_input():
+    F = Fraction
+    v = valuation_from_ints(2, 12, [0, 6, 4, 10])
+    assert v.scaled_table == (6, (0, 3, 2, 5)) == common_denominator(v.table)
+    assert v == Valuation(2, (F(0), F(1, 2), F(1, 3), F(5, 6)))
+    zero = valuation_from_ints(2, 8, [0, 0, 0, 0])
+    assert zero.scaled_table == (1, (0, 0, 0, 0)) == common_denominator(zero.table)
+    whole = valuation_from_ints(1, 4, (0, 8))
+    assert whole.table == (F(0), F(2)) and all(type(x) is F for x in whole.table)
+    assert whole.scaled_table == (1, (0, 2))
 
 
 def test_int_or_float_entries_are_refused():

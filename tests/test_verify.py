@@ -6,16 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taxlab.bundles import all_bundles
+from taxlab import suites
+from taxlab.bundles import DomainError, all_bundles, bit, bundles_of_size, max_below, size
 from taxlab.library import default_catalog, make_example
-from taxlab.protocol import extract_menu, measure_complexities
-from taxlab.rational import INF
+from taxlab.protocol import (MechanismSpec, Session, extract_menu, insert_player,
+                             measure_complexities, run_mechanism)
+from taxlab.rational import INF, common_denominator, is_finite
 from taxlab.rng import stream
-from taxlab.valuations import classify_valuation, random_monotone_valuation
-from taxlab.verify import (BaseFunction, build_probe, exceeds_somewhere,
-                           general_probe, menu_price_grid, pairwise_submodular,
-                           random_base_function, submodular_probe, subadditive_probe,
-                           verify_menu, xos_probe)
+from taxlab.valuations import (Valuation, ValuationCatalog, XOSClauses, additive_valuation,
+                               classify_valuation, random_monotone_valuation,
+                               xos_from_clauses)
+from taxlab.verify import (CLASSES, BaseFunction, VerificationResult, build_probe,
+                           exceeds_somewhere, general_probe, menu_price_grid,
+                           pairwise_submodular, random_base_function, submodular_probe,
+                           subadditive_probe, upward_closure, verify_menu, xos_probe)
 
 F = Fraction
 
@@ -71,7 +75,7 @@ def test_submodular_probe_three_cases():
     probe_b = submodular_probe(f_both, F(1), k=1, w=F(1))
     assert probe_b.value(0b11) in (t, t - t / 4)
     # empty level set is a construction error (callers skip the pair)
-    with pytest.raises(Exception):
+    with pytest.raises(DomainError, match="empty level set"):
         submodular_probe(f, F(1), k=1, w=F(5))
 
 
@@ -130,23 +134,24 @@ def test_verify_menu_decision_examples():
     v_minus = (cat.players[0][2],)  # the chooser values item a at 3
     truth = extract_menu(spec, 1, v_minus)
     grid = menu_price_grid([truth])
+    session = Session(spec, cat)
 
     canonical = BaseFunction(2, truth.price)
     for cls in ("general", "subadditive", "xos", "submodular"):
-        res = verify_menu(spec, 1, v_minus, canonical, cls, price_grid=grid)
+        res = verify_menu(session, 1, v_minus, canonical, cls, price_grid=grid)
         assert res.answer == 0, cls
 
     raised = list(truth.price)
     raised[0b01] = raised[0b01] + 1
     bumped = BaseFunction(2, tuple(raised))
     for cls in ("general", "subadditive"):
-        assert verify_menu(spec, 1, v_minus, bumped, cls, price_grid=grid).answer == 1
+        assert verify_menu(session, 1, v_minus, bumped, cls, price_grid=grid).answer == 1
 
     infd = list(truth.price)
     infd[0b01] = INF
     infd[0b11] = INF
     over = BaseFunction(2, tuple(infd))
-    assert verify_menu(spec, 1, v_minus, over, "general").answer == 1
+    assert verify_menu(session, 1, v_minus, over, "general").answer == 1
 
 
 def test_verification_bits_cover_menu_count():
@@ -161,7 +166,7 @@ def test_verification_bits_cover_menu_count():
         i = spec.n - 1
         v_minus = tuple(cat.players[j][0] for j in range(spec.n) if j != i)
         f = random_base_function(spec.m, spec.bound, stream(1, mech_id))
-        res = verify_menu(spec, i, v_minus, f, "general", price_grid=grid)
+        res = verify_menu(Session(spec, cat), i, v_minus, f, "general", price_grid=grid)
         assert (1 << max(res.bits - 1, 0)) >= rep.menu_counts[i]
 
 
@@ -176,10 +181,268 @@ def test_verify_agrees_with_brute_force():
         i = spec.n - 1
         v_minus = tuple(cat.players[j][-1] for j in range(spec.n) if j != i)
         truth = extract_menu(spec, i, v_minus)
+        session = Session(spec, cat)
         for _ in range(40):
             for cls in ("general", "subadditive", "xos", "submodular"):
                 values = grid if cls == "submodular" else None
                 f = random_base_function(spec.m, spec.bound, rng, values=values)
                 want = int(exceeds_somewhere(f, truth))
-                got = verify_menu(spec, i, v_minus, f, cls, price_grid=grid)
+                got = verify_menu(session, i, v_minus, f, cls, price_grid=grid)
                 assert got.answer == want, (mech_id, cls, f.table)
+
+
+# ---- the Fraction builders the integer ones replaced, kept as oracles ----
+
+def reference_general_probe(f, bound):
+    return Valuation(f.m, tuple(x if is_finite(x) else 3 * bound for x in f.table))
+
+
+def reference_subadditive_probe(f, bound):
+    base = reference_general_probe(f, bound)
+    shift = max(base.table)
+    table = tuple(F(0) if s == 0 else base.table[s] + shift for s in all_bundles(f.m))
+    return Valuation(f.m, table), shift
+
+
+def reference_xos_probe(f, bound, r):
+    clauses = []
+    for t in bundles_of_size(f.m, r):
+        ft = f.table[t]
+        weight = (ft / r + 3 * bound) if is_finite(ft) else (2 * bound / r + 3 * bound)
+        clauses.append(tuple(weight if t & bit(j) else F(0) for j in range(f.m)))
+    return xos_from_clauses(XOSClauses(f.m, tuple(clauses)))
+
+
+def reference_submodular_probe(f, bound, k, w):
+    level = [s for s in bundles_of_size(f.m, k) if f.table[s] == w]
+    if not level:
+        raise DomainError("empty level set: skip this (k, w) pair")
+    t = (1 << (f.m + 1)) * bound
+    table = []
+    for s in all_bundles(f.m):
+        if size(s) < k:
+            table.append(size(s) * t)
+        elif any(s & l == l for l in level):
+            table.append(k * t)
+        else:
+            table.append((k - F(1, 1 << size(s))) * t)
+    return Valuation(f.m, tuple(table))
+
+
+def reference_random_base_function(m, bound, rng, values=None):
+    if values is None:
+        steps = int(4 * bound) + 1
+        values = [F(q, 4) for q in range(steps)] + [INF]
+    pool = [x for x in values if not is_finite(x) or (0 <= x <= bound)]
+    table = [F(0)] * (1 << m)
+    for s in all_bundles(m):
+        if s:
+            table[s] = max_below(table, s, pool[rng.randrange(len(pool))])
+    return BaseFunction(m, tuple(table))
+
+
+def assert_integer_form(v):
+    assert all(type(x) is F for x in v.table)
+    assert v.scaled_table == common_denominator(v.table)
+
+
+@st.composite
+def base_questions(draw):
+    """m in 1..5, a cap over denominator 1, 2 or 3, and a price list over
+    mixed denominators (some above the cap), with or without INF; None
+    draws from the default quarter grid."""
+    m = draw(st.integers(1, 5))
+    bound = draw(st.sampled_from([F(1), F(2), F(1, 2), F(3, 2), F(2, 3), F(5, 3)]))
+    if draw(st.booleans()):
+        values = None
+    else:
+        finite = st.builds(F, st.integers(0, 7), st.sampled_from([1, 2, 3, 4, 6]))
+        values = draw(st.lists(finite, min_size=1, max_size=6))
+        if draw(st.booleans()):
+            values.insert(draw(st.integers(0, len(values))), INF)
+        if not any(not is_finite(x) or x <= bound for x in values):
+            values.append(F(0))
+    return m, bound, values, draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=200, deadline=None)
+@given(base_questions())
+def test_integer_builders_match_fraction_reference(question):
+    m, bound, values, seed = question
+    f = random_base_function(m, bound, stream(seed, "base"), values=values)
+    want = reference_random_base_function(m, bound, stream(seed, "base"), values=values)
+    assert f.table == want.table  # the same draws for the same seed
+    d, ints, top = f.scaled
+    finite = [x for x in f.table if is_finite(x)]
+    assert d == common_denominator(finite)[0]
+    assert all(ints[s] == top if not is_finite(x) else F(ints[s], d) == x
+               for s, x in enumerate(f.table))
+    assert top == max(ints[s] for s, x in enumerate(f.table) if is_finite(x)) + 1
+    assert f.levels == {
+        (k, w): tuple(s for s in bundles_of_size(m, k) if f.table[s] == w)
+        for k in range(1, m + 1) for w in {f.table[s] for s in bundles_of_size(m, k)}}
+
+    g = general_probe(f, bound)
+    assert g.table == reference_general_probe(f, bound).table
+    assert_integer_form(g)
+    sub, shift = subadditive_probe(f, bound)
+    want_sub, want_shift = reference_subadditive_probe(f, bound)
+    assert sub.table == want_sub.table and shift == want_shift
+    assert_integer_form(sub)
+    for r in range(1, m + 1):
+        x = xos_probe(f, bound, r)
+        want_x = reference_xos_probe(f, bound, r)
+        assert x.table == want_x.table and x.clauses == want_x.clauses
+        assert_integer_form(x)
+    for (k, w) in f.levels:
+        p = submodular_probe(f, bound, k, w)
+        assert p.table == reference_submodular_probe(f, bound, k, w).table
+        assert_integer_form(p)
+
+
+def reference_check_bound(f, bound):
+    return all(x <= bound for x in f.table if is_finite(x))
+
+
+@settings(max_examples=150, deadline=None)
+@given(base_questions(), st.sampled_from([F(1, 3), F(1, 2), F(1), F(4, 3), F(7, 4), F(3)]))
+def test_integer_bound_check_matches_fraction_reference(question, cap):
+    m, bound, values, seed = question
+    f = random_base_function(m, bound, stream(seed, "base"), values=values)
+    if reference_check_bound(f, cap):
+        f.check_bound(cap)
+    else:
+        with pytest.raises(DomainError, match="price cap"):
+            f.check_bound(cap)
+
+
+def test_base_function_refusals_and_infinite_top():
+    with pytest.raises(DomainError, match="monotone"):
+        BaseFunction(2, (F(0), F(1, 2), F(0), F(3, 7)))
+    with pytest.raises(DomainError, match="monotone"):
+        BaseFunction(2, (F(0), INF, F(0), F(1)))
+    with pytest.raises(DomainError, match="vanish"):
+        BaseFunction(1, (INF, INF))
+    f = BaseFunction(2, (F(0), F(1, 2), F(2, 3), INF))
+    assert f.scaled == (6, (0, 3, 4, 5), 5)
+    everything = BaseFunction(2, (F(0), INF, INF, INF))
+    assert everything.scaled == (1, (0, 1, 1, 1), 1)
+    assert everything.levels == {(1, INF): (0b01, 0b10), (2, INF): (0b11,)}
+
+
+def test_upward_closure_matches_member_scan():
+    rng = stream(5, "closure")
+    for m in range(1, 7):
+        for _ in range(20):
+            k = rng.randrange(1, m + 1)
+            level = [s for s in bundles_of_size(m, k) if rng.random() < 0.4]
+            assert upward_closure(m, level) == [any(s & l == l for l in level)
+                                                for s in all_bundles(m)]
+
+
+# ---- the Session's probe memo ----
+
+def reference_verify_menu(spec, i, v_minus_i, f, cls, grid):
+    """`verify_menu` before the probe memo: the Fraction probes, each round
+    a fresh `run_mechanism`."""
+    bound = spec.bound
+
+    def run_with(probe):
+        res = run_mechanism(spec, insert_player(tuple(v_minus_i), i, probe))
+        return res.allocation[i], res.payments[i], res.transcript.bits
+
+    if cls in ("general", "subadditive"):
+        if cls == "general":
+            probe, shift = reference_general_probe(f, bound), F(0)
+        else:
+            probe, shift = reference_subadditive_probe(f, bound)
+        won, pay, used = run_with(probe)
+        lifted = probe.table[won] - (shift if won else F(0))
+        return VerificationResult(int(lifted > pay), 1, used + 1)
+    answer = runs = bits = 0
+    if cls == "xos":
+        for r in range(1, spec.m + 1):
+            probe = reference_xos_probe(f, bound, r)
+            won, pay, used = run_with(probe)
+            runs, bits = runs + 1, bits + used + 1
+            if size(won) >= r and probe.table[won] - 3 * bound * r > pay:
+                answer = 1
+        return VerificationResult(answer, runs, bits)
+    t = (1 << (spec.m + 1)) * bound
+    for k in range(1, spec.m + 1):
+        for w in grid:
+            if not any(f.table[s] == w for s in bundles_of_size(spec.m, k)):
+                continue
+            probe = reference_submodular_probe(f, bound, k, w)
+            won, pay, used = run_with(probe)
+            runs, bits = runs + 1, bits + used + 1
+            if probe.table[won] == k * t and pay < w:
+                answer = 1
+    return VerificationResult(answer, runs, bits)
+
+
+@pytest.mark.parametrize("mech_id, params", suites.STANDARD_BENCH)
+def test_memoized_verification_matches_fresh_runs(mech_id, params):
+    """Every class through one Session (so later rounds hit the memo) gives
+    the answer, runs and bits of fresh unmemoized runs; each f is asked
+    twice, the second time answered wholly from the memo."""
+    spec, cat = suites.bench_instance(mech_id, params)
+    session = Session(spec, cat)
+    grid = menu_price_grid([mn for ms in session.report().menus for mn in ms])
+    rng = stream(17, "memo", mech_id)
+    i = spec.n - 1
+    for v_minus in (tuple(g[0] for g in cat.players[:i]), tuple(g[-1] for g in cat.players[:i])):
+        for cls in CLASSES:
+            for _ in range(6):
+                f = random_base_function(spec.m, spec.bound, rng,
+                                         values=grid if cls == "submodular" else None)
+                want = reference_verify_menu(spec, i, v_minus, f, cls, grid)
+                for _ in range(2):
+                    assert verify_menu(session, i, v_minus, f, cls, price_grid=grid) == want
+
+
+def counting_spec(m, calls):
+    """Two players, player 1 wins the grand bundle at price 1 when it values
+    it above 1; every run is logged in `calls` by its tables."""
+    def program(profile, rec):
+        calls.append(tuple(v.table for v in profile))
+        rec.send_bit(1, 1)
+        if profile[1].max_value() > 1:
+            return (0, (1 << m) - 1), (F(0), F(1))
+        return (0, 0), (F(0), F(0))
+    return MechanismSpec("counting", 2, m, F(1), "bit", program)
+
+
+def test_probe_memo_runs_each_distinct_probe_once():
+    m = 3
+    calls = []
+    spec = counting_spec(m, calls)
+    others = (additive_valuation([F(1)] * m), additive_valuation([F(2)] * m))
+    session = Session(spec, ValuationCatalog((others, others)))
+    grid = (F(0), F(1, 2), F(1), INF)
+    rng = stream(3, "counting")
+    asked = set()
+    charged = 0
+    for _ in range(40):
+        for v_minus in ((others[0],), (others[1],)):
+            for cls in CLASSES:
+                f = random_base_function(m, spec.bound, rng,
+                                         values=grid if cls == "submodular" else None)
+                res = verify_menu(session, 1, v_minus, f, cls, price_grid=grid)
+                charged += res.runs
+                if cls == "xos":
+                    probes = [xos_probe(f, spec.bound, r) for r in range(1, m + 1)]
+                elif cls == "submodular":
+                    probes = [submodular_probe(f, spec.bound, k, w)
+                              for k in range(1, m + 1) for w in grid if (k, w) in f.levels]
+                else:
+                    probes = [build_probe(cls, f, spec.bound)]
+                asked |= {(v_minus[0].table, p.table) for p in probes}
+    assert sorted(calls) == sorted(asked)  # one run per distinct (v_minus_i, probe table)
+    assert charged > len(calls)  # repeats were charged though answered from the memo
+    # an equal probe that is another object is a hit
+    probe = general_probe(random_base_function(m, spec.bound, rng), spec.bound)
+    first = session.probe_run(1, (others[0],), probe)
+    before = len(calls)
+    assert session.probe_run(1, (others[0],), Valuation(m, probe.table)) == first
+    assert len(calls) == before
