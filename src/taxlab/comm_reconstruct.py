@@ -46,6 +46,7 @@ class SoundnessError(RuntimeError):
 
 
 PRODUCT_CAP = 20_000_000  # largest z-product bit count we are willing to build
+SAMPLE_ATTEMPTS = 64  # derived seeds tried for a representation set
 
 
 def witness_bundles(menu: Menu, p_table: Sequence[Price]) -> list[int]:
@@ -74,8 +75,7 @@ def within_log_budget(count: int, universe: int, factor: int) -> bool:
 
 
 def representation_set(zprime: Sequence[Menu], zband: Sequence[Menu], z: int,
-                       p_table: Sequence[Price], seed: int,
-                       attempts: int = 64) -> set[int]:
+                       p_table: Sequence[Price], seed: int) -> set[int]:
     """Sampled bundle set covering every band menu with a witness while no
     candidate menu keeps more than 8 log2 |Z'| witnesses; verified and
     resampled with derived seeds until both properties hold."""
@@ -84,7 +84,7 @@ def representation_set(zprime: Sequence[Menu], zband: Sequence[Menu], z: int,
     m = zprime[0].m
     size_zp = len(zprime)
     rate = min(1.0, 4 * log2(max(2, size_zp)) / max(1, z))
-    for attempt in range(attempts):
+    for attempt in range(SAMPLE_ATTEMPTS):
         rng = stream(seed, "representation", attempt)
         sample = {s for s in all_bundles(m) if rng.random() < rate}
         ok = all(any(s in sample for s in witness_bundles(menu, p_table)) for menu in zband)
@@ -96,7 +96,7 @@ def representation_set(zprime: Sequence[Menu], zband: Sequence[Menu], z: int,
                     break
         if ok:
             return sample
-    raise SamplingFailure("no representing bundle set after 64 attempts")
+    raise SamplingFailure(f"no representing bundle set after {SAMPLE_ATTEMPTS} attempts")
 
 
 @dataclass(frozen=True)
@@ -104,7 +104,7 @@ class ProofInstance:
     instance: ZDisjointnessInstance
     blocks: tuple[tuple[int, tuple[int, ...]], ...]  # (bundle, bit indexes)
     bit_bundle: tuple[int, ...]
-    strings: tuple[dict, ...]  # per party: valuation table -> proof string
+    strings: tuple[dict, ...]  # per party: a candidate's scaled_table -> proof string
 
 
 def build_disjointness_instance(session: Session, i: int,
@@ -113,56 +113,32 @@ def build_disjointness_instance(session: Session, i: int,
                                 zprime_size: int,
                                 actual_v_minus: tuple[Valuation, ...]) -> ProofInstance:
     """One block per sampled bundle; one bit per realizable transcript of
-    the price protocol (run for player i) over the candidate sets.  A
-    party's bit is set when some choice of the remaining candidates makes
-    that transcript happen with a price off the majority table."""
-    n_parties = len(cand)
-    bundles = sorted(sample)
-
-    all_runs: dict[int, dict[tuple, tuple]] = {}
-    for s in bundles:
-        per_combo = {}
+    the price protocol (run for player i) over the candidate sets, ordered
+    by the transcript's repr.  A party's bit is set when some choice of the
+    remaining candidates makes that transcript happen with a price off the
+    majority table: one pass over the runs ORs each off-majority run's bit
+    into the string of every candidate in it."""
+    strings = [dict.fromkeys([w.scaled_table for w in group], 0) for group in cand]
+    bit_bundle: list[int] = []
+    blocks: list[tuple[int, tuple[int, ...]]] = []
+    for s in sorted(sample):
+        runs = []
         for combo in product(*cand):
             pr = session.price_run(i, combo, s)
-            per_combo[tuple(v.table for v in combo)] = (pr.price, pr.transcript_id())
-        all_runs[s] = per_combo
+            runs.append((combo, pr.price, repr(pr.transcript_id())))
+        start = len(bit_bundle)
+        index = {tid: start + k for k, tid in enumerate(sorted({tid for _, _, tid in runs}))}
+        bit_bundle += [s] * len(index)
+        blocks.append((s, tuple(range(start, len(bit_bundle)))))
+        for combo, price, tid in runs:
+            if price != p_table[s]:
+                b = 1 << index[tid]
+                for party, w in enumerate(combo):
+                    strings[party][w.scaled_table] |= b
+    l = len(bit_bundle)
 
-    bit_keys: list[tuple[int, tuple]] = []
-    blocks: list[tuple[int, tuple[int, ...]]] = []
-    for s in bundles:
-        seen = {}
-        for price, tid in all_runs[s].values():
-            seen[repr(tid)] = tid
-        start = len(bit_keys)
-        for k in sorted(seen):
-            bit_keys.append((s, seen[k]))
-        blocks.append((s, tuple(range(start, len(bit_keys)))))
-    l = len(bit_keys)
-
-    strings: list[dict] = []
-    for party in range(n_parties):
-        table_map: dict = {}
-        for w in cand[party]:
-            mask = 0
-            for k, (s, tid) in enumerate(bit_keys):
-                hit = False
-                for combo_key, (price, run_tid) in all_runs[s].items():
-                    if combo_key[party] != w.table:
-                        continue
-                    if run_tid == tid and price != p_table[s]:
-                        hit = True
-                        break
-                if hit:
-                    mask |= 1 << k
-            table_map[w.table] = mask
-        strings.append(table_map)
-
-    allowed = tuple(
-        tuple(strings[party][w.table] for w in cand[party]) for party in range(n_parties)
-    )
-    inputs = tuple(
-        strings[party][actual_v_minus[party].table] for party in range(n_parties)
-    )
+    allowed = tuple(tuple(table_map.values()) for table_map in strings)
+    inputs = tuple(table_map[v.scaled_table] for table_map, v in zip(strings, actual_v_minus))
 
     exact = max_intersection(allowed, l)
     if not within_log_budget(exact, max(2, zprime_size), 8):
@@ -175,10 +151,9 @@ def build_disjointness_instance(session: Session, i: int,
             f"z-product of C({l},{exact}) bits exceeds desk scale"
         )
     inst = ZDisjointnessInstance(
-        n=n_parties, l=l, allowed=allowed, inputs=inputs, z=exact,
+        n=len(cand), l=l, allowed=allowed, inputs=inputs, z=exact,
     )
-    return ProofInstance(inst, tuple(blocks), tuple(s for s, _ in bit_keys),
-                         tuple(strings))
+    return ProofInstance(inst, tuple(blocks), tuple(bit_bundle), tuple(strings))
 
 
 @dataclass
@@ -245,7 +220,7 @@ def reconstruct_menu_comm(session: Session, i: int, v_minus_i: Sequence[Valuatio
                 if any(session.price_run(i, combo, s).transcript_id() == tid
                        for combo in product(*cand[:party], (w,), *cand[party + 1:]))
             ]
-        if not all(any(w.table == actual[p].table for w in cand[p])
+        if not all(any(w.scaled_table == actual[p].scaled_table for w in cand[p])
                    for p in range(len(cand))):
             raise SoundnessError("the actual profile fell out of its own rectangle")
         return run.price
@@ -295,7 +270,7 @@ def reconstruct_menu_comm(session: Session, i: int, v_minus_i: Sequence[Valuatio
                         keep = set(kept_strings[party])
                         cand[party] = [
                             w for w in cand[party]
-                            if proof.strings[party][w.table] in keep
+                            if proof.strings[party][w.scaled_table] in keep
                         ]
                     if not verdict.disjoint:
                         found_bundle = proof.bit_bundle[verdict.intersecting_bit]

@@ -35,7 +35,7 @@ from typing import Callable, Optional
 from .bundles import MAX_ITEMS, all_bundles, best_bundle, bit, bundles_of_size, grand, size
 from .demand_menus import (HALF, QUARTER, hidden_bump_price, hidden_problem_valuation,
                            min_affine_argmax, mt_gadget_argmax)
-from .menus import MinAffineMenu, cheapest_superset, eval_min_affine, min_affine_table
+from .menus import MinAffineMenu, cheapest_superset, eval_min_affine
 from .protocol import MechanismSpec, PriceRun
 from .queries import demand_query
 from .rational import INF, Price
@@ -173,7 +173,9 @@ def value_tightness_catalog(m: int, c: Optional[int] = None, bundles=None) -> Va
 def make_min_affine_family(m: int, alpha: int, count: int) -> tuple[MinAffineMenu, ...]:
     """Deterministic family of distinct normalized min-affine menus
     supported on the first m/2 items (everything touching the rest is
-    infinitely priced)."""
+    infinitely priced).  Both hold by construction: item 1 alone costs t/2
+    in menu t, and every price and offset is nonnegative with offset 0 on
+    the first vector."""
     half = m // 2
     menus = []
     for t in range(1, count + 1):
@@ -187,11 +189,6 @@ def make_min_affine_family(m: int, alpha: int, count: int) -> tuple[MinAffineMen
             vectors.append(tuple(vec))
             offsets.append(Fraction(0) if k == 0 else Fraction(k, 4))
         menus.append(MinAffineMenu(m, tuple(vectors), tuple(offsets)))
-    tables = [min_affine_table(ma) for ma in menus]
-    if len({t.price for t in tables}) != count:
-        raise DomainError("min-affine family members must be distinct")
-    if not all(t.is_normalized() for t in tables):
-        raise DomainError("min-affine family members must be normalized menus")
     return tuple(menus)
 
 

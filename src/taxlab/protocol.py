@@ -256,19 +256,11 @@ class Session:
 
     Every suite that studies a mechanism on its catalog asks the same
     questions (a run on a profile, the menu some v_minus presents, one
-    price-protocol run), so they share one Session and each answer is
-    computed once.  Memo keys hold valuations by object identity, not by
-    their Fraction tables, which are slow to hash; every entry keeps its
-    valuations alive, so an id in a key cannot be reused.  A valuation
-    equal to but not the same object as a memoized one is only a miss.
-
-    The one exception is the probe memo of `probe_run`: menu verification
-    builds a fresh probe valuation for every round, and many rounds repeat
-    an earlier probe's table, so it keys the probe by content.  The key is
-    the probe's `scaled_table`, the integers over their lcm: a probe built
-    by `valuation_from_ints` already holds it, and a tuple of ints hashes
-    far faster than a tuple of Fractions.  It stores only the probe
-    player's (won, paid, bits).
+    price-protocol run, one run with a verification probe seated), so they
+    share one Session and each answer is computed once.  Every memo keys a
+    valuation by its `scaled_table`, the integers over their lcm that each
+    valuation caches at construction: equal valuations share an entry, and
+    a tuple of ints hashes far faster than a tuple of Fractions.
     """
 
     def __init__(self, spec: MechanismSpec, catalog: ValuationCatalog):
@@ -276,46 +268,44 @@ class Session:
             raise DomainError("catalog shape must match the mechanism")
         self.spec = spec
         self.catalog = catalog
-        self._runs: dict[tuple, tuple] = {}
-        self._menus: dict[tuple, tuple] = {}
-        self._prices: dict[tuple, tuple] = {}
-        self._probes: dict[tuple, tuple] = {}
+        self._runs: dict[tuple, RunResult] = {}
+        self._menus: dict[tuple, Menu] = {}
+        self._prices: dict[tuple, PriceRun] = {}
+        self._probes: dict[tuple, tuple[int, Price, int]] = {}
         self._menu_lists: dict[int, tuple[Menu, ...]] = {}
         self._report: Optional[ComplexityReport] = None
 
     def run(self, profile: Sequence[Valuation]) -> RunResult:
-        key = tuple(map(id, profile))
+        key = tuple(v.scaled_table for v in profile)
         hit = self._runs.get(key)
         if hit is None:
-            hit = self._runs[key] = (tuple(profile), run_mechanism(self.spec, profile))
-        return hit[1]
+            hit = self._runs[key] = run_mechanism(self.spec, profile)
+        return hit
 
     def menu(self, i: int, v_minus_i: Sequence[Valuation]) -> Menu:
-        key = (i, *map(id, v_minus_i))
+        key = (i, *(v.scaled_table for v in v_minus_i))
         hit = self._menus.get(key)
         if hit is None:
-            hit = self._menus[key] = (tuple(v_minus_i), extract_menu(self.spec, i, v_minus_i))
-        return hit[1]
+            hit = self._menus[key] = extract_menu(self.spec, i, v_minus_i)
+        return hit
 
     def price_run(self, i: int, v_minus_i: Sequence[Valuation], s: int) -> PriceRun:
-        key = (i, s, *map(id, v_minus_i))
+        key = (i, s, *(v.scaled_table for v in v_minus_i))
         hit = self._prices.get(key)
         if hit is None:
-            hit = self._prices[key] = (tuple(v_minus_i), price_run(self.spec, i, v_minus_i, s))
-        return hit[1]
+            hit = self._prices[key] = price_run(self.spec, i, v_minus_i, s)
+        return hit
 
     def probe_run(self, i: int, v_minus_i: Sequence[Valuation],
                   probe: Valuation) -> tuple[int, Price, int]:
         """Player i's (won, paid) and the transcript bits of one run with
-        `probe` seated at i against v_minus_i, memoized by the probe's
-        integer table."""
-        key = (i, *map(id, v_minus_i), probe.scaled_table)
+        `probe` seated at i against v_minus_i."""
+        key = (i, probe.scaled_table, *(v.scaled_table for v in v_minus_i))
         hit = self._probes.get(key)
         if hit is None:
             res = run_mechanism(self.spec, insert_player(v_minus_i, i, probe))
-            hit = self._probes[key] = (tuple(v_minus_i), (res.allocation[i], res.payments[i],
-                                                          res.transcript.bits))
-        return hit[1]
+            hit = self._probes[key] = (res.allocation[i], res.payments[i], res.transcript.bits)
+        return hit
 
     def others(self, i: int) -> Iterator[tuple[Valuation, ...]]:
         """Every catalog v_minus_i, row-major."""

@@ -129,8 +129,7 @@ def verify_menu_trials(session: Session, trials_per_class: int, seed: int) -> Ch
             values = grid if cls == "submodular" else None
             f = random_base_function(spec.m, spec.bound, rng, values=values)
             want = int(exceeds_somewhere(f, truth))
-            got = verify_menu(session, i, v_minus, f, cls, price_grid=grid,
-                              check_probes=True).answer
+            got = verify_menu(session, i, v_minus, f, cls, price_grid=grid).answer
             mismatches += int(got != want)
             done += 1
     # structural: submodular probes are submodular, xos probes carry clauses

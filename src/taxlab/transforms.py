@@ -59,7 +59,7 @@ class TwoPlayerTables:
 
     session: Session
     presented: tuple[tuple[Menu, ...], tuple[Menu, ...]]  # menus presented BY player i
-    index_of: tuple[dict, dict]  # valuation table -> index into presented[i]
+    index_of: tuple[dict, dict]  # a valuation's scaled_table -> index into presented[i]
     tax_bits: int
 
     @property
@@ -92,7 +92,7 @@ def build_tables(session: Session) -> TwoPlayerTables:
         menus = session.menus(other)
         position = {menu.price: k for k, menu in enumerate(menus)}
         presented.append(menus)
-        index_of.append({v.table: position[session.menu(other, (v,)).price]
+        index_of.append({v.scaled_table: position[session.menu(other, (v,)).price]
                          for v in session.catalog.players[i]})
     tax_bits = max(log2_ceil(len(presented[0])), log2_ceil(len(presented[1])), 1)
     return TwoPlayerTables(session, (presented[0], presented[1]),
@@ -129,7 +129,7 @@ def _messages(menu_idx, bundles, inner: Optional[RunResult] = None) -> list[tupl
 def _play(tables: TwoPlayerTables, profile, strategies):
     """Each player's announced menu index and bundle, and the inner run, as
     played."""
-    menu_idx = tuple(tables.index_of[i][profile[i].table] if strategies[i] == "truthful"
+    menu_idx = tuple(tables.index_of[i][profile[i].scaled_table] if strategies[i] == "truthful"
                      else strategies[i].menu_index for i in (0, 1))
     bundles = tuple(truthful_bundle(tables, i, profile[i], menu_idx[1 - i])
                     if strategies[i] == "truthful" else strategies[i].bundle for i in (0, 1))
@@ -243,7 +243,7 @@ class _Outcomes:
         self._ids: dict[tuple, int] = {}
         self._settled: dict[tuple, Optional[int]] = {}
         faced = range(len(tables.presented[1 - i]))
-        self._truthful = [(tables.index_of[i][v.table],
+        self._truthful = [(tables.index_of[i][v.scaled_table],
                            [truthful_bundle(tables, i, v, k) for k in faced])
                           for v in tables.catalog.players[i]]
 
@@ -277,7 +277,7 @@ class _Outcomes:
         i, tables = self.i, self.tables
         faced_by_them = range(len(tables.presented[i]))
         if opp_strategy == "truthful":
-            opp_menu = tables.index_of[1 - i][opp_valuation.table]
+            opp_menu = tables.index_of[1 - i][opp_valuation.scaled_table]
             opp_bundles = [truthful_bundle(tables, 1 - i, opp_valuation, k) for k in faced_by_them]
         else:
             opp_menu = opp_strategy.menu_index
@@ -424,8 +424,11 @@ def is_precise(tables: TwoPlayerTables) -> Optional[str]:
     return None
 
 
+STRICTIFY_ROUNDS = 16  # menu re-extractions before the catalog must be stable
+STRICTIFY_RESAMPLES = 100  # fresh strictifications per valuation and round
+
+
 def strictify_catalog(spec: MechanismSpec, catalog: ValuationCatalog, seed: int = 0,
-                      max_rounds: int = 16, max_resamples: int = 100,
                       stats: Optional[dict] = None) -> TwoPlayerTables:
     """Strictify every catalog valuation until the mechanism is precise on
     the strictified catalog itself.  Menus are re-extracted each round
@@ -441,7 +444,7 @@ def strictify_catalog(spec: MechanismSpec, catalog: ValuationCatalog, seed: int 
 
     players = [[sample(i, idx) for idx in range(len(catalog.players[i]))]
                for i in (0, 1)]
-    for _round in range(max_rounds):
+    for _round in range(STRICTIFY_ROUNDS):
         cat = ValuationCatalog((tuple(players[0]), tuple(players[1])))
         tables = build_tables(Session(spec, cat))
         dirty = False
@@ -450,7 +453,7 @@ def strictify_catalog(spec: MechanismSpec, catalog: ValuationCatalog, seed: int 
             for idx, v in enumerate(players[i]):
                 if all(len(profit_argmax_set(menu, v)) == 1 for menu in menus):
                     continue
-                for _ in range(max_resamples):
+                for _ in range(STRICTIFY_RESAMPLES):
                     attempts[i][idx] += 1
                     cand = sample(i, idx)
                     if all(len(profit_argmax_set(menu, cand)) == 1 for menu in menus):
@@ -476,8 +479,8 @@ class SimultaneousTable:
 
     def run(self, profile) -> tuple[tuple[int, int], int]:
         t = self.tables
-        idx1 = t.index_of[0][profile[0].table]  # menu player 1 presents
-        idx2 = t.index_of[1][profile[1].table]  # menu player 2 presents
+        idx1 = t.index_of[0][profile[0].scaled_table]  # menu player 1 presents
+        idx2 = t.index_of[1][profile[1].scaled_table]  # menu player 2 presents
         s1 = self.union_win[(idx2, idx1)]
         return (s1, grand(t.spec.m) & ~s1), 2 * t.tax_bits
 
@@ -493,7 +496,7 @@ def to_simultaneous(tables: TwoPlayerTables) -> SimultaneousTable:
         for shown_idx in range(len(tables.presented[0])):
             mask = 0
             for v in tables.catalog.players[0]:
-                if tables.index_of[0][v.table] != shown_idx:
+                if tables.index_of[0][v.scaled_table] != shown_idx:
                     continue
                 mask |= profit_argmax_set(faced, v)[0]
             union_win[(faced_idx, shown_idx)] = mask

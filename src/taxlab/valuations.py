@@ -179,9 +179,9 @@ class ValuationCatalog:
             for v in vs:
                 if v.m != m:
                     raise DomainError("all catalog valuations must share m")
-                if v.table in tables:
+                if v.scaled_table in tables:
                     raise DomainError("duplicate valuation in one player's catalog")
-                tables.add(v.table)
+                tables.add(v.scaled_table)
 
     @property
     def n(self) -> int:

@@ -231,10 +231,14 @@ def random_base_function(m: int, bound: Fraction, rng,
 
 def pairwise_submodular(v: Valuation) -> bool:
     """v(S) + v(U) >= v(S | U) + v(S & U) for every pair, over the integer
-    table."""
-    t = v.scaled_table[1]
-    for s in all_bundles(v.m):
-        for u in range(s, 1 << v.m):
+    table; staircase probes repeat tables, so each is checked once."""
+    return _pairwise_submodular_ints(v.m, v.scaled_table[1])
+
+
+@lru_cache(maxsize=1024)
+def _pairwise_submodular_ints(m: int, t: tuple[int, ...]) -> bool:
+    for s in all_bundles(m):
+        for u in range(s, 1 << m):
             if t[s] + t[u] < t[s | u] + t[s & u]:
                 return False
     return True
@@ -248,14 +252,13 @@ class VerificationResult:
 
 
 def verify_menu(session: Session, i: int, v_minus_i, f: BaseFunction,
-                cls: str, price_grid: Optional[Sequence[Price]] = None,
-                check_probes: bool = False) -> VerificationResult:
+                cls: str, price_grid: Optional[Sequence[Price]] = None) -> VerificationResult:
     """Run the class-specific probe protocol and report the decision bit.
 
     Communication is charged as runs x (transcript bits + 1): each run of
     the mechanism plus the one-bit verdict appended after it, also where
-    the session's probe memo answers the run.  With check_probes every
-    staircase probe is re-verified to be submodular before it runs.
+    the session's probe memo answers the run.  Every staircase probe is
+    checked to be submodular before it runs.
     """
     spec = session.spec
     if cls not in CLASSES:
@@ -305,7 +308,7 @@ def verify_menu(session: Session, i: int, v_minus_i, f: BaseFunction,
             if (k, w) not in levels:
                 continue
             probe = submodular_probe(f, bound, k, w)
-            if check_probes and not pairwise_submodular(probe):
+            if not pairwise_submodular(probe):
                 raise ContractError("a staircase probe failed the submodularity check")
             won, pay, used = session.probe_run(i, v_minus_i, probe)
             runs += 1

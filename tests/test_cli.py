@@ -188,6 +188,8 @@ def test_oversized_m_and_non_object_config_exit_two(tmp_path, capsys, monkeypatc
          "c and bundles"),
         ({"id": "demand_tightness", "params": {"m": 4, "alpha": 200000}}, ".alpha must"),
         ({"id": "demand_tightness", "params": {"m": 16, "count": 100000}}, ".count must"),
+        ({"id": "demand_tightness", "params": {"m": 10, "alpha": 8, "count": 64}},
+         "table steps"),
         ({"id": "mt_gadget", "params": {"m": 16}}, "m=16"),
         ({"id": "mt_gadget", "params": {"m": 10}}, "wrapper plays"),
         ({"id": "posted_prices", "params": {"prices": ["1", "1", "2"], "n": 12}}, "[4, 4, 4"),

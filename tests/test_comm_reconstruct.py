@@ -1,12 +1,17 @@
 """Shrinkage-step menu reconstruction over the price protocol."""
 
 from fractions import Fraction
+from itertools import product
+from math import comb
 
 from taxlab.bundles import all_bundles, bit
-from taxlab.comm_reconstruct import (build_disjointness_instance, menu_catalog, most_frequent_prices,
-                                     reconstruct_menu_comm, representation_set,
-                                     witness_bundles, within_log_budget)
-from taxlab.disjointness import max_intersection, solve_z_disjointness
+import taxlab.comm_reconstruct as comm_reconstruct
+from taxlab import suites
+from taxlab.comm_reconstruct import (PRODUCT_CAP, ConstructionError, ProofInstance,
+                                     build_disjointness_instance, menu_catalog,
+                                     most_frequent_prices, reconstruct_menu_comm,
+                                     representation_set, witness_bundles, within_log_budget)
+from taxlab.disjointness import ZDisjointnessInstance, max_intersection, solve_z_disjointness
 from taxlab.library import default_catalog, make_example, warmup_catalog
 from taxlab.menus import Menu
 from taxlab.protocol import Session, extract_menu
@@ -201,3 +206,86 @@ def test_sweep_small_mechanisms():
                         assert 2 * st.live_after <= st.live_before
                 assert len(rec.steps) <= max(1, (len(pre) - 1).bit_length())
                 assert rec.bits == rec.price_bits + rec.disjointness_bits + rec.bookkeeping_bits
+
+
+def reference_disjointness_instance(session, i, cand, sample, p_table, zprime_size,
+                                    actual_v_minus):
+    """`build_disjointness_instance` before the one-pass rewrite: a scan
+    over party x candidate x bit x price run, keyed by Fraction tables."""
+    n_parties = len(cand)
+    bundles = sorted(sample)
+
+    all_runs = {}
+    for s in bundles:
+        per_combo = {}
+        for combo in product(*cand):
+            pr = session.price_run(i, combo, s)
+            per_combo[tuple(v.table for v in combo)] = (pr.price, pr.transcript_id())
+        all_runs[s] = per_combo
+
+    bit_keys = []
+    blocks = []
+    for s in bundles:
+        seen = {}
+        for price, tid in all_runs[s].values():
+            seen[repr(tid)] = tid
+        start = len(bit_keys)
+        for k in sorted(seen):
+            bit_keys.append((s, seen[k]))
+        blocks.append((s, tuple(range(start, len(bit_keys)))))
+    l = len(bit_keys)
+
+    strings = []
+    for party in range(n_parties):
+        table_map = {}
+        for w in cand[party]:
+            mask = 0
+            for k, (s, tid) in enumerate(bit_keys):
+                for combo_key, (price, run_tid) in all_runs[s].items():
+                    if combo_key[party] == w.table and run_tid == tid and price != p_table[s]:
+                        mask |= 1 << k
+                        break
+            table_map[w.table] = mask
+        strings.append(table_map)
+
+    allowed = tuple(
+        tuple(strings[party][w.table] for w in cand[party]) for party in range(n_parties)
+    )
+    inputs = tuple(
+        strings[party][actual_v_minus[party].table] for party in range(n_parties)
+    )
+    exact = max_intersection(allowed, l)
+    if not within_log_budget(exact, max(2, zprime_size), 8):
+        raise ConstructionError("promise validation failed")
+    if exact >= 2 and comb(l, exact) > PRODUCT_CAP:
+        raise ConstructionError("z-product exceeds desk scale")
+    inst = ZDisjointnessInstance(n=n_parties, l=l, allowed=allowed, inputs=inputs, z=exact)
+    return ProofInstance(inst, tuple(blocks), tuple(s for s, _ in bit_keys), tuple(strings))
+
+
+def test_one_pass_instances_match_the_reference_scan(monkeypatch):
+    built = build_disjointness_instance
+    compared = []
+
+    def checked(session, i, cand, sample, p_table, zprime_size, actual):
+        proof = built(session, i, cand, sample, p_table, zprime_size, actual)
+        want = reference_disjointness_instance(session, i, cand, sample, p_table,
+                                               zprime_size, actual)
+        assert proof.instance.allowed == want.instance.allowed
+        assert proof.instance.inputs == want.instance.inputs
+        assert proof.instance == want.instance
+        assert proof.blocks == want.blocks
+        assert proof.bit_bundle == want.bit_bundle
+        for party, group in enumerate(cand):
+            assert [proof.strings[party][w.scaled_table] for w in group] == \
+                [want.strings[party][w.table] for w in group]
+        compared.append(session.spec.mech_id)
+        return proof
+
+    monkeypatch.setattr(comm_reconstruct, "build_disjointness_instance", checked)
+    for mech_id, params in suites.STANDARD_BENCH:
+        line, _ = suites.comm_reconstruction_check(
+            Session(*suites.bench_instance(mech_id, params)), seed=0)
+        assert line.passed, line.render()
+    # six of the nine entries take at least one disjointness step
+    assert len(set(compared)) == 6, sorted(set(compared))

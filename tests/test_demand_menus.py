@@ -320,3 +320,20 @@ def test_library_programs_match_their_inline_reference(mech_id, params):
             assert (got.allocation, got.payments) == (want.allocation, want.payments)
             assert got.qlog.trace == want.qlog.trace
             assert got.transcript == want.transcript
+
+
+def test_min_affine_family_members_are_distinct_and_normalized():
+    """What `make_min_affine_family` no longer checks at build time: item 1
+    alone costs t/2 in menu t, and no price or offset is negative."""
+    from taxlab.library import make_min_affine_family
+    from taxlab.menus import min_affine_table
+
+    for m in range(2, 9):
+        for alpha in (1, 2, 3, 8):
+            for count in (1, 4, 9, 64):
+                tables = [min_affine_table(ma)
+                          for ma in make_min_affine_family(m, alpha, count)]
+                assert len({t.price for t in tables}) == count, (m, alpha, count)
+                assert all(t.is_normalized() for t in tables), (m, alpha, count)
+                assert [t.price[1] for t in tables] == [Fraction(t, 2)
+                                                        for t in range(1, count + 1)]

@@ -31,3 +31,68 @@ def test_no_module_imports_a_name_it_never_uses():
     assert modules
     found = {path.name: unused_imports(path.read_text(encoding="utf-8")) for path in modules}
     assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+KEY_CALLS = ("add", "discard", "fromkeys", "get", "pop", "remove", "setdefault")
+
+
+def table_reads(expr) -> list[ast.Attribute]:
+    """`.table` attributes read inside expr as a whole table: not the
+    tables of `v.table[s]` entry reads."""
+    entries = {id(node.value) for node in ast.walk(expr) if isinstance(node, ast.Subscript)}
+    return [node for node in ast.walk(expr)
+            if isinstance(node, ast.Attribute) and node.attr == "table"
+            and id(node) not in entries]
+
+
+def identity_and_table_keys(source: str) -> list[str]:
+    """Reads of the builtin `id` (a call or a bare `map(id, ...)`), and
+    valuation tables used as a key: the index of a subscript, a dict or set
+    display or comprehension key, the first argument of a dict or set
+    method, or the left operand of `in`.  Memos and indexes key a
+    valuation by its `scaled_table`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and node.id == "id" and isinstance(node.ctx, ast.Load):
+            found.append(f"line {node.lineno}: id")
+        keys = []
+        if isinstance(node, ast.Subscript):
+            keys = [node.slice]
+        elif isinstance(node, ast.Dict):
+            keys = [k for k in node.keys if k is not None]
+        elif isinstance(node, ast.DictComp):
+            keys = [node.key]
+        elif isinstance(node, ast.Set):
+            keys = node.elts
+        elif isinstance(node, ast.SetComp):
+            keys = [node.elt]
+        elif isinstance(node, ast.Compare) and isinstance(node.ops[0], (ast.In, ast.NotIn)):
+            keys = [node.left]
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr in KEY_CALLS and node.args):
+            keys = [node.args[0]]
+        found += [f"line {hit.lineno}: .table key" for key in keys for hit in table_reads(key)]
+    return sorted(set(found))
+
+
+def test_identity_and_table_keys_are_found():
+    source = (
+        "key = tuple(map(id, profile))\n"
+        "memo[(i, id(v))] = 1\n"
+        "index = {v.table: k for k, v in enumerate(vs)}\n"
+        "hit = v.table in seen\n"
+        "seen.add(w.table)\n"
+        "runs[tuple(v.table for v in combo)] = 0\n"
+        "ok = v.table[s] > memo[v.scaled_table] and {v.scaled_table: k}\n"
+    )
+    assert identity_and_table_keys(source) == [
+        "line 1: id", "line 2: id", "line 3: .table key", "line 4: .table key",
+        "line 5: .table key", "line 6: .table key"]
+
+
+def test_no_module_keys_a_valuation_by_identity_or_fraction_table():
+    modules = sorted(SRC.glob("*.py"))
+    assert modules
+    found = {path.name: identity_and_table_keys(path.read_text(encoding="utf-8"))
+             for path in modules}
+    assert {name: hits for name, hits in found.items() if hits} == {}

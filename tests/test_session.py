@@ -44,16 +44,24 @@ def test_session_oracles_match_direct_calls(question):
         assert session.price_run(i, v_minus, s) == price_run(spec, i, v_minus, s)
 
 
-def test_session_memoizes_by_identity():
+def test_session_memoizes_by_content():
     session = Session(*suites.bench_instance("drop_tax", {"m": 4}))
     profile = tuple(group[1] for group in session.catalog.players)
     assert session.run(profile) is session.run(list(profile))
     assert session.menu(1, profile[:1]) is session.menu(1, profile[:1])
     assert session.price_run(1, profile[:1], 3) is session.price_run(1, profile[:1], 3)
-    # an equal valuation that is another object is a miss with the same answer
-    twin = (Valuation(profile[0].m, profile[0].table), profile[1])
-    assert session.run(twin) is not session.run(profile)
-    assert session.run(twin) == session.run(profile)
+    # an equal valuation that is another object is a hit on every memo
+    twin = Valuation(profile[0].m, profile[0].table)
+    assert twin is not profile[0]
+    assert session.run((twin, profile[1])) is session.run(profile)
+    assert session.menu(1, (twin,)) is session.menu(1, profile[:1])
+    assert session.price_run(1, (twin,), 3) is session.price_run(1, profile[:1], 3)
+    probe = additive_valuation([1, 0, 2, 0])
+    first = session.probe_run(1, profile[:1], probe)
+    assert session.probe_run(1, (twin,), additive_valuation([1, 0, 2, 0])) is first
+    # a different table is a different key
+    alice = session.catalog.players[0]
+    assert session.run((alice[0], profile[1])) is not session.run((alice[2], profile[1]))
 
 
 def test_report_is_measure_complexities_once():

@@ -50,7 +50,7 @@ def test_menu_lie_makes_player_inconsistent():
     spec, cat, tables = warmup_tables(1)
     alice = cat.players[0][0]   # rounds to the first index
     bob = cat.players[1][2]
-    wrong_idx = 1 - tables.index_of[0][alice.table]
+    wrong_idx = 1 - tables.index_of[0][alice.scaled_table]
     lie = DeviationStrategy(wrong_idx, 0, alice)
     run = to_dominant_run(tables, (alice, bob), (lie, "truthful"))
     assert run.outcome.inconsistent == 0
@@ -67,7 +67,7 @@ def test_consistent_misreport_plays_as_that_type():
     alice, alias = cat.players[0][0], cat.players[0][3]
     bob = cat.players[1][4]
     pretend = DeviationStrategy(
-        tables.index_of[0][alias.table],
+        tables.index_of[0][alias.scaled_table],
         0,  # the bundle report does not matter for consistency here
         alias,
     )

@@ -154,6 +154,26 @@ def test_verify_menu_decision_examples():
     assert verify_menu(session, 1, v_minus, over, "general").answer == 1
 
 
+def test_a_non_submodular_staircase_probe_is_refused(monkeypatch):
+    import taxlab.verify as verify
+    from taxlab.menus import ContractError
+
+    spec = make_example("warmup_tightness", {"c": 2})
+    cat = default_catalog("warmup_tightness", spec, {"c": 2})
+    v_minus = (cat.players[0][2],)
+    truth = extract_menu(spec, 1, v_minus)
+    grid = menu_price_grid([truth])
+    f = BaseFunction(2, truth.price)
+    session = Session(spec, cat)
+    assert verify_menu(session, 1, v_minus, f, "submodular", price_grid=grid).answer == 0
+    # complements: the pair is worth more than its items together
+    complements = Valuation(2, (F(0), F(0), F(0), F(1)))
+    assert not pairwise_submodular(complements)
+    monkeypatch.setattr(verify, "submodular_probe", lambda *args: complements)
+    with pytest.raises(ContractError, match="submodularity"):
+        verify_menu(session, 1, v_minus, f, "submodular", price_grid=grid)
+
+
 def test_verification_bits_cover_menu_count():
     # the fooling-set content: 2^(q-1) menus at most, q = one run plus a bit
     for mech_id, params in [("warmup_tightness", {"c": 2}),
