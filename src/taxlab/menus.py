@@ -11,9 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from .bundles import all_bundles, bit, check_m, grand, is_monotone, supersets
-from .rational import INF, Price, format_price, is_finite, parse_price, price_key, sum_prices
+from .bundles import all_bundles, bit, check_m, grand, is_monotone, subset_sums, supersets
+from .rational import (INF, Price, common_denominator, format_price, is_finite, parse_price,
+                       price_key)
 from .valuations import DomainError, Valuation, table_from_json, table_to_json
 
 
@@ -133,6 +135,8 @@ class MinAffineMenu:
         masks = [s for s, _ in self.exceptions]
         if len(set(masks)) != len(masks):
             raise DomainError("duplicate exception bundle")
+        if any(not 0 <= s < (1 << self.m) for s in masks):
+            raise DomainError("exception bundle out of range")
 
     @property
     def alpha(self) -> int:
@@ -142,33 +146,39 @@ class MinAffineMenu:
     def beta(self) -> int:
         return len(self.exceptions)
 
-    def exception_map(self) -> dict[int, Price]:
-        return dict(self.exceptions)
+    @cached_property
+    def price_table(self) -> tuple[Price, ...]:
+        """Every bundle's price: its exception price if it has one; else
+        the cheapest affine term, a term whose vector prices an item of the
+        bundle at INF knocked out; the empty bundle free unless excepted.
+        Each vector's terms are one `subset_sums` over the common
+        denominator of every finite entry and offset."""
+        m, n = self.m, len(self.vectors) * self.m
+        flat = [x if is_finite(x) else 0 for vec in self.vectors for x in vec]
+        d, ints = common_denominator(flat + list(self.offsets))
+        best: list = [None] * (1 << m)  # None: no finite term yet
+        for q, vec in enumerate(self.vectors):
+            blocked = sum(bit(j) for j, x in enumerate(vec) if not is_finite(x))
+            r = ints[n + q]
+            best = [b if s & blocked or (b is not None and b <= x + r) else x + r
+                    for s, (x, b) in enumerate(zip(subset_sums(ints[q * m:q * m + m]), best))]
+        exact = {x: Fraction(x, d) for x in set(best) if x is not None}
+        table = [INF if x is None else exact[x] for x in best]
+        table[0] = Fraction(0)
+        for s, p in self.exceptions:
+            table[s] = p
+        return tuple(table)
 
 
 def eval_min_affine(ma: MinAffineMenu, s: int) -> Price:
-    """Exception price if present; else the cheapest affine term, with any
-    infinite summand knocking that term out.  The empty bundle is free by
-    menu normalization unless an exception overrides it."""
+    """The min-affine price of bundle s (see `MinAffineMenu.price_table`)."""
     if not 0 <= s < (1 << ma.m):
         raise DomainError("bundle out of range")
-    exc = ma.exception_map()
-    if s in exc:
-        return exc[s]
-    if s == 0:
-        return Fraction(0)
-    best: Price = INF
-    for vec, r in zip(ma.vectors, ma.offsets):
-        term = sum_prices(vec[j] for j in range(ma.m) if s & bit(j))
-        if is_finite(term):
-            term = term + r
-            if term < best:
-                best = term
-    return best
+    return ma.price_table[s]
 
 
 def min_affine_table(ma: MinAffineMenu) -> Menu:
-    return Menu(ma.m, tuple(eval_min_affine(ma, s) for s in all_bundles(ma.m)))
+    return Menu(ma.m, ma.price_table)
 
 
 def menu_to_json(menu: Menu) -> dict:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -27,7 +28,8 @@ from .bundles import all_bundles, bit, contains, is_monotone
 from .menus import Menu, ContractError, menu_complexity, normalize_menu, profit_argmax_set
 from .queries import demand_query, value_query
 from .rational import INF, Price, is_finite
-from .valuations import DomainError, Valuation, ValuationCatalog, additive_valuation
+from .valuations import (DomainError, Valuation, ValuationCatalog, additive_valuation,
+                         reduced_table, valuation_from_ints)
 
 
 class MechanismBugError(RuntimeError):
@@ -180,13 +182,19 @@ def insert_player(v_minus: Sequence[Valuation], i: int, v: Valuation) -> tuple[V
     return tuple(out)
 
 
+@lru_cache(maxsize=4096)
+def additive_probe(m: int, bound: Fraction, s: int) -> Valuation:
+    """The additive probe worth 3B on each item of s, built once per
+    (m, B, s): every menu extraction prices the same 2^m bundles."""
+    return additive_valuation([3 * bound if s & bit(j) else Fraction(0) for j in range(m)])
+
+
 def probe_price(spec: MechanismSpec, i: int, v_minus_i: Sequence[Valuation],
                 s: int) -> tuple[Price, RunResult]:
     """Player i's menu price of s and the run it is read off.  The additive
     probe worth 3B per item of s (Prop-E.1-style) wins some superset of s at
     s's menu price whenever that price is finite, else nothing containing s."""
-    probe = additive_valuation([3 * spec.bound if s & bit(j) else Fraction(0)
-                                for j in range(spec.m)])
+    probe = additive_probe(spec.m, spec.bound, s)
     res = run_mechanism(spec, insert_player(v_minus_i, i, probe))
     return (res.payments[i] if contains(res.allocation[i], s) else INF), res
 
@@ -297,12 +305,17 @@ class Session:
         return hit
 
     def probe_run(self, i: int, v_minus_i: Sequence[Valuation],
-                  probe: Valuation) -> tuple[int, Price, int]:
-        """Player i's (won, paid) and the transcript bits of one run with
-        `probe` seated at i against v_minus_i."""
-        key = (i, probe.scaled_table, *(v.scaled_table for v in v_minus_i))
+                  table: tuple[int, Sequence[int]]) -> tuple[int, Price, int]:
+        """Player i's (won, paid) and the transcript bits of one run with the
+        probe valuation table[1][s] / table[0] seated at i against v_minus_i.
+        The table, reduced by its gcd, is the key, so equal probes share an
+        entry; the probe `Valuation` is built, with every check, only on a
+        miss."""
+        d, ints = reduced_table(*table)
+        key = (i, d, ints, *(v.scaled_table for v in v_minus_i))
         hit = self._probes.get(key)
         if hit is None:
+            probe = valuation_from_ints(self.spec.m, d, ints)
             res = run_mechanism(self.spec, insert_player(v_minus_i, i, probe))
             hit = self._probes[key] = (res.allocation[i], res.payments[i], res.transcript.bits)
         return hit

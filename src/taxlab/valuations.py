@@ -66,17 +66,24 @@ class Valuation:
         return common_denominator(self.table)
 
 
+def reduced_table(d: int, ints: Sequence[int]) -> tuple[int, tuple[int, ...]]:
+    """(d, ints) divided by its gcd (d > 0): the `scaled_table` of the
+    valuation with table[s] == ints[s] / d, equal to
+    `common_denominator(table)`."""
+    g = gcd(d, *ints)
+    if g > 1:
+        return d // g, tuple([x // g for x in ints])
+    return d, tuple(ints)
+
+
 def valuation_from_ints(m: int, d: int, ints: Sequence[int],
                         clauses: Optional[XOSClauses] = None) -> Valuation:
     """The valuation with table[s] == ints[s] / d (d > 0), built without
-    rescaling: (d, ints) is reduced by its gcd, so that it equals
-    `common_denominator(table)`, and seeds `scaled_table` before the
+    rescaling: `reduced_table(d, ints)` seeds `scaled_table` before the
     ordinary constructor runs its checks, in their order, over it."""
-    g = gcd(d, *ints)
-    if g > 1:
-        d, ints = d // g, [x // g for x in ints]
+    d, ints = reduced_table(d, ints)
     v = Valuation.__new__(Valuation)
-    v.__dict__["scaled_table"] = (d, tuple(ints))
+    v.__dict__["scaled_table"] = (d, ints)
     exact = {x: Fraction(x, d) for x in set(ints)}  # probes repeat a few values
     v.__init__(m, tuple([exact[x] for x in ints]), clauses)
     return v

@@ -26,7 +26,8 @@ from functools import cached_property, lru_cache
 from math import lcm
 from typing import Optional, Sequence
 
-from .bundles import all_bundles, bit, bundles_of_size, check_m, is_monotone, max_below, size
+from .bundles import (all_bundles, bit, bundles_of_size, check_m, grand, is_monotone, max_below,
+                      size, subsets)
 from .menus import ContractError, Menu
 from .protocol import Session
 from .rational import INF, Price, common_denominator, is_finite
@@ -85,14 +86,43 @@ def exceeds_somewhere(f: BaseFunction, menu: Menu) -> bool:
     return any(f.table[s] > menu.price[s] for s in all_bundles(f.m))
 
 
+# The probe builders below return a probe as its integer table (d, ints),
+# probe(s) == ints[s] / d, which is what `Session.probe_run` keys and runs;
+# the public *_probe functions wrap the same builders into a `Valuation`.
+
 def _over(f: BaseFunction, bound: Fraction) -> tuple[int, list[int], int]:
-    """f with infinite entries lifted to 3B, and B, as ints over
-    E = lcm(D_f, B's denominator): (E, lifted ints, B * E)."""
+    """The general probe: f with infinite entries lifted to 3B, and B, as
+    ints over E = lcm(D_f, B's denominator): (E, lifted ints, B * E)."""
     d, ints, top = f.scaled
     e = lcm(d, bound.denominator)
     b = bound.numerator * (e // bound.denominator)
     k = e // d
     return e, [3 * b if x == top else x * k for x in ints], b
+
+
+def _subadditive(f: BaseFunction, bound: Fraction) -> tuple[int, list[int], int]:
+    """The general probe shifted up by its maximum off the empty bundle:
+    (E, ints, the shift over E)."""
+    e, lifted, _ = _over(f, bound)
+    shift = max(lifted)
+    lifted = [x + shift for x in lifted]
+    lifted[0] = 0
+    return e, lifted, shift
+
+
+def _xos_rows(f: BaseFunction, bound: Fraction, r: int) -> tuple[int, list[int]]:
+    """One clause per r-bundle T, weight f(T)/r + 3B on T's items (2B/r + 3B
+    where f(T) is infinite): (r * E, the clauses laid end to end, m ints
+    each).  The probe's table is their `clause_max`."""
+    if not 1 <= r <= f.m:
+        raise DomainError("clause size out of range")
+    e, lifted, b = _over(f, bound)
+    _, ints, top = f.scaled
+    rows: list[int] = []
+    for t in bundles_of_size(f.m, r):
+        weight = (2 * b if ints[t] == top else lifted[t]) + 3 * b * r
+        rows += [weight if t & bit(j) else 0 for j in range(f.m)]
+    return r * e, rows
 
 
 def general_probe(f: BaseFunction, bound: Fraction) -> Valuation:
@@ -101,31 +131,16 @@ def general_probe(f: BaseFunction, bound: Fraction) -> Valuation:
 
 
 def subadditive_probe(f: BaseFunction, bound: Fraction) -> tuple[Valuation, Fraction]:
-    e, lifted, _ = _over(f, bound)
-    shift = max(lifted)
-    lifted = [x + shift for x in lifted]
-    lifted[0] = 0
+    e, lifted, shift = _subadditive(f, bound)
     return valuation_from_ints(f.m, e, lifted), Fraction(shift, e)
 
 
 def xos_probe(f: BaseFunction, bound: Fraction, r: int) -> Valuation:
-    """One clause per r-bundle T, weight f(T)/r + 3B on T's items (2B/r + 3B
-    where f(T) is infinite), over r * E."""
-    if not 1 <= r <= f.m:
-        raise DomainError("clause size out of range")
-    e, lifted, b = _over(f, bound)
-    _, ints, top = f.scaled
-    zero = Fraction(0)
-    rows: list[int] = []
-    clauses = []
-    for t in bundles_of_size(f.m, r):
-        weight = (2 * b if ints[t] == top else lifted[t]) + 3 * b * r
-        row = [weight if t & bit(j) else 0 for j in range(f.m)]
-        rows += row
-        w = Fraction(weight, r * e)
-        clauses.append(tuple([w if x else zero for x in row]))
-    return valuation_from_ints(f.m, r * e, clause_max(f.m, rows),
-                               clauses=XOSClauses(f.m, tuple(clauses)))
+    """The XOS probe for clause size r, carrying its clauses."""
+    d, rows = _xos_rows(f, bound, r)
+    exact = {x: Fraction(x, d) for x in set(rows)}
+    clauses = tuple(tuple([exact[x] for x in rows[q:q + f.m]]) for q in range(0, len(rows), f.m))
+    return valuation_from_ints(f.m, d, clause_max(f.m, rows), clauses=XOSClauses(f.m, clauses))
 
 
 def upward_closure(m: int, members: Sequence[int]) -> list[bool]:
@@ -151,7 +166,14 @@ def submodular_probe(f: BaseFunction, bound: Fraction, k: int, w: Price) -> Valu
     level = f.levels.get((k, w))
     if not level:
         raise DomainError("empty level set: skip this (k, w) pair")
-    m = f.m
+    return _staircase(f.m, level, bound)
+
+
+@lru_cache(maxsize=4096)
+def _staircase(m: int, level: tuple[int, ...], bound: Fraction) -> Valuation:
+    """The staircase probe of one level set, built once: base functions
+    drawn from one price grid share their level sets."""
+    k = size(level[0])
     covered = upward_closure(m, level)
     ints = []
     for s in range(1 << m):
@@ -237,9 +259,14 @@ def pairwise_submodular(v: Valuation) -> bool:
 
 @lru_cache(maxsize=1024)
 def _pairwise_submodular_ints(m: int, t: tuple[int, ...]) -> bool:
-    for s in all_bundles(m):
-        for u in range(s, 1 << m):
-            if t[s] + t[u] < t[s | u] + t[s & u]:
+    """Submodularity by its local form (Fujishige 2005, ch. 2): t(S+a) +
+    t(S+b) >= t(S+a+b) + t(S) for every S and two items a, b outside S,
+    C(m,2) * 2^(m-2) comparisons in place of every pair's ~4^m / 2."""
+    for a in range(m):
+        for b in range(a + 1, m):
+            sa, sb = bit(a), bit(b)
+            ab = sa | sb
+            if any(t[s | sa] + t[s | sb] < t[s | ab] + t[s] for s in subsets(grand(m) ^ ab)):
                 return False
     return True
 
@@ -257,8 +284,10 @@ def verify_menu(session: Session, i: int, v_minus_i, f: BaseFunction,
 
     Communication is charged as runs x (transcript bits + 1): each run of
     the mechanism plus the one-bit verdict appended after it, also where
-    the session's probe memo answers the run.  Every staircase probe is
-    checked to be submodular before it runs.
+    the session's probe memo answers the run.  The general, subadditive
+    and xos probes go to the memo as integer tables, each read back as
+    ints[won] / d; every staircase probe is checked to be submodular
+    before it runs.
     """
     spec = session.spec
     if cls not in CLASSES:
@@ -271,28 +300,26 @@ def verify_menu(session: Session, i: int, v_minus_i, f: BaseFunction,
     runs = 0
     bits = 0
     if cls == "general":
-        probe = general_probe(f, bound)
-        won, pay, used = session.probe_run(i, v_minus_i, probe)
-        runs, bits = 1, used + 1
-        answer = int(probe.table[won] > pay)
-        return VerificationResult(answer, runs, bits)
+        e, lifted, _ = _over(f, bound)
+        won, pay, used = session.probe_run(i, v_minus_i, (e, lifted))
+        answer = int(Fraction(lifted[won], e) > pay)
+        return VerificationResult(answer, 1, used + 1)
 
     if cls == "subadditive":
-        probe, shift = subadditive_probe(f, bound)
-        won, pay, used = session.probe_run(i, v_minus_i, probe)
-        runs, bits = 1, used + 1
-        lifted = probe.table[won] - (shift if won else 0)
-        answer = int(lifted > pay)
-        return VerificationResult(answer, runs, bits)
+        e, lifted, shift = _subadditive(f, bound)
+        won, pay, used = session.probe_run(i, v_minus_i, (e, lifted))
+        answer = int(Fraction(lifted[won] - (shift if won else 0), e) > pay)
+        return VerificationResult(answer, 1, used + 1)
 
     if cls == "xos":
         answer = 0
         for r in range(1, spec.m + 1):
-            probe = xos_probe(f, bound, r)
-            won, pay, used = session.probe_run(i, v_minus_i, probe)
+            d, rows = _xos_rows(f, bound, r)
+            ints = clause_max(spec.m, rows)
+            won, pay, used = session.probe_run(i, v_minus_i, (d, ints))
             runs += 1
             bits += used + 1
-            if size(won) >= r and probe.table[won] - 3 * bound * r > pay:
+            if size(won) >= r and Fraction(ints[won], d) - 3 * bound * r > pay:
                 answer = 1
         return VerificationResult(answer, runs, bits)
 
@@ -310,7 +337,7 @@ def verify_menu(session: Session, i: int, v_minus_i, f: BaseFunction,
             probe = submodular_probe(f, bound, k, w)
             if not pairwise_submodular(probe):
                 raise ContractError("a staircase probe failed the submodularity check")
-            won, pay, used = session.probe_run(i, v_minus_i, probe)
+            won, pay, used = session.probe_run(i, v_minus_i, probe.scaled_table)
             runs += 1
             bits += used + 1
             if probe.table[won] == covering and pay < w:

@@ -96,3 +96,64 @@ def test_no_module_keys_a_valuation_by_identity_or_fraction_table():
     found = {path.name: identity_and_table_keys(path.read_text(encoding="utf-8"))
              for path in modules}
     assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+
+def unbounded_caches(source: str) -> list[str]:
+    """`functools` memos without a finite bound: any `cache`, and any
+    `lru_cache` whose maxsize (by keyword or position) is not a
+    non-negative integer literal: bare, `maxsize=None` or computed."""
+    tree = ast.parse(source)
+    imported = {alias.asname or alias.name: alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "functools"
+                for alias in node.names}
+
+    def memo(node) -> str:
+        if isinstance(node, ast.Name):
+            return imported.get(node.id, "")
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "functools"):
+            return node.attr
+        return ""
+
+    calls = {node.func: node for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    found = []
+    for node in ast.walk(tree):
+        if memo(node) == "cache":
+            found.append(f"line {node.lineno}: cache")
+        elif memo(node) == "lru_cache":
+            call = calls.get(node)
+            sizes = [kw.value for kw in call.keywords if kw.arg == "maxsize"] + call.args[:1] \
+                if call else []
+            if not (sizes and isinstance(sizes[0], ast.Constant)
+                    and type(sizes[0].value) is int and sizes[0].value >= 0):
+                found.append(f"line {node.lineno}: lru_cache without a finite maxsize")
+    return found
+
+
+def test_unbounded_caches_are_found():
+    source = (
+        "import functools\n"
+        "from functools import cache, cached_property, lru_cache\n"
+        "@lru_cache(maxsize=64)\ndef a(x): return x\n"
+        "@lru_cache\ndef b(x): return x\n"
+        "@lru_cache(maxsize=None)\ndef c(x): return x\n"
+        "@functools.cache\ndef d(x): return x\n"
+        "@cache\ndef e(x): return x\n"
+        "f = functools.lru_cache(32)(len)\n"
+        "g = lru_cache(maxsize=size)(len)\n"
+        "h = functools.lru_cache(len)\n"
+        "class K:\n    @cached_property\n    def k(self): return 1\n"
+    )
+    assert sorted(unbounded_caches(source)) == [
+        "line 11: cache", "line 14: lru_cache without a finite maxsize",
+        "line 15: lru_cache without a finite maxsize",
+        "line 5: lru_cache without a finite maxsize",
+        "line 7: lru_cache without a finite maxsize", "line 9: cache"]
+
+
+def test_every_memo_in_the_package_is_bounded():
+    modules = sorted(SRC.glob("*.py"))
+    assert modules
+    found = {path.name: unbounded_caches(path.read_text(encoding="utf-8")) for path in modules}
+    assert {name: hits for name, hits in found.items() if hits} == {}

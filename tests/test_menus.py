@@ -11,7 +11,7 @@ from taxlab.menus import (ContractError, Menu, MinAffineMenu, cheapest_superset,
                           eval_min_affine, in_menu_rebuild, menu_complexity, menu_from_json,
                           menu_to_json, min_affine_from_json, min_affine_table,
                           min_affine_to_json, normalize_menu, profit_argmax_set)
-from taxlab.rational import INF, is_finite
+from taxlab.rational import INF, is_finite, sum_prices
 from taxlab.rng import stream
 from taxlab.valuations import (DomainError, Valuation, random_monotone_valuation,
                                valuation_from_values)
@@ -147,10 +147,60 @@ def test_eval_min_affine_examples():
 def test_min_affine_validation_and_json():
     with pytest.raises(DomainError):
         MinAffineMenu(2, ((F(1), F(1)),), (F(-1),))
+    for mask in (-1, 0b100):
+        with pytest.raises(DomainError, match="out of range"):
+            MinAffineMenu(2, ((F(1), F(1)),), (F(0),), ((mask, F(1)),))
     ma = MinAffineMenu(2, ((F(1), INF),), (F(0),), ((0b10, INF),))
     doc = min_affine_to_json(ma)
     back = min_affine_from_json(doc)
     assert min_affine_table(back).price == min_affine_table(ma).price
+
+
+def reference_eval_min_affine(ma, s):
+    """The per-bundle Fraction loop `MinAffineMenu.price_table` replaced."""
+    exc = dict(ma.exceptions)
+    if s in exc:
+        return exc[s]
+    if s == 0:
+        return F(0)
+    best = INF
+    for vec, r in zip(ma.vectors, ma.offsets):
+        term = sum_prices(vec[j] for j in range(ma.m) if s & bit(j))
+        if is_finite(term):
+            term = term + r
+            if term < best:
+                best = term
+    return best
+
+
+@st.composite
+def min_affine_menus(draw):
+    """m in 1..6, 0..4 vectors over mixed denominators (some entries INF or
+    negative), nonzero offsets, and up to three exceptions (INF or not,
+    the empty bundle among them at times)."""
+    m = draw(st.integers(1, 6))
+    finite = st.builds(F, st.integers(-2, 9), st.sampled_from([1, 2, 3, 4, 7]))
+    entry = st.one_of(finite, finite, st.just(INF))
+    alpha = draw(st.integers(0, 4))
+    vectors = tuple(tuple(draw(entry) for _ in range(m)) for _ in range(alpha))
+    offsets = tuple(draw(st.builds(F, st.integers(0, 9), st.sampled_from([1, 2, 5])))
+                    for _ in range(alpha))
+    masks = draw(st.lists(st.integers(0, (1 << m) - 1), max_size=3, unique=True))
+    exceptions = tuple(sorted((s, draw(st.one_of(finite, st.just(INF)))) for s in masks))
+    return MinAffineMenu(m, vectors, offsets, exceptions)
+
+
+@settings(max_examples=300, deadline=None)
+@given(min_affine_menus())
+def test_min_affine_table_matches_fraction_reference(ma):
+    want = tuple(reference_eval_min_affine(ma, s) for s in all_bundles(ma.m))
+    assert ma.price_table == want
+    assert all(type(p) is F for p in ma.price_table if is_finite(p))
+    assert min_affine_table(ma).price == want
+    assert [eval_min_affine(ma, s) for s in all_bundles(ma.m)] == list(want)
+    for s in (-1, 1 << ma.m):
+        with pytest.raises(DomainError, match="out of range"):
+            eval_min_affine(ma, s)
 
 
 def test_in_menu_rebuild_and_json():

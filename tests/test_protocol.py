@@ -3,11 +3,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from taxlab.bundles import all_bundles, bit
 from taxlab.library import (default_catalog, make_example, posted_prices,
                             warmup_catalog, warmup_tightness)
-from taxlab.protocol import (MechanismSpec, MechanismBugError, extract_menu,
+from taxlab.protocol import (MechanismSpec, MechanismBugError, additive_probe, extract_menu,
                              measure_complexities, price_run, run_mechanism)
 from taxlab.rational import INF
 from taxlab.valuations import (DomainError, ValuationCatalog, additive_valuation,
@@ -111,6 +113,18 @@ def test_extract_menu_examples():
     lazy = MechanismSpec("never", 2, 2, F(1), "bit", never_alloc)
     menu_l = extract_menu(lazy, 1, (zero,))
     assert menu_l.price == (F(0), INF, INF, INF)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.builds(F, st.integers(0, 9), st.sampled_from([1, 2, 3, 7])))
+def test_memoized_additive_probe_equals_a_fresh_build(m, bound):
+    """The probe `probe_price` reads from its memo, for every bundle, is
+    the additive valuation worth 3B on each of the bundle's items."""
+    for s in all_bundles(m):
+        fresh = additive_valuation([3 * bound if s & bit(j) else F(0) for j in range(m)])
+        got = additive_probe(m, bound, s)
+        assert got.table == fresh.table and got.scaled_table == fresh.scaled_table
+        assert additive_probe(m, bound, s) is got
 
 
 def test_measure_warmup_canonical():

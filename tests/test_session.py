@@ -57,8 +57,8 @@ def test_session_memoizes_by_content():
     assert session.menu(1, (twin,)) is session.menu(1, profile[:1])
     assert session.price_run(1, (twin,), 3) is session.price_run(1, profile[:1], 3)
     probe = additive_valuation([1, 0, 2, 0])
-    first = session.probe_run(1, profile[:1], probe)
-    assert session.probe_run(1, (twin,), additive_valuation([1, 0, 2, 0])) is first
+    first = session.probe_run(1, profile[:1], probe.scaled_table)
+    assert session.probe_run(1, (twin,), additive_valuation([1, 0, 2, 0]).scaled_table) is first
     # a different table is a different key
     alice = session.catalog.players[0]
     assert session.run((alice[0], profile[1])) is not session.run((alice[2], profile[1]))

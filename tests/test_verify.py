@@ -15,7 +15,7 @@ from taxlab.rational import INF, common_denominator, is_finite
 from taxlab.rng import stream
 from taxlab.valuations import (Valuation, ValuationCatalog, XOSClauses, additive_valuation,
                                classify_valuation, random_monotone_valuation,
-                               xos_from_clauses)
+                               valuation_from_ints, xos_from_clauses)
 from taxlab.verify import (CLASSES, BaseFunction, VerificationResult, build_probe,
                            exceeds_somewhere, general_probe, menu_price_grid,
                            pairwise_submodular, random_base_function, submodular_probe,
@@ -115,6 +115,57 @@ def test_pairwise_submodular_matches_fraction_reference(m, bound, rnd):
     for r in range(1, m + 1):
         probe = xos_probe(f, bound, r)
         assert pairwise_submodular(probe) == reference_pairwise_submodular(probe)
+
+
+@st.composite
+def monotone_tables(draw):
+    """m in 1..6 and a monotone integer table, 0 on the empty bundle: a
+    budget-additive min(cap, sum of weights) (submodular), the same with
+    one entry raised and the rise carried up to its supersets (either
+    verdict), or a random monotone completion (mostly not submodular)."""
+    m = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["budget", "raised", "random"]))
+    if kind == "random":
+        table = [0] * (1 << m)
+        for s in range(1, 1 << m):
+            table[s] = max_below(table, s, draw(st.integers(0, 12)))
+        return m, table
+    weights = [draw(st.integers(0, 5)) for _ in range(m)]
+    cap = draw(st.integers(0, 5 * m))
+    table = [min(cap, sum(w for j, w in enumerate(weights) if s & bit(j)))
+             for s in all_bundles(m)]
+    if kind == "raised":
+        s = draw(st.integers(1, (1 << m) - 1))
+        table[s] += draw(st.integers(1, 3))
+        for u in range(s + 1, 1 << m):
+            table[u] = max_below(table, u, table[u])
+    return m, table
+
+
+@settings(max_examples=400, deadline=None)
+@given(monotone_tables())
+def test_local_submodularity_matches_the_pair_loop(question):
+    """The local form (two items added to each S) against every pair
+    (S, U), on submodular tables and on tables that are not."""
+    m, table = question
+    v = valuation_from_ints(m, 1, table)
+    assert pairwise_submodular(v) == reference_pairwise_submodular(v)
+
+
+def test_the_pair_loop_oracle_sees_both_verdicts():
+    rng = stream(11, "local-submodular")
+    verdicts = set()
+    for m in range(2, 7):
+        for _ in range(30):
+            weights = [rng.randrange(6) for _ in range(m)]
+            cap = rng.randrange(5 * m)
+            table = [min(cap, sum(w for j, w in enumerate(weights) if s & bit(j)))
+                     for s in all_bundles(m)]
+            table[-1] += rng.randrange(2)  # the grand bundle, raised or not
+            v = valuation_from_ints(m, 1, table)
+            verdicts.add(pairwise_submodular(v))
+            assert pairwise_submodular(v) == reference_pairwise_submodular(v)
+    assert verdicts == {True, False}
 
 
 def test_build_probe_dispatch():
@@ -462,7 +513,12 @@ def test_probe_memo_runs_each_distinct_probe_once():
     assert charged > len(calls)  # repeats were charged though answered from the memo
     # an equal probe that is another object is a hit
     probe = general_probe(random_base_function(m, spec.bound, rng), spec.bound)
-    first = session.probe_run(1, (others[0],), probe)
+    first = session.probe_run(1, (others[0],), probe.scaled_table)
     before = len(calls)
-    assert session.probe_run(1, (others[0],), Valuation(m, probe.table)) == first
+    assert session.probe_run(1, (others[0],), Valuation(m, probe.table).scaled_table) == first
+    assert len(calls) == before
+    # so is the same table over an unreduced denominator
+    d, ints = probe.scaled_table
+    for k in (2, 3, 12):
+        assert session.probe_run(1, (others[0],), (k * d, [k * x for x in ints])) == first
     assert len(calls) == before
