@@ -86,9 +86,10 @@ def exceeds_somewhere(f: BaseFunction, menu: Menu) -> bool:
     return any(f.table[s] > menu.price[s] for s in all_bundles(f.m))
 
 
-# The probe builders below return a probe as its integer table (d, ints),
-# probe(s) == ints[s] / d, which is what `Session.probe_run` keys and runs;
-# the public *_probe functions wrap the same builders into a `Valuation`.
+# The private builders below give each probe in integers over one
+# denominator d, probe(s) == ints[s] / d: `verify_menu` hands (d, ints) to
+# `Session.probe_run`, and the public *_probe functions wrap the same
+# builders into a `Valuation`.
 
 def _over(f: BaseFunction, bound: Fraction) -> tuple[int, list[int], int]:
     """The general probe: f with infinite entries lifted to 3B, and B, as

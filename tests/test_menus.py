@@ -190,7 +190,7 @@ def min_affine_menus(draw):
     return MinAffineMenu(m, vectors, offsets, exceptions)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(min_affine_menus())
 def test_min_affine_table_matches_fraction_reference(ma):
     want = tuple(reference_eval_min_affine(ma, s) for s in all_bundles(ma.m))
