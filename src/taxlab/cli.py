@@ -195,8 +195,8 @@ def load_config(path: Path, seed_override: Optional[int] = None,
         params = check_params(mech_id, entry.get("params", {}))
         # one valuation of one player bounds the work from below: refuse
         # before a builder or a default catalog fills its 2^m tables
-        # (posted_prices takes m from its price list and builds cheaply)
-        check_work(mech_id, params.get("m", 1), [1])
+        # (posted_prices has one item per price)
+        check_work(mech_id, params.get("m", len(params.get("prices", [0]))), [1])
         spec = make_example(mech_id, params)
         try:
             catalog = (load_catalog(entry.get("catalogs"), path.parent)

@@ -4,19 +4,21 @@ presented menu anywhere, by running the mechanism and reading outcomes.
 Given a monotone base function f (finite entries bounded by the declared
 price cap B, f(empty)=0), the verifier answers "does f(S) > M(S) hold for
 some bundle S" using only mechanism runs with specially built probe
-valuations:
+valuations.  `probe_rounds` gives a class's rounds, each a probe table over
+one denominator and the test its run's (won, paid) must pass:
 
-* general:      one run with f itself, infinite entries lifted to 3B;
+* general:      one round with f itself, infinite entries lifted to 3B;
 * subadditive:  the same probe shifted up by its maximum off the empty set;
-* xos:          one run per bundle size r, with clause weights f(T)/r + 3B
-                (2B/r + 3B for infinite entries);
-* submodular:   one run per (size k, price w) pair, with the three-case
+* xos:          one round per bundle size r, with clause weights
+                f(T)/r + 3B (2B/r + 3B for infinite entries);
+* submodular:   one round per (size k, price w) pair, with the three-case
                 staircase valuation built from the level set
                 {|S| = k, f(S) = w}.
 
-The price grid for the submodular rounds is the set of distinct prices the
-mechanism's menus can show, including the infinite one when present.
-"""
+`verify_menu` runs every round through the Session's probe memo and ORs
+the verdicts.  The price grid for the submodular rounds is the set of
+distinct prices the mechanism's menus can show, including the infinite one
+when present."""
 
 from __future__ import annotations
 
@@ -24,16 +26,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
-from .bundles import (all_bundles, bit, bundles_of_size, check_m, grand, is_monotone, max_below,
-                      size, subsets)
+from .bundles import all_bundles, bit, bundles_of_size, check_m, is_monotone, max_below, size
 from .menus import ContractError, Menu
 from .protocol import Session
 from .rational import INF, Price, common_denominator, is_finite
-from .valuations import DomainError, Valuation, XOSClauses, clause_max, valuation_from_ints
+from .valuations import (DomainError, Valuation, XOSClauses, clause_max, is_submodular,
+                         valuation_from_ints)
 
 CLASSES = ("general", "subadditive", "xos", "submodular")
+Round = tuple[int, Sequence[int], Callable[[int, Price], bool]]  # (d, ints, beats), see below
 
 
 @dataclass(frozen=True)
@@ -86,10 +89,11 @@ def exceeds_somewhere(f: BaseFunction, menu: Menu) -> bool:
     return any(f.table[s] > menu.price[s] for s in all_bundles(f.m))
 
 
-# The private builders below give each probe in integers over one
-# denominator d, probe(s) == ints[s] / d: `verify_menu` hands (d, ints) to
-# `Session.probe_run`, and the public *_probe functions wrap the same
-# builders into a `Valuation`.
+# A round is (d, ints, beats): the probe valuation probe(s) == ints[s] / d,
+# which `verify_menu` hands to `Session.probe_run`, and beats(won, paid),
+# true when the run shows f above the menu on a bundle the round covers.
+# `xos_probe` and `submodular_probe` wrap the same builders into a
+# `Valuation`.
 
 def _over(f: BaseFunction, bound: Fraction) -> tuple[int, list[int], int]:
     """The general probe: f with infinite entries lifted to 3B, and B, as
@@ -99,16 +103,6 @@ def _over(f: BaseFunction, bound: Fraction) -> tuple[int, list[int], int]:
     b = bound.numerator * (e // bound.denominator)
     k = e // d
     return e, [3 * b if x == top else x * k for x in ints], b
-
-
-def _subadditive(f: BaseFunction, bound: Fraction) -> tuple[int, list[int], int]:
-    """The general probe shifted up by its maximum off the empty bundle:
-    (E, ints, the shift over E)."""
-    e, lifted, _ = _over(f, bound)
-    shift = max(lifted)
-    lifted = [x + shift for x in lifted]
-    lifted[0] = 0
-    return e, lifted, shift
 
 
 def _xos_rows(f: BaseFunction, bound: Fraction, r: int) -> tuple[int, list[int]]:
@@ -126,22 +120,21 @@ def _xos_rows(f: BaseFunction, bound: Fraction, r: int) -> tuple[int, list[int]]
     return r * e, rows
 
 
-def general_probe(f: BaseFunction, bound: Fraction) -> Valuation:
-    e, lifted, _ = _over(f, bound)
-    return valuation_from_ints(f.m, e, lifted)
-
-
-def subadditive_probe(f: BaseFunction, bound: Fraction) -> tuple[Valuation, Fraction]:
-    e, lifted, shift = _subadditive(f, bound)
-    return valuation_from_ints(f.m, e, lifted), Fraction(shift, e)
-
-
 def xos_probe(f: BaseFunction, bound: Fraction, r: int) -> Valuation:
     """The XOS probe for clause size r, carrying its clauses."""
     d, rows = _xos_rows(f, bound, r)
     exact = {x: Fraction(x, d) for x in set(rows)}
     clauses = tuple(tuple([exact[x] for x in rows[q:q + f.m]]) for q in range(0, len(rows), f.m))
     return valuation_from_ints(f.m, d, clause_max(f.m, rows), clauses=XOSClauses(f.m, clauses))
+
+
+def _xos_round(f: BaseFunction, bound: Fraction, r: int) -> Round:
+    """f beats the menu on a bundle of at least r items when the probe wins
+    one and pays below its worth less the 3B r lift."""
+    d, rows = _xos_rows(f, bound, r)
+    ints = clause_max(f.m, rows)
+    lift = 3 * bound * r
+    return d, ints, lambda won, paid: size(won) >= r and Fraction(ints[won], d) - lift > paid
 
 
 def upward_closure(m: int, members: Sequence[int]) -> list[bool]:
@@ -167,13 +160,14 @@ def submodular_probe(f: BaseFunction, bound: Fraction, k: int, w: Price) -> Valu
     level = f.levels.get((k, w))
     if not level:
         raise DomainError("empty level set: skip this (k, w) pair")
-    return _staircase(f.m, level, bound)
+    return valuation_from_ints(f.m, *_staircase(f.m, level, bound))
 
 
 @lru_cache(maxsize=4096)
-def _staircase(m: int, level: tuple[int, ...], bound: Fraction) -> Valuation:
-    """The staircase probe of one level set, built once: base functions
-    drawn from one price grid share their level sets."""
+def _staircase(m: int, level: tuple[int, ...], bound: Fraction) -> tuple[int, tuple[int, ...]]:
+    """The staircase probe's table of one level set over B's denominator,
+    built once: base functions drawn from one price grid share their level
+    sets."""
     k = size(level[0])
     covered = upward_closure(m, level)
     ints = []
@@ -185,28 +179,41 @@ def _staircase(m: int, level: tuple[int, ...], bound: Fraction) -> Valuation:
             ints.append(k << (m + 1))
         else:
             ints.append(((k << n) - 1) << (m + 1 - n))
-    return valuation_from_ints(m, bound.denominator, [x * bound.numerator for x in ints])
+    return bound.denominator, tuple([x * bound.numerator for x in ints])
 
 
-def build_probe(cls: str, f: BaseFunction, bound: Fraction, *,
-                r: Optional[int] = None, k: Optional[int] = None,
-                w: Optional[Price] = None):
-    """Probe valuation(s) for one verification round.  xos without r and
-    submodular without (k, w) return the full probe list."""
+def _staircase_round(m: int, level: tuple[int, ...], bound: Fraction, w: Price) -> Round:
+    """f beats the menu at price w on the level set when the probe wins a
+    bundle covering a member, worth k*t like the grand bundle, below w."""
+    d, ints = _staircase(m, level, bound)
+    if not pairwise_submodular(m, ints):
+        raise ContractError("a staircase probe failed the submodularity check")
+    return d, ints, lambda won, paid: ints[won] == ints[-1] and paid < w
+
+
+def probe_rounds(f: BaseFunction, bound: Fraction, cls: str,
+                 grid: Sequence[Price] = ()) -> list[Round]:
+    """Every round of the class's protocol, in run order.  The subadditive
+    probe is the general one shifted up off the empty bundle, and its round
+    decides on the unshifted table: the shifted entry less the shift on
+    every bundle but the empty one, where both tables are 0."""
+    if cls not in CLASSES:
+        raise ContractError(f"unknown verification class {cls!r}")
     f.check_bound(bound)
-    if cls == "general":
-        return general_probe(f, bound)
-    if cls == "subadditive":
-        return subadditive_probe(f, bound)[0]
+    if cls in ("general", "subadditive"):
+        e, lifted, _ = _over(f, bound)
+        probe = lifted
+        if cls == "subadditive":
+            shift = max(lifted)
+            probe = [0] + [x + shift for x in lifted[1:]]
+        return [(e, probe, lambda won, paid: Fraction(lifted[won], e) > paid)]
     if cls == "xos":
-        if r is None:
-            return [xos_probe(f, bound, rr) for rr in range(1, f.m + 1)]
-        return xos_probe(f, bound, r)
-    if cls == "submodular":
-        if k is None or w is None:
-            raise DomainError("submodular probes need the (k, w) pair")
-        return submodular_probe(f, bound, k, w)
-    raise DomainError(f"unknown class {cls!r}")
+        return [_xos_round(f, bound, r) for r in range(1, f.m + 1)]
+    if not grid:
+        raise ContractError("submodular verification needs the menu price grid")
+    levels = f.levels
+    return [_staircase_round(f.m, levels[k, w], bound, w)
+            for k in range(1, f.m + 1) for w in grid if (k, w) in levels]
 
 
 def menu_price_grid(menus: Sequence[Menu]) -> tuple[Price, ...]:
@@ -252,24 +259,11 @@ def random_base_function(m: int, bound: Fraction, rng,
     return BaseFunction(m, (Fraction(0), *[ranked[r] for r in table[1:]]))
 
 
-def pairwise_submodular(v: Valuation) -> bool:
-    """v(S) + v(U) >= v(S | U) + v(S & U) for every pair, over the integer
-    table; staircase probes repeat tables, so each is checked once."""
-    return _pairwise_submodular_ints(v.m, v.scaled_table[1])
-
-
 @lru_cache(maxsize=1024)
-def _pairwise_submodular_ints(m: int, t: tuple[int, ...]) -> bool:
-    """Submodularity by its local form (Fujishige 2005, ch. 2): t(S+a) +
-    t(S+b) >= t(S+a+b) + t(S) for every S and two items a, b outside S,
-    C(m,2) * 2^(m-2) comparisons in place of every pair's ~4^m / 2."""
-    for a in range(m):
-        for b in range(a + 1, m):
-            sa, sb = bit(a), bit(b)
-            ab = sa | sb
-            if any(t[s | sa] + t[s | sb] < t[s | ab] + t[s] for s in subsets(grand(m) ^ ab)):
-                return False
-    return True
+def pairwise_submodular(m: int, ints: tuple[int, ...]) -> bool:
+    """`valuations.is_submodular` on one integer table; staircase probes
+    repeat tables, so each is checked once."""
+    return is_submodular(ints, m)
 
 
 @dataclass(frozen=True)
@@ -281,66 +275,20 @@ class VerificationResult:
 
 def verify_menu(session: Session, i: int, v_minus_i, f: BaseFunction,
                 cls: str, price_grid: Optional[Sequence[Price]] = None) -> VerificationResult:
-    """Run the class-specific probe protocol and report the decision bit.
+    """Run the class's probe rounds and report the decision bit: f beats
+    the menu when some round's test passes.
 
     Communication is charged as runs x (transcript bits + 1): each run of
     the mechanism plus the one-bit verdict appended after it, also where
-    the session's probe memo answers the run.  The general, subadditive
-    and xos probes go to the memo as integer tables, each read back as
-    ints[won] / d; every staircase probe is checked to be submodular
-    before it runs.
+    the session's probe memo answers the run.
     """
-    spec = session.spec
-    if cls not in CLASSES:
-        raise ContractError(f"unknown verification class {cls!r}")
-    if f.m != spec.m:
+    if f.m != session.spec.m:
         raise ContractError("base function item count mismatch")
-    f.check_bound(spec.bound)
-    bound = spec.bound
     v_minus_i = tuple(v_minus_i)
-    runs = 0
-    bits = 0
-    if cls == "general":
-        e, lifted, _ = _over(f, bound)
-        won, pay, used = session.probe_run(i, v_minus_i, (e, lifted))
-        answer = int(Fraction(lifted[won], e) > pay)
-        return VerificationResult(answer, 1, used + 1)
-
-    if cls == "subadditive":
-        e, lifted, shift = _subadditive(f, bound)
-        won, pay, used = session.probe_run(i, v_minus_i, (e, lifted))
-        answer = int(Fraction(lifted[won] - (shift if won else 0), e) > pay)
-        return VerificationResult(answer, 1, used + 1)
-
-    if cls == "xos":
-        answer = 0
-        for r in range(1, spec.m + 1):
-            d, rows = _xos_rows(f, bound, r)
-            ints = clause_max(spec.m, rows)
-            won, pay, used = session.probe_run(i, v_minus_i, (d, ints))
-            runs += 1
-            bits += used + 1
-            if size(won) >= r and Fraction(ints[won], d) - 3 * bound * r > pay:
-                answer = 1
-        return VerificationResult(answer, runs, bits)
-
-    grid = tuple(price_grid) if price_grid is not None else ()
-    if not grid:
-        raise ContractError("submodular verification needs the menu price grid")
-    answer = 0
-    t = (1 << (spec.m + 1)) * bound
-    levels = f.levels
-    for k in range(1, spec.m + 1):
-        covering = k * t
-        for w in grid:
-            if (k, w) not in levels:
-                continue
-            probe = submodular_probe(f, bound, k, w)
-            if not pairwise_submodular(probe):
-                raise ContractError("a staircase probe failed the submodularity check")
-            won, pay, used = session.probe_run(i, v_minus_i, probe.scaled_table)
-            runs += 1
-            bits += used + 1
-            if probe.table[won] == covering and pay < w:
-                answer = 1
-    return VerificationResult(answer, runs, bits)
+    rounds = probe_rounds(f, session.spec.bound, cls, price_grid or ())
+    answer = bits = 0
+    for d, ints, beats in rounds:
+        won, paid, used = session.probe_run(i, v_minus_i, (d, ints))
+        bits += used + 1
+        answer |= beats(won, paid)
+    return VerificationResult(int(answer), len(rounds), bits)

@@ -193,6 +193,7 @@ def test_oversized_m_and_non_object_config_exit_two(tmp_path, capsys, monkeypatc
         ({"id": "mt_gadget", "params": {"m": 16}}, "m=16"),
         ({"id": "mt_gadget", "params": {"m": 10}}, "wrapper plays"),
         ({"id": "posted_prices", "params": {"prices": ["1", "1", "2"], "n": 12}}, "[4, 4, 4"),
+        ({"id": "posted_prices", "params": {"prices": ["1"] * 16}}, "m=16"),
         ({"id": "warmup_tightness", "params": {"c": 1},
           "catalogs": [[numeric_values], [numeric_values]]}, ".catalogs:"),
     ]

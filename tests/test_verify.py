@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from taxlab import suites
 from taxlab.bundles import DomainError, all_bundles, bit, bundles_of_size, max_below, size
 from taxlab.library import default_catalog, make_example
+from taxlab.menus import ContractError
 from taxlab.protocol import (MechanismSpec, Session, extract_menu, insert_player,
                              measure_complexities, run_mechanism)
 from taxlab.rational import INF, common_denominator, is_finite
@@ -16,10 +17,10 @@ from taxlab.rng import stream
 from taxlab.valuations import (Valuation, ValuationCatalog, XOSClauses, additive_valuation,
                                classify_valuation, random_monotone_valuation,
                                valuation_from_ints, xos_from_clauses)
-from taxlab.verify import (CLASSES, BaseFunction, VerificationResult, build_probe,
-                           exceeds_somewhere, general_probe, menu_price_grid,
-                           pairwise_submodular, random_base_function, submodular_probe,
-                           subadditive_probe, upward_closure, verify_menu, xos_probe)
+from taxlab.verify import (CLASSES, BaseFunction, VerificationResult, exceeds_somewhere,
+                           menu_price_grid, pairwise_submodular, probe_rounds,
+                           random_base_function, submodular_probe, upward_closure, verify_menu,
+                           xos_probe)
 
 F = Fraction
 
@@ -32,21 +33,31 @@ def base(m, entries):
     return BaseFunction(m, tuple(table))
 
 
+def only_probe(f, bound, cls):
+    """The one round of a general or subadditive protocol, its probe as a
+    `Valuation`, and its test."""
+    [(d, ints, beats)] = probe_rounds(f, bound, cls)
+    return valuation_from_ints(f.m, d, ints), beats
+
+
 def test_general_probe_examples():
     f = base(2, {0b01: 1, 0b10: 1, 0b11: 2})
-    probe = general_probe(f, F(2))
+    probe, beats = only_probe(f, F(2), "general")
     assert probe.table == (F(0), F(1), F(1), F(2))
+    assert beats(0b11, F(3, 2)) and not beats(0b11, F(2)) and not beats(0, F(0))
     f_inf = base(1, {0b1: INF})
-    probe1 = general_probe(f_inf, F(2))
+    probe1, _ = only_probe(f_inf, F(2), "general")
     assert probe1.table == (F(0), F(6))  # infinite entries lift to 3B
 
 
 def test_subadditive_probe_shape():
     f = base(2, {0b01: 1, 0b10: INF, 0b11: INF})
-    probe, shift = subadditive_probe(f, F(1))
-    assert shift == 3  # the lifted maximum
+    probe, beats = only_probe(f, F(1), "subadditive")
+    shift = 3  # the lifted maximum
     assert probe.table[0] == 0 and probe.table[0b01] == 1 + shift
     assert "subadditive" in classify_valuation(probe)
+    # the test reads the unshifted table: f({1}) = 1 against the price paid
+    assert beats(0b01, F(1, 2)) and not beats(0b01, F(1)) and not beats(0, F(0))
 
 
 def test_xos_probe_certified():
@@ -109,12 +120,13 @@ def test_pairwise_submodular_matches_fraction_reference(m, bound, rnd):
     k = rnd.randrange(1, m + 1)
     for w in sorted({f.table[s] for s in all_bundles(m) if bin(s).count("1") == k}):
         probe = submodular_probe(f, bound, k, w)
-        assert pairwise_submodular(probe) == reference_pairwise_submodular(probe) is True
+        verdict = pairwise_submodular(m, probe.scaled_table[1])
+        assert verdict == reference_pairwise_submodular(probe) is True
     other = random_monotone_valuation(m, rnd, rnd.choice([1, 2, 3, 8]), bound)
-    assert pairwise_submodular(other) == reference_pairwise_submodular(other)
+    assert pairwise_submodular(m, other.scaled_table[1]) == reference_pairwise_submodular(other)
     for r in range(1, m + 1):
         probe = xos_probe(f, bound, r)
-        assert pairwise_submodular(probe) == reference_pairwise_submodular(probe)
+        assert pairwise_submodular(m, probe.scaled_table[1]) == reference_pairwise_submodular(probe)
 
 
 @st.composite
@@ -149,7 +161,7 @@ def test_local_submodularity_matches_the_pair_loop(question):
     (S, U), on submodular tables and on tables that are not."""
     m, table = question
     v = valuation_from_ints(m, 1, table)
-    assert pairwise_submodular(v) == reference_pairwise_submodular(v)
+    assert pairwise_submodular(m, v.scaled_table[1]) == reference_pairwise_submodular(v)
 
 
 def test_the_pair_loop_oracle_sees_both_verdicts():
@@ -163,20 +175,25 @@ def test_the_pair_loop_oracle_sees_both_verdicts():
                      for s in all_bundles(m)]
             table[-1] += rng.randrange(2)  # the grand bundle, raised or not
             v = valuation_from_ints(m, 1, table)
-            verdicts.add(pairwise_submodular(v))
-            assert pairwise_submodular(v) == reference_pairwise_submodular(v)
+            verdicts.add(pairwise_submodular(m, v.scaled_table[1]))
+            assert pairwise_submodular(m, v.scaled_table[1]) == reference_pairwise_submodular(v)
     assert verdicts == {True, False}
 
 
-def test_build_probe_dispatch():
-    f = base(2, {0b01: 1, 0b10: 1, 0b11: 1})
-    assert build_probe("general", f, F(1)).table == general_probe(f, F(1)).table
-    probes = build_probe("xos", f, F(1))
-    assert isinstance(probes, list) and len(probes) == 2
-    with pytest.raises(Exception):
-        build_probe("submodular", f, F(1))
-    with pytest.raises(Exception):
-        build_probe("mystery", f, F(1))
+def test_probe_rounds_per_class():
+    f = base(3, {0b001: 1, 0b010: 1, 0b100: 2, 0b011: 2, 0b101: 2, 0b110: 2, 0b111: 2})
+    grid = (F(0), F(1), F(2), INF)
+    counts = {cls: len(probe_rounds(f, F(2), cls, grid)) for cls in CLASSES}
+    # submodular: one round per (k, w) level present in the grid, here
+    # (1, 1), (1, 2), (2, 2) and (3, 2)
+    assert counts == {"general": 1, "subadditive": 1, "xos": 3, "submodular": 4}
+    assert len(probe_rounds(f, F(2), "submodular", (F(1),))) == 1
+    with pytest.raises(ContractError, match="price grid"):
+        probe_rounds(f, F(2), "submodular")
+    with pytest.raises(ContractError, match="unknown verification class"):
+        probe_rounds(f, F(2), "mystery", grid)
+    with pytest.raises(DomainError, match="price cap"):
+        probe_rounds(f, F(1), "general")
 
 
 def test_verify_menu_decision_examples():
@@ -207,7 +224,6 @@ def test_verify_menu_decision_examples():
 
 def test_a_non_submodular_staircase_probe_is_refused(monkeypatch):
     import taxlab.verify as verify
-    from taxlab.menus import ContractError
 
     spec = make_example("warmup_tightness", {"c": 2})
     cat = default_catalog("warmup_tightness", spec, {"c": 2})
@@ -219,8 +235,8 @@ def test_a_non_submodular_staircase_probe_is_refused(monkeypatch):
     assert verify_menu(session, 1, v_minus, f, "submodular", price_grid=grid).answer == 0
     # complements: the pair is worth more than its items together
     complements = Valuation(2, (F(0), F(0), F(0), F(1)))
-    assert not pairwise_submodular(complements)
-    monkeypatch.setattr(verify, "submodular_probe", lambda *args: complements)
+    assert not pairwise_submodular(2, complements.scaled_table[1])
+    monkeypatch.setattr(verify, "_staircase", lambda *args: complements.scaled_table)
     with pytest.raises(ContractError, match="submodularity"):
         verify_menu(session, 1, v_minus, f, "submodular", price_grid=grid)
 
@@ -353,18 +369,25 @@ def test_integer_builders_match_fraction_reference(question):
         (k, w): tuple(s for s in bundles_of_size(m, k) if f.table[s] == w)
         for k in range(1, m + 1) for w in {f.table[s] for s in bundles_of_size(m, k)}}
 
-    g = general_probe(f, bound)
-    assert g.table == reference_general_probe(f, bound).table
-    assert_integer_form(g)
-    sub, shift = subadditive_probe(f, bound)
-    want_sub, want_shift = reference_subadditive_probe(f, bound)
-    assert sub.table == want_sub.table and shift == want_shift
-    assert_integer_form(sub)
+    def tables(cls, grid=()):
+        return [tuple(F(x, d) for x in ints) for d, ints, _ in probe_rounds(f, bound, cls, grid)]
+
+    g = reference_general_probe(f, bound)
+    assert tables("general") == [g.table]
+    assert_integer_form(only_probe(f, bound, "general")[0])
+    want_sub, _ = reference_subadditive_probe(f, bound)
+    assert tables("subadditive") == [want_sub.table]
+    assert_integer_form(only_probe(f, bound, "subadditive")[0])
+    assert tables("xos") == [reference_xos_probe(f, bound, r).table for r in range(1, m + 1)]
     for r in range(1, m + 1):
         x = xos_probe(f, bound, r)
         want_x = reference_xos_probe(f, bound, r)
         assert x.table == want_x.table and x.clauses == want_x.clauses
         assert_integer_form(x)
+    grid = tuple({w for _, w in f.levels})
+    assert tables("submodular", grid) == [reference_submodular_probe(f, bound, k, w).table
+                                          for k in range(1, m + 1) for w in grid
+                                          if (k, w) in f.levels]
     for (k, w) in f.levels:
         p = submodular_probe(f, bound, k, w)
         assert p.table == reference_submodular_probe(f, bound, k, w).table
@@ -501,18 +524,12 @@ def test_probe_memo_runs_each_distinct_probe_once():
                                          values=grid if cls == "submodular" else None)
                 res = verify_menu(session, 1, v_minus, f, cls, price_grid=grid)
                 charged += res.runs
-                if cls == "xos":
-                    probes = [xos_probe(f, spec.bound, r) for r in range(1, m + 1)]
-                elif cls == "submodular":
-                    probes = [submodular_probe(f, spec.bound, k, w)
-                              for k in range(1, m + 1) for w in grid if (k, w) in f.levels]
-                else:
-                    probes = [build_probe(cls, f, spec.bound)]
-                asked |= {(v_minus[0].table, p.table) for p in probes}
+                asked |= {(v_minus[0].table, tuple(F(x, d) for x in ints))
+                          for d, ints, _ in probe_rounds(f, spec.bound, cls, grid)}
     assert sorted(calls) == sorted(asked)  # one run per distinct (v_minus_i, probe table)
     assert charged > len(calls)  # repeats were charged though answered from the memo
     # an equal probe that is another object is a hit
-    probe = general_probe(random_base_function(m, spec.bound, rng), spec.bound)
+    probe, _ = only_probe(random_base_function(m, spec.bound, rng), spec.bound, "general")
     first = session.probe_run(1, (others[0],), probe.scaled_table)
     before = len(calls)
     assert session.probe_run(1, (others[0],), Valuation(m, probe.table).scaled_table) == first
@@ -522,3 +539,34 @@ def test_probe_memo_runs_each_distinct_probe_once():
     for k in (2, 3, 12):
         assert session.probe_run(1, (others[0],), (k * d, [k * x for x in ints])) == first
     assert len(calls) == before
+
+
+@pytest.mark.parametrize("cls", CLASSES)
+def test_probes_become_valuations_only_on_memo_misses(cls, monkeypatch):
+    """`verify_menu` builds a `Valuation` for each probe-memo miss and for
+    nothing else: the staircase tables stay integer until a miss."""
+    import taxlab.verify as verify
+
+    m = 3
+    calls = []
+    spec = counting_spec(m, calls)
+    others = (additive_valuation([F(1)] * m), additive_valuation([F(2)] * m))
+    session = Session(spec, ValuationCatalog((others, others)))
+    grid = (F(0), F(1, 2), F(1), INF)
+    rng = stream(4, "constructions", cls)
+    bases = [random_base_function(m, spec.bound, rng,
+                                  values=grid if cls == "submodular" else None)
+             for _ in range(20)]
+    built = []
+    check = Valuation.__post_init__
+
+    def counted(v):
+        built.append(v.table)
+        check(v)
+
+    monkeypatch.setattr(Valuation, "__post_init__", counted)
+    verify._staircase.cache_clear()
+    for f in bases:
+        for v_minus in ((others[0],), (others[1],)):
+            verify_menu(session, 1, v_minus, f, cls, price_grid=grid)
+    assert len(built) == len(calls) > 0  # one run per memo miss
