@@ -16,15 +16,18 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
-from .bundles import all_bundles, best_bundle, bit, size
+from .bundles import MAX_ITEMS, all_bundles, best_bundle, bit, size
 from .menus import Menu, MinAffineMenu, eval_min_affine
 from .protocol import MechanismSpec, extract_menu, insert_player, run_mechanism
 from .queries import bundle_price, demand_query
 from .rational import INF, Price, is_finite
 from .valuations import DomainError, Valuation, layered_valuation
 
+ZERO = Fraction(0)
+ONE = Fraction(1)
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
+SIZES = tuple(Fraction(k) for k in range(MAX_ITEMS + 1))  # SIZES[k] == k
 
 
 class CharacterizationViolation(RuntimeError):
@@ -107,7 +110,8 @@ class GadgetResult:
 def hidden_bump_price(s: int, t_mask: Optional[int]) -> Fraction:
     """Menu price of s: its size, plus a half unit on the hidden bundle
     t_mask (None: no bump)."""
-    return Fraction(size(s)) + (HALF if s == t_mask else Fraction(0))
+    price = SIZES[size(s)]
+    return price + HALF if s == t_mask else price
 
 
 def mt_gadget_argmax(m: int, oracle: Callable[[Sequence[Price]], tuple[int, Fraction]],
@@ -131,23 +135,22 @@ def mt_gadget_argmax(m: int, oracle: Callable[[Sequence[Price]], tuple[int, Frac
         queries += 1
         return oracle(prices)
 
-    ones = tuple(Fraction(1) for _ in range(m))
-    d0, v0 = ask(ones)
+    d0, v0 = ask((ONE,) * m)
     if not (price_check(d0) and size(d0) == m // 2):
-        price = Fraction(size(d0))
+        price = SIZES[size(d0)]
         return GadgetResult(d0, v0 - price, price, queries)
 
     t_mask = d0
     candidates = [(t_mask, v0 - hidden_bump_price(t_mask, t_mask))]
     for j in range(m):
         if t_mask & bit(j):
-            prices = tuple(INF if k == j else Fraction(1) for k in range(m))
+            prices = tuple(INF if k == j else ONE for k in range(m))
             d, dv = ask(prices)
             candidates.append((d, dv - hidden_bump_price(d, t_mask)))
     for j in range(m):
         if not t_mask & bit(j):
             prices = tuple(
-                Fraction(0) if t_mask & bit(k) else (HALF if k == j else Fraction(1))
+                ZERO if t_mask & bit(k) else (HALF if k == j else ONE)
                 for k in range(m)
             )
             d, dv = ask(prices)
@@ -164,19 +167,22 @@ def hidden_problem_valuation(m: int, t_mask: int) -> Valuation:
     built (and validated) per (m, t_mask).  256 entries hold every
     half-size bundle for m <= 10 without keeping thousands of 2^m tables
     at larger m."""
-    return layered_valuation(m, {t_mask: QUARTER}, Fraction(1))
+    return layered_valuation(m, {t_mask: QUARTER}, ONE)
 
 
 def demand_cover(prices: Sequence[Price], m: int) -> set[int]:
     """Bundles a demand query pins down in the hidden-bundle problem: the
     only candidate is the set of items priced at most a quarter, and it
-    counts only if the hidden-bundle valuation actually answers with it."""
+    counts only if the hidden-bundle valuation actually answers with it.
+    `4 * p.numerator <= p.denominator` is p <= 1/4 without a Fraction
+    comparison."""
     if m % 2:
         raise DomainError("even item count required")
+    if len(prices) != m:
+        raise DomainError("price vector length must equal m")
     candidate = 0
-    for j in range(m):
-        p = prices[j]
-        if is_finite(p) and p <= QUARTER:
+    for j, p in enumerate(prices):
+        if p is not INF and 4 * p.numerator <= p.denominator:
             candidate |= bit(j)
     if size(candidate) != m // 2:
         return set()

@@ -6,8 +6,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from .bundles import all_bundles, bit, subset_sums
-from .rational import INF, Price, common_denominator, is_finite
+from .bundles import bit, subset_sums
+from .rational import INF, Price, is_finite
 from .valuations import DomainError, Valuation
 
 
@@ -35,24 +35,23 @@ def demand_query(v: Valuation, prices: Sequence[Price]) -> tuple[int, Fraction]:
     bundle and its value.
 
     Exact integer kernel: the table and the finite prices are scaled to one
-    common denominator, an INF item weighs 0 and goes in the blocked mask,
-    and `subset_sums` prices every bundle with one int addition."""
+    common denominator and `subset_sums` prices every bundle with one int
+    addition.  An INF item weighs one more than the grand bundle's value,
+    so by monotonicity (v(S + B) - v(S) <= v(grand)) a bundle holding it
+    loses strictly to the same bundle without it, whatever the finite
+    prices; the answer is the first maximizer, the empty bundle's 0
+    competing."""
     if len(prices) != v.m:
         raise DomainError("price vector length must equal m")
     d, values = v.scaled_table
-    blocked = sum(bit(j) for j, p in enumerate(prices) if not is_finite(p))
-    dp, weights = common_denominator([p if is_finite(p) else 0 for p in prices])
-    den = lcm(d, dp)
-    scale, price_scale = den // d, den // dp
-    cost = subset_sums([q * price_scale for q in weights])
-    best_mask, best_profit = 0, 0
-    for s in all_bundles(v.m):
-        if s & blocked:
-            continue
-        profit = values[s] * scale - cost[s]
-        if profit > best_profit:
-            best_mask, best_profit = s, profit
-    return best_mask, v.table[best_mask]
+    ratios = [None if p is INF else p.as_integer_ratio() for p in prices]
+    den = lcm(d, *[r[1] for r in ratios if r])
+    scale = den // d
+    blocked = values[-1] * scale + 1
+    cost = subset_sums([blocked if r is None else r[0] * (den // r[1]) for r in ratios])
+    profits = [x * scale - c for x, c in zip(values, cost)]
+    best = profits.index(max(profits))
+    return best, v.table[best]
 
 
 def optimal_welfare(vs: Sequence[Valuation]) -> tuple[tuple[int, ...], Fraction]:

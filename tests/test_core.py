@@ -1,13 +1,14 @@
 """Bundles, exact prices, valuations, and the two query oracles."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taxlab.bundles import (all_bundles, best_bundle, bit, bundles_of_size, is_monotone, size,
-                            subset_sums, subsets, supersets)
+from taxlab.bundles import (all_bundles, best_bundle, bit, bundles_of_size, is_monotone,
+                            max_below, size, subset_sums, subsets, supersets)
 from taxlab.queries import bundle_price, demand_query, optimal_welfare, value_query
 from taxlab.rational import (INF, common_denominator, format_price, is_finite, parse_price,
                              sum_prices)
@@ -157,13 +158,16 @@ def reference_demand_query(v, prices):
 
 @st.composite
 def grid_demand_questions(draw):
-    """Grid-valued valuations and mixed-denominator prices: many ties."""
+    """Grid-valued valuations and mixed-denominator prices: many ties.
+    Prices may be negative or zero, and a vector may be all INF."""
     m = draw(st.integers(1, 8))
     grid = draw(st.sampled_from([1, 2, 3, 4, 8]))
     scale = draw(st.sampled_from([Fraction(1), Fraction(4), Fraction(5, 3)]))
     v = random_monotone_valuation(m, draw(st.randoms(use_true_random=False)), grid, scale)
-    finite = st.builds(Fraction, st.integers(0, 16), st.sampled_from([1, 2, 3, 7, 8]))
-    price = st.one_of(st.just(INF), finite)
+    finite = st.builds(Fraction, st.integers(-8, 16), st.sampled_from([1, 2, 3, 7, 8]))
+    price = st.one_of(st.just(INF), st.just(Fraction(0)), finite)
+    if draw(st.booleans()) and draw(st.booleans()):
+        return v, (INF,) * m
     prices = tuple(draw(st.lists(price, min_size=m, max_size=m)))
     return v, prices
 
@@ -179,6 +183,41 @@ def test_demand_query_matches_fraction_reference(question):
     assert tuple(Fraction(x, d) for x in ints) == v.table
     with pytest.raises(DomainError):
         demand_query(v, prices + (Fraction(0),))
+
+
+def test_demand_query_blocks_inf_items_under_negative_prices():
+    F = Fraction
+    v = valuation_from_values(3, {0b001: 1, 0b010: 1, 0b100: 5, 0b111: 7})
+    # item 3 is worth 5 but blocked; paid-to-take items 1 and 2 still win
+    assert demand_query(v, (F(-2), F(-3), INF)) == (0b011, F(1))
+    assert demand_query(v, (INF, INF, INF)) == (0, F(0))
+    assert demand_query(v, (F(-1, 3), INF, INF)) == (0b001, F(1))
+    # no item blocked: the grand bundle, and ties go to the smaller mask
+    assert demand_query(v, (F(0), F(0), F(0))) == (0b111, F(7))
+    assert demand_query(v, (F(1, 2), F(1), F(5))) == (0b001, F(1))  # 1/2 vs 7 - 13/2
+
+
+def reference_random_monotone_valuation(m, rng, grid=8, scale=Fraction(4)):
+    """The Fraction body `random_monotone_valuation` replaced: one draw
+    and one Fraction monotone completion per bundle."""
+    raw = [Fraction(rng.randrange(grid + 1), grid) * scale for _ in all_bundles(m)]
+    table = [Fraction(0)] * (1 << m)
+    for s in all_bundles(m):
+        table[s] = max_below(table, s, raw[s] if s else Fraction(0))
+    return Valuation(m, tuple(table))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8), st.sampled_from([1, 2, 3, 4, 8]),
+       st.sampled_from([2, Fraction(4), Fraction(5, 3)]), st.integers(0, 2**32))
+def test_random_valuations_match_the_fraction_builder(m, grid, scale, seed):
+    rng, twin = random.Random(seed), random.Random(seed)
+    v = random_monotone_valuation(m, rng, grid, scale)
+    want = reference_random_monotone_valuation(m, twin, grid, scale)
+    assert v.table == want.table and v == want
+    assert all(type(x) is Fraction for x in v.table)
+    assert v.scaled_table == common_denominator(v.table)
+    assert rng.getstate() == twin.getstate()
 
 
 def test_integer_form_leaves_equality_hash_and_repr_alone():

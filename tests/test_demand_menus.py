@@ -5,8 +5,10 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from taxlab.bundles import all_bundles, bundles_of_size
+from taxlab.bundles import all_bundles, bundles_of_size, size
 from taxlab.demand_menus import (CharacterizationViolation, covers, demand_cover,
                                  extract_min_affine, hidden_bump_price,
                                  hidden_problem_valuation, min_affine_argmax,
@@ -15,9 +17,9 @@ from taxlab.library import default_catalog, make_example
 from taxlab.menus import MinAffineMenu, eval_min_affine
 from taxlab.protocol import MechanismSpec, extract_menu
 from taxlab.queries import demand_query
-from taxlab.rational import INF
+from taxlab.rational import INF, is_finite
 from taxlab.rng import stream
-from taxlab.valuations import (additive_valuation, random_monotone_valuation,
+from taxlab.valuations import (DomainError, additive_valuation, random_monotone_valuation,
                                valuation_from_values)
 
 F = Fraction
@@ -167,6 +169,57 @@ def test_demand_cover_examples():
     assert demand_cover((F(1, 10), F(1, 10), F(1), F(1)), 4) == {0b0011}
     assert demand_cover((F(1),) * 4, 4) == set()
     assert demand_cover((F(1, 8), F(1, 8), F(1, 2), F(1, 2)), 4) == set()
+    assert demand_cover((F(1, 8), F(-1, 2), F(1), INF), 4) == {0b0011}
+    # an item at exactly 1/4 joins the candidate, but dropping it leaves the
+    # profit as it is, so the smaller bundle answers
+    assert demand_cover((F(1, 4), F(-1, 2), F(1), INF), 4) == set()
+    assert demand_cover((F(1, 8), F(-1, 2), F(1), F(1, 4)), 4) == set()
+
+
+def test_demand_cover_refuses_a_price_vector_of_the_wrong_length():
+    for prices in ((F(1, 8),) * 8, (F(1, 8),) * 3):
+        with pytest.raises(DomainError, match="price vector length must equal m"):
+            demand_cover(prices, 6)
+
+
+def reference_demand_cover(prices, m):
+    """The Fraction candidate loop `demand_cover` replaced."""
+    candidate = 0
+    for j in range(m):
+        p = prices[j]
+        if is_finite(p) and p <= F(1, 4):
+            candidate |= 1 << j
+    if bin(candidate).count("1") != m // 2:
+        return set()
+    answer, _ = demand_query(hidden_problem_valuation(m, candidate), prices)
+    return {candidate} if answer == candidate else set()
+
+
+@st.composite
+def cover_questions(draw):
+    """Even m and prices at and around the 1/4 threshold, over mixed
+    denominators, negative ones and INF included."""
+    m = draw(st.sampled_from([2, 4, 6, 8]))
+    near = st.sampled_from([F(1, 4), F(1, 4), F(0), F(1, 8), F(1, 3), F(1, 2), F(-1, 2)])
+    finite = st.builds(F, st.integers(-2, 6), st.sampled_from([1, 2, 3, 4, 8, 12]))
+    prices = draw(st.lists(st.one_of(st.just(INF), near, finite), min_size=m, max_size=m))
+    return tuple(prices), m
+
+
+@settings(max_examples=400, deadline=None)
+@given(cover_questions())
+def test_demand_cover_matches_the_fraction_candidate_loop(question):
+    prices, m = question
+    assert demand_cover(prices, m) == reference_demand_cover(prices, m)
+
+
+def test_hidden_bump_price_is_size_plus_a_half_on_the_bump():
+    for m in range(1, 9):
+        for t_mask in bundles_of_size(m, m // 2) + [None]:
+            for s in all_bundles(m):
+                want = F(size(s)) + (F(1, 2) if s == t_mask else 0)
+                got = hidden_bump_price(s, t_mask)
+                assert got == want and type(got) is F
 
 
 def test_hidden_problem_valuation_is_built_once_per_bundle():
