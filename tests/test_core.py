@@ -120,6 +120,12 @@ def test_demand_query_examples():
     assert demand_query(any_v, (INF, INF, INF)) == (0, Fraction(0))
     zero = additive_valuation([0, 0])
     assert demand_query(zero, (Fraction(0), Fraction(0))) == (0, Fraction(0))
+    F = Fraction
+    w = valuation_from_values(3, {0b001: 1, 0b010: 1, 0b100: 5, 0b111: 7})
+    # item 3 is worth 5 but blocked; items 1 and 2 are paid to be taken
+    assert demand_query(w, (F(-2), F(-3), INF)) == (0b011, F(1))
+    assert demand_query(w, (F(-1, 3), INF, INF)) == (0b001, F(1))
+    assert demand_query(w, (F(1, 2), F(1), F(5))) == (0b001, F(1))  # 1/2 ties 7 - 13/2
 
 
 def test_demand_query_optimality_exhaustive():
@@ -183,18 +189,6 @@ def test_demand_query_matches_fraction_reference(question):
     assert tuple(Fraction(x, d) for x in ints) == v.table
     with pytest.raises(DomainError):
         demand_query(v, prices + (Fraction(0),))
-
-
-def test_demand_query_blocks_inf_items_under_negative_prices():
-    F = Fraction
-    v = valuation_from_values(3, {0b001: 1, 0b010: 1, 0b100: 5, 0b111: 7})
-    # item 3 is worth 5 but blocked; paid-to-take items 1 and 2 still win
-    assert demand_query(v, (F(-2), F(-3), INF)) == (0b011, F(1))
-    assert demand_query(v, (INF, INF, INF)) == (0, F(0))
-    assert demand_query(v, (F(-1, 3), INF, INF)) == (0b001, F(1))
-    # no item blocked: the grand bundle, and ties go to the smaller mask
-    assert demand_query(v, (F(0), F(0), F(0))) == (0b111, F(7))
-    assert demand_query(v, (F(1, 2), F(1), F(5))) == (0b001, F(1))  # 1/2 vs 7 - 13/2
 
 
 def reference_random_monotone_valuation(m, rng, grid=8, scale=Fraction(4)):
