@@ -135,23 +135,35 @@ def check_params(mech_id, params) -> dict:
     return mech.complete(params)
 
 
+def audit_work(m: int, sizes: list[int]) -> tuple[int, int]:
+    """Upper bounds on a two-player deviation audit's (trie walks, wrapper
+    plays).  Player i meets |c_o| truthful opponents and |presented_o| 2^m
+    deviating ones grouped by announcement, and per group settles
+    |presented_i| 2^m positions and |c_i| truthful ones, with |presented|
+    <= |c|: walks <= 2 p (2^m + 1)^2 over the p = |c_0| |c_1| profiles.
+    A play needs one of the <= p truthful four-announcement prefixes, which
+    one deviating group and at most |c_o| truthful ones reach, and is made
+    per own and opponent inner valuation, as a deviation or as truthful
+    play: plays <= 2 (2 |c_o|)(2 |c_i|) p = 8 p^2."""
+    profiles = prod(sizes)
+    return 2 * profiles * ((1 << m) + 1) ** 2, 8 * profiles * profiles
+
+
 def check_work(mech_id: str, m: int, sizes: list[int], transform: bool = False) -> None:
     """Refuse (profiles + sum_i |others_i| 2^m) 2^m > MAX_MEASURE_WORK steps,
-    and, for the transform suite, a deviation audit of more wrapper plays
-    than that."""
+    and, for the transform suite, a deviation audit of more trie walks and
+    wrapper plays than that (`audit_work`)."""
     profiles = prod(sizes)
     work = (profiles + (sum(profiles // k for k in sizes) << m)) << m
     if work > MAX_MEASURE_WORK:
         raise ConfigError(f"{mech_id} at m={m}: measuring catalogs of sizes {sizes} (or larger) "
                           f"needs {work} table steps, over the cap of {MAX_MEASURE_WORK}")
     if transform and len(sizes) == 2:
-        # player i settles one play per (menu index, bundle) against each of
-        # |c_o| truthful and |presented_o| 2^m |c_o| deviating opponents,
-        # with |presented_i| <= |c_i|
-        plays = sum(((c << m) * (o + (o * o << m))) for c, o in (sizes, sizes[::-1]))
-        if plays > MAX_MEASURE_WORK:
+        walks, plays = audit_work(m, sizes)
+        if walks + plays > MAX_MEASURE_WORK:
             raise ConfigError(f"{mech_id} at m={m}: auditing catalogs of sizes {sizes} needs "
-                              f"up to {plays} wrapper plays, over the cap of {MAX_MEASURE_WORK}")
+                              f"up to {walks} trie walks and {plays} wrapper plays, over the "
+                              f"cap of {MAX_MEASURE_WORK}")
 
 
 def load_config(path: Path, seed_override: Optional[int] = None,

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Optional, Union
+from operator import itemgetter
+from typing import Optional
 
 from .bundles import all_bundles, grand, size
 from .menus import Menu, profit_argmax_set
@@ -48,9 +49,6 @@ class DeviationStrategy:
     inner: Valuation
 
 
-Strategy = Union[str, DeviationStrategy]  # "truthful" or a deviation
-
-
 @dataclass(frozen=True)
 class TwoPlayerTables:
     """Public structure the wrapper needs: each player's possible presented
@@ -71,15 +69,19 @@ class TwoPlayerTables:
         return self.session.catalog
 
     @cached_property
-    def truthful_prefixes(self) -> frozenset[tuple]:
-        """Every nonempty prefix of a truthful wrapper transcript over the
-        catalog pairs.  A run's culprit owns its first message whose prefix
-        is not in here; an out-of-range menu index never is."""
-        out = set()
+    def truthful_trie(self) -> dict:
+        """The truthful wrapper transcripts over the catalog pairs as a
+        nested dict, one level per message: the two menu indices, the two
+        bundles, then the inner run's (player, kind, payload) tokens.  A
+        run's culprit owns its first message with no child here; an
+        out-of-range menu index never has one."""
+        trie: dict = {}
         for profile in self.catalog.profiles():
-            msgs = _messages(*_play(self, profile, ("truthful", "truthful")))
-            out.update(tuple(msgs[:k]) for k in range(1, len(msgs) + 1))
-        return frozenset(out)
+            menu_idx, bundles, inner = _play(self, profile, ("truthful", "truthful"))
+            node = trie
+            for key in (*menu_idx, *bundles, *(tok[:3] for tok in inner.transcript.tokens)):
+                node = node.setdefault(key, {})
+        return trie
 
 
 def build_tables(session: Session) -> TwoPlayerTables:
@@ -116,16 +118,6 @@ def truthful_bundle(tables: TwoPlayerTables, i: int, v: Valuation, faced_idx: in
     return profit_argmax_set(menus[faced_idx], v)[0] if 0 <= faced_idx < len(menus) else 0
 
 
-def _messages(menu_idx, bundles, inner: Optional[RunResult] = None) -> list[tuple]:
-    """The wrapper transcript: the four announcements, then the inner run's
-    tokens when it was played."""
-    msgs = [("menu", 0, menu_idx[0]), ("menu", 1, menu_idx[1]),
-            ("bundle", 0, bundles[0]), ("bundle", 1, bundles[1])]
-    if inner is not None:
-        msgs += [("inner", tok[0], tok[:3]) for tok in inner.transcript.tokens]
-    return msgs
-
-
 def _play(tables: TwoPlayerTables, profile, strategies):
     """Each player's announced menu index and bundle, and the inner run, as
     played."""
@@ -138,20 +130,37 @@ def _play(tables: TwoPlayerTables, profile, strategies):
     return menu_idx, bundles, inner
 
 
+def _walk(node: dict, messages) -> tuple[Optional[int], dict]:
+    """Follow (sender, key) messages down the trie: the sender of the first
+    message with no child (None when every message has one), and the node
+    reached."""
+    for sender, key in messages:
+        child = node.get(key)
+        if child is None:
+            return sender, node
+        node = child
+    return None, node
+
+
+def _inner_messages(inner: RunResult):
+    return ((tok[0], tok[:3]) for tok in inner.transcript.tokens)
+
+
 def settle(tables: TwoPlayerTables, menu_idx, bundles, inner: Optional[RunResult] = None):
     """The wrapper's verdict as (culprit, allocation, payments).  The
-    culprit owns the first message whose prefix is on no truthful
-    transcript; they get nothing, and the other player wins the bundle they
+    culprit sends the first message that leaves the truthful-transcript
+    trie; they get nothing, and the other player wins the bundle they
     announced at its price in the menu the culprit announced (nothing at an
     infinite or out-of-range price).  With no culprit the inner outcome
     stands.  Without `inner`, None when the four announcements stay on a
     truthful transcript, so that only the inner run can settle it."""
-    msgs = _messages(menu_idx, bundles, inner)
-    prefixes = tables.truthful_prefixes
-    culprit = next((msg[1] for k, msg in enumerate(msgs)
-                    if tuple(msgs[:k + 1]) not in prefixes), None)
+    culprit, node = _walk(tables.truthful_trie, zip((0, 1, 0, 1), (*menu_idx, *bundles)))
     if culprit is None:
-        return None if inner is None else (None, inner.allocation, inner.payments)
+        if inner is None:
+            return None
+        culprit, _ = _walk(node, _inner_messages(inner))
+        if culprit is None:
+            return None, inner.allocation, inner.payments
     winner = 1 - culprit
     menus = tables.presented[culprit]
     t_w = bundles[winner]
@@ -231,83 +240,126 @@ def _seated(i: int, mine, theirs) -> tuple:
     return (mine, theirs) if i == 0 else (theirs, mine)
 
 
+PLAY = -1  # a layout position that only the inner run settles
+
+
 class _Outcomes:
     """Player i's side of the audit: the distinct (won, paid) outcomes they
-    meet, numbered by first occurrence, and the outcome each set of four
-    announcements settles (None when only the inner run can)."""
+    can meet, one id each, keyed by (won, numerator, denominator), and the
+    inner plays, memoised per four announcements and inner pair."""
 
     def __init__(self, tables: TwoPlayerTables, i: int):
         self.tables = tables
         self.i = i
         self.outcomes: list[tuple[int, Price]] = []
-        self._ids: dict[tuple, int] = {}
-        self._settled: dict[tuple, Optional[int]] = {}
+        self._ids: dict[tuple[int, int, int], int] = {}
+        self._plays: dict[tuple, int] = {}
+        self._wins: dict[int, list[int]] = {}
+        self.nothing = self._id(0, ZERO)
+        self._nothing_row = [self.nothing] * (1 << tables.spec.m)
         faced = range(len(tables.presented[1 - i]))
         self._truthful = [(tables.index_of[i][v.scaled_table],
                            [truthful_bundle(tables, i, v, k) for k in faced])
                           for v in tables.catalog.players[i]]
 
-    def _id(self, allocation, payments) -> int:
-        key = (allocation[self.i], payments[self.i])
+    def _id(self, won: int, paid: Fraction) -> int:
+        key = (won, paid.numerator, paid.denominator)
         oid = self._ids.get(key)
         if oid is None:
             oid = self._ids[key] = len(self.outcomes)
-            self.outcomes.append(key)
+            self.outcomes.append((won, paid))
         return oid
 
-    def announced(self, mine: tuple[int, int], theirs: tuple[int, int]) -> Optional[int]:
-        """The outcome of four announcements, each side's (menu index,
-        bundle), or None when they stay on a truthful transcript."""
-        key = mine + theirs
-        if key not in self._settled:
-            verdict = settle(self.tables, _seated(self.i, mine[0], theirs[0]),
-                             _seated(self.i, mine[1], theirs[1]))
-            self._settled[key] = None if verdict is None else self._id(*verdict[1:])
-        return self._settled[key]
+    def _win_row(self, opp_menu: int) -> list[int]:
+        """Per bundle, i's outcome when the opponent is the culprit: that
+        bundle at its price in the menu the opponent announced."""
+        row = self._wins.get(opp_menu)
+        if row is None:
+            row = self._wins[opp_menu] = [
+                self._id(t, p) if is_finite(p) else self.nothing
+                for t, p in enumerate(self.tables.presented[1 - self.i][opp_menu].price)]
+        return row
 
-    def played(self, profile, strategies) -> int:
-        run = to_dominant_run(self.tables, profile, strategies).outcome
-        return self._id(run.allocation, run.payments)
-
-    def against(self, opp_strategy: Strategy, opp_valuation: Valuation):
-        """Player i's outcomes against one opponent behavior: the truthful
-        outcome per valuation, the outcome per (menu index, bundle) of the
-        deviation family (one id when the announcements settle it, else one
-        per inner valuation), and each outcome's first deviation."""
-        i, tables = self.i, self.tables
-        faced_by_them = range(len(tables.presented[i]))
-        if opp_strategy == "truthful":
-            opp_menu = tables.index_of[1 - i][opp_valuation.scaled_table]
-            opp_bundles = [truthful_bundle(tables, 1 - i, opp_valuation, k) for k in faced_by_them]
+    def _row(self, menu: int, opp_menu: int, opp_bundle: int) -> tuple[list[int], dict]:
+        """i's outcome per bundle at own menu index `menu` against one
+        opponent announcement, PLAY where the four announcements stay on the
+        trie, and the node each PLAY bundle reached.  The trie's first four
+        levels are seat 0's menu, seat 1's menu, seat 0's bundle and seat
+        1's bundle.  Every pair of menu indices is on it (each presented
+        menu is some catalog valuation's, and each player announces theirs
+        alone), so only the bundles can leave it, and only the trie's
+        bundles differ from nothing."""
+        win, nothing = self._win_row(opp_menu), self._nothing_row
+        seat0, seat1 = _seated(self.i, menu, opp_menu)
+        node = self.tables.truthful_trie[seat0][seat1]
+        if self.i == 0:
+            reached = {bundle: child[opp_bundle] for bundle, child in node.items()
+                       if opp_bundle in child}
         else:
-            opp_menu = opp_strategy.menu_index
-            opp_bundles = [opp_strategy.bundle for _ in faced_by_them]
-        valuations = tables.catalog.players[i]
-        n = len(valuations)
-        truthful = []
-        for (menu, bundles), v in zip(self._truthful, valuations):
-            oid = self.announced((menu, bundles[opp_menu]), (opp_menu, opp_bundles[menu]))
-            if oid is None:
-                oid = self.played(_seated(i, v, opp_valuation),
-                                  _seated(i, "truthful", opp_strategy))
-            truthful.append(oid)
+            node = reached = node.get(opp_bundle)
+            if node is None:
+                return win, {}
+        row = nothing.copy()
+        for bundle in node:
+            row[bundle] = PLAY if bundle in reached else win[bundle]
+        return row, reached
+
+    def _play(self, node: dict, key: tuple, u: Valuation, w: Valuation) -> int:
+        """i's outcome when the four announcements `key` (own menu index and
+        bundle, then the opponent's) reached `node` and the inner mechanism
+        runs as u for i and w for the opponent."""
+        memo = key + (u.scaled_table, w.scaled_table)
+        oid = self._plays.get(memo)
+        if oid is None:
+            run = self.tables.session.run(_seated(self.i, u, w))
+            culprit, _ = _walk(node, _inner_messages(run))
+            if culprit is None:
+                won, paid = run.allocation[self.i], run.payments[self.i]
+                if not is_finite(paid):
+                    raise DomainError("infinite payment cannot enter a utility")
+                oid = self._id(won, paid)
+            elif culprit == self.i:
+                oid = self.nothing
+            else:
+                oid = self._win_row(key[2])[key[1]]
+            self._plays[memo] = oid
+        return oid
+
+    def against(self, opp_menu: int, opp_bundles: list[int], ws) -> list[tuple]:
+        """Player i's outcomes against one opponent announcement (a menu
+        index, and the bundle announced per menu index i announces), played
+        as each inner valuation in ws: per w, the truthful outcome per
+        valuation, the outcome per (menu index, bundle) of the deviation
+        family (one id when the announcements settle it, else one per inner
+        valuation), and each outcome's first deviation, in that order."""
+        valuations = self.tables.catalog.players[self.i]
+        n, width = len(valuations), len(self._nothing_row)
         layout: list = []
-        first: dict[int, int] = {}
-        for menu in faced_by_them:
-            theirs = (opp_menu, opp_bundles[menu])
-            for bundle in all_bundles(tables.spec.m):
-                oid = self.announced((menu, bundle), theirs)
-                if oid is None:
-                    oid = [self.played(_seated(i, valuations[0], opp_valuation),
-                                       _seated(i, DeviationStrategy(menu, bundle, inner),
-                                               opp_strategy))
-                           for inner in valuations]
-                    for k, each in enumerate(oid):
-                        first.setdefault(each, len(layout) * n + k)
-                else:
-                    first.setdefault(oid, len(layout) * n)
-                layout.append(oid)
-        return truthful, layout, first
+        reached = {}  # PLAY position -> (trie node, the four announcements)
+        for menu, opp_bundle in enumerate(opp_bundles):
+            row, nodes = self._row(menu, opp_menu, opp_bundle)
+            for bundle, node in nodes.items():
+                reached[len(layout) + bundle] = (node, (menu, bundle, opp_menu, opp_bundle))
+            layout += row
+        at = dict(zip(reversed(layout), range(len(layout) - 1, -1, -1)))  # first positions
+        first = {oid: at[oid] * n for oid in dict.fromkeys(layout) if oid != PLAY}
+        out = []
+        for w in ws:
+            truthful = []
+            for (menu, bundles), v in zip(self._truthful, valuations):
+                pos = menu * width + bundles[opp_menu]
+                truthful.append(layout[pos] if layout[pos] != PLAY
+                                else self._play(*reached[pos], v, w))
+            if not reached:
+                out.append((truthful, layout, first))
+                continue
+            mine, met = layout.copy(), dict(first)
+            for pos, (node, key) in reached.items():
+                mine[pos] = oids = [self._play(node, key, u, w) for u in valuations]
+                for k, oid in enumerate(oids):
+                    met[oid] = min(met.get(oid, pos * n + k), pos * n + k)
+            out.append((truthful, mine, dict(sorted(met.items(), key=itemgetter(1)))))
+        return out
 
 
 def deviation_audit(tables: TwoPlayerTables, keep_rows: bool = False) -> AuditReport:
@@ -317,13 +369,16 @@ def deviation_audit(tables: TwoPlayerTables, keep_rows: bool = False) -> AuditRe
     own deviation, truthful play must pay at least as much as deviating.
 
     A deviating player's outcome never depends on their own valuation, and
-    when the four announcements already name a culprit it does not depend
-    on the misreported inner valuation either: each (menu index, bundle)
-    is settled once per opponent, and only deviations consistent with a
-    truthful transcript play the inner mechanism.  Every valuation is then
-    weighed once per distinct (won, paid) outcome, in integers over one
-    denominator.  Rows and the worst row (the first deviation of the
-    largest gap) follow (player, valuation, opponent, deviation) order."""
+    when the four announcements already name a culprit it depends on no
+    inner valuation either.  So the opponents are grouped by announcement:
+    a deviating opponent's (menu index, bundle) is one group over every
+    inner valuation, and each of the player's (menu index, bundle) is
+    settled once per group on the truthful-transcript trie.  Only positions
+    that stay on the trie play the inner mechanism, once per distinct
+    announcements and inner pair.  Every valuation is then weighed once per
+    distinct (won, paid) outcome, in integers over one denominator.  Rows
+    and the worst row (the first deviation of the largest gap) follow
+    (player, valuation, opponent, deviation) order."""
     rows: list[AuditRow] = []
     worst: Optional[AuditRow] = None
     for i in (0, 1):
@@ -332,11 +387,16 @@ def deviation_audit(tables: TwoPlayerTables, keep_rows: bool = False) -> AuditRe
         n = len(valuations)
         theirs = tables.catalog.players[other]
         side = _Outcomes(tables, i)
-        opponents = [(f"truthful:{k}", "truthful", w) for k, w in enumerate(theirs)] + [
-            (f"dev:{k}", dev, theirs[0]) for k, dev in enumerate(deviation_family(tables, other))]
-        met = [(label, side.against(strategy, w)) for label, strategy, w in opponents]
-        if not all(is_finite(paid) for _, paid in side.outcomes):
-            raise DomainError("infinite payment cannot enter a utility")
+        own_menus = range(len(tables.presented[i]))
+        met = []
+        for k, w in enumerate(theirs):
+            announced = [truthful_bundle(tables, other, w, menu) for menu in own_menus]
+            met.append((f"truthful:{k}", side.against(
+                tables.index_of[other][w.scaled_table], announced, [w])[0]))
+        for opp_menu in range(len(tables.presented[other])):
+            for bundle in all_bundles(tables.spec.m):
+                for result in side.against(opp_menu, [bundle] * len(own_menus), theirs):
+                    met.append((f"dev:{len(met) - len(theirs)}", result))
         d_paid, paid = common_denominator([paid for _, paid in side.outcomes])
         for vi, v in enumerate(valuations):
             d_v, table = v.scaled_table
@@ -346,16 +406,16 @@ def deviation_audit(tables: TwoPlayerTables, keep_rows: bool = False) -> AuditRe
             top = None  # (gap, opponent, deviation, truthful and deviating utility)
             for label, (truthful, layout, first) in met:
                 u_truth = u[truthful[vi]]
-                gaps = {oid: u[oid] - u_truth for oid in first}
-                for oid, dev in first.items():
-                    if top is None or gaps[oid] > top[0]:
-                        top = (gaps[oid], label, dev, u_truth, u[oid])
-                if not keep_rows and max(gaps.values()) <= 0:
+                best = max(map(u.__getitem__, first))
+                if top is None or best - u_truth > top[0]:
+                    dev = next(dev for oid, dev in first.items() if u[oid] == best)
+                    top = (best - u_truth, label, dev, u_truth, best)
+                if not keep_rows and best <= u_truth:
                     continue
                 truth = Fraction(u_truth, d)
                 for pos, oids in enumerate(layout):
                     for k, oid in enumerate(oids if isinstance(oids, list) else [oids] * n):
-                        if keep_rows or gaps[oid] > 0:
+                        if keep_rows or u[oid] > u_truth:
                             rows.append(AuditRow(i, vi, label, pos * n + k,
                                                  truth, Fraction(u[oid], d)))
             row = AuditRow(i, vi, top[1], top[2], Fraction(top[3], d), Fraction(top[4], d))

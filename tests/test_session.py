@@ -1,17 +1,23 @@
 """The memoized oracle layer and the deviation audit built on it, each
 checked against the direct computation it replaces."""
 
+import json
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import given, note, settings
 from hypothesis import strategies as st
 
 from taxlab import suites
-from taxlab.protocol import (MechanismSpec, Session, extract_menu, measure_complexities,
-                             price_run, run_mechanism)
+from taxlab.bundles import all_bundles
+from taxlab.cli import audit_work
+from taxlab.protocol import (MechanismSpec, Session, Transcript, extract_menu,
+                             measure_complexities, price_run, run_mechanism)
 from taxlab.rational import is_finite
-from taxlab.transforms import (AuditReport, AuditRow, _Outcomes, _seated, build_tables,
-                               deviation_family, deviation_audit, to_dominant_run)
+from taxlab.transforms import (AuditReport, AuditRow, DeviationStrategy, _Outcomes, _play,
+                               _seated, build_tables, deviation_family, deviation_audit, settle,
+                               to_dominant_run, truthful_bundle)
 from taxlab.valuations import DomainError, Valuation, ValuationCatalog, additive_valuation
 
 _sessions: dict[int, Session] = {}
@@ -171,13 +177,221 @@ def test_planted_gaps_expand_rows_and_pick_the_first_best_deviation():
     assert best[:3] == [("truthful:0", 1), ("truthful:0", 2), ("truthful:0", 3)]
 
 
+def reference_messages(menu_idx, bundles, inner=None) -> list[tuple]:
+    """The wrapper transcript: the four announcements, then the inner run's
+    tokens when it was played."""
+    msgs = [("menu", 0, menu_idx[0]), ("menu", 1, menu_idx[1]),
+            ("bundle", 0, bundles[0]), ("bundle", 1, bundles[1])]
+    if inner is not None:
+        msgs += [("inner", tok[0], tok[:3]) for tok in inner.transcript.tokens]
+    return msgs
+
+
+_prefix_sets: dict = {}
+
+
+def truthful_prefixes(tables) -> frozenset:
+    """Every nonempty prefix of a truthful wrapper transcript."""
+    if id(tables) not in _prefix_sets:
+        out = set()
+        for profile in tables.catalog.profiles():
+            msgs = reference_messages(*_play(tables, profile, ("truthful", "truthful")))
+            out.update(tuple(msgs[:k]) for k in range(1, len(msgs) + 1))
+        _prefix_sets[id(tables)] = (tables, frozenset(out))
+    return _prefix_sets[id(tables)][1]
+
+
+def reference_settle(tables, menu_idx, bundles, inner=None):
+    """`settle` by the prefix-set rule: the culprit owns the first message
+    whose prefix is on no truthful transcript."""
+    msgs = reference_messages(menu_idx, bundles, inner)
+    prefixes = truthful_prefixes(tables)
+    culprit = next((msg[1] for k, msg in enumerate(msgs)
+                    if tuple(msgs[:k + 1]) not in prefixes), None)
+    if culprit is None:
+        return None if inner is None else (None, inner.allocation, inner.payments)
+    winner = 1 - culprit
+    menus = tables.presented[culprit]
+    t_w = bundles[winner]
+    price = menus[menu_idx[culprit]].price[t_w] if 0 <= menu_idx[culprit] < len(menus) else None
+    allocation = [0, 0]
+    payments = [Fraction(0), Fraction(0)]
+    if price is not None and is_finite(price):
+        allocation[winner] = t_w
+        payments[winner] = price
+    return culprit, tuple(allocation), tuple(payments)
+
+
+_settle_tables: dict = {}
+
+
+def settle_tables(k: int):
+    """TWO_PLAYER_BENCH entry k, or the planted tables for k past its end."""
+    if k not in _settle_tables:
+        _settle_tables[k] = (planted_tables() if k == len(suites.TWO_PLAYER_BENCH) else
+                             build_tables(Session(*suites.bench_instance(
+                                 *suites.TWO_PLAYER_BENCH[k]))))
+    return _settle_tables[k]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, len(suites.TWO_PLAYER_BENCH)), st.booleans(), st.data())
+def test_trie_settle_matches_the_prefix_set_rule(k, with_inner, data):
+    """A truthful transcript with one message perturbed: a menu index (in
+    range, one past it, -1 or 99), a bundle, or one inner token replaced
+    by, or extended with, a token of some catalog run or a lone bit."""
+    tables = settle_tables(k)
+    profile = tuple(data.draw(st.sampled_from(group)) for group in tables.catalog.players)
+    menu_idx, bundles, inner = _play(tables, profile, ("truthful", "truthful"))
+    menu_idx, bundles, tokens = list(menu_idx), list(bundles), list(inner.transcript.tokens)
+    spot = data.draw(st.integers(0, 4 + len(tokens) if with_inner else 3))
+    if spot < 2:
+        menu_idx[spot] = data.draw(st.sampled_from(
+            [-1, 99, *range(len(tables.presented[spot]) + 1)]))
+    elif spot < 4:
+        bundles[spot - 2] = data.draw(st.integers(0, (1 << tables.spec.m) - 1))
+    else:
+        pool = [(0, "bit", 1, 1), (1, "bit", 0, 1)] + sorted(
+            {tok for p in tables.catalog.profiles()
+             for tok in tables.session.run(p).transcript.tokens}, key=repr)
+        tokens[spot - 4:spot - 3] = [data.draw(st.sampled_from(pool))]
+    inner = replace(inner, transcript=Transcript(tuple(tokens))) if with_inner else None
+    note(f"menus {menu_idx}, bundles {bundles}, tokens {tokens}")
+    got = settle(tables, tuple(menu_idx), tuple(bundles), inner)
+    assert got == reference_settle(tables, tuple(menu_idx), tuple(bundles), inner)
+
+
+class ReferenceOutcomes:
+    """Player i's side of the audit with one `against` per opponent
+    behavior: every (menu index, bundle) settled by the prefix-set rule
+    against each opponent and inner valuation, outcomes keyed by (won,
+    paid)."""
+
+    def __init__(self, tables, i):
+        self.tables = tables
+        self.i = i
+        self.outcomes = []
+        self._ids = {}
+        self._settled = {}
+        faced = range(len(tables.presented[1 - i]))
+        self._truthful = [(tables.index_of[i][v.scaled_table],
+                           [truthful_bundle(tables, i, v, k) for k in faced])
+                          for v in tables.catalog.players[i]]
+
+    def _id(self, allocation, payments):
+        key = (allocation[self.i], payments[self.i])
+        if key not in self._ids:
+            self._ids[key] = len(self.outcomes)
+            self.outcomes.append(key)
+        return self._ids[key]
+
+    def announced(self, mine, theirs):
+        key = mine + theirs
+        if key not in self._settled:
+            verdict = reference_settle(self.tables, _seated(self.i, mine[0], theirs[0]),
+                                       _seated(self.i, mine[1], theirs[1]))
+            self._settled[key] = None if verdict is None else self._id(*verdict[1:])
+        return self._settled[key]
+
+    def played(self, profile, strategies):
+        run = to_dominant_run(self.tables, profile, strategies).outcome
+        return self._id(run.allocation, run.payments)
+
+    def against(self, opp_strategy, opp_valuation):
+        i, tables = self.i, self.tables
+        faced_by_them = range(len(tables.presented[i]))
+        if opp_strategy == "truthful":
+            opp_menu = tables.index_of[1 - i][opp_valuation.scaled_table]
+            opp_bundles = [truthful_bundle(tables, 1 - i, opp_valuation, k) for k in faced_by_them]
+        else:
+            opp_menu = opp_strategy.menu_index
+            opp_bundles = [opp_strategy.bundle for _ in faced_by_them]
+        valuations = tables.catalog.players[i]
+        n = len(valuations)
+        truthful = []
+        for (menu, bundles), v in zip(self._truthful, valuations):
+            oid = self.announced((menu, bundles[opp_menu]), (opp_menu, opp_bundles[menu]))
+            if oid is None:
+                oid = self.played(_seated(i, v, opp_valuation),
+                                  _seated(i, "truthful", opp_strategy))
+            truthful.append(oid)
+        layout = []
+        first = {}
+        for menu in faced_by_them:
+            theirs = (opp_menu, opp_bundles[menu])
+            for bundle in all_bundles(tables.spec.m):
+                oid = self.announced((menu, bundle), theirs)
+                if oid is None:
+                    oid = [self.played(_seated(i, valuations[0], opp_valuation),
+                                       _seated(i, DeviationStrategy(menu, bundle, inner),
+                                               opp_strategy))
+                           for inner in valuations]
+                    for k, each in enumerate(oid):
+                        first.setdefault(each, len(layout) * n + k)
+                else:
+                    first.setdefault(oid, len(layout) * n)
+                layout.append(oid)
+        return truthful, layout, first
+
+
+def named(outcomes, result):
+    """(truthful, layout, first) with each outcome id replaced by its
+    outcome, and `first` as its ordered items."""
+    truthful, layout, first = result
+    return ([outcomes[oid] for oid in truthful],
+            [[outcomes[oid] for oid in e] if isinstance(e, list) else outcomes[e]
+             for e in layout],
+            [(outcomes[oid], dev) for oid, dev in first.items()])
+
+
+M6 = {"drop_tax": {"m": 6}, "mt_gadget": {"m": 6},
+      "demand_tightness": {"m": 6, "alpha": 2, "count": 4}}
 _m6_tables: dict = {}
 
 
 def m6_tables(mech_id):
     if mech_id not in _m6_tables:
-        _m6_tables[mech_id] = build_tables(Session(*suites.bench_instance(mech_id, {"m": 6})))
+        _m6_tables[mech_id] = build_tables(Session(*suites.bench_instance(mech_id, M6[mech_id])))
     return _m6_tables[mech_id]
+
+
+def opponent_group(tables, i, strategy, w):
+    """The `against` arguments of the group an opponent behavior belongs
+    to, and the behavior's place among the group's inner valuations."""
+    theirs = tables.catalog.players[1 - i]
+    own_menus = range(len(tables.presented[i]))
+    if strategy == "truthful":
+        return (tables.index_of[1 - i][w.scaled_table],
+                [truthful_bundle(tables, 1 - i, w, menu) for menu in own_menus], [w]), 0
+    return ((strategy.menu_index, [strategy.bundle] * len(own_menus), theirs),
+            theirs.index(strategy.inner))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(M6)), st.integers(0, 1), st.booleans(), st.data())
+def test_grouped_against_matches_the_per_opponent_reference_at_m6(mech_id, i, truthful, data):
+    """One opponent announcement, grouped over its inner valuations, gives
+    per inner valuation the reference's outcomes, layout and `first`.  A
+    deviating opponent's bundle is often one some catalog valuation
+    announces, so that the group's positions reach the inner run."""
+    tables = m6_tables(mech_id)
+    theirs = tables.catalog.players[1 - i]
+    if truthful:
+        w = data.draw(st.sampled_from(theirs))
+        behaviors = [("truthful", w)]
+    else:
+        menu = data.draw(st.integers(0, len(tables.presented[1 - i]) - 1))
+        announced = sorted({truthful_bundle(tables, 1 - i, w, k) for w in theirs
+                            for k in range(len(tables.presented[i]))})
+        bundle = data.draw(st.sampled_from(announced) | st.integers(0, (1 << tables.spec.m) - 1))
+        behaviors = [(DeviationStrategy(menu, bundle, w), theirs[0]) for w in theirs]
+    group, _ = opponent_group(tables, i, *behaviors[0])
+    side, reference = _Outcomes(tables, i), ReferenceOutcomes(tables, i)
+    got = side.against(*group)
+    assert len(got) == len(behaviors)
+    for result, (strategy, w) in zip(got, behaviors):
+        want = reference.against(strategy, w)
+        assert named(side.outcomes, result) == named(reference.outcomes, want)
 
 
 @settings(max_examples=30, deadline=None)
@@ -194,7 +408,8 @@ def test_grouped_outcomes_match_wrapper_runs_at_m6(mech_id, i, consistent, data)
         opponents += [(dev, theirs[0]) for dev in deviation_family(tables, 1 - i)]
     strategy, w = data.draw(st.sampled_from(opponents))
     side = _Outcomes(tables, i)
-    truthful, layout, first = side.against(strategy, w)
+    group, place = opponent_group(tables, i, strategy, w)
+    truthful, layout, first = side.against(*group)[place]
     valuations = tables.catalog.players[i]
     n = len(valuations)
     devs = deviation_family(tables, i)
@@ -221,3 +436,31 @@ def test_grouped_outcomes_match_wrapper_runs_at_m6(mech_id, i, consistent, data)
     assert side.outcomes[oid] == want
     assert (run.inconsistent is None) == consistent
     assert first[oid] <= dev
+
+
+def test_audit_work_bounds_the_grouped_audit_on_the_m6_set(monkeypatch):
+    """`cli.audit_work` bounds the walks (per group, the positions settled
+    and the truthful positions read) and the wrapper plays the audit makes
+    on every entry of configs/m6.json."""
+    counted = {"walks": 0, "plays": 0}
+    against, play = _Outcomes.against, _Outcomes._play
+
+    def counting_against(self, opp_menu, opp_bundles, ws):
+        out = against(self, opp_menu, opp_bundles, ws)
+        counted["walks"] += len(out[0][1]) + len(out[0][0])
+        return out
+
+    def counting_play(self, *args):
+        counted["plays"] += 1
+        return play(self, *args)
+
+    monkeypatch.setattr(_Outcomes, "against", counting_against)
+    monkeypatch.setattr(_Outcomes, "_play", counting_play)
+    config = json.loads((Path(__file__).parents[1] / "configs" / "m6.json").read_text())
+    for entry in config["mechanisms"]:
+        session = Session(*suites.bench_instance(entry["id"], entry["params"]))
+        counted.update(walks=0, plays=0)
+        deviation_audit(build_tables(session))
+        walks, plays = audit_work(session.spec.m, [len(g) for g in session.catalog.players])
+        assert 0 < counted["walks"] <= walks and 0 < counted["plays"] <= plays, \
+            (entry["id"], counted, walks, plays)

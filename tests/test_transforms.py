@@ -14,7 +14,7 @@ from taxlab.menus import profit_argmax_set
 from taxlab.protocol import Session, run_mechanism
 from taxlab.rational import is_finite
 from taxlab.rng import stream
-from taxlab.transforms import (DeviationStrategy, PrecisionError, _messages, _play,
+from taxlab.transforms import (DeviationStrategy, PrecisionError, _play,
                                build_tables, default_eps, deviation_audit, is_precise,
                                reachable_menus, size_tilt, strictify,
                                strictify_catalog, to_dominant_run,
@@ -85,9 +85,18 @@ def test_out_of_range_menu_index_is_inconsistency():
     assert run.outcome.inconsistent == 0
 
 
+def transcript_messages(menu_idx, bundles, inner):
+    """The wrapper transcript as a message list: the four announcements,
+    then the inner run's tokens."""
+    return [("menu", 0, menu_idx[0]), ("menu", 1, menu_idx[1]),
+            ("bundle", 0, bundles[0]), ("bundle", 1, bundles[1])] + [
+        ("inner", tok[0], tok[:3]) for tok in inner.transcript.tokens]
+
+
 def reference_truthful_table(tables):
     """The per-pair truthful transcripts the wrapper once rebuilt per run."""
-    return {(v1.table, v2.table): _messages(*_play(tables, (v1, v2), ("truthful", "truthful")))
+    return {(v1.table, v2.table):
+            transcript_messages(*_play(tables, (v1, v2), ("truthful", "truthful")))
             for v1 in tables.catalog.players[0] for v2 in tables.catalog.players[1]}
 
 
@@ -95,7 +104,7 @@ def reference_outcome(tables, profile, strategies):
     """Culprit, allocation and payments by the out-of-range rule, then the
     scan that narrows the live truthful transcripts message by message."""
     menu_idx, bundles, inner = _play(tables, profile, strategies)
-    msgs = _messages(menu_idx, bundles, inner)
+    msgs = transcript_messages(menu_idx, bundles, inner)
     out_of_range = [i for i in (0, 1) if not 0 <= menu_idx[i] < len(tables.presented[i])]
     culprit = min(out_of_range) if out_of_range else None
     if not out_of_range:
