@@ -8,7 +8,9 @@ capped at 16 so dense 2^m tables stay cheap.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
+from operator import gt, itemgetter
 from typing import Iterable, Iterator, Sequence
 
 MAX_ITEMS = 16
@@ -76,14 +78,36 @@ def max_below(table: Sequence, s: int, floor):
     return floor
 
 
+def monotone_closure(t: Sequence, m: int) -> list:
+    """A copy of the table with each entry raised to the largest of itself
+    and its subsets' entries: one pass per item j, in which each bundle
+    holding j takes the entry without j where that is larger."""
+    t = list(t)
+    for j in range(m):
+        b = bit(j)
+        for s in range(len(t)):
+            if s & b and t[s ^ b] > t[s]:
+                t[s] = t[s ^ b]
+    return t
+
+
+@lru_cache(maxsize=16)  # every m in 1..MAX_ITEMS
+def monotone_layout(m: int) -> tuple[itemgetter, itemgetter]:
+    """Getters of both sides of the m 2^(m-1) pairs (s, s | 2^j), s without
+    item j, built once per m from one shared list of masks (list slots
+    only: about 8 MB at m = 16).  A trailing (0, 0) pair, never a
+    violation, keeps each getter's result a tuple at m = 1."""
+    masks = list(all_bundles(m))
+    pairs = [(s, s | bit(j)) for j in range(m) for s in masks if not s & bit(j)] + [(0, 0)]
+    return (itemgetter(*[masks[s] for s, _ in pairs]),
+            itemgetter(*[masks[u] for _, u in pairs]))
+
+
 def is_monotone(table: Sequence, m: int) -> bool:
     """No bundle is priced or valued above a superset with one more item:
     table[s] <= table[s | 2^j] for every s without item j."""
-    for j in range(m):
-        b = bit(j)
-        if any(table[s] > table[s | b] for s in all_bundles(m) if not s & b):
-            return False
-    return True
+    lows, highs = monotone_layout(m)
+    return not any(map(gt, lows(table), highs(table)))
 
 
 def best_bundle(candidates: Iterable[tuple[int, Fraction]]) -> tuple[int, Fraction]:

@@ -10,7 +10,7 @@ from math import gcd
 from typing import Optional, Sequence
 
 from .bundles import (DomainError, all_bundles, bit, check_m, grand, is_monotone, max_below,
-                      size, subset_sums)
+                      monotone_closure, size, subset_sums)
 from .rational import Price, common_denominator, format_price, parse_price
 
 
@@ -225,10 +225,8 @@ def random_monotone_valuation(m: int, rng, grid=8, scale=Fraction(4)) -> Valuati
     stay integer numerators over the step's denominator."""
     step, d = (Fraction(scale) / grid).as_integer_ratio()
     raw = [rng.randrange(grid + 1) * step for _ in all_bundles(m)]
-    table = [0] * (1 << m)
-    for s in range(1, 1 << m):
-        table[s] = max_below(table, s, raw[s])
-    return valuation_from_ints(m, d, table)
+    raw[0] = 0
+    return valuation_from_ints(m, d, monotone_closure(raw, m))
 
 
 def table_to_json(m: int, table: Sequence[Price]) -> dict:

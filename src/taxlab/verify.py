@@ -16,9 +16,13 @@ one denominator and the test its run's (won, paid) must pass:
                 {|S| = k, f(S) = w}.
 
 `verify_menu` runs every round through the Session's probe memo and ORs
-the verdicts.  The price grid for the submodular rounds is the set of
-distinct prices the mechanism's menus can show, including the infinite one
-when present."""
+the verdicts, each an integer comparison: the general, subadditive and
+xos tests weigh an entry of the probe's table against the payment's
+numerator and denominator, cross-multiplied, so an INF payment is never
+beaten; the staircase test compares the won bundle's entry with the
+grand bundle's.  The price grid for the submodular rounds is the set of
+distinct prices the mechanism's menus can show, including the infinite
+one when present."""
 
 from __future__ import annotations
 
@@ -28,7 +32,8 @@ from functools import cached_property, lru_cache
 from math import lcm
 from typing import Callable, Optional, Sequence
 
-from .bundles import all_bundles, bit, bundles_of_size, check_m, is_monotone, max_below, size
+from .bundles import (all_bundles, bit, bundles_of_size, check_m, is_monotone, monotone_closure,
+                      size)
 from .menus import ContractError, Menu
 from .protocol import Session
 from .rational import INF, Price, common_denominator, is_finite
@@ -37,6 +42,7 @@ from .valuations import (DomainError, Valuation, XOSClauses, clause_max, is_subm
 
 CLASSES = ("general", "subadditive", "xos", "submodular")
 Round = tuple[int, Sequence[int], Callable[[int, Price], bool]]  # (d, ints, beats), see below
+Over = tuple[int, list[int], int]  # the general probe (E, lifted ints, B * E), see `_over`
 
 
 @dataclass(frozen=True)
@@ -95,7 +101,7 @@ def exceeds_somewhere(f: BaseFunction, menu: Menu) -> bool:
 # `xos_probe` and `submodular_probe` wrap the same builders into a
 # `Valuation`.
 
-def _over(f: BaseFunction, bound: Fraction) -> tuple[int, list[int], int]:
+def _over(f: BaseFunction, bound: Fraction) -> Over:
     """The general probe: f with infinite entries lifted to 3B, and B, as
     ints over E = lcm(D_f, B's denominator): (E, lifted ints, B * E)."""
     d, ints, top = f.scaled
@@ -105,13 +111,19 @@ def _over(f: BaseFunction, bound: Fraction) -> tuple[int, list[int], int]:
     return e, [3 * b if x == top else x * k for x in ints], b
 
 
-def _xos_rows(f: BaseFunction, bound: Fraction, r: int) -> tuple[int, list[int]]:
+def _above(x: int, d: int, paid: Price) -> bool:
+    """x / d > paid (d > 0), cross-multiplied; nothing finite is above INF."""
+    return paid is not INF and x * paid.denominator > paid.numerator * d
+
+
+def _xos_rows(f: BaseFunction, over: Over, r: int) -> tuple[int, list[int]]:
     """One clause per r-bundle T, weight f(T)/r + 3B on T's items (2B/r + 3B
-    where f(T) is infinite): (r * E, the clauses laid end to end, m ints
-    each).  The probe's table is their `clause_max`."""
+    where f(T) is infinite), from the general probe `over` = `_over(f, B)`:
+    (r * E, the clauses laid end to end, m ints each).  The probe's table
+    is their `clause_max`."""
     if not 1 <= r <= f.m:
         raise DomainError("clause size out of range")
-    e, lifted, b = _over(f, bound)
+    e, lifted, b = over
     _, ints, top = f.scaled
     rows: list[int] = []
     for t in bundles_of_size(f.m, r):
@@ -122,32 +134,28 @@ def _xos_rows(f: BaseFunction, bound: Fraction, r: int) -> tuple[int, list[int]]
 
 def xos_probe(f: BaseFunction, bound: Fraction, r: int) -> Valuation:
     """The XOS probe for clause size r, carrying its clauses."""
-    d, rows = _xos_rows(f, bound, r)
+    d, rows = _xos_rows(f, _over(f, bound), r)
     exact = {x: Fraction(x, d) for x in set(rows)}
     clauses = tuple(tuple([exact[x] for x in rows[q:q + f.m]]) for q in range(0, len(rows), f.m))
     return valuation_from_ints(f.m, d, clause_max(f.m, rows), clauses=XOSClauses(f.m, clauses))
 
 
-def _xos_round(f: BaseFunction, bound: Fraction, r: int) -> Round:
+def _xos_round(f: BaseFunction, over: Over, r: int) -> Round:
     """f beats the menu on a bundle of at least r items when the probe wins
-    one and pays below its worth less the 3B r lift."""
-    d, rows = _xos_rows(f, bound, r)
+    one and pays below its worth less the 3B r lift, 3 (B E) r^2 over r E."""
+    d, rows = _xos_rows(f, over, r)
     ints = clause_max(f.m, rows)
-    lift = 3 * bound * r
-    return d, ints, lambda won, paid: size(won) >= r and Fraction(ints[won], d) - lift > paid
+    lift = 3 * over[2] * r * r
+    return d, ints, lambda won, paid: size(won) >= r and _above(ints[won] - lift, d, paid)
 
 
 def upward_closure(m: int, members: Sequence[int]) -> list[bool]:
-    """Per bundle, whether it contains some member: one pass per item."""
+    """Per bundle, whether it contains some member: the members'
+    indicator under `monotone_closure`."""
     up = [False] * (1 << m)
     for s in members:
         up[s] = True
-    for j in range(m):
-        b = bit(j)
-        for s in range(1 << m):
-            if s & b and not up[s] and up[s ^ b]:
-                up[s] = True
-    return up
+    return monotone_closure(up, m)
 
 
 def submodular_probe(f: BaseFunction, bound: Fraction, k: int, w: Price) -> Valuation:
@@ -206,9 +214,10 @@ def probe_rounds(f: BaseFunction, bound: Fraction, cls: str,
         if cls == "subadditive":
             shift = max(lifted)
             probe = [0] + [x + shift for x in lifted[1:]]
-        return [(e, probe, lambda won, paid: Fraction(lifted[won], e) > paid)]
+        return [(e, probe, lambda won, paid: _above(lifted[won], e, paid))]
     if cls == "xos":
-        return [_xos_round(f, bound, r) for r in range(1, f.m + 1)]
+        over = _over(f, bound)
+        return [_xos_round(f, over, r) for r in range(1, f.m + 1)]
     if not grid:
         raise ContractError("submodular verification needs the menu price grid")
     levels = f.levels
@@ -241,6 +250,8 @@ def _ranked_pool(values: Optional[tuple[Price, ...]],
         steps = int(4 * bound) + 1
         values = tuple(Fraction(q, 4) for q in range(steps)) + (INF,)
     pool = [x for x in values if not is_finite(x) or (0 <= x <= bound)]
+    if not pool:
+        raise DomainError("no drawable price: every value lies outside 0..B and none is INF")
     ranked = tuple(sorted(set(pool)))
     rank = {p: r for r, p in enumerate(ranked)}
     return ranked, tuple(rank[x] for x in pool)
@@ -250,13 +261,22 @@ def random_base_function(m: int, bound: Fraction, rng,
                          values: Optional[Sequence[Price]] = None) -> BaseFunction:
     """Seeded random monotone base function with entries drawn from the
     given price list (default: quarter-unit grid up to the cap plus the
-    infinite price), monotonized upward.  The draws are ranks, so the
-    monotonizing compares ints."""
+    infinite price), monotonized upward.  The draws are ranks, all made
+    before `monotone_closure` monotonizes them as ints; the ranks present
+    give `scaled`, which seeds the ordinary constructor and its checks."""
     ranked, pool = _ranked_pool(None if values is None else tuple(values), bound)
-    table = [-1] * (1 << m)  # below every rank: the empty bundle's 0
-    for s in range(1, 1 << m):
-        table[s] = max_below(table, s, pool[rng.randrange(len(pool))])
-    return BaseFunction(m, (Fraction(0), *[ranked[r] for r in table[1:]]))
+    n = len(pool)
+    # -1 is below every rank: the empty bundle's 0
+    ranks = monotone_closure([-1] + [pool[rng.randrange(n)] for _ in range(1, 1 << m)], m)
+    present = sorted(set(ranks))  # -1 first; INF, if drawn, ranked last
+    prices = [Fraction(0)] + [ranked[r] for r in present[1:]]
+    d, nums = common_denominator([p for p in prices if p is not INF])
+    top = max(nums) + 1
+    ints, exact = dict(zip(present, nums)), dict(zip(present, prices))
+    f = BaseFunction.__new__(BaseFunction)
+    f.__dict__["scaled"] = d, tuple([ints.get(r, top) for r in ranks]), top
+    f.__init__(m, tuple([exact[r] for r in ranks]))
+    return f
 
 
 @lru_cache(maxsize=1024)

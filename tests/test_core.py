@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taxlab.bundles import (all_bundles, best_bundle, bit, bundles_of_size, is_monotone,
-                            max_below, size, subset_sums, subsets, supersets)
+                            max_below, monotone_closure, monotone_layout, size, subset_sums,
+                            subsets, supersets)
 from taxlab.queries import bundle_price, demand_query, optimal_welfare, value_query
 from taxlab.rational import (INF, common_denominator, format_price, is_finite, parse_price,
                              sum_prices)
@@ -454,6 +455,85 @@ def test_is_monotone_matches_per_item_loop(question):
         else:
             with pytest.raises(DomainError, match="valuation must be monotone"):
                 Valuation(m, table)
+
+
+def reference_generator_is_monotone(table, m):
+    """The per-item generator `is_monotone` ran before its index layouts."""
+    for j in range(m):
+        b = bit(j)
+        if any(table[s] > table[s | b] for s in all_bundles(m) if not s & b):
+            return False
+    return True
+
+
+def mask_order_completion(raw, m):
+    """Each entry raised to its subsets' largest, bundle by bundle in mask
+    order: the `max_below` loop `monotone_closure` replaced."""
+    table = list(raw)
+    for s in all_bundles(m):
+        table[s] = max_below(table, s, table[s])
+    return table
+
+
+PRICE_ENTRIES = {
+    "int": lambda rnd: rnd.randrange(-3, 10),
+    "fraction": lambda rnd: Fraction(rnd.randrange(10), rnd.randrange(1, 5)),
+    "price": lambda rnd: INF if rnd.random() < 0.2 else Fraction(rnd.randrange(10),
+                                                                 rnd.randrange(1, 5)),
+}
+
+
+@st.composite
+def planted_tables(draw):
+    """m in 1..8, entries of one kind (ints, Fractions, or Fractions and
+    INF), monotonized in mask order; then, or not, one violation planted at
+    a random (s, j), s without item j: table[s | 2^j] dropped below
+    table[s]."""
+    m = draw(st.integers(1, 8))
+    entry = PRICE_ENTRIES[draw(st.sampled_from(sorted(PRICE_ENTRIES)))]
+    rnd = random.Random(draw(st.integers(0, 2**32)))
+    raw = [entry(rnd) for _ in all_bundles(m)]
+    table = mask_order_completion(raw, m)
+    planted = draw(st.booleans())
+    if planted:
+        j = rnd.randrange(m)
+        s = rnd.choice([s for s in all_bundles(m) if not s & bit(j)])
+        low = table[s]
+        table[s | bit(j)] = low - 1 if is_finite(low) else Fraction(rnd.randrange(10))
+    return m, raw, table, planted
+
+
+@settings(max_examples=300, deadline=None)
+@given(planted_tables())
+def test_is_monotone_layout_matches_the_generator(question):
+    m, _, table, planted = question
+    for t in (table, tuple(table)):
+        assert is_monotone(t, m) == reference_generator_is_monotone(t, m) == (not planted)
+
+
+@settings(max_examples=300, deadline=None)
+@given(planted_tables())
+def test_monotone_closure_matches_the_mask_order_completion(question):
+    m, raw, _, _ = question
+    closed = monotone_closure(raw, m)
+    assert closed == mask_order_completion(raw, m)
+    assert is_monotone(closed, m)
+    assert closed == monotone_closure(tuple(raw), m)
+
+
+def test_one_item_tables_and_layout():
+    """At m = 1 the layout holds the pair (0, 1) and its (0, 0) pad, and
+    each getter still returns a tuple."""
+    lows, highs = monotone_layout(1)
+    assert lows((5, 7)) == (5, 5) and highs((5, 7)) == (7, 5)
+    for table, want in [((0, 1), True), ((1, 0), False), ((2, 2), True),
+                        ((Fraction(1, 2), Fraction(1, 3)), False),
+                        ((Fraction(0), INF), True), ((INF, Fraction(1)), False),
+                        ((INF, INF), True)]:
+        assert is_monotone(table, 1) == reference_generator_is_monotone(table, 1) == want
+    assert monotone_closure([3, 1], 1) == [3, 3]
+    assert monotone_closure([Fraction(0), INF], 1) == [Fraction(0), INF]
+    assert monotone_closure([INF, Fraction(2)], 1) == [INF, INF]
 
 
 def reference_best_bundle(candidates):

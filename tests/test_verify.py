@@ -356,9 +356,12 @@ def base_questions(draw):
 @given(base_questions())
 def test_integer_builders_match_fraction_reference(question):
     m, bound, values, seed = question
-    f = random_base_function(m, bound, stream(seed, "base"), values=values)
-    want = reference_random_base_function(m, bound, stream(seed, "base"), values=values)
+    rng, twin = stream(seed, "base"), stream(seed, "base")
+    f = random_base_function(m, bound, rng, values=values)
+    want = reference_random_base_function(m, bound, twin, values=values)
     assert f.table == want.table  # the same draws for the same seed
+    assert rng.getstate() == twin.getstate()  # and as many: later trials see the same stream
+    assert f.scaled == want.scaled  # the seeded integer form is the computed one
     d, ints, top = f.scaled
     finite = [x for x in f.table if is_finite(x)]
     assert d == common_denominator(finite)[0]
@@ -394,6 +397,42 @@ def test_integer_builders_match_fraction_reference(question):
         assert_integer_form(p)
 
 
+def fraction_verdicts(f, bound):
+    """Per general, subadditive and xos round, the `Fraction` test its
+    integer `beats` replaced and the payment it is decided against: the
+    lifted entry, or the xos probe's entry less the 3B r lift."""
+    g = reference_general_probe(f, bound).table
+    # general and subadditive both decide on the unshifted lifted table
+    out = [(lambda won, paid: g[won] > paid, lambda won: g[won], lambda won: True)] * 2
+    for r in range(1, f.m + 1):
+        x = reference_xos_probe(f, bound, r).table
+        lift = 3 * bound * r
+        out.append((lambda won, paid, x=x, r=r, lift=lift: size(won) >= r and x[won] - lift > paid,
+                    lambda won, x=x, lift=lift: x[won] - lift, lambda won, r=r: size(won) >= r))
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(base_questions())
+def test_integer_verdicts_match_the_fraction_tests_at_the_threshold(question):
+    """A payment exactly at a round's threshold does not beat it, one just
+    below does (on a bundle the round covers), and every payment, INF
+    included, gets the old Fraction test's verdict."""
+    m, bound, values, seed = question
+    f = random_base_function(m, bound, stream(seed, "base"), values=values)
+    rounds = [beats for cls in ("general", "subadditive", "xos")
+              for _, _, beats in probe_rounds(f, bound, cls)]
+    verdicts = fraction_verdicts(f, bound)
+    assert len(rounds) == len(verdicts) == m + 2
+    for beats, (want, threshold, covers) in zip(rounds, verdicts):
+        for won in all_bundles(m):
+            at = threshold(won)
+            assert not beats(won, at)
+            assert beats(won, at - F(1, 7)) == covers(won)
+            for paid in (at, at - F(1, 7), at + F(1, 3), at - 1, F(0), F(-2), INF):
+                assert beats(won, paid) == want(won, paid)
+
+
 def reference_check_bound(f, bound):
     return all(x <= bound for x in f.table if is_finite(x))
 
@@ -408,6 +447,19 @@ def test_integer_bound_check_matches_fraction_reference(question, cap):
     else:
         with pytest.raises(DomainError, match="price cap"):
             f.check_bound(cap)
+
+
+def test_an_empty_price_pool_is_refused():
+    """No drawable price (all above the cap, or none given) is a one-line
+    DomainError before any draw, not randrange's bare ValueError."""
+    for values in ((F(5),), (), (F(-1), F(3))):
+        rng = stream(2, "empty-pool")
+        before = rng.getstate()
+        with pytest.raises(DomainError, match="no drawable price"):
+            random_base_function(2, F(2), rng, values=values)
+        assert rng.getstate() == before
+    f = random_base_function(2, F(2), stream(2, "inf"), values=(F(5), INF))
+    assert f.table == (F(0), INF, INF, INF)
 
 
 def test_base_function_refusals_and_infinite_top():
