@@ -21,7 +21,7 @@ from .menus import Menu, MinAffineMenu, eval_min_affine
 from .protocol import MechanismSpec, extract_menu, insert_player, run_mechanism
 from .queries import bundle_price, demand_query
 from .rational import INF, Price, is_finite
-from .valuations import DomainError, Valuation, layered_valuation
+from .valuations import DomainError, Valuation, layered_valuation, valuation
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -38,7 +38,7 @@ def canonical_valuation(menu: Menu, bound: Fraction) -> Valuation:
     """Valuation mirroring the menu; infinite entries lifted to (m+1)B."""
     lift = (menu.m + 1) * bound
     table = tuple(p if is_finite(p) else lift for p in menu.price)
-    return Valuation(menu.m, table)
+    return valuation(menu.m, table)
 
 
 def extract_min_affine(spec: MechanismSpec, i: int, v_minus_i: Sequence[Valuation],

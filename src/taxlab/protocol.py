@@ -29,7 +29,7 @@ from .menus import Menu, ContractError, menu_complexity, normalize_menu, profit_
 from .queries import demand_query, value_query
 from .rational import INF, Price, is_finite
 from .valuations import (DomainError, Valuation, ValuationCatalog, additive_valuation,
-                         reduced_table, valuation_from_ints)
+                         reduced_table)
 
 
 class MechanismBugError(RuntimeError):
@@ -266,9 +266,9 @@ class Session:
     questions (a run on a profile, the menu some v_minus presents, one
     price-protocol run, one run with a verification probe seated), so they
     share one Session and each answer is computed once.  Every memo keys a
-    valuation by its `scaled_table`, the integers over their lcm that each
-    valuation caches at construction: equal valuations share an entry, and
-    a tuple of ints hashes far faster than a tuple of Fractions.
+    valuation by its `scaled_table`, the stored pair of its reduced
+    denominator and integer table: equal valuations share an entry, and a
+    tuple of ints hashes far faster than a tuple of Fractions.
     """
 
     def __init__(self, spec: MechanismSpec, catalog: ValuationCatalog):
@@ -309,13 +309,13 @@ class Session:
         """Player i's (won, paid) and the transcript bits of one run with the
         probe valuation table[1][s] / table[0] seated at i against v_minus_i.
         The table, reduced by its gcd, is the key, so equal probes share an
-        entry; the probe `Valuation` is built, with every check, only on a
-        miss."""
-        d, ints = reduced_table(*table)
-        key = (i, d, ints, *(v.scaled_table for v in v_minus_i))
+        entry; on a miss that reduced pair is the probe `Valuation`'s stored
+        form, checked once by its constructor."""
+        scaled = reduced_table(*table)
+        key = (i, *scaled, *(v.scaled_table for v in v_minus_i))
         hit = self._probes.get(key)
         if hit is None:
-            probe = valuation_from_ints(self.spec.m, d, ints)
+            probe = Valuation(self.spec.m, scaled)
             res = run_mechanism(self.spec, insert_player(v_minus_i, i, probe))
             hit = self._probes[key] = (res.allocation[i], res.payments[i], res.transcript.bits)
         return hit

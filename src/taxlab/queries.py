@@ -34,9 +34,9 @@ def demand_query(v: Valuation, prices: Sequence[Price]) -> tuple[int, Fraction]:
     ties; bundles holding an infinitely-priced item never win.  Returns the
     bundle and its value.
 
-    Exact integer kernel: the table and the finite prices are scaled to one
-    common denominator and `subset_sums` prices every bundle with one int
-    addition.  An INF item weighs one more than the grand bundle's value,
+    Exact integer kernel: the stored integer table and the finite prices go
+    over one common denominator and `subset_sums` prices every bundle with
+    one int addition.  An INF item weighs one more than the grand bundle's value,
     so by monotonicity (v(S + B) - v(S) <= v(grand)) a bundle holding it
     loses strictly to the same bundle without it, whatever the finite
     prices; the answer is the first maximizer, the empty bundle's 0

@@ -29,7 +29,7 @@ from .menus import Menu, profit_argmax_set
 from .protocol import MechanismSpec, RunResult, Session, log2_ceil
 from .rational import Price, common_denominator, is_finite
 from .rng import stream
-from .valuations import DomainError, Valuation, ValuationCatalog
+from .valuations import DomainError, Valuation, ValuationCatalog, valuation
 
 ZERO = Fraction(0)  # the payment of whoever wins nothing, shared by every verdict
 
@@ -431,7 +431,7 @@ def size_tilt(v: Valuation, eps: Fraction) -> Valuation:
     table = tuple(
         v.table[s] + unit * size(s) if s else Fraction(0) for s in all_bundles(v.m)
     )
-    return Valuation(v.m, table)
+    return valuation(v.m, table)
 
 
 def default_eps(v: Valuation) -> Fraction:
@@ -459,7 +459,7 @@ def strictify(v: Valuation, grid_l: int, seed: int, eps: Optional[Fraction] = No
             continue
         noise = unit * Fraction(rng.randrange(grid_l), grid_l - 1)
         table.append(tilted.table[s] + noise)
-    return Valuation(v.m, tuple(table))
+    return valuation(v.m, tuple(table))
 
 
 def default_grid_l(m: int, tax_bits: int) -> int:

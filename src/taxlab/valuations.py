@@ -1,4 +1,4 @@
-"""Valuations over bundles: dense exact-rational tables plus class checks."""
+"""Valuations over bundles: reduced integer tables, exact on demand, plus class checks."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from math import gcd
 from typing import Optional, Sequence
 
 from .bundles import (DomainError, all_bundles, bit, check_m, grand, is_monotone, max_below,
-                      monotone_closure, size, subset_sums)
+                      monotone_closure, size, subset_sums, subsets)
 from .rational import Price, common_denominator, format_price, parse_price
 
 
@@ -34,22 +34,31 @@ class XOSClauses:
 
 @dataclass(frozen=True)
 class Valuation:
-    """Normalized monotone valuation as a dense table over all 2^m bundles."""
+    """Normalized monotone valuation stored as scaled_table == (D, ints),
+    table[s] == ints[s] / D, gcd 1, so equal valuations store equal pairs."""
 
     m: int
-    table: tuple[Fraction, ...]
+    scaled_table: tuple[int, tuple[int, ...]]
     clauses: Optional[XOSClauses] = field(default=None, compare=False)
 
     def __post_init__(self):
         check_m(self.m)
-        if len(self.table) != 1 << self.m:
+        d, ints = self.scaled_table
+        if len(ints) != 1 << self.m:
             raise DomainError("table must cover all 2^m bundles")
-        if any(not isinstance(x, Fraction) for x in self.table):
-            raise DomainError("table entries must be exact rationals")
-        if self.table[0] != 0:
+        if type(ints) is not tuple or d <= 0 or gcd(d, *ints) != 1:
+            raise DomainError("scaled table must be a tuple of ints reduced over a positive int")
+        if ints[0] != 0:
             raise DomainError("valuation must be normalized: v(empty) = 0")
-        if not is_monotone(self.scaled_table[1], self.m):
+        if not is_monotone(ints, self.m):
             raise DomainError("valuation must be monotone")
+
+    @cached_property
+    def table(self) -> tuple[Fraction, ...]:
+        """The exact table, built on first read, one `Fraction` per value."""
+        d, ints = self.scaled_table
+        exact = {x: Fraction(x, d) for x in set(ints)}
+        return tuple([exact[x] for x in ints])
 
     def value(self, mask: int) -> Fraction:
         if not 0 <= mask < (1 << self.m):
@@ -59,17 +68,17 @@ class Valuation:
     def max_value(self) -> Fraction:
         return self.table[grand(self.m)]
 
-    @cached_property
-    def scaled_table(self) -> tuple[int, tuple[int, ...]]:
-        """The table over one common denominator: (D, ints) with
-        table[s] == ints[s] / D, D the lcm of the table's denominators."""
-        return common_denominator(self.table)
+
+def valuation(m: int, table: Sequence[Fraction]) -> Valuation:
+    """The valuation of an exact-rational table, where `Fraction`s come in."""
+    if any(not isinstance(x, Fraction) for x in table):
+        raise DomainError("valuation entries must be finite exact rationals")
+    return Valuation(m, common_denominator(table))
 
 
 def reduced_table(d: int, ints: Sequence[int]) -> tuple[int, tuple[int, ...]]:
     """(d, ints) divided by its gcd (d > 0): the `scaled_table` of the
-    valuation with table[s] == ints[s] / d, equal to
-    `common_denominator(table)`."""
+    valuation with table[s] == ints[s] / d."""
     g = gcd(d, *ints)
     if g > 1:
         return d // g, tuple([x // g for x in ints])
@@ -78,15 +87,8 @@ def reduced_table(d: int, ints: Sequence[int]) -> tuple[int, tuple[int, ...]]:
 
 def valuation_from_ints(m: int, d: int, ints: Sequence[int],
                         clauses: Optional[XOSClauses] = None) -> Valuation:
-    """The valuation with table[s] == ints[s] / d (d > 0), built without
-    rescaling: `reduced_table(d, ints)` seeds `scaled_table` before the
-    ordinary constructor runs its checks, in their order, over it."""
-    d, ints = reduced_table(d, ints)
-    v = Valuation.__new__(Valuation)
-    v.__dict__["scaled_table"] = (d, ints)
-    exact = {x: Fraction(x, d) for x in set(ints)}  # probes repeat a few values
-    v.__init__(m, tuple([exact[x] for x in ints]), clauses)
-    return v
+    """The valuation with table[s] == ints[s] / d (d > 0), reduced by the gcd."""
+    return Valuation(m, reduced_table(d, ints), clauses)
 
 
 def valuation_from_values(m: int, pairs) -> Valuation:
@@ -99,7 +101,7 @@ def valuation_from_values(m: int, pairs) -> Valuation:
     for s in all_bundles(m):
         if table[s] is None:
             table[s] = max_below(table, s, Fraction(0))
-    return Valuation(m, tuple(table))
+    return valuation(m, tuple(table))
 
 
 def additive_valuation(per_item: Sequence) -> Valuation:
@@ -113,13 +115,13 @@ def single_item_valuation(m: int, item_j: int, value) -> Valuation:
     (0-based)."""
     v = Fraction(value)
     table = [v if s & bit(item_j) else Fraction(0) for s in all_bundles(m)]
-    return Valuation(m, tuple(table))
+    return valuation(m, tuple(table))
 
 
 def layered_valuation(m: int, level: dict[int, Fraction], high: Fraction) -> Valuation:
     """`high` above half size, level.get(s, 0) on every other bundle s;
     `level` holds half-size bundles only."""
-    return Valuation(m, tuple(high if size(s) > m // 2 else level.get(s, Fraction(0))
+    return valuation(m, tuple(high if size(s) > m // 2 else level.get(s, Fraction(0))
                               for s in all_bundles(m)))
 
 
@@ -168,16 +170,16 @@ def is_submodular(t: Sequence, m: int) -> bool:
 def classify_valuation(v: Valuation) -> frozenset[str]:
     """Class flags {additive, submodular, xos, subadditive} by exhaustive
     checks over the integer table; xos is set only for a verified clause
-    witness."""
+    witness; subadditivity on disjoint splits, which suffice as t is monotone."""
     flags = set()
     m, t = v.m, v.scaled_table[1]
     if list(t) == subset_sums([t[bit(j)] for j in range(m)]):
         flags.add("additive")
     if is_submodular(t, m):
         flags.add("submodular")
-    if all(t[s] + t[u] >= t[s | u] for s in all_bundles(m) for u in range(s, 1 << m)):
+    if all(t[s] + t[u ^ s] >= t[u] for u in all_bundles(m) for s in subsets(u) if s < u ^ s):
         flags.add("subadditive")
-    if v.clauses is not None and xos_from_clauses(v.clauses).table == v.table:
+    if v.clauses is not None and xos_from_clauses(v.clauses) == v:
         flags.add("xos")
     return frozenset(flags)
 
@@ -196,13 +198,10 @@ class ValuationCatalog:
         for vs in self.players:
             if not vs:
                 raise DomainError("each player's catalog must be nonempty")
-            tables = set()
-            for v in vs:
-                if v.m != m:
-                    raise DomainError("all catalog valuations must share m")
-                if v.scaled_table in tables:
-                    raise DomainError("duplicate valuation in one player's catalog")
-                tables.add(v.scaled_table)
+            if any(v.m != m for v in vs):
+                raise DomainError("all catalog valuations must share m")
+            if len(set(vs)) < len(vs):  # equal valuations store equal pairs
+                raise DomainError("duplicate valuation in one player's catalog")
 
     @property
     def n(self) -> int:
@@ -251,10 +250,7 @@ def table_from_json(doc: dict) -> tuple[int, tuple[Price, ...]]:
 
 
 def valuation_from_json(doc: dict) -> Valuation:
-    m, table = table_from_json(doc)
-    if not all(isinstance(x, Fraction) for x in table):
-        raise DomainError("valuation entries must be finite")
-    return Valuation(m, table)
+    return valuation(*table_from_json(doc))
 
 
 def xos_from_json(doc: dict) -> Valuation:

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import lcm
+from math import gcd, lcm
 from typing import Callable, Optional, Sequence
 
 from .bundles import (all_bundles, bit, bundles_of_size, check_m, is_monotone, monotone_closure,
@@ -47,30 +47,33 @@ Over = tuple[int, list[int], int]  # the general probe (E, lifted ints, B * E), 
 
 @dataclass(frozen=True)
 class BaseFunction:
-    """Monotone price-like target: the verification problem's f."""
+    """Monotone price-like target, the verification problem's f, stored as
+    (D, ints, top): f(S) == ints[S] / D where finite (gcd 1), and ints[S] ==
+    top, one above every finite int, where infinite; the ints order like f."""
 
     m: int
-    table: tuple[Price, ...]
+    scaled: tuple[int, tuple[int, ...], int]
 
     def __post_init__(self):
         check_m(self.m)
-        if len(self.table) != 1 << self.m:
+        d, ints, top = self.scaled
+        if len(ints) != 1 << self.m:
             raise DomainError("base function must cover all 2^m bundles")
-        if self.table[0] != 0:
+        finite = [x for x in ints if x != top]
+        if (type(ints) is not tuple or d <= 0 or gcd(d, *finite) != 1
+                or top != max(finite, default=0) + 1):
+            raise DomainError("scaled base function must be reduced ints with top above them")
+        if ints[0] != 0:
             raise DomainError("base function must vanish on the empty bundle")
-        if not is_monotone(self.scaled[1], self.m):
+        if not is_monotone(ints, self.m):
             raise DomainError("base function must be monotone")
 
     @cached_property
-    def scaled(self) -> tuple[int, tuple[int, ...], int]:
-        """The table over one denominator: (D, ints, top), D the lcm of the
-        finite entries' denominators, table[s] == ints[s] / D where finite,
-        and ints[s] == top, one above every finite int, where infinite; so
-        the ints order like the table."""
-        finite = [is_finite(x) for x in self.table]
-        d, ints = common_denominator([x if ok else 0 for x, ok in zip(self.table, finite)])
-        top = max(ints) + 1
-        return d, tuple([x if ok else top for x, ok in zip(ints, finite)]), top
+    def table(self) -> tuple[Price, ...]:
+        """The exact prices, built on first read."""
+        d, ints, top = self.scaled
+        exact = {x: INF if x == top else Fraction(x, d) for x in set(ints)}
+        return tuple([exact[x] for x in ints])
 
     @cached_property
     def levels(self) -> dict[tuple[int, Price], tuple[int, ...]]:
@@ -86,8 +89,13 @@ class BaseFunction:
         if (top - 1) * bound.denominator > bound.numerator * d:
             raise DomainError("finite base values must stay within the price cap")
 
-    def value(self, s: int) -> Price:
-        return self.table[s]
+
+def base_function(m: int, table: Sequence[Price]) -> BaseFunction:
+    """The base function of an exact price table, INF entries included."""
+    finite = [is_finite(x) for x in table]
+    d, ints = common_denominator([x if ok else 0 for x, ok in zip(table, finite)])
+    top = max(ints, default=0) + 1
+    return BaseFunction(m, (d, tuple([x if ok else top for x, ok in zip(ints, finite)]), top))
 
 
 def exceeds_somewhere(f: BaseFunction, menu: Menu) -> bool:
@@ -135,8 +143,8 @@ def _xos_rows(f: BaseFunction, over: Over, r: int) -> tuple[int, list[int]]:
 def xos_probe(f: BaseFunction, bound: Fraction, r: int) -> Valuation:
     """The XOS probe for clause size r, carrying its clauses."""
     d, rows = _xos_rows(f, _over(f, bound), r)
-    exact = {x: Fraction(x, d) for x in set(rows)}
-    clauses = tuple(tuple([exact[x] for x in rows[q:q + f.m]]) for q in range(0, len(rows), f.m))
+    clauses = tuple(tuple([Fraction(x, d) for x in rows[q:q + f.m]])
+                    for q in range(0, len(rows), f.m))
     return valuation_from_ints(f.m, d, clause_max(f.m, rows), clauses=XOSClauses(f.m, clauses))
 
 
@@ -263,20 +271,16 @@ def random_base_function(m: int, bound: Fraction, rng,
     given price list (default: quarter-unit grid up to the cap plus the
     infinite price), monotonized upward.  The draws are ranks, all made
     before `monotone_closure` monotonizes them as ints; the ranks present
-    give `scaled`, which seeds the ordinary constructor and its checks."""
+    give the stored form over their common denominator."""
     ranked, pool = _ranked_pool(None if values is None else tuple(values), bound)
     n = len(pool)
     # -1 is below every rank: the empty bundle's 0
     ranks = monotone_closure([-1] + [pool[rng.randrange(n)] for _ in range(1, 1 << m)], m)
     present = sorted(set(ranks))  # -1 first; INF, if drawn, ranked last
-    prices = [Fraction(0)] + [ranked[r] for r in present[1:]]
-    d, nums = common_denominator([p for p in prices if p is not INF])
-    top = max(nums) + 1
-    ints, exact = dict(zip(present, nums)), dict(zip(present, prices))
-    f = BaseFunction.__new__(BaseFunction)
-    f.__dict__["scaled"] = d, tuple([ints.get(r, top) for r in ranks]), top
-    f.__init__(m, tuple([exact[r] for r in ranks]))
-    return f
+    finite = [ranked[r] for r in present[1:] if ranked[r] is not INF]
+    d, nums = common_denominator([Fraction(0)] + finite)
+    ints, top = dict(zip(present, nums)), max(nums) + 1
+    return BaseFunction(m, (d, tuple([ints.get(r, top) for r in ranks]), top))
 
 
 @lru_cache(maxsize=1024)

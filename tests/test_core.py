@@ -15,8 +15,8 @@ from taxlab.rational import (INF, common_denominator, format_price, is_finite, p
                              sum_prices)
 from taxlab.rng import stream
 from taxlab.valuations import (DomainError, Valuation, ValuationCatalog, XOSClauses,
-                               additive_valuation, classify_valuation,
-                               random_monotone_valuation, single_item_valuation,
+                               additive_valuation, classify_valuation, layered_valuation,
+                               random_monotone_valuation, single_item_valuation, valuation,
                                valuation_from_ints, valuation_from_json,
                                valuation_from_values, valuation_to_json, xos_from_clauses)
 
@@ -50,21 +50,21 @@ def test_bundle_helpers():
 def test_valuation_validation():
     with pytest.raises(DomainError):
         # not normalized
-        Valuation(1, (Fraction(1), Fraction(2)))
+        valuation(1, (Fraction(1), Fraction(2)))
     with pytest.raises(DomainError):
-        Valuation(2, (Fraction(0), Fraction(2), Fraction(0), Fraction(1)))
+        valuation(2, (Fraction(0), Fraction(2), Fraction(0), Fraction(1)))
 
 
 def test_monotonicity_is_checked_across_denominators():
     F = Fraction
     # v({1}) = 1/2 > v({1, 2}) = 3/7, though the numerators rise 1 -> 3
     with pytest.raises(DomainError, match="monotone"):
-        Valuation(2, (F(0), F(1, 2), F(0), F(3, 7)))
+        valuation(2, (F(0), F(1, 2), F(0), F(3, 7)))
     # v({1}) = 3/7 < v({1, 2}) = 1/2, though the numerators fall 3 -> 1
-    ok = Valuation(2, (F(0), F(3, 7), F(0), F(1, 2)))
+    ok = valuation(2, (F(0), F(3, 7), F(0), F(1, 2)))
     assert ok.scaled_table == (14, (0, 6, 0, 7))
     # equal values over different denominators are monotone
-    assert Valuation(2, (F(0), F(2, 4), F(1, 2), F(1, 2))).max_value() == F(1, 2)
+    assert valuation(2, (F(0), F(2, 4), F(1, 2), F(1, 2))).max_value() == F(1, 2)
 
 
 def test_valuation_from_ints_refuses_as_the_constructor_does():
@@ -77,17 +77,23 @@ def test_valuation_from_ints_refuses_as_the_constructor_does():
     ]
     for m, d, ints, table in cases:
         with pytest.raises(DomainError) as direct:
-            Valuation(m, table)
+            valuation(m, table)
         with pytest.raises(DomainError) as built:
             valuation_from_ints(m, d, ints)
-        assert str(built.value) == str(direct.value)
+        with pytest.raises(DomainError) as stored:
+            Valuation(m, (d, tuple(ints)))
+        assert str(built.value) == str(direct.value) == str(stored.value)
+    # the stored pair itself must be the reduced form: the raw constructor's own refusals
+    for pair in ((2, (0, 2)), (4, (0, 6)), (0, (0, 1)), (-1, (0, -1)), (1, [0, 1])):
+        with pytest.raises(DomainError, match="reduced over a positive int"):
+            Valuation(1, pair)
 
 
 def test_valuation_from_ints_reduces_its_input():
     F = Fraction
     v = valuation_from_ints(2, 12, [0, 6, 4, 10])
     assert v.scaled_table == (6, (0, 3, 2, 5)) == common_denominator(v.table)
-    assert v == Valuation(2, (F(0), F(1, 2), F(1, 3), F(5, 6)))
+    assert v == valuation(2, (F(0), F(1, 2), F(1, 3), F(5, 6)))
     zero = valuation_from_ints(2, 8, [0, 0, 0, 0])
     assert zero.scaled_table == (1, (0, 0, 0, 0)) == common_denominator(zero.table)
     whole = valuation_from_ints(1, 4, (0, 8))
@@ -100,7 +106,7 @@ def test_int_or_float_entries_are_refused():
     for table in ((Fraction(0), 1), (0, Fraction(1)), (Fraction(0), 0.5),
                   (Fraction(0), True)):
         with pytest.raises(DomainError, match="exact rationals"):
-            Valuation(1, table)
+            valuation(1, table)
 
 
 def test_value_query_examples():
@@ -199,7 +205,7 @@ def reference_random_monotone_valuation(m, rng, grid=8, scale=Fraction(4)):
     table = [Fraction(0)] * (1 << m)
     for s in all_bundles(m):
         table[s] = max_below(table, s, raw[s] if s else Fraction(0))
-    return Valuation(m, tuple(table))
+    return valuation(m, tuple(table))
 
 
 @settings(max_examples=200, deadline=None)
@@ -222,6 +228,87 @@ def test_integer_form_leaves_equality_hash_and_repr_alone():
     twin = valuation_from_values(2, dict(enumerate(v.table)))
     assert v == twin and hash(v) == hash(twin) and repr(v) == before
     assert valuation_to_json(v) == valuation_to_json(twin)
+
+
+@st.composite
+def exact_tables(draw):
+    """A monotone Fraction table, m 1..8, over mixed denominators with ties."""
+    m = draw(st.integers(1, 8))
+    raw = [draw(st.sampled_from([0, 1, 2])) * Fraction(1, draw(st.sampled_from([1, 2, 3, 7])))
+           for _ in all_bundles(m)]
+    return m, tuple(monotone_closure([Fraction(0)] + raw[1:], m))
+
+
+@settings(max_examples=120, deadline=None)
+@given(exact_tables(), st.integers(1, 6))
+def test_integer_and_fraction_builders_agree(question, k):
+    m, table = question
+    exact = valuation(m, table)
+    d, ints = common_denominator(table)
+    lean = valuation_from_ints(m, k * d, [k * x for x in ints])  # unreduced on purpose
+    assert lean == exact and hash(lean) == hash(exact) and repr(lean) == repr(exact)
+    assert "table" not in vars(lean) and "table" not in vars(exact)
+    assert lean.table == exact.table == table
+    assert all(type(x) is Fraction for x in lean.table)
+    assert [lean.value(s) for s in all_bundles(m)] == [exact.value(s) for s in all_bundles(m)]
+    assert lean.max_value() == exact.max_value() == table[-1]
+    doc = valuation_to_json(lean)
+    assert doc == valuation_to_json(exact) and valuation_from_json(doc) == lean
+
+
+def test_post_init_runs_once_per_construction(monkeypatch):
+    """`Valuation.__post_init__` is the one validation, once per object
+    whichever builder makes it; reading the table builds none."""
+    seen = []
+    check = Valuation.__post_init__
+
+    def counted(v):
+        seen.append(v)
+        check(v)
+
+    monkeypatch.setattr(Valuation, "__post_init__", counted)
+    builders = [
+        lambda: Valuation(2, (2, (0, 1, 1, 2))),
+        lambda: valuation(2, (Fraction(0), Fraction(1, 2), Fraction(1, 2), Fraction(1))),
+        lambda: valuation_from_ints(2, 4, [0, 2, 2, 4]),
+        lambda: additive_valuation([1, Fraction(1, 3)]),
+        lambda: valuation_from_values(2, {0b11: 1}),
+        lambda: single_item_valuation(2, 1, Fraction(3, 2)),
+        lambda: layered_valuation(2, {0b01: Fraction(1, 4)}, Fraction(1)),
+        lambda: random_monotone_valuation(3, stream(0, "once")),
+        lambda: valuation_from_json({"m": 1, "values": {"0": "0", "1": "2/3"}}),
+        lambda: xos_from_clauses(XOSClauses(1, ((Fraction(1),),))),
+    ]
+    for build in builders:
+        seen.clear()
+        v = build()
+        assert seen == [v] and seen[0] is v
+        assert v.value(0) == 0 and v.table[-1] == v.max_value() and valuation_to_json(v)
+        assert len(seen) == 1
+
+
+def all_pairs_subadditive(t, m):
+    """The all-pairs generator `classify_valuation` ran before it checked
+    disjoint splits only: t(S) + t(U) >= t(S | U) for every S <= U."""
+    return all(t[s] + t[u] >= t[s | u] for s in all_bundles(m) for u in range(s, 1 << m))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8), st.booleans(), st.data())
+def test_disjoint_split_subadditivity_matches_all_pairs(m, plant, data):
+    t = [data.draw(st.integers(0, 4)) for _ in all_bundles(m)]
+    t = monotone_closure([0] + t[1:], m)
+    if plant and m > 1:
+        # raise a bundle u of two or more items above one of its splits, then
+        # its supersets to keep t monotone: the split's entries stay put
+        u = data.draw(st.sampled_from([u for u in all_bundles(m) if size(u) > 1]))
+        s = data.draw(st.sampled_from([s for s in subsets(u) if 0 < s < u]))
+        t[u] = t[s] + t[u ^ s] + data.draw(st.integers(1, 3))
+        t = monotone_closure(t, m)
+    want = all_pairs_subadditive(t, m)
+    if plant and m > 1:
+        assert not want
+    assert ("subadditive" in classify_valuation(valuation_from_ints(m, 1, t))) == want
 
 
 def reference_additive_table(per_item):
@@ -296,7 +383,7 @@ def test_xos_and_additive_tables_match_fraction_reference(c):
     assert classify_valuation(v) == reference_classify(v)
     a = additive_valuation(c.clauses[0])
     assert a.table == reference_additive_table(c.clauses[0]) and a.clauses is None
-    assert repr(a) == repr(Valuation(c.m, reference_additive_table(c.clauses[0])))
+    assert repr(a) == repr(valuation(c.m, reference_additive_table(c.clauses[0])))
     assert classify_valuation(a) == reference_classify(a)
 
 
@@ -451,10 +538,10 @@ def test_is_monotone_matches_per_item_loop(question):
     assert is_monotone(table, m) == reference_is_monotone(table, m)
     if table[0] == 0 and all(isinstance(x, Fraction) for x in table):
         if is_monotone(table, m):
-            assert Valuation(m, table).table == table
+            assert valuation(m, table).table == table
         else:
             with pytest.raises(DomainError, match="valuation must be monotone"):
-                Valuation(m, table)
+                valuation(m, table)
 
 
 def reference_generator_is_monotone(table, m):

@@ -157,3 +157,62 @@ def test_every_memo_in_the_package_is_bounded():
     assert modules
     found = {path.name: unbounded_caches(path.read_text(encoding="utf-8")) for path in modules}
     assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def made_by_new(expr) -> bool:
+    """expr is a `__new__` call, such as `Valuation.__new__(Valuation)`."""
+    return (isinstance(expr, ast.Call) and isinstance(expr.func, ast.Attribute)
+            and expr.func.attr == "__new__")
+
+
+def cache_seeding(source: str) -> list[str]:
+    """Writes into an object's `__dict__` (an item store or delete, or an
+    `update` or `setdefault` call) and `__init__` called on an object made
+    by `__new__`, directly or through a name bound to one: the path that
+    fills a cached attribute and then replays the constructor.  A class
+    validates once, in the constructor it was built by."""
+    tree = ast.parse(source)
+    made = {target.id for node in ast.walk(tree)
+            if isinstance(node, ast.Assign) and made_by_new(node.value)
+            for target in node.targets if isinstance(target, ast.Name)}
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load)
+                and isinstance(node.value, ast.Attribute) and node.value.attr == "__dict__"):
+            found.append(f"line {node.lineno}: __dict__ write")
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            owner = node.func.value
+            if (node.func.attr in ("update", "setdefault") and isinstance(owner, ast.Attribute)
+                    and owner.attr == "__dict__"):
+                found.append(f"line {node.lineno}: __dict__ write")
+            elif node.func.attr == "__init__" and (
+                    made_by_new(owner) or isinstance(owner, ast.Name) and owner.id in made):
+                found.append(f"line {node.lineno}: __init__ on a __new__ object")
+    return found
+
+
+def test_cache_seeding_is_found():
+    source = (
+        "v = Valuation.__new__(Valuation)\n"
+        "v.__dict__['scaled_table'] = (1, (0, 1))\n"
+        "v.__init__(1, table)\n"
+        "w = Plain(1)\n"
+        "w.__init__(2)\n"
+        "f.__dict__.update(scaled=pair)\n"
+        "del g.__dict__['levels']\n"
+        "Base.__new__(Base).__init__(m)\n"
+        "x = v.__dict__['table'] and vars(v)\n"
+        "class K(Base):\n    def __init__(self):\n        super().__init__(1)\n"
+        "h.__dict__.setdefault('levels', {})\n"
+    )
+    assert cache_seeding(source) == [
+        "line 2: __dict__ write", "line 3: __init__ on a __new__ object",
+        "line 6: __dict__ write", "line 7: __dict__ write",
+        "line 8: __init__ on a __new__ object", "line 13: __dict__ write"]
+
+
+def test_no_module_seeds_a_cache_and_replays_a_constructor():
+    modules = sorted(SRC.glob("*.py"))
+    assert modules
+    found = {path.name: cache_seeding(path.read_text(encoding="utf-8")) for path in modules}
+    assert {name: hits for name, hits in found.items() if hits} == {}

@@ -13,7 +13,7 @@ from taxlab.menus import (ContractError, Menu, MinAffineMenu, cheapest_superset,
                           min_affine_to_json, normalize_menu, profit_argmax_set)
 from taxlab.rational import INF, is_finite, sum_prices
 from taxlab.rng import stream
-from taxlab.valuations import (DomainError, Valuation, random_monotone_valuation,
+from taxlab.valuations import (DomainError, Valuation, random_monotone_valuation, valuation,
                                valuation_from_values)
 
 F = Fraction
@@ -108,7 +108,7 @@ def strictly_monotone_for(menu: Menu, target: int) -> Valuation:
         bonus = gamma if s & target == target else F(0)
         table.append((base if s else F(0)) + delta * bin(s).count("1") + bonus)
     table[0] = F(0)
-    return Valuation(m, tuple(table))
+    return valuation(m, tuple(table))
 
 
 def test_menu_complexity_matches_unique_winnability():

@@ -18,7 +18,8 @@ from taxlab.rational import is_finite
 from taxlab.transforms import (AuditReport, AuditRow, DeviationStrategy, _Outcomes, _play,
                                _seated, build_tables, deviation_family, deviation_audit, settle,
                                to_dominant_run, truthful_bundle)
-from taxlab.valuations import DomainError, Valuation, ValuationCatalog, additive_valuation
+from taxlab.valuations import (DomainError, ValuationCatalog, additive_valuation, valuation,
+                               valuation_from_ints)
 
 _sessions: dict[int, Session] = {}
 
@@ -57,7 +58,7 @@ def test_session_memoizes_by_content():
     assert session.menu(1, profile[:1]) is session.menu(1, profile[:1])
     assert session.price_run(1, profile[:1], 3) is session.price_run(1, profile[:1], 3)
     # an equal valuation that is another object is a hit on every memo
-    twin = Valuation(profile[0].m, profile[0].table)
+    twin = valuation(profile[0].m, profile[0].table)
     assert twin is not profile[0]
     assert session.run((twin, profile[1])) is session.run(profile)
     assert session.menu(1, (twin,)) is session.menu(1, profile[:1])
@@ -65,6 +66,17 @@ def test_session_memoizes_by_content():
     probe = additive_valuation([1, 0, 2, 0])
     first = session.probe_run(1, profile[:1], probe.scaled_table)
     assert session.probe_run(1, (twin,), additive_valuation([1, 0, 2, 0]).scaled_table) is first
+    # a twin from unreduced ints: comparing, hashing and keying it never builds its table
+    d, ints = profile[0].scaled_table
+    lean = valuation_from_ints(profile[0].m, 3 * d, [3 * x for x in ints])
+    assert lean == twin == profile[0] and hash(lean) == hash(profile[0]) and {lean, twin} == {twin}
+    assert session.run((lean, profile[1])) is session.run(profile)
+    assert session.menu(1, (lean,)) is session.menu(1, profile[:1])
+    assert session.price_run(1, (lean,), 3) is session.price_run(1, profile[:1], 3)
+    assert session.probe_run(1, (lean,), probe.scaled_table) is first
+    other = session.catalog.players[0][0]
+    assert ValuationCatalog(((lean, other),)).players == ((lean, other),)
+    assert "table" not in vars(lean) and "table" not in vars(twin)
     # a different table is a different key
     alice = session.catalog.players[0]
     assert session.run((alice[0], profile[1])) is not session.run((alice[2], profile[1]))

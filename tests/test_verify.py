@@ -16,9 +16,9 @@ from taxlab.rational import INF, common_denominator, is_finite
 from taxlab.rng import stream
 from taxlab.valuations import (Valuation, ValuationCatalog, XOSClauses, additive_valuation,
                                classify_valuation, random_monotone_valuation,
-                               valuation_from_ints, xos_from_clauses)
-from taxlab.verify import (CLASSES, BaseFunction, VerificationResult, exceeds_somewhere,
-                           menu_price_grid, pairwise_submodular, probe_rounds,
+                               valuation, valuation_from_ints, xos_from_clauses)
+from taxlab.verify import (CLASSES, BaseFunction, VerificationResult, base_function,
+                           exceeds_somewhere, menu_price_grid, pairwise_submodular, probe_rounds,
                            random_base_function, submodular_probe, upward_closure, verify_menu,
                            xos_probe)
 
@@ -30,7 +30,7 @@ def base(m, entries):
     table[0] = F(0)
     for s, p in entries.items():
         table[s] = p if p is INF else F(p)
-    return BaseFunction(m, tuple(table))
+    return base_function(m, tuple(table))
 
 
 def only_probe(f, bound, cls):
@@ -204,21 +204,21 @@ def test_verify_menu_decision_examples():
     grid = menu_price_grid([truth])
     session = Session(spec, cat)
 
-    canonical = BaseFunction(2, truth.price)
+    canonical = base_function(2, truth.price)
     for cls in ("general", "subadditive", "xos", "submodular"):
         res = verify_menu(session, 1, v_minus, canonical, cls, price_grid=grid)
         assert res.answer == 0, cls
 
     raised = list(truth.price)
     raised[0b01] = raised[0b01] + 1
-    bumped = BaseFunction(2, tuple(raised))
+    bumped = base_function(2, tuple(raised))
     for cls in ("general", "subadditive"):
         assert verify_menu(session, 1, v_minus, bumped, cls, price_grid=grid).answer == 1
 
     infd = list(truth.price)
     infd[0b01] = INF
     infd[0b11] = INF
-    over = BaseFunction(2, tuple(infd))
+    over = base_function(2, tuple(infd))
     assert verify_menu(session, 1, v_minus, over, "general").answer == 1
 
 
@@ -230,11 +230,11 @@ def test_a_non_submodular_staircase_probe_is_refused(monkeypatch):
     v_minus = (cat.players[0][2],)
     truth = extract_menu(spec, 1, v_minus)
     grid = menu_price_grid([truth])
-    f = BaseFunction(2, truth.price)
+    f = base_function(2, truth.price)
     session = Session(spec, cat)
     assert verify_menu(session, 1, v_minus, f, "submodular", price_grid=grid).answer == 0
     # complements: the pair is worth more than its items together
-    complements = Valuation(2, (F(0), F(0), F(0), F(1)))
+    complements = valuation(2, (F(0), F(0), F(0), F(1)))
     assert not pairwise_submodular(2, complements.scaled_table[1])
     monkeypatch.setattr(verify, "_staircase", lambda *args: complements.scaled_table)
     with pytest.raises(ContractError, match="submodularity"):
@@ -281,14 +281,14 @@ def test_verify_agrees_with_brute_force():
 # ---- the Fraction builders the integer ones replaced, kept as oracles ----
 
 def reference_general_probe(f, bound):
-    return Valuation(f.m, tuple(x if is_finite(x) else 3 * bound for x in f.table))
+    return valuation(f.m, tuple(x if is_finite(x) else 3 * bound for x in f.table))
 
 
 def reference_subadditive_probe(f, bound):
     base = reference_general_probe(f, bound)
     shift = max(base.table)
     table = tuple(F(0) if s == 0 else base.table[s] + shift for s in all_bundles(f.m))
-    return Valuation(f.m, table), shift
+    return valuation(f.m, table), shift
 
 
 def reference_xos_probe(f, bound, r):
@@ -313,7 +313,7 @@ def reference_submodular_probe(f, bound, k, w):
             table.append(k * t)
         else:
             table.append((k - F(1, 1 << size(s))) * t)
-    return Valuation(f.m, tuple(table))
+    return valuation(f.m, tuple(table))
 
 
 def reference_random_base_function(m, bound, rng, values=None):
@@ -325,7 +325,7 @@ def reference_random_base_function(m, bound, rng, values=None):
     for s in all_bundles(m):
         if s:
             table[s] = max_below(table, s, pool[rng.randrange(len(pool))])
-    return BaseFunction(m, tuple(table))
+    return base_function(m, tuple(table))
 
 
 def assert_integer_form(v):
@@ -361,7 +361,7 @@ def test_integer_builders_match_fraction_reference(question):
     want = reference_random_base_function(m, bound, twin, values=values)
     assert f.table == want.table  # the same draws for the same seed
     assert rng.getstate() == twin.getstate()  # and as many: later trials see the same stream
-    assert f.scaled == want.scaled  # the seeded integer form is the computed one
+    assert f == want and f.scaled == want.scaled  # the drawn stored form is the entry path's
     d, ints, top = f.scaled
     finite = [x for x in f.table if is_finite(x)]
     assert d == common_denominator(finite)[0]
@@ -464,16 +464,36 @@ def test_an_empty_price_pool_is_refused():
 
 def test_base_function_refusals_and_infinite_top():
     with pytest.raises(DomainError, match="monotone"):
-        BaseFunction(2, (F(0), F(1, 2), F(0), F(3, 7)))
+        base_function(2, (F(0), F(1, 2), F(0), F(3, 7)))
     with pytest.raises(DomainError, match="monotone"):
-        BaseFunction(2, (F(0), INF, F(0), F(1)))
+        base_function(2, (F(0), INF, F(0), F(1)))
     with pytest.raises(DomainError, match="vanish"):
-        BaseFunction(1, (INF, INF))
-    f = BaseFunction(2, (F(0), F(1, 2), F(2, 3), INF))
+        base_function(1, (INF, INF))
+    f = base_function(2, (F(0), F(1, 2), F(2, 3), INF))
     assert f.scaled == (6, (0, 3, 4, 5), 5)
-    everything = BaseFunction(2, (F(0), INF, INF, INF))
+    everything = base_function(2, (F(0), INF, INF, INF))
     assert everything.scaled == (1, (0, 1, 1, 1), 1)
     assert everything.levels == {(1, INF): (0b01, 0b10), (2, INF): (0b11,)}
+    assert BaseFunction(2, (6, (0, 3, 4, 5), 5)) == f and "table" not in vars(f)
+    # the stored triple itself must be the reduced form with top one above it
+    for scaled in ((2, (0, 2), 3), (0, (0, 1), 2), (1, (0, 1), 3), (1, (0, 2), 1),
+                   (1, [0, 1], 2)):
+        with pytest.raises(DomainError, match="reduced ints with top above them"):
+            BaseFunction(1, scaled)
+    with pytest.raises(DomainError, match="cover all"):
+        BaseFunction(2, (1, (0, 1), 2))
+
+
+def test_base_function_validates_once_per_construction(monkeypatch):
+    seen = []
+    check = BaseFunction.__post_init__
+    monkeypatch.setattr(BaseFunction, "__post_init__", lambda f: seen.append(f) or check(f))
+    for build in (lambda: base_function(2, (F(0), F(1, 2), F(2, 3), INF)),
+                  lambda: BaseFunction(1, (1, (0, 1), 2)),
+                  lambda: random_base_function(3, F(2), stream(0, "once"))):
+        seen.clear()
+        f = build()
+        assert seen == [f] and f.table[0] == 0 and f.levels and len(seen) == 1
 
 
 def test_upward_closure_matches_member_scan():
@@ -584,7 +604,7 @@ def test_probe_memo_runs_each_distinct_probe_once():
     probe, _ = only_probe(random_base_function(m, spec.bound, rng), spec.bound, "general")
     first = session.probe_run(1, (others[0],), probe.scaled_table)
     before = len(calls)
-    assert session.probe_run(1, (others[0],), Valuation(m, probe.table).scaled_table) == first
+    assert session.probe_run(1, (others[0],), valuation(m, probe.table).scaled_table) == first
     assert len(calls) == before
     # so is the same table over an unreduced denominator
     d, ints = probe.scaled_table
