@@ -82,6 +82,10 @@ def load_catalog(doc, base: Path) -> Optional[ValuationCatalog]:
         doc = [json.loads((base / rel).read_text()) for rel in doc["files"]]
     if not isinstance(doc, list):
         raise ConfigError("catalogs must be 'default', a list per player, or {files: [...]}")
+    for i, group in enumerate(doc):
+        if not isinstance(group, list) or not all(isinstance(v, dict) for v in group):
+            raise ConfigError(f"player {i}'s catalog must be a list of valuation objects, "
+                              f"got {group!r}")
     return ValuationCatalog(tuple(tuple(valuation_from_json(v) for v in group) for group in doc))
 
 

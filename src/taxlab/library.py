@@ -21,6 +21,14 @@ and declared tie protocol realize one of the benchmark constructions:
                            common-one test between the first two.
 * posted_prices(p)      -- sequential fixed item prices (plumbing baseline).
 
+Programs, price protocols and tie costs that read a valuation directly
+(the bit-mode programs and every protocol) read its integer table
+`v.scaled_table == (d, ints)`: v(s) >= 1 is ints[s] >= d, v(s) == 1/4 is
+4 ints[s] == d, so no probe builds its `Fraction` table.  Value- and
+demand-mode programs learn values only through the recorder's queries.
+Ints end there: payments, query answers and transcript payloads stay
+`Fraction`.
+
 MECHANISMS declares each one once: its builder, its default catalog and
 the schema of its config params.  Both take the params as keywords.
 """
@@ -29,7 +37,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor
 from typing import Callable, Optional
 
 from .bundles import MAX_ITEMS, all_bundles, best_bundle, bit, bundles_of_size, grand, size
@@ -53,9 +60,16 @@ ITEM_A = bit(0)
 ITEM_B = bit(1)
 
 
-def round_to_range(x: Fraction, lo: int, hi: int) -> int:
-    """Nearest integer in [lo, hi], halves rounding up."""
-    return min(hi, max(lo, floor(x + HALF)))
+def round_to_range(num: int, den: int, lo: int, hi: int) -> int:
+    """The integer nearest num / den (den > 0) in [lo, hi], halves rounding
+    up: floor(num / den + 1/2) == (2 num + den) // (2 den)."""
+    return min(hi, max(lo, (2 * num + den) // (2 * den)))
+
+
+def rounded_value(v: Valuation, s: int, lo: int, hi: int) -> int:
+    """`round_to_range` of v(s), read off the integer table."""
+    d, ints = v.scaled_table
+    return round_to_range(ints[s], d, lo, hi)
 
 
 def buyer_only(buyer: int, protocol):
@@ -78,16 +92,17 @@ def warmup_tightness(c: int, m: int = 2) -> MechanismSpec:
 
     def program(profile, rec):
         v_alice, v_bob = profile
-        t = round_to_range(v_alice.value(ITEM_A), 1, top)
+        t = rounded_value(v_alice, ITEM_A, 1, top)
         rec.send_number(0, t, top)
-        if v_bob.value(ITEM_A) >= t:
+        d, ints = v_bob.scaled_table
+        if ints[ITEM_A] >= t * d:
             rec.send_bit(1, 1)
             return (0, ITEM_A), (Fraction(0), Fraction(t))
         rec.send_bit(1, 0)
         return (0, 0), (Fraction(0), Fraction(0))
 
     def price_protocol(spec, i, v_minus_i, s):
-        t = round_to_range(v_minus_i[0].value(ITEM_A), 1, top)
+        t = rounded_value(v_minus_i[0], ITEM_A, 1, top)
         if s == 0:
             price: Price = Fraction(0)
         elif s == ITEM_A:
@@ -137,14 +152,14 @@ def value_tightness(m: int, c: Optional[int] = None, bundles=None) -> MechanismS
         }
 
     def program(profile, rec):
-        t = round_to_range(rec.value_query(0, ITEM_A), 1, c)
+        t = round_to_range(*rec.value_query(0, ITEM_A).as_integer_ratio(), 1, c)
         prices = menu_prices(t)
         best_mask, _ = best_bundle((s, rec.value_query(1, s) - prices[s]) for s in bundle_list)
         pay = prices[best_mask] if best_mask else Fraction(0)
         return (0, best_mask), (Fraction(0), pay)
 
     def price_protocol(spec, i, v_minus_i, s):
-        t = round_to_range(v_minus_i[0].value(ITEM_A), 1, c)
+        t = rounded_value(v_minus_i[0], ITEM_A, 1, c)
         price = Fraction(0) if s == 0 else cheapest_superset(menu_prices(t), s)
         return PriceRun(price, ((0, t, c),))
 
@@ -199,14 +214,14 @@ def demand_tightness(m: int, alpha: int, count: int) -> MechanismSpec:
     bound = max(eval_min_affine(ma, grand(m // 2)) for ma in menus)
 
     def program(profile, rec):
-        t = round_to_range(rec.value_query(0, ITEM_A), 1, len(menus))
+        t = round_to_range(*rec.value_query(0, ITEM_A).as_integer_ratio(), 1, len(menus))
         ma = menus[t - 1]
         best_mask = min_affine_argmax(ma, lambda vec: rec.demand_query(1, vec))
         pay = eval_min_affine(ma, best_mask) if best_mask else Fraction(0)
         return (0, best_mask), (Fraction(0), pay)
 
     def price_protocol(spec, i, v_minus_i, s):
-        t = round_to_range(v_minus_i[0].value(ITEM_A), 1, len(menus))
+        t = rounded_value(v_minus_i[0], ITEM_A, 1, len(menus))
         return PriceRun(eval_min_affine(menus[t - 1], s), ((0, t, len(menus)),))
 
     return MechanismSpec(
@@ -255,7 +270,8 @@ def mt_gadget(m: int) -> MechanismSpec:
         return (0, got.bundle), (Fraction(0), got.price)
 
     def price_protocol(spec, i, v_minus_i, s):
-        hit = size(s) == m // 2 and v_minus_i[0].value(s) == QUARTER
+        d, ints = v_minus_i[0].scaled_table
+        hit = size(s) == m // 2 and 4 * ints[s] == d  # v(s) == 1/4
         return PriceRun(hidden_bump_price(s, s if hit else None), ((0, 1 if hit else 0, 2),))
 
     return MechanismSpec(
@@ -312,11 +328,15 @@ def drop_tie(m: int) -> MechanismSpec:
     sized = bundles_of_size(m, m // 2)
 
     def binary_only(v: Valuation) -> bool:
-        return all(x == 0 or x == 1 for x in v.table)
+        """Every value 0 or 1: the reduced monotone table is over d = 1 and
+        tops out at most at 1."""
+        d, ints = v.scaled_table
+        return d == 1 and ints[-1] <= 1
 
     def program(profile, rec):
         v1, v2 = profile
-        a2, b2 = v2.value(ITEM_A), v2.value(ITEM_B)
+        t1, t2 = v1.scaled_table[1], v2.scaled_table[1]
+        a2, b2 = t2[ITEM_A], t2[ITEM_B]  # one denominator: ints order like values
         cmp_code = 0 if a2 > b2 else (1 if a2 < b2 else 2)
         rec.send_number(1, cmp_code, 3)
         if cmp_code == 0:
@@ -329,10 +349,10 @@ def drop_tie(m: int) -> MechanismSpec:
             rec.send_bit(1, int(f2))
             if f1 or f2:
                 won = ITEM_A
-            else:
+            else:  # both tables are 0/1 over d = 1, so ints are values
                 for s in sized:
-                    rec.send_bit(0, int(v1.value(s) == 1))
-                equal = any(v1.value(s) == v2.value(s) for s in sized)
+                    rec.send_bit(0, int(t1[s] == 1))
+                equal = any(t1[s] == t2[s] for s in sized)
                 rec.send_bit(1, int(equal))
                 won = ITEM_A if equal else ITEM_B
         return (0, won), (Fraction(0), Fraction(0))
@@ -343,7 +363,8 @@ def drop_tie(m: int) -> MechanismSpec:
 
     def tie_cost(profile):
         v1, v2 = profile
-        if v2.value(ITEM_A) != v2.value(ITEM_B):
+        t2 = v2.scaled_table[1]
+        if t2[ITEM_A] != t2[ITEM_B]:
             return 2
         if not binary_only(v1) or not binary_only(v2):
             return 4
@@ -370,15 +391,16 @@ def drop_tax(m: int) -> MechanismSpec:
     sized = bundles_of_size(m, m // 2)
 
     def program(profile, rec):
-        v1, v2 = profile
+        (d1, t1), (d2, t2) = profile[0].scaled_table, profile[1].scaled_table
         offered = []
         for s in sized:
-            ok = v1.value(s) >= 1
+            ok = t1[s] >= d1  # v1(s) >= 1
             rec.send_bit(0, int(ok))
             if ok:
                 offered.append(s)
-        # all cost 1: ranked by value, so a zero-profit bundle beats the empty one
-        best_mask, _ = best_bundle((s, val) for s in offered if (val := v2.value(s)) >= 1)
+        # all cost 1: ranked by value (ints over one denominator), so a
+        # zero-profit bundle beats the empty one
+        best_mask, _ = best_bundle((s, t2[s]) for s in offered if t2[s] >= d2)
         rec.send_number(1, best_mask, 1 << m)
         pay = Fraction(1) if best_mask else Fraction(0)
         return (0, best_mask), (Fraction(0), pay)
@@ -388,8 +410,8 @@ def drop_tax(m: int) -> MechanismSpec:
             return PriceRun(Fraction(0), ())
         if size(s) > m // 2:
             return PriceRun(INF, ())
-        v1 = v_minus_i[0]
-        ok = any(t & s == s and v1.value(t) >= 1 for t in sized)
+        d1, t1 = v_minus_i[0].scaled_table
+        ok = any(t & s == s and t1[t] >= d1 for t in sized)
         return PriceRun(Fraction(1) if ok else INF, ((0, int(ok), 2),))
 
     return MechanismSpec(
@@ -412,18 +434,24 @@ def drop_price(m: int) -> MechanismSpec:
         raise DomainError("drop_price needs even m >= 2")
     sized = bundles_of_size(m, m // 2)
 
+    def common_one(v1: Valuation, v2: Valuation) -> tuple[tuple[int, ...], bool]:
+        """The first player's bit per half-size bundle, v1(s) == 1, and
+        whether v2 is 1 on a bundle so marked."""
+        (d1, t1), (d2, t2) = v1.scaled_table, v2.scaled_table
+        xbits = tuple(int(t1[s] == d1) for s in sized)
+        return xbits, any(x and t2[s] == d2 for x, s in zip(xbits, sized))
+
     def program(profile, rec):
-        v1, v2, v3 = profile
-        xbits = tuple(int(v1.value(s) == 1) for s in sized)
+        xbits, hit = common_one(profile[0], profile[1])
         for b in xbits:
             rec.send_bit(0, b)
-        hit = any(x and v2.value(s) == 1 for x, s in zip(xbits, sized))
         rec.send_bit(1, int(hit))
-        price = Fraction(1) if hit else Fraction(2)
-        take = v3.value(ITEM_A) > price
+        k = 1 if hit else 2
+        d3, t3 = profile[2].scaled_table
+        take = t3[ITEM_A] > k * d3  # v3(a) above the price k
         rec.send_bit(2, int(take))
         if take:
-            return (0, 0, ITEM_A), (Fraction(0), Fraction(0), price)
+            return (0, 0, ITEM_A), (Fraction(0), Fraction(0), Fraction(k))
         return (0, 0, 0), (Fraction(0), Fraction(0), Fraction(0))
 
     def price_protocol(spec, i, v_minus_i, s):
@@ -431,9 +459,7 @@ def drop_price(m: int) -> MechanismSpec:
             return PriceRun(Fraction(0), ())
         if s != ITEM_A:
             return PriceRun(INF, ())
-        v1, v2 = v_minus_i
-        xbits = tuple(int(v1.value(t) == 1) for t in sized)
-        hit = any(x and v2.value(t) == 1 for x, t in zip(xbits, sized))
+        xbits, hit = common_one(*v_minus_i)
         price = Fraction(1) if hit else Fraction(2)
         return PriceRun(price, ((0, xbits, 1 << len(sized)), (1, int(hit), 2)))
 

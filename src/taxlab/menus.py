@@ -5,6 +5,13 @@ A menu is the taxation-principle object: the price (possibly infinite) a
 player faces for each bundle.  The canonical form is normalized (empty
 bundle costs 0) and monotone (supersets never cheaper); menu equality is
 exact table equality after normalization.
+
+A `Menu` holds its `Fraction`/INF prices and derives one integer form on
+first read, `scaled == (D, ints, top)`, with `top` standing for INF as in
+`verify.BaseFunction`.  The per-profile checks read it: `profit_argmax_set`
+ranks integer profits, and `Menu.is_normalized` and `extract_menu`'s
+monotonicity check compare ints.  `normalize_menu` and `menu_complexity`
+run once per extracted menu and stay in `Fraction`.
 """
 
 from __future__ import annotations
@@ -12,11 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 from .bundles import all_bundles, bit, check_m, grand, is_monotone, subset_sums, supersets
 from .rational import (INF, Price, common_denominator, format_price, is_finite, parse_price,
-                       price_key)
-from .valuations import DomainError, Valuation, table_from_json, table_to_json
+                       price_key, scaled_prices)
+from .valuations import DomainError, Valuation, json_item_count, table_from_json, table_to_json
 
 
 class ContractError(ValueError):
@@ -33,8 +41,17 @@ class Menu:
         if len(self.price) != 1 << self.m:
             raise DomainError("menu must price all 2^m bundles")
 
+    @cached_property
+    def scaled(self) -> tuple[int, tuple[int, ...], int]:
+        """The prices over one denominator, (D, ints, top), `top` standing
+        for INF (`rational.scaled_prices`), built on first read."""
+        return scaled_prices(self.price)
+
     def is_normalized(self) -> bool:
-        return self.price[0] == 0 and is_monotone(self.price, self.m)
+        """The empty bundle free (an INF entry's int is at least 1) and the
+        prices monotone, both read off the integer form."""
+        ints = self.scaled[1]
+        return ints[0] == 0 and is_monotone(ints, self.m)
 
     def sort_key(self):
         return tuple(map(price_key, self.price))
@@ -61,22 +78,20 @@ def normalize_menu(raw: Menu) -> Menu:
 
 
 def profit_argmax_set(menu: Menu, v: Valuation) -> list[int]:
-    """All profit-maximizing bundles in ascending mask order.  Bundles with
-    infinite price are excluded; the empty bundle guarantees nonemptiness."""
+    """All profit-maximizing bundles in ascending mask order, ranked by
+    integer profits over the lcm of the menu's and the valuation's
+    denominators.  Bundles with infinite price are excluded; the empty
+    bundle guarantees nonemptiness."""
     if menu.m != v.m:
         raise DomainError("menu and valuation must share m")
-    best = None
-    arg: list[int] = []
-    for s in all_bundles(menu.m):
-        p = menu.price[s]
-        if not is_finite(p):
-            continue
-        profit = v.table[s] - p
-        if best is None or profit > best:
-            best, arg = profit, [s]
-        elif profit == best:
-            arg.append(s)
-    return arg
+    dv, values = v.scaled_table
+    dm, prices, top = menu.scaled
+    den = lcm(dv, dm)
+    kv, km = den // dv, den // dm
+    finite = [s for s, p in enumerate(prices) if p != top]
+    profits = [x * kv - p * km for x, p in zip(values, prices)]
+    best = max([profits[s] for s in finite], default=None)
+    return [s for s in finite if profits[s] == best]
 
 
 def menu_complexity(menu: Menu) -> tuple[int, tuple[int, ...]]:
@@ -199,7 +214,7 @@ def min_affine_to_json(ma: MinAffineMenu) -> dict:
 
 
 def min_affine_from_json(doc: dict) -> MinAffineMenu:
-    m = int(doc["m"])
+    m = json_item_count(doc)
     vectors = tuple(tuple(parse_price(p) for p in vec) for vec in doc["vectors"])
     offsets = tuple(Fraction(r) for r in doc["offsets"])
     exceptions = tuple(

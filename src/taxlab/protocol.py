@@ -206,7 +206,7 @@ def extract_menu(spec: MechanismSpec, i: int, v_minus_i: Sequence[Valuation]) ->
         raise DomainError("v_minus_i must hold the other n-1 valuations")
     check = Menu(spec.m, tuple(probe_price(spec, i, v_minus_i, s)[0]
                                for s in all_bundles(spec.m)))
-    if not is_monotone(check.price, spec.m):
+    if not is_monotone(check.scaled[1], spec.m):
         raise TaxationViolation(
             f"{spec.mech_id}: extracted prices for player {i} are not monotone"
         )

@@ -89,6 +89,17 @@ def common_denominator(xs: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
     return d, tuple([p * (d // q) for p, q in pairs])
 
 
+def scaled_prices(table: Sequence[Price]) -> tuple[int, tuple[int, ...], int]:
+    """A price table over one denominator, (D, ints, top): table[s] ==
+    ints[s] / D where finite (gcd 1), and ints[s] == top where INF, top
+    being one above the largest int with INF entries counted as 0, so above
+    every finite one; the ints order like the prices."""
+    finite = [is_finite(x) for x in table]
+    d, ints = common_denominator([x if ok else 0 for x, ok in zip(table, finite)])
+    top = max(ints, default=0) + 1
+    return d, tuple([x if ok else top for x, ok in zip(ints, finite)]), top
+
+
 def parse_price(s: str) -> Price:
     if not isinstance(s, str):
         raise ValueError(f'a price is a string such as "1/2" or "inf", got {s!r}')

@@ -112,17 +112,19 @@ def additive_valuation(per_item: Sequence) -> Valuation:
 
 def single_item_valuation(m: int, item_j: int, value) -> Valuation:
     """Monotone valuation worth `value` exactly when the bundle holds item_j
-    (0-based)."""
-    v = Fraction(value)
-    table = [v if s & bit(item_j) else Fraction(0) for s in all_bundles(m)]
-    return valuation(m, tuple(table))
+    (0-based), built as ints over the value's denominator."""
+    x, d = Fraction(value).as_integer_ratio()
+    return valuation_from_ints(m, d, [x if s & bit(item_j) else 0 for s in all_bundles(m)])
 
 
 def layered_valuation(m: int, level: dict[int, Fraction], high: Fraction) -> Valuation:
     """`high` above half size, level.get(s, 0) on every other bundle s;
-    `level` holds half-size bundles only."""
-    return valuation(m, tuple(high if size(s) > m // 2 else level.get(s, Fraction(0))
-                              for s in all_bundles(m)))
+    `level` holds half-size bundles only.  Built as ints over the values'
+    common denominator."""
+    d, (top, *nums) = common_denominator([Fraction(high), *map(Fraction, level.values())])
+    at = dict(zip(level, nums))
+    return valuation_from_ints(m, d, [top if size(s) > m // 2 else at.get(s, 0)
+                                      for s in all_bundles(m)])
 
 
 def clause_max(m: int, ints: Sequence[int]) -> list[int]:
@@ -238,10 +240,19 @@ def valuation_to_json(v: Valuation) -> dict:
     return table_to_json(v.m, v.table)
 
 
+def json_item_count(doc: dict) -> int:
+    """The item count m of valuation, XOS or menu JSON: a JSON integer
+    (not 2.5, "2" or true) in 1..MAX_ITEMS."""
+    m = doc["m"]
+    if type(m) is not int:
+        raise DomainError(f"item count m must be an integer, got {m!r}")
+    check_m(m)
+    return m
+
+
 def table_from_json(doc: dict) -> tuple[int, tuple[Price, ...]]:
     """m and the price table of valuation or menu JSON, with every mask."""
-    m = int(doc["m"])
-    check_m(m)
+    m = json_item_count(doc)
     values = doc["values"]
     for s in all_bundles(m):
         if str(s) not in values:
@@ -254,7 +265,7 @@ def valuation_from_json(doc: dict) -> Valuation:
 
 
 def xos_from_json(doc: dict) -> Valuation:
-    m = int(doc["m"])
+    m = json_item_count(doc)
     clauses = tuple(
         tuple(Fraction(entry) for entry in clause) for clause in doc["clauses"]
     )

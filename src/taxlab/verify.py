@@ -22,7 +22,13 @@ numerator and denominator, cross-multiplied, so an INF payment is never
 beaten; the staircase test compares the won bundle's entry with the
 grand bundle's.  The price grid for the submodular rounds is the set of
 distinct prices the mechanism's menus can show, including the infinite
-one when present."""
+one when present.
+
+Ints end at the mechanism's outcome: a run's payment, the price grid and
+the staircase test's `paid < w` stay `Fraction` (or INF).
+`exceeds_somewhere`, the reference answer a trial is checked against,
+cross-multiplies the base function's integer form with the menu's
+(`Menu.scaled`), so neither builds its `Fraction` table for it."""
 
 from __future__ import annotations
 
@@ -32,11 +38,10 @@ from functools import cached_property, lru_cache
 from math import gcd, lcm
 from typing import Callable, Optional, Sequence
 
-from .bundles import (all_bundles, bit, bundles_of_size, check_m, is_monotone, monotone_closure,
-                      size)
+from .bundles import bit, bundles_of_size, check_m, is_monotone, monotone_closure, size
 from .menus import ContractError, Menu
 from .protocol import Session
-from .rational import INF, Price, common_denominator, is_finite
+from .rational import INF, Price, common_denominator, is_finite, scaled_prices
 from .valuations import (DomainError, Valuation, XOSClauses, clause_max, is_submodular,
                          valuation_from_ints)
 
@@ -92,15 +97,16 @@ class BaseFunction:
 
 def base_function(m: int, table: Sequence[Price]) -> BaseFunction:
     """The base function of an exact price table, INF entries included."""
-    finite = [is_finite(x) for x in table]
-    d, ints = common_denominator([x if ok else 0 for x, ok in zip(table, finite)])
-    top = max(ints, default=0) + 1
-    return BaseFunction(m, (d, tuple([x if ok else top for x, ok in zip(ints, finite)]), top))
+    return BaseFunction(m, scaled_prices(table))
 
 
 def exceeds_somewhere(f: BaseFunction, menu: Menu) -> bool:
-    """Brute-force reference predicate: does f beat the menu anywhere."""
-    return any(f.table[s] > menu.price[s] for s in all_bundles(f.m))
+    """Brute-force reference predicate: does f beat the menu anywhere.
+    Both integer forms, cross-multiplied: nothing beats an INF price, and
+    an INF entry of f beats every finite one."""
+    df, fs, ftop = f.scaled
+    dm, ms, mtop = menu.scaled
+    return any(y != mtop and (x == ftop or x * dm > y * df) for x, y in zip(fs, ms))
 
 
 # A round is (d, ints, beats): the probe valuation probe(s) == ints[s] / d,

@@ -177,6 +177,7 @@ def test_oversized_m_and_non_object_config_exit_two(tmp_path, capsys, monkeypatc
     # schema, catalog and work-cap refusals: each line names the mechanism
     # and the field
     numeric_values = {"m": 2, "values": {"0": 0, "1": 1, "2": 0, "3": 1}}
+    values = {"0": "0", "1": "1", "2": "0", "3": "1"}
     named = [
         ({"id": "warmup_tightness", "params": {"c": True}}, ".c must"),
         ({"id": "value_tightness", "params": {"m": 3, "bundles": [1.5]}}, ".bundles entry"),
@@ -196,6 +197,18 @@ def test_oversized_m_and_non_object_config_exit_two(tmp_path, capsys, monkeypatc
         ({"id": "posted_prices", "params": {"prices": ["1"] * 16}}, "m=16"),
         ({"id": "warmup_tightness", "params": {"c": 1},
           "catalogs": [[numeric_values], [numeric_values]]}, ".catalogs:"),
+    ] + [
+        ({"id": "warmup_tightness", "params": {"c": 1},
+          "catalogs": [[{"m": m, "values": values}], [{"m": 2, "values": values}]]},
+         f".catalogs: item count m must be an integer, got {m!r}")
+        for m in (2.5, "2", True)
+    ] + [
+        ({"id": "warmup_tightness", "params": {"c": 1},
+          "catalogs": [{"m": 2, "values": values}, [{"m": 2, "values": values}]]},
+         ".catalogs: player 0's catalog must be a list of valuation objects"),
+        ({"id": "warmup_tightness", "params": {"c": 1},
+          "catalogs": [[{"m": 2, "values": values}], [[2]]]},
+         ".catalogs: player 1's catalog must be a list of valuation objects"),
     ]
     # unknown keys at each level: each line names the key
     unknown = [

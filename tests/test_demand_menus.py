@@ -3,6 +3,7 @@ gadget."""
 
 import itertools
 from fractions import Fraction
+from math import floor
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,7 @@ from taxlab.demand_menus import (CharacterizationViolation, covers, demand_cover
                                  mt_gadget_argmax)
 from taxlab.library import default_catalog, make_example
 from taxlab.menus import MinAffineMenu, eval_min_affine
-from taxlab.protocol import MechanismSpec, extract_menu
+from taxlab.protocol import MechanismSpec, PriceRun, extract_menu
 from taxlab.queries import demand_query
 from taxlab.rational import INF, is_finite
 from taxlab.rng import stream
@@ -334,6 +335,209 @@ def reference_drop_tax_program(m):
     return program
 
 
+def reference_round(x, lo, hi):
+    """The rounding of a `Fraction` value every program and protocol did."""
+    return min(hi, max(lo, floor(x + F(1, 2))))
+
+
+def reference_warmup_program(c):
+    """The warmup_tightness program as it read `Fraction` values."""
+    top = 1 << c
+
+    def program(profile, rec):
+        v_alice, v_bob = profile
+        t = reference_round(v_alice.value(1), 1, top)
+        rec.send_number(0, t, top)
+        if v_bob.value(1) >= t:
+            rec.send_bit(1, 1)
+            return (0, 1), (F(0), F(t))
+        rec.send_bit(1, 0)
+        return (0, 0), (F(0), F(0))
+    return program
+
+
+def reference_drop_tie_parts(m):
+    """The drop_tie program and tie cost as they read `Fraction` values."""
+    sized = bundles_of_size(m, m // 2)
+
+    def binary_only(v):
+        return all(x == 0 or x == 1 for x in v.table)
+
+    def program(profile, rec):
+        v1, v2 = profile
+        a2, b2 = v2.value(1), v2.value(2)
+        cmp_code = 0 if a2 > b2 else (1 if a2 < b2 else 2)
+        rec.send_number(1, cmp_code, 3)
+        if cmp_code == 0:
+            won = 1
+        elif cmp_code == 1:
+            won = 2
+        else:
+            f1, f2 = not binary_only(v1), not binary_only(v2)
+            rec.send_bit(0, int(f1))
+            rec.send_bit(1, int(f2))
+            if f1 or f2:
+                won = 1
+            else:
+                for s in sized:
+                    rec.send_bit(0, int(v1.value(s) == 1))
+                equal = any(v1.value(s) == v2.value(s) for s in sized)
+                rec.send_bit(1, int(equal))
+                won = 1 if equal else 2
+        return (0, won), (F(0), F(0))
+
+    def tie_cost(profile):
+        v1, v2 = profile
+        if v2.value(1) != v2.value(2):
+            return 2
+        if not binary_only(v1) or not binary_only(v2):
+            return 4
+        return 4 + len(sized) + 1
+    return program, tie_cost
+
+
+def reference_drop_price_parts(m):
+    """The drop_price program and price protocol as they read `Fraction`
+    values."""
+    sized = bundles_of_size(m, m // 2)
+
+    def program(profile, rec):
+        v1, v2, v3 = profile
+        xbits = tuple(int(v1.value(s) == 1) for s in sized)
+        for b in xbits:
+            rec.send_bit(0, b)
+        hit = any(x and v2.value(s) == 1 for x, s in zip(xbits, sized))
+        rec.send_bit(1, int(hit))
+        price = F(1) if hit else F(2)
+        take = v3.value(1) > price
+        rec.send_bit(2, int(take))
+        if take:
+            return (0, 0, 1), (F(0), F(0), price)
+        return (0, 0, 0), (F(0), F(0), F(0))
+
+    def protocol(spec, i, v_minus_i, s):
+        if s == 0:
+            return PriceRun(F(0), ())
+        if s != 1:
+            return PriceRun(INF, ())
+        v1, v2 = v_minus_i
+        xbits = tuple(int(v1.value(t) == 1) for t in sized)
+        hit = any(x and v2.value(t) == 1 for x, t in zip(xbits, sized))
+        return PriceRun(F(1) if hit else F(2), ((0, xbits, 1 << len(sized)), (1, int(hit), 2)))
+    return program, protocol
+
+
+def reference_posted_parts(prices, n):
+    """The posted_prices program and price protocol as first written."""
+    prices = tuple(F(p) for p in prices)
+    m = len(prices)
+
+    def offer(remaining):
+        return tuple(prices[j] if remaining >> j & 1 else INF for j in range(m))
+
+    def cost(mask):
+        return sum((prices[j] for j in range(m) if mask >> j & 1), F(0))
+
+    def program(profile, rec):
+        remaining, allocation, payments = (1 << m) - 1, [], []
+        for i in range(n):
+            d_mask, _ = rec.demand_query(i, offer(remaining))
+            allocation.append(d_mask)
+            payments.append(cost(d_mask))
+            remaining &= ~d_mask
+        return tuple(allocation), tuple(payments)
+
+    def protocol(spec, i, v_minus_i, s):
+        remaining, tokens = (1 << m) - 1, []
+        for j in range(i):
+            d_mask, _ = demand_query(v_minus_i[j], offer(remaining))
+            tokens.append((j, d_mask, 1 << m))
+            remaining &= ~d_mask
+        return PriceRun(cost(s) if s & remaining == s else INF, tuple(tokens))
+    return program, protocol
+
+
+def reference_buyer_protocol(mech_id, params, m):
+    """The buyer's price protocol of a two-player mechanism as it read
+    `Fraction` values through `value()`."""
+    from taxlab.library import make_min_affine_family
+
+    if mech_id == "warmup_tightness":
+        top = 1 << params["c"]
+
+        def protocol(spec, i, v_minus_i, s):
+            t = reference_round(v_minus_i[0].value(1), 1, top)
+            return PriceRun(F(0) if s == 0 else F(t) if s == 1 else INF, ((0, t, top),))
+    elif mech_id == "value_tightness":
+        c = params["c"]
+
+        def protocol(spec, i, v_minus_i, s):
+            t = reference_round(v_minus_i[0].value(1), 1, c)
+            prices = {1 << j: F(1) + (F(1, 2) if j == t - 1 else F(0)) for j in range(c)}
+            price = F(0) if s == 0 else min(
+                (p for k, p in prices.items() if k & s == s), default=INF)
+            return PriceRun(price, ((0, t, c),))
+    elif mech_id == "demand_tightness":
+        menus = make_min_affine_family(m, params["alpha"], params["count"])
+
+        def protocol(spec, i, v_minus_i, s):
+            t = reference_round(v_minus_i[0].value(1), 1, len(menus))
+            return PriceRun(eval_min_affine(menus[t - 1], s), ((0, t, len(menus)),))
+    elif mech_id == "mt_gadget":
+        def protocol(spec, i, v_minus_i, s):
+            hit = size(s) == m // 2 and v_minus_i[0].value(s) == F(1, 4)
+            return PriceRun(hidden_bump_price(s, s if hit else None), ((0, int(hit), 2),))
+    elif mech_id == "drop_tie":
+        def protocol(spec, i, v_minus_i, s):
+            return PriceRun(F(0) if s in (0, 1, 2) else INF, ())
+    else:  # drop_tax
+        sized = bundles_of_size(m, m // 2)
+
+        def protocol(spec, i, v_minus_i, s):
+            if s == 0:
+                return PriceRun(F(0), ())
+            if size(s) > m // 2:
+                return PriceRun(INF, ())
+            ok = any(t & s == s and v_minus_i[0].value(t) >= 1 for t in sized)
+            return PriceRun(F(1) if ok else INF, ((0, int(ok), 2),))
+    return protocol
+
+
+def reference_spec(mech_id, params, spec):
+    """The registry mechanism with today's `Fraction` program, price
+    protocol and tie cost in place of the library's integer ones."""
+    from dataclasses import replace
+
+    from taxlab.library import buyer_only, make_min_affine_family
+
+    m, n = spec.m, spec.n
+    tie_cost = {"warmup_tightness": lambda profile: 1,
+                "drop_price": lambda profile: 0,
+                "posted_prices": lambda profile: n * m}.get(mech_id, lambda profile: m)
+    if mech_id == "posted_prices":
+        program, protocol = reference_posted_parts(params["prices"], n)
+        return replace(spec, program=program, price_protocol=protocol, tie_cost_fn=tie_cost)
+    if mech_id == "drop_price":
+        program, protocol = reference_drop_price_parts(m)
+        return replace(spec, program=program, price_protocol=buyer_only(2, protocol),
+                       tie_cost_fn=tie_cost)
+    if mech_id == "mt_gadget":
+        program = reference_mt_gadget_program(m)
+    elif mech_id == "value_tightness":
+        program = reference_value_tightness_program(params["c"])
+    elif mech_id == "drop_tax":
+        program = reference_drop_tax_program(m)
+    elif mech_id == "warmup_tightness":
+        program = reference_warmup_program(params["c"])
+    elif mech_id == "drop_tie":
+        program, tie_cost = reference_drop_tie_parts(m)
+    else:
+        program = reference_demand_tightness_program(
+            make_min_affine_family(m, params["alpha"], params["count"]))
+    return replace(spec, program=program, tie_cost_fn=tie_cost,
+                   price_protocol=buyer_only(1, reference_buyer_protocol(mech_id, params, m)))
+
+
 @pytest.mark.parametrize("mech_id, params", [
     ("demand_tightness", {"m": 2, "alpha": 2, "count": 4}),
     ("demand_tightness", {"m": 4, "alpha": 2, "count": 4}),
@@ -344,35 +548,51 @@ def reference_drop_tax_program(m):
     ("value_tightness", {"c": 2, "m": 4}),
     ("drop_tax", {"m": 2}),
     ("drop_tax", {"m": 4}),
+    ("drop_tax", {"m": 6}),
+    ("warmup_tightness", {"c": 2}),
+    ("warmup_tightness", {"c": 3, "m": 3}),
+    ("drop_tie", {"m": 2}),
+    ("drop_tie", {"m": 4}),
+    ("drop_price", {"m": 2}),
+    ("drop_price", {"m": 4}),
+    ("posted_prices", {"prices": ["1", "1/2", "2"]}),
+    ("posted_prices", {"prices": ["1", "3/2"], "n": 3}),
 ])
 def test_library_programs_match_their_inline_reference(mech_id, params):
-    from dataclasses import replace
-
-    from taxlab.library import make_min_affine_family
-    from taxlab.protocol import run_mechanism
+    """Every registry mechanism's program, price protocol and tie cost
+    against its `Fraction` reference, on the default catalog plus random
+    valuations over denominators 2 (scale 4, and scale 1 with values 0, 1/2
+    and 1 only) and 24 (scale 7/3): the same
+    allocation, payments (and their types), query trace and transcript per
+    profile, the same price run per player, profile of the others and
+    bundle."""
+    from taxlab.protocol import price_run, run_mechanism
 
     spec = make_example(mech_id, params)
-    m = spec.m
-    if mech_id == "mt_gadget":
-        program = reference_mt_gadget_program(m)
-    elif mech_id == "value_tightness":
-        program = reference_value_tightness_program(params["c"])
-    elif mech_id == "drop_tax":
-        program = reference_drop_tax_program(m)
-    else:
-        program = reference_demand_tightness_program(
-            make_min_affine_family(m, params["alpha"], params["count"]))
-    reference = replace(spec, program=program)
-    cat = default_catalog(mech_id, spec, params)
+    reference = reference_spec(mech_id, params, spec)
+    m, buyer = spec.m, spec.n - 1
     rng = stream(7, "program-reference", mech_id, m)
-    buyers = cat.players[1] + tuple(random_monotone_valuation(m, rng) for _ in range(12))
-    for first in cat.players[0]:
-        for buyer in buyers:
-            got = run_mechanism(spec, (first, buyer))
-            want = run_mechanism(reference, (first, buyer))
-            assert (got.allocation, got.payments) == (want.allocation, want.payments)
-            assert got.qlog.trace == want.qlog.trace
-            assert got.transcript == want.transcript
+    players = []
+    for i, listed in enumerate(default_catalog(mech_id, spec, params).players):
+        k = 12 if i == buyer else 2
+        drawn = [random_monotone_valuation(m, rng) for _ in range(k)]
+        drawn += [random_monotone_valuation(m, rng, scale=F(7, 3)) for _ in range(k // 2 or 1)]
+        drawn += [random_monotone_valuation(m, rng, grid=2, scale=F(1)) for _ in range(2)]
+        players.append(listed + tuple(drawn))
+    assert any(v.scaled_table[0] > 2 for v in players[buyer])
+    for profile in itertools.product(*players):
+        got = run_mechanism(spec, profile)
+        want = run_mechanism(reference, profile)
+        assert (got.allocation, got.payments) == (want.allocation, want.payments)
+        assert list(map(type, got.payments)) == list(map(type, want.payments))
+        assert got.qlog.trace == want.qlog.trace
+        assert got.transcript == want.transcript
+        assert spec.tie_cost(profile) == reference.tie_cost(profile)
+    for i in range(spec.n):
+        for v_minus in itertools.product(*players[:i], *players[i + 1:]):
+            for s in all_bundles(m):
+                got, want = price_run(spec, i, v_minus, s), price_run(reference, i, v_minus, s)
+                assert got == want and type(got.price) is type(want.price)
 
 
 def test_min_affine_family_members_are_distinct_and_normalized():

@@ -216,3 +216,37 @@ def test_no_module_seeds_a_cache_and_replays_a_constructor():
     assert modules
     found = {path.name: cache_seeding(path.read_text(encoding="utf-8")) for path in modules}
     assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def fraction_table_reads(source: str) -> list[str]:
+    """`.value(...)` calls and `.table` reads: the two ways to a valuation's
+    `Fraction` table, which `value()` builds too."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "value"):
+            found.append(f"line {node.lineno}: .value() call")
+        elif isinstance(node, ast.Attribute) and node.attr == "table":
+            found.append(f"line {node.lineno}: .table read")
+    return sorted(found)
+
+
+def test_fraction_table_reads_are_found():
+    source = (
+        "t = round_to_range(v_alice.value(ITEM_A), 1, top)\n"
+        "ok = all(x == 0 or x == 1 for x in v.table)\n"
+        "d, ints = v.scaled_table\n"
+        "x = rec.value_query(0, ITEM_A) + node.value + f.scaled[1][s]\n"
+        "hit = any(v1.table[t] >= 1 for t in sized) or w.value(s) == QUARTER\n"
+        "price = menu.price_table[s]\n"
+    )
+    assert fraction_table_reads(source) == [
+        "line 1: .value() call", "line 2: .table read", "line 5: .table read",
+        "line 5: .value() call"]
+
+
+def test_mechanism_programs_read_no_fraction_table():
+    """Every program, price protocol and tie cost in the library reads a
+    valuation's `scaled_table`, so no probe run builds its `Fraction`
+    table."""
+    assert fraction_table_reads((SRC / "library.py").read_text(encoding="utf-8")) == []

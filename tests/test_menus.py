@@ -211,16 +211,17 @@ def test_in_menu_rebuild_and_json():
     assert menu_from_json(doc).price == menu.price
 
 
-prices = st.one_of(st.just(INF), st.builds(F, st.integers(0, 6), st.integers(1, 3)))
+prices = st.one_of(st.just(INF), st.builds(F, st.integers(0, 6), st.sampled_from([1, 2, 3, 7])))
 
 
 @st.composite
 def price_tables(draw):
-    """A menu-shaped table with INF entries, made monotone by a running
-    max over subsets and then maybe broken at one bundle."""
-    m = draw(st.integers(1, 4))
+    """A menu-shaped table with INF entries over mixed denominators, made
+    monotone by a running max over subsets and then maybe broken at one
+    bundle."""
+    m = draw(st.integers(1, 6))
     table = [draw(prices) for _ in all_bundles(m)]
-    table[0] = draw(st.sampled_from([F(0), F(0), F(1), INF]))
+    table[0] = draw(st.sampled_from([F(0), F(0), F(1), F(-1, 3), INF]))
     for s in all_bundles(m):
         for j in range(m):
             if s & bit(j) and table[s & ~bit(j)] > table[s]:
@@ -238,6 +239,38 @@ def test_is_normalized_matches_per_item_loop(question):
                    for s in all_bundles(m) for j in range(m) if not s & bit(j))
     assert is_monotone(table, m) == monotone
     assert Menu(m, table).is_normalized() == (table[0] == 0 and monotone)
+
+
+def reference_profit_argmax_set(menu, v):
+    """`profit_argmax_set` as it ranked `Fraction` profits."""
+    best, arg = None, []
+    for s in all_bundles(menu.m):
+        p = menu.price[s]
+        if not is_finite(p):
+            continue
+        profit = v.table[s] - p
+        if best is None or profit > best:
+            best, arg = profit, [s]
+        elif profit == best:
+            arg.append(s)
+    return arg
+
+
+@settings(max_examples=300, deadline=None)
+@given(price_tables(), st.sampled_from([F(4), F(7, 3), F(5, 2)]), st.booleans(),
+       st.integers(0, 2**32))
+def test_integer_profit_argmax_matches_fraction_reference(question, scale, shift, seed):
+    """Menus with INF entries (the empty bundle's included), raw or
+    normalized, shifted to negative prices or not, against valuations over
+    denominators 2, 24 and 16."""
+    m, table = question
+    if shift:
+        table = tuple(p - F(5, 3) if is_finite(p) else p for p in table)
+    v = random_monotone_valuation(m, stream(seed, "argmax"), scale=scale)
+    for menu in (Menu(m, table), normalize_menu(Menu(m, table)) if is_finite(table[0]) else None):
+        if menu is not None:
+            assert profit_argmax_set(menu, v) == reference_profit_argmax_set(menu, v)
+    assert profit_argmax_set(Menu(m, (INF,) * (1 << m)), v) == []
 
 
 def reference_cheapest_superset(priced, s):

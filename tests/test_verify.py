@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taxlab import suites
-from taxlab.bundles import DomainError, all_bundles, bit, bundles_of_size, max_below, size
+from taxlab.bundles import (DomainError, all_bundles, bit, bundles_of_size, max_below,
+                            monotone_closure, size)
 from taxlab.library import default_catalog, make_example
-from taxlab.menus import ContractError
+from taxlab.menus import ContractError, Menu
 from taxlab.protocol import (MechanismSpec, Session, extract_menu, insert_player,
                              measure_complexities, run_mechanism)
 from taxlab.rational import INF, common_denominator, is_finite
@@ -642,3 +643,72 @@ def test_probes_become_valuations_only_on_memo_misses(cls, monkeypatch):
         for v_minus in ((others[0],), (others[1],)):
             verify_menu(session, 1, v_minus, f, cls, price_grid=grid)
     assert len(built) == len(calls) > 0  # one run per memo miss
+
+
+def reference_exceeds_somewhere(f, menu):
+    """`exceeds_somewhere` as it compared the `Fraction` tables."""
+    return any(f.table[s] > menu.price[s] for s in all_bundles(f.m))
+
+
+entries = st.one_of(st.just(INF), st.builds(F, st.integers(0, 9), st.sampled_from([1, 2, 3, 7])))
+
+
+@st.composite
+def base_and_menu_tables(draw):
+    """m in 1..6, a base function table (0 on the empty bundle, closed
+    upward, INF entries) and a menu table (INF entries anywhere, raw or
+    monotone), each over mixed denominators; the menu sometimes is the
+    base function plus a draw from {-1, 0, 1/7} at one bundle."""
+    m = draw(st.integers(1, 6))
+    f = monotone_closure([F(0)] + [draw(entries) for _ in range(1, 1 << m)], m)
+    if draw(st.booleans()):
+        menu = list(f)
+        s = draw(st.integers(0, (1 << m) - 1))
+        if is_finite(menu[s]):
+            menu[s] += draw(st.sampled_from([F(-1), F(0), F(1, 7)]))
+    else:
+        menu = [draw(entries) for _ in range(1 << m)]
+        if draw(st.booleans()):
+            menu = monotone_closure(menu, m)
+    return m, f, tuple(menu)
+
+
+@settings(max_examples=200, deadline=None)
+@given(base_and_menu_tables())
+def test_integer_exceeds_somewhere_matches_fraction_reference(question):
+    m, table, prices = question
+    menu = Menu(m, prices)
+    got = exceeds_somewhere(base_function(m, table), menu)
+    assert got == reference_exceeds_somewhere(base_function(m, table), menu)
+
+
+def test_bit_mode_probe_runs_and_menu_checks_build_no_fraction_table(monkeypatch):
+    """Probe runs of a bit-mode mechanism read integer tables only: neither
+    a seated probe nor the others' catalog valuations build a `Fraction`
+    table; nor does `exceeds_somewhere` build the base function's."""
+    import taxlab.protocol as protocol
+
+    spec = make_example("drop_tax", {"m": 4})
+    cat = default_catalog("drop_tax", spec, {"m": 4})
+    session = Session(spec, cat)
+    grid = menu_price_grid(session.menus(1))
+    seated = []
+    run = protocol.run_mechanism
+
+    def spy(spec, profile):
+        seated.append(profile)
+        return run(spec, profile)
+
+    monkeypatch.setattr(protocol, "run_mechanism", spy)
+    rng = stream(12, "no-fraction-table")
+    for cls in CLASSES:
+        f = random_base_function(4, spec.bound, rng, values=grid if cls == "submodular" else None)
+        for d, ints, _ in probe_rounds(f, spec.bound, cls, grid):
+            for v_minus in session.others(1):
+                session.probe_run(1, v_minus, (d, ints))
+    assert len(seated) > 10
+    assert not [v for profile in seated for v in profile if "table" in vars(v)]
+    f = random_base_function(4, spec.bound, rng)
+    for v_minus in session.others(1):
+        exceeds_somewhere(f, session.menu(1, v_minus))
+    assert "table" not in vars(f)
