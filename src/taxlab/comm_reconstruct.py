@@ -250,12 +250,12 @@ def reconstruct_menu_comm(session: Session, i: int, v_minus_i: Sequence[Valuatio
             rec.price_bits = price_bits - spent
         else:
             zprime = list(live)
-            wcount = {menu.price: len(witness_bundles(menu, p_table)) for menu in live}
+            wcount = {menu: len(witness_bundles(menu, p_table)) for menu in live}
             found_bundle = None
             t = 1 << m
             while t >= 1:
                 band = [menu for menu in zprime
-                        if 2 * wcount[menu.price] >= t and wcount[menu.price] <= t]
+                        if 2 * wcount[menu] >= t and wcount[menu] <= t]
                 if band:
                     rec.bands.append(t)
                     sample = representation_set(zprime, band, t, p_table, seed)

@@ -17,7 +17,7 @@ from itertools import combinations
 from math import comb
 from typing import Optional, Sequence
 
-from .valuations import DomainError
+from .valuations import DomainError, json_int
 
 
 class PromiseError(RuntimeError):
@@ -287,11 +287,11 @@ def instance_to_json(inst: ZDisjointnessInstance) -> dict:
 
 
 def instance_from_json(doc: dict) -> ZDisjointnessInstance:
-    l = int(doc["l"])
+    l = json_int(doc, "l", "bit width l")
     return ZDisjointnessInstance(
-        n=int(doc["n"]),
+        n=json_int(doc, "n", "player count n"),
         l=l,
         allowed=tuple(tuple(bits_to_mask(s) for s in strings) for strings in doc["allowed"]),
         inputs=tuple(bits_to_mask(s) for s in doc["inputs"]),
-        z=int(doc["z"]),
+        z=json_int(doc, "z", "promise z"),
     )

@@ -6,12 +6,11 @@ player faces for each bundle.  The canonical form is normalized (empty
 bundle costs 0) and monotone (supersets never cheaper); menu equality is
 exact table equality after normalization.
 
-A `Menu` holds its `Fraction`/INF prices and derives one integer form on
-first read, `scaled == (D, ints, top)`, with `top` standing for INF as in
-`verify.BaseFunction`.  The per-profile checks read it: `profit_argmax_set`
-ranks integer profits, and `Menu.is_normalized` and `extract_menu`'s
-monotonicity check compare ints.  `normalize_menu` and `menu_complexity`
-run once per extracted menu and stay in `Fraction`.
+A `Menu` stores its integer form, `scaled == (D, ints, top)`, `top`
+standing for INF; `menu(m, table)` is the entry for `Fraction`/INF tables
+and `Menu.price` their view, built on first read.  `normalize_menu`,
+`menu_complexity`, `profit_argmax_set` and `Menu.is_normalized` run on the
+ints.  `verify.BaseFunction` is a normalized `Menu`.
 """
 
 from __future__ import annotations
@@ -19,11 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
+from typing import Sequence
 
-from .bundles import all_bundles, bit, check_m, grand, is_monotone, subset_sums, supersets
+from .bundles import all_bundles, bit, check_m, is_monotone, subset_sums
 from .rational import (INF, Price, common_denominator, format_price, is_finite, parse_price,
-                       price_key, scaled_prices)
+                       price_key, reduced_prices, scaled_prices, top_above)
 from .valuations import DomainError, Valuation, json_item_count, table_from_json, table_to_json
 
 
@@ -33,23 +33,33 @@ class ContractError(ValueError):
 
 @dataclass(frozen=True)
 class Menu:
+    """A price per bundle stored as scaled == (D, ints, top): price[s] ==
+    ints[s] / D where finite (gcd 1), ints[s] == top (`top_above`) where
+    INF; equal menus store equal triples, and the ints order like prices."""
+
     m: int
-    price: tuple[Price, ...]
+    scaled: tuple[int, tuple[int, ...], int]
 
     def __post_init__(self):
         check_m(self.m)
-        if len(self.price) != 1 << self.m:
-            raise DomainError("menu must price all 2^m bundles")
+        d, ints, top = self.scaled
+        if len(ints) != 1 << self.m:
+            raise DomainError("a price table must cover all 2^m bundles")
+        finite = [x for x in ints if x != top]
+        if (type(ints) is not tuple or d <= 0 or gcd(d, *finite) != 1
+                or top != top_above(finite)):
+            raise DomainError("scaled prices must be reduced ints with top above them")
 
     @cached_property
-    def scaled(self) -> tuple[int, tuple[int, ...], int]:
-        """The prices over one denominator, (D, ints, top), `top` standing
-        for INF (`rational.scaled_prices`), built on first read."""
-        return scaled_prices(self.price)
+    def price(self) -> tuple[Price, ...]:
+        """The exact prices, INF included, built on first read."""
+        d, ints, top = self.scaled
+        exact = {x: INF if x == top else Fraction(x, d) for x in set(ints)}
+        return tuple([exact[x] for x in ints])
 
     def is_normalized(self) -> bool:
-        """The empty bundle free (an INF entry's int is at least 1) and the
-        prices monotone, both read off the integer form."""
+        """The empty bundle free (INF's int is at least 1) and the prices
+        monotone."""
         ints = self.scaled[1]
         return ints[0] == 0 and is_monotone(ints, self.m)
 
@@ -57,24 +67,29 @@ class Menu:
         return tuple(map(price_key, self.price))
 
 
+def menu(m: int, table: Sequence[Price]) -> Menu:
+    """The menu of an exact price table, where `Fraction`s and INF come in."""
+    return Menu(m, scaled_prices(table))
+
+
 def normalize_menu(raw: Menu) -> Menu:
-    """Canonical form: shift so the empty bundle costs 0, then repair
-    monotonicity by lowering each bundle to its cheapest superset price
-    (never-winnable bundles inherit the cheapest superset).  Keeps the
-    maximum profit and every previously profit-maximizing bundle intact for
-    any valuation."""
-    base = raw.price[0]
-    if not is_finite(base):
+    """Canonical form: repair monotonicity by lowering each bundle to its
+    cheapest superset price (never-winnable bundles inherit the cheapest
+    superset), then shift so the empty bundle, now the cheapest, costs 0.
+    Keeps the maximum profit and every previously profit-maximizing bundle
+    intact for any valuation."""
+    d, ints, top = raw.scaled
+    if ints[0] == top:
         raise DomainError("menu price of the empty bundle must be finite")
-    shifted = [p - base if is_finite(p) else INF for p in raw.price]
-    repaired: list[Price] = list(shifted)
+    repaired = list(ints)
     # min over supersets, computed by descending subset DP on each item
     for j in range(raw.m):
         b = bit(j)
         for s in reversed(all_bundles(raw.m)):
             if not s & b and repaired[s | b] < repaired[s]:
                 repaired[s] = repaired[s | b]
-    return Menu(raw.m, tuple(repaired))
+    shifted = [None if x == top else x - repaired[0] for x in repaired]
+    return Menu(raw.m, reduced_prices(d, shifted))
 
 
 def profit_argmax_set(menu: Menu, v: Valuation) -> list[int]:
@@ -95,21 +110,15 @@ def profit_argmax_set(menu: Menu, v: Valuation) -> list[int]:
 
 
 def menu_complexity(menu: Menu) -> tuple[int, tuple[int, ...]]:
-    """Bundles "in the menu": every strict superset strictly more expensive;
+    """Bundles "in the menu": finite, and every one-item superset strictly
+    dearer, which on a monotone menu makes every strict superset dearer;
     the grand bundle qualifies iff its price is finite."""
     if not menu.is_normalized():
         raise ContractError("menu_complexity expects a normalized menu")
-    top = grand(menu.m)
-    out = []
-    for s in all_bundles(menu.m):
-        if s == top:
-            if is_finite(menu.price[s]):
-                out.append(s)
-            continue
-        ps = menu.price[s]
-        if all(ps < menu.price[t] for t in supersets(s, menu.m) if t != s):
-            out.append(s)
-    return len(out), tuple(out)
+    _, ints, top = menu.scaled
+    out = tuple(s for s, x in enumerate(ints) if x != top
+                and all(x < ints[s | bit(j)] for j in range(menu.m) if not s & bit(j)))
+    return len(out), out
 
 
 def cheapest_superset(priced: dict[int, Fraction], s: int) -> Price:
@@ -125,7 +134,7 @@ def cheapest_superset(priced: dict[int, Fraction], s: int) -> Price:
 def in_menu_rebuild(m: int, priced: dict[int, Fraction]) -> Menu:
     """Menu determined by its in-menu bundles: each bundle costs the cheapest
     in-menu superset, infinite when none exists."""
-    return Menu(m, tuple(cheapest_superset(priced, s) for s in all_bundles(m)))
+    return menu(m, [cheapest_superset(priced, s) for s in all_bundles(m)])
 
 
 @dataclass(frozen=True)
@@ -145,8 +154,8 @@ class MinAffineMenu:
         for vec in self.vectors:
             if len(vec) != self.m:
                 raise DomainError("price vector length must equal m")
-        if any(r < 0 for r in self.offsets):
-            raise DomainError("offsets must be nonnegative")
+        if any(not is_finite(r) or r < 0 for r in self.offsets):
+            raise DomainError("offsets must be finite and nonnegative")
         masks = [s for s, _ in self.exceptions]
         if len(set(masks)) != len(masks):
             raise DomainError("duplicate exception bundle")
@@ -193,7 +202,7 @@ def eval_min_affine(ma: MinAffineMenu, s: int) -> Price:
 
 
 def min_affine_table(ma: MinAffineMenu) -> Menu:
-    return Menu(ma.m, ma.price_table)
+    return menu(ma.m, ma.price_table)
 
 
 def menu_to_json(menu: Menu) -> dict:
@@ -201,7 +210,7 @@ def menu_to_json(menu: Menu) -> dict:
 
 
 def menu_from_json(doc: dict) -> Menu:
-    return Menu(*table_from_json(doc))
+    return menu(*table_from_json(doc))
 
 
 def min_affine_to_json(ma: MinAffineMenu) -> dict:
@@ -216,7 +225,7 @@ def min_affine_to_json(ma: MinAffineMenu) -> dict:
 def min_affine_from_json(doc: dict) -> MinAffineMenu:
     m = json_item_count(doc)
     vectors = tuple(tuple(parse_price(p) for p in vec) for vec in doc["vectors"])
-    offsets = tuple(Fraction(r) for r in doc["offsets"])
+    offsets = tuple(parse_price(r) for r in doc["offsets"])
     exceptions = tuple(
         sorted((int(k), parse_price(v)) for k, v in doc.get("exceptions", {}).items())
     )

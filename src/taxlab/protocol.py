@@ -25,7 +25,7 @@ from itertools import product
 from typing import Callable, Iterator, Optional, Sequence
 
 from .bundles import all_bundles, bit, contains, is_monotone
-from .menus import Menu, ContractError, menu_complexity, normalize_menu, profit_argmax_set
+from .menus import Menu, ContractError, menu, menu_complexity, normalize_menu, profit_argmax_set
 from .queries import demand_query, value_query
 from .rational import INF, Price, is_finite
 from .valuations import (DomainError, Valuation, ValuationCatalog, additive_valuation,
@@ -204,8 +204,7 @@ def extract_menu(spec: MechanismSpec, i: int, v_minus_i: Sequence[Valuation]) ->
     run per bundle."""
     if len(v_minus_i) != spec.n - 1:
         raise DomainError("v_minus_i must hold the other n-1 valuations")
-    check = Menu(spec.m, tuple(probe_price(spec, i, v_minus_i, s)[0]
-                               for s in all_bundles(spec.m)))
+    check = menu(spec.m, [probe_price(spec, i, v_minus_i, s)[0] for s in all_bundles(spec.m)])
     if not is_monotone(check.scaled[1], spec.m):
         raise TaxationViolation(
             f"{spec.mech_id}: extracted prices for player {i} are not monotone"
@@ -327,11 +326,8 @@ class Session:
     def menus(self, i: int) -> tuple[Menu, ...]:
         """The distinct menus player i can face, in canonical order."""
         if i not in self._menu_lists:
-            seen = {}
-            for v_minus in self.others(i):
-                menu = self.menu(i, v_minus)
-                seen[menu.price] = menu
-            self._menu_lists[i] = tuple(sorted(seen.values(), key=Menu.sort_key))
+            seen = {self.menu(i, v_minus) for v_minus in self.others(i)}
+            self._menu_lists[i] = tuple(sorted(seen, key=Menu.sort_key))
         return self._menu_lists[i]
 
     def report(self) -> ComplexityReport:

@@ -8,8 +8,10 @@ price in comparisons; it is hashable and serializes as ``"inf"``.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-from typing import Iterable, Sequence, Union
+from math import gcd, lcm
+from typing import Iterable, Optional, Sequence, Union
+
+from .bundles import DomainError
 
 
 class Infinite:
@@ -89,20 +91,34 @@ def common_denominator(xs: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
     return d, tuple([p * (d // q) for p, q in pairs])
 
 
+def top_above(finite: Sequence[int]) -> int:
+    """The int for INF in a scaled price table: above every finite int, at least 1."""
+    return max([0, *finite]) + 1
+
+
+def reduced_prices(d: int, ints: Sequence[Optional[int]]) -> tuple[int, tuple[int, ...], int]:
+    """Prices ints[s] / d (d > 0), None for INF, as (D, ints, top): divided
+    by their gcd, INF entries holding `top_above` the finite ints."""
+    g = gcd(d, *[x for x in ints if x is not None])
+    ints = [None if x is None else x // g for x in ints]
+    top = top_above([x for x in ints if x is not None])
+    return d // g, tuple([top if x is None else x for x in ints]), top
+
+
 def scaled_prices(table: Sequence[Price]) -> tuple[int, tuple[int, ...], int]:
-    """A price table over one denominator, (D, ints, top): table[s] ==
-    ints[s] / D where finite (gcd 1), and ints[s] == top where INF, top
-    being one above the largest int with INF entries counted as 0, so above
-    every finite one; the ints order like the prices."""
+    """An exact price table over one denominator, (D, ints, top): table[s]
+    == ints[s] / D where finite (gcd 1), ints[s] == top where INF; entries
+    neither `Fraction` nor INF are refused."""
+    if any(not isinstance(x, Fraction) and x is not INF for x in table):
+        raise DomainError("prices must be exact rationals or INF")
     finite = [is_finite(x) for x in table]
     d, ints = common_denominator([x if ok else 0 for x, ok in zip(table, finite)])
-    top = max(ints, default=0) + 1
-    return d, tuple([x if ok else top for x, ok in zip(ints, finite)]), top
+    return reduced_prices(d, [x if ok else None for x, ok in zip(ints, finite)])
 
 
 def parse_price(s: str) -> Price:
     if not isinstance(s, str):
-        raise ValueError(f'a price is a string such as "1/2" or "inf", got {s!r}')
+        raise DomainError(f'a price is a string such as "1/2" or "inf", got {s!r}')
     s = s.strip()
     if s == "inf":
         return INF

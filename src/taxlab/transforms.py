@@ -92,9 +92,9 @@ def build_tables(session: Session) -> TwoPlayerTables:
     for i in (0, 1):
         other = 1 - i
         menus = session.menus(other)
-        position = {menu.price: k for k, menu in enumerate(menus)}
+        position = {menu: k for k, menu in enumerate(menus)}
         presented.append(menus)
-        index_of.append({v.scaled_table: position[session.menu(other, (v,)).price]
+        index_of.append({v.scaled_table: position[session.menu(other, (v,))]
                          for v in session.catalog.players[i]})
     tax_bits = max(log2_ceil(len(presented[0])), log2_ceil(len(presented[1])), 1)
     return TwoPlayerTables(session, (presented[0], presented[1]),

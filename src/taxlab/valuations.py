@@ -11,7 +11,7 @@ from typing import Optional, Sequence
 
 from .bundles import (DomainError, all_bundles, bit, check_m, grand, is_monotone, max_below,
                       monotone_closure, size, subset_sums, subsets)
-from .rational import Price, common_denominator, format_price, parse_price
+from .rational import Price, common_denominator, format_price, is_finite, parse_price
 
 
 @dataclass(frozen=True)
@@ -28,8 +28,8 @@ class XOSClauses:
         for cl in self.clauses:
             if len(cl) != self.m:
                 raise DomainError("clause length must equal m")
-            if any(a < 0 for a in cl):
-                raise DomainError("clause entries must be nonnegative")
+            if any(not is_finite(a) or a < 0 for a in cl):
+                raise DomainError("clause entries must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -240,12 +240,18 @@ def valuation_to_json(v: Valuation) -> dict:
     return table_to_json(v.m, v.table)
 
 
+def json_int(doc: dict, key: str, name: str) -> int:
+    """doc[key] as a JSON integer, not 2.5, "2" or true."""
+    x = doc[key]
+    if type(x) is not int:
+        raise DomainError(f"{name} must be an integer, got {x!r}")
+    return x
+
+
 def json_item_count(doc: dict) -> int:
-    """The item count m of valuation, XOS or menu JSON: a JSON integer
-    (not 2.5, "2" or true) in 1..MAX_ITEMS."""
-    m = doc["m"]
-    if type(m) is not int:
-        raise DomainError(f"item count m must be an integer, got {m!r}")
+    """The item count m of valuation, XOS or menu JSON: a JSON integer in
+    1..MAX_ITEMS."""
+    m = json_int(doc, "m", "item count m")
     check_m(m)
     return m
 
@@ -267,6 +273,6 @@ def valuation_from_json(doc: dict) -> Valuation:
 def xos_from_json(doc: dict) -> Valuation:
     m = json_item_count(doc)
     clauses = tuple(
-        tuple(Fraction(entry) for entry in clause) for clause in doc["clauses"]
+        tuple(parse_price(entry) for entry in clause) for clause in doc["clauses"]
     )
     return xos_from_clauses(XOSClauses(m, clauses))

@@ -24,24 +24,25 @@ grand bundle's.  The price grid for the submodular rounds is the set of
 distinct prices the mechanism's menus can show, including the infinite
 one when present.
 
-Ints end at the mechanism's outcome: a run's payment, the price grid and
-the staircase test's `paid < w` stay `Fraction` (or INF).
-`exceeds_somewhere`, the reference answer a trial is checked against,
-cross-multiplies the base function's integer form with the menu's
-(`Menu.scaled`), so neither builds its `Fraction` table for it."""
+A `BaseFunction` is a normalized `Menu`: it stores the same (D, ints, top)
+and has the same `Fraction` view, `price`.  Ints end at the mechanism's
+outcome: a run's payment, the price grid, the level sets' keys and the
+staircase test's `paid < w` stay `Fraction` (or INF).  `exceeds_somewhere`,
+the reference answer a trial is checked against, cross-multiplies the two
+integer forms, so it builds neither `Fraction` view."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd, lcm
+from math import lcm
 from typing import Callable, Optional, Sequence
 
-from .bundles import bit, bundles_of_size, check_m, is_monotone, monotone_closure, size
+from .bundles import bit, bundles_of_size, monotone_closure, size
 from .menus import ContractError, Menu
 from .protocol import Session
-from .rational import INF, Price, common_denominator, is_finite, scaled_prices
+from .rational import INF, Price, common_denominator, is_finite, scaled_prices, top_above
 from .valuations import (DomainError, Valuation, XOSClauses, clause_max, is_submodular,
                          valuation_from_ints)
 
@@ -51,34 +52,14 @@ Over = tuple[int, list[int], int]  # the general probe (E, lifted ints, B * E), 
 
 
 @dataclass(frozen=True)
-class BaseFunction:
-    """Monotone price-like target, the verification problem's f, stored as
-    (D, ints, top): f(S) == ints[S] / D where finite (gcd 1), and ints[S] ==
-    top, one above every finite int, where infinite; the ints order like f."""
-
-    m: int
-    scaled: tuple[int, tuple[int, ...], int]
+class BaseFunction(Menu):
+    """Monotone price-like target, the verification problem's f: a
+    normalized `Menu`, stored as its (D, ints, top)."""
 
     def __post_init__(self):
-        check_m(self.m)
-        d, ints, top = self.scaled
-        if len(ints) != 1 << self.m:
-            raise DomainError("base function must cover all 2^m bundles")
-        finite = [x for x in ints if x != top]
-        if (type(ints) is not tuple or d <= 0 or gcd(d, *finite) != 1
-                or top != max(finite, default=0) + 1):
-            raise DomainError("scaled base function must be reduced ints with top above them")
-        if ints[0] != 0:
-            raise DomainError("base function must vanish on the empty bundle")
-        if not is_monotone(ints, self.m):
-            raise DomainError("base function must be monotone")
-
-    @cached_property
-    def table(self) -> tuple[Price, ...]:
-        """The exact prices, built on first read."""
-        d, ints, top = self.scaled
-        exact = {x: INF if x == top else Fraction(x, d) for x in set(ints)}
-        return tuple([exact[x] for x in ints])
+        super().__post_init__()
+        if not self.is_normalized():
+            raise DomainError("base function must vanish on the empty bundle and be monotone")
 
     @cached_property
     def levels(self) -> dict[tuple[int, Price], tuple[int, ...]]:
@@ -86,7 +67,7 @@ class BaseFunction:
         members ascending."""
         out: dict[tuple[int, Price], list[int]] = {}
         for s in range(1, 1 << self.m):
-            out.setdefault((size(s), self.table[s]), []).append(s)
+            out.setdefault((size(s), self.price[s]), []).append(s)
         return {key: tuple(members) for key, members in out.items()}
 
     def check_bound(self, bound: Fraction) -> None:
@@ -241,18 +222,9 @@ def probe_rounds(f: BaseFunction, bound: Fraction, cls: str,
 
 def menu_price_grid(menus: Sequence[Menu]) -> tuple[Price, ...]:
     """Distinct prices appearing in the menus; the infinite price last."""
-    finite = set()
-    has_inf = False
-    for menu in menus:
-        for p in menu.price:
-            if is_finite(p):
-                finite.add(p)
-            else:
-                has_inf = True
-    grid: list[Price] = sorted(finite)
-    if has_inf:
-        grid.append(INF)
-    return tuple(grid)
+    prices = {p for menu in menus for p in menu.price}
+    finite = sorted(p for p in prices if is_finite(p))
+    return tuple(finite + [INF] if INF in prices else finite)
 
 
 @lru_cache(maxsize=64)
@@ -285,7 +257,7 @@ def random_base_function(m: int, bound: Fraction, rng,
     present = sorted(set(ranks))  # -1 first; INF, if drawn, ranked last
     finite = [ranked[r] for r in present[1:] if ranked[r] is not INF]
     d, nums = common_denominator([Fraction(0)] + finite)
-    ints, top = dict(zip(present, nums)), max(nums) + 1
+    ints, top = dict(zip(present, nums)), top_above(nums)
     return BaseFunction(m, (d, tuple([ints.get(r, top) for r in ranks]), top))
 
 

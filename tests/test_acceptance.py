@@ -83,7 +83,7 @@ def test_criterion_03_menu_verification():
             f = random_base_function(spec.m, spec.bound, rng, values=grid)
             for k in range(1, spec.m + 1):
                 for w in grid:
-                    if any(f.table[s] == w for s in bundles_of_size(spec.m, k)):
+                    if any(f.price[s] == w for s in bundles_of_size(spec.m, k)):
                         probe = submodular_probe(f, spec.bound, k, w)
                         if "submodular" not in classify_valuation(probe):
                             submodular_ok = False

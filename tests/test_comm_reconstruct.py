@@ -13,7 +13,7 @@ from taxlab.comm_reconstruct import (PRODUCT_CAP, ConstructionError, ProofInstan
                                      representation_set, witness_bundles, within_log_budget)
 from taxlab.disjointness import ZDisjointnessInstance, max_intersection, solve_z_disjointness
 from taxlab.library import default_catalog, make_example, warmup_catalog
-from taxlab.menus import Menu
+from taxlab.menus import menu
 from taxlab.protocol import Session, extract_menu
 from taxlab.rational import INF
 from taxlab.valuations import single_item_valuation
@@ -26,7 +26,7 @@ def menu_of(m, entries):
     table[0] = F(0)
     for s, p in entries.items():
         table[s] = p if p is INF else F(p)
-    return Menu(m, tuple(table))
+    return menu(m, tuple(table))
 
 
 def test_majority_table_and_witnesses():

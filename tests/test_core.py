@@ -504,6 +504,9 @@ def test_xos_json():
     from taxlab.valuations import xos_from_json
     v = xos_from_json({"m": 2, "clauses": [["2", "0"], ["0", "2"]]})
     assert v.value(0b11) == 2 and "xos" in classify_valuation(v)
+    for clause in ([True, "1"], [0.5, "1"], [1, "1"], ["inf", "1"]):
+        with pytest.raises(DomainError, match="string|finite"):
+            xos_from_json({"m": 2, "clauses": [clause]})
 
 
 def reference_is_monotone(table, m):

@@ -13,6 +13,7 @@ from taxlab.disjointness import (PromiseError, ZDisjointnessInstance,
                                  solve_z_disjointness)
 from taxlab.rng import stream
 from taxlab.suites import random_promise_instance
+from taxlab.valuations import DomainError
 
 
 def test_bits_mask_roundtrip():
@@ -114,6 +115,9 @@ def test_instance_json_roundtrip():
     back = instance_from_json(doc)
     assert back == inst
     assert doc["allowed"][0][0] == "1000"
+    for key, bad in (("l", 2.7), ("z", True), ("n", "2")):
+        with pytest.raises(DomainError, match="must be an integer"):
+            instance_from_json({**doc, key: bad})
 
 
 @settings(max_examples=300, deadline=None)

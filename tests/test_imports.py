@@ -37,21 +37,22 @@ KEY_CALLS = ("add", "discard", "fromkeys", "get", "pop", "remove", "setdefault")
 
 
 def table_reads(expr) -> list[ast.Attribute]:
-    """`.table` attributes read inside expr as a whole table: not the
-    tables of `v.table[s]` entry reads."""
+    """`.table` and `.price` attributes read inside expr as a whole table:
+    not the tables of `v.table[s]` or `menu.price[s]` entry reads."""
     entries = {id(node.value) for node in ast.walk(expr) if isinstance(node, ast.Subscript)}
     return [node for node in ast.walk(expr)
-            if isinstance(node, ast.Attribute) and node.attr == "table"
+            if isinstance(node, ast.Attribute) and node.attr in ("table", "price")
             and id(node) not in entries]
 
 
 def identity_and_table_keys(source: str) -> list[str]:
     """Reads of the builtin `id` (a call or a bare `map(id, ...)`), and
-    valuation tables used as a key: the index of a subscript, a dict or set
-    display or comprehension key, the first argument of a dict or set
-    method, or the left operand of `in`.  Memos and indexes key a
-    valuation by its `scaled_table`."""
-    found = []
+    valuation or menu `Fraction` tables used as a key: the index of a
+    subscript, a dict or set display or comprehension key, the first
+    argument of a dict or set method, or the left operand of `in`.  Memos
+    and indexes key a valuation by its `scaled_table` and a menu by the
+    `Menu` itself."""
+    found, keyed = [], {}
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name) and node.id == "id" and isinstance(node.ctx, ast.Load):
             found.append(f"line {node.lineno}: id")
@@ -71,8 +72,8 @@ def identity_and_table_keys(source: str) -> list[str]:
         elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
               and node.func.attr in KEY_CALLS and node.args):
             keys = [node.args[0]]
-        found += [f"line {hit.lineno}: .table key" for key in keys for hit in table_reads(key)]
-    return sorted(set(found))
+        keyed.update((id(hit), hit) for key in keys for hit in table_reads(key))
+    return sorted(found + [f"line {hit.lineno}: .{hit.attr} key" for hit in keyed.values()])
 
 
 def test_identity_and_table_keys_are_found():
@@ -88,6 +89,20 @@ def test_identity_and_table_keys_are_found():
     assert identity_and_table_keys(source) == [
         "line 1: id", "line 2: id", "line 3: .table key", "line 4: .table key",
         "line 5: .table key", "line 6: .table key"]
+
+
+def test_menu_price_tables_as_keys_are_found():
+    source = (
+        "seen[menu.price] = menu\n"
+        "position = {menu.price: k for k, menu in enumerate(menus)}\n"
+        "k = position[session.menu(1, (v,)).price]\n"
+        "ok = wcount.get(menu.price) and truth.price in tables or x[{menu.price: 1}[k]]\n"
+        "counts[menu.price[s]] = menu.price == target and {menu: k}\n"
+        "run = {pr.price for pr in runs} and [menu.price for menu in live]\n"
+    )
+    assert identity_and_table_keys(source) == [
+        "line 1: .price key", "line 2: .price key", "line 3: .price key", "line 4: .price key",
+        "line 4: .price key", "line 4: .price key", "line 6: .price key"]
 
 
 def test_no_module_keys_a_valuation_by_identity_or_fraction_table():
@@ -250,3 +265,46 @@ def test_mechanism_programs_read_no_fraction_table():
     valuation's `scaled_table`, so no probe run builds its `Fraction`
     table."""
     assert fraction_table_reads((SRC / "library.py").read_text(encoding="utf-8")) == []
+
+
+MENU_KERNELS = ("normalize_menu", "menu_complexity", "profit_argmax_set", "Menu.is_normalized")
+
+
+def price_reads(source: str, names) -> list[str]:
+    """`.price` reads inside the named module-level functions and
+    `Class.method`s: the menu's `Fraction` view, built on first read."""
+    found = []
+    for node in ast.parse(source).body:
+        bodies = [(node.name, node)] if isinstance(node, ast.FunctionDef) else []
+        if isinstance(node, ast.ClassDef):
+            bodies = [(f"{node.name}.{fn.name}", fn) for fn in node.body
+                      if isinstance(fn, ast.FunctionDef)]
+        found += [f"line {hit.lineno}: {name} reads .price" for name, fn in bodies
+                  if name in names for hit in ast.walk(fn)
+                  if isinstance(hit, ast.Attribute) and hit.attr == "price"]
+    return found
+
+
+def test_price_reads_are_found():
+    source = (
+        "def normalize_menu(raw):\n    return raw.price[0]\n"
+        "def sort_key(menu):\n    return menu.price\n"
+        "class Menu:\n"
+        "    def is_normalized(self):\n        return self.scaled[1][0] == 0\n"
+        "    def levels(self):\n        return self.price\n"
+        "class Other:\n    def is_normalized(self):\n        return self.price\n"
+    )
+    assert price_reads(source, ("normalize_menu", "Menu.is_normalized", "Menu.levels")) == [
+        "line 2: normalize_menu reads .price", "line 9: Menu.levels reads .price"]
+
+
+def test_menu_kernels_read_no_fraction_price_table():
+    """The menu passes run on `Menu.scaled`, so none builds a menu's
+    `Fraction` view."""
+    source = (SRC / "menus.py").read_text(encoding="utf-8")
+    tree = ast.parse(source)
+    defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)} | {
+        f"{node.name}.{fn.name}" for node in tree.body if isinstance(node, ast.ClassDef)
+        for fn in node.body if isinstance(fn, ast.FunctionDef)}
+    assert set(MENU_KERNELS) <= defined
+    assert price_reads(source, MENU_KERNELS) == []

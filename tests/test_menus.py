@@ -1,6 +1,7 @@
 """Menu canonical form, profit maximization, menu complexity, min-affine."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -8,10 +9,10 @@ from hypothesis import strategies as st
 
 from taxlab.bundles import all_bundles, bit, is_monotone, supersets
 from taxlab.menus import (ContractError, Menu, MinAffineMenu, cheapest_superset,
-                          eval_min_affine, in_menu_rebuild, menu_complexity, menu_from_json,
-                          menu_to_json, min_affine_from_json, min_affine_table,
+                          eval_min_affine, in_menu_rebuild, menu, menu_complexity,
+                          menu_from_json, menu_to_json, min_affine_from_json, min_affine_table,
                           min_affine_to_json, normalize_menu, profit_argmax_set)
-from taxlab.rational import INF, is_finite, sum_prices
+from taxlab.rational import INF, is_finite, price_key, sum_prices
 from taxlab.rng import stream
 from taxlab.valuations import (DomainError, Valuation, random_monotone_valuation, valuation,
                                valuation_from_values)
@@ -24,24 +25,26 @@ def menu_of(m, entries):
     table[0] = F(0)
     for s, p in entries.items():
         table[s] = p if p is INF else F(p)
-    return Menu(m, tuple(table))
+    return menu(m, tuple(table))
 
 
 def test_normalize_idempotent_and_shift():
     already = menu_of(2, {0b01: 1, 0b10: 2, 0b11: 3})
     assert normalize_menu(already).price == already.price
-    raw = Menu(1, (F(1), F(3)))
+    raw = menu(1, (F(1), F(3)))
     fixed = normalize_menu(raw)
     assert fixed.price == (F(0), F(2))
 
 
 def test_normalize_monotone_repair():
-    raw = Menu(2, (F(0), F(2), F(0), F(1)))
+    raw = menu(2, (F(0), F(2), F(0), F(1)))
     fixed = normalize_menu(raw)
     assert fixed.price[0b01] == 1  # lowered to the cheapest superset
     assert fixed.is_normalized()
     with pytest.raises(DomainError):
-        normalize_menu(Menu(1, (INF, F(1))))
+        normalize_menu(menu(1, (INF, F(1))))
+    # a raw empty price above the cheapest: repaired first, then shifted
+    assert normalize_menu(menu(1, (F(1), F(0)))).price == (F(0), F(0))
 
 
 def test_normalize_keeps_max_profit_and_old_argmax():
@@ -51,7 +54,7 @@ def test_normalize_keeps_max_profit_and_old_argmax():
         m = rng.randrange(1, 5)
         table = [prices[rng.randrange(len(prices))] for _ in all_bundles(m)]
         table[0] = F(0)
-        raw = Menu(m, tuple(table))
+        raw = menu(m, tuple(table))
         fixed = normalize_menu(raw)
         v = random_monotone_valuation(m, rng)
         old = profit_argmax_set(raw, v)
@@ -81,14 +84,14 @@ def test_menu_complexity_examples():
     warm = menu_of(2, {0b01: 3})
     count, bundles = menu_complexity(warm)
     assert count == 2 and bundles == (0, 0b01)
-    allzero = Menu(2, (F(0),) * 4)
+    allzero = menu(2, (F(0),) * 4)
     count, bundles = menu_complexity(allzero)
     assert count == 1 and bundles == (0b11,)
     droptie = menu_of(2, {0b01: 0, 0b10: 0})
     count, bundles = menu_complexity(droptie)
     assert count == 2 and bundles == (0b01, 0b10)
     with pytest.raises(ContractError):
-        menu_complexity(Menu(1, (F(1), F(0))))
+        menu_complexity(menu(1, (F(1), F(0))))
 
 
 def strictly_monotone_for(menu: Menu, target: int) -> Valuation:
@@ -118,17 +121,17 @@ def test_menu_complexity_matches_unique_winnability():
         m = rng.randrange(1, 4)
         table = [prices[rng.randrange(len(prices))] for _ in all_bundles(m)]
         table[0] = F(0)
-        menu = normalize_menu(Menu(m, tuple(table)))
-        count, bundles = menu_complexity(menu)
+        canon = normalize_menu(menu(m, tuple(table)))
+        count, bundles = menu_complexity(canon)
         for s in all_bundles(m):
             if s in bundles:
-                v = strictly_monotone_for(menu, s)
-                assert profit_argmax_set(menu, v) == [s]
+                v = strictly_monotone_for(canon, s)
+                assert profit_argmax_set(canon, v) == [s]
             else:
                 # not in the menu: infinite price or a no-pricier superset
-                if is_finite(menu.price[s]):
+                if is_finite(canon.price[s]):
                     assert any(
-                        t != s and menu.price[t] <= menu.price[s]
+                        t != s and canon.price[t] <= canon.price[s]
                         for t in supersets(s, m)
                     )
 
@@ -154,6 +157,10 @@ def test_min_affine_validation_and_json():
     doc = min_affine_to_json(ma)
     back = min_affine_from_json(doc)
     assert min_affine_table(back).price == min_affine_table(ma).price
+    assert min_affine_from_json({**doc, "offsets": ["1/10"]}).offsets == (F(1, 10),)
+    for offsets in ([0.1], [True], [1], ["inf"]):
+        with pytest.raises(DomainError, match="string|finite"):
+            min_affine_from_json({**doc, "offsets": offsets})
 
 
 def reference_eval_min_affine(ma, s):
@@ -238,7 +245,7 @@ def test_is_normalized_matches_per_item_loop(question):
     monotone = all(table[s] <= table[s | bit(j)]
                    for s in all_bundles(m) for j in range(m) if not s & bit(j))
     assert is_monotone(table, m) == monotone
-    assert Menu(m, table).is_normalized() == (table[0] == 0 and monotone)
+    assert menu(m, table).is_normalized() == (table[0] == 0 and monotone)
 
 
 def reference_profit_argmax_set(menu, v):
@@ -267,10 +274,10 @@ def test_integer_profit_argmax_matches_fraction_reference(question, scale, shift
     if shift:
         table = tuple(p - F(5, 3) if is_finite(p) else p for p in table)
     v = random_monotone_valuation(m, stream(seed, "argmax"), scale=scale)
-    for menu in (Menu(m, table), normalize_menu(Menu(m, table)) if is_finite(table[0]) else None):
-        if menu is not None:
-            assert profit_argmax_set(menu, v) == reference_profit_argmax_set(menu, v)
-    assert profit_argmax_set(Menu(m, (INF,) * (1 << m)), v) == []
+    for mn in (menu(m, table), normalize_menu(menu(m, table)) if is_finite(table[0]) else None):
+        if mn is not None:
+            assert profit_argmax_set(mn, v) == reference_profit_argmax_set(mn, v)
+    assert profit_argmax_set(menu(m, (INF,) * (1 << m)), v) == []
 
 
 def reference_cheapest_superset(priced, s):
@@ -302,3 +309,119 @@ def test_menu_sort_key_is_numerator_then_denominator_order():
     two, three_halves, inf = (menu_of(1, {1: p}) for p in (2, F(3, 2), INF))
     order = sorted([inf, three_halves, two], key=Menu.sort_key)
     assert [mn.price[1] for mn in order] == [F(2), F(3, 2), INF]
+
+
+raw_prices = st.one_of(st.just(INF),
+                       st.builds(F, st.integers(-4, 6), st.sampled_from([1, 2, 3, 7])))
+
+
+@st.composite
+def raw_tables(draw, max_m=6):
+    """Raw menu tables, as a mechanism's probes read them: m in 1..max_m,
+    INF and negative entries over mixed denominators anywhere, the empty
+    bundle's included; now and then every entry INF."""
+    m = draw(st.integers(1, max_m))
+    if draw(st.integers(0, 9)) == 0:
+        return m, (INF,) * (1 << m)
+    return m, tuple(draw(raw_prices) for _ in all_bundles(m))
+
+
+def reference_scaled(table):
+    """A table's stored triple worked out per entry: the finite prices over
+    the lcm of their denominators, INF one above them and at least 1."""
+    finite = [p for p in table if is_finite(p)]
+    d = 1
+    for p in finite:
+        d = d * p.denominator // gcd(d, p.denominator)
+    ints = [p.numerator * (d // p.denominator) for p in finite]
+    top = max([0] + ints) + 1
+    at = iter(ints)
+    return d, tuple(next(at) if is_finite(p) else top for p in table), top
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_tables())
+def test_exact_and_raw_menu_entries_agree(question):
+    m, table = question
+    raw, exact = Menu(m, reference_scaled(table)), menu(m, table)
+    assert raw == exact and hash(raw) == hash(exact) and raw.scaled == exact.scaled
+    assert raw.price == exact.price == table
+    assert all(type(p) is F for p in raw.price if is_finite(p))
+    assert raw.sort_key() == exact.sort_key() == tuple(map(price_key, table))
+    monotone = all(table[s] <= table[s | bit(j)]
+                   for s in all_bundles(m) for j in range(m) if not s & bit(j))
+    assert raw.is_normalized() == exact.is_normalized() == (table[0] == 0 and monotone)
+    doc = menu_to_json(raw)
+    assert doc == menu_to_json(exact) and menu_from_json(doc) == raw
+
+
+def test_raw_and_exact_menu_refusals():
+    for scaled in ((2, (0, 2), 3), (0, (0, 1), 2), (-1, (0, -1), 1), (1, [0, 1], 2),
+                   (1, (0, 1), 3), (1, (0, 2), 1), (1, (-1, 0), 0), (2, (1, 1), 1)):
+        with pytest.raises(DomainError, match="reduced ints with top above them"):
+            Menu(1, scaled)
+    with pytest.raises(DomainError, match="cover all"):
+        Menu(2, (1, (0, 1), 2))
+    # INF sits one above the finite prices and at least at 1
+    assert menu(1, (F(-1), INF)).scaled == (1, (-1, 1), 1)
+    assert menu(2, (INF,) * 4).scaled == (1, (1, 1, 1, 1), 1)
+    for table in ((0.0, 0.5), (0, F(1)), (F(0), "1"), (F(0), True)):
+        with pytest.raises(DomainError, match="exact rationals or INF"):
+            menu(1, table)
+
+
+def reference_normalize_menu(m, table):
+    """`normalize_menu` as it shifted the raw `Fraction` table by its empty
+    price and then lowered each bundle to its cheapest superset."""
+    base = table[0]
+    if not is_finite(base):
+        raise DomainError("menu price of the empty bundle must be finite")
+    repaired = [p - base if is_finite(p) else INF for p in table]
+    for j in range(m):
+        b = bit(j)
+        for s in reversed(all_bundles(m)):
+            if not s & b and repaired[s | b] < repaired[s]:
+                repaired[s] = repaired[s | b]
+    return tuple(repaired)
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_tables(max_m=5))
+def test_normalize_menu_is_normalized_and_matches_the_old_loop_where_it_was(question):
+    """The output is always normalized, and equals the old loop's wherever
+    that was normalized; an INF empty price is refused by both."""
+    m, table = question
+    raw = menu(m, table)
+    if not is_finite(table[0]):
+        for normalize in (lambda: normalize_menu(raw), lambda: reference_normalize_menu(m, table)):
+            with pytest.raises(DomainError, match="empty bundle must be finite"):
+                normalize()
+        return
+    got = normalize_menu(raw)
+    assert got.is_normalized()
+    want = reference_normalize_menu(m, table)
+    if menu(m, want).is_normalized():
+        assert got.price == want
+    assert normalize_menu(got) == got
+
+
+def reference_menu_complexity(canon):
+    """`menu_complexity` as it scanned every strict superset."""
+    top = (1 << canon.m) - 1
+    out = []
+    for s in all_bundles(canon.m):
+        if s == top:
+            if is_finite(canon.price[s]):
+                out.append(s)
+        elif all(canon.price[s] < canon.price[t] for t in supersets(s, canon.m) if t != s):
+            out.append(s)
+    return len(out), tuple(out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_tables(max_m=5))
+def test_one_item_menu_complexity_matches_the_superset_scan(question):
+    m, table = question
+    if is_finite(table[0]):
+        canon = normalize_menu(menu(m, table))
+        assert menu_complexity(canon) == reference_menu_complexity(canon)

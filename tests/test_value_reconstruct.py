@@ -6,7 +6,7 @@ import pytest
 
 from taxlab.bundles import all_bundles
 from taxlab.library import default_catalog, make_example
-from taxlab.menus import Menu, menu_complexity
+from taxlab.menus import menu, menu_complexity
 from taxlab.protocol import extract_menu
 from taxlab.rational import INF
 from taxlab.rng import stream
@@ -62,36 +62,36 @@ def test_learner_oracle_errors():
 
 
 def test_ladder_hand_trace():
-    menu = Menu(2, (F(0), F(1), F(2), INF))
-    rec = reconstruct_menu_value(PriceOracle(menu), mc_bound=4)
-    assert rec.menu.price == menu.price
+    hidden = menu(2, (F(0), F(1), F(2), INF))
+    rec = reconstruct_menu_value(PriceOracle(hidden), mc_bound=4)
+    assert rec.menu.price == hidden.price
     assert [st.threshold for st in rec.steps] == [0, 1, 2]
     assert [st.new_bundles for st in rec.steps] == [(0,), (0b01,), (0b10,)]
 
 
 def test_ladder_degenerate_and_warmup():
-    lonely = Menu(2, (F(0), INF, INF, INF))
+    lonely = menu(2, (F(0), INF, INF, INF))
     rec = reconstruct_menu_value(PriceOracle(lonely), mc_bound=4)
     assert rec.menu.price == lonely.price and len(rec.steps) == 1
 
-    warm = Menu(2, (F(0), F(3), INF, INF))
+    warm = menu(2, (F(0), F(3), INF, INF))
     rec = reconstruct_menu_value(PriceOracle(warm), mc_bound=4)
     assert rec.menu.price == warm.price
     assert [st.threshold for st in rec.steps] == [0, 3]
 
 
 def test_ladder_budget_and_bound_violation():
-    menu = Menu(3, tuple(F(s % 4) if s % 3 else F(s % 4) for s in range(8)))
-    menu = Menu(3, (F(0), F(1), F(1), F(2), F(2), F(3), F(3), F(4)))
-    po = PriceOracle(menu, cost_per_call=2)
-    mc = menu_complexity(menu)[0]
+    hidden = menu(3, tuple(F(s % 4) if s % 3 else F(s % 4) for s in range(8)))
+    hidden = menu(3, (F(0), F(1), F(1), F(2), F(2), F(3), F(3), F(4)))
+    po = PriceOracle(hidden, cost_per_call=2)
+    mc = menu_complexity(hidden)[0]
     rec = reconstruct_menu_value(po, mc_bound=mc)
-    assert rec.menu.price == menu.price
+    assert rec.menu.price == hidden.price
     assert rec.value_queries == 2 * rec.oracle_calls
     budget = mc * useless_query_budget(3, mc) + mc
     assert rec.oracle_calls <= budget
     with pytest.raises(BoundViolation):
-        reconstruct_menu_value(PriceOracle(menu), mc_bound=1)
+        reconstruct_menu_value(PriceOracle(hidden), mc_bound=1)
 
 
 def test_reconstruction_matches_mechanism_menus():

@@ -10,7 +10,7 @@ from taxlab import suites
 from taxlab.bundles import (DomainError, all_bundles, bit, bundles_of_size, max_below,
                             monotone_closure, size)
 from taxlab.library import default_catalog, make_example
-from taxlab.menus import ContractError, Menu
+from taxlab.menus import ContractError, menu
 from taxlab.protocol import (MechanismSpec, Session, extract_menu, insert_player,
                              measure_complexities, run_mechanism)
 from taxlab.rational import INF, common_denominator, is_finite
@@ -119,7 +119,7 @@ def test_pairwise_submodular_matches_fraction_reference(m, bound, rnd):
     values = [F(q, d) for q in range(3) for d in (1, 2, 3, 7, 8)] + [INF]
     f = random_base_function(m, bound, rnd, values=values)
     k = rnd.randrange(1, m + 1)
-    for w in sorted({f.table[s] for s in all_bundles(m) if bin(s).count("1") == k}):
+    for w in sorted({f.price[s] for s in all_bundles(m) if bin(s).count("1") == k}):
         probe = submodular_probe(f, bound, k, w)
         verdict = pairwise_submodular(m, probe.scaled_table[1])
         assert verdict == reference_pairwise_submodular(probe) is True
@@ -276,13 +276,13 @@ def test_verify_agrees_with_brute_force():
                 f = random_base_function(spec.m, spec.bound, rng, values=values)
                 want = int(exceeds_somewhere(f, truth))
                 got = verify_menu(session, i, v_minus, f, cls, price_grid=grid)
-                assert got.answer == want, (mech_id, cls, f.table)
+                assert got.answer == want, (mech_id, cls, f.price)
 
 
 # ---- the Fraction builders the integer ones replaced, kept as oracles ----
 
 def reference_general_probe(f, bound):
-    return valuation(f.m, tuple(x if is_finite(x) else 3 * bound for x in f.table))
+    return valuation(f.m, tuple(x if is_finite(x) else 3 * bound for x in f.price))
 
 
 def reference_subadditive_probe(f, bound):
@@ -295,14 +295,14 @@ def reference_subadditive_probe(f, bound):
 def reference_xos_probe(f, bound, r):
     clauses = []
     for t in bundles_of_size(f.m, r):
-        ft = f.table[t]
+        ft = f.price[t]
         weight = (ft / r + 3 * bound) if is_finite(ft) else (2 * bound / r + 3 * bound)
         clauses.append(tuple(weight if t & bit(j) else F(0) for j in range(f.m)))
     return xos_from_clauses(XOSClauses(f.m, tuple(clauses)))
 
 
 def reference_submodular_probe(f, bound, k, w):
-    level = [s for s in bundles_of_size(f.m, k) if f.table[s] == w]
+    level = [s for s in bundles_of_size(f.m, k) if f.price[s] == w]
     if not level:
         raise DomainError("empty level set: skip this (k, w) pair")
     t = (1 << (f.m + 1)) * bound
@@ -360,18 +360,18 @@ def test_integer_builders_match_fraction_reference(question):
     rng, twin = stream(seed, "base"), stream(seed, "base")
     f = random_base_function(m, bound, rng, values=values)
     want = reference_random_base_function(m, bound, twin, values=values)
-    assert f.table == want.table  # the same draws for the same seed
+    assert f.price == want.price  # the same draws for the same seed
     assert rng.getstate() == twin.getstate()  # and as many: later trials see the same stream
     assert f == want and f.scaled == want.scaled  # the drawn stored form is the entry path's
     d, ints, top = f.scaled
-    finite = [x for x in f.table if is_finite(x)]
+    finite = [x for x in f.price if is_finite(x)]
     assert d == common_denominator(finite)[0]
     assert all(ints[s] == top if not is_finite(x) else F(ints[s], d) == x
-               for s, x in enumerate(f.table))
-    assert top == max(ints[s] for s, x in enumerate(f.table) if is_finite(x)) + 1
+               for s, x in enumerate(f.price))
+    assert top == max(ints[s] for s, x in enumerate(f.price) if is_finite(x)) + 1
     assert f.levels == {
-        (k, w): tuple(s for s in bundles_of_size(m, k) if f.table[s] == w)
-        for k in range(1, m + 1) for w in {f.table[s] for s in bundles_of_size(m, k)}}
+        (k, w): tuple(s for s in bundles_of_size(m, k) if f.price[s] == w)
+        for k in range(1, m + 1) for w in {f.price[s] for s in bundles_of_size(m, k)}}
 
     def tables(cls, grid=()):
         return [tuple(F(x, d) for x in ints) for d, ints, _ in probe_rounds(f, bound, cls, grid)]
@@ -435,7 +435,7 @@ def test_integer_verdicts_match_the_fraction_tests_at_the_threshold(question):
 
 
 def reference_check_bound(f, bound):
-    return all(x <= bound for x in f.table if is_finite(x))
+    return all(x <= bound for x in f.price if is_finite(x))
 
 
 @settings(max_examples=150, deadline=None)
@@ -460,7 +460,7 @@ def test_an_empty_price_pool_is_refused():
             random_base_function(2, F(2), rng, values=values)
         assert rng.getstate() == before
     f = random_base_function(2, F(2), stream(2, "inf"), values=(F(5), INF))
-    assert f.table == (F(0), INF, INF, INF)
+    assert f.price == (F(0), INF, INF, INF)
 
 
 def test_base_function_refusals_and_infinite_top():
@@ -470,12 +470,14 @@ def test_base_function_refusals_and_infinite_top():
         base_function(2, (F(0), INF, F(0), F(1)))
     with pytest.raises(DomainError, match="vanish"):
         base_function(1, (INF, INF))
+    with pytest.raises(DomainError, match="exact rationals or INF"):
+        base_function(1, (0.0, 0.5))
     f = base_function(2, (F(0), F(1, 2), F(2, 3), INF))
     assert f.scaled == (6, (0, 3, 4, 5), 5)
     everything = base_function(2, (F(0), INF, INF, INF))
     assert everything.scaled == (1, (0, 1, 1, 1), 1)
     assert everything.levels == {(1, INF): (0b01, 0b10), (2, INF): (0b11,)}
-    assert BaseFunction(2, (6, (0, 3, 4, 5), 5)) == f and "table" not in vars(f)
+    assert BaseFunction(2, (6, (0, 3, 4, 5), 5)) == f and "price" not in vars(f)
     # the stored triple itself must be the reduced form with top one above it
     for scaled in ((2, (0, 2), 3), (0, (0, 1), 2), (1, (0, 1), 3), (1, (0, 2), 1),
                    (1, [0, 1], 2)):
@@ -494,7 +496,7 @@ def test_base_function_validates_once_per_construction(monkeypatch):
                   lambda: random_base_function(3, F(2), stream(0, "once"))):
         seen.clear()
         f = build()
-        assert seen == [f] and f.table[0] == 0 and f.levels and len(seen) == 1
+        assert seen == [f] and f.price[0] == 0 and f.levels and len(seen) == 1
 
 
 def test_upward_closure_matches_member_scan():
@@ -538,7 +540,7 @@ def reference_verify_menu(spec, i, v_minus_i, f, cls, grid):
     t = (1 << (spec.m + 1)) * bound
     for k in range(1, spec.m + 1):
         for w in grid:
-            if not any(f.table[s] == w for s in bundles_of_size(spec.m, k)):
+            if not any(f.price[s] == w for s in bundles_of_size(spec.m, k)):
                 continue
             probe = reference_submodular_probe(f, bound, k, w)
             won, pay, used = run_with(probe)
@@ -647,7 +649,7 @@ def test_probes_become_valuations_only_on_memo_misses(cls, monkeypatch):
 
 def reference_exceeds_somewhere(f, menu):
     """`exceeds_somewhere` as it compared the `Fraction` tables."""
-    return any(f.table[s] > menu.price[s] for s in all_bundles(f.m))
+    return any(f.price[s] > menu.price[s] for s in all_bundles(f.m))
 
 
 entries = st.one_of(st.just(INF), st.builds(F, st.integers(0, 9), st.sampled_from([1, 2, 3, 7])))
@@ -677,9 +679,9 @@ def base_and_menu_tables(draw):
 @given(base_and_menu_tables())
 def test_integer_exceeds_somewhere_matches_fraction_reference(question):
     m, table, prices = question
-    menu = Menu(m, prices)
-    got = exceeds_somewhere(base_function(m, table), menu)
-    assert got == reference_exceeds_somewhere(base_function(m, table), menu)
+    priced = menu(m, prices)
+    got = exceeds_somewhere(base_function(m, table), priced)
+    assert got == reference_exceeds_somewhere(base_function(m, table), priced)
 
 
 def test_bit_mode_probe_runs_and_menu_checks_build_no_fraction_table(monkeypatch):
@@ -711,4 +713,4 @@ def test_bit_mode_probe_runs_and_menu_checks_build_no_fraction_table(monkeypatch
     f = random_base_function(4, spec.bound, rng)
     for v_minus in session.others(1):
         exceeds_somewhere(f, session.menu(1, v_minus))
-    assert "table" not in vars(f)
+    assert "price" not in vars(f)
