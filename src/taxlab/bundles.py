@@ -70,14 +70,6 @@ def bundles_of_size(m: int, k: int) -> list[int]:
     return sorted(out)
 
 
-def max_below(table: Sequence, s: int, floor):
-    """The largest of floor and table[s minus one item] over s's items."""
-    for j in range(s.bit_length()):
-        if s & bit(j) and table[s & ~bit(j)] > floor:
-            floor = table[s & ~bit(j)]
-    return floor
-
-
 def monotone_closure(t: Sequence, m: int) -> list:
     """A copy of the table with each entry raised to the largest of itself
     and its subsets' entries: one pass per item j, in which each bundle
@@ -88,6 +80,19 @@ def monotone_closure(t: Sequence, m: int) -> list:
         for s in range(len(t)):
             if s & b and t[s ^ b] > t[s]:
                 t[s] = t[s ^ b]
+    return t
+
+
+def superset_min(t: Sequence, m: int) -> list:
+    """A copy of the table with each entry lowered to the smallest of itself
+    and its supersets' entries, one pass per item: the superset pass beside
+    `monotone_closure`'s subset pass, on ints and `Fraction`/INF alike."""
+    t = list(t)
+    for j in range(m):
+        b = bit(j)
+        for s in range(len(t)):
+            if not s & b and t[s | b] < t[s]:
+                t[s] = t[s | b]
     return t
 
 

@@ -216,7 +216,7 @@ def load_config(path: Path, seed_override: Optional[int] = None,
         spec = make_example(mech_id, params)
         try:
             catalog = (load_catalog(entry.get("catalogs"), path.parent)
-                       or default_catalog(mech_id, spec, params))
+                       or default_catalog(mech_id, params))
         except (KeyError, TypeError, ValueError, ArithmeticError, OSError) as exc:
             raise ConfigError(f"{mech_id}.catalogs: {exc}") from exc
         if catalog.n != spec.n or catalog.m != spec.m:

@@ -233,25 +233,18 @@ def reconstruct_menu_comm(session: Session, i: int, v_minus_i: Sequence[Valuatio
         p_table = most_frequent_prices(live, m)
         rec = StepRecord("", None, before, before, 0, 0, step_tag_bits)
 
-        direct_bundle = None
+        branch, bundle = "direct", None
         for s in all_bundles(m):
             prices_here = [menu.price[s] for menu in live]
             top = max(prices_here.count(p) for p in set(prices_here))
             if 2 * top < before:
-                direct_bundle = s
+                bundle = s
                 break
 
-        if direct_bundle is not None:
-            spent = price_bits
-            answer = check_price(direct_bundle)
-            live = [menu for menu in live if menu.price[direct_bundle] == answer]
-            rec.branch = "direct"
-            rec.bundle = direct_bundle
-            rec.price_bits = price_bits - spent
-        else:
+        if bundle is None:
+            branch = "disjointness"
             zprime = list(live)
             wcount = {menu: len(witness_bundles(menu, p_table)) for menu in live}
-            found_bundle = None
             t = 1 << m
             while t >= 1:
                 band = [menu for menu in zprime
@@ -273,22 +266,22 @@ def reconstruct_menu_comm(session: Session, i: int, v_minus_i: Sequence[Valuatio
                             if proof.strings[party][w.scaled_table] in keep
                         ]
                     if not verdict.disjoint:
-                        found_bundle = proof.bit_bundle[verdict.intersecting_bit]
+                        bundle = proof.bit_bundle[verdict.intersecting_bit]
                         break
                     zprime = [menu for menu in zprime if menu not in band]
                 t //= 2
-            if found_bundle is not None:
-                spent = price_bits
-                answer = check_price(found_bundle)
-                live = [menu for menu in live if menu.price[found_bundle] == answer]
-                rec.branch = "disjointness"
-                rec.bundle = found_bundle
-                rec.price_bits = price_bits - spent
-            else:
-                # no witness anywhere: the true menu is the majority table
-                target = tuple(p_table)
-                live = [menu for menu in live if menu.price == target]
-                rec.branch = "majority"
+
+        if bundle is not None:
+            spent = price_bits
+            answer = check_price(bundle)
+            live = [menu for menu in live if menu.price[bundle] == answer]
+            rec.branch, rec.bundle = branch, bundle
+            rec.price_bits = price_bits - spent
+        else:
+            # no witness anywhere: the true menu is the majority table
+            target = tuple(p_table)
+            live = [menu for menu in live if menu.price == target]
+            rec.branch = "majority"
 
         rec.live_after = len(live)
         steps.append(rec)

@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 
 from .bundles import MAX_ITEMS, all_bundles, best_bundle, bit, size
 from .menus import Menu, MinAffineMenu, eval_min_affine
-from .protocol import MechanismSpec, extract_menu, insert_player, run_mechanism
+from .protocol import Session, insert_player
 from .queries import bundle_price, demand_query
 from .rational import INF, Price, is_finite
 from .valuations import DomainError, Valuation, layered_valuation, valuation
@@ -41,15 +41,14 @@ def canonical_valuation(menu: Menu, bound: Fraction) -> Valuation:
     return valuation(menu.m, table)
 
 
-def extract_min_affine(spec: MechanismSpec, i: int, v_minus_i: Sequence[Valuation],
-                       truth: Optional[Menu] = None) -> MinAffineMenu:
-    """`truth` is the menu v_minus_i presents, extracted here when not given."""
+def extract_min_affine(session: Session, i: int, v_minus_i: Sequence[Valuation]) -> MinAffineMenu:
+    """The min-affine form of the menu v_minus_i presents to player i, from
+    the session's menu and its run on the canonical profile."""
+    spec = session.spec
     if spec.mode != "demand":
         raise DomainError("min-affine extraction applies to demand-mode mechanisms")
-    if truth is None:
-        truth = extract_menu(spec, i, v_minus_i)
-    v_i = canonical_valuation(truth, spec.bound)
-    res = run_mechanism(spec, insert_player(tuple(v_minus_i), i, v_i))
+    truth = session.menu(i, v_minus_i)
+    res = session.run(insert_player(v_minus_i, i, canonical_valuation(truth, spec.bound)))
 
     vectors: list[tuple[Price, ...]] = []
     offsets: list[Fraction] = []

@@ -42,7 +42,7 @@ from typing import Callable, Optional
 from .bundles import MAX_ITEMS, all_bundles, best_bundle, bit, bundles_of_size, grand, size
 from .demand_menus import (HALF, QUARTER, hidden_bump_price, hidden_problem_valuation,
                            min_affine_argmax, mt_gadget_argmax)
-from .menus import MinAffineMenu, cheapest_superset, eval_min_affine
+from .menus import MinAffineMenu, eval_min_affine, in_menu_rebuild
 from .protocol import MechanismSpec, PriceRun
 from .queries import demand_query
 from .rational import INF, Price
@@ -151,6 +151,8 @@ def value_tightness(m: int, c: Optional[int] = None, bundles=None) -> MechanismS
             for j, s in enumerate(bundle_list)
         }
 
+    menus = [in_menu_rebuild(m, {0: Fraction(0), **menu_prices(t)}) for t in range(1, c + 1)]
+
     def program(profile, rec):
         t = round_to_range(*rec.value_query(0, ITEM_A).as_integer_ratio(), 1, c)
         prices = menu_prices(t)
@@ -160,8 +162,7 @@ def value_tightness(m: int, c: Optional[int] = None, bundles=None) -> MechanismS
 
     def price_protocol(spec, i, v_minus_i, s):
         t = rounded_value(v_minus_i[0], ITEM_A, 1, c)
-        price = Fraction(0) if s == 0 else cheapest_superset(menu_prices(t), s)
-        return PriceRun(price, ((0, t, c),))
+        return PriceRun(menus[t - 1].price[s], ((0, t, c),))
 
     return MechanismSpec(
         mech_id=f"value_tightness(c={c},m={m})",
@@ -616,7 +617,7 @@ def make_example(mech_id: str, params: dict | None = None) -> MechanismSpec:
     return mech.build(**mech.complete(params or {}))
 
 
-def default_catalog(mech_id: str, spec: MechanismSpec, params: dict | None = None) -> ValuationCatalog:
-    """The canonical catalog; it depends on the params alone, not on `spec`."""
+def default_catalog(mech_id: str, params: dict | None = None) -> ValuationCatalog:
+    """The canonical catalog of the mechanism built from the same params."""
     mech = mechanism(mech_id)
     return mech.catalog(**mech.complete(params or {}))

@@ -21,10 +21,11 @@ from functools import cached_property
 from math import gcd, lcm
 from typing import Sequence
 
-from .bundles import all_bundles, bit, check_m, is_monotone, subset_sums
+from .bundles import all_bundles, bit, check_m, is_monotone, subset_sums, superset_min
 from .rational import (INF, Price, common_denominator, format_price, is_finite, parse_price,
                        price_key, reduced_prices, scaled_prices, top_above)
-from .valuations import DomainError, Valuation, json_item_count, table_from_json, table_to_json
+from .valuations import (DomainError, Valuation, json_item_count, json_typed, table_from_json,
+                         table_to_json)
 
 
 class ContractError(ValueError):
@@ -81,13 +82,7 @@ def normalize_menu(raw: Menu) -> Menu:
     d, ints, top = raw.scaled
     if ints[0] == top:
         raise DomainError("menu price of the empty bundle must be finite")
-    repaired = list(ints)
-    # min over supersets, computed by descending subset DP on each item
-    for j in range(raw.m):
-        b = bit(j)
-        for s in reversed(all_bundles(raw.m)):
-            if not s & b and repaired[s | b] < repaired[s]:
-                repaired[s] = repaired[s | b]
+    repaired = superset_min(ints, raw.m)
     shifted = [None if x == top else x - repaired[0] for x in repaired]
     return Menu(raw.m, reduced_prices(d, shifted))
 
@@ -121,20 +116,10 @@ def menu_complexity(menu: Menu) -> tuple[int, tuple[int, ...]]:
     return len(out), out
 
 
-def cheapest_superset(priced: dict[int, Fraction], s: int) -> Price:
-    """The lowest price among the priced bundles containing s; INF when
-    none does."""
-    best: Price = INF
-    for k, p in priced.items():
-        if k & s == s and p < best:
-            best = p
-    return best
-
-
 def in_menu_rebuild(m: int, priced: dict[int, Fraction]) -> Menu:
     """Menu determined by its in-menu bundles: each bundle costs the cheapest
     in-menu superset, infinite when none exists."""
-    return menu(m, [cheapest_superset(priced, s) for s in all_bundles(m)])
+    return menu(m, superset_min([priced.get(s, INF) for s in all_bundles(m)], m))
 
 
 @dataclass(frozen=True)
@@ -224,9 +209,11 @@ def min_affine_to_json(ma: MinAffineMenu) -> dict:
 
 def min_affine_from_json(doc: dict) -> MinAffineMenu:
     m = json_item_count(doc)
-    vectors = tuple(tuple(parse_price(p) for p in vec) for vec in doc["vectors"])
-    offsets = tuple(parse_price(r) for r in doc["offsets"])
-    exceptions = tuple(
-        sorted((int(k), parse_price(v)) for k, v in doc.get("exceptions", {}).items())
-    )
-    return MinAffineMenu(m, vectors, offsets, exceptions)
+    vectors = tuple(tuple(parse_price(p) for p in json_typed(vec, list, "a price vector"))
+                    for vec in json_typed(doc["vectors"], list, "vectors"))
+    offsets = tuple(parse_price(r) for r in json_typed(doc["offsets"], list, "offsets"))
+    exceptions = json_typed(doc.get("exceptions", {}), dict, "exceptions")
+    if not all(k.isdecimal() for k in exceptions):
+        raise DomainError(f"exception keys must be bundle masks, got {list(exceptions)!r}")
+    return MinAffineMenu(m, vectors, offsets,
+                         tuple(sorted((int(k), parse_price(v)) for k, v in exceptions.items())))

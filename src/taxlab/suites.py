@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import log2
 from typing import Sequence
 
@@ -56,7 +57,7 @@ TWO_PLAYER_BENCH: tuple[tuple[str, dict], ...] = (
 
 def bench_instance(mech_id: str, params: dict) -> tuple[MechanismSpec, ValuationCatalog]:
     spec = make_example(mech_id, params)
-    return spec, default_catalog(mech_id, spec, params)
+    return spec, default_catalog(mech_id, params)
 
 
 @dataclass(frozen=True)
@@ -207,9 +208,8 @@ def min_affine_check(session: Session) -> CheckLine:
     for i in range(spec.n):
         for v_minus in session.others(i):
             truth = session.menu(i, v_minus)
-            ma = extract_min_affine(spec, i, v_minus, truth)  # raises on mismatch
-            canon = canonical_valuation(truth, spec.bound)
-            res = run_mechanism(spec, insert_player(v_minus, i, canon))
+            ma = extract_min_affine(session, i, v_minus)  # raises on mismatch
+            res = session.run(insert_player(v_minus, i, canonical_valuation(truth, spec.bound)))
             if ma.alpha > res.qlog.demand_counts[i] or ma.beta > res.qlog.value_counts[i]:
                 errors.append(f"player {i}: alpha/beta exceed the trace")
             # at-most/exactly lemmas on the harvested pieces
@@ -257,19 +257,7 @@ def cover_grid_check(m: int = 6, sample_cross: int = 500, seed: int = 0) -> Chec
     """demand_cover stays a singleton-or-empty on the full price grid; a
     seeded subsample is cross-checked against brute-force coverage."""
     values = [Fraction(0), Fraction(1, 8), Fraction(1, 4), Fraction(1, 2), Fraction(1)]
-    grid = []
-    idx = [0] * m
-    while True:
-        grid.append(tuple(values[i] for i in idx))
-        j = 0
-        while j < m:
-            idx[j] += 1
-            if idx[j] < len(values):
-                break
-            idx[j] = 0
-            j += 1
-        if j == m:
-            break
+    grid = [c[::-1] for c in product(values, repeat=m)]  # item 0 varies fastest
     over = 0
     for prices in grid:
         if len(demand_cover(prices, m)) > 1:

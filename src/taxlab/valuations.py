@@ -9,7 +9,7 @@ from itertools import product
 from math import gcd
 from typing import Optional, Sequence
 
-from .bundles import (DomainError, all_bundles, bit, check_m, grand, is_monotone, max_below,
+from .bundles import (DomainError, all_bundles, bit, check_m, grand, is_monotone,
                       monotone_closure, size, subset_sums, subsets)
 from .rational import Price, common_denominator, format_price, is_finite, parse_price
 
@@ -92,16 +92,14 @@ def valuation_from_ints(m: int, d: int, ints: Sequence[int],
 
 
 def valuation_from_values(m: int, pairs) -> Valuation:
-    """Build a dense table from {mask: value}; missing masks default to the
-    maximum value over their subsets (minimal monotone completion)."""
+    """Build a dense table from {mask: value}, each given entry as given;
+    missing masks take the largest given value below them, or 0 (minimal
+    monotone completion): one `monotone_closure`, 0 where a value is missing."""
     table = [None] * (1 << m)
     for mask, val in dict(pairs).items():
         table[mask] = Fraction(val)
-    table[0] = Fraction(0) if table[0] is None else table[0]
-    for s in all_bundles(m):
-        if table[s] is None:
-            table[s] = max_below(table, s, Fraction(0))
-    return valuation(m, tuple(table))
+    filled = monotone_closure([Fraction(0) if x is None else x for x in table], m)
+    return valuation(m, tuple(y if x is None else x for x, y in zip(table, filled)))
 
 
 def additive_valuation(per_item: Sequence) -> Valuation:
@@ -248,6 +246,14 @@ def json_int(doc: dict, key: str, name: str) -> int:
     return x
 
 
+def json_typed(x, kind: type, name: str):
+    """x when it is a JSON list (kind list) or object (kind dict), not a string."""
+    if not isinstance(x, kind):
+        raise DomainError(f"{name} must be a JSON {'list' if kind is list else 'object'}, "
+                          f"got {x!r}")
+    return x
+
+
 def json_item_count(doc: dict) -> int:
     """The item count m of valuation, XOS or menu JSON: a JSON integer in
     1..MAX_ITEMS."""
@@ -259,7 +265,7 @@ def json_item_count(doc: dict) -> int:
 def table_from_json(doc: dict) -> tuple[int, tuple[Price, ...]]:
     """m and the price table of valuation or menu JSON, with every mask."""
     m = json_item_count(doc)
-    values = doc["values"]
+    values = json_typed(doc["values"], dict, "values")
     for s in all_bundles(m):
         if str(s) not in values:
             raise DomainError(f"JSON table omits mask {s}")
@@ -272,7 +278,6 @@ def valuation_from_json(doc: dict) -> Valuation:
 
 def xos_from_json(doc: dict) -> Valuation:
     m = json_item_count(doc)
-    clauses = tuple(
-        tuple(parse_price(entry) for entry in clause) for clause in doc["clauses"]
-    )
+    clauses = tuple(tuple(parse_price(entry) for entry in json_typed(clause, list, "a clause"))
+                    for clause in json_typed(doc["clauses"], list, "clauses"))
     return xos_from_clauses(XOSClauses(m, clauses))

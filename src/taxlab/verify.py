@@ -64,10 +64,12 @@ class BaseFunction(Menu):
     @cached_property
     def levels(self) -> dict[tuple[int, Price], tuple[int, ...]]:
         """Every nonempty level set {|S| = k, f(S) = w}, keyed by (k, w),
-        members ascending."""
+        members ascending; read off the ints, one `Fraction` per price."""
+        d, ints, top = self.scaled
+        exact = {x: INF if x == top else Fraction(x, d) for x in set(ints)}
         out: dict[tuple[int, Price], list[int]] = {}
         for s in range(1, 1 << self.m):
-            out.setdefault((size(s), self.price[s]), []).append(s)
+            out.setdefault((size(s), exact[ints[s]]), []).append(s)
         return {key: tuple(members) for key, members in out.items()}
 
     def check_bound(self, bound: Fraction) -> None:

@@ -104,7 +104,7 @@ def test_every_block_carries_at_most_one_intersecting_bit():
                             ("drop_tax", {"m": 4}),
                             ("drop_price", {"m": 4})]:
         spec = make_example(mech_id, params)
-        cat = default_catalog(mech_id, spec, params)
+        cat = default_catalog(mech_id, params)
         for i in range(spec.n):
             session = Session(spec, cat)
             live = menu_catalog(session, i)
@@ -143,7 +143,7 @@ def test_warmup_single_direct_check():
 
 def test_trivial_single_menu():
     spec = make_example("drop_tie", {"m": 4})
-    cat = default_catalog("drop_tie", spec, {"m": 4})
+    cat = default_catalog("drop_tie", {"m": 4})
     actual = (cat.players[0][0],)
     rec = reconstruct_menu_comm(Session(spec, cat), 1, actual, seed=2)
     assert rec.steps == () and rec.bits == 0
@@ -187,7 +187,7 @@ def test_sweep_small_mechanisms():
                             ("drop_price", {"m": 4}),
                             ("posted_prices", {"prices": ["1", "1", "2"], "n": 3})]:
         spec = make_example(mech_id, params)
-        cat = default_catalog(mech_id, spec, params)
+        cat = default_catalog(mech_id, params)
         session = Session(spec, cat)
         for i in range(spec.n):
             pre = menu_catalog(session, i)

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taxlab.bundles import (all_bundles, best_bundle, bit, bundles_of_size, is_monotone,
-                            max_below, monotone_closure, monotone_layout, size, subset_sums,
-                            subsets, supersets)
+                            monotone_closure, monotone_layout, size, subset_sums, subsets,
+                            superset_min, supersets)
 from taxlab.queries import bundle_price, demand_query, optimal_welfare, value_query
 from taxlab.rational import (INF, common_denominator, format_price, is_finite, parse_price,
                              sum_prices)
@@ -196,6 +196,15 @@ def test_demand_query_matches_fraction_reference(question):
     assert tuple(Fraction(x, d) for x in ints) == v.table
     with pytest.raises(DomainError):
         demand_query(v, prices + (Fraction(0),))
+
+
+def max_below(table, s, floor):
+    """The largest of floor and table[s minus one item] over s's items: the
+    per-bundle step `monotone_closure` replaced, kept as a reference."""
+    for j in range(s.bit_length()):
+        if s & bit(j) and table[s & ~bit(j)] > floor:
+            floor = table[s & ~bit(j)]
+    return floor
 
 
 def reference_random_monotone_valuation(m, rng, grid=8, scale=Fraction(4)):
@@ -498,6 +507,9 @@ def test_valuation_json_roundtrip():
     doc["values"].pop("2")
     with pytest.raises(DomainError):
         valuation_from_json(doc)
+    for values in ("01", ["0", "1"]):
+        with pytest.raises(DomainError, match="must be a JSON object"):
+            valuation_from_json({"m": 1, "values": values})
 
 
 def test_xos_json():
@@ -507,6 +519,10 @@ def test_xos_json():
     for clause in ([True, "1"], [0.5, "1"], [1, "1"], ["inf", "1"]):
         with pytest.raises(DomainError, match="string|finite"):
             xos_from_json({"m": 2, "clauses": [clause]})
+    # a string is not a list, though it iterates like one
+    for clauses in ("12", ["12"], {"0": ["1"]}):
+        with pytest.raises(DomainError, match="must be a JSON list"):
+            xos_from_json({"m": 1, "clauses": clauses})
 
 
 def reference_is_monotone(table, m):
@@ -609,6 +625,70 @@ def test_monotone_closure_matches_the_mask_order_completion(question):
     assert closed == mask_order_completion(raw, m)
     assert is_monotone(closed, m)
     assert closed == monotone_closure(tuple(raw), m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6), st.sampled_from(["int", "price", "inf"]), st.integers(0, 2**32))
+def test_superset_min_matches_the_per_bundle_superset_minimum(m, kind, seed):
+    """Int tables with negative entries, Fraction tables with INF entries
+    (negative ones too) and all-INF tables; on ints, negated in and out,
+    it is the superset maximum."""
+    rnd = random.Random(seed)
+    entry = {"int": lambda: rnd.randrange(-5, 10),
+             "price": lambda: INF if rnd.random() < 0.3 else Fraction(rnd.randrange(-6, 10),
+                                                                      rnd.randrange(1, 5)),
+             "inf": lambda: INF}[kind]
+    table = [entry() for _ in all_bundles(m)]
+    lowered = superset_min(table, m)
+    assert lowered == [min(table[u] for u in supersets(s, m)) for s in all_bundles(m)]
+    assert superset_min(tuple(table), m) == lowered
+    if kind == "int":
+        assert [-x for x in superset_min([-x for x in table], m)] == [
+            max(table[u] for u in supersets(s, m)) for s in all_bundles(m)]
+
+
+def reference_valuation_from_values(m, pairs):
+    """The per-bundle `max_below` fill-in `valuation_from_values` ran before
+    its one `monotone_closure`."""
+    table = [None] * (1 << m)
+    for mask, val in dict(pairs).items():
+        table[mask] = Fraction(val)
+    table[0] = Fraction(0) if table[0] is None else table[0]
+    for s in all_bundles(m):
+        if table[s] is None:
+            table[s] = max_below(table, s, Fraction(0))
+    return valuation(m, tuple(table))
+
+
+def built_or_refused(build, *args):
+    """The valuation built, or the message of its `DomainError`."""
+    try:
+        return build(*args)
+    except DomainError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda m: st.tuples(st.just(m), st.dictionaries(
+    st.integers(0, (1 << m) - 1),
+    st.sampled_from([0, 1, 1, 2, Fraction(1, 2), Fraction(3, 2), -1]), max_size=5))))
+def test_valuation_from_values_matches_the_max_below_fill_in(question):
+    """Given dicts with ties, non-monotone entries and nonzero empty
+    bundles: the same valuation, or the same refusal."""
+    m, pairs = question
+    got = built_or_refused(valuation_from_values, m, pairs)
+    assert got == built_or_refused(reference_valuation_from_values, m, pairs)
+    assert type(got) is Valuation or got.startswith("valuation must be")
+
+
+def test_valuation_from_values_ties_and_refusals():
+    tied = {0b001: 1, 0b010: 1, 0b100: 1, 0b111: 1}
+    assert valuation_from_values(3, tied).table == (0, 1, 1, 1, 1, 1, 1, 1)
+    for pairs, message in [({0b01: 2, 0b11: 1}, "monotone"), ({0b11: -1}, "monotone"),
+                           ({0: 1, 0b01: 2}, "normalized")]:
+        assert message in built_or_refused(reference_valuation_from_values, 2, pairs)
+        with pytest.raises(DomainError, match=message):
+            valuation_from_values(2, pairs)
 
 
 def test_one_item_tables_and_layout():

@@ -10,26 +10,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taxlab.bundles import all_bundles, bundles_of_size, size
-from taxlab.demand_menus import (CharacterizationViolation, covers, demand_cover,
-                                 extract_min_affine, hidden_bump_price,
+from taxlab.demand_menus import (CharacterizationViolation, canonical_valuation, covers,
+                                 demand_cover, extract_min_affine, hidden_bump_price,
                                  hidden_problem_valuation, min_affine_argmax,
                                  mt_gadget_argmax)
 from taxlab.library import default_catalog, make_example
 from taxlab.menus import MinAffineMenu, eval_min_affine
-from taxlab.protocol import MechanismSpec, PriceRun, extract_menu
+from taxlab.protocol import MechanismSpec, PriceRun, Session, extract_menu, insert_player
 from taxlab.queries import demand_query
 from taxlab.rational import INF, is_finite
 from taxlab.rng import stream
-from taxlab.valuations import (DomainError, additive_valuation, random_monotone_valuation,
-                               valuation_from_values)
+from taxlab.valuations import (DomainError, ValuationCatalog, additive_valuation,
+                               random_monotone_valuation, valuation_from_values)
 
 F = Fraction
+
+
+def one_valuation_session(spec, v):
+    """A session over the catalog holding v alone for every player."""
+    return Session(spec, ValuationCatalog(((v,),) * spec.n))
 
 
 def test_extract_posted_prices_example():
     spec = make_example("posted_prices", {"prices": ["1", "1"], "n": 2})
     zero = additive_valuation([0, 0])
-    ma = extract_min_affine(spec, 1, (zero,))
+    ma = extract_min_affine(one_valuation_session(spec, zero), 1, (zero,))
     assert ma.vectors == ((F(1), F(1)),)
     assert ma.offsets == (F(0),)
     assert ma.exceptions == ()
@@ -45,7 +50,7 @@ def test_extract_degenerate_value_only():
 
     spec = MechanismSpec("peek", 2, 2, F(1), "demand", peek_grand)
     zero = additive_valuation([0, 0])
-    ma = extract_min_affine(spec, 1, (zero,))
+    ma = extract_min_affine(one_valuation_session(spec, zero), 1, (zero,))
     assert ma.alpha == 0 and ma.beta == 1
     assert ma.exceptions == ((0b11, INF),)
 
@@ -58,14 +63,41 @@ def test_extract_flags_unrepresentable_trace():
     spec = MechanismSpec("silent", 2, 2, F(2), "demand", silent)
     zero = additive_valuation([0, 0])
     with pytest.raises(CharacterizationViolation):
-        extract_min_affine(spec, 1, (zero,))
+        extract_min_affine(one_valuation_session(spec, zero), 1, (zero,))
 
 
 def test_extract_demand_tightness_alpha():
     spec = make_example("demand_tightness", {"m": 4, "alpha": 2, "count": 4})
-    cat = default_catalog("demand_tightness", spec, {"m": 4, "count": 4})
-    ma = extract_min_affine(spec, 1, (cat.players[0][0],))
+    cat = default_catalog("demand_tightness", {"m": 4, "count": 4})
+    ma = extract_min_affine(Session(spec, cat), 1, (cat.players[0][0],))
     assert ma.alpha <= 2 and ma.beta == 0
+
+
+def test_min_affine_check_runs_each_canonical_profile_once(monkeypatch):
+    """`min_affine_check` reads the canonical run `extract_min_affine` made
+    through the session: one run per player and profile of the others, on
+    the canonical profile, and none of its own."""
+    import taxlab.protocol as protocol
+    import taxlab.suites as suites
+
+    params = {"m": 2, "alpha": 2, "count": 4}
+    spec = make_example("demand_tightness", params)
+    session = Session(spec, default_catalog("demand_tightness", params))
+    profiles = [(i, v_minus) for i in range(spec.n) for v_minus in session.others(i)]
+    canonical = [insert_player(v_minus, i, canonical_valuation(session.menu(i, v_minus),
+                                                                spec.bound))
+                 for i, v_minus in profiles]
+    seated = []
+    run = protocol.run_mechanism
+
+    def spy(spec, profile):
+        seated.append(profile)
+        return run(spec, profile)
+
+    monkeypatch.setattr(protocol, "run_mechanism", spy)
+    monkeypatch.setattr(suites, "run_mechanism", None)
+    assert suites.min_affine_check(session).passed
+    assert seated == canonical and len(profiles) > 4
 
 
 def test_min_affine_argmax_examples():
@@ -573,7 +605,7 @@ def test_library_programs_match_their_inline_reference(mech_id, params):
     m, buyer = spec.m, spec.n - 1
     rng = stream(7, "program-reference", mech_id, m)
     players = []
-    for i, listed in enumerate(default_catalog(mech_id, spec, params).players):
+    for i, listed in enumerate(default_catalog(mech_id, params).players):
         k = 12 if i == buyer else 2
         drawn = [random_monotone_valuation(m, rng) for _ in range(k)]
         drawn += [random_monotone_valuation(m, rng, scale=F(7, 3)) for _ in range(k // 2 or 1)]

@@ -268,6 +268,7 @@ def test_mechanism_programs_read_no_fraction_table():
 
 
 MENU_KERNELS = ("normalize_menu", "menu_complexity", "profit_argmax_set", "Menu.is_normalized")
+VERIFY_KERNELS = ("BaseFunction.levels",)
 
 
 def price_reads(source: str, names) -> list[str]:
@@ -299,12 +300,13 @@ def test_price_reads_are_found():
 
 
 def test_menu_kernels_read_no_fraction_price_table():
-    """The menu passes run on `Menu.scaled`, so none builds a menu's
-    `Fraction` view."""
-    source = (SRC / "menus.py").read_text(encoding="utf-8")
-    tree = ast.parse(source)
-    defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)} | {
-        f"{node.name}.{fn.name}" for node in tree.body if isinstance(node, ast.ClassDef)
-        for fn in node.body if isinstance(fn, ast.FunctionDef)}
-    assert set(MENU_KERNELS) <= defined
-    assert price_reads(source, MENU_KERNELS) == []
+    """The menu passes and the base function's level sets run on
+    `Menu.scaled`, so none builds a menu's `Fraction` view."""
+    for module, kernels in (("menus.py", MENU_KERNELS), ("verify.py", VERIFY_KERNELS)):
+        source = (SRC / module).read_text(encoding="utf-8")
+        tree = ast.parse(source)
+        defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)} | {
+            f"{node.name}.{fn.name}" for node in tree.body if isinstance(node, ast.ClassDef)
+            for fn in node.body if isinstance(fn, ast.FunctionDef)}
+        assert set(kernels) <= defined, module
+        assert price_reads(source, kernels) == [], module

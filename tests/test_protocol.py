@@ -39,7 +39,7 @@ def test_warmup_minimal_example():
 
 def test_query_log_counts_match_trace():
     spec = make_example("mt_gadget", {"m": 4})
-    cat = default_catalog("mt_gadget", spec, {"m": 4})
+    cat = default_catalog("mt_gadget", {"m": 4})
     for profile in cat.profiles():
         log = run_mechanism(spec, profile).qlog
         assert sum(log.value_counts) == sum(1 for t in log.trace if t[0] == "val")
@@ -63,7 +63,7 @@ def test_warmup_round_trip_trace():
 def test_run_is_deterministic_and_disjoint():
     for mech_id, params in BENCH:
         spec = make_example(mech_id, params)
-        cat = default_catalog(mech_id, spec, params)
+        cat = default_catalog(mech_id, params)
         profile = next(iter(cat.profiles()))
         a = run_mechanism(spec, profile)
         b = run_mechanism(spec, profile)
@@ -78,7 +78,7 @@ def test_run_is_deterministic_and_disjoint():
 def test_transcripts_prefix_free():
     for mech_id, params in BENCH[:6]:
         spec = make_example(mech_id, params)
-        cat = default_catalog(mech_id, spec, params)
+        cat = default_catalog(mech_id, params)
         transcripts = [run_mechanism(spec, p).transcript for p in cat.profiles()]
         for a in transcripts:
             for b in transcripts:
@@ -138,7 +138,7 @@ def test_measure_warmup_canonical():
 
 def test_measure_value_tightness_counts():
     spec = make_example("value_tightness", {"c": 3, "m": 3})
-    cat = default_catalog("value_tightness", spec, {"c": 3, "m": 3})
+    cat = default_catalog("value_tightness", {"c": 3, "m": 3})
     rep = measure_complexities(spec, cat)
     assert rep.val == 4  # one probe for the chooser plus one per listed bundle
     assert rep.mc == 4   # the empty bundle joins the three singletons
@@ -169,7 +169,7 @@ def test_taxation_check_flags_bad_mechanism():
 def test_library_measurements_are_valid():
     for mech_id, params in BENCH:
         spec = make_example(mech_id, params)
-        cat = default_catalog(mech_id, spec, params)
+        cat = default_catalog(mech_id, params)
         rep = measure_complexities(spec, cat)
         assert rep.valid, (spec.mech_id, rep.witness)
         assert rep.tax <= rep.cc
@@ -180,7 +180,7 @@ def test_library_measurements_are_valid():
 def test_price_protocols_match_extracted_menus():
     for mech_id, params in BENCH:
         spec = make_example(mech_id, params)
-        cat = default_catalog(mech_id, spec, params)
+        cat = default_catalog(mech_id, params)
         for i in range(spec.n):
             seen = set()
             for profile in cat.profiles():

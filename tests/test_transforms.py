@@ -164,7 +164,7 @@ def test_audit_examples():
     for mech_id, params in [("posted_prices", {"prices": ["1", "2"], "n": 2}),
                             ("warmup_tightness", {"c": 2, "m": 2})]:
         spec = make_example(mech_id, params)
-        cat = default_catalog(mech_id, spec, params)
+        cat = default_catalog(mech_id, params)
         tables = build_tables(Session(spec, cat))
         report = deviation_audit(tables)
         assert report.clean, (mech_id, report.worst)

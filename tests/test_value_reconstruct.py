@@ -96,7 +96,7 @@ def test_ladder_budget_and_bound_violation():
 
 def test_reconstruction_matches_mechanism_menus():
     spec = make_example("value_tightness", {"c": 3, "m": 3})
-    cat = default_catalog("value_tightness", spec, {"c": 3, "m": 3})
+    cat = default_catalog("value_tightness", {"c": 3, "m": 3})
     for i in range(spec.n):
         seen = set()
         for profile in cat.profiles():

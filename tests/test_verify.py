@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taxlab import suites
-from taxlab.bundles import (DomainError, all_bundles, bit, bundles_of_size, max_below,
-                            monotone_closure, size)
+from taxlab.bundles import DomainError, all_bundles, bit, bundles_of_size, monotone_closure, size
 from taxlab.library import default_catalog, make_example
 from taxlab.menus import ContractError, menu
 from taxlab.protocol import (MechanismSpec, Session, extract_menu, insert_player,
@@ -22,6 +21,7 @@ from taxlab.verify import (CLASSES, BaseFunction, VerificationResult, base_funct
                            exceeds_somewhere, menu_price_grid, pairwise_submodular, probe_rounds,
                            random_base_function, submodular_probe, upward_closure, verify_menu,
                            xos_probe)
+from test_core import max_below
 
 F = Fraction
 
@@ -199,7 +199,7 @@ def test_probe_rounds_per_class():
 
 def test_verify_menu_decision_examples():
     spec = make_example("warmup_tightness", {"c": 2})
-    cat = default_catalog("warmup_tightness", spec, {"c": 2})
+    cat = default_catalog("warmup_tightness", {"c": 2})
     v_minus = (cat.players[0][2],)  # the chooser values item a at 3
     truth = extract_menu(spec, 1, v_minus)
     grid = menu_price_grid([truth])
@@ -227,7 +227,7 @@ def test_a_non_submodular_staircase_probe_is_refused(monkeypatch):
     import taxlab.verify as verify
 
     spec = make_example("warmup_tightness", {"c": 2})
-    cat = default_catalog("warmup_tightness", spec, {"c": 2})
+    cat = default_catalog("warmup_tightness", {"c": 2})
     v_minus = (cat.players[0][2],)
     truth = extract_menu(spec, 1, v_minus)
     grid = menu_price_grid([truth])
@@ -248,7 +248,7 @@ def test_verification_bits_cover_menu_count():
                             ("drop_tax", {"m": 4}),
                             ("posted_prices", {"prices": ["1", "1"], "n": 2})]:
         spec = make_example(mech_id, params)
-        cat = default_catalog(mech_id, spec, params)
+        cat = default_catalog(mech_id, params)
         rep = measure_complexities(spec, cat)
         grid = menu_price_grid([mn for ms in rep.menus for mn in ms])
         i = spec.n - 1
@@ -263,7 +263,7 @@ def test_verify_agrees_with_brute_force():
     for mech_id, params in [("warmup_tightness", {"c": 2}),
                             ("drop_tax", {"m": 4})]:
         spec = make_example(mech_id, params)
-        cat = default_catalog(mech_id, spec, params)
+        cat = default_catalog(mech_id, params)
         rep = measure_complexities(spec, cat)
         grid = menu_price_grid([mn for ms in rep.menus for mn in ms])
         i = spec.n - 1
@@ -687,11 +687,12 @@ def test_integer_exceeds_somewhere_matches_fraction_reference(question):
 def test_bit_mode_probe_runs_and_menu_checks_build_no_fraction_table(monkeypatch):
     """Probe runs of a bit-mode mechanism read integer tables only: neither
     a seated probe nor the others' catalog valuations build a `Fraction`
-    table; nor does `exceeds_somewhere` build the base function's."""
+    table; nor do a base function's rounds, its level sets included, or
+    `exceeds_somewhere` build the base function's."""
     import taxlab.protocol as protocol
 
     spec = make_example("drop_tax", {"m": 4})
-    cat = default_catalog("drop_tax", spec, {"m": 4})
+    cat = default_catalog("drop_tax", {"m": 4})
     session = Session(spec, cat)
     grid = menu_price_grid(session.menus(1))
     seated = []
@@ -708,6 +709,8 @@ def test_bit_mode_probe_runs_and_menu_checks_build_no_fraction_table(monkeypatch
         for d, ints, _ in probe_rounds(f, spec.bound, cls, grid):
             for v_minus in session.others(1):
                 session.probe_run(1, v_minus, (d, ints))
+        assert "price" not in vars(f), cls
+    assert "levels" in vars(f)  # the last rounds were the submodular ones
     assert len(seated) > 10
     assert not [v for profile in seated for v in profile if "table" in vars(v)]
     f = random_base_function(4, spec.bound, rng)
