@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 
 from .bundles import MAX_ITEMS, all_bundles, best_bundle, bit, size
 from .menus import Menu, MinAffineMenu, eval_min_affine
-from .protocol import Session, insert_player
+from .protocol import RunResult, Session, insert_player
 from .queries import bundle_price, demand_query
 from .rational import INF, Price, is_finite
 from .valuations import DomainError, Valuation, layered_valuation, valuation
@@ -41,9 +41,10 @@ def canonical_valuation(menu: Menu, bound: Fraction) -> Valuation:
     return valuation(menu.m, table)
 
 
-def extract_min_affine(session: Session, i: int, v_minus_i: Sequence[Valuation]) -> MinAffineMenu:
+def extract_min_affine(session: Session, i: int,
+                       v_minus_i: Sequence[Valuation]) -> tuple[MinAffineMenu, RunResult]:
     """The min-affine form of the menu v_minus_i presents to player i, from
-    the session's menu and its run on the canonical profile."""
+    the session's menu and its run on the canonical profile, and that run."""
     spec = session.spec
     if spec.mode != "demand":
         raise DomainError("min-affine extraction applies to demand-mode mechanisms")
@@ -78,7 +79,7 @@ def extract_min_affine(session: Session, i: int, v_minus_i: Sequence[Valuation])
                 f"{spec.mech_id}: min-affine evaluation differs from the menu "
                 f"at bundle {s}"
             )
-    return ma
+    return ma, res
 
 
 def min_affine_argmax(ma: MinAffineMenu, oracle: Callable[[Sequence[Price]], tuple[int, Fraction]]) -> int:

@@ -191,13 +191,16 @@ def solve_one_disjointness(inst: ZDisjointnessInstance) -> Verdict:
 
 
 def combination_rank(combo: Sequence[int], l: int, z: int) -> int:
-    """Index of an ascending z-tuple in lexicographic combination order."""
+    """Index of an ascending z-tuple in lexicographic combination order:
+    at position i the tuples that hold a smaller item than c_i after the
+    previous one, sum of C(l - 1 - v, z - i - 1) over prev < v < c_i,
+    which the hockey-stick identity sums to C(l - 1 - prev, z - i) -
+    C(l - c_i, z - i)."""
     rank = 0
     prev = -1
-    for i, b in enumerate(combo):
-        for v in range(prev + 1, b):
-            rank += comb(l - 1 - v, z - i - 1)
-        prev = b
+    for i, c in enumerate(combo):
+        rank += comb(l - 1 - prev, z - i) - comb(l - c, z - i)
+        prev = c
     return rank
 
 

@@ -13,24 +13,23 @@ from typing import Sequence
 from .bundles import all_bundles, bit, bundles_of_size
 from .comm_reconstruct import (CommReconstruction, ProofInstance, build_disjointness_instance,
                                menu_catalog, most_frequent_prices, reconstruct_menu_comm)
-from .demand_menus import (QUARTER, canonical_valuation, covers, demand_cover,
-                           extract_min_affine, hidden_bump_price, hidden_problem_valuation,
-                           mt_gadget_argmax)
+from .demand_menus import (QUARTER, covers, demand_cover, extract_min_affine,
+                           hidden_bump_price, hidden_problem_valuation, mt_gadget_argmax)
 from .disjointness import (ZDisjointnessInstance, brute_force_verdict,
                            max_intersection, solve_z_disjointness)
 from .library import (default_catalog, encode_disjointness_string, make_example,
                       single_item_valuation)
 from .menus import menu_complexity
-from .protocol import (ComplexityReport, MechanismSpec, Session, insert_player,
-                       measure_complexities, run_mechanism)
+from .protocol import (ComplexityReport, MechanismSpec, Session, measure_complexities,
+                       run_mechanism)
 from .queries import bundle_price, demand_query
 from .rational import is_finite
 from .rng import stream
 from .valuations import ValuationCatalog, classify_valuation, random_monotone_valuation
 from .value_reconstruct import (PriceOracle, learn_useless,
                                 reconstruct_menu_value, useless_query_budget)
-from .verify import (exceeds_somewhere, menu_price_grid, random_base_function,
-                     submodular_probe, verify_menu, xos_probe)
+from .verify import (CLASSES, draw_base_function, exceeds_somewhere, menu_price_grid,
+                     price_pool, submodular_probe, verify_menu, xos_probe)
 
 STANDARD_BENCH: tuple[tuple[str, dict], ...] = (
     ("warmup_tightness", {"c": 2}),
@@ -123,18 +122,19 @@ def verify_menu_trials(session: Session, trials_per_class: int, seed: int) -> Ch
     v_minus = tuple(catalog.players[j][-1] for j in range(spec.n) if j != i)
     truth = session.menu(i, v_minus)
     rng = stream(seed, "verify", spec.mech_id)
+    quarters, on_grid = price_pool(spec.bound), price_pool(spec.bound, grid)
     mismatches = 0
     done = 0
-    for cls in ("general", "subadditive", "xos", "submodular"):
+    for cls in CLASSES:
+        pool = on_grid if cls == "submodular" else quarters
         for _ in range(trials_per_class):
-            values = grid if cls == "submodular" else None
-            f = random_base_function(spec.m, spec.bound, rng, values=values)
+            f = draw_base_function(spec.m, pool, rng)
             want = int(exceeds_somewhere(f, truth))
             got = verify_menu(session, i, v_minus, f, cls, price_grid=grid).answer
             mismatches += int(got != want)
             done += 1
     # structural: submodular probes are submodular, xos probes carry clauses
-    f = random_base_function(spec.m, spec.bound, rng, values=grid)
+    f = draw_base_function(spec.m, on_grid, rng)
     structural_ok = True
     for k in range(1, spec.m + 1):
         for w in grid[:3]:
@@ -208,8 +208,7 @@ def min_affine_check(session: Session) -> CheckLine:
     for i in range(spec.n):
         for v_minus in session.others(i):
             truth = session.menu(i, v_minus)
-            ma = extract_min_affine(session, i, v_minus)  # raises on mismatch
-            res = session.run(insert_player(v_minus, i, canonical_valuation(truth, spec.bound)))
+            ma, res = extract_min_affine(session, i, v_minus)  # raises on mismatch
             if ma.alpha > res.qlog.demand_counts[i] or ma.beta > res.qlog.value_counts[i]:
                 errors.append(f"player {i}: alpha/beta exceed the trace")
             # at-most/exactly lemmas on the harvested pieces

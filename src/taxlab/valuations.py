@@ -94,9 +94,12 @@ def valuation_from_ints(m: int, d: int, ints: Sequence[int],
 def valuation_from_values(m: int, pairs) -> Valuation:
     """Build a dense table from {mask: value}, each given entry as given;
     missing masks take the largest given value below them, or 0 (minimal
-    monotone completion): one `monotone_closure`, 0 where a value is missing."""
+    monotone completion): one `monotone_closure`, 0 where a value is missing.
+    A mask outside 0..2^m - 1 is refused."""
     table = [None] * (1 << m)
     for mask, val in dict(pairs).items():
+        if not 0 <= mask < len(table):
+            raise DomainError("valuation bundle out of range")
         table[mask] = Fraction(val)
     filled = monotone_closure([Fraction(0) if x is None else x for x in table], m)
     return valuation(m, tuple(y if x is None else x for x, y in zip(table, filled)))

@@ -25,11 +25,17 @@ distinct prices the mechanism's menus can show, including the infinite
 one when present.
 
 A `BaseFunction` is a normalized `Menu`: it stores the same (D, ints, top)
-and has the same `Fraction` view, `price`.  Ints end at the mechanism's
-outcome: a run's payment, the price grid, the level sets' keys and the
-staircase test's `paid < w` stay `Fraction` (or INF).  `exceeds_somewhere`,
-the reference answer a trial is checked against, cross-multiplies the two
-integer forms, so it builds neither `Fraction` view."""
+and has the same `Fraction` view, `price`.  A trial runs on ints from its
+draw to its probe tables: `price_pool` scales the drawable prices once per
+session, `draw_base_function` closes and reduces the drawn ints, the xos
+tables come in closed form, the level sets are grouped by (size, int) in
+`level_ints`, and each grid price is matched to f's ints once per base
+function.  Ints end at the mechanism's outcome: a run's payment and the
+grid price of the staircase test's `paid < w` stay `Fraction` (or INF), as
+do the keys of `levels`, which only `submodular_probe` and its callers
+read.  `exceeds_somewhere`, the reference answer a trial is checked
+against, cross-multiplies the two integer forms, so it builds neither
+`Fraction` view."""
 
 from __future__ import annotations
 
@@ -39,16 +45,22 @@ from functools import cached_property, lru_cache
 from math import lcm
 from typing import Callable, Optional, Sequence
 
-from .bundles import bit, bundles_of_size, monotone_closure, size
+from .bundles import bit, bundles_of_size, monotone_closure, size, superset_min
 from .menus import ContractError, Menu
 from .protocol import Session
-from .rational import INF, Price, common_denominator, is_finite, scaled_prices, top_above
+from .rational import INF, Price, is_finite, reduced_prices, scaled_prices
 from .valuations import (DomainError, Valuation, XOSClauses, clause_max, is_submodular,
                          valuation_from_ints)
 
 CLASSES = ("general", "subadditive", "xos", "submodular")
 Round = tuple[int, Sequence[int], Callable[[int, Price], bool]]  # (d, ints, beats), see below
 Over = tuple[int, list[int], int]  # the general probe (E, lifted ints, B * E), see `_over`
+
+
+@lru_cache(maxsize=16)  # every m in 1..MAX_ITEMS
+def _sizes(m: int) -> tuple[int, ...]:
+    """|S| per bundle S, by mask."""
+    return tuple([size(s) for s in range(1 << m)])
 
 
 @dataclass(frozen=True)
@@ -62,15 +74,22 @@ class BaseFunction(Menu):
             raise DomainError("base function must vanish on the empty bundle and be monotone")
 
     @cached_property
-    def levels(self) -> dict[tuple[int, Price], tuple[int, ...]]:
-        """Every nonempty level set {|S| = k, f(S) = w}, keyed by (k, w),
-        members ascending; read off the ints, one `Fraction` per price."""
-        d, ints, top = self.scaled
-        exact = {x: INF if x == top else Fraction(x, d) for x in set(ints)}
-        out: dict[tuple[int, Price], list[int]] = {}
-        for s in range(1, 1 << self.m):
-            out.setdefault((size(s), exact[ints[s]]), []).append(s)
+    def level_ints(self) -> dict[tuple[int, int], tuple[int, ...]]:
+        """Every nonempty level set {|S| = k, f(S) = x / D}, keyed by (k, x)
+        with x the stored int (`top` for INF), members ascending."""
+        out: dict[tuple[int, int], list[int]] = {}
+        for s, key in enumerate(zip(_sizes(self.m), self.scaled[1])):
+            if s:
+                out.setdefault(key, []).append(s)
         return {key: tuple(members) for key, members in out.items()}
+
+    @cached_property
+    def levels(self) -> dict[tuple[int, Price], tuple[int, ...]]:
+        """`level_ints` keyed by (k, w), the exact price: one `Fraction`
+        per level set."""
+        d, _, top = self.scaled
+        return {(k, INF if x == top else Fraction(x, d)): members
+                for (k, x), members in self.level_ints.items()}
 
     def check_bound(self, bound: Fraction) -> None:
         d, _, top = self.scaled
@@ -113,20 +132,26 @@ def _above(x: int, d: int, paid: Price) -> bool:
     return paid is not INF and x * paid.denominator > paid.numerator * d
 
 
-def _xos_rows(f: BaseFunction, over: Over, r: int) -> tuple[int, list[int]]:
-    """One clause per r-bundle T, weight f(T)/r + 3B on T's items (2B/r + 3B
-    where f(T) is infinite), from the general probe `over` = `_over(f, B)`:
-    (r * E, the clauses laid end to end, m ints each).  The probe's table
-    is their `clause_max`."""
+def _xos_weights(f: BaseFunction, over: Over, r: int) -> list[int]:
+    """Per bundle, the clause weight of an r-bundle T: f(T)/r + 3B (2B/r +
+    3B where f(T) is infinite), over r * E with `over` = `_over(f, B)`.
+    The entries of other bundles are not read."""
     if not 1 <= r <= f.m:
         raise DomainError("clause size out of range")
-    e, lifted, b = over
+    _, lifted, b = over
     _, ints, top = f.scaled
+    return [(2 * b if x == top else y) + 3 * b * r for x, y in zip(ints, lifted)]
+
+
+def _xos_rows(f: BaseFunction, over: Over, r: int) -> tuple[int, list[int]]:
+    """One clause per r-bundle T, its `_xos_weights` weight on T's items:
+    (r * E, the clauses laid end to end, m ints each).  The probe's table
+    is their `clause_max`."""
+    weights = _xos_weights(f, over, r)
     rows: list[int] = []
     for t in bundles_of_size(f.m, r):
-        weight = (2 * b if ints[t] == top else lifted[t]) + 3 * b * r
-        rows += [weight if t & bit(j) else 0 for j in range(f.m)]
-    return r * e, rows
+        rows += [weights[t] if t & bit(j) else 0 for j in range(f.m)]
+    return r * over[0], rows
 
 
 def xos_probe(f: BaseFunction, bound: Fraction, r: int) -> Valuation:
@@ -138,11 +163,21 @@ def xos_probe(f: BaseFunction, bound: Fraction, r: int) -> Valuation:
 
 
 def _xos_round(f: BaseFunction, over: Over, r: int) -> Round:
-    """f beats the menu on a bundle of at least r items when the probe wins
+    """The XOS probe's table in closed form, v(S) = max over U within S of
+    |U| D(U), where D(U) is the largest weight of an r-bundle holding U:
+    U = S & T gives |S & T| w_T, and no U within S & T gives more.  D is
+    `superset_min` of the weights negated on the r-bundles and 0 off
+    them, negated back (0 above size r, where no r-bundle holds U); v is
+    the `monotone_closure` of |U| D(U).  The same ints as the `clause_max`
+    of `_xos_rows`, in 2 m 2^m steps instead of C(m, r) 2^m.
+
+    f beats the menu on a bundle of at least r items when the probe wins
     one and pays below its worth less the 3B r lift, 3 (B E) r^2 over r E."""
-    d, rows = _xos_rows(f, over, r)
-    ints = clause_max(f.m, rows)
-    lift = 3 * over[2] * r * r
+    m, sizes = f.m, _sizes(f.m)
+    weights = _xos_weights(f, over, r)
+    most = superset_min([-w if n == r else 0 for w, n in zip(weights, sizes)], m)
+    ints = monotone_closure([-x * n for x, n in zip(most, sizes)], m)
+    d, lift = r * over[0], 3 * over[2] * r * r
     return d, ints, lambda won, paid: size(won) >= r and _above(ints[won] - lift, d, paid)
 
 
@@ -217,9 +252,16 @@ def probe_rounds(f: BaseFunction, bound: Fraction, cls: str,
         return [_xos_round(f, over, r) for r in range(1, f.m + 1)]
     if not grid:
         raise ContractError("submodular verification needs the menu price grid")
-    levels = f.levels
-    return [_staircase_round(f.m, levels[k, w], bound, w)
-            for k in range(1, f.m + 1) for w in grid if (k, w) in levels]
+    d, _, top = f.scaled
+    prices = []  # (w, f's int for w) for each grid price f could show, in grid order
+    for w in grid:
+        if w is INF:
+            prices.append((w, top))
+        elif d % w.denominator == 0 and w.numerator * (d // w.denominator) < top:
+            prices.append((w, w.numerator * (d // w.denominator)))
+    levels = f.level_ints
+    return [_staircase_round(f.m, levels[k, x], bound, w)
+            for k in range(1, f.m + 1) for w, x in prices if (k, x) in levels]
 
 
 def menu_price_grid(menus: Sequence[Menu]) -> tuple[Price, ...]:
@@ -229,38 +271,45 @@ def menu_price_grid(menus: Sequence[Menu]) -> tuple[Price, ...]:
     return tuple(finite + [INF] if INF in prices else finite)
 
 
-@lru_cache(maxsize=64)
-def _ranked_pool(values: Optional[tuple[Price, ...]],
-                 bound: Fraction) -> tuple[tuple[Price, ...], tuple[int, ...]]:
-    """The drawable prices, distinct and ascending (INF last), and each pool
-    entry's rank among them, in pool order."""
+Pool = tuple[int, tuple[int, ...], int]  # drawable prices (P, ints, marker), see `price_pool`
+
+
+def price_pool(bound: Fraction, values: Optional[Sequence[Price]] = None) -> Pool:
+    """The drawable prices, in list order with repeats: the given values
+    within 0..B and INF (default: the quarter-unit grid up to the cap plus
+    INF), as ints over their common denominator P, INF as one marker int
+    above them all: (P, ints, marker)."""
     if values is None:
-        steps = int(4 * bound) + 1
-        values = tuple(Fraction(q, 4) for q in range(steps)) + (INF,)
+        values = [Fraction(q, 4) for q in range(int(4 * bound) + 1)] + [INF]
     pool = [x for x in values if not is_finite(x) or (0 <= x <= bound)]
     if not pool:
         raise DomainError("no drawable price: every value lies outside 0..B and none is INF")
-    ranked = tuple(sorted(set(pool)))
-    rank = {p: r for r, p in enumerate(ranked)}
-    return ranked, tuple(rank[x] for x in pool)
+    return scaled_prices(pool)
+
+
+def draw_base_function(m: int, pool: Pool, rng) -> BaseFunction:
+    """Seeded random monotone base function: one pool entry per nonempty
+    bundle, drawn as `rng.randrange(len(ints))` draws it (the `getrandbits`
+    rejection loop, so the stream is the same), monotonized upward as ints
+    by `monotone_closure` and reduced once by the gcd."""
+    p, ints, marker = pool
+    n = len(ints)
+    k = n.bit_length()
+    bits = rng.getrandbits
+    draws = [0]
+    for _ in range(1, 1 << m):
+        q = bits(k)
+        while q >= n:
+            q = bits(k)
+        draws.append(ints[q])
+    closed = monotone_closure(draws, m)
+    return BaseFunction(m, reduced_prices(p, [None if x == marker else x for x in closed]))
 
 
 def random_base_function(m: int, bound: Fraction, rng,
                          values: Optional[Sequence[Price]] = None) -> BaseFunction:
-    """Seeded random monotone base function with entries drawn from the
-    given price list (default: quarter-unit grid up to the cap plus the
-    infinite price), monotonized upward.  The draws are ranks, all made
-    before `monotone_closure` monotonizes them as ints; the ranks present
-    give the stored form over their common denominator."""
-    ranked, pool = _ranked_pool(None if values is None else tuple(values), bound)
-    n = len(pool)
-    # -1 is below every rank: the empty bundle's 0
-    ranks = monotone_closure([-1] + [pool[rng.randrange(n)] for _ in range(1, 1 << m)], m)
-    present = sorted(set(ranks))  # -1 first; INF, if drawn, ranked last
-    finite = [ranked[r] for r in present[1:] if ranked[r] is not INF]
-    d, nums = common_denominator([Fraction(0)] + finite)
-    ints, top = dict(zip(present, nums)), top_above(nums)
-    return BaseFunction(m, (d, tuple([ints.get(r, top) for r in ranks]), top))
+    """`draw_base_function` from the `price_pool` of the cap and values."""
+    return draw_base_function(m, price_pool(bound, values), rng)
 
 
 @lru_cache(maxsize=1024)

@@ -691,6 +691,15 @@ def test_valuation_from_values_ties_and_refusals():
             valuation_from_values(2, pairs)
 
 
+def test_valuation_from_values_refuses_a_mask_out_of_range():
+    """A negative mask would index from the end and one past 2^m - 1 would
+    raise a bare `IndexError`: both get the one range refusal."""
+    for m, mask in [(2, -1), (2, 4), (1, 2), (3, -8), (3, 1 << 3)]:
+        with pytest.raises(DomainError, match="bundle out of range"):
+            valuation_from_values(m, {mask: 1})
+    assert valuation_from_values(2, {3: 1}).table == (0, 0, 0, 1)
+
+
 def test_one_item_tables_and_layout():
     """At m = 1 the layout holds the pair (0, 1) and its (0, 0) pad, and
     each getter still returns a tuple."""

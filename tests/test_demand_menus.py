@@ -34,7 +34,7 @@ def one_valuation_session(spec, v):
 def test_extract_posted_prices_example():
     spec = make_example("posted_prices", {"prices": ["1", "1"], "n": 2})
     zero = additive_valuation([0, 0])
-    ma = extract_min_affine(one_valuation_session(spec, zero), 1, (zero,))
+    ma, _ = extract_min_affine(one_valuation_session(spec, zero), 1, (zero,))
     assert ma.vectors == ((F(1), F(1)),)
     assert ma.offsets == (F(0),)
     assert ma.exceptions == ()
@@ -50,7 +50,7 @@ def test_extract_degenerate_value_only():
 
     spec = MechanismSpec("peek", 2, 2, F(1), "demand", peek_grand)
     zero = additive_valuation([0, 0])
-    ma = extract_min_affine(one_valuation_session(spec, zero), 1, (zero,))
+    ma, _ = extract_min_affine(one_valuation_session(spec, zero), 1, (zero,))
     assert ma.alpha == 0 and ma.beta == 1
     assert ma.exceptions == ((0b11, INF),)
 
@@ -69,7 +69,7 @@ def test_extract_flags_unrepresentable_trace():
 def test_extract_demand_tightness_alpha():
     spec = make_example("demand_tightness", {"m": 4, "alpha": 2, "count": 4})
     cat = default_catalog("demand_tightness", {"m": 4, "count": 4})
-    ma = extract_min_affine(Session(spec, cat), 1, (cat.players[0][0],))
+    ma, _ = extract_min_affine(Session(spec, cat), 1, (cat.players[0][0],))
     assert ma.alpha <= 2 and ma.beta == 0
 
 

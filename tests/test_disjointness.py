@@ -1,12 +1,15 @@
 """Promise disjointness: the neighborhood protocol and the product
 recursion."""
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taxlab.disjointness import (PromiseError, ZDisjointnessInstance,
                                  announce_cost, bits_to_mask, brute_force_verdict,
+                                 combination_rank, combination_unrank,
                                  instance_from_json, instance_to_json, lowest_bit,
                                  mask_to_bits, max_intersection, neighbourhood,
                                  run_one_disjointness, solve_one_disjointness,
@@ -20,6 +23,16 @@ def test_bits_mask_roundtrip():
     assert bits_to_mask("0100") == 0b0010
     assert mask_to_bits(0b0010, 4) == "0100"
     assert announce_cost(4) == 3  # a bit index or "none" among five symbols
+
+
+def test_combination_rank_is_the_lexicographic_index():
+    """The rank of each ascending z-tuple is its index in
+    `combinations(range(l), z)`, and `combination_unrank` inverts it."""
+    for l in range(1, 17):
+        for z in range(min(l, 4) + 1):
+            for index, combo in enumerate(combinations(range(l), z)):
+                assert combination_rank(combo, l, z) == index
+                assert combination_unrank(index, l, z) == combo
 
 
 def test_spec_examples():

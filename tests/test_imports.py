@@ -269,21 +269,68 @@ def test_mechanism_programs_read_no_fraction_table():
 
 MENU_KERNELS = ("normalize_menu", "menu_complexity", "profit_argmax_set", "Menu.is_normalized")
 VERIFY_KERNELS = ("BaseFunction.levels",)
+# the per-trial work of `verify_menu_trials`: the pool draw, the closed-form
+# XOS table and the level-set grouping
+INTEGER_VERIFY_KERNELS = ("draw_base_function", "_xos_round", "BaseFunction.level_ints")
+
+
+def named_functions(source: str):
+    """(name, node) of every module-level function and `Class.method`."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            yield from ((f"{node.name}.{fn.name}", fn) for fn in node.body
+                        if isinstance(fn, ast.FunctionDef))
 
 
 def price_reads(source: str, names) -> list[str]:
     """`.price` reads inside the named module-level functions and
     `Class.method`s: the menu's `Fraction` view, built on first read."""
+    return [f"line {hit.lineno}: {name} reads .price" for name, fn in named_functions(source)
+            if name in names for hit in ast.walk(fn)
+            if isinstance(hit, ast.Attribute) and hit.attr == "price"]
+
+
+def fraction_builds(source: str, names) -> list[str]:
+    """`Fraction(...)` calls, by name or as `fractions.Fraction`, and
+    `.price` or `.table` reads inside the named functions: every way to
+    an exact rational from the integer forms."""
     found = []
-    for node in ast.parse(source).body:
-        bodies = [(node.name, node)] if isinstance(node, ast.FunctionDef) else []
-        if isinstance(node, ast.ClassDef):
-            bodies = [(f"{node.name}.{fn.name}", fn) for fn in node.body
-                      if isinstance(fn, ast.FunctionDef)]
-        found += [f"line {hit.lineno}: {name} reads .price" for name, fn in bodies
-                  if name in names for hit in ast.walk(fn)
-                  if isinstance(hit, ast.Attribute) and hit.attr == "price"]
+    for name, fn in named_functions(source):
+        if name not in names:
+            continue
+        for hit in ast.walk(fn):
+            if isinstance(hit, ast.Call) and (
+                    isinstance(hit.func, ast.Name) and hit.func.id == "Fraction"
+                    or isinstance(hit.func, ast.Attribute) and hit.func.attr == "Fraction"):
+                found.append(f"line {hit.lineno}: {name} builds a Fraction")
+            elif isinstance(hit, ast.Attribute) and hit.attr in ("price", "table"):
+                found.append(f"line {hit.lineno}: {name} reads .{hit.attr}")
     return found
+
+
+def test_fraction_builds_are_found():
+    source = (
+        "def draw(pool):\n    return Fraction(pool[0], 4)\n"
+        "def other(f):\n    return Fraction(1) + f.table[0]\n"
+        "class Base:\n"
+        "    def level_ints(self):\n        return self.scaled[1]\n"
+        "    def levels(self):\n        return fractions.Fraction(2) + self.price[1]\n"
+        "def _xos_round(f):\n    return f.scaled_table, v.table\n"
+    )
+    assert fraction_builds(source, ("draw", "Base.level_ints", "Base.levels", "_xos_round")) == [
+        "line 2: draw builds a Fraction", "line 9: Base.levels builds a Fraction",
+        "line 9: Base.levels reads .price", "line 11: _xos_round reads .table"]
+
+
+def test_verify_trial_kernels_stay_in_integers():
+    """The per-trial draw, XOS table and level-set grouping build no
+    `Fraction` and read no `Fraction` view: exact rationals start at the
+    level sets' keys and the mechanism's outcome."""
+    source = (SRC / "verify.py").read_text(encoding="utf-8")
+    assert set(INTEGER_VERIFY_KERNELS) <= {name for name, _ in named_functions(source)}
+    assert fraction_builds(source, INTEGER_VERIFY_KERNELS) == []
 
 
 def test_price_reads_are_found():

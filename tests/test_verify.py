@@ -15,12 +15,12 @@ from taxlab.protocol import (MechanismSpec, Session, extract_menu, insert_player
 from taxlab.rational import INF, common_denominator, is_finite
 from taxlab.rng import stream
 from taxlab.valuations import (Valuation, ValuationCatalog, XOSClauses, additive_valuation,
-                               classify_valuation, random_monotone_valuation,
+                               clause_max, classify_valuation, random_monotone_valuation,
                                valuation, valuation_from_ints, xos_from_clauses)
-from taxlab.verify import (CLASSES, BaseFunction, VerificationResult, base_function,
-                           exceeds_somewhere, menu_price_grid, pairwise_submodular, probe_rounds,
-                           random_base_function, submodular_probe, upward_closure, verify_menu,
-                           xos_probe)
+from taxlab.verify import (CLASSES, BaseFunction, VerificationResult, _over, _xos_round,
+                           _xos_rows, base_function, exceeds_somewhere, menu_price_grid,
+                           pairwise_submodular, probe_rounds, random_base_function,
+                           submodular_probe, upward_closure, verify_menu, xos_probe)
 from test_core import max_below
 
 F = Fraction
@@ -398,6 +398,28 @@ def test_integer_builders_match_fraction_reference(question):
         assert_integer_form(p)
 
 
+
+@pytest.mark.parametrize("low, high, examples", [(1, 6, 150), (7, 8, 6)])
+def test_closed_form_xos_table_matches_clause_max(low, high, examples):
+    """Each XOS round's table, max over U within S of |U| D(U), equals the
+    `clause_max` of its clauses, for every clause size r: base functions
+    over mixed denominators with INF entries, caps over denominators 1, 2,
+    3 and 8."""
+    @settings(max_examples=examples, deadline=None)
+    @given(st.integers(low, high), st.sampled_from([F(1), F(3, 2), F(2, 3), F(7, 8), F(5, 3)]),
+           st.lists(st.builds(F, st.integers(0, 9), st.sampled_from([1, 2, 3, 4, 6, 7])),
+                    min_size=1, max_size=6),
+           st.integers(0, 2**32))
+    def check(m, bound, finite, seed):
+        f = random_base_function(m, bound, stream(seed, "xos"), values=finite + [INF])
+        over = _over(f, bound)
+        for r in range(1, m + 1):
+            d, ints, _ = _xos_round(f, over, r)
+            want_d, rows = _xos_rows(f, over, r)
+            assert (d, ints) == (want_d, clause_max(m, rows))
+
+    check()
+
 def fraction_verdicts(f, bound):
     """Per general, subadditive and xos round, the `Fraction` test its
     integer `beats` replaced and the payment it is decided against: the
@@ -710,7 +732,7 @@ def test_bit_mode_probe_runs_and_menu_checks_build_no_fraction_table(monkeypatch
             for v_minus in session.others(1):
                 session.probe_run(1, v_minus, (d, ints))
         assert "price" not in vars(f), cls
-    assert "levels" in vars(f)  # the last rounds were the submodular ones
+    assert "level_ints" in vars(f)  # the last rounds were the submodular ones
     assert len(seated) > 10
     assert not [v for profile in seated for v in profile if "table" in vars(v)]
     f = random_base_function(4, spec.bound, rng)
