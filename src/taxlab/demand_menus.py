@@ -14,12 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Callable, Optional, Sequence
 
-from .bundles import MAX_ITEMS, all_bundles, best_bundle, bit, size
+from .bundles import (MAX_ITEMS, all_bundles, best_bundle, bit, bundles_of_size, size,
+                      subset_sums)
 from .menus import Menu, MinAffineMenu, eval_min_affine
 from .protocol import RunResult, Session, insert_player
-from .queries import bundle_price, demand_query
+from .queries import bundle_price, demand_bundles, demand_query
 from .rational import INF, Price, is_finite
 from .valuations import DomainError, Valuation, layered_valuation, valuation
 
@@ -114,6 +116,18 @@ def hidden_bump_price(s: int, t_mask: Optional[int]) -> Fraction:
     return price + HALF if s == t_mask else price
 
 
+def hidden_bump_profits(v: Valuation, t_mask: int) -> tuple[int, list[int]]:
+    """v's profit against the hidden-bump menu on every bundle, as ints over
+    E = lcm(D, 2): ints[s] * E/D - |s| * E, less E/2 on t_mask.  profits[s] / E
+    == v(s) - hidden_bump_price(s, t_mask)."""
+    d, ints = v.scaled_table
+    e = lcm(d, 2)
+    k = e // d
+    profits = [x * k - c for x, c in zip(ints, subset_sums([e] * v.m))]
+    profits[t_mask] -= e // 2
+    return e, profits
+
+
 def mt_gadget_argmax(m: int, oracle: Callable[[Sequence[Price]], tuple[int, Fraction]],
                      price_check: Callable[[int], bool]) -> GadgetResult:
     """Profit maximization against the size-priced menu with one half-unit
@@ -190,7 +204,10 @@ def demand_cover(prices: Sequence[Price], m: int) -> set[int]:
     return {candidate} if answer == candidate else set()
 
 
-def covers(prices: Sequence[Price], t_mask: int, m: int) -> bool:
-    """Reference predicate: does this query reveal t_mask directly."""
-    answer, _ = demand_query(hidden_problem_valuation(m, t_mask), prices)
-    return answer == t_mask
+def brute_cover(prices: Sequence[Price], m: int) -> set[int]:
+    """Brute-force reference for `demand_cover`: the half-size bundles t
+    whose own hidden-bundle valuation answers this query with t, from one
+    batched demand query over every target."""
+    targets = bundles_of_size(m, m // 2)
+    answers = demand_bundles([hidden_problem_valuation(m, t) for t in targets], prices)
+    return {t for t, answer in zip(targets, answers) if answer == t}

@@ -1,10 +1,11 @@
-"""The two query oracles and the brute-force welfare optimizer."""
+"""The two query oracles, the batched integer demand kernel behind the
+demand oracle, and the brute-force welfare optimizer."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .bundles import bit, subset_sums
 from .rational import INF, Price, is_finite
@@ -29,29 +30,54 @@ def bundle_price(prices: Sequence[Price], mask: int) -> Price:
     return total
 
 
-def demand_query(v: Valuation, prices: Sequence[Price]) -> tuple[int, Fraction]:
-    """Profit-maximizing bundle under per-item prices, smallest mask among
-    ties; bundles holding an infinitely-priced item never win.  Returns the
-    bundle and its value.
-
-    Exact integer kernel: the stored integer table and the finite prices go
-    over one common denominator and `subset_sums` prices every bundle with
-    one int addition.  An INF item weighs one more than the grand bundle's value,
-    so by monotonicity (v(S + B) - v(S) <= v(grand)) a bundle holding it
-    loses strictly to the same bundle without it, whatever the finite
-    prices; the answer is the first maximizer, the empty bundle's 0
-    competing."""
-    if len(prices) != v.m:
-        raise DomainError("price vector length must equal m")
-    d, values = v.scaled_table
+def price_ints(prices: Sequence[Price]) -> tuple[int, list[Optional[int]]]:
+    """A price vector over one common denominator P: (P, ints), p == ints[j] / P
+    for each finite price and None marking each INF."""
     ratios = [None if p is INF else p.as_integer_ratio() for p in prices]
-    den = lcm(d, *[r[1] for r in ratios if r])
-    scale = den // d
-    blocked = values[-1] * scale + 1
-    cost = subset_sums([blocked if r is None else r[0] * (den // r[1]) for r in ratios])
-    profits = [x * scale - c for x, c in zip(values, cost)]
-    best = profits.index(max(profits))
-    return best, v.table[best]
+    den = lcm(*[r[1] for r in ratios if r])
+    return den, [None if r is None else r[0] * (den // r[1]) for r in ratios]
+
+
+def demand_bundles(vs: Sequence[Valuation], prices: Sequence[Price]) -> list[int]:
+    """Each valuation's profit-maximizing bundle under one per-item price
+    vector, smallest mask among ties; bundles holding an infinitely-priced
+    item never win.
+
+    Exact integer kernel: the vector is converted once, and each valuation's
+    stored ints and the finite prices go over den = lcm(D, P), where
+    `subset_sums` prices every bundle with one int addition.  An INF item
+    weighs one more than the grand bundle's scaled value, so by monotonicity
+    (v(S + B) - v(S) <= v(grand)) a bundle holding it loses strictly to the
+    same bundle without it, whatever the finite prices.  The cost row
+    depends on (den, blocked weight) only, so valuations sharing that pair
+    share one row; the answer is the first maximizer of the profit list,
+    the empty bundle's 0 competing."""
+    p_den, p_ints = price_ints(prices)
+    rows: dict[tuple[int, int], list[int]] = {}
+    out = []
+    for v in vs:
+        if len(prices) != v.m:
+            raise DomainError("price vector length must equal m")
+        d, values = v.scaled_table
+        den = lcm(d, p_den)
+        scale = den // d
+        blocked = values[-1] * scale + 1
+        cost = rows.get((den, blocked))
+        if cost is None:
+            up = den // p_den
+            cost = rows[den, blocked] = subset_sums(
+                [blocked if p is None else p * up for p in p_ints])
+        profits = [x * scale - c for x, c in zip(values, cost)]
+        out.append(profits.index(max(profits)))
+    return out
+
+
+def demand_query(v: Valuation, prices: Sequence[Price]) -> tuple[int, Fraction]:
+    """`demand_bundles` for one valuation: the bundle and its value, read
+    from the stored ints."""
+    best = demand_bundles((v,), prices)[0]
+    d, ints = v.scaled_table
+    return best, Fraction(ints[best], d)
 
 
 def optimal_welfare(vs: Sequence[Valuation]) -> tuple[tuple[int, ...], Fraction]:

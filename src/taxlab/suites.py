@@ -13,8 +13,8 @@ from typing import Sequence
 from .bundles import all_bundles, bit, bundles_of_size
 from .comm_reconstruct import (CommReconstruction, ProofInstance, build_disjointness_instance,
                                menu_catalog, most_frequent_prices, reconstruct_menu_comm)
-from .demand_menus import (QUARTER, covers, demand_cover, extract_min_affine,
-                           hidden_bump_price, hidden_problem_valuation, mt_gadget_argmax)
+from .demand_menus import (QUARTER, brute_cover, demand_cover, extract_min_affine,
+                           hidden_bump_profits, hidden_problem_valuation, mt_gadget_argmax)
 from .disjointness import (ZDisjointnessInstance, brute_force_verdict,
                            max_intersection, solve_z_disjointness)
 from .library import (default_catalog, encode_disjointness_string, make_example,
@@ -244,9 +244,10 @@ def gadget_trials(trials: int, seed: int, ms=(4, 6)) -> CheckLine:
             hidden = hidden_problem_valuation(m, t_mask)
             got = mt_gadget_argmax(m, lambda prices: demand_query(v, prices),
                                    lambda s: hidden.value(s) == QUARTER)
-            brute = max(v.value(s) - hidden_bump_price(s, t_mask) for s in all_bundles(m))
-            achieved = v.value(got.bundle) - hidden_bump_price(got.bundle, t_mask)
-            if got.profit != brute or achieved != brute or got.demand_queries > m + 2:
+            e, profits = hidden_bump_profits(v, t_mask)
+            best = max(profits)
+            if (got.profit != Fraction(best, e) or profits[got.bundle] != best
+                    or got.demand_queries > m + 2):
                 bad += 1
     return CheckLine("mt-gadget-argmax", bad == 0,
                      f"{trials} trials per m in {ms}, {bad} failures")
@@ -263,10 +264,9 @@ def cover_grid_check(m: int = 6, sample_cross: int = 500, seed: int = 0) -> Chec
             over += 1
     rng = stream(seed, "cover-cross")
     mismatch = 0
-    targets = bundles_of_size(m, m // 2)
     for _ in range(sample_cross):
         prices = grid[rng.randrange(len(grid))]
-        brute = {t for t in targets if covers(prices, t, m)}
+        brute = brute_cover(prices, m)
         if demand_cover(prices, m) != brute or len(brute) > 1:
             mismatch += 1
     return CheckLine(

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from taxlab.bundles import (all_bundles, best_bundle, bit, bundles_of_size, is_monotone,
                             monotone_closure, monotone_layout, size, subset_sums, subsets,
                             superset_min, supersets)
-from taxlab.queries import bundle_price, demand_query, optimal_welfare, value_query
+from taxlab.queries import (bundle_price, demand_bundles, demand_query, optimal_welfare,
+                            value_query)
 from taxlab.rational import (INF, common_denominator, format_price, is_finite, parse_price,
                              sum_prices)
 from taxlab.rng import stream
@@ -169,6 +170,11 @@ def reference_demand_query(v, prices):
     return best_mask, v.table[best_mask]
 
 
+# INF, zero, and finite prices over mixed denominators, negative ones included
+DEMAND_PRICES = st.one_of(st.just(INF), st.just(Fraction(0)),
+                          st.builds(Fraction, st.integers(-8, 16), st.sampled_from([1, 2, 3, 7, 8])))
+
+
 @st.composite
 def grid_demand_questions(draw):
     """Grid-valued valuations and mixed-denominator prices: many ties.
@@ -177,12 +183,9 @@ def grid_demand_questions(draw):
     grid = draw(st.sampled_from([1, 2, 3, 4, 8]))
     scale = draw(st.sampled_from([Fraction(1), Fraction(4), Fraction(5, 3)]))
     v = random_monotone_valuation(m, draw(st.randoms(use_true_random=False)), grid, scale)
-    finite = st.builds(Fraction, st.integers(-8, 16), st.sampled_from([1, 2, 3, 7, 8]))
-    price = st.one_of(st.just(INF), st.just(Fraction(0)), finite)
     if draw(st.booleans()) and draw(st.booleans()):
         return v, (INF,) * m
-    prices = tuple(draw(st.lists(price, min_size=m, max_size=m)))
-    return v, prices
+    return v, tuple(draw(st.lists(DEMAND_PRICES, min_size=m, max_size=m)))
 
 
 @settings(max_examples=400, deadline=None)
@@ -196,6 +199,52 @@ def test_demand_query_matches_fraction_reference(question):
     assert tuple(Fraction(x, d) for x in ints) == v.table
     with pytest.raises(DomainError):
         demand_query(v, prices + (Fraction(0),))
+
+
+@st.composite
+def batched_demand_questions(draw):
+    """A list of valuations on one m, each drawn on its own grid and scale,
+    so denominators and grand values mix, and one price vector over INF,
+    zero, negative and mixed-denominator prices, sometimes all INF."""
+    m = draw(st.integers(1, 8))
+    rng = draw(st.randoms(use_true_random=False))
+    shapes = st.tuples(st.sampled_from([1, 2, 3, 8]),
+                       st.sampled_from([Fraction(1), Fraction(4), Fraction(5, 3),
+                                        Fraction(1, 7), Fraction(9, 2)]))
+    vs = [random_monotone_valuation(m, rng, grid, scale)
+          for grid, scale in draw(st.lists(shapes, max_size=5))]
+    if draw(st.booleans()) and draw(st.booleans()):
+        return vs, (INF,) * m
+    return vs, tuple(draw(st.lists(DEMAND_PRICES, min_size=m, max_size=m)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(batched_demand_questions())
+def test_demand_bundles_match_the_fraction_reference(question):
+    vs, prices = question
+    assert demand_bundles(vs, prices) == [reference_demand_query(v, prices)[0] for v in vs]
+    if vs:
+        with pytest.raises(DomainError):
+            demand_bundles(vs, prices + (Fraction(0),))
+        with pytest.raises(DomainError):
+            demand_bundles(vs, prices[1:])
+
+
+def test_demand_bundles_keep_each_valuations_own_blocked_weight_and_denominator():
+    """A cost row is shared only by valuations with the same denominator and
+    the same INF weight: a small valuation's INF weight would let a large one
+    buy the INF item, and a row over another denominator misprices it."""
+    F = Fraction
+    small, large = additive_valuation([0, 0]), additive_valuation([5, 1])
+    assert demand_bundles([small, large], (INF, F(1, 2))) == [0, 0b10]
+    thirds = additive_valuation([F(1, 3), F(2, 3)])
+    halves = additive_valuation([F(1, 2), F(1, 2)])
+    prices = (F(2, 5), F(1, 2))
+    assert demand_bundles([halves, thirds, large], prices) == [0b01, 0b10, 0b11]
+    # the same INF weight 4 over denominators 1 and 3
+    whole, third = additive_valuation([1, 2]), additive_valuation([F(1, 3), F(2, 3)])
+    assert demand_bundles([whole, third], (F(1), F(1))) == [0b10, 0]
+    assert demand_bundles([], prices) == [] and demand_bundles([], (INF,)) == []
 
 
 def max_below(table, s, floor):

@@ -10,10 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taxlab.bundles import all_bundles, bundles_of_size, size
-from taxlab.demand_menus import (CharacterizationViolation, canonical_valuation, covers,
+from taxlab.demand_menus import (CharacterizationViolation, brute_cover, canonical_valuation,
                                  demand_cover, extract_min_affine, hidden_bump_price,
-                                 hidden_problem_valuation, min_affine_argmax,
-                                 mt_gadget_argmax)
+                                 hidden_bump_profits, hidden_problem_valuation,
+                                 min_affine_argmax, mt_gadget_argmax)
 from taxlab.library import default_catalog, make_example
 from taxlab.menus import MinAffineMenu, eval_min_affine
 from taxlab.protocol import MechanismSpec, PriceRun, Session, extract_menu, insert_player
@@ -188,6 +188,30 @@ def test_gadget_spec_cases():
     assert run_gadget(4, t_mask, zero).bundle == 0
 
 
+def reference_gadget_optimum(v, t_mask):
+    """The `Fraction` brute `hidden_bump_profits` replaced in the gadget
+    trials: the best profit against the hidden-bump menu."""
+    return max(v.value(s) - hidden_bump_price(s, t_mask) for s in all_bundles(v.m))
+
+
+def test_hidden_bump_profits_match_the_fraction_brute_for_every_hidden_bundle():
+    """Every half-size T, m 2..8, on buyers over odd and even denominators
+    (E = lcm(D, 2) then differs from D) and on the zero buyer."""
+    rng = stream(21, "gadget-profits")
+    for m in (2, 4, 6, 8):
+        for t_mask in bundles_of_size(m, m // 2):
+            buyers = [random_monotone_valuation(m, rng, grid, scale)
+                      for grid, scale in ((8, F(4)), (3, F(5, 3)), (2, F(1)))]
+            for v in buyers + [additive_valuation([0] * m)]:
+                e, profits = hidden_bump_profits(v, t_mask)
+                assert e % 2 == 0 and e % v.scaled_table[0] == 0
+                assert [F(x, e) for x in profits] == [
+                    v.value(s) - hidden_bump_price(s, t_mask) for s in all_bundles(m)]
+                assert F(max(profits), e) == reference_gadget_optimum(v, t_mask)
+                got = run_gadget(m, t_mask, v)
+                assert got.profit == F(max(profits), e) and profits[got.bundle] == max(profits)
+
+
 def test_gadget_hit_path():
     # a buyer whose opening answer is exactly the hidden bundle
     t_mask = 0b0011
@@ -264,6 +288,13 @@ def test_hidden_problem_valuation_is_built_once_per_bundle():
             assert fresh is not shared and fresh.table == shared.table
 
 
+def covers(prices, t_mask, m):
+    """The per-target predicate `brute_cover` replaced, kept as its oracle:
+    does this query reveal t_mask directly."""
+    answer, _ = demand_query(hidden_problem_valuation(m, t_mask), prices)
+    return answer == t_mask
+
+
 def test_demand_cover_matches_covers_on_the_full_grid():
     grid = [F(0), F(1, 8), F(1, 4), F(1, 2), F(1), INF]
     targets = bundles_of_size(4, 2)
@@ -271,6 +302,29 @@ def test_demand_cover_matches_covers_on_the_full_grid():
         brute = {t for t in targets if covers(prices, t, 4)}
         assert len(brute) <= 1
         assert demand_cover(prices, 4) == brute
+        assert brute_cover(prices, 4) == brute
+
+
+def test_brute_cover_matches_the_per_target_loop_on_a_sample_of_the_m6_grid():
+    """The cover-grid check's grid at m = 6, INF and a negative price added,
+    on a seeded sample: one batched query over the 20 targets against 20
+    single queries.  A negative price lets a target's valuation answer with
+    another half-size bundle, which must not count."""
+    grid = [F(0), F(1, 8), F(1, 4), F(1, 2), F(1), INF, F(-1, 8)]
+    targets = bundles_of_size(6, 3)
+    rng = stream(21, "cover-batch")
+    hits = 0
+    for _ in range(400):
+        prices = tuple(grid[rng.randrange(len(grid))] for _ in range(6))
+        brute = {t for t in targets if covers(prices, t, 6)}
+        assert brute_cover(prices, 6) == brute
+        hits += bool(brute)
+    assert hits  # the sample reaches covering vectors, not only empty sets
+    # every target's valuation answers 0b000111 here; only that target counts
+    cheap = (F(-1, 8),) * 3 + (F(1),) * 3
+    assert brute_cover(cheap, 6) == {t for t in targets if covers(cheap, t, 6)} == {0b000111}
+    with pytest.raises(DomainError):
+        brute_cover((F(0),) * 5, 6)
 
 
 def test_demand_cover_matches_reference():

@@ -267,6 +267,17 @@ def test_mechanism_programs_read_no_fraction_table():
     assert fraction_table_reads((SRC / "library.py").read_text(encoding="utf-8")) == []
 
 
+def test_demand_kernels_read_no_fraction_table():
+    """`demand_bundles` and `demand_query` rank and answer from a valuation's
+    `scaled_table`: neither reads `.table` nor calls `.value(...)`."""
+    tree = ast.parse((SRC / "queries.py").read_text(encoding="utf-8"))
+    kernels = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)
+               and node.name in ("demand_bundles", "demand_query")}
+    assert sorted(kernels) == ["demand_bundles", "demand_query"]
+    assert {name: fraction_table_reads(ast.unparse(fn)) for name, fn in kernels.items()} == {
+        "demand_bundles": [], "demand_query": []}
+
+
 MENU_KERNELS = ("normalize_menu", "menu_complexity", "profit_argmax_set", "Menu.is_normalized")
 VERIFY_KERNELS = ("BaseFunction.levels",)
 # the per-trial work of `verify_menu_trials`: the pool draw, the closed-form

@@ -739,3 +739,34 @@ def test_bit_mode_probe_runs_and_menu_checks_build_no_fraction_table(monkeypatch
     for v_minus in session.others(1):
         exceeds_somewhere(f, session.menu(1, v_minus))
     assert "price" not in vars(f)
+
+
+@pytest.mark.parametrize("mech_id, params", [
+    ("mt_gadget", {"m": 4}),
+    ("demand_tightness", {"m": 4, "alpha": 2, "count": 4}),
+])
+def test_demand_mode_probe_runs_build_no_fraction_table(monkeypatch, mech_id, params):
+    """Demand answers are read from the stored ints: no probe seated at the
+    buyer of a demand-mode mechanism builds its `Fraction` table, over every
+    class's rounds against every catalog opponent."""
+    import taxlab.protocol as protocol
+
+    spec = make_example(mech_id, params)
+    session = Session(spec, default_catalog(mech_id, params))
+    grid = menu_price_grid(session.menus(1))
+    seated = []
+    run = protocol.run_mechanism
+
+    def spy(spec, profile):
+        seated.append(profile[1])
+        return run(spec, profile)
+
+    monkeypatch.setattr(protocol, "run_mechanism", spy)
+    rng = stream(21, "demand-probe")
+    for cls in CLASSES:
+        f = random_base_function(4, spec.bound, rng, values=grid if cls == "submodular" else None)
+        for d, ints, _ in probe_rounds(f, spec.bound, cls, grid):
+            for v_minus in session.others(1):
+                session.probe_run(1, v_minus, (d, ints))
+    assert len(seated) > 10
+    assert not [v for v in seated if "table" in vars(v)]
