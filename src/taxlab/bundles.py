@@ -64,10 +64,10 @@ def supersets(mask: int, m: int) -> Iterator[int]:
         yield mask | extra
 
 
-def bundles_of_size(m: int, k: int) -> list[int]:
-    """All masks with exactly k items, ascending."""
-    out = [sum(1 << j for j in combo) for combo in combinations(range(m), k)]
-    return sorted(out)
+@lru_cache(maxsize=64)
+def bundles_of_size(m: int, k: int) -> tuple[int, ...]:
+    """All masks with exactly k items, ascending; built once per (m, k)."""
+    return tuple(sorted(sum(1 << j for j in combo) for combo in combinations(range(m), k)))
 
 
 def monotone_closure(t: Sequence, m: int) -> list:

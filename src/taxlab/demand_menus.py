@@ -21,7 +21,7 @@ from .bundles import (MAX_ITEMS, all_bundles, best_bundle, bit, bundles_of_size,
                       subset_sums)
 from .menus import Menu, MinAffineMenu, eval_min_affine
 from .protocol import RunResult, Session, insert_player
-from .queries import bundle_price, demand_bundles, demand_query
+from .queries import bundle_price, demand_ints
 from .rational import INF, Price, is_finite
 from .valuations import DomainError, Valuation, layered_valuation, valuation
 
@@ -184,30 +184,31 @@ def hidden_problem_valuation(m: int, t_mask: int) -> Valuation:
     return layered_valuation(m, {t_mask: QUARTER}, ONE)
 
 
-def demand_cover(prices: Sequence[Price], m: int) -> set[int]:
-    """Bundles a demand query pins down in the hidden-bundle problem: the
-    only candidate is the set of items priced at most a quarter, and it
-    counts only if the hidden-bundle valuation actually answers with it.
-    `4 * p.numerator <= p.denominator` is p <= 1/4 without a Fraction
-    comparison."""
+def demand_cover(scaled: tuple[int, Sequence[Optional[int]]], m: int) -> set[int]:
+    """Bundles a demand query pins down in the hidden-bundle problem, for
+    the price vector scaled == (P, ints) that `price_ints` returns: the
+    only candidate is the set of items priced at most a quarter
+    (4 * ints[j] <= P), and it counts only if the hidden-bundle valuation
+    actually answers with it."""
     if m % 2:
         raise DomainError("even item count required")
-    if len(prices) != m:
+    den, ints = scaled
+    if len(ints) != m:
         raise DomainError("price vector length must equal m")
     candidate = 0
-    for j, p in enumerate(prices):
-        if p is not INF and 4 * p.numerator <= p.denominator:
-            candidate |= bit(j)
+    for j, x in enumerate(ints):
+        if x is not None and 4 * x <= den:
+            candidate |= 1 << j
     if size(candidate) != m // 2:
         return set()
-    answer, _ = demand_query(hidden_problem_valuation(m, candidate), prices)
+    answer = demand_ints((hidden_problem_valuation(m, candidate),), den, ints)[0]
     return {candidate} if answer == candidate else set()
 
 
-def brute_cover(prices: Sequence[Price], m: int) -> set[int]:
+def brute_cover(scaled: tuple[int, Sequence[Optional[int]]], m: int) -> set[int]:
     """Brute-force reference for `demand_cover`: the half-size bundles t
     whose own hidden-bundle valuation answers this query with t, from one
     batched demand query over every target."""
     targets = bundles_of_size(m, m // 2)
-    answers = demand_bundles([hidden_problem_valuation(m, t) for t in targets], prices)
+    answers = demand_ints([hidden_problem_valuation(m, t) for t in targets], *scaled)
     return {t for t, answer in zip(targets, answers) if answer == t}

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import sub
 from typing import Optional, Sequence
 
 from .bundles import bit, subset_sums
@@ -38,38 +39,42 @@ def price_ints(prices: Sequence[Price]) -> tuple[int, list[Optional[int]]]:
     return den, [None if r is None else r[0] * (den // r[1]) for r in ratios]
 
 
-def demand_bundles(vs: Sequence[Valuation], prices: Sequence[Price]) -> list[int]:
-    """Each valuation's profit-maximizing bundle under one per-item price
-    vector, smallest mask among ties; bundles holding an infinitely-priced
-    item never win.
+def demand_ints(vs: Sequence[Valuation], den: int,
+                ints: Sequence[Optional[int]]) -> list[int]:
+    """Each valuation's profit-maximizing bundle under the per-item price
+    vector ints[j] / den (den > 0, None marking INF), smallest mask among
+    ties; bundles holding an infinitely-priced item never win.
 
-    Exact integer kernel: the vector is converted once, and each valuation's
-    stored ints and the finite prices go over den = lcm(D, P), where
-    `subset_sums` prices every bundle with one int addition.  An INF item
+    Exact integer kernel: each valuation's values and the finite prices go
+    over c = lcm(D, den), where `subset_sums` prices every bundle with one
+    int addition and `Valuation.ints_over` gives the values.  An INF item
     weighs one more than the grand bundle's scaled value, so by monotonicity
     (v(S + B) - v(S) <= v(grand)) a bundle holding it loses strictly to the
     same bundle without it, whatever the finite prices.  The cost row
-    depends on (den, blocked weight) only, so valuations sharing that pair
+    depends on (c, blocked weight) only, so valuations sharing that pair
     share one row; the answer is the first maximizer of the profit list,
     the empty bundle's 0 competing."""
-    p_den, p_ints = price_ints(prices)
     rows: dict[tuple[int, int], list[int]] = {}
     out = []
     for v in vs:
-        if len(prices) != v.m:
+        if len(ints) != v.m:
             raise DomainError("price vector length must equal m")
-        d, values = v.scaled_table
-        den = lcm(d, p_den)
-        scale = den // d
-        blocked = values[-1] * scale + 1
-        cost = rows.get((den, blocked))
+        c = lcm(v.scaled_table[0], den)
+        row = v.ints_over(c)
+        blocked = row[-1] + 1
+        cost = rows.get((c, blocked))
         if cost is None:
-            up = den // p_den
-            cost = rows[den, blocked] = subset_sums(
-                [blocked if p is None else p * up for p in p_ints])
-        profits = [x * scale - c for x, c in zip(values, cost)]
+            up = c // den
+            cost = rows[c, blocked] = subset_sums(
+                [blocked if p is None else p * up for p in ints])
+        profits = list(map(sub, row, cost))
         out.append(profits.index(max(profits)))
     return out
+
+
+def demand_bundles(vs: Sequence[Valuation], prices: Sequence[Price]) -> list[int]:
+    """`demand_ints` on a `Fraction`/INF price vector, converted once."""
+    return demand_ints(vs, *price_ints(prices))
 
 
 def demand_query(v: Valuation, prices: Sequence[Price]) -> tuple[int, Fraction]:

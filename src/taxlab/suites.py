@@ -253,21 +253,29 @@ def gadget_trials(trials: int, seed: int, ms=(4, 6)) -> CheckLine:
                      f"{trials} trials per m in {ms}, {bad} failures")
 
 
+COVER_DEN = 8  # the cover grid's prices 0, 1/8, 1/4, 1/2 and 1, as ints over 8
+
+
+def cover_grid(m: int) -> list[tuple[int, ...]]:
+    """Every price vector over 0, 1/8, 1/4, 1/2 and 1, as int tuples over
+    COVER_DEN, item 0 varying fastest."""
+    return [c[::-1] for c in product((0, 1, 2, 4, 8), repeat=m)]
+
+
 def cover_grid_check(m: int = 6, sample_cross: int = 500, seed: int = 0) -> CheckLine:
     """demand_cover stays a singleton-or-empty on the full price grid; a
     seeded subsample is cross-checked against brute-force coverage."""
-    values = [Fraction(0), Fraction(1, 8), Fraction(1, 4), Fraction(1, 2), Fraction(1)]
-    grid = [c[::-1] for c in product(values, repeat=m)]  # item 0 varies fastest
+    grid = cover_grid(m)
     over = 0
-    for prices in grid:
-        if len(demand_cover(prices, m)) > 1:
+    for ints in grid:
+        if len(demand_cover((COVER_DEN, ints), m)) > 1:
             over += 1
     rng = stream(seed, "cover-cross")
     mismatch = 0
     for _ in range(sample_cross):
-        prices = grid[rng.randrange(len(grid))]
-        brute = brute_cover(prices, m)
-        if demand_cover(prices, m) != brute or len(brute) > 1:
+        scaled = COVER_DEN, grid[rng.randrange(len(grid))]
+        brute = brute_cover(scaled, m)
+        if demand_cover(scaled, m) != brute or len(brute) > 1:
             mismatch += 1
     return CheckLine(
         "demand-cover-grid",

@@ -24,12 +24,12 @@ from math import lcm
 from operator import itemgetter
 from typing import Optional
 
-from .bundles import all_bundles, grand, size
+from .bundles import all_bundles, grand, subset_sums
 from .menus import Menu, profit_argmax_set
 from .protocol import MechanismSpec, RunResult, Session, log2_ceil
 from .rational import Price, common_denominator, is_finite
 from .rng import stream
-from .valuations import DomainError, Valuation, ValuationCatalog, valuation
+from .valuations import DomainError, Valuation, ValuationCatalog, valuation_from_ints
 
 ZERO = Fraction(0)  # the payment of whoever wins nothing, shared by every verdict
 
@@ -426,12 +426,15 @@ def deviation_audit(tables: TwoPlayerTables, keep_rows: bool = False) -> AuditRe
 
 def size_tilt(v: Valuation, eps: Fraction) -> Valuation:
     """Add eps*|S|/(2m) to every bundle: subsets become strictly cheaper
-    than supersets while staying within eps/2 of the original."""
-    unit = eps / (2 * v.m)
-    table = tuple(
-        v.table[s] + unit * size(s) if s else Fraction(0) for s in all_bundles(v.m)
-    )
-    return valuation(v.m, table)
+    than supersets while staying within eps/2 of the original.  In ints:
+    with v == ints / D and eps/(2m) == u / w, over E = lcm(D, w) bundle S
+    gets ints[S] * E/D + |S| * u * E/w."""
+    d, ints = v.scaled_table
+    u, w = (eps / (2 * v.m)).as_integer_ratio()
+    e = lcm(d, w)
+    k = e // d
+    return valuation_from_ints(v.m, e, [x * k + t for x, t in
+                                        zip(ints, subset_sums([u * (e // w)] * v.m))])
 
 
 def default_eps(v: Valuation) -> Fraction:
@@ -442,24 +445,22 @@ def default_eps(v: Valuation) -> Fraction:
 def strictify(v: Valuation, grid_l: int, seed: int, eps: Optional[Fraction] = None) -> Valuation:
     """Size tilt plus seeded per-bundle noise from the grid_l rationals in
     [0, eps/(2m)]: profit ties break while every value moves by at most
-    eps."""
+    eps.  The noise r/(grid_l - 1) * u/w, r drawn per nonempty bundle in
+    mask order, goes over E = lcm(D', w (grid_l - 1)) with the tilted
+    table's ints / D'."""
     if grid_l < 2:
         raise DomainError("the noise grid needs at least two points")
     if eps is None:
         eps = default_eps(v)
     if eps <= 0:
         raise DomainError("eps must be positive")
-    tilted = size_tilt(v, eps)
+    d, ints = size_tilt(v, eps).scaled_table
     rng = stream(seed, "strictify")
-    unit = eps / (2 * v.m)
-    table = []
-    for s in all_bundles(v.m):
-        if s == 0:
-            table.append(Fraction(0))
-            continue
-        noise = unit * Fraction(rng.randrange(grid_l), grid_l - 1)
-        table.append(tilted.table[s] + noise)
-    return valuation(v.m, tuple(table))
+    u, w = (eps / (2 * v.m)).as_integer_ratio()
+    e = lcm(d, w * (grid_l - 1))
+    k, step = e // d, u * (e // (w * (grid_l - 1)))
+    noise = [0] + [rng.randrange(grid_l) * step for _ in range(1, len(ints))]
+    return valuation_from_ints(v.m, e, [x * k + r for x, r in zip(ints, noise)])
 
 
 def default_grid_l(m: int, tax_bits: int) -> int:

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from taxlab.bundles import (all_bundles, best_bundle, bit, bundles_of_size, is_monotone,
                             monotone_closure, monotone_layout, size, subset_sums, subsets,
                             superset_min, supersets)
-from taxlab.queries import (bundle_price, demand_bundles, demand_query, optimal_welfare,
-                            value_query)
+from taxlab.queries import (bundle_price, demand_bundles, demand_ints, demand_query,
+                            optimal_welfare, price_ints, value_query)
 from taxlab.rational import (INF, common_denominator, format_price, is_finite, parse_price,
                              sum_prices)
 from taxlab.rng import stream
@@ -41,6 +41,11 @@ def test_bundle_helpers():
     assert list(subsets(0b101)) == [0b000, 0b001, 0b100, 0b101]
     assert list(supersets(0b001, 2)) == [0b01, 0b11]
     assert bundles_of_size(4, 2)[0] == 0b0011
+    for m in range(1, 9):
+        for k in range(m + 1):
+            sized = bundles_of_size(m, k)
+            assert sized == tuple(s for s in all_bundles(m) if size(s) == k)  # ascending
+            assert bundles_of_size(m, k) is sized  # built once per (m, k)
     assert size(0b1011) == 3
     assert subset_sums([1, 10, 100]) == [0, 1, 10, 11, 100, 101, 110, 111]
     assert subset_sums([]) == [0]
@@ -118,6 +123,23 @@ def test_value_query_examples():
     assert value_query(v_count, 0b101) == 2
     with pytest.raises(DomainError):
         value_query(v, 0b100)
+    with pytest.raises(DomainError):
+        value_query(v, -1)
+
+
+def test_value_and_max_value_read_the_stored_ints():
+    """Values come from the reduced ints as Fraction(ints[s], D): equal to
+    the `Fraction` table entries, and no table is built for them."""
+    rng = stream(22, "value-ints")
+    for m in range(1, 7):
+        v = random_monotone_valuation(m, rng, 8, Fraction(5, 3))
+        got = [v.value(s) for s in all_bundles(m)] + [v.max_value()]
+        assert "table" not in vars(v)
+        assert got == [*v.table, v.table[-1]]
+        assert all(type(x) is Fraction for x in got)
+        for s in (-1, 1 << m):
+            with pytest.raises(DomainError, match="out of range"):
+                v.value(s)
 
 
 def test_demand_query_examples():
@@ -228,6 +250,46 @@ def test_demand_bundles_match_the_fraction_reference(question):
             demand_bundles(vs, prices + (Fraction(0),))
         with pytest.raises(DomainError):
             demand_bundles(vs, prices[1:])
+
+
+@settings(max_examples=300, deadline=None)
+@given(batched_demand_questions(), st.integers(1, 3))
+def test_demand_ints_match_the_fraction_reference_over_any_common_denominator(question, k):
+    """The integer kernel on the vector P * k, [x * k ...]: an unreduced
+    denominator moves no answer.  A vector one item long or short is refused."""
+    vs, prices = question
+    den, ints = price_ints(prices)
+    assert den > 0 and all(x is None or type(x) is int for x in ints)
+    assert [None if x is None else Fraction(x, den) for x in ints] == [
+        None if p is INF else p for p in prices]
+    scaled = [None if x is None else x * k for x in ints]
+    assert demand_ints(vs, den * k, scaled) == [reference_demand_query(v, prices)[0] for v in vs]
+    if vs:
+        for wrong in (scaled + [0], scaled[1:], scaled + [None]):
+            with pytest.raises(DomainError, match="price vector length must equal m"):
+                demand_ints(vs, den * k, wrong)
+    else:
+        assert demand_ints(vs, den * k, scaled[1:]) == []
+
+
+def test_a_valuation_asked_at_two_denominators_answers_as_fresh_copies_do():
+    """The row a valuation keeps for the last common denominator is
+    replaced when the denominator changes: asked alternately over 3 and 5
+    (D = 2), each answer equals a fresh copy's, whose first row is built
+    for that query alone."""
+    F = Fraction
+    table = (F(0), F(3, 2), F(1, 2), F(2))
+    v = valuation(2, table)
+    thirds, fifths = (F(2, 3), F(4, 3)), (F(7, 5), F(2, 5))
+    for prices in (thirds, fifths, thirds, fifths, (F(1, 2), F(1, 2)), thirds):
+        fresh = valuation(2, table)
+        assert demand_bundles([v], prices) == demand_bundles([fresh], prices) == [
+            reference_demand_query(fresh, prices)[0]]
+        assert demand_query(v, prices) == demand_query(valuation(2, table), prices)
+    # read over 10, the kept thirds row (over 6) would answer 0 to fifths, not 0b11
+    assert demand_bundles([v], thirds) == [0b01] and demand_bundles([v], fifths) == [0b11]
+    assert v.ints_over(6) == (0, 9, 3, 12) and v.ints_over(10) == (0, 15, 5, 20)
+    assert v.ints_over(2) is v.scaled_table[1]
 
 
 def test_demand_bundles_keep_each_valuations_own_blocked_weight_and_denominator():

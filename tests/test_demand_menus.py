@@ -17,9 +17,10 @@ from taxlab.demand_menus import (CharacterizationViolation, brute_cover, canonic
 from taxlab.library import default_catalog, make_example
 from taxlab.menus import MinAffineMenu, eval_min_affine
 from taxlab.protocol import MechanismSpec, PriceRun, Session, extract_menu, insert_player
-from taxlab.queries import demand_query
+from taxlab.queries import demand_query, price_ints
 from taxlab.rational import INF, is_finite
 from taxlab.rng import stream
+from taxlab.suites import COVER_DEN, cover_grid
 from taxlab.valuations import (DomainError, ValuationCatalog, additive_valuation,
                                random_monotone_valuation, valuation_from_values)
 
@@ -222,21 +223,35 @@ def test_gadget_hit_path():
     assert got.demand_queries == 6  # the full three-phase budget
 
 
+def cover(prices, m):
+    """`demand_cover` of a `Fraction`/INF vector, converted by `price_ints`."""
+    return demand_cover(price_ints(prices), m)
+
+
 def test_demand_cover_examples():
-    assert demand_cover((F(1, 10), F(1, 10), F(1), F(1)), 4) == {0b0011}
-    assert demand_cover((F(1),) * 4, 4) == set()
-    assert demand_cover((F(1, 8), F(1, 8), F(1, 2), F(1, 2)), 4) == set()
-    assert demand_cover((F(1, 8), F(-1, 2), F(1), INF), 4) == {0b0011}
+    assert cover((F(1, 10), F(1, 10), F(1), F(1)), 4) == {0b0011}
+    assert cover((F(1),) * 4, 4) == set()
+    assert cover((F(1, 8), F(1, 8), F(1, 2), F(1, 2)), 4) == set()
+    assert cover((F(1, 8), F(-1, 2), F(1), INF), 4) == {0b0011}
     # an item at exactly 1/4 joins the candidate, but dropping it leaves the
     # profit as it is, so the smaller bundle answers
-    assert demand_cover((F(1, 4), F(-1, 2), F(1), INF), 4) == set()
-    assert demand_cover((F(1, 8), F(-1, 2), F(1), F(1, 4)), 4) == set()
+    assert cover((F(1, 4), F(-1, 2), F(1), INF), 4) == set()
+    assert cover((F(1, 8), F(-1, 2), F(1), F(1, 4)), 4) == set()
+    # the same vectors over unreduced denominators: 1/4 is 2/8 and 3/12
+    assert demand_cover((8, [1, -4, 8, None]), 4) == {0b0011}
+    assert demand_cover((8, [2, -4, 8, None]), 4) == set()
+    assert demand_cover((12, [2, -6, 12, None]), 4) == {0b0011}
+    assert demand_cover((12, [3, -6, 12, None]), 4) == set()
 
 
 def test_demand_cover_refuses_a_price_vector_of_the_wrong_length():
     for prices in ((F(1, 8),) * 8, (F(1, 8),) * 3):
         with pytest.raises(DomainError, match="price vector length must equal m"):
-            demand_cover(prices, 6)
+            cover(prices, 6)
+        with pytest.raises(DomainError, match="price vector length must equal m"):
+            brute_cover(price_ints(prices), 6)
+    with pytest.raises(DomainError, match="even item count"):
+        demand_cover((8, [1] * 5), 5)
 
 
 def reference_demand_cover(prices, m):
@@ -267,12 +282,12 @@ def cover_questions(draw):
 @given(cover_questions())
 def test_demand_cover_matches_the_fraction_candidate_loop(question):
     prices, m = question
-    assert demand_cover(prices, m) == reference_demand_cover(prices, m)
+    assert cover(prices, m) == reference_demand_cover(prices, m)
 
 
 def test_hidden_bump_price_is_size_plus_a_half_on_the_bump():
     for m in range(1, 9):
-        for t_mask in bundles_of_size(m, m // 2) + [None]:
+        for t_mask in (*bundles_of_size(m, m // 2), None):
             for s in all_bundles(m):
                 want = F(size(s)) + (F(1, 2) if s == t_mask else 0)
                 got = hidden_bump_price(s, t_mask)
@@ -301,8 +316,8 @@ def test_demand_cover_matches_covers_on_the_full_grid():
     for prices in itertools.product(grid, repeat=4):
         brute = {t for t in targets if covers(prices, t, 4)}
         assert len(brute) <= 1
-        assert demand_cover(prices, 4) == brute
-        assert brute_cover(prices, 4) == brute
+        assert cover(prices, 4) == brute
+        assert brute_cover(price_ints(prices), 4) == brute
 
 
 def test_brute_cover_matches_the_per_target_loop_on_a_sample_of_the_m6_grid():
@@ -317,14 +332,15 @@ def test_brute_cover_matches_the_per_target_loop_on_a_sample_of_the_m6_grid():
     for _ in range(400):
         prices = tuple(grid[rng.randrange(len(grid))] for _ in range(6))
         brute = {t for t in targets if covers(prices, t, 6)}
-        assert brute_cover(prices, 6) == brute
+        assert brute_cover(price_ints(prices), 6) == brute
         hits += bool(brute)
     assert hits  # the sample reaches covering vectors, not only empty sets
     # every target's valuation answers 0b000111 here; only that target counts
     cheap = (F(-1, 8),) * 3 + (F(1),) * 3
-    assert brute_cover(cheap, 6) == {t for t in targets if covers(cheap, t, 6)} == {0b000111}
+    assert brute_cover(price_ints(cheap), 6) == {t for t in targets
+                                                 if covers(cheap, t, 6)} == {0b000111}
     with pytest.raises(DomainError):
-        brute_cover((F(0),) * 5, 6)
+        brute_cover(price_ints((F(0),) * 5), 6)
 
 
 def test_demand_cover_matches_reference():
@@ -334,7 +350,21 @@ def test_demand_cover_matches_reference():
         prices = tuple(F(rng.randrange(9), 8) for _ in range(4))
         brute = {t for t in targets if covers(prices, t, 4)}
         assert len(brute) <= 1
-        assert demand_cover(prices, 4) == brute
+        assert cover(prices, 4) == brute
+
+
+def test_the_int_cover_grid_is_the_fraction_grid_over_8_in_order():
+    """`cover_grid` read as Fraction(x, 8) is the Fraction grid the check
+    was built on, entry for entry, item 0 varying fastest, so the seeded
+    cross-check samples the same vectors."""
+    values = [F(0), F(1, 8), F(1, 4), F(1, 2), F(1)]
+    for m in (2, 4, 6):
+        old = [c[::-1] for c in itertools.product(values, repeat=m)]
+        grid = cover_grid(m)
+        assert COVER_DEN == 8 and len(grid) == len(old) == 5 ** m
+        assert [tuple(F(x, COVER_DEN) for x in ints) for ints in grid] == old
+        assert all(type(x) is int for ints in grid for x in ints)
+        assert grid[1] == (1,) + (0,) * (m - 1)
 
 
 def reference_demand_tightness_program(menus):

@@ -268,14 +268,22 @@ def test_mechanism_programs_read_no_fraction_table():
 
 
 def test_demand_kernels_read_no_fraction_table():
-    """`demand_bundles` and `demand_query` rank and answer from a valuation's
-    `scaled_table`: neither reads `.table` nor calls `.value(...)`."""
-    tree = ast.parse((SRC / "queries.py").read_text(encoding="utf-8"))
-    kernels = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)
-               and node.name in ("demand_bundles", "demand_query")}
-    assert sorted(kernels) == ["demand_bundles", "demand_query"]
+    """`demand_ints`, `demand_bundles` and `demand_query` rank and answer
+    from a valuation's `scaled_table`: none reads `.table` nor calls
+    `.value(...)`.  `value_query` calls `Valuation.value`, and that and
+    `max_value` answer Fraction(ints[s], D) from the stored ints: neither
+    reads `.table`."""
+    queries = dict(named_functions((SRC / "queries.py").read_text(encoding="utf-8")))
+    valuations = dict(named_functions((SRC / "valuations.py").read_text(encoding="utf-8")))
+    kernels = {name: queries[name] for name in ("demand_ints", "demand_bundles", "demand_query")}
     assert {name: fraction_table_reads(ast.unparse(fn)) for name, fn in kernels.items()} == {
-        "demand_bundles": [], "demand_query": []}
+        name: [] for name in kernels}
+    readers = {"value_query": queries["value_query"], "Valuation.value": valuations[
+        "Valuation.value"], "Valuation.max_value": valuations["Valuation.max_value"]}
+    assert {name: [hit for hit in fraction_table_reads(ast.unparse(fn)) if "table" in hit]
+            for name, fn in readers.items()} == {name: [] for name in readers}
+    assert fraction_table_reads(ast.unparse(queries["value_query"])) == [
+        "line 2: .value() call"]
 
 
 MENU_KERNELS = ("normalize_menu", "menu_complexity", "profit_argmax_set", "Menu.is_normalized")
@@ -368,3 +376,19 @@ def test_menu_kernels_read_no_fraction_price_table():
             for fn in node.body if isinstance(fn, ast.FunctionDef)}
         assert set(kernels) <= defined, module
         assert price_reads(source, kernels) == [], module
+
+
+# the integer cover path: the kernel, both cover sets and the grid check
+INTEGER_COVER_KERNELS = {"queries.py": ("demand_ints",),
+                         "demand_menus.py": ("demand_cover", "brute_cover"),
+                         "suites.py": ("cover_grid_check",)}
+
+
+def test_the_cover_grid_path_stays_in_integers():
+    """The demand kernel, the two cover sets and the grid check build no
+    `Fraction` and read no `.table` or `.price`: the grid is int tuples
+    over 8 from end to end."""
+    for module, kernels in INTEGER_COVER_KERNELS.items():
+        source = (SRC / module).read_text(encoding="utf-8")
+        assert set(kernels) <= {name for name, _ in named_functions(source)}, module
+        assert fraction_builds(source, kernels) == [], module

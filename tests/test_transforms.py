@@ -20,7 +20,7 @@ from taxlab.transforms import (DeviationStrategy, PrecisionError, _play,
                                strictify_catalog, to_dominant_run,
                                to_simultaneous)
 from taxlab.valuations import (ValuationCatalog, additive_valuation,
-                               random_monotone_valuation, single_item_valuation,
+                               random_monotone_valuation, single_item_valuation, valuation,
                                valuation_from_values)
 
 F = Fraction
@@ -206,6 +206,58 @@ def test_strictify_bounds_and_default_eps():
             for j in range(m):
                 if not s & bit(j):
                     assert sv.table[s] <= sv.table[s | bit(j)]
+
+
+def reference_size_tilt(v, eps):
+    """The `Fraction` body `size_tilt` replaced, kept as its oracle."""
+    unit = eps / (2 * v.m)
+    table = tuple(
+        v.table[s] + unit * size(s) if s else Fraction(0) for s in all_bundles(v.m)
+    )
+    return valuation(v.m, table)
+
+
+def reference_strictify(v, grid_l, seed, eps=None):
+    """The `Fraction` body `strictify` replaced, kept as its oracle."""
+    if eps is None:
+        top = v.table[-1]
+        eps = Fraction(1, 4) / top if top > 0 else Fraction(1, 4)
+    tilted = reference_size_tilt(v, eps)
+    rng = stream(seed, "strictify")
+    unit = eps / (2 * v.m)
+    table = []
+    for s in all_bundles(v.m):
+        if s == 0:
+            table.append(Fraction(0))
+            continue
+        noise = unit * Fraction(rng.randrange(grid_l), grid_l - 1)
+        table.append(tilted.table[s] + noise)
+    return valuation(v.m, tuple(table))
+
+
+@st.composite
+def strictify_questions(draw):
+    """A valuation on its own grid and scale (the zero valuation included),
+    a noise grid, a seed and eps: the default, or a drawn rational."""
+    m = draw(st.integers(1, 6))
+    scale = draw(st.sampled_from([F(0), F(1), F(4), F(5, 3), F(1, 7)]))
+    v = random_monotone_valuation(m, draw(st.randoms(use_true_random=False)),
+                                  draw(st.sampled_from([1, 2, 3, 8])), scale or F(1))
+    if not scale:
+        v = additive_valuation([0] * m)
+    eps = draw(st.one_of(st.none(), st.builds(F, st.integers(1, 9), st.integers(1, 12))))
+    return v, draw(st.sampled_from([2, 3, 17, 1 << 10])), draw(st.integers(0, 1 << 20)), eps
+
+
+@settings(max_examples=200, deadline=None)
+@given(strictify_questions())
+def test_integer_tilt_and_strictify_match_the_fraction_bodies(question):
+    v, grid_l, seed, eps = question
+    tilt = default_eps(v) if eps is None else eps
+    got, tilted = strictify(v, grid_l, seed, eps), size_tilt(v, tilt)
+    assert "table" not in vars(v) and "table" not in vars(got)  # before the oracles read it
+    assert got == reference_strictify(v, grid_l, seed, eps)
+    assert tilted == reference_size_tilt(v, tilt)
 
 
 def test_strictified_catalog_is_precise():
