@@ -7,7 +7,6 @@ capped at 16 so dense 2^m tables stay cheap.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from operator import gt, itemgetter
@@ -70,42 +69,42 @@ def bundles_of_size(m: int, k: int) -> tuple[int, ...]:
     return tuple(sorted(sum(1 << j for j in combo) for combo in combinations(range(m), k)))
 
 
+@lru_cache(maxsize=16)  # every m in 1..MAX_ITEMS
+def monotone_pairs(m: int) -> tuple[list[int], list[int]]:
+    """Both sides of the m 2^(m-1) pairs (s, s | 2^j), s without item j, in
+    item order, as two lists of one shared list's masks (about 8 MB at
+    m = 16); a trailing (0, 0) pair keeps the getters' results tuples."""
+    masks = list(all_bundles(m))
+    pairs = [(s, s | bit(j)) for j in range(m) for s in masks if not s & bit(j)] + [(0, 0)]
+    return [masks[s] for s, _ in pairs], [masks[u] for _, u in pairs]
+
+
 def monotone_closure(t: Sequence, m: int) -> list:
-    """A copy of the table with each entry raised to the largest of itself
-    and its subsets' entries: one pass per item j, in which each bundle
-    holding j takes the entry without j where that is larger."""
+    """A copy of the table with each entry raised to its subsets' largest:
+    pass j of `monotone_pairs` raises each bundle with j to the one without
+    it, reading one side and writing the other, so its order is free."""
     t = list(t)
-    for j in range(m):
-        b = bit(j)
-        for s in range(len(t)):
-            if s & b and t[s ^ b] > t[s]:
-                t[s] = t[s ^ b]
+    for s, u in zip(*monotone_pairs(m)):
+        if t[s] > t[u]:
+            t[u] = t[s]
     return t
 
 
 def superset_min(t: Sequence, m: int) -> list:
-    """A copy of the table with each entry lowered to the smallest of itself
-    and its supersets' entries, one pass per item: the superset pass beside
-    `monotone_closure`'s subset pass, on ints and `Fraction`/INF alike."""
+    """A copy of the table with each entry lowered to its supersets'
+    smallest, over the same pairs the other way; on ints, `Fraction`/INF
+    and bools alike, as `monotone_closure` is."""
     t = list(t)
-    for j in range(m):
-        b = bit(j)
-        for s in range(len(t)):
-            if not s & b and t[s | b] < t[s]:
-                t[s] = t[s | b]
+    for s, u in zip(*monotone_pairs(m)):
+        if t[u] < t[s]:
+            t[s] = t[u]
     return t
 
 
 @lru_cache(maxsize=16)  # every m in 1..MAX_ITEMS
 def monotone_layout(m: int) -> tuple[itemgetter, itemgetter]:
-    """Getters of both sides of the m 2^(m-1) pairs (s, s | 2^j), s without
-    item j, built once per m from one shared list of masks (list slots
-    only: about 8 MB at m = 16).  A trailing (0, 0) pair, never a
-    violation, keeps each getter's result a tuple at m = 1."""
-    masks = list(all_bundles(m))
-    pairs = [(s, s | bit(j)) for j in range(m) for s in masks if not s & bit(j)] + [(0, 0)]
-    return (itemgetter(*[masks[s] for s, _ in pairs]),
-            itemgetter(*[masks[u] for _, u in pairs]))
+    """Getters of both sides of `monotone_pairs(m)`."""
+    return tuple(itemgetter(*side) for side in monotone_pairs(m))
 
 
 def is_monotone(table: Sequence, m: int) -> bool:
@@ -115,11 +114,11 @@ def is_monotone(table: Sequence, m: int) -> bool:
     return not any(map(gt, lows(table), highs(table)))
 
 
-def best_bundle(candidates: Iterable[tuple[int, Fraction]]) -> tuple[int, Fraction]:
+def best_bundle(candidates: Iterable[tuple[int, int]]) -> tuple[int, int]:
     """The (mask, profit) candidate of largest profit, smallest mask among
-    ties, with (0, 0) always competing; read in order, so a generator that
-    queries as it goes keeps its query order."""
-    best_mask, best_profit = 0, Fraction(0)
+    ties, with (0, 0) always competing; profits are ints over one
+    denominator, read in order."""
+    best_mask = best_profit = 0
     for mask, profit in candidates:
         if profit > best_profit or (profit == best_profit and mask < best_mask):
             best_mask, best_profit = mask, profit

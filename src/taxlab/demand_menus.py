@@ -21,7 +21,7 @@ from .bundles import (MAX_ITEMS, all_bundles, best_bundle, bit, bundles_of_size,
                       subset_sums)
 from .menus import Menu, MinAffineMenu, eval_min_affine
 from .protocol import RunResult, Session, insert_player
-from .queries import bundle_price, demand_ints
+from .queries import PriceVector, bundle_price, demand_ints
 from .rational import INF, Price, is_finite
 from .valuations import DomainError, Valuation, layered_valuation, valuation
 
@@ -30,6 +30,8 @@ ONE = Fraction(1)
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
 SIZES = tuple(Fraction(k) for k in range(MAX_ITEMS + 1))  # SIZES[k] == k
+BUMPED = tuple(k + HALF for k in SIZES)  # BUMPED[k] == k + 1/2
+UNIT_PRICES = tuple(PriceVector((ONE,) * m) for m in range(MAX_ITEMS + 1))
 
 
 class CharacterizationViolation(RuntimeError):
@@ -85,20 +87,18 @@ def extract_min_affine(session: Session, i: int,
 
 
 def min_affine_argmax(ma: MinAffineMenu, oracle: Callable[[Sequence[Price]], tuple[int, Fraction]]) -> int:
-    """Profit-maximizing bundle against an exception-free min-affine menu,
-    with one demand query per price vector.  The oracle answers a per-item
-    price vector with (bundle, value)."""
+    """Profit-maximizing bundle against an exception-free min-affine menu:
+    one demand query per vector, in order, answered with (bundle, value);
+    profits as ints over the lcm of the menu's and the values'
+    denominators, INF-priced answers skipped."""
     if ma.beta != 0:
         raise DomainError("the few-query optimizer needs an exception-free menu")
-
-    def candidates():
-        for vec in ma.vectors:
-            d_mask, d_val = oracle(vec)
-            price = eval_min_affine(ma, d_mask)
-            if is_finite(price):
-                yield d_mask, d_val - price
-
-    return best_bundle(candidates())[0]
+    answers = [oracle(vec) for vec in ma.vectors]
+    d, prices = ma.affine_ints
+    den = lcm(d, *[value.denominator for _, value in answers])
+    return best_bundle((mask, value.numerator * (den // value.denominator)
+                        - prices[mask] * (den // d))
+                       for mask, value in answers if prices[mask] is not None)[0]
 
 
 @dataclass(frozen=True)
@@ -110,10 +110,8 @@ class GadgetResult:
 
 
 def hidden_bump_price(s: int, t_mask: Optional[int]) -> Fraction:
-    """Menu price of s: its size, plus a half unit on the hidden bundle
-    t_mask (None: no bump)."""
-    price = SIZES[size(s)]
-    return price + HALF if s == t_mask else price
+    """Menu price of s: its size, plus a half on t_mask (None: no bump)."""
+    return (BUMPED if s == t_mask else SIZES)[size(s)]
 
 
 def hidden_bump_profits(v: Valuation, t_mask: int) -> tuple[int, list[int]]:
@@ -128,49 +126,43 @@ def hidden_bump_profits(v: Valuation, t_mask: int) -> tuple[int, list[int]]:
     return e, profits
 
 
+@lru_cache(maxsize=256)
+def gadget_vectors(m: int, t_mask: int) -> tuple[PriceVector, ...]:
+    """The gadget's queries about the bump t_mask: per item j of t_mask, unit
+    prices with j at INF; per j outside it, t_mask free, j at a half."""
+    return tuple(PriceVector(INF if k == j else ONE for k in range(m))
+                 for j in range(m) if t_mask & bit(j)) + tuple(
+        PriceVector(ZERO if t_mask & bit(k) else (HALF if k == j else ONE) for k in range(m))
+        for j in range(m) if not t_mask & bit(j))
+
+
 def mt_gadget_argmax(m: int, oracle: Callable[[Sequence[Price]], tuple[int, Fraction]],
                      price_check: Callable[[int], bool]) -> GadgetResult:
     """Profit maximization against the size-priced menu with one half-unit
     bump on an unknown half-size bundle.
 
     Phase 1 queries uniform unit prices; if the answer is off the bump it
-    is already optimal.  Otherwise two batches (one item of the bump made
-    unaffordable / one outside item discounted to a half with the bump
-    free) cover the off-bump and strict-superset candidates.  price_check
-    tells whether a bundle carries the bump, at one demand query; it is
-    asked once per run, about the phase-1 answer.
-    """
+    is already optimal.  Otherwise the `gadget_vectors` cover the off-bump
+    and strict-superset candidates, ranked by profit over the lcm of 2
+    and the values' denominators (price over 2: 2|s| + [s = t_mask]).
+    price_check tells whether a bundle carries the bump, at one demand
+    query; it is asked once per run, about the phase-1 answer."""
     if m % 2:
         raise DomainError("the gadget needs an even item count")
-    queries = 1  # the price check
-
-    def ask(prices):
-        nonlocal queries
-        queries += 1
-        return oracle(prices)
-
-    d0, v0 = ask((ONE,) * m)
+    d0, v0 = oracle(UNIT_PRICES[m])
     if not (price_check(d0) and size(d0) == m // 2):
         price = SIZES[size(d0)]
-        return GadgetResult(d0, v0 - price, price, queries)
+        return GadgetResult(d0, v0 - price, price, 2)
 
     t_mask = d0
-    candidates = [(t_mask, v0 - hidden_bump_price(t_mask, t_mask))]
-    for j in range(m):
-        if t_mask & bit(j):
-            prices = tuple(INF if k == j else ONE for k in range(m))
-            d, dv = ask(prices)
-            candidates.append((d, dv - hidden_bump_price(d, t_mask)))
-    for j in range(m):
-        if not t_mask & bit(j):
-            prices = tuple(
-                ZERO if t_mask & bit(k) else (HALF if k == j else ONE)
-                for k in range(m)
-            )
-            d, dv = ask(prices)
-            candidates.append((d, dv - hidden_bump_price(d, t_mask)))
-    best_mask, best_profit = best_bundle(candidates)
-    return GadgetResult(best_mask, best_profit, hidden_bump_price(best_mask, t_mask), queries)
+    answers = [(t_mask, v0)] + [oracle(vec) for vec in gadget_vectors(m, t_mask)]
+    den = lcm(2, *[value.denominator for _, value in answers])
+    best_mask, best_profit = best_bundle(
+        (mask, value.numerator * (den // value.denominator)
+         - (2 * size(mask) + (mask == t_mask)) * (den // 2))
+        for mask, value in answers)
+    return GadgetResult(best_mask, Fraction(best_profit, den),
+                        hidden_bump_price(best_mask, t_mask), 1 + len(answers))
 
 
 @lru_cache(maxsize=256)

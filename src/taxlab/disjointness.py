@@ -13,7 +13,6 @@ at z-1 on the allowed strings consistent with a "no" transcript.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb
 from typing import Optional, Sequence
 
@@ -190,22 +189,9 @@ def solve_one_disjointness(inst: ZDisjointnessInstance) -> Verdict:
     return run_one_disjointness(inst.n, inst.l, inst.allowed, inst.inputs).verdict
 
 
-def combination_rank(combo: Sequence[int], l: int, z: int) -> int:
-    """Index of an ascending z-tuple in lexicographic combination order:
-    at position i the tuples that hold a smaller item than c_i after the
-    previous one, sum of C(l - 1 - v, z - i - 1) over prev < v < c_i,
-    which the hockey-stick identity sums to C(l - 1 - prev, z - i) -
-    C(l - c_i, z - i)."""
-    rank = 0
-    prev = -1
-    for i, c in enumerate(combo):
-        rank += comb(l - 1 - prev, z - i) - comb(l - c, z - i)
-        prev = c
-    return rank
-
-
 def combination_unrank(rank: int, l: int, z: int) -> tuple[int, ...]:
-    """Inverse of combination_rank."""
+    """The z-tuple of index `rank` in `itertools.combinations(range(l), z)`
+    order."""
     combo = []
     v = 0
     for i in range(z):
@@ -218,12 +204,18 @@ def combination_unrank(rank: int, l: int, z: int) -> tuple[int, ...]:
 
 
 def z_product_mask(a: int, l: int, z: int) -> int:
-    """One bit per z-tuple of positions, set when all tuple bits are set in
-    the string; built sparsely from the string's own bits."""
-    bits = [k for k in range(l) if a >> k & 1]
+    """One bit per z-tuple of positions, set when the l-bit string a holds
+    every tuple bit.  In combination order the tuples starting at c follow
+    the C(l, z) - C(l - c, z) starting below c and rank as (z - 1)-tuples
+    of the positions above c: each bit c adds the product of a's bits
+    above it, shifted to that block."""
+    if z <= 1:
+        return a if z else 1
+    total = comb(l, z)
     out = 0
-    for combo in combinations(bits, z):
-        out |= 1 << combination_rank(combo, l, z)
+    for c in range(l):
+        if a >> c & 1:
+            out |= z_product_mask(a >> (c + 1), l - c - 1, z - 1) << (total - comb(l - c, z))
     return out
 
 

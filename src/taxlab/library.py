@@ -37,14 +37,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from math import lcm
 from typing import Callable, Optional
 
-from .bundles import MAX_ITEMS, all_bundles, best_bundle, bit, bundles_of_size, grand, size
-from .demand_menus import (HALF, QUARTER, hidden_bump_price, hidden_problem_valuation,
-                           min_affine_argmax, mt_gadget_argmax)
+from .bundles import (MAX_ITEMS, all_bundles, best_bundle, bit, bundles_of_size, grand, size,
+                      subset_sums)
+from .demand_menus import (HALF, ONE, QUARTER, SIZES, ZERO, hidden_bump_price,
+                           hidden_problem_valuation, min_affine_argmax, mt_gadget_argmax)
 from .menus import MinAffineMenu, eval_min_affine, in_menu_rebuild
 from .protocol import MechanismSpec, PriceRun
-from .queries import demand_query
+from .queries import PriceVector, demand_query, price_ints
 from .rational import INF, Price
 from .valuations import (
     DomainError,
@@ -77,7 +80,7 @@ def buyer_only(buyer: int, protocol):
     buy: every other player sees only the empty bundle, at price 0."""
     def run(spec, i, v_minus_i, s):
         return (protocol(spec, i, v_minus_i, s) if i == buyer
-                else PriceRun(Fraction(0) if s == 0 else INF, ()))
+                else PriceRun(ZERO if s == 0 else INF, ()))
     return run
 
 
@@ -97,14 +100,14 @@ def warmup_tightness(c: int, m: int = 2) -> MechanismSpec:
         d, ints = v_bob.scaled_table
         if ints[ITEM_A] >= t * d:
             rec.send_bit(1, 1)
-            return (0, ITEM_A), (Fraction(0), Fraction(t))
+            return (0, ITEM_A), (ZERO, Fraction(t))
         rec.send_bit(1, 0)
-        return (0, 0), (Fraction(0), Fraction(0))
+        return (0, 0), (ZERO, ZERO)
 
     def price_protocol(spec, i, v_minus_i, s):
         t = rounded_value(v_minus_i[0], ITEM_A, 1, top)
         if s == 0:
-            price: Price = Fraction(0)
+            price: Price = ZERO
         elif s == ITEM_A:
             price = Fraction(t)
         else:
@@ -145,20 +148,21 @@ def value_tightness(m: int, c: Optional[int] = None, bundles=None) -> MechanismS
         raise DomainError("value_tightness needs c <= m, or bundles within m items")
     bound = Fraction(max(size(s) for s in bundle_list)) + HALF
 
-    def menu_prices(t: int) -> dict[int, Fraction]:
-        return {
-            s: Fraction(size(s)) + (HALF if j == t - 1 else Fraction(0))
-            for j, s in enumerate(bundle_list)
-        }
-
-    menus = [in_menu_rebuild(m, {0: Fraction(0), **menu_prices(t)}) for t in range(1, c + 1)]
+    # menu t's price of each listed bundle over 2: 2|s|, plus 1 on the t-th
+    twice = [{s: 2 * size(s) + (j == t - 1) for j, s in enumerate(bundle_list)}
+             for t in range(1, c + 1)]
+    prices = [{s: Fraction(x, 2) for s, x in doubled.items()} for doubled in twice]
+    menus = [in_menu_rebuild(m, {0: ZERO, **menu}) for menu in prices]
 
     def program(profile, rec):
         t = round_to_range(*rec.value_query(0, ITEM_A).as_integer_ratio(), 1, c)
-        prices = menu_prices(t)
-        best_mask, _ = best_bundle((s, rec.value_query(1, s) - prices[s]) for s in bundle_list)
-        pay = prices[best_mask] if best_mask else Fraction(0)
-        return (0, best_mask), (Fraction(0), pay)
+        values = [rec.value_query(1, s) for s in bundle_list]
+        den = lcm(2, *[x.denominator for x in values])
+        best_mask, _ = best_bundle(
+            (s, x.numerator * (den // x.denominator) - twice[t - 1][s] * (den // 2))
+            for s, x in zip(bundle_list, values))
+        pay = prices[t - 1][best_mask] if best_mask else ZERO
+        return (0, best_mask), (ZERO, pay)
 
     def price_protocol(spec, i, v_minus_i, s):
         t = rounded_value(v_minus_i[0], ITEM_A, 1, c)
@@ -188,9 +192,9 @@ def value_tightness_catalog(m: int, c: Optional[int] = None, bundles=None) -> Va
 
 def make_min_affine_family(m: int, alpha: int, count: int) -> tuple[MinAffineMenu, ...]:
     """Deterministic family of distinct normalized min-affine menus
-    supported on the first m/2 items (everything touching the rest is
-    infinitely priced).  Both hold by construction: item 1 alone costs t/2
-    in menu t, and every price and offset is nonnegative with offset 0 on
+    supported on the first m/2 items (the rest priced at INF), each vector
+    a `PriceVector`.  Both hold by construction: item 1 alone costs t/2 in
+    menu t, and every price and offset is nonnegative with offset 0 on
     the first vector."""
     half = m // 2
     menus = []
@@ -198,11 +202,8 @@ def make_min_affine_family(m: int, alpha: int, count: int) -> tuple[MinAffineMen
         vectors = []
         offsets = []
         for k in range(alpha):
-            vec = [
-                Fraction(t + ((j + k) % half), 2) if j < half else INF
-                for j in range(m)
-            ]
-            vectors.append(tuple(vec))
+            vectors.append(PriceVector(Fraction(t + ((j + k) % half), 2) if j < half else INF
+                                       for j in range(m)))
             offsets.append(Fraction(0) if k == 0 else Fraction(k, 4))
         menus.append(MinAffineMenu(m, tuple(vectors), tuple(offsets)))
     return tuple(menus)
@@ -218,8 +219,8 @@ def demand_tightness(m: int, alpha: int, count: int) -> MechanismSpec:
         t = round_to_range(*rec.value_query(0, ITEM_A).as_integer_ratio(), 1, len(menus))
         ma = menus[t - 1]
         best_mask = min_affine_argmax(ma, lambda vec: rec.demand_query(1, vec))
-        pay = eval_min_affine(ma, best_mask) if best_mask else Fraction(0)
-        return (0, best_mask), (Fraction(0), pay)
+        pay = eval_min_affine(ma, best_mask) if best_mask else ZERO
+        return (0, best_mask), (ZERO, pay)
 
     def price_protocol(spec, i, v_minus_i, s):
         t = rounded_value(v_minus_i[0], ITEM_A, 1, len(menus))
@@ -254,6 +255,12 @@ def demand_tightness_catalog(m: int, alpha: int, count: int) -> ValuationCatalog
 
 # ------------------------------------------------------------- M_T gadget
 
+@lru_cache(maxsize=1024)
+def only_bundle(m: int, d: int) -> PriceVector:
+    """The bundle d offered alone, for free."""
+    return PriceVector(ZERO if d & bit(j) else INF for j in range(m))
+
+
 def mt_gadget(m: int) -> MechanismSpec:
     """Size-priced menu with a half-unit bump on the half-size bundle the
     first player values at 1/4; the buyer's optimum is located with at most
@@ -264,11 +271,10 @@ def mt_gadget(m: int) -> MechanismSpec:
 
     def program(profile, rec):
         def price_check(d: int) -> bool:
-            only_d = tuple(Fraction(0) if d & bit(j) else INF for j in range(m))
-            return rec.demand_query(0, only_d)[1] == QUARTER
+            return rec.demand_query(0, only_bundle(m, d))[1] == QUARTER
 
         got = mt_gadget_argmax(m, lambda prices: rec.demand_query(1, prices), price_check)
-        return (0, got.bundle), (Fraction(0), got.price)
+        return (0, got.bundle), (ZERO, got.price)
 
     def price_protocol(spec, i, v_minus_i, s):
         d, ints = v_minus_i[0].scaled_table
@@ -356,10 +362,10 @@ def drop_tie(m: int) -> MechanismSpec:
                 equal = any(t1[s] == t2[s] for s in sized)
                 rec.send_bit(1, int(equal))
                 won = ITEM_A if equal else ITEM_B
-        return (0, won), (Fraction(0), Fraction(0))
+        return (0, won), (ZERO, ZERO)
 
     def price_protocol(spec, i, v_minus_i, s):
-        price: Price = Fraction(0) if s in (0, ITEM_A, ITEM_B) else INF
+        price: Price = ZERO if s in (0, ITEM_A, ITEM_B) else INF
         return PriceRun(price, ())
 
     def tie_cost(profile):
@@ -403,17 +409,17 @@ def drop_tax(m: int) -> MechanismSpec:
         # zero-profit bundle beats the empty one
         best_mask, _ = best_bundle((s, t2[s]) for s in offered if t2[s] >= d2)
         rec.send_number(1, best_mask, 1 << m)
-        pay = Fraction(1) if best_mask else Fraction(0)
-        return (0, best_mask), (Fraction(0), pay)
+        pay = ONE if best_mask else ZERO
+        return (0, best_mask), (ZERO, pay)
 
     def price_protocol(spec, i, v_minus_i, s):
         if s == 0:
-            return PriceRun(Fraction(0), ())
+            return PriceRun(ZERO, ())
         if size(s) > m // 2:
             return PriceRun(INF, ())
         d1, t1 = v_minus_i[0].scaled_table
         ok = any(t & s == s and t1[t] >= d1 for t in sized)
-        return PriceRun(Fraction(1) if ok else INF, ((0, int(ok), 2),))
+        return PriceRun(ONE if ok else INF, ((0, int(ok), 2),))
 
     return MechanismSpec(
         mech_id=f"drop_tax(m={m})",
@@ -452,16 +458,16 @@ def drop_price(m: int) -> MechanismSpec:
         take = t3[ITEM_A] > k * d3  # v3(a) above the price k
         rec.send_bit(2, int(take))
         if take:
-            return (0, 0, ITEM_A), (Fraction(0), Fraction(0), Fraction(k))
-        return (0, 0, 0), (Fraction(0), Fraction(0), Fraction(0))
+            return (0, 0, ITEM_A), (ZERO, ZERO, SIZES[k])
+        return (0, 0, 0), (ZERO, ZERO, ZERO)
 
     def price_protocol(spec, i, v_minus_i, s):
         if s == 0:
-            return PriceRun(Fraction(0), ())
+            return PriceRun(ZERO, ())
         if s != ITEM_A:
             return PriceRun(INF, ())
         xbits, hit = common_one(*v_minus_i)
-        price = Fraction(1) if hit else Fraction(2)
+        price = SIZES[1 if hit else 2]
         return PriceRun(price, ((0, xbits, 1 << len(sized)), (1, int(hit), 2)))
 
     return MechanismSpec(
@@ -506,11 +512,16 @@ def posted_prices(prices, n: int = 2) -> MechanismSpec:
     m = len(prices)
     bound = sum(prices, Fraction(0))
 
-    def offer(remaining: int) -> tuple[Price, ...]:
-        return tuple(prices[j] if remaining & bit(j) else INF for j in range(m))
+    den, ints = price_ints(prices)
+    costs = subset_sums(ints)  # every bundle's price over den
 
+    @lru_cache(maxsize=1024)
+    def offer(remaining: int) -> PriceVector:
+        return PriceVector(prices[j] if remaining & bit(j) else INF for j in range(m))
+
+    @lru_cache(maxsize=1024)
     def cost(mask: int) -> Fraction:
-        return sum((prices[j] for j in range(m) if mask & bit(j)), Fraction(0))
+        return Fraction(costs[mask], den)
 
     def program(profile, rec):
         remaining = grand(m)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .bundles import all_bundles, bit, check_m, is_monotone, subset_sums, superset_min
 from .rational import (INF, Price, common_denominator, format_price, is_finite, parse_price,
@@ -156,12 +156,11 @@ class MinAffineMenu:
         return len(self.exceptions)
 
     @cached_property
-    def price_table(self) -> tuple[Price, ...]:
-        """Every bundle's price: its exception price if it has one; else
-        the cheapest affine term, a term whose vector prices an item of the
-        bundle at INF knocked out; the empty bundle free unless excepted.
-        Each vector's terms are one `subset_sums` over the common
-        denominator of every finite entry and offset."""
+    def affine_ints(self) -> tuple[int, tuple[Optional[int], ...]]:
+        """Every bundle's cheapest affine term, one `subset_sums` per vector,
+        as ints over the common denominator d of the finite vector entries
+        and offsets; a term pricing an item of the bundle at INF is knocked
+        out (None: no term left), and the empty bundle is free."""
         m, n = self.m, len(self.vectors) * self.m
         flat = [x if is_finite(x) else 0 for vec in self.vectors for x in vec]
         d, ints = common_denominator(flat + list(self.offsets))
@@ -171,9 +170,16 @@ class MinAffineMenu:
             r = ints[n + q]
             best = [b if s & blocked or (b is not None and b <= x + r) else x + r
                     for s, (x, b) in enumerate(zip(subset_sums(ints[q * m:q * m + m]), best))]
+        best[0] = 0
+        return d, tuple(best)
+
+    @cached_property
+    def price_table(self) -> tuple[Price, ...]:
+        """Every bundle's price: its exception price if it has one, else its
+        `affine_ints` price."""
+        d, best = self.affine_ints
         exact = {x: Fraction(x, d) for x in set(best) if x is not None}
         table = [INF if x is None else exact[x] for x in best]
-        table[0] = Fraction(0)
         for s, p in self.exceptions:
             table[s] = p
         return tuple(table)

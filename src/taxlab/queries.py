@@ -6,7 +6,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 from operator import sub
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .bundles import bit, subset_sums
 from .rational import INF, Price, is_finite
@@ -31,12 +31,22 @@ def bundle_price(prices: Sequence[Price], mask: int) -> Price:
     return total
 
 
-def price_ints(prices: Sequence[Price]) -> tuple[int, list[Optional[int]]]:
+def price_ints(prices: Sequence[Price]) -> tuple[int, tuple[Optional[int], ...]]:
     """A price vector over one common denominator P: (P, ints), p == ints[j] / P
     for each finite price and None marking each INF."""
     ratios = [None if p is INF else p.as_integer_ratio() for p in prices]
     den = lcm(*[r[1] for r in ratios if r])
-    return den, [None if r is None else r[0] * (den // r[1]) for r in ratios]
+    return den, tuple([None if r is None else r[0] * (den // r[1]) for r in ratios])
+
+
+class PriceVector(tuple):
+    """A fixed price vector (a tuple of `Fraction`/INF) keeping its
+    `price_ints` form as `scaled`, for the demand kernel to read."""
+
+    def __new__(cls, prices: Iterable[Price]):
+        vec = super().__new__(cls, prices)
+        vec.scaled = price_ints(vec)
+        return vec
 
 
 def demand_ints(vs: Sequence[Valuation], den: int,
@@ -73,8 +83,10 @@ def demand_ints(vs: Sequence[Valuation], den: int,
 
 
 def demand_bundles(vs: Sequence[Valuation], prices: Sequence[Price]) -> list[int]:
-    """`demand_ints` on a `Fraction`/INF price vector, converted once."""
-    return demand_ints(vs, *price_ints(prices))
+    """`demand_ints` on a `Fraction`/INF price vector, converted once, or
+    on a `PriceVector`'s stored form."""
+    return demand_ints(vs, *(prices.scaled if isinstance(prices, PriceVector)
+                             else price_ints(prices)))
 
 
 def demand_query(v: Valuation, prices: Sequence[Price]) -> tuple[int, Fraction]:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .bundles import DomainError
 
@@ -66,15 +66,6 @@ Price = Union[Fraction, Infinite]
 
 def is_finite(x: Price) -> bool:
     return not isinstance(x, Infinite)
-
-
-def sum_prices(xs: Iterable[Price]) -> Price:
-    total: Price = Fraction(0)
-    for x in xs:
-        if isinstance(x, Infinite):
-            return INF
-        total = total + x
-    return total
 
 
 def price_key(p: Price) -> tuple:

@@ -208,18 +208,10 @@ def _staircase(m: int, level: tuple[int, ...], bound: Fraction) -> tuple[int, tu
     """The staircase probe's table of one level set over B's denominator,
     built once: base functions drawn from one price grid share their level
     sets."""
-    k = size(level[0])
-    covered = upward_closure(m, level)
-    ints = []
-    for s in range(1 << m):
-        n = size(s)
-        if n < k:
-            ints.append(n << (m + 1))
-        elif covered[s]:
-            ints.append(k << (m + 1))
-        else:
-            ints.append(((k << n) - 1) << (m + 1 - n))
-    return bound.denominator, tuple([x * bound.numerator for x in ints])
+    k, up = size(level[0]), m + 1
+    return bound.denominator, tuple([
+        (n << up if n < k else k << up if hit else ((k << n) - 1) << (up - n)) * bound.numerator
+        for n, hit in zip(_sizes(m), upward_closure(m, level))])
 
 
 def _staircase_round(m: int, level: tuple[int, ...], bound: Fraction, w: Price) -> Round:

@@ -12,14 +12,24 @@ from taxlab.bundles import (all_bundles, best_bundle, bit, bundles_of_size, is_m
                             superset_min, supersets)
 from taxlab.queries import (bundle_price, demand_bundles, demand_ints, demand_query,
                             optimal_welfare, price_ints, value_query)
-from taxlab.rational import (INF, common_denominator, format_price, is_finite, parse_price,
-                             sum_prices)
+from taxlab.rational import INF, Infinite, common_denominator, format_price, is_finite, parse_price
 from taxlab.rng import stream
 from taxlab.valuations import (DomainError, Valuation, ValuationCatalog, XOSClauses,
                                additive_valuation, classify_valuation, layered_valuation,
                                random_monotone_valuation, single_item_valuation, valuation,
                                valuation_from_ints, valuation_from_json,
                                valuation_from_values, valuation_to_json, xos_from_clauses)
+
+
+def sum_prices(xs):
+    """The sum of a price list, INF if any is INF: the `Fraction` sum the
+    menu checks used before they ran on ints, kept as a reference."""
+    total = Fraction(0)
+    for x in xs:
+        if isinstance(x, Infinite):
+            return INF
+        total = total + x
+    return total
 
 
 def test_infinite_sentinel_order_and_absorption():
@@ -758,6 +768,58 @@ def test_superset_min_matches_the_per_bundle_superset_minimum(m, kind, seed):
             max(table[u] for u in supersets(s, m)) for s in all_bundles(m)]
 
 
+def reference_monotone_closure(t, m):
+    """The per-item loop `monotone_closure` ran before its pair layout."""
+    t = list(t)
+    for j in range(m):
+        b = bit(j)
+        for s in range(len(t)):
+            if s & b and t[s ^ b] > t[s]:
+                t[s] = t[s ^ b]
+    return t
+
+
+def reference_superset_min(t, m):
+    """The per-item loop `superset_min` ran before its pair layout."""
+    t = list(t)
+    for j in range(m):
+        b = bit(j)
+        for s in range(len(t)):
+            if not s & b and t[s | b] < t[s]:
+                t[s] = t[s | b]
+    return t
+
+
+CLOSURE_ENTRIES = {
+    "int": lambda rnd: rnd.randrange(-5, 10),
+    "price": lambda rnd: INF if rnd.random() < 0.2 else Fraction(rnd.randrange(-6, 10),
+                                                                 rnd.randrange(1, 5)),
+    "bool": lambda rnd: rnd.random() < 0.2,
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 10), st.sampled_from(sorted(CLOSURE_ENTRIES)), st.integers(0, 2**32))
+def test_closure_passes_match_the_per_item_loops(m, kind, seed):
+    """Both passes over `monotone_pairs` give the per-item loops' lists,
+    entry types included, on int, `Fraction`/INF and bool tables given as
+    lists and as tuples, and leave their input alone; `monotone_layout`'s
+    getters still judge the input and the closed table as the generator
+    does."""
+    rnd = random.Random(seed)
+    table = [CLOSURE_ENTRIES[kind](rnd) for _ in all_bundles(m)]
+    want_up, want_down = reference_monotone_closure(table, m), reference_superset_min(table, m)
+    for given_table in (list(table), tuple(table)):
+        for got, want in ((monotone_closure(given_table, m), want_up),
+                          (superset_min(given_table, m), want_down)):
+            assert type(got) is list and got == want
+            assert list(map(type, got)) == list(map(type, want))
+        assert list(given_table) == table
+    for t in (table, want_up, want_down):
+        assert is_monotone(t, m) == reference_generator_is_monotone(t, m)
+    assert is_monotone(want_up, m) and is_monotone(want_down, m)
+
+
 def reference_valuation_from_values(m, pairs):
     """The per-bundle `max_below` fill-in `valuation_from_values` ran before
     its one `monotone_closure`."""
@@ -827,7 +889,8 @@ def test_one_item_tables_and_layout():
 
 
 def reference_best_bundle(candidates):
-    """The best-profit loop the mechanism programs and optimizers each kept."""
+    """The `Fraction` best-profit loop the mechanism programs and optimizers
+    each kept, and then shared as `best_bundle` until it ranked ints."""
     best_mask, best_profit = 0, Fraction(0)
     for mask, profit in candidates:
         if profit > best_profit or (profit == best_profit and mask < best_mask):
@@ -839,20 +902,28 @@ def reference_best_bundle(candidates):
 @given(st.lists(st.tuples(st.integers(0, 15),
                           st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 2, 3])))))
 def test_best_bundle_matches_reference_loop(candidates):
+    """The `Fraction` profits as ints over their common denominator pick
+    the same bundle, at the same profit scaled, reading every candidate
+    in order."""
+    den, ints = common_denominator([p for _, p in candidates] or [Fraction(0)])
+    scaled = [(mask, x) for (mask, _), x in zip(candidates, ints)]
     read = []
 
     def lazily():
-        for c in candidates:
+        for c in scaled:
             read.append(c)
             yield c
 
-    assert best_bundle(lazily()) == reference_best_bundle(candidates)
-    assert read == candidates  # every candidate, in order
+    mask, profit = best_bundle(lazily())
+    assert type(profit) is int
+    assert (mask, Fraction(profit, den)) == reference_best_bundle(candidates)
+    assert read == scaled  # every candidate, in order
 
 
 def test_best_bundle_ties_negatives_and_no_candidates():
-    F = Fraction
-    assert best_bundle([]) == (0, F(0))
-    assert best_bundle([(3, F(-1)), (5, F(-1, 2))]) == (0, F(0))  # the empty bundle wins
-    assert best_bundle([(6, F(1)), (3, F(1)), (5, F(1, 2))]) == (3, F(1))  # smallest mask
-    assert best_bundle([(4, F(0)), (2, F(0))]) == (0, F(0))  # ties with the empty bundle
+    assert best_bundle([]) == (0, 0)
+    assert best_bundle([(3, -2), (5, -1)]) == (0, 0)  # the empty bundle wins
+    assert best_bundle([(6, 2), (3, 2), (5, 1)]) == (3, 2)  # smallest mask
+    assert best_bundle([(4, 0), (2, 0)]) == (0, 0)  # ties with the empty bundle
+    assert best_bundle([(0, 0), (1, 0)]) == (0, 0)  # (0, 0) itself offered
+    assert best_bundle([(5, -3), (2, -1), (2, -1)]) == (0, 0)

@@ -140,6 +140,129 @@ def test_min_affine_argmax_matches_brute_force():
         assert v.value(got) - eval_min_affine(ma, got) == max(profits)
 
 
+def reference_min_affine_argmax(ma, oracle):
+    """The `Fraction` optimizer `min_affine_argmax` was before it ranked
+    ints: each answer's profit d_val - price as it arrives, by the
+    `Fraction` best-bundle loop, INF-priced answers skipped."""
+    best_mask, best_profit = 0, F(0)
+    for vec in ma.vectors:
+        d_mask, d_val = oracle(vec)
+        price = eval_min_affine(ma, d_mask)
+        if is_finite(price) and (d_val - price > best_profit
+                                 or (d_val - price == best_profit and d_mask < best_mask)):
+            best_mask, best_profit = d_mask, d_val - price
+    return best_mask
+
+
+def reference_mt_gadget_argmax(m, oracle, price_check):
+    """The `Fraction` gadget optimizer `mt_gadget_argmax` was before it
+    ranked ints: (bundle, profit, price, demand queries)."""
+    d0, v0 = oracle((F(1),) * m)
+    if not (price_check(d0) and size(d0) == m // 2):
+        return d0, v0 - size(d0), F(size(d0)), 2
+    t_mask, queries = d0, 2
+    candidates = [(t_mask, v0 - hidden_bump_price(t_mask, t_mask))]
+    vectors = [tuple(INF if k == j else F(1) for k in range(m))
+               for j in range(m) if t_mask >> j & 1]
+    vectors += [tuple(F(0) if t_mask >> k & 1 else (F(1, 2) if k == j else F(1)) for k in range(m))
+                for j in range(m) if not t_mask >> j & 1]
+    for prices in vectors:
+        d, dv = oracle(prices)
+        queries += 1
+        candidates.append((d, dv - hidden_bump_price(d, t_mask)))
+    best_mask, best_profit = 0, F(0)
+    for mask, profit in candidates:
+        if profit > best_profit or (profit == best_profit and mask < best_mask):
+            best_mask, best_profit = mask, profit
+    return best_mask, best_profit, hidden_bump_price(best_mask, t_mask), queries
+
+
+def logged(answer):
+    """An oracle over `answer` and the list of the vectors it was asked,
+    each as a plain tuple."""
+    asked = []
+
+    def oracle(prices):
+        asked.append(tuple(prices))
+        return answer(prices)
+    return oracle, asked
+
+
+@st.composite
+def min_affine_questions(draw):
+    """An exception-free min-affine menu over halves, thirds and INF
+    entries with a buyer over a grid of thirds or halves."""
+    m = draw(st.integers(1, 4))
+    entry = st.one_of(st.just(INF), st.builds(F, st.integers(0, 6), st.sampled_from([1, 2, 3])))
+    vectors = draw(st.lists(st.tuples(*[entry] * m), min_size=1, max_size=4))
+    offsets = [F(0)] + draw(st.lists(st.builds(F, st.integers(0, 4), st.sampled_from([1, 4])),
+                                     min_size=len(vectors) - 1, max_size=len(vectors) - 1))
+    rng = stream(draw(st.integers(0, 2**32)), "maa-oracle")
+    v = random_monotone_valuation(m, rng, scale=draw(st.sampled_from([F(4), F(2, 3), F(5, 3)])))
+    return MinAffineMenu(m, tuple(vectors), tuple(offsets)), v
+
+
+@settings(max_examples=300, deadline=None)
+@given(min_affine_questions())
+def test_min_affine_argmax_ranks_ints_like_the_fraction_optimizer(question):
+    """The same bundle and the same queries, in order, as the `Fraction`
+    optimizer, on menus whose vectors price items at INF."""
+    ma, v = question
+    oracle, asked = logged(lambda p: demand_query(v, p))
+    ref_oracle, ref_asked = logged(lambda p: demand_query(v, p))
+    assert min_affine_argmax(ma, oracle) == reference_min_affine_argmax(ma, ref_oracle)
+    assert asked == ref_asked == list(ma.vectors)
+
+
+def test_min_affine_argmax_skips_inf_priced_answers_and_keeps_ties():
+    """An answer the menu prices at INF never wins, even at a high value;
+    ties go to the smaller mask, and a zero profit loses to the empty
+    bundle."""
+    ma = MinAffineMenu(2, ((F(1), INF), (F(2), F(0))), (F(0), F(1, 2)))
+    answers = {(F(1), INF): (0b11, F(100)), (F(2), F(0)): (0b10, F(1))}
+    assert eval_min_affine(ma, 0b11) == F(5, 2)  # finite through the second vector
+    assert min_affine_argmax(ma, lambda p: answers[tuple(p)]) == 0b11
+    blocked = MinAffineMenu(2, ((F(1), INF),), (F(0),))
+    assert eval_min_affine(blocked, 0b10) is INF
+    assert min_affine_argmax(blocked, lambda p: (0b10, F(100))) == 0
+    tied = MinAffineMenu(2, ((F(1), F(1)), (F(1), F(1))), (F(0), F(0)))
+    replies = iter([(0b10, F(2)), (0b01, F(2))])
+    assert min_affine_argmax(tied, lambda p: next(replies)) == 0b01
+    assert min_affine_argmax(tied, lambda p: (0b01, F(1))) == 0
+    negative = iter([(0b10, F(1, 2)), (0b01, F(1, 3))])
+    assert min_affine_argmax(tied, lambda p: next(negative)) == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([2, 4, 6]), st.integers(0, 2**32),
+       st.sampled_from([F(4), F(2, 3), F(5, 3), F(1)]), st.booleans())
+def test_mt_gadget_argmax_ranks_ints_like_the_fraction_optimizer(m, seed, scale, bumped):
+    """Bundle, profit, price and query count, and the queries in order, as
+    the `Fraction` optimizer's, for buyers over odd and even denominators;
+    the price check is asked the same bundles.  It answers for a hidden
+    bundle, or (bumped) says every half-size bundle carries the bump, so
+    the three-phase path runs whenever the opening answer is half-size."""
+    rng = stream(seed, "gadget-int")
+    sized = bundles_of_size(m, m // 2)
+    hidden = hidden_problem_valuation(m, sized[rng.randrange(len(sized))])
+    v = random_monotone_valuation(m, rng, scale=scale)
+    runs = []
+    for optimizer in (mt_gadget_argmax, reference_mt_gadget_argmax):
+        oracle, asked = logged(lambda p: demand_query(v, p))
+        checked = []
+
+        def price_check(s):
+            checked.append(s)
+            return size(s) == m // 2 if bumped else hidden.value(s) == F(1, 4)
+
+        got = optimizer(m, oracle, price_check)
+        if optimizer is mt_gadget_argmax:
+            got = (got.bundle, got.profit, got.price, got.demand_queries)
+        runs.append((got, asked, checked))
+    assert runs[0][0] == runs[1][0] and runs[0][1:] == runs[1][1:]
+    assert all(type(x) is F for x in runs[0][0][1:3])
+
+
 def run_gadget(m, t_mask, v):
     hidden = hidden_problem_valuation(m, t_mask)
     return mt_gadget_argmax(m, lambda prices: demand_query(v, prices),

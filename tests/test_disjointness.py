@@ -2,6 +2,7 @@
 recursion."""
 
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -9,11 +10,10 @@ from hypothesis import strategies as st
 
 from taxlab.disjointness import (PromiseError, ZDisjointnessInstance,
                                  announce_cost, bits_to_mask, brute_force_verdict,
-                                 combination_rank, combination_unrank,
-                                 instance_from_json, instance_to_json, lowest_bit,
-                                 mask_to_bits, max_intersection, neighbourhood,
+                                 combination_unrank, instance_from_json, instance_to_json,
+                                 lowest_bit, mask_to_bits, max_intersection, neighbourhood,
                                  run_one_disjointness, solve_one_disjointness,
-                                 solve_z_disjointness)
+                                 solve_z_disjointness, z_product_mask)
 from taxlab.rng import stream
 from taxlab.suites import random_promise_instance
 from taxlab.valuations import DomainError
@@ -23,6 +23,49 @@ def test_bits_mask_roundtrip():
     assert bits_to_mask("0100") == 0b0010
     assert mask_to_bits(0b0010, 4) == "0100"
     assert announce_cost(4) == 3  # a bit index or "none" among five symbols
+
+
+def combination_rank(combo, l, z):
+    """Index of an ascending z-tuple in lexicographic combination order:
+    at position i the tuples that hold a smaller item than c_i after the
+    previous one, sum of C(l - 1 - v, z - i - 1) over prev < v < c_i,
+    which the hockey-stick identity sums to C(l - 1 - prev, z - i) -
+    C(l - c_i, z - i)."""
+    rank = 0
+    prev = -1
+    for i, c in enumerate(combo):
+        rank += comb(l - 1 - prev, z - i) - comb(l - c, z - i)
+        prev = c
+    return rank
+
+
+def reference_z_product_mask(a, l, z):
+    """The per-tuple loop `z_product_mask` ran before its block recursion:
+    one bit per z-tuple of the string's own bits, at the tuple's rank."""
+    bits = [k for k in range(l) if a >> k & 1]
+    out = 0
+    for combo in combinations(bits, z):
+        out |= 1 << combination_rank(combo, l, z)
+    return out
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 16).flatmap(lambda l: st.tuples(
+    st.just(l), st.integers(0, (1 << l) - 1), st.integers(0, 3))))
+def test_z_product_mask_matches_the_per_tuple_loop(question):
+    l, a, z = question
+    assert z_product_mask(a, l, z) == reference_z_product_mask(a, l, z)
+
+
+def test_z_product_mask_edges():
+    """The empty tuple is every string's one 0-tuple; a string with fewer
+    than z bits, or z above l, has no z-tuple; all l bits set every one."""
+    for l in range(1, 9):
+        assert z_product_mask(0, l, 0) == 1 == reference_z_product_mask(0, l, 0)
+        assert z_product_mask((1 << l) - 1, l, l + 1) == 0
+        for z in range(l + 1):
+            assert z_product_mask((1 << l) - 1, l, z) == (1 << comb(l, z)) - 1
+            assert z_product_mask(1, l, z) == int(z <= 1)
 
 
 def test_combination_rank_is_the_lexicographic_index():

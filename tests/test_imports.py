@@ -392,3 +392,56 @@ def test_the_cover_grid_path_stays_in_integers():
         source = (SRC / module).read_text(encoding="utf-8")
         assert set(kernels) <= {name for name, _ in named_functions(source)}, module
         assert fraction_builds(source, kernels) == [], module
+
+
+# `Fraction`-valued helpers: a call builds or adds a `Fraction` per candidate
+FRACTION_HELPERS = ("Fraction", "hidden_bump_price", "eval_min_affine", "bundle_price")
+LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def loop_fraction_work(source: str, names) -> list[str]:
+    """Inside every loop and comprehension of the named functions: calls of
+    a `FRACTION_HELPERS` name (bare or as an attribute) and `.price` or
+    `.table` reads."""
+    found = []
+    for name, fn in named_functions(source):
+        if name not in names:
+            continue
+        for loop in (node for node in ast.walk(fn) if isinstance(node, LOOPS)):
+            for hit in ast.walk(loop):
+                called = (hit.func.id if isinstance(hit.func, ast.Name) else getattr(
+                    hit.func, "attr", None)) if isinstance(hit, ast.Call) else None
+                if called in FRACTION_HELPERS:
+                    found.append(f"line {hit.lineno}: {name} calls {called} in a loop")
+                elif isinstance(hit, ast.Attribute) and hit.attr in ("price", "table"):
+                    found.append(f"line {hit.lineno}: {name} reads .{hit.attr} in a loop")
+    return sorted(set(found))
+
+
+def test_loop_fraction_work_is_found():
+    source = (
+        "def best(cands):\n    return max(p for _, p in cands)\n"
+        "def opt(ma, oracle):\n"
+        "    for vec in ma.vectors:\n"
+        "        d, val = oracle(vec)\n"
+        "        yield d, val - eval_min_affine(ma, d)\n"
+        "    top = Fraction(1)\n"
+        "    return [fractions.Fraction(x, 2) + menu.price[x] for x in range(3)]\n"
+        "def other(xs):\n    return [Fraction(x) for x in xs]\n"
+    )
+    assert loop_fraction_work(source, ("best", "opt")) == [
+        "line 6: opt calls eval_min_affine in a loop", "line 8: opt calls Fraction in a loop",
+        "line 8: opt reads .price in a loop"]
+
+
+def test_profit_ranking_builds_no_fraction():
+    """`best_bundle` ranks ints and builds no `Fraction`; the two demand
+    optimizers rank their candidates in ints, with no `Fraction` built or
+    `Fraction` price read per candidate: the gadget's profit and price
+    are built once, for the winner."""
+    bundles = (SRC / "bundles.py").read_text(encoding="utf-8")
+    assert fraction_builds(bundles, ("best_bundle",)) == []
+    optimizers = ("min_affine_argmax", "mt_gadget_argmax")
+    source = (SRC / "demand_menus.py").read_text(encoding="utf-8")
+    assert set(optimizers) <= {name for name, _ in named_functions(source)}
+    assert loop_fraction_work(source, optimizers) == []

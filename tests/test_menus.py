@@ -12,7 +12,8 @@ from taxlab.menus import (ContractError, Menu, MinAffineMenu, eval_min_affine,
                           in_menu_rebuild, menu, menu_complexity,
                           menu_from_json, menu_to_json, min_affine_from_json, min_affine_table,
                           min_affine_to_json, normalize_menu, profit_argmax_set)
-from taxlab.rational import INF, is_finite, price_key, sum_prices
+from taxlab.queries import bundle_price
+from taxlab.rational import INF, is_finite, price_key
 from taxlab.rng import stream
 from taxlab.valuations import (DomainError, Valuation, random_monotone_valuation, valuation,
                                valuation_from_values)
@@ -177,7 +178,7 @@ def reference_eval_min_affine(ma, s):
         return F(0)
     best = INF
     for vec, r in zip(ma.vectors, ma.offsets):
-        term = sum_prices(vec[j] for j in range(ma.m) if s & bit(j))
+        term = bundle_price(vec, s)
         if is_finite(term):
             term = term + r
             if term < best:

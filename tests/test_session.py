@@ -12,14 +12,15 @@ from hypothesis import strategies as st
 from taxlab import suites
 from taxlab.bundles import all_bundles
 from taxlab.cli import audit_work
+from taxlab.demand_menus import extract_min_affine
 from taxlab.protocol import (MechanismSpec, Session, Transcript, extract_menu,
                              measure_complexities, price_run, run_mechanism)
 from taxlab.rational import is_finite
 from taxlab.transforms import (AuditReport, AuditRow, DeviationStrategy, _Outcomes, _play,
                                _seated, build_tables, deviation_family, deviation_audit, settle,
                                to_dominant_run, truthful_bundle)
-from taxlab.valuations import (DomainError, ValuationCatalog, additive_valuation, valuation,
-                               valuation_from_ints)
+from taxlab.valuations import (DomainError, Valuation, ValuationCatalog, additive_valuation,
+                               valuation, valuation_from_ints)
 
 _sessions: dict[int, Session] = {}
 
@@ -476,3 +477,35 @@ def test_audit_work_bounds_the_grouped_audit_on_the_m6_set(monkeypatch):
         walks, plays = audit_work(session.spec.m, [len(g) for g in session.catalog.players])
         assert 0 < counted["walks"] <= walks and 0 < counted["plays"] <= plays, \
             (entry["id"], counted, walks, plays)
+
+
+def test_m8_menus_probe_rounds_and_min_affine_build_no_fraction_table(monkeypatch):
+    """On every entry of configs/m8.json, extracting every menu, verify-menu
+    rounds of every class on a few base-function draws and the min-affine
+    extraction of each demand-mode menu read valuations only through
+    their integer tables: no `Valuation.table` is built."""
+    built = []
+    table = Valuation.table
+
+    def counting(v):
+        built.append(v)
+        return table.func(v)
+
+    monkeypatch.setattr(Valuation, "table", property(counting))
+    assert additive_valuation([1]).table and len(built) == 1  # the wrapper counts
+    built.clear()
+    config = json.loads((Path(__file__).parents[1] / "configs" / "m8.json").read_text())
+    modes = set()
+    for entry in config["mechanisms"]:
+        session = Session(*suites.bench_instance(entry["id"], entry["params"]))
+        spec = session.spec
+        assert spec.m == 8
+        modes.add(spec.mode)
+        for i in range(spec.n):
+            assert session.menus(i)
+        assert suites.verify_menu_trials(session, 2, seed=0).passed
+        if spec.mode == "demand":
+            for v_minus in session.others(1):
+                extract_min_affine(session, 1, v_minus)
+        assert built == [], entry["id"]
+    assert modes == {"bit", "demand"}

@@ -17,8 +17,8 @@ from taxlab.rng import stream
 from taxlab.valuations import (Valuation, ValuationCatalog, XOSClauses, additive_valuation,
                                clause_max, classify_valuation, random_monotone_valuation,
                                valuation, valuation_from_ints, xos_from_clauses)
-from taxlab.verify import (CLASSES, BaseFunction, VerificationResult, _over, _xos_round,
-                           _xos_rows, base_function, exceeds_somewhere, menu_price_grid,
+from taxlab.verify import (CLASSES, BaseFunction, VerificationResult, _over, _staircase,
+                           _xos_round, _xos_rows, base_function, exceeds_somewhere, menu_price_grid,
                            pairwise_submodular, probe_rounds, random_base_function,
                            submodular_probe, upward_closure, verify_menu, xos_probe)
 from test_core import max_below
@@ -519,6 +519,33 @@ def test_base_function_validates_once_per_construction(monkeypatch):
         seen.clear()
         f = build()
         assert seen == [f] and f.price[0] == 0 and f.levels and len(seen) == 1
+
+
+def reference_staircase(m, level, bound):
+    """The per-mask builder `_staircase` ran before its one comprehension."""
+    k = size(level[0])
+    covered = upward_closure(m, level)
+    ints = []
+    for s in range(1 << m):
+        n = size(s)
+        if n < k:
+            ints.append(n << (m + 1))
+        elif covered[s]:
+            ints.append(k << (m + 1))
+        else:
+            ints.append(((k << n) - 1) << (m + 1 - n))
+    return bound.denominator, tuple([x * bound.numerator for x in ints])
+
+
+def test_staircase_matches_the_per_mask_builder():
+    rng = stream(7, "staircase")
+    for m in range(1, 9):
+        for _ in range(15):
+            k = rng.randrange(1, m + 1)
+            sized = bundles_of_size(m, k)
+            level = tuple(s for s in sized if rng.random() < 0.4) or sized[-1:]
+            bound = Fraction(rng.randrange(1, 9), rng.randrange(1, 4))
+            assert _staircase(m, level, bound) == reference_staircase(m, level, bound)
 
 
 def test_upward_closure_matches_member_scan():
