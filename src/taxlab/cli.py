@@ -31,7 +31,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import prod
 from pathlib import Path
@@ -268,13 +268,7 @@ def reconstruct_comm_suite(cfg: Config, sessions: list[Session]):
             "price_bits": rec.price_bits,
             "disjointness_bits": rec.disjointness_bits,
             "bookkeeping_bits": rec.bookkeeping_bits,
-            "steps": [
-                {"branch": st.branch, "bundle": st.bundle,
-                 "live_before": st.live_before,
-                 "live_after": st.live_after,
-                 "bands": st.bands}
-                for st in rec.steps
-            ],
+            "steps": [asdict(st) for st in rec.steps],
         } for i, n_menus, rec in done]
         traces.append({"mechanism": session.spec.mech_id,
                        "result": check.render(),

@@ -19,7 +19,7 @@ sampled witness count obeys the representation bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from math import comb, log2
 from typing import Optional, Sequence
@@ -67,6 +67,13 @@ def most_frequent_prices(live: Sequence[Menu], m: int) -> list[Price]:
     return table
 
 
+def split_bundle(live: Sequence[Menu], p_table: Sequence[Price]) -> Optional[int]:
+    """The first bundle on which no price has a live majority: fewer than
+    half the live menus price s at p_table[s], its most frequent price."""
+    return next((s for s, p in enumerate(p_table)
+                 if 2 * sum(menu.price[s] == p for menu in live) < len(live)), None)
+
+
 def within_log_budget(count: int, universe: int, factor: int) -> bool:
     """count <= factor * log2(universe), compared exactly."""
     if universe <= 1:
@@ -84,17 +91,14 @@ def representation_set(zprime: Sequence[Menu], zband: Sequence[Menu], z: int,
     m = zprime[0].m
     size_zp = len(zprime)
     rate = min(1.0, 4 * log2(max(2, size_zp)) / max(1, z))
+    band_witnesses = [witness_bundles(menu, p_table) for menu in zband]
+    witnesses = [witness_bundles(menu, p_table) for menu in zprime]
     for attempt in range(SAMPLE_ATTEMPTS):
         rng = stream(seed, "representation", attempt)
         sample = {s for s in all_bundles(m) if rng.random() < rate}
-        ok = all(any(s in sample for s in witness_bundles(menu, p_table)) for menu in zband)
-        if ok:
-            for menu in zprime:
-                hits = sum(1 for s in witness_bundles(menu, p_table) if s in sample)
-                if not within_log_budget(hits, size_zp, 8):
-                    ok = False
-                    break
-        if ok:
+        if (all(any(s in sample for s in w) for w in band_witnesses)
+                and all(within_log_budget(sum(s in sample for s in w), size_zp, 8)
+                        for w in witnesses)):
             return sample
     raise SamplingFailure(f"no representing bundle set after {SAMPLE_ATTEMPTS} attempts")
 
@@ -156,16 +160,26 @@ def build_disjointness_instance(session: Session, i: int,
     return ProofInstance(inst, tuple(blocks), tuple(bit_bundle), tuple(strings))
 
 
-@dataclass
+def consistent_rectangle(session: Session, i: int, cand: Sequence[Sequence[Valuation]],
+                         s: int, tid: tuple) -> list[list[Valuation]]:
+    """Each party's candidates, in order, that sit in some profile of the
+    candidate rectangle whose price-protocol run for s (player i) has the
+    transcript tid: one pass over the rectangle."""
+    seen: list[set] = [set() for _ in cand]
+    for combo in product(*cand):
+        if session.price_run(i, combo, s).transcript_id() == tid:
+            for party, w in enumerate(combo):
+                seen[party].add(w.scaled_table)
+    return [[w for w in group if w.scaled_table in keep] for group, keep in zip(cand, seen)]
+
+
+@dataclass(frozen=True)
 class StepRecord:
     branch: str
     bundle: Optional[int]
     live_before: int
     live_after: int
-    price_bits: int
-    disjointness_bits: int
-    bookkeeping_bits: int
-    bands: list[int] = field(default_factory=list)
+    bands: list[int]
 
 
 @dataclass(frozen=True)
@@ -201,46 +215,19 @@ def reconstruct_menu_comm(session: Session, i: int, v_minus_i: Sequence[Valuatio
 
     price_bits = 0
     dis_bits = 0
-    bookkeeping = 0
     steps: list[StepRecord] = []
     proofs: list[ProofInstance] = []
     step_budget = log2_ceil(len(live)) + 1
     step_tag_bits = log2_ceil(m + 2)
 
-    def check_price(s: int) -> Price:
-        """Run the price protocol on the actual profile; its transcript
-        shrinks every party's candidate set to the consistent rectangle."""
-        nonlocal price_bits
-        run = session.price_run(i, actual, s)
-        tid = run.transcript_id()
-        price_bits += run.bits
-        for party in range(len(cand)):
-            cand[party] = [
-                w for w in cand[party]
-                if any(session.price_run(i, combo, s).transcript_id() == tid
-                       for combo in product(*cand[:party], (w,), *cand[party + 1:]))
-            ]
-        if not all(any(w.scaled_table == actual[p].scaled_table for w in cand[p])
-                   for p in range(len(cand))):
-            raise SoundnessError("the actual profile fell out of its own rectangle")
-        return run.price
-
     for _step in range(step_budget):
         if len(live) <= 1:
             break
-        bookkeeping += step_tag_bits
         before = len(live)
         p_table = most_frequent_prices(live, m)
-        rec = StepRecord("", None, before, before, 0, 0, step_tag_bits)
+        bands: list[int] = []
 
-        branch, bundle = "direct", None
-        for s in all_bundles(m):
-            prices_here = [menu.price[s] for menu in live]
-            top = max(prices_here.count(p) for p in set(prices_here))
-            if 2 * top < before:
-                bundle = s
-                break
-
+        branch, bundle = "direct", split_bundle(live, p_table)
         if bundle is None:
             branch = "disjointness"
             zprime = list(live)
@@ -250,7 +237,7 @@ def reconstruct_menu_comm(session: Session, i: int, v_minus_i: Sequence[Valuatio
                 band = [menu for menu in zprime
                         if 2 * wcount[menu] >= t and wcount[menu] <= t]
                 if band:
-                    rec.bands.append(t)
+                    bands.append(t)
                     sample = representation_set(zprime, band, t, p_table, seed)
                     proof = build_disjointness_instance(
                         session, i, cand, sample, p_table, len(zprime), actual
@@ -258,7 +245,6 @@ def reconstruct_menu_comm(session: Session, i: int, v_minus_i: Sequence[Valuatio
                     proofs.append(proof)
                     verdict, kept_strings = solve_z_with_consistency(proof.instance)
                     dis_bits += verdict.bits
-                    rec.disjointness_bits += verdict.bits
                     for party in range(len(cand)):
                         keep = set(kept_strings[party])
                         cand[party] = [
@@ -272,28 +258,32 @@ def reconstruct_menu_comm(session: Session, i: int, v_minus_i: Sequence[Valuatio
                 t //= 2
 
         if bundle is not None:
-            spent = price_bits
-            answer = check_price(bundle)
-            live = [menu for menu in live if menu.price[bundle] == answer]
-            rec.branch, rec.bundle = branch, bundle
-            rec.price_bits = price_bits - spent
+            # the price protocol on the actual profile: its transcript
+            # shrinks every party's candidates to the consistent rectangle
+            run = session.price_run(i, actual, bundle)
+            price_bits += run.bits
+            cand = consistent_rectangle(session, i, cand, bundle, run.transcript_id())
+            if not all(any(w.scaled_table == actual[p].scaled_table for w in cand[p])
+                       for p in range(len(cand))):
+                raise SoundnessError("the actual profile fell out of its own rectangle")
+            live = [menu for menu in live if menu.price[bundle] == run.price]
         else:
             # no witness anywhere: the true menu is the majority table
             target = tuple(p_table)
             live = [menu for menu in live if menu.price == target]
-            rec.branch = "majority"
+            branch = "majority"
 
-        rec.live_after = len(live)
-        steps.append(rec)
+        steps.append(StepRecord(branch, bundle, before, len(live), bands))
         if not live:
             raise SoundnessError("the live set emptied; the true menu was lost")
-        if rec.branch != "majority" and not 2 * len(live) <= before:
+        if branch != "majority" and not 2 * len(live) <= before:
             raise SoundnessError("a completed shrinkage step failed to halve the live set")
 
     if len(live) != 1:
         raise SoundnessError("reconstruction did not isolate a single menu")
     if live[0].price != truth.price:
         raise SoundnessError("reconstructed menu differs from the ground truth")
+    bookkeeping = step_tag_bits * len(steps)  # one step tag per step
     total = price_bits + dis_bits + bookkeeping
     return CommReconstruction(
         menu=live[0],

@@ -86,19 +86,26 @@ def extract_min_affine(session: Session, i: int,
     return ma, res
 
 
+def best_answer(answers: Sequence[tuple[int, Fraction]], d: int,
+                prices: Sequence[Optional[int]] | dict[int, int]) -> tuple[int, int, int]:
+    """(mask, profit, den) of the (mask, value) answer of largest profit
+    value - prices[mask] / d, as `best_bundle` ranks, skipping answers
+    priced None (INF); profits are ints over den = lcm(d, value dens)."""
+    den = lcm(d, *[value.denominator for _, value in answers])
+    up = den // d
+    mask, profit = best_bundle((mask, value.numerator * (den // value.denominator)
+                                - prices[mask] * up)
+                               for mask, value in answers if prices[mask] is not None)
+    return mask, profit, den
+
+
 def min_affine_argmax(ma: MinAffineMenu, oracle: Callable[[Sequence[Price]], tuple[int, Fraction]]) -> int:
     """Profit-maximizing bundle against an exception-free min-affine menu:
-    one demand query per vector, in order, answered with (bundle, value);
-    profits as ints over the lcm of the menu's and the values'
-    denominators, INF-priced answers skipped."""
+    one demand query per vector, in order, answered with (bundle, value),
+    and the `best_answer` against the menu's integer prices."""
     if ma.beta != 0:
         raise DomainError("the few-query optimizer needs an exception-free menu")
-    answers = [oracle(vec) for vec in ma.vectors]
-    d, prices = ma.affine_ints
-    den = lcm(d, *[value.denominator for _, value in answers])
-    return best_bundle((mask, value.numerator * (den // value.denominator)
-                        - prices[mask] * (den // d))
-                       for mask, value in answers if prices[mask] is not None)[0]
+    return best_answer([oracle(vec) for vec in ma.vectors], *ma.affine_ints)[0]
 
 
 @dataclass(frozen=True)
@@ -143,8 +150,8 @@ def mt_gadget_argmax(m: int, oracle: Callable[[Sequence[Price]], tuple[int, Frac
 
     Phase 1 queries uniform unit prices; if the answer is off the bump it
     is already optimal.  Otherwise the `gadget_vectors` cover the off-bump
-    and strict-superset candidates, ranked by profit over the lcm of 2
-    and the values' denominators (price over 2: 2|s| + [s = t_mask]).
+    and strict-superset candidates, and `best_answer` ranks them at prices
+    over 2 of 2|s| + [s = t_mask].
     price_check tells whether a bundle carries the bump, at one demand
     query; it is asked once per run, about the phase-1 answer."""
     if m % 2:
@@ -156,11 +163,8 @@ def mt_gadget_argmax(m: int, oracle: Callable[[Sequence[Price]], tuple[int, Frac
 
     t_mask = d0
     answers = [(t_mask, v0)] + [oracle(vec) for vec in gadget_vectors(m, t_mask)]
-    den = lcm(2, *[value.denominator for _, value in answers])
-    best_mask, best_profit = best_bundle(
-        (mask, value.numerator * (den // value.denominator)
-         - (2 * size(mask) + (mask == t_mask)) * (den // 2))
-        for mask, value in answers)
+    best_mask, best_profit, den = best_answer(
+        answers, 2, {mask: 2 * size(mask) + (mask == t_mask) for mask, _ in answers})
     return GadgetResult(best_mask, Fraction(best_profit, den),
                         hidden_bump_price(best_mask, t_mask), 1 + len(answers))
 

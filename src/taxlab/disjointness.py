@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Optional, Sequence
 
-from .valuations import DomainError, json_int
+from .valuations import DomainError, json_int, json_typed
 
 
 class PromiseError(RuntimeError):
@@ -29,6 +29,8 @@ def popcount(x: int) -> int:
 
 def bits_to_mask(bits: str) -> int:
     """Bit k of the string (leftmost = bit 0) becomes bit k of the mask."""
+    if not isinstance(bits, str):
+        raise DomainError(f"a bit string must be a JSON string, got {bits!r}")
     mask = 0
     for k, ch in enumerate(bits):
         if ch == "1":
@@ -128,7 +130,6 @@ def small_candidate(strings: Sequence[int], own: int, live: int, r_s: int, n: in
 class OneDisjointnessRun:
     verdict: Verdict
     consistent: tuple[tuple[int, ...], ...]  # allowed strings per player matching the transcript
-    rounds: int
     live_sizes: tuple[int, ...] = ()  # live-window size entering each round
 
 
@@ -137,7 +138,6 @@ def run_one_disjointness(n: int, l: int, allowed: Sequence[Sequence[int]],
     """The 1-promise protocol with per-round consistency tracking."""
     live = (1 << l) - 1
     bits = 0
-    rounds = 0
     live_sizes: list[int] = []
     consistent = [list(strings) for strings in allowed]
 
@@ -145,7 +145,7 @@ def run_one_disjointness(n: int, l: int, allowed: Sequence[Sequence[int]],
         bits = announce_cost(l)
         hit = lowest_bit(inputs[0])
         consistent[0] = [a for a in consistent[0] if lowest_bit(a) == hit]
-        return OneDisjointnessRun(Verdict(hit, bits), tuple(map(tuple, consistent)), 1)
+        return OneDisjointnessRun(Verdict(hit, bits), tuple(map(tuple, consistent)))
 
     while True:
         r_s = popcount(live)
@@ -163,9 +163,8 @@ def run_one_disjointness(n: int, l: int, allowed: Sequence[Sequence[int]],
                 raise PromiseError("two intersecting bits observed in one window")
             hit = lowest_bit(common)
             return OneDisjointnessRun(Verdict(hit, bits), tuple(map(tuple, consistent)),
-                                      rounds, tuple(live_sizes))
+                                      tuple(live_sizes))
 
-        rounds += 1
         live_sizes.append(r_s)
         bits += n * announce_cost(l)
         announced = [
@@ -179,7 +178,7 @@ def run_one_disjointness(n: int, l: int, allowed: Sequence[Sequence[int]],
         speaker = next((i for i in range(n) if announced[i] is not None), None)
         if speaker is None:
             return OneDisjointnessRun(Verdict(None, bits), tuple(map(tuple, consistent)),
-                                      rounds, tuple(live_sizes))
+                                      tuple(live_sizes))
         live = neighbourhood(allowed[speaker], announced[speaker], live)
 
 
@@ -286,7 +285,8 @@ def instance_from_json(doc: dict) -> ZDisjointnessInstance:
     return ZDisjointnessInstance(
         n=json_int(doc, "n", "player count n"),
         l=l,
-        allowed=tuple(tuple(bits_to_mask(s) for s in strings) for strings in doc["allowed"]),
-        inputs=tuple(bits_to_mask(s) for s in doc["inputs"]),
+        allowed=tuple(tuple(bits_to_mask(s) for s in json_typed(strings, list, "allowed group"))
+                      for strings in json_typed(doc["allowed"], list, "allowed")),
+        inputs=tuple(bits_to_mask(s) for s in json_typed(doc["inputs"], list, "inputs")),
         z=json_int(doc, "z", "promise z"),
     )

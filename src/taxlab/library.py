@@ -38,12 +38,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 from typing import Callable, Optional
 
 from .bundles import (MAX_ITEMS, all_bundles, best_bundle, bit, bundles_of_size, grand, size,
                       subset_sums)
-from .demand_menus import (HALF, ONE, QUARTER, SIZES, ZERO, hidden_bump_price,
+from .demand_menus import (HALF, ONE, QUARTER, SIZES, ZERO, best_answer, hidden_bump_price,
                            hidden_problem_valuation, min_affine_argmax, mt_gadget_argmax)
 from .menus import MinAffineMenu, eval_min_affine, in_menu_rebuild
 from .protocol import MechanismSpec, PriceRun
@@ -121,7 +120,6 @@ def warmup_tightness(c: int, m: int = 2) -> MechanismSpec:
         bound=bound,
         mode="bit",
         program=program,
-        grid_bits=max(1, c),
         price_protocol=buyer_only(1, price_protocol),
         tie_cost_fn=lambda profile: 1,
     )
@@ -148,21 +146,18 @@ def value_tightness(m: int, c: Optional[int] = None, bundles=None) -> MechanismS
         raise DomainError("value_tightness needs c <= m, or bundles within m items")
     bound = Fraction(max(size(s) for s in bundle_list)) + HALF
 
-    # menu t's price of each listed bundle over 2: 2|s|, plus 1 on the t-th
-    twice = [{s: 2 * size(s) + (j == t - 1) for j, s in enumerate(bundle_list)}
+    # menu t prices each listed bundle at |s|, plus a half on the t-th; a
+    # listed superset costs at least a unit more, so that is its menu price
+    menus = [in_menu_rebuild(m, {0: ZERO, **{s: Fraction(2 * size(s) + (j == t - 1), 2)
+                                             for j, s in enumerate(bundle_list)}})
              for t in range(1, c + 1)]
-    prices = [{s: Fraction(x, 2) for s, x in doubled.items()} for doubled in twice]
-    menus = [in_menu_rebuild(m, {0: ZERO, **menu}) for menu in prices]
 
     def program(profile, rec):
         t = round_to_range(*rec.value_query(0, ITEM_A).as_integer_ratio(), 1, c)
-        values = [rec.value_query(1, s) for s in bundle_list]
-        den = lcm(2, *[x.denominator for x in values])
-        best_mask, _ = best_bundle(
-            (s, x.numerator * (den // x.denominator) - twice[t - 1][s] * (den // 2))
-            for s, x in zip(bundle_list, values))
-        pay = prices[t - 1][best_mask] if best_mask else ZERO
-        return (0, best_mask), (ZERO, pay)
+        answers = [(s, rec.value_query(1, s)) for s in bundle_list]
+        d, ints, _ = menus[t - 1].scaled
+        best_mask = best_answer(answers, d, ints)[0]
+        return (0, best_mask), (ZERO, menus[t - 1].price[best_mask])
 
     def price_protocol(spec, i, v_minus_i, s):
         t = rounded_value(v_minus_i[0], ITEM_A, 1, c)
@@ -175,7 +170,6 @@ def value_tightness(m: int, c: Optional[int] = None, bundles=None) -> MechanismS
         bound=bound,
         mode="value",
         program=program,
-        grid_bits=6,
         price_protocol=buyer_only(1, price_protocol),
         tie_cost_fn=lambda profile: m,
     )
@@ -233,7 +227,6 @@ def demand_tightness(m: int, alpha: int, count: int) -> MechanismSpec:
         bound=bound,
         mode="demand",
         program=program,
-        grid_bits=6,
         price_protocol=buyer_only(1, price_protocol),
         tie_cost_fn=lambda profile: m,
     )
@@ -288,7 +281,6 @@ def mt_gadget(m: int) -> MechanismSpec:
         bound=bound,
         mode="demand",
         program=program,
-        grid_bits=6,
         price_protocol=buyer_only(1, price_protocol),
         tie_cost_fn=lambda profile: m,
     )
@@ -384,7 +376,6 @@ def drop_tie(m: int) -> MechanismSpec:
         bound=Fraction(1),
         mode="bit",
         program=program,
-        grid_bits=2,
         price_protocol=buyer_only(1, price_protocol),
         tie_cost_fn=tie_cost,
     )
@@ -428,7 +419,6 @@ def drop_tax(m: int) -> MechanismSpec:
         bound=Fraction(1),
         mode="bit",
         program=program,
-        grid_bits=2,
         price_protocol=buyer_only(1, price_protocol),
         tie_cost_fn=lambda profile: m,
     )
@@ -477,7 +467,6 @@ def drop_price(m: int) -> MechanismSpec:
         bound=Fraction(2),
         mode="bit",
         program=program,
-        grid_bits=2,
         price_protocol=buyer_only(2, price_protocol),
         tie_cost_fn=lambda profile: 0,
     )
@@ -550,7 +539,6 @@ def posted_prices(prices, n: int = 2) -> MechanismSpec:
         bound=bound if bound > 0 else Fraction(1),
         mode="demand",
         program=program,
-        grid_bits=6,
         price_protocol=price_protocol,
     )
 

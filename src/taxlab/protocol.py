@@ -3,9 +3,10 @@
 A mechanism is a program over a valuation profile that sends bits, makes
 value/demand queries, and returns a disjoint allocation plus payments.
 Every run is recorded: the transcript carries each atomic send with its
-bit cost (transmitted numbers cost ceil(log2 grid) bits; in query modes
-the answers are the communication and are charged the same way), and the
-query log counts oracle calls per player.
+bit cost (a number from an alphabet of k symbols costs ceil(log2 k) bits;
+in query modes the answers are the communication, charged ANSWER_BITS
+each, plus m for a demand answer's bundle), and the query log traces
+every oracle call; its per-player counts count that trace.
 
 extract_menu is the ground-truth menu oracle: it prices each bundle by
 running the mechanism against an additive probe worth 3B on the bundle's
@@ -40,8 +41,11 @@ class TaxationViolation(RuntimeError):
     """Extracted prices contradict the taxation principle."""
 
 
-def bits_for(alphabet: int) -> int:
-    return max(0, (alphabet - 1).bit_length())
+ANSWER_BITS = 6  # the charge for one queried number on the answer grid
+
+
+def log2_ceil(count: int) -> int:
+    return (count - 1).bit_length() if count > 0 else 0
 
 
 @dataclass(frozen=True)
@@ -63,31 +67,22 @@ class Transcript:
 @dataclass
 class QueryLog:
     n: int
-    value_counts: list[int] = field(default_factory=list)
-    demand_counts: list[int] = field(default_factory=list)
-    trace: list[tuple] = field(default_factory=list)
-
-    def __post_init__(self):
-        if not self.value_counts:
-            self.value_counts = [0] * self.n
-        if not self.demand_counts:
-            self.demand_counts = [0] * self.n
+    trace: list[tuple] = field(default_factory=list)  # (kind, player, args, answer)
 
     @property
-    def total_value(self) -> int:
-        return sum(self.value_counts)
+    def value_counts(self) -> list[int]:
+        return [sum(t[:2] == ("val", i) for t in self.trace) for i in range(self.n)]
 
     @property
-    def total_demand(self) -> int:
-        return sum(self.demand_counts)
+    def demand_counts(self) -> list[int]:
+        return [sum(t[:2] == ("dem", i) for t in self.trace) for i in range(self.n)]
 
 
 class Recorder:
     """Execution context handed to mechanism programs."""
 
-    def __init__(self, profile: Sequence[Valuation], grid_bits: int):
+    def __init__(self, profile: Sequence[Valuation]):
         self.profile = tuple(profile)
-        self.grid_bits = grid_bits
         self._tokens: list[tuple] = []
         self.qlog = QueryLog(len(self.profile))
 
@@ -95,21 +90,19 @@ class Recorder:
         self._tokens.append((player, "bit", int(b), 1))
 
     def send_number(self, player: int, value, alphabet: int) -> None:
-        self._tokens.append((player, "num", value, bits_for(alphabet)))
+        self._tokens.append((player, "num", value, log2_ceil(alphabet)))
 
     def value_query(self, player: int, s: int) -> Fraction:
         ans = value_query(self.profile[player], s)
-        self.qlog.value_counts[player] += 1
         self.qlog.trace.append(("val", player, s, ans))
-        self._tokens.append((player, "vans", (s, ans), self.grid_bits))
+        self._tokens.append((player, "vans", (s, ans), ANSWER_BITS))
         return ans
 
     def demand_query(self, player: int, prices: Sequence[Price]) -> tuple[int, Fraction]:
         mask, val = demand_query(self.profile[player], prices)
-        self.qlog.demand_counts[player] += 1
         self.qlog.trace.append(("dem", player, tuple(prices), (mask, val)))
         m = self.profile[player].m
-        self._tokens.append((player, "dans", (mask, val), m + self.grid_bits))
+        self._tokens.append((player, "dans", (mask, val), m + ANSWER_BITS))
         return mask, val
 
     def transcript(self) -> Transcript:
@@ -126,7 +119,7 @@ class PriceRun:
 
     @property
     def bits(self) -> int:
-        return sum(bits_for(t[2]) for t in self.tokens)
+        return sum(log2_ceil(t[2]) for t in self.tokens)
 
     def transcript_id(self) -> tuple:
         return tuple((t[0], t[1]) for t in self.tokens)
@@ -143,7 +136,6 @@ class MechanismSpec:
     bound: Fraction  # B: declared maximum finite menu price
     mode: str  # "bit" | "value" | "demand"
     program: Program
-    grid_bits: int = 6
     price_protocol: Optional[Callable[["MechanismSpec", int, Sequence[Valuation], int], PriceRun]] = None
     tie_cost_fn: Optional[Callable[[Sequence[Valuation]], int]] = None
 
@@ -166,7 +158,7 @@ def run_mechanism(spec: MechanismSpec, profile: Sequence[Valuation]) -> RunResul
         raise DomainError(f"{spec.mech_id} expects {spec.n} players")
     if any(v.m != spec.m for v in profile):
         raise DomainError(f"{spec.mech_id} expects m={spec.m}")
-    rec = Recorder(profile, spec.grid_bits)
+    rec = Recorder(profile)
     allocation, payments = spec.program(profile, rec)
     taken = 0
     for mask in allocation:
@@ -252,10 +244,6 @@ class ComplexityReport:
 
     def row(self) -> dict:
         return {name: getattr(self, name) for name in REPORT_FIELDS}
-
-
-def log2_ceil(count: int) -> int:
-    return (count - 1).bit_length() if count > 0 else 0
 
 
 class Session:
@@ -354,8 +342,8 @@ def measure_complexities(spec: MechanismSpec, catalog: ValuationCatalog,
     for profile in catalog.profiles():
         res = run_mechanism(spec, profile)  # each profile runs once here
         cc = max(cc, res.transcript.bits)
-        val = max(val, res.qlog.total_value)
-        dem = max(dem, res.qlog.total_demand)
+        val = max(val, sum(res.qlog.value_counts))
+        dem = max(dem, sum(res.qlog.demand_counts))
         tie_bits = max(tie_bits, spec.tie_cost(profile))
         for i in range(spec.n):
             menu = session.menu(i, profile[:i] + profile[i + 1:])

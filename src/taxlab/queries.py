@@ -82,17 +82,12 @@ def demand_ints(vs: Sequence[Valuation], den: int,
     return out
 
 
-def demand_bundles(vs: Sequence[Valuation], prices: Sequence[Price]) -> list[int]:
-    """`demand_ints` on a `Fraction`/INF price vector, converted once, or
-    on a `PriceVector`'s stored form."""
-    return demand_ints(vs, *(prices.scaled if isinstance(prices, PriceVector)
-                             else price_ints(prices)))
-
-
 def demand_query(v: Valuation, prices: Sequence[Price]) -> tuple[int, Fraction]:
-    """`demand_bundles` for one valuation: the bundle and its value, read
-    from the stored ints."""
-    best = demand_bundles((v,), prices)[0]
+    """`demand_ints` for one valuation on a `Fraction`/INF price vector,
+    converted once, or on a `PriceVector`'s stored form: the bundle and its
+    value, read from the stored ints."""
+    best = demand_ints((v,), *(prices.scaled if isinstance(prices, PriceVector)
+                               else price_ints(prices)))[0]
     d, ints = v.scaled_table
     return best, Fraction(ints[best], d)
 

@@ -11,8 +11,9 @@ from math import log2
 from typing import Sequence
 
 from .bundles import all_bundles, bit, bundles_of_size
-from .comm_reconstruct import (CommReconstruction, ProofInstance, build_disjointness_instance,
-                               menu_catalog, most_frequent_prices, reconstruct_menu_comm)
+from .comm_reconstruct import (CommReconstruction, ConstructionError, ProofInstance,
+                               build_disjointness_instance, menu_catalog, most_frequent_prices,
+                               reconstruct_menu_comm)
 from .demand_menus import (QUARTER, brute_cover, demand_cover, extract_min_affine,
                            hidden_bump_profits, hidden_problem_valuation, mt_gadget_argmax)
 from .disjointness import (ZDisjointnessInstance, brute_force_verdict,
@@ -398,7 +399,7 @@ def block_bound_check(session: Session, seed: int) -> CheckLine:
             proof = build_disjointness_instance(
                 session, i, cand, sample, p_table, len(pre), actual
             )
-        except Exception:
+        except ConstructionError:
             continue
         built += 1
         bad += len(blocks_with_two_intersecting_bits(proof))

@@ -176,7 +176,6 @@ def settle(tables: TwoPlayerTables, menu_idx, bundles, inner: Optional[RunResult
 @dataclass(frozen=True)
 class DominantRun:
     outcome: WrapperOutcome
-    menu_idx: tuple[int, int]
     bundles: tuple[int, int]
 
 
@@ -197,7 +196,7 @@ def to_dominant_run(tables: TwoPlayerTables, profile, strategies) -> DominantRun
         bits_theorem=announce_bits + spec.tie_cost(profile),
         inconsistent=culprit,
     )
-    return DominantRun(outcome, menu_idx, bundles)
+    return DominantRun(outcome, bundles)
 
 
 def deviation_family(tables: TwoPlayerTables, i: int) -> list[DeviationStrategy]:

@@ -1,16 +1,22 @@
 """Shrinkage-step menu reconstruction over the price protocol."""
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import comb
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from taxlab.bundles import all_bundles, bit
 import taxlab.comm_reconstruct as comm_reconstruct
 from taxlab import suites
 from taxlab.comm_reconstruct import (PRODUCT_CAP, ConstructionError, ProofInstance,
-                                     build_disjointness_instance, menu_catalog,
-                                     most_frequent_prices, reconstruct_menu_comm,
-                                     representation_set, witness_bundles, within_log_budget)
+                                     build_disjointness_instance, consistent_rectangle,
+                                     menu_catalog, most_frequent_prices, reconstruct_menu_comm,
+                                     representation_set, split_bundle, witness_bundles,
+                                     within_log_budget)
 from taxlab.disjointness import ZDisjointnessInstance, max_intersection, solve_z_disjointness
 from taxlab.library import default_catalog, make_example, warmup_catalog
 from taxlab.menus import menu
@@ -289,3 +295,96 @@ def test_one_pass_instances_match_the_reference_scan(monkeypatch):
         assert line.passed, line.render()
     # six of the nine entries take at least one disjointness step
     assert len(set(compared)) == 6, sorted(set(compared))
+
+
+@lru_cache(maxsize=None)
+def bench_session(k):
+    """One shared Session per `STANDARD_BENCH` entry: its memos only grow."""
+    return Session(*suites.bench_instance(*suites.STANDARD_BENCH[k]))
+
+
+def reference_rectangle(session, i, cand, s, tid):
+    """The rectangle filter as a per-party loop: party by party, keep each
+    candidate that some choice of the others' current candidates turns
+    into a price run for s with transcript tid."""
+    cand = [list(group) for group in cand]
+    for party in range(len(cand)):
+        cand[party] = [
+            w for w in cand[party]
+            if any(session.price_run(i, combo, s).transcript_id() == tid
+                   for combo in product(*cand[:party], (w,), *cand[party + 1:]))
+        ]
+    return cand
+
+
+def reference_split_bundle(live, m):
+    """The direct-branch search with every price recounted by `list.count`."""
+    for s in all_bundles(m):
+        prices_here = [menu.price[s] for menu in live]
+        top = max(prices_here.count(p) for p in set(prices_here))
+        if 2 * top < len(live):
+            return s
+    return None
+
+
+def subsequence(draw, items):
+    """A nonempty subsequence of items, order kept."""
+    keep = draw(st.lists(st.booleans(), min_size=len(items), max_size=len(items))
+                .filter(any))
+    return [x for x, k in zip(items, keep) if k]
+
+
+@st.composite
+def rectangle_questions(draw):
+    session = bench_session(draw(st.integers(0, len(suites.STANDARD_BENCH) - 1)))
+    i = draw(st.integers(0, session.spec.n - 1))
+    players = session.catalog.players
+    cand = [subsequence(draw, group) for group in players[:i] + players[i + 1:]]
+    s = draw(st.sampled_from(all_bundles(session.spec.m)))
+    if draw(st.booleans()):  # the transcript of a profile in the rectangle
+        combo = tuple(draw(st.sampled_from(group)) for group in cand)
+    else:  # any catalog profile's, possibly matching nothing here
+        combo = tuple(draw(st.sampled_from(group)) for group in players[:i] + players[i + 1:])
+    return session, i, cand, s, session.price_run(i, combo, s).transcript_id()
+
+
+@settings(max_examples=300, deadline=None)
+@given(rectangle_questions())
+def test_one_pass_rectangle_matches_the_per_party_loop(question):
+    session, i, cand, s, tid = question
+    assert consistent_rectangle(session, i, cand, s, tid) == \
+        reference_rectangle(session, i, cand, s, tid)
+
+
+@st.composite
+def live_sets(draw):
+    session = bench_session(draw(st.integers(0, len(suites.STANDARD_BENCH) - 1)))
+    i = draw(st.integers(0, session.spec.n - 1))
+    return session.spec.m, subsequence(draw, session.menus(i))
+
+
+@settings(max_examples=300, deadline=None)
+@given(live_sets())
+def test_split_bundle_matches_the_recounting_search(question):
+    m, live = question
+    assert split_bundle(live, most_frequent_prices(live, m)) == reference_split_bundle(live, m)
+
+
+def test_block_bound_check_skips_only_refused_constructions(monkeypatch):
+    """A `ConstructionError` leaves an instance unchecked; any other error
+    in the builder is a crash and propagates."""
+    session = Session(*suites.bench_instance("drop_tax", {"m": 4}))
+    assert suites.block_bound_check(session, 0).render().endswith("[1 instances checked]")
+
+    def refuse(*args):
+        raise ConstructionError("outgrew desk scale")
+
+    def crash(*args):
+        raise ValueError("planted")
+
+    monkeypatch.setattr(suites, "build_disjointness_instance", refuse)
+    line = suites.block_bound_check(session, 0)
+    assert line.passed and line.render().endswith("[0 instances checked]")
+    monkeypatch.setattr(suites, "build_disjointness_instance", crash)
+    with pytest.raises(ValueError, match="planted"):
+        suites.block_bound_check(session, 0)

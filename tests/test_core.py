@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from taxlab.bundles import (all_bundles, best_bundle, bit, bundles_of_size, is_monotone,
                             monotone_closure, monotone_layout, size, subset_sums, subsets,
                             superset_min, supersets)
-from taxlab.queries import (bundle_price, demand_bundles, demand_ints, demand_query,
+from taxlab.queries import (bundle_price, demand_ints, demand_query,
                             optimal_welfare, price_ints, value_query)
 from taxlab.rational import INF, Infinite, common_denominator, format_price, is_finite, parse_price
 from taxlab.rng import stream
@@ -254,12 +254,13 @@ def batched_demand_questions(draw):
 @given(batched_demand_questions())
 def test_demand_bundles_match_the_fraction_reference(question):
     vs, prices = question
-    assert demand_bundles(vs, prices) == [reference_demand_query(v, prices)[0] for v in vs]
+    assert demand_ints(vs, *price_ints(prices)) == [
+        reference_demand_query(v, prices)[0] for v in vs]
     if vs:
         with pytest.raises(DomainError):
-            demand_bundles(vs, prices + (Fraction(0),))
+            demand_ints(vs, *price_ints(prices + (Fraction(0),)))
         with pytest.raises(DomainError):
-            demand_bundles(vs, prices[1:])
+            demand_ints(vs, *price_ints(prices[1:]))
 
 
 @settings(max_examples=300, deadline=None)
@@ -293,11 +294,13 @@ def test_a_valuation_asked_at_two_denominators_answers_as_fresh_copies_do():
     thirds, fifths = (F(2, 3), F(4, 3)), (F(7, 5), F(2, 5))
     for prices in (thirds, fifths, thirds, fifths, (F(1, 2), F(1, 2)), thirds):
         fresh = valuation(2, table)
-        assert demand_bundles([v], prices) == demand_bundles([fresh], prices) == [
+        scaled = price_ints(prices)
+        assert demand_ints([v], *scaled) == demand_ints([fresh], *scaled) == [
             reference_demand_query(fresh, prices)[0]]
         assert demand_query(v, prices) == demand_query(valuation(2, table), prices)
     # read over 10, the kept thirds row (over 6) would answer 0 to fifths, not 0b11
-    assert demand_bundles([v], thirds) == [0b01] and demand_bundles([v], fifths) == [0b11]
+    assert demand_ints([v], *price_ints(thirds)) == [0b01]
+    assert demand_ints([v], *price_ints(fifths)) == [0b11]
     assert v.ints_over(6) == (0, 9, 3, 12) and v.ints_over(10) == (0, 15, 5, 20)
     assert v.ints_over(2) is v.scaled_table[1]
 
@@ -308,15 +311,15 @@ def test_demand_bundles_keep_each_valuations_own_blocked_weight_and_denominator(
     buy the INF item, and a row over another denominator misprices it."""
     F = Fraction
     small, large = additive_valuation([0, 0]), additive_valuation([5, 1])
-    assert demand_bundles([small, large], (INF, F(1, 2))) == [0, 0b10]
+    assert demand_ints([small, large], *price_ints((INF, F(1, 2)))) == [0, 0b10]
     thirds = additive_valuation([F(1, 3), F(2, 3)])
     halves = additive_valuation([F(1, 2), F(1, 2)])
     prices = (F(2, 5), F(1, 2))
-    assert demand_bundles([halves, thirds, large], prices) == [0b01, 0b10, 0b11]
+    assert demand_ints([halves, thirds, large], *price_ints(prices)) == [0b01, 0b10, 0b11]
     # the same INF weight 4 over denominators 1 and 3
     whole, third = additive_valuation([1, 2]), additive_valuation([F(1, 3), F(2, 3)])
-    assert demand_bundles([whole, third], (F(1), F(1))) == [0b10, 0]
-    assert demand_bundles([], prices) == [] and demand_bundles([], (INF,)) == []
+    assert demand_ints([whole, third], *price_ints((F(1), F(1)))) == [0b10, 0]
+    assert demand_ints([], *price_ints(prices)) == demand_ints([], *price_ints((INF,))) == []
 
 
 def max_below(table, s, floor):

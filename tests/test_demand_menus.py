@@ -554,6 +554,44 @@ def reference_value_tightness_program(c):
     return program
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_value_tightness_buys_the_menu_argmax_at_its_menu_price(data):
+    """The value_tightness program, against the menu t its rounded first
+    value query picks, buys the first profit maximizer the menu offers
+    (its in-menu bundles are the listed ones and the empty one) at that
+    menu price.  In the c form every other bundle is INF, so that is
+    profit_argmax_set(menu, v)[0]; in the bundles form an unlisted subset
+    can tie a listed bundle at the same menu price."""
+    from taxlab.library import value_tightness
+    from taxlab.menus import in_menu_rebuild, menu_complexity, profit_argmax_set
+    from taxlab.protocol import run_mechanism
+    from taxlab.valuations import single_item_valuation
+
+    m = data.draw(st.integers(1, 4))
+    if data.draw(st.booleans()):
+        listed = [1 << j for j in range(data.draw(st.integers(1, m)))]
+        spec = value_tightness(m, c=len(listed))
+    else:
+        listed = data.draw(st.lists(st.integers(1, (1 << m) - 1), min_size=1, max_size=6,
+                                    unique=True))
+        spec = value_tightness(m, bundles=listed)
+    t = data.draw(st.integers(1, len(listed)))
+    menu_t = in_menu_rebuild(m, {0: F(0), **{s: F(2 * size(s) + (j == t - 1), 2)
+                                             for j, s in enumerate(listed)}})
+    assert set(menu_complexity(menu_t)[1]) == {0, *listed}
+    rng = stream(data.draw(st.integers(0, 1 << 30)), "value-tightness-buyer")
+    grid, scale = data.draw(st.sampled_from([(8, F(4)), (2, F(1)), (6, F(7, 3))]))
+    v = random_monotone_valuation(m, rng, grid=grid, scale=scale)
+    res = run_mechanism(spec, (single_item_valuation(m, 0, t), v))
+    argmax = profit_argmax_set(menu_t, v)
+    won = next(s for s in argmax if s in {0, *listed})
+    if listed == [1 << j for j in range(len(listed))]:
+        assert won == argmax[0]
+    assert res.allocation == (0, won)
+    assert res.payments == (F(0), menu_t.price[won])
+
+
 def reference_drop_tax_program(m):
     """The drop_tax program with its best-value loop written inline."""
     def program(profile, rec):

@@ -174,6 +174,17 @@ def test_instance_json_roundtrip():
     for key, bad in (("l", 2.7), ("z", True), ("n", "2")):
         with pytest.raises(DomainError, match="must be an integer"):
             instance_from_json({**doc, key: bad})
+    # a string is not a list of bit strings, nor a number a bit string
+    one = {"n": 1, "l": 2, "allowed": [["10"]], "inputs": ["10"], "z": 1}
+    assert instance_from_json(one).allowed == ((0b01,),)
+    for key, bad, match in (("allowed", ["10"], "allowed group must be a JSON list"),
+                            ("allowed", "10", "allowed must be a JSON list"),
+                            ("allowed", 5, "allowed must be a JSON list"),
+                            ("allowed", [[1]], "bit string must be a JSON string"),
+                            ("inputs", "10", "inputs must be a JSON list"),
+                            ("inputs", [10], "bit string must be a JSON string")):
+        with pytest.raises(DomainError, match=match):
+            instance_from_json({**one, key: bad})
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,6 +1,7 @@
 """Every module-level import in the package is used by its module."""
 
 import ast
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "taxlab"
@@ -268,14 +269,13 @@ def test_mechanism_programs_read_no_fraction_table():
 
 
 def test_demand_kernels_read_no_fraction_table():
-    """`demand_ints`, `demand_bundles` and `demand_query` rank and answer
-    from a valuation's `scaled_table`: none reads `.table` nor calls
-    `.value(...)`.  `value_query` calls `Valuation.value`, and that and
+    """`demand_ints` and `demand_query` rank and answer from a valuation's
+    `scaled_table`: neither reads `.table` nor calls `.value(...)`.  `value_query` calls `Valuation.value`, and that and
     `max_value` answer Fraction(ints[s], D) from the stored ints: neither
     reads `.table`."""
     queries = dict(named_functions((SRC / "queries.py").read_text(encoding="utf-8")))
     valuations = dict(named_functions((SRC / "valuations.py").read_text(encoding="utf-8")))
-    kernels = {name: queries[name] for name in ("demand_ints", "demand_bundles", "demand_query")}
+    kernels = {name: queries[name] for name in ("demand_ints", "demand_query")}
     assert {name: fraction_table_reads(ast.unparse(fn)) for name, fn in kernels.items()} == {
         name: [] for name in kernels}
     readers = {"value_query": queries["value_query"], "Valuation.value": valuations[
@@ -435,13 +435,21 @@ def test_loop_fraction_work_is_found():
 
 
 def test_profit_ranking_builds_no_fraction():
-    """`best_bundle` ranks ints and builds no `Fraction`; the two demand
-    optimizers rank their candidates in ints, with no `Fraction` built or
-    `Fraction` price read per candidate: the gadget's profit and price
-    are built once, for the winner."""
+    """`best_bundle` ranks ints and builds no `Fraction`; `best_answer` and
+    the two demand optimizers rank their candidates in ints, with no
+    `Fraction` built or `Fraction` price read per candidate: the gadget's
+    profit and price are built once, for the winner."""
     bundles = (SRC / "bundles.py").read_text(encoding="utf-8")
     assert fraction_builds(bundles, ("best_bundle",)) == []
-    optimizers = ("min_affine_argmax", "mt_gadget_argmax")
+    optimizers = ("best_answer", "min_affine_argmax", "mt_gadget_argmax")
     source = (SRC / "demand_menus.py").read_text(encoding="utf-8")
     assert set(optimizers) <= {name for name, _ in named_functions(source)}
     assert loop_fraction_work(source, optimizers) == []
+
+
+def test_readme_states_the_source_line_count():
+    """The README's "`src/taxlab/` is N lines" is `cat src/taxlab/*.py | wc -l`."""
+    readme = (SRC.parents[1] / "README.md").read_text(encoding="utf-8")
+    [stated] = re.findall(r"`src/taxlab/` is ([\d,]+) lines", readme)
+    total = sum(path.read_text(encoding="utf-8").count("\n") for path in SRC.glob("*.py"))
+    assert int(stated.replace(",", "")) == total
