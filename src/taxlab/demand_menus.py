@@ -23,7 +23,7 @@ from .menus import Menu, MinAffineMenu, eval_min_affine
 from .protocol import RunResult, Session, insert_player
 from .queries import PriceVector, bundle_price, demand_ints
 from .rational import INF, Price, is_finite
-from .valuations import DomainError, Valuation, layered_valuation, valuation
+from .valuations import DomainError, Valuation, demand_candidates, valuation
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -171,26 +171,32 @@ def mt_gadget_argmax(m: int, oracle: Callable[[Sequence[Price]], tuple[int, Frac
 
 @lru_cache(maxsize=256)
 def hidden_problem_valuation(m: int, t_mask: int) -> Valuation:
-    """0 below half size, 1/4 on the hidden bundle alone, 1 above.
+    """0 below half size, 1/4 on the hidden bundle alone, 1 above, as ints
+    over 4 (a t_mask off half size is refused), carrying its
+    `demand_candidates` (17 of 64 bundles at m = 6), which `demand_ints`
+    scans alone at nonnegative prices.
 
     Memoized: the valuation is immutable, so every caller shares the one
     built (and validated) per (m, t_mask).  256 entries hold every
     half-size bundle for m <= 10 without keeping thousands of 2^m tables
     at larger m."""
-    return layered_valuation(m, {t_mask: QUARTER}, ONE)
+    ints = tuple([4 if size(s) > m // 2 else int(s == t_mask) for s in all_bundles(m)])
+    return Valuation(m, (4, ints), candidates=demand_candidates(ints, m))
 
 
 def demand_cover(scaled: tuple[int, Sequence[Optional[int]]], m: int) -> set[int]:
     """Bundles a demand query pins down in the hidden-bundle problem, for
     the price vector scaled == (P, ints) that `price_ints` returns: the
     only candidate is the set of items priced at most a quarter
-    (4 * ints[j] <= P), and it counts only if the hidden-bundle valuation
-    actually answers with it."""
+    (4 * ints[j] <= P, P > 0), and it counts only if the hidden-bundle
+    valuation actually answers with it."""
     if m % 2:
         raise DomainError("even item count required")
     den, ints = scaled
     if len(ints) != m:
         raise DomainError("price vector length must equal m")
+    if den <= 0:
+        raise DomainError("price denominator must be positive")
     candidate = 0
     for j, x in enumerate(ints):
         if x is not None and 4 * x <= den:
@@ -205,6 +211,8 @@ def brute_cover(scaled: tuple[int, Sequence[Optional[int]]], m: int) -> set[int]
     """Brute-force reference for `demand_cover`: the half-size bundles t
     whose own hidden-bundle valuation answers this query with t, from one
     batched demand query over every target."""
+    if m % 2:
+        raise DomainError("even item count required")
     targets = bundles_of_size(m, m // 2)
     answers = demand_ints([hidden_problem_valuation(m, t) for t in targets], *scaled)
     return {t for t, answer in zip(targets, answers) if answer == t}

@@ -25,12 +25,12 @@ from functools import lru_cache
 from itertools import product
 from typing import Callable, Iterator, Optional, Sequence
 
-from .bundles import all_bundles, bit, contains, is_monotone
+from .bundles import all_bundles, bit, contains, is_monotone, subset_sums
 from .menus import Menu, ContractError, menu, menu_complexity, normalize_menu, profit_argmax_set
 from .queries import demand_query, value_query
 from .rational import INF, Price, is_finite
-from .valuations import (DomainError, Valuation, ValuationCatalog, additive_valuation,
-                         reduced_table)
+from .valuations import (DomainError, Valuation, ValuationCatalog, reduced_table,
+                         valuation_from_ints)
 
 
 class MechanismBugError(RuntimeError):
@@ -175,10 +175,14 @@ def insert_player(v_minus: Sequence[Valuation], i: int, v: Valuation) -> tuple[V
 
 
 @lru_cache(maxsize=4096)
-def additive_probe(m: int, bound: Fraction, s: int) -> Valuation:
-    """The additive probe worth 3B on each item of s, built once per
-    (m, B, s): every menu extraction prices the same 2^m bundles."""
-    return additive_valuation([3 * bound if s & bit(j) else Fraction(0) for j in range(m)])
+def additive_probe(m: int, bound: tuple[int, int], s: int) -> Valuation:
+    """The additive probe worth 3B on each item of s, B == num / den for
+    bound == (num, den), built once per (m, B, s): every menu extraction
+    prices the same 2^m bundles.  Keyed by B's int pair, which hashes
+    faster than the `Fraction`."""
+    num, den = bound
+    return valuation_from_ints(m, den, subset_sums([3 * num if s & bit(j) else 0
+                                                    for j in range(m)]))
 
 
 def probe_price(spec: MechanismSpec, i: int, v_minus_i: Sequence[Valuation],
@@ -186,7 +190,7 @@ def probe_price(spec: MechanismSpec, i: int, v_minus_i: Sequence[Valuation],
     """Player i's menu price of s and the run it is read off.  The additive
     probe worth 3B per item of s (Prop-E.1-style) wins some superset of s at
     s's menu price whenever that price is finite, else nothing containing s."""
-    probe = additive_probe(spec.m, spec.bound, s)
+    probe = additive_probe(spec.m, spec.bound.as_integer_ratio(), s)
     res = run_mechanism(spec, insert_player(v_minus_i, i, probe))
     return (res.payments[i] if contains(res.allocation[i], s) else INF), res
 

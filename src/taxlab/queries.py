@@ -63,8 +63,20 @@ def demand_ints(vs: Sequence[Valuation], den: int,
     same bundle without it, whatever the finite prices.  The cost row
     depends on (c, blocked weight) only, so valuations sharing that pair
     share one row; the answer is the first maximizer of the profit list,
-    the empty bundle's 0 competing."""
+    the empty bundle's 0 competing.
+
+    A valuation carrying its `candidates` is scanned on those masks alone
+    when no price is negative, with the same answer: every item then weighs
+    at least 0 (an INF one at least 1), so if v(u) == v(u - j) the smaller
+    mask u - j profits at least as much as u, the dense scan's smallest-mask
+    maximizer is a candidate, and it is the first maximum of the ascending
+    candidates too.  A negative price breaks this (an item adding no value
+    at a negative price is in every maximizer), so such a vector takes the
+    dense scan."""
+    if den <= 0:
+        raise DomainError("price denominator must be positive")
     rows: dict[tuple[int, int], list[int]] = {}
+    nonnegative = None  # tested once, at the first valuation with candidates
     out = []
     for v in vs:
         if len(ints) != v.m:
@@ -77,6 +89,14 @@ def demand_ints(vs: Sequence[Valuation], den: int,
             up = c // den
             cost = rows[c, blocked] = subset_sums(
                 [blocked if p is None else p * up for p in ints])
+        cands = v.candidates
+        if cands is not None:
+            if nonnegative is None:
+                nonnegative = all(p is None or p >= 0 for p in ints)
+            if nonnegative:
+                profits = [row[u] - cost[u] for u in cands]
+                out.append(cands[profits.index(max(profits))])
+                continue
         profits = list(map(sub, row, cost))
         out.append(profits.index(max(profits)))
     return out

@@ -10,7 +10,7 @@ from math import gcd
 from typing import Optional, Sequence
 
 from .bundles import (DomainError, all_bundles, bit, check_m, is_monotone,
-                      monotone_closure, size, subset_sums, subsets)
+                      monotone_closure, monotone_pairs, size, subset_sums, subsets)
 from .rational import Price, common_denominator, format_price, is_finite, parse_price
 
 
@@ -35,11 +35,14 @@ class XOSClauses:
 @dataclass(frozen=True)
 class Valuation:
     """Normalized monotone valuation stored as scaled_table == (D, ints),
-    table[s] == ints[s] / D, gcd 1, so equal valuations store equal pairs."""
+    table[s] == ints[s] / D, gcd 1, so equal valuations store equal pairs.
+    `candidates`, when given, is `demand_candidates(ints, m)`: the masks
+    `demand_ints` scans at nonnegative prices."""
 
     m: int
     scaled_table: tuple[int, tuple[int, ...]]
     clauses: Optional[XOSClauses] = field(default=None, compare=False)
+    candidates: Optional[tuple[int, ...]] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         check_m(self.m)
@@ -52,6 +55,9 @@ class Valuation:
             raise DomainError("valuation must be normalized: v(empty) = 0")
         if not is_monotone(ints, self.m):
             raise DomainError("valuation must be monotone")
+        if self.candidates is not None and self.candidates != demand_candidates(ints, self.m):
+            raise DomainError("demand candidates must be the bundles no one-item-smaller "
+                              "subset matches in value")
 
     @cached_property
     def table(self) -> tuple[Fraction, ...]:
@@ -89,6 +95,15 @@ class Valuation:
     def max_value(self) -> Fraction:
         d, ints = self.scaled_table
         return Fraction(ints[-1], d)
+
+
+def demand_candidates(ints: Sequence[int], m: int) -> tuple[int, ...]:
+    """The masks u, ascending, where no u - j (j in u) has u's value: over
+    `monotone_pairs`, skipping its trailing (0, 0) pad.  At nonnegative
+    prices the smallest-mask maximizer of profit is always one of them."""
+    lows, highs = monotone_pairs(m)
+    flat = {u for s, u in zip(lows[:-1], highs[:-1]) if ints[s] == ints[u]}
+    return tuple([u for u in all_bundles(m) if u not in flat])
 
 
 def valuation(m: int, table: Sequence[Fraction]) -> Valuation:

@@ -200,23 +200,26 @@ def submodular_probe(f: BaseFunction, bound: Fraction, k: int, w: Price) -> Valu
     level = f.levels.get((k, w))
     if not level:
         raise DomainError("empty level set: skip this (k, w) pair")
-    return valuation_from_ints(f.m, *_staircase(f.m, level, bound))
+    return valuation_from_ints(f.m, *_staircase(f.m, level, bound.as_integer_ratio()))
 
 
 @lru_cache(maxsize=4096)
-def _staircase(m: int, level: tuple[int, ...], bound: Fraction) -> tuple[int, tuple[int, ...]]:
+def _staircase(m: int, level: tuple[int, ...],
+               bound: tuple[int, int]) -> tuple[int, tuple[int, ...]]:
     """The staircase probe's table of one level set over B's denominator,
-    built once: base functions drawn from one price grid share their level
-    sets."""
+    B == num / den for bound == (num, den), built once: base functions drawn
+    from one price grid share their level sets.  Keyed by B's int pair,
+    which hashes faster than the `Fraction`."""
     k, up = size(level[0]), m + 1
-    return bound.denominator, tuple([
-        (n << up if n < k else k << up if hit else ((k << n) - 1) << (up - n)) * bound.numerator
-        for n, hit in zip(_sizes(m), upward_closure(m, level))])
+    num, den = bound
+    return den, tuple([(n << up if n < k else k << up if hit else ((k << n) - 1) << (up - n)) * num
+                       for n, hit in zip(_sizes(m), upward_closure(m, level))])
 
 
-def _staircase_round(m: int, level: tuple[int, ...], bound: Fraction, w: Price) -> Round:
+def _staircase_round(m: int, level: tuple[int, ...], bound: tuple[int, int], w: Price) -> Round:
     """f beats the menu at price w on the level set when the probe wins a
-    bundle covering a member, worth k*t like the grand bundle, below w."""
+    bundle covering a member, worth k*t like the grand bundle, below w;
+    bound is B's int pair, as `_staircase` takes it."""
     d, ints = _staircase(m, level, bound)
     if not pairwise_submodular(m, ints):
         raise ContractError("a staircase probe failed the submodularity check")
@@ -251,8 +254,8 @@ def probe_rounds(f: BaseFunction, bound: Fraction, cls: str,
             prices.append((w, top))
         elif d % w.denominator == 0 and w.numerator * (d // w.denominator) < top:
             prices.append((w, w.numerator * (d // w.denominator)))
-    levels = f.level_ints
-    return [_staircase_round(f.m, levels[k, x], bound, w)
+    levels, ratio = f.level_ints, bound.as_integer_ratio()
+    return [_staircase_round(f.m, levels[k, x], ratio, w)
             for k in range(1, f.m + 1) for w, x in prices if (k, x) in levels]
 
 

@@ -1,6 +1,7 @@
 """Bundles, exact prices, valuations, and the two query oracles."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -15,8 +16,9 @@ from taxlab.queries import (bundle_price, demand_ints, demand_query,
 from taxlab.rational import INF, Infinite, common_denominator, format_price, is_finite, parse_price
 from taxlab.rng import stream
 from taxlab.valuations import (DomainError, Valuation, ValuationCatalog, XOSClauses,
-                               additive_valuation, classify_valuation, layered_valuation,
-                               random_monotone_valuation, single_item_valuation, valuation,
+                               additive_valuation, classify_valuation, demand_candidates,
+                               layered_valuation, random_monotone_valuation,
+                               single_item_valuation, valuation,
                                valuation_from_ints, valuation_from_json,
                                valuation_from_values, valuation_to_json, xos_from_clauses)
 
@@ -281,6 +283,80 @@ def test_demand_ints_match_the_fraction_reference_over_any_common_denominator(qu
                 demand_ints(vs, den * k, wrong)
     else:
         assert demand_ints(vs, den * k, scaled[1:]) == []
+    # a zero or negative denominator is refused, not divided by or flipping every sign
+    for wrong_den in (0, -den * k):
+        with pytest.raises(DomainError, match="denominator must be positive"):
+            demand_ints(vs, wrong_den, scaled)
+
+
+def listed(v):
+    """A copy of v carrying its demand candidates."""
+    return replace(v, candidates=demand_candidates(v.scaled_table[1], v.m))
+
+
+@settings(max_examples=300, deadline=None)
+@given(batched_demand_questions(), st.integers(1, 3), st.booleans())
+def test_listed_valuations_answer_as_the_dense_scan_does(question, k, unsigned):
+    """Copies carrying their candidates answer every vector as the plain
+    valuations do, alone, all listed or mixed in one batch, over any
+    common denominator; `unsigned` drops the signs, so the candidate scan
+    runs on most vectors, not only the few with no negative price."""
+    vs, prices = question
+    if unsigned:
+        prices = tuple(p if p is INF else abs(p) for p in prices)
+    den, ints = price_ints(prices)
+    scaled = [None if x is None else x * k for x in ints]
+    dense = demand_ints(vs, den * k, scaled)
+    assert dense == [reference_demand_query(v, prices)[0] for v in vs]
+    mixed = [listed(v) if j % 2 else v for j, v in enumerate(vs)]
+    assert demand_ints([listed(v) for v in vs], den * k, scaled) == dense
+    assert demand_ints(mixed, den * k, scaled) == dense
+    assert [demand_query(w, prices) for w in mixed] == [demand_query(v, prices) for v in vs]
+
+
+def test_demand_candidates_are_the_bundles_no_proper_subset_matches():
+    """The one-item-smaller test of `demand_candidates` equals the
+    definition over every proper subset, on random tables at m = 1..8."""
+    rng = stream(3, "demand-candidates")
+    for m in range(1, 9):
+        for grid in (1, 2, 8):
+            ints = random_monotone_valuation(m, rng, grid).scaled_table[1]
+            assert demand_candidates(ints, m) == tuple(
+                u for u in all_bundles(m) if all(ints[s] != ints[u] for s in subsets(u) if s != u))
+    assert demand_candidates((0, 0, 0, 0), 2) == (0,)
+    assert demand_candidates(additive_valuation([1, 2, 3]).scaled_table[1], 3) == tuple(range(8))
+
+
+def test_a_wrong_candidate_list_is_refused_and_the_field_is_ignored():
+    v = random_monotone_valuation(3, random.Random(5), 2)
+    good = demand_candidates(v.scaled_table[1], 3)
+    assert 0 < len(good) < 8
+    missing = next(u for u in all_bundles(3) if u not in good)
+    for wrong in (good[:-1], good[1:], tuple(sorted(good + (missing,))), good[::-1], list(good),
+                  ()):
+        with pytest.raises(DomainError, match="demand candidates"):
+            Valuation(3, v.scaled_table, candidates=wrong)
+    w = listed(v)
+    assert w.candidates == good and v.candidates is None
+    assert w == v and hash(w) == hash(v) and repr(w) == repr(v) and len({v, w}) == 1
+
+
+def test_a_negative_price_on_a_flat_item_takes_the_dense_scan():
+    """Item 1 adds nothing to v, so no bundle holding it is a candidate; at
+    price -1 every maximizer holds it, and the candidates alone would
+    answer 0b01.  The vector has a negative price, so the kernel scans
+    every bundle, and the listed copy answers 0b11 as the plain one does."""
+    v = single_item_valuation(2, 0, 1)
+    w = listed(v)
+    assert w.candidates == (0, 0b01)
+    den, ints = price_ints((Fraction(0), Fraction(-1)))
+    row, cost = v.scaled_table[1], subset_sums(ints)
+    pruned = [row[u] - cost[u] for u in w.candidates]
+    assert w.candidates[pruned.index(max(pruned))] == 0b01  # the trap
+    assert demand_ints([w], den, ints) == demand_ints([v], den, ints) == [0b11]
+    assert demand_ints([v, w, w], den, ints) == [0b11] * 3
+    # with item 1 priced 0, the candidate scan answers 0b01 as the dense one does
+    assert demand_ints([w, v], *price_ints((Fraction(0), Fraction(0)))) == [0b01, 0b01]
 
 
 def test_a_valuation_asked_at_two_denominators_answers_as_fresh_copies_do():

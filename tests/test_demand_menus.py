@@ -17,11 +17,12 @@ from taxlab.demand_menus import (CharacterizationViolation, brute_cover, canonic
 from taxlab.library import default_catalog, make_example
 from taxlab.menus import MinAffineMenu, eval_min_affine
 from taxlab.protocol import MechanismSpec, PriceRun, Session, extract_menu, insert_player
-from taxlab.queries import demand_query, price_ints
+from taxlab.queries import demand_ints, demand_query, price_ints
 from taxlab.rational import INF, is_finite
 from taxlab.rng import stream
 from taxlab.suites import COVER_DEN, cover_grid
-from taxlab.valuations import (DomainError, ValuationCatalog, additive_valuation,
+from taxlab.valuations import (DomainError, Valuation, ValuationCatalog, additive_valuation,
+                               demand_candidates, layered_valuation,
                                random_monotone_valuation, valuation_from_values)
 
 F = Fraction
@@ -375,6 +376,52 @@ def test_demand_cover_refuses_a_price_vector_of_the_wrong_length():
             brute_cover(price_ints(prices), 6)
     with pytest.raises(DomainError, match="even item count"):
         demand_cover((8, [1] * 5), 5)
+
+
+@pytest.mark.parametrize("cover_set", [demand_cover, brute_cover])
+def test_both_cover_sets_refuse_an_odd_m_and_a_nonpositive_denominator(cover_set):
+    """An odd m has no half-size target; over P = 0 the kernel once divided
+    by zero, and over P = -8 it flipped every price's sign."""
+    for m in (1, 3, 5):
+        with pytest.raises(DomainError, match="even item count"):
+            cover_set((8, [8] * m), m)
+    for den in (0, -8):
+        with pytest.raises(DomainError, match="denominator must be positive"):
+            cover_set((den, (0, 0, 8, 1)), 4)
+
+
+@pytest.mark.parametrize("m", range(2, 11, 2))
+def test_every_hidden_problem_valuation_carries_its_demand_candidates(m):
+    """Every half-size target's valuation is the layered one it was built
+    as before and lists its candidates: 6 of 16 bundles at m = 4, 17 of 64
+    at m = 6, 58 of 256 at m = 8, 212 of 1,024 at m = 10.  A target off
+    half size is refused."""
+    counts = {2: 3, 4: 6, 6: 17, 8: 58, 10: 212}
+    for t in bundles_of_size(m, m // 2):
+        v = hidden_problem_valuation(m, t)
+        assert v == layered_valuation(m, {t: F(1, 4)}, F(1))
+        assert v.candidates == demand_candidates(v.scaled_table[1], m)
+        assert len(v.candidates) == counts[m] and t in v.candidates
+    for t in (0, bundles_of_size(m, m // 2 - 1)[-1], bundles_of_size(m, m // 2 + 1)[0]):
+        with pytest.raises(DomainError):
+            hidden_problem_valuation.__wrapped__(m, t)
+
+
+def test_listed_hidden_problem_valuations_answer_as_plain_copies_do():
+    """The targets' valuations, scanned on their candidates, answer the
+    m = 4 grid and a sample of the m = 6 grid, and some negative vectors,
+    as unlisted copies scanned densely do."""
+    rng = stream(11, "listed-hidden")
+    for m, sample in ((4, None), (6, 400)):
+        targets = [hidden_problem_valuation(m, t) for t in bundles_of_size(m, m // 2)]
+        plain = [Valuation(m, v.scaled_table) for v in targets]
+        grid = cover_grid(m)
+        vectors = grid if sample is None else [grid[rng.randrange(len(grid))]
+                                               for _ in range(sample)]
+        vectors = list(vectors) + [tuple(rng.choice((None, -2, -1, 0, 1, 2, 8)) for _ in range(m))
+                                   for _ in range(50)]
+        for ints in vectors:
+            assert demand_ints(targets, COVER_DEN, ints) == demand_ints(plain, COVER_DEN, ints)
 
 
 def reference_demand_cover(prices, m):

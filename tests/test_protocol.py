@@ -118,13 +118,14 @@ def test_extract_menu_examples():
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 6), st.builds(F, st.integers(0, 9), st.sampled_from([1, 2, 3, 7])))
 def test_memoized_additive_probe_equals_a_fresh_build(m, bound):
-    """The probe `probe_price` reads from its memo, for every bundle, is
-    the additive valuation worth 3B on each of the bundle's items."""
+    """The probe `probe_price` reads from its memo, keyed by B's int pair,
+    for every bundle, is the additive valuation worth 3B on each of the
+    bundle's items."""
     for s in all_bundles(m):
         fresh = additive_valuation([3 * bound if s & bit(j) else F(0) for j in range(m)])
-        got = additive_probe(m, bound, s)
+        got = additive_probe(m, bound.as_integer_ratio(), s)
         assert got.table == fresh.table and got.scaled_table == fresh.scaled_table
-        assert additive_probe(m, bound, s) is got
+        assert additive_probe(m, bound.as_integer_ratio(), s) is got
 
 
 def test_measure_warmup_canonical():
