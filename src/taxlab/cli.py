@@ -141,16 +141,19 @@ def check_params(mech_id, params) -> dict:
 
 def audit_work(m: int, sizes: list[int]) -> tuple[int, int]:
     """Upper bounds on a two-player deviation audit's (trie walks, wrapper
-    plays).  Player i meets |c_o| truthful opponents and |presented_o| 2^m
-    deviating ones grouped by announcement, and per group settles
-    |presented_i| 2^m positions and |c_i| truthful ones, with |presented|
-    <= |c|: walks <= 2 p (2^m + 1)^2 over the p = |c_0| |c_1| profiles.
-    A play needs one of the <= p truthful four-announcement prefixes, which
-    one deviating group and at most |c_o| truthful ones reach, and is made
-    per own and opponent inner valuation, as a deviation or as truthful
-    play: plays <= 2 (2 |c_o|)(2 |c_i|) p = 8 p^2."""
+    plays).  Player i's opponent classes are the |c_o| truthful opponents
+    and, per opponent menu index, the deviating bundles on the truthful
+    trie (at most one per profile over all menus, so at most p = |c_0|
+    |c_1|) and one off-trie class: at most |c_o| + |presented_o| + p.  Each
+    class settles |presented_i| 2^m positions and |c_i| truthful ones, with
+    |presented| <= |c|: walks <= sum_i (2 |c_o| + p) |c_i| (2^m + 1) =
+    p (|c_0| + |c_1| + 4)(2^m + 1).  A play needs one of the <= p truthful
+    four-announcement prefixes, which one deviating class and at most |c_o|
+    truthful ones reach, and is made per own and opponent inner valuation,
+    as a deviation or as truthful play: plays <= 2 (2 |c_o|)(2 |c_i|) p =
+    8 p^2."""
     profiles = prod(sizes)
-    return 2 * profiles * ((1 << m) + 1) ** 2, 8 * profiles * profiles
+    return profiles * (sum(sizes) + 4) * ((1 << m) + 1), 8 * profiles * profiles
 
 
 def check_work(mech_id: str, m: int, sizes: list[int], transform: bool = False) -> None:

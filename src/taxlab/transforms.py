@@ -324,13 +324,26 @@ class _Outcomes:
             self._plays[memo] = oid
         return oid
 
+    def on_trie(self, opp_menu: int) -> set[int]:
+        """The bundles the opponent announces at menu index opp_menu on some
+        truthful transcript, under any of i's menu indices.  Against any
+        other bundle every position is settled by the four announcements,
+        the same way for each such bundle and inner valuation."""
+        trie, own = self.tables.truthful_trie, range(len(self.tables.presented[self.i]))
+        if self.i == 0:
+            return {bundle for menu in own for child in trie[menu][opp_menu].values()
+                    for bundle in child}
+        return {bundle for menu in own for bundle in trie[opp_menu][menu]}
+
     def against(self, opp_menu: int, opp_bundles: list[int], ws) -> list[tuple]:
         """Player i's outcomes against one opponent announcement (a menu
         index, and the bundle announced per menu index i announces), played
         as each inner valuation in ws: per w, the truthful outcome per
         valuation, the outcome per (menu index, bundle) of the deviation
         family (one id when the announcements settle it, else one per inner
-        valuation), and each outcome's first deviation, in that order."""
+        valuation), and each outcome's first deviation, in that order.  With
+        no position on the trie the result is one for every w, so one w
+        stands for all."""
         valuations = self.tables.catalog.players[self.i]
         n, width = len(valuations), len(self._nothing_row)
         layout: list = []
@@ -369,17 +382,24 @@ def deviation_audit(tables: TwoPlayerTables, keep_rows: bool = False) -> AuditRe
 
     A deviating player's outcome never depends on their own valuation, and
     when the four announcements already name a culprit it depends on no
-    inner valuation either.  So the opponents are grouped by announcement:
-    a deviating opponent's (menu index, bundle) is one group over every
-    inner valuation, and each of the player's (menu index, bundle) is
-    settled once per group on the truthful-transcript trie.  Only positions
-    that stay on the trie play the inner mechanism, once per distinct
-    announcements and inner pair.  Every valuation is then weighed once per
-    distinct (won, paid) outcome, in integers over one denominator.  Rows
-    and the worst row (the first deviation of the largest gap) follow
-    (player, valuation, opponent, deviation) order."""
+    inner valuation either.  So the opponents are grouped into classes,
+    each settled by one `against`: a truthful opponent is a class; per
+    opponent menu index, each deviating bundle on the truthful-transcript
+    trie is a class over every inner valuation, and every other bundle
+    falls into one off-trie class, whose positions the announcements alone
+    settle (an opponent-culprit win or an own-culprit nothing).  Each class
+    settles each of the player's (menu index, bundle) once on the trie;
+    only positions that stay on it play the inner mechanism, once per
+    distinct announcements and inner pair.  Every valuation is then weighed
+    once per class and distinct (won, paid) outcome, in integers over one
+    denominator, the classes in the order of their first opponent label:
+    with ties broken toward the first, only that label can be the worst.
+    Rows expand per label, in (player, valuation, opponent, deviation)
+    order, only with `keep_rows` or when some class shows a gain; the worst
+    row is the first deviation of the largest gap."""
     rows: list[AuditRow] = []
     worst: Optional[AuditRow] = None
+    width = 1 << tables.spec.m
     for i in (0, 1):
         other = 1 - i
         valuations = tables.catalog.players[i]
@@ -387,15 +407,37 @@ def deviation_audit(tables: TwoPlayerTables, keep_rows: bool = False) -> AuditRe
         theirs = tables.catalog.players[other]
         side = _Outcomes(tables, i)
         own_menus = range(len(tables.presented[i]))
-        met = []
+        results, firsts = [], []  # each class's results, and their first labels
         for k, w in enumerate(theirs):
             announced = [truthful_bundle(tables, other, w, menu) for menu in own_menus]
-            met.append((f"truthful:{k}", side.against(
-                tables.index_of[other][w.scaled_table], announced, [w])[0]))
+            results += side.against(tables.index_of[other][w.scaled_table], announced, [w])
+            firsts.append(f"truthful:{k}")
+        classes = []  # per opponent menu: on-trie bundle -> its first result, the off class's
         for opp_menu in range(len(tables.presented[other])):
-            for bundle in all_bundles(tables.spec.m):
-                for result in side.against(opp_menu, [bundle] * len(own_menus), theirs):
-                    met.append((f"dev:{len(met) - len(theirs)}", result))
+            on = side.on_trie(opp_menu)
+            off = next((bundle for bundle in range(width) if bundle not in on), None)
+            on_at, off_at = {}, None
+            for bundle in sorted(on if off is None else on | {off}):
+                if bundle in on:
+                    on_at[bundle], ws = len(results), theirs
+                else:
+                    off_at, ws = len(results), theirs[:1]
+                results += side.against(opp_menu, [bundle] * len(own_menus), ws)
+                firsts += [f"dev:{(opp_menu * width + bundle) * len(theirs) + k}"
+                           for k in range(len(ws))]
+            classes.append((on_at, off_at))
+
+        def labelled():
+            """Every opponent label, in order, with its result's index."""
+            yield from ((f"truthful:{k}", k) for k in range(len(theirs)))
+            dev = 0
+            for on_at, off_at in classes:
+                for bundle in range(width):
+                    start = on_at.get(bundle)
+                    for k in range(len(theirs)):
+                        yield f"dev:{dev}", off_at if start is None else start + k
+                        dev += 1
+
         d_paid, paid = common_denominator([paid for _, paid in side.outcomes])
         for vi, v in enumerate(valuations):
             d_v, table = v.scaled_table
@@ -403,20 +445,26 @@ def deviation_audit(tables: TwoPlayerTables, keep_rows: bool = False) -> AuditRe
             u = [table[won] * (d // d_v) - p * (d // d_paid)
                  for (won, _), p in zip(side.outcomes, paid)]
             top = None  # (gap, opponent, deviation, truthful and deviating utility)
-            for label, (truthful, layout, first) in met:
+            truths, gains = [], []
+            for label, (truthful, _, first) in zip(firsts, results):
                 u_truth = u[truthful[vi]]
                 best = max(map(u.__getitem__, first))
+                truths.append(u_truth)
+                gains.append(best > u_truth)
                 if top is None or best - u_truth > top[0]:
                     dev = next(dev for oid, dev in first.items() if u[oid] == best)
                     top = (best - u_truth, label, dev, u_truth, best)
-                if not keep_rows and best <= u_truth:
-                    continue
-                truth = Fraction(u_truth, d)
-                for pos, oids in enumerate(layout):
-                    for k, oid in enumerate(oids if isinstance(oids, list) else [oids] * n):
-                        if keep_rows or u[oid] > u_truth:
-                            rows.append(AuditRow(i, vi, label, pos * n + k,
-                                                 truth, Fraction(u[oid], d)))
+            if keep_rows or any(gains):
+                for label, r in labelled():
+                    if not (keep_rows or gains[r]):
+                        continue
+                    u_truth, layout = truths[r], results[r][1]
+                    truth = Fraction(u_truth, d)
+                    for pos, oids in enumerate(layout):
+                        for k, oid in enumerate(oids if isinstance(oids, list) else [oids] * n):
+                            if keep_rows or u[oid] > u_truth:
+                                rows.append(AuditRow(i, vi, label, pos * n + k,
+                                                     truth, Fraction(u[oid], d)))
             row = AuditRow(i, vi, top[1], top[2], Fraction(top[3], d), Fraction(top[4], d))
             if worst is None or row.gap > worst.gap:
                 worst = row

@@ -192,7 +192,7 @@ def test_oversized_m_and_non_object_config_exit_two(tmp_path, capsys, monkeypatc
         ({"id": "demand_tightness", "params": {"m": 10, "alpha": 8, "count": 64}},
          "table steps"),
         ({"id": "mt_gadget", "params": {"m": 16}}, "m=16"),
-        ({"id": "mt_gadget", "params": {"m": 10}}, "wrapper plays"),
+        ({"id": "warmup_tightness", "params": {"c": 6}}, "wrapper plays"),
         ({"id": "posted_prices", "params": {"prices": ["1", "1", "2"], "n": 12}}, "[4, 4, 4"),
         ({"id": "posted_prices", "params": {"prices": ["1"] * 16}}, "m=16"),
         ({"id": "warmup_tightness", "params": {"c": 1},
@@ -234,6 +234,16 @@ def test_oversized_m_and_non_object_config_exit_two(tmp_path, capsys, monkeypatc
             err = capsys.readouterr().err
             assert err.startswith("config error:") and err.count("\n") == 1
             assert all(w in err for w in expect)
+
+
+def test_every_checked_in_config_validates(capsys):
+    """Each config under configs/ passes every load-time check, the m = 10
+    set's audit estimate included."""
+    configs = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+    assert "m10.json" in {path.name for path in configs}
+    for path in configs:
+        assert main(["validate", "--config", str(path)]) == 0, path.name
+    capsys.readouterr()
 
 
 def test_one_price_posted_prices_validates(tmp_path, capsys):

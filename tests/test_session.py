@@ -13,6 +13,7 @@ from taxlab import suites
 from taxlab.bundles import all_bundles
 from taxlab.cli import audit_work
 from taxlab.demand_menus import extract_min_affine
+from taxlab.menus import menu
 from taxlab.protocol import (MechanismSpec, Session, Transcript, extract_menu,
                              measure_complexities, price_run, run_mechanism)
 from taxlab.rational import is_finite
@@ -188,6 +189,68 @@ def test_planted_gaps_expand_rows_and_pick_the_first_best_deviation():
     best = [(row.opponent, row.deviation) for row in report.rows
             if row.valuation == 0 and row.gap == report.max_gap]
     assert best[:3] == [("truthful:0", 1), ("truthful:0", 2), ("truthful:0", 3)]
+
+
+def test_a_gain_in_the_off_trie_class_expands_its_labels_and_is_named_by_the_first():
+    """The planted tables, with the wrapper announcing to player 0 a menu
+    that charges 10 for every bundle, the empty one too.  A normalized
+    menu never lets the off-trie class gain (truthful play wins the
+    announced menu's most profitable bundle, a deviation one of its bundles
+    or nothing), so this menu plants the gain there: against an opponent
+    bundle off the trie, player 0 wins their truthful bundle at a loss,
+    while a bundle of their own off the trie wins nothing.  The player-1
+    catalog has one valuation announcing the empty bundle, so opponent
+    bundles 1, 2 and 3 share one `against`; each gets its own rows, and the
+    worst row names the first of them."""
+    tables = planted_tables()
+    tables = replace(tables, presented=(tables.presented[0], (menu(2, [Fraction(10)] * 4),)))
+    for keep_rows in (False, True):
+        got = deviation_audit(tables, keep_rows)
+        want = reference_deviation_audit(tables, keep_rows)
+        assert got.rows == want.rows
+        assert got.max_gap == want.max_gap and got.worst == want.worst
+    report = deviation_audit(tables)
+    # bold and twin both lose 8 by truthful play (value 2 at price 10); bold
+    # comes first, and deviation 0 (the empty bundle, off the trie) wins
+    # nothing
+    assert report.worst == AuditRow(0, 2, "dev:1", 0, Fraction(-8), Fraction(0))
+    assert sorted({row.opponent for row in report.rows if row.valuation == 2
+                   and row.gap == report.max_gap}) == ["dev:1", "dev:2", "dev:3"]
+
+
+def test_the_audit_calls_against_once_per_opponent_class_on_the_m8_set(monkeypatch):
+    """On every entry of configs/m8.json, the audit settles each truthful
+    opponent, each deviating bundle on the truthful trie and, per opponent
+    menu, the one class of all other bundles with one `against` each: 40
+    calls for the deviating opponents over the set, where one per
+    announced (menu index, bundle) would be 4,096."""
+    calls = [0]
+    against = _Outcomes.against
+
+    def counting(self, *args):
+        calls[0] += 1
+        return against(self, *args)
+
+    monkeypatch.setattr(_Outcomes, "against", counting)
+    config = json.loads((Path(__file__).parents[1] / "configs" / "m8.json").read_text())
+    deviating = announcements = 0
+    for entry in config["mechanisms"]:
+        tables = build_tables(Session(*suites.bench_instance(entry["id"], entry["params"])))
+        calls[0] = 0
+        deviation_audit(tables)
+        classes = 0
+        for i in (0, 1):
+            theirs = tables.catalog.players[1 - i]
+            for opp_menu in range(len(tables.presented[1 - i])):
+                on = {truthful_bundle(tables, 1 - i, w, menu_idx) for w in theirs
+                      if tables.index_of[1 - i][w.scaled_table] == opp_menu
+                      for menu_idx in range(len(tables.presented[i]))}
+                classes += len(on) + (len(on) < 1 << tables.spec.m)
+                announcements += 1 << tables.spec.m
+            calls[0] -= len(theirs)
+        assert calls[0] == classes, entry["id"]
+        deviating += classes
+    assert (deviating, announcements) == (40, 4096)
 
 
 def reference_messages(menu_idx, bundles, inner=None) -> list[tuple]:
@@ -451,10 +514,10 @@ def test_grouped_outcomes_match_wrapper_runs_at_m6(mech_id, i, consistent, data)
     assert first[oid] <= dev
 
 
-def test_audit_work_bounds_the_grouped_audit_on_the_m6_set(monkeypatch):
-    """`cli.audit_work` bounds the walks (per group, the positions settled
+def test_audit_work_bounds_the_grouped_audit_on_the_m6_and_m8_sets(monkeypatch):
+    """`cli.audit_work` bounds the walks (per class, the positions settled
     and the truthful positions read) and the wrapper plays the audit makes
-    on every entry of configs/m6.json."""
+    on every entry of configs/m6.json and configs/m8.json."""
     counted = {"walks": 0, "plays": 0}
     against, play = _Outcomes.against, _Outcomes._play
 
@@ -469,8 +532,9 @@ def test_audit_work_bounds_the_grouped_audit_on_the_m6_set(monkeypatch):
 
     monkeypatch.setattr(_Outcomes, "against", counting_against)
     monkeypatch.setattr(_Outcomes, "_play", counting_play)
-    config = json.loads((Path(__file__).parents[1] / "configs" / "m6.json").read_text())
-    for entry in config["mechanisms"]:
+    configs = Path(__file__).parents[1] / "configs"
+    for entry in [entry for name in ("m6.json", "m8.json")
+                  for entry in json.loads((configs / name).read_text())["mechanisms"]]:
         session = Session(*suites.bench_instance(entry["id"], entry["params"]))
         counted.update(walks=0, plays=0)
         deviation_audit(build_tables(session))
