@@ -21,7 +21,8 @@ from functools import cached_property
 from math import gcd, lcm
 from typing import Optional, Sequence
 
-from .bundles import all_bundles, bit, check_m, is_monotone, subset_sums, superset_min
+from .bundles import (all_bundles, bit, check_m, flat_pairs, is_monotone, subset_sums,
+                      superset_min)
 from .rational import (INF, Price, common_denominator, format_price, is_finite, parse_price,
                        price_key, reduced_prices, scaled_prices, top_above)
 from .valuations import (DomainError, Valuation, json_item_count, json_typed, table_from_json,
@@ -106,13 +107,14 @@ def profit_argmax_set(menu: Menu, v: Valuation) -> list[int]:
 
 def menu_complexity(menu: Menu) -> tuple[int, tuple[int, ...]]:
     """Bundles "in the menu": finite, and every one-item superset strictly
-    dearer, which on a monotone menu makes every strict superset dearer;
-    the grand bundle qualifies iff its price is finite."""
+    dearer, which on a monotone menu makes every strict superset dearer:
+    the finite bundles that are no lower end of a `flat_pairs` pair.  The
+    grand bundle qualifies iff its price is finite."""
     if not menu.is_normalized():
         raise ContractError("menu_complexity expects a normalized menu")
     _, ints, top = menu.scaled
-    out = tuple(s for s, x in enumerate(ints) if x != top
-                and all(x < ints[s | bit(j)] for j in range(menu.m) if not s & bit(j)))
+    flat = {s for s, _ in flat_pairs(ints, menu.m)}
+    out = tuple(s for s, x in enumerate(ints) if x != top and s not in flat)
     return len(out), out
 
 

@@ -51,13 +51,6 @@ class Infinite:
     def __radd__(self, other):
         return self
 
-    def __mul__(self, other):
-        if other == 0:
-            raise ValueError("0 * inf is undefined")
-        return self
-
-    __rmul__ = __mul__
-
 
 INF = Infinite()
 

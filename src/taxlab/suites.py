@@ -26,11 +26,11 @@ from .protocol import (ComplexityReport, MechanismSpec, Session, measure_complex
 from .queries import bundle_price, demand_query
 from .rational import is_finite
 from .rng import stream
-from .valuations import ValuationCatalog, classify_valuation, random_monotone_valuation
+from .valuations import ValuationCatalog, random_monotone_valuation
 from .value_reconstruct import (PriceOracle, learn_useless,
                                 reconstruct_menu_value, useless_query_budget)
 from .verify import (CLASSES, draw_base_function, exceeds_somewhere, menu_price_grid,
-                     price_pool, submodular_probe, verify_menu, xos_probe)
+                     price_pool, probes_structural, verify_menu)
 
 STANDARD_BENCH: tuple[tuple[str, dict], ...] = (
     ("warmup_tightness", {"c": 2}),
@@ -134,17 +134,8 @@ def verify_menu_trials(session: Session, trials_per_class: int, seed: int) -> Ch
             got = verify_menu(session, i, v_minus, f, cls, price_grid=grid).answer
             mismatches += int(got != want)
             done += 1
-    # structural: submodular probes are submodular, xos probes carry clauses
-    f = draw_base_function(spec.m, on_grid, rng)
-    structural_ok = True
-    for k in range(1, spec.m + 1):
-        for w in grid[:3]:
-            if (k, w) in f.levels:
-                probe = submodular_probe(f, spec.bound, k, w)
-                flags = classify_valuation(probe)
-                structural_ok &= "submodular" in flags
-        probe = xos_probe(f, spec.bound, k)
-        structural_ok &= "xos" in classify_valuation(probe)
+    # structural: the tables the rounds run are of their class
+    structural_ok = probes_structural(draw_base_function(spec.m, on_grid, rng), spec.bound, grid)
     return CheckLine(
         f"verify-menu[{spec.mech_id}]",
         mismatches == 0 and structural_ok,

@@ -4,13 +4,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import product
 from math import gcd
 from typing import Optional, Sequence
 
-from .bundles import (DomainError, all_bundles, bit, check_m, is_monotone,
-                      monotone_closure, monotone_pairs, size, subset_sums, subsets)
+from .bundles import (DomainError, all_bundles, bit, check_m, flat_pairs, is_monotone,
+                      is_submodular, monotone_closure, size, subset_sums, subsets)
 from .rational import Price, common_denominator, format_price, is_finite, parse_price
 
 
@@ -98,11 +98,11 @@ class Valuation:
 
 
 def demand_candidates(ints: Sequence[int], m: int) -> tuple[int, ...]:
-    """The masks u, ascending, where no u - j (j in u) has u's value: over
-    `monotone_pairs`, skipping its trailing (0, 0) pad.  At nonnegative
-    prices the smallest-mask maximizer of profit is always one of them."""
-    lows, highs = monotone_pairs(m)
-    flat = {u for s, u in zip(lows[:-1], highs[:-1]) if ints[s] == ints[u]}
+    """The masks u, ascending, where no u - j (j in u) has u's value: the
+    bundles that are no upper end of a `flat_pairs` pair of the monotone
+    table.  At nonnegative prices the smallest-mask maximizer of profit is
+    always one of them."""
+    flat = {u for _, u in flat_pairs(ints, m)}
     return tuple([u for u in all_bundles(m) if u not in flat])
 
 
@@ -179,32 +179,6 @@ def xos_from_clauses(c: XOSClauses) -> Valuation:
     """v(S) = max_r a_r(S), over the clauses' common denominator."""
     d, ints = common_denominator([a for cl in c.clauses for a in cl])
     return valuation_from_ints(c.m, d, clause_max(c.m, ints), clauses=c)
-
-
-@lru_cache(maxsize=16)  # every m in 1..MAX_ITEMS
-def pair_layout(m: int) -> tuple[tuple[int, int, int, tuple[int, ...]], ...]:
-    """For every pair of items a < b: bit(a), bit(b), their union and the
-    bundles holding neither, ascending.  A constant of m, built once per m
-    from one shared list of masks (list slots only: about 16 MB at
-    m = 16)."""
-    masks = list(all_bundles(m))
-    layout = []
-    for a in range(m):
-        for b in range(a + 1, m):
-            ab = bit(a) | bit(b)
-            layout.append((bit(a), bit(b), ab, tuple([s for s in masks if not s & ab])))
-    return tuple(layout)
-
-
-def is_submodular(t: Sequence, m: int) -> bool:
-    """Submodularity by its local form (Fujishige 2005, ch. 2): t(S+a) +
-    t(S+b) >= t(S+a+b) + t(S) for every S and two items a, b outside S,
-    C(m,2) * 2^(m-2) comparisons in place of every pair's ~4^m / 2, one
-    list comprehension per pair over its sets S from `pair_layout`."""
-    for sa, sb, ab, outside in pair_layout(m):
-        if any([t[s | sa] + t[s | sb] < t[s | ab] + t[s] for s in outside]):
-            return False
-    return True
 
 
 def classify_valuation(v: Valuation) -> frozenset[str]:

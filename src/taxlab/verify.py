@@ -30,12 +30,13 @@ draw to its probe tables: `price_pool` scales the drawable prices once per
 session, `draw_base_function` closes and reduces the drawn ints, the xos
 tables come in closed form, the level sets are grouped by (size, int) in
 `level_ints`, and each grid price is matched to f's ints once per base
-function.  Ints end at the mechanism's outcome: a run's payment and the
-grid price of the staircase test's `paid < w` stay `Fraction` (or INF), as
-do the keys of `levels`, which only `submodular_probe` and its callers
-read.  `exceeds_somewhere`, the reference answer a trial is checked
-against, cross-multiplies the two integer forms, so it builds neither
-`Fraction` view."""
+function by `BaseFunction.int_of`.  Ints end at the mechanism's outcome: a
+run's payment and the grid price of the staircase test's `paid < w` stay
+`Fraction` (or INF).  `exceeds_somewhere`, the reference answer a trial is
+checked against, cross-multiplies the two integer forms, so it builds
+neither `Fraction` view.  `probes_structural` certifies the tables the
+rounds run: the staircase tables are submodular and each xos table is the
+`clause_max` of its clauses."""
 
 from __future__ import annotations
 
@@ -45,22 +46,16 @@ from functools import cached_property, lru_cache
 from math import lcm
 from typing import Callable, Optional, Sequence
 
-from .bundles import bit, bundles_of_size, monotone_closure, size, superset_min
+from .bundles import (bit, bundles_of_size, is_submodular, monotone_closure, size, sizes,
+                      superset_min)
 from .menus import ContractError, Menu
 from .protocol import Session
 from .rational import INF, Price, is_finite, reduced_prices, scaled_prices
-from .valuations import (DomainError, Valuation, XOSClauses, clause_max, is_submodular,
-                         valuation_from_ints)
+from .valuations import DomainError, Valuation, clause_max, valuation_from_ints
 
 CLASSES = ("general", "subadditive", "xos", "submodular")
 Round = tuple[int, Sequence[int], Callable[[int, Price], bool]]  # (d, ints, beats), see below
 Over = tuple[int, list[int], int]  # the general probe (E, lifted ints, B * E), see `_over`
-
-
-@lru_cache(maxsize=16)  # every m in 1..MAX_ITEMS
-def _sizes(m: int) -> tuple[int, ...]:
-    """|S| per bundle S, by mask."""
-    return tuple([size(s) for s in range(1 << m)])
 
 
 @dataclass(frozen=True)
@@ -78,18 +73,21 @@ class BaseFunction(Menu):
         """Every nonempty level set {|S| = k, f(S) = x / D}, keyed by (k, x)
         with x the stored int (`top` for INF), members ascending."""
         out: dict[tuple[int, int], list[int]] = {}
-        for s, key in enumerate(zip(_sizes(self.m), self.scaled[1])):
+        for s, key in enumerate(zip(sizes(self.m), self.scaled[1])):
             if s:
                 out.setdefault(key, []).append(s)
         return {key: tuple(members) for key, members in out.items()}
 
-    @cached_property
-    def levels(self) -> dict[tuple[int, Price], tuple[int, ...]]:
-        """`level_ints` keyed by (k, w), the exact price: one `Fraction`
-        per level set."""
+    def int_of(self, w: Price) -> Optional[int]:
+        """The stored int an entry of price w holds (`top` for INF), or
+        None where no entry can be w: a finite w off D's divisors, or at or
+        above the top."""
         d, _, top = self.scaled
-        return {(k, INF if x == top else Fraction(x, d)): members
-                for (k, x), members in self.level_ints.items()}
+        if w is INF:
+            return top
+        if d % w.denominator == 0 and w.numerator * (d // w.denominator) < top:
+            return w.numerator * (d // w.denominator)
+        return None
 
     def check_bound(self, bound: Fraction) -> None:
         d, _, top = self.scaled
@@ -114,8 +112,7 @@ def exceeds_somewhere(f: BaseFunction, menu: Menu) -> bool:
 # A round is (d, ints, beats): the probe valuation probe(s) == ints[s] / d,
 # which `verify_menu` hands to `Session.probe_run`, and beats(won, paid),
 # true when the run shows f above the menu on a bundle the round covers.
-# `xos_probe` and `submodular_probe` wrap the same builders into a
-# `Valuation`.
+# `submodular_probe` wraps the staircase builder into a `Valuation`.
 
 def _over(f: BaseFunction, bound: Fraction) -> Over:
     """The general probe: f with infinite entries lifted to 3B, and B, as
@@ -154,14 +151,6 @@ def _xos_rows(f: BaseFunction, over: Over, r: int) -> tuple[int, list[int]]:
     return r * over[0], rows
 
 
-def xos_probe(f: BaseFunction, bound: Fraction, r: int) -> Valuation:
-    """The XOS probe for clause size r, carrying its clauses."""
-    d, rows = _xos_rows(f, _over(f, bound), r)
-    clauses = tuple(tuple([Fraction(x, d) for x in rows[q:q + f.m]])
-                    for q in range(0, len(rows), f.m))
-    return valuation_from_ints(f.m, d, clause_max(f.m, rows), clauses=XOSClauses(f.m, clauses))
-
-
 def _xos_round(f: BaseFunction, over: Over, r: int) -> Round:
     """The XOS probe's table in closed form, v(S) = max over U within S of
     |U| D(U), where D(U) is the largest weight of an r-bundle holding U:
@@ -173,10 +162,10 @@ def _xos_round(f: BaseFunction, over: Over, r: int) -> Round:
 
     f beats the menu on a bundle of at least r items when the probe wins
     one and pays below its worth less the 3B r lift, 3 (B E) r^2 over r E."""
-    m, sizes = f.m, _sizes(f.m)
+    m, per_mask = f.m, sizes(f.m)
     weights = _xos_weights(f, over, r)
-    most = superset_min([-w if n == r else 0 for w, n in zip(weights, sizes)], m)
-    ints = monotone_closure([-x * n for x, n in zip(most, sizes)], m)
+    most = superset_min([-w if n == r else 0 for w, n in zip(weights, per_mask)], m)
+    ints = monotone_closure([-x * n for x, n in zip(most, per_mask)], m)
     d, lift = r * over[0], 3 * over[2] * r * r
     return d, ints, lambda won, paid: size(won) >= r and _above(ints[won] - lift, d, paid)
 
@@ -197,7 +186,7 @@ def submodular_probe(f: BaseFunction, bound: Fraction, k: int, w: Price) -> Valu
     t = 2^(m+1) B every entry is an integer multiple of B."""
     if not 1 <= k <= f.m:
         raise DomainError("level size out of range")
-    level = f.levels.get((k, w))
+    level = f.level_ints.get((k, f.int_of(w)))
     if not level:
         raise DomainError("empty level set: skip this (k, w) pair")
     return valuation_from_ints(f.m, *_staircase(f.m, level, bound.as_integer_ratio()))
@@ -213,7 +202,7 @@ def _staircase(m: int, level: tuple[int, ...],
     k, up = size(level[0]), m + 1
     num, den = bound
     return den, tuple([(n << up if n < k else k << up if hit else ((k << n) - 1) << (up - n)) * num
-                       for n, hit in zip(_sizes(m), upward_closure(m, level))])
+                       for n, hit in zip(sizes(m), upward_closure(m, level))])
 
 
 def _staircase_round(m: int, level: tuple[int, ...], bound: tuple[int, int], w: Price) -> Round:
@@ -247,16 +236,26 @@ def probe_rounds(f: BaseFunction, bound: Fraction, cls: str,
         return [_xos_round(f, over, r) for r in range(1, f.m + 1)]
     if not grid:
         raise ContractError("submodular verification needs the menu price grid")
-    d, _, top = f.scaled
-    prices = []  # (w, f's int for w) for each grid price f could show, in grid order
-    for w in grid:
-        if w is INF:
-            prices.append((w, top))
-        elif d % w.denominator == 0 and w.numerator * (d // w.denominator) < top:
-            prices.append((w, w.numerator * (d // w.denominator)))
+    prices = [(w, f.int_of(w)) for w in grid]
     levels, ratio = f.level_ints, bound.as_integer_ratio()
     return [_staircase_round(f.m, levels[k, x], ratio, w)
             for k in range(1, f.m + 1) for w, x in prices if (k, x) in levels]
+
+
+def probes_structural(f: BaseFunction, bound: Fraction, grid: Sequence[Price]) -> bool:
+    """The probe tables `verify_menu` runs are of their class: each xos
+    round's table is the `clause_max` of its `_xos_rows` clauses, and the
+    staircase table of each level set at the first three grid prices is
+    submodular.  False, not an error, on a table that is not."""
+    over = _over(f, bound)
+    for r in range(1, f.m + 1):
+        d, ints, _ = _xos_round(f, over, r)
+        want_d, rows = _xos_rows(f, over, r)
+        if (d, ints) != (want_d, clause_max(f.m, rows)):
+            return False
+    levels, ratio = f.level_ints, bound.as_integer_ratio()
+    return all(is_submodular(_staircase(f.m, levels[k, x], ratio)[1], f.m)
+               for k in range(1, f.m + 1) for x in map(f.int_of, grid[:3]) if (k, x) in levels)
 
 
 def menu_price_grid(menus: Sequence[Menu]) -> tuple[Price, ...]:
@@ -309,7 +308,7 @@ def random_base_function(m: int, bound: Fraction, rng,
 
 @lru_cache(maxsize=1024)
 def pairwise_submodular(m: int, ints: tuple[int, ...]) -> bool:
-    """`valuations.is_submodular` on one integer table; staircase probes
+    """`bundles.is_submodular` on one integer table; staircase probes
     repeat tables, so each is checked once."""
     return is_submodular(ints, m)
 

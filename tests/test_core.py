@@ -3,14 +3,15 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taxlab.bundles import (all_bundles, best_bundle, bit, bundles_of_size, is_monotone,
-                            monotone_closure, monotone_layout, size, subset_sums, subsets,
-                            superset_min, supersets)
+                            monotone_closure, monotone_layout, size, sizes, subset_sums,
+                            subsets, superset_min, supersets)
 from taxlab.queries import (bundle_price, demand_ints, demand_query,
                             optimal_welfare, price_ints, value_query)
 from taxlab.rational import INF, Infinite, common_denominator, format_price, is_finite, parse_price
@@ -38,6 +39,9 @@ def test_infinite_sentinel_order_and_absorption():
     assert INF > Fraction(10**9) and not INF < Fraction(0)
     assert Fraction(1, 3) < INF and INF == INF and INF <= INF
     assert INF + Fraction(5) is INF and Fraction(5) + INF is INF
+    for product in (lambda: INF * 2, lambda: 2 * INF, lambda: INF * Fraction(1, 2)):
+        with pytest.raises(TypeError):  # no price is scaled: INF has no product
+            product()
     assert sum_prices([Fraction(1), INF]) is INF
     assert sum_prices([Fraction(1, 2), Fraction(1, 3)]) == Fraction(5, 6)
 
@@ -59,6 +63,7 @@ def test_bundle_helpers():
             assert sized == tuple(s for s in all_bundles(m) if size(s) == k)  # ascending
             assert bundles_of_size(m, k) is sized  # built once per (m, k)
     assert size(0b1011) == 3
+    assert sizes(3) == (0, 1, 1, 2, 1, 2, 2, 3) and sizes(3) is sizes(3)
     assert subset_sums([1, 10, 100]) == [0, 1, 10, 11, 100, 101, 110, 111]
     assert subset_sums([]) == [0]
     assert common_denominator([Fraction(1, 2), Fraction(2, 3), Fraction(0)]) == (6, (3, 4, 0))
@@ -952,9 +957,18 @@ def test_valuation_from_values_refuses_a_mask_out_of_range():
     assert valuation_from_values(2, {3: 1}).table == (0, 0, 0, 1)
 
 
+def test_bundles_of_size_matches_the_combinations_build():
+    """The `sizes` filter gives the sorted `combinations` build, for every
+    k, empty beyond m."""
+    for m in range(1, 11):
+        for k in range(m + 2):
+            want = tuple(sorted(sum(1 << j for j in combo) for combo in combinations(range(m), k)))
+            assert bundles_of_size(m, k) == want, (m, k)
+
+
 def test_one_item_tables_and_layout():
-    """At m = 1 the layout holds the pair (0, 1) and its (0, 0) pad, and
-    each getter still returns a tuple."""
+    """At m = 1 the layout holds the pair (0, 1), and each getter still
+    returns a tuple by its trailing read of the empty bundle."""
     lows, highs = monotone_layout(1)
     assert lows((5, 7)) == (5, 5) and highs((5, 7)) == (7, 5)
     for table, want in [((0, 1), True), ((1, 0), False), ((2, 2), True),

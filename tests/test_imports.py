@@ -175,6 +175,47 @@ def test_every_memo_in_the_package_is_bounded():
     assert {name: hits for name, hits in found.items() if hits} == {}
 
 
+def per_m_layouts(source: str) -> list[str]:
+    """Functions under `lru_cache` (bare, called, or as
+    `functools.lru_cache`) whose only parameter is `m`: the per-m layouts."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        args = node.args
+        params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+        if params != ["m"] or args.vararg or args.kwarg:
+            continue
+        for deco in node.decorator_list:
+            target = deco.func if isinstance(deco, ast.Call) else deco
+            name = target.id if isinstance(target, ast.Name) else getattr(target, "attr", "")
+            if name == "lru_cache":
+                found.append(f"line {node.lineno}: {node.name}")
+    return found
+
+
+def test_per_m_layouts_are_found():
+    source = (
+        "import functools\nfrom functools import lru_cache\n"
+        "@lru_cache(maxsize=16)\ndef a(m): return m\n"
+        "@functools.lru_cache(16)\ndef b(m: int): return m\n"
+        "@lru_cache(maxsize=64)\ndef c(m, k): return m\n"
+        "def d(m): return m\n"
+        "@lru_cache(maxsize=4)\ndef e(n): return n\n"
+        "class K:\n    @lru_cache(maxsize=2)\n    def f(m): return m\n"
+    )
+    assert per_m_layouts(source) == ["line 4: a", "line 6: b", "line 14: f"]
+
+
+def test_only_bundles_builds_per_m_layouts():
+    """Every per-m constant (sizes, pair sides, pair layout) is cached in
+    `bundles.py`; no other module keeps its own copy."""
+    found = {path.name: per_m_layouts(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py")) if path.name != "bundles.py"}
+    assert {name: hits for name, hits in found.items() if hits} == {}
+    assert per_m_layouts((SRC / "bundles.py").read_text(encoding="utf-8"))
+
+
 def made_by_new(expr) -> bool:
     """expr is a `__new__` call, such as `Valuation.__new__(Valuation)`."""
     return (isinstance(expr, ast.Call) and isinstance(expr.func, ast.Attribute)
@@ -287,10 +328,12 @@ def test_demand_kernels_read_no_fraction_table():
 
 
 MENU_KERNELS = ("normalize_menu", "menu_complexity", "profit_argmax_set", "Menu.is_normalized")
-VERIFY_KERNELS = ("BaseFunction.levels",)
+VERIFY_KERNELS = ("BaseFunction.int_of",)
 # the per-trial work of `verify_menu_trials`: the pool draw, the closed-form
-# XOS table and the level-set grouping
-INTEGER_VERIFY_KERNELS = ("draw_base_function", "_xos_round", "BaseFunction.level_ints")
+# XOS table, the level-set grouping, the grid-price match and the structural
+# check
+INTEGER_VERIFY_KERNELS = ("draw_base_function", "_xos_round", "BaseFunction.level_ints",
+                          "BaseFunction.int_of", "probes_structural")
 
 
 def named_functions(source: str):

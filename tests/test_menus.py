@@ -1,5 +1,6 @@
 """Menu canonical form, profit maximization, menu complexity, min-affine."""
 
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -15,8 +16,8 @@ from taxlab.menus import (ContractError, Menu, MinAffineMenu, eval_min_affine,
 from taxlab.queries import bundle_price
 from taxlab.rational import INF, is_finite, price_key
 from taxlab.rng import stream
-from taxlab.valuations import (DomainError, Valuation, random_monotone_valuation, valuation,
-                               valuation_from_values)
+from taxlab.valuations import (DomainError, Valuation, demand_candidates,
+                               random_monotone_valuation, valuation, valuation_from_values)
 
 F = Fraction
 
@@ -430,3 +431,39 @@ def test_one_item_menu_complexity_matches_the_superset_scan(question):
     if is_finite(table[0]):
         canon = normalize_menu(menu(m, table))
         assert menu_complexity(canon) == reference_menu_complexity(canon)
+
+
+def reference_per_item_menu_complexity(canon):
+    """`menu_complexity` as it ran its own per-item loop."""
+    _, ints, top = canon.scaled
+    out = tuple(s for s, x in enumerate(ints) if x != top
+                and all(x < ints[s | bit(j)] for j in range(canon.m) if not s & bit(j)))
+    return len(out), out
+
+
+def reference_pair_demand_candidates(ints, m):
+    """`demand_candidates` as it read the equal pairs of `monotone_pairs`
+    and skipped its (0, 0) pad, written per item."""
+    flat = {s | bit(j) for j in range(m) for s in all_bundles(m)
+            if not s & bit(j) and ints[s] == ints[s | bit(j)]}
+    return tuple(u for u in all_bundles(m) if u not in flat)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 10), st.integers(0, 2**32))
+def test_the_one_item_rule_matches_the_per_item_loops(m, inf_tenths, seed):
+    """`menu_complexity` (lower ends of `flat_pairs`) and
+    `demand_candidates` (upper ends) against the loops they replaced, on
+    normalized menus over mixed denominators whose INF entries hold the
+    top int (every nonempty bundle INF at 10 tenths), and on random
+    valuations' tables."""
+    rnd = random.Random(seed)
+    raw = [INF if s and rnd.randrange(10) < inf_tenths
+           else Fraction(rnd.randrange(12), rnd.choice([1, 2, 3, 4])) for s in all_bundles(m)]
+    canon = normalize_menu(menu(m, raw))
+    assert menu_complexity(canon) == reference_per_item_menu_complexity(canon)
+    ints = canon.scaled[1]
+    assert demand_candidates(ints, m) == reference_pair_demand_candidates(ints, m)
+    v = random_monotone_valuation(m, rnd, rnd.choice([1, 2, 8]))
+    assert demand_candidates(v.scaled_table[1], m) == reference_pair_demand_candidates(
+        v.scaled_table[1], m)

@@ -17,6 +17,7 @@ from taxlab.menus import menu
 from taxlab.protocol import (MechanismSpec, Session, Transcript, extract_menu,
                              measure_complexities, price_run, run_mechanism)
 from taxlab.rational import is_finite
+from taxlab.reporting import audit_rows_to_csv
 from taxlab.transforms import (AuditReport, AuditRow, DeviationStrategy, _Outcomes, _play,
                                _seated, build_tables, deviation_family, deviation_audit, settle,
                                to_dominant_run, truthful_bundle)
@@ -189,6 +190,23 @@ def test_planted_gaps_expand_rows_and_pick_the_first_best_deviation():
     best = [(row.opponent, row.deviation) for row in report.rows
             if row.valuation == 0 and row.gap == report.max_gap]
     assert best[:3] == [("truthful:0", 1), ("truthful:0", 2), ("truthful:0", 3)]
+
+
+def test_the_planted_audit_csv_keeps_each_utility_in_its_column():
+    """The audit CSV of the planted tables, rendered as the transform suite
+    renders it: the header, and the worst row with truthful utility 1 and
+    deviating utility 2 in that order (every audit of the byte-identity
+    sets is clean, so there the two columns are equal)."""
+    report = deviation_audit(planted_tables())
+    rows = list(report.rows)
+    if report.worst not in rows:
+        rows.append(report.worst)
+    lines = audit_rows_to_csv("planted", rows).splitlines()
+    assert lines[0] == ("mechanism,player,valuation,deviation,"
+                        "truthful_utility,deviating_utility,gap")
+    assert "planted,0,0,opp=truthful:0;own=1,1,2,1" in lines[1:]
+    assert audit_rows_to_csv("planted", [report.worst]).splitlines()[1] == (
+        "planted,0,0,opp=truthful:0;own=1,1,2,1")
 
 
 def test_a_gain_in_the_off_trie_class_expands_its_labels_and_is_named_by_the_first():

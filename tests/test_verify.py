@@ -19,8 +19,8 @@ from taxlab.valuations import (Valuation, ValuationCatalog, XOSClauses, additive
                                valuation, valuation_from_ints, xos_from_clauses)
 from taxlab.verify import (CLASSES, BaseFunction, VerificationResult, _over, _staircase,
                            _xos_round, _xos_rows, base_function, exceeds_somewhere, menu_price_grid,
-                           pairwise_submodular, probe_rounds, random_base_function,
-                           submodular_probe, upward_closure, verify_menu, xos_probe)
+                           pairwise_submodular, probe_rounds, probes_structural,
+                           random_base_function, submodular_probe, upward_closure, verify_menu)
 from test_core import max_below
 
 F = Fraction
@@ -62,13 +62,18 @@ def test_subadditive_probe_shape():
 
 
 def test_xos_probe_certified():
+    """Each xos round's table is the reference clause build's, which
+    carries a verified clause witness."""
     f = base(2, {0b01: 1, 0b10: 2, 0b11: 2})
+    over = _over(f, F(2))
     for r in (1, 2):
-        probe = xos_probe(f, F(2), r)
+        probe = reference_xos_probe(f, F(2), r)
         assert "xos" in classify_valuation(probe)
-    single = xos_probe(f, F(2), 1)
+        d, ints, _ = _xos_round(f, over, r)
+        assert tuple(F(x, d) for x in ints) == probe.table
+    d, single, _ = _xos_round(f, over, 1)
     # supporting weight on item 1: f({1})/1 + 3B
-    assert single.value(0b01) == F(1) + 6
+    assert F(single[0b01], d) == F(1) + 6
 
 
 def test_submodular_probe_three_cases():
@@ -126,7 +131,7 @@ def test_pairwise_submodular_matches_fraction_reference(m, bound, rnd):
     other = random_monotone_valuation(m, rnd, rnd.choice([1, 2, 3, 8]), bound)
     assert pairwise_submodular(m, other.scaled_table[1]) == reference_pairwise_submodular(other)
     for r in range(1, m + 1):
-        probe = xos_probe(f, bound, r)
+        probe = reference_xos_probe(f, bound, r)
         assert pairwise_submodular(m, probe.scaled_table[1]) == reference_pairwise_submodular(probe)
 
 
@@ -369,9 +374,10 @@ def test_integer_builders_match_fraction_reference(question):
     assert all(ints[s] == top if not is_finite(x) else F(ints[s], d) == x
                for s, x in enumerate(f.price))
     assert top == max(ints[s] for s, x in enumerate(f.price) if is_finite(x)) + 1
-    assert f.levels == {
-        (k, w): tuple(s for s in bundles_of_size(m, k) if f.price[s] == w)
-        for k in range(1, m + 1) for w in {f.price[s] for s in bundles_of_size(m, k)}}
+    levels = {(k, w): tuple(s for s in bundles_of_size(m, k) if f.price[s] == w)
+              for k in range(1, m + 1) for w in {f.price[s] for s in bundles_of_size(m, k)}}
+    assert {(k, INF if x == top else F(x, d)): members
+            for (k, x), members in f.level_ints.items()} == levels
 
     def tables(cls, grid=()):
         return [tuple(F(x, d) for x in ints) for d, ints, _ in probe_rounds(f, bound, cls, grid)]
@@ -384,15 +390,14 @@ def test_integer_builders_match_fraction_reference(question):
     assert_integer_form(only_probe(f, bound, "subadditive")[0])
     assert tables("xos") == [reference_xos_probe(f, bound, r).table for r in range(1, m + 1)]
     for r in range(1, m + 1):
-        x = xos_probe(f, bound, r)
-        want_x = reference_xos_probe(f, bound, r)
-        assert x.table == want_x.table and x.clauses == want_x.clauses
-        assert_integer_form(x)
-    grid = tuple({w for _, w in f.levels})
+        d_r, rows = _xos_rows(f, _over(f, bound), r)
+        clauses = tuple(tuple(F(x, d_r) for x in rows[q:q + m]) for q in range(0, len(rows), m))
+        assert clauses == reference_xos_probe(f, bound, r).clauses.clauses
+    grid = tuple({w for _, w in levels})
     assert tables("submodular", grid) == [reference_submodular_probe(f, bound, k, w).table
                                           for k in range(1, m + 1) for w in grid
-                                          if (k, w) in f.levels]
-    for (k, w) in f.levels:
+                                          if (k, w) in levels]
+    for (k, w) in levels:
         p = submodular_probe(f, bound, k, w)
         assert p.table == reference_submodular_probe(f, bound, k, w).table
         assert_integer_form(p)
@@ -456,6 +461,32 @@ def test_integer_verdicts_match_the_fraction_tests_at_the_threshold(question):
                 assert beats(won, paid) == want(won, paid)
 
 
+def reference_levels(f):
+    """`BaseFunction.levels`, the `Fraction`-keyed view of `level_ints` that
+    `BaseFunction.int_of` replaced."""
+    d, _, top = f.scaled
+    return {(k, INF if x == top else F(x, d)): members
+            for (k, x), members in f.level_ints.items()}
+
+
+grid_prices = st.one_of(st.just(INF), st.builds(F, st.integers(-3, 14),
+                                                st.sampled_from([1, 2, 3, 4, 6, 8, 12])))
+
+
+@settings(max_examples=150, deadline=None)
+@given(base_questions(), st.lists(grid_prices, max_size=8))
+def test_grid_prices_find_the_level_sets_the_fraction_keys_found(question, grid):
+    """`f.level_ints.get((k, f.int_of(w)))` is the old `levels.get((k, w))`
+    for every size and every price: f's own, off its denominator, negative,
+    above its entries, and INF."""
+    m, bound, values, seed = question
+    f = random_base_function(m, bound, stream(seed, "base"), values=values)
+    old = reference_levels(f)
+    for w in [*grid, *(w for _, w in old)]:
+        for k in range(1, m + 1):
+            assert f.level_ints.get((k, f.int_of(w))) == old.get((k, w))
+
+
 def reference_check_bound(f, bound):
     return all(x <= bound for x in f.price if is_finite(x))
 
@@ -498,7 +529,8 @@ def test_base_function_refusals_and_infinite_top():
     assert f.scaled == (6, (0, 3, 4, 5), 5)
     everything = base_function(2, (F(0), INF, INF, INF))
     assert everything.scaled == (1, (0, 1, 1, 1), 1)
-    assert everything.levels == {(1, INF): (0b01, 0b10), (2, INF): (0b11,)}
+    assert everything.level_ints == {(1, 1): (0b01, 0b10), (2, 1): (0b11,)}
+    assert everything.int_of(INF) == 1 and everything.int_of(F(0)) == 0
     assert BaseFunction(2, (6, (0, 3, 4, 5), 5)) == f and "price" not in vars(f)
     # the stored triple itself must be the reduced form with top one above it
     for scaled in ((2, (0, 2), 3), (0, (0, 1), 2), (1, (0, 1), 3), (1, (0, 2), 1),
@@ -518,7 +550,51 @@ def test_base_function_validates_once_per_construction(monkeypatch):
                   lambda: random_base_function(3, F(2), stream(0, "once"))):
         seen.clear()
         f = build()
-        assert seen == [f] and f.price[0] == 0 and f.levels and len(seen) == 1
+        assert seen == [f] and f.price[0] == 0 and f.level_ints and len(seen) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(base_questions())
+def test_the_tables_the_rounds_run_are_structural(question):
+    m, bound, values, seed = question
+    f = random_base_function(m, bound, stream(seed, "base"), values=values)
+    grid = menu_price_grid([f])
+    assert probes_structural(f, bound, grid)
+
+
+def planted_verify_line(monkeypatch, name, perturb, trials):
+    """The verify-menu line of drop_tax at m = 4 with `verify.<name>`'s
+    table passed through `perturb`."""
+    import taxlab.verify as verify
+
+    built = getattr(verify, name)
+
+    def planted(*args):
+        d, ints, *rest = built(*args)
+        return (d, perturb(list(ints)), *rest)
+
+    monkeypatch.setattr(verify, name, planted)
+    session = Session(*suites.bench_instance("drop_tax", {"m": 4}))
+    return suites.verify_menu_trials(session, trials, 0).render()
+
+
+def test_a_perturbed_xos_table_fails_the_structural_check(monkeypatch):
+    """One xos round's table raised at the grand bundle (still a monotone
+    probe, so the rounds run) is no longer its clauses' maximum."""
+    line = planted_verify_line(monkeypatch, "_xos_round",
+                               lambda ints: ints[:-1] + [ints[-1] + 1], 2)
+    assert line == ("verify-menu[drop_tax(m=4)]: FAIL  "
+                    "[8 trials, 0 mismatches, probes structural: False]")
+
+
+def test_a_non_submodular_staircase_table_fails_the_structural_check(monkeypatch):
+    """A staircase table whose grand bundle is worth more than twice its
+    due breaks submodularity at every pair; with no trials, only the
+    structural check reads it, and it reports rather than raises."""
+    line = planted_verify_line(monkeypatch, "_staircase",
+                               lambda ints: tuple(ints[:-1] + [2 * ints[-1] + 1]), 0)
+    assert line == ("verify-menu[drop_tax(m=4)]: FAIL  "
+                    "[0 trials, 0 mismatches, probes structural: False]")
 
 
 def reference_staircase(m, level, bound):
