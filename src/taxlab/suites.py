@@ -29,8 +29,8 @@ from .rng import stream
 from .valuations import ValuationCatalog, random_monotone_valuation
 from .value_reconstruct import (PriceOracle, learn_useless,
                                 reconstruct_menu_value, useless_query_budget)
-from .verify import (CLASSES, draw_base_function, exceeds_somewhere, menu_price_grid,
-                     price_pool, probes_structural, verify_menu)
+from .verify import (CLASSES, ProbeStructureError, draw_base_function, exceeds_somewhere,
+                     menu_price_grid, price_pool, probes_structural, verify_menu)
 
 STANDARD_BENCH: tuple[tuple[str, dict], ...] = (
     ("warmup_tightness", {"c": 2}),
@@ -126,16 +126,20 @@ def verify_menu_trials(session: Session, trials_per_class: int, seed: int) -> Ch
     quarters, on_grid = price_pool(spec.bound), price_pool(spec.bound, grid)
     mismatches = 0
     done = 0
+    structural_ok = True  # the tables the rounds run are of their class
     for cls in CLASSES:
         pool = on_grid if cls == "submodular" else quarters
         for _ in range(trials_per_class):
             f = draw_base_function(spec.m, pool, rng)
             want = int(exceeds_somewhere(f, truth))
-            got = verify_menu(session, i, v_minus, f, cls, price_grid=grid).answer
-            mismatches += int(got != want)
+            try:
+                got = verify_menu(session, i, v_minus, f, cls, price_grid=grid).answer
+            except ProbeStructureError:  # a round refused its own probe table
+                structural_ok = False
+            else:
+                mismatches += int(got != want)
             done += 1
-    # structural: the tables the rounds run are of their class
-    structural_ok = probes_structural(draw_base_function(spec.m, on_grid, rng), spec.bound, grid)
+    structural_ok &= probes_structural(draw_base_function(spec.m, on_grid, rng), spec.bound, grid)
     return CheckLine(
         f"verify-menu[{spec.mech_id}]",
         mismatches == 0 and structural_ok,

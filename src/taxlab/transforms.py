@@ -20,9 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import product
 from math import lcm
 from operator import itemgetter
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .bundles import all_bundles, grand, subset_sums
 from .menus import Menu, profit_argmax_set
@@ -69,6 +70,25 @@ class TwoPlayerTables:
         return self.session.catalog
 
     @cached_property
+    def plays(self) -> TruthfulPlays:
+        """The truthful plays over the catalog by index, built on first use:
+        one profit argmax per (player, catalog index, faced menu index) and
+        one session run per catalog profile."""
+        players = self.catalog.players
+        menus = tuple(tuple(self.index_of[i][v.scaled_table] for v in players[i]) for i in (0, 1))
+        bundles = tuple(tuple(tuple(profit_argmax_set(menu, v)[0] for menu in self.presented[1 - i])
+                              for v in players[i]) for i in (0, 1))
+        profiles = {}
+        for a, b in product(range(len(players[0])), range(len(players[1]))):
+            menu_idx = (menus[0][a], menus[1][b])
+            run = self.session.run((players[0][a], players[1][b]))
+            profiles[a, b] = TruthfulPlay(menu_idx, (bundles[0][a][menu_idx[1]],
+                                                     bundles[1][b][menu_idx[0]]),
+                                          tuple(_inner_messages(run)), run.allocation,
+                                          run.payments)
+        return TruthfulPlays(menus, bundles, profiles)
+
+    @cached_property
     def truthful_trie(self) -> dict:
         """The truthful wrapper transcripts over the catalog pairs as a
         nested dict, one level per message: the two menu indices, the two
@@ -76,12 +96,34 @@ class TwoPlayerTables:
         run's culprit owns its first message with no child here; an
         out-of-range menu index never has one."""
         trie: dict = {}
-        for profile in self.catalog.profiles():
-            menu_idx, bundles, inner = _play(self, profile, ("truthful", "truthful"))
+        for play in self.plays.profiles.values():
             node = trie
-            for key in (*menu_idx, *bundles, *(tok[:3] for tok in inner.transcript.tokens)):
+            for key in (*play.menus, *play.bundles, *(key for _, key in play.messages)):
                 node = node.setdefault(key, {})
         return trie
+
+
+class TruthfulPlay(NamedTuple):
+    """One catalog profile played truthfully: both announced menu indices
+    and bundles, then the inner run's (sender, token[:3]) messages and its
+    outcome."""
+
+    menus: tuple[int, int]
+    bundles: tuple[int, int]
+    messages: tuple[tuple[int, tuple], ...]
+    allocation: tuple[int, ...]
+    payments: tuple[Price, ...]
+
+
+@dataclass(frozen=True)
+class TruthfulPlays:
+    """Truthful play by catalog index: per player i and index a, the menu
+    index a announces and the bundle a announces per faced menu index; per
+    index pair (a, b), the profile's `TruthfulPlay`."""
+
+    menus: tuple[tuple[int, ...], tuple[int, ...]]
+    bundles: tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]
+    profiles: dict[tuple[int, int], TruthfulPlay]
 
 
 def build_tables(session: Session) -> TwoPlayerTables:
@@ -245,7 +287,9 @@ PLAY = -1  # a layout position that only the inner run settles
 class _Outcomes:
     """Player i's side of the audit: the distinct (won, paid) outcomes they
     can meet, one id each, keyed by (won, numerator, denominator), and the
-    inner plays, memoised per four announcements and inner pair."""
+    inner plays, memoised per four announcements and catalog index pair.
+    Valuations are catalog indices throughout: a play walks the stored
+    messages of the seated pair's truthful run."""
 
     def __init__(self, tables: TwoPlayerTables, i: int):
         self.tables = tables
@@ -256,10 +300,9 @@ class _Outcomes:
         self._wins: dict[int, list[int]] = {}
         self.nothing = self._id(0, ZERO)
         self._nothing_row = [self.nothing] * (1 << tables.spec.m)
-        faced = range(len(tables.presented[1 - i]))
-        self._truthful = [(tables.index_of[i][v.scaled_table],
-                           [truthful_bundle(tables, i, v, k) for k in faced])
-                          for v in tables.catalog.players[i]]
+        plays = tables.plays
+        self._profiles = plays.profiles
+        self._truthful = list(zip(plays.menus[i], plays.bundles[i]))
 
     def _id(self, won: int, paid: Fraction) -> int:
         key = (won, paid.numerator, paid.denominator)
@@ -303,17 +346,17 @@ class _Outcomes:
             row[bundle] = PLAY if bundle in reached else win[bundle]
         return row, reached
 
-    def _play(self, node: dict, key: tuple, u: Valuation, w: Valuation) -> int:
+    def _play(self, node: dict, key: tuple, u: int, w: int) -> int:
         """i's outcome when the four announcements `key` (own menu index and
         bundle, then the opponent's) reached `node` and the inner mechanism
-        runs as u for i and w for the opponent."""
-        memo = key + (u.scaled_table, w.scaled_table)
+        runs as catalog index u for i and w for the opponent."""
+        memo = (*key, u, w)
         oid = self._plays.get(memo)
         if oid is None:
-            run = self.tables.session.run(_seated(self.i, u, w))
-            culprit, _ = _walk(node, _inner_messages(run))
+            play = self._profiles[_seated(self.i, u, w)]
+            culprit, _ = _walk(node, play.messages)
             if culprit is None:
-                won, paid = run.allocation[self.i], run.payments[self.i]
+                won, paid = play.allocation[self.i], play.payments[self.i]
                 if not is_finite(paid):
                     raise DomainError("infinite payment cannot enter a utility")
                 oid = self._id(won, paid)
@@ -338,14 +381,13 @@ class _Outcomes:
     def against(self, opp_menu: int, opp_bundles: list[int], ws) -> list[tuple]:
         """Player i's outcomes against one opponent announcement (a menu
         index, and the bundle announced per menu index i announces), played
-        as each inner valuation in ws: per w, the truthful outcome per
-        valuation, the outcome per (menu index, bundle) of the deviation
-        family (one id when the announcements settle it, else one per inner
-        valuation), and each outcome's first deviation, in that order.  With
-        no position on the trie the result is one for every w, so one w
-        stands for all."""
-        valuations = self.tables.catalog.players[self.i]
-        n, width = len(valuations), len(self._nothing_row)
+        as each inner valuation in ws, a catalog index each: per w, the
+        truthful outcome per valuation, the outcome per (menu index, bundle)
+        of the deviation family (one id when the announcements settle it,
+        else one per inner valuation), and each outcome's first deviation,
+        in that order.  With no position on the trie the result is one for
+        every w, so one w stands for all."""
+        n, width = len(self._truthful), len(self._nothing_row)
         layout: list = []
         reached = {}  # PLAY position -> (trie node, the four announcements)
         for menu, opp_bundle in enumerate(opp_bundles):
@@ -358,7 +400,7 @@ class _Outcomes:
         out = []
         for w in ws:
             truthful = []
-            for (menu, bundles), v in zip(self._truthful, valuations):
+            for v, (menu, bundles) in enumerate(self._truthful):
                 pos = menu * width + bundles[opp_menu]
                 truthful.append(layout[pos] if layout[pos] != PLAY
                                 else self._play(*reached[pos], v, w))
@@ -367,7 +409,7 @@ class _Outcomes:
                 continue
             mine, met = layout.copy(), dict(first)
             for pos, (node, key) in reached.items():
-                mine[pos] = oids = [self._play(node, key, u, w) for u in valuations]
+                mine[pos] = oids = [self._play(node, key, u, w) for u in range(n)]
                 for k, oid in enumerate(oids):
                     met[oid] = min(met.get(oid, pos * n + k), pos * n + k)
             out.append((truthful, mine, dict(sorted(met.items(), key=itemgetter(1)))))
@@ -400,17 +442,17 @@ def deviation_audit(tables: TwoPlayerTables, keep_rows: bool = False) -> AuditRe
     rows: list[AuditRow] = []
     worst: Optional[AuditRow] = None
     width = 1 << tables.spec.m
+    plays = tables.plays
     for i in (0, 1):
         other = 1 - i
         valuations = tables.catalog.players[i]
         n = len(valuations)
-        theirs = tables.catalog.players[other]
+        theirs = range(len(tables.catalog.players[other]))
         side = _Outcomes(tables, i)
         own_menus = range(len(tables.presented[i]))
         results, firsts = [], []  # each class's results, and their first labels
-        for k, w in enumerate(theirs):
-            announced = [truthful_bundle(tables, other, w, menu) for menu in own_menus]
-            results += side.against(tables.index_of[other][w.scaled_table], announced, [w])
+        for k in theirs:
+            results += side.against(plays.menus[other][k], plays.bundles[other][k], [k])
             firsts.append(f"truthful:{k}")
         classes = []  # per opponent menu: on-trie bundle -> its first result, the off class's
         for opp_menu in range(len(tables.presented[other])):
@@ -423,18 +465,17 @@ def deviation_audit(tables: TwoPlayerTables, keep_rows: bool = False) -> AuditRe
                 else:
                     off_at, ws = len(results), theirs[:1]
                 results += side.against(opp_menu, [bundle] * len(own_menus), ws)
-                firsts += [f"dev:{(opp_menu * width + bundle) * len(theirs) + k}"
-                           for k in range(len(ws))]
+                firsts += [f"dev:{(opp_menu * width + bundle) * len(theirs) + k}" for k in ws]
             classes.append((on_at, off_at))
 
         def labelled():
             """Every opponent label, in order, with its result's index."""
-            yield from ((f"truthful:{k}", k) for k in range(len(theirs)))
+            yield from ((f"truthful:{k}", k) for k in theirs)
             dev = 0
             for on_at, off_at in classes:
                 for bundle in range(width):
                     start = on_at.get(bundle)
-                    for k in range(len(theirs)):
+                    for k in theirs:
                         yield f"dev:{dev}", off_at if start is None else start + k
                         dev += 1
 

@@ -58,6 +58,10 @@ Round = tuple[int, Sequence[int], Callable[[int, Price], bool]]  # (d, ints, bea
 Over = tuple[int, list[int], int]  # the general probe (E, lifted ints, B * E), see `_over`
 
 
+class ProbeStructureError(ContractError):
+    """A round's probe table is not of its verification class."""
+
+
 @dataclass(frozen=True)
 class BaseFunction(Menu):
     """Monotone price-like target, the verification problem's f: a
@@ -211,7 +215,7 @@ def _staircase_round(m: int, level: tuple[int, ...], bound: tuple[int, int], w: 
     bound is B's int pair, as `_staircase` takes it."""
     d, ints = _staircase(m, level, bound)
     if not pairwise_submodular(m, ints):
-        raise ContractError("a staircase probe failed the submodularity check")
+        raise ProbeStructureError("a staircase probe failed the submodularity check")
     return d, ints, lambda won, paid: ints[won] == ints[-1] and paid < w
 
 

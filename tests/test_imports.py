@@ -498,3 +498,44 @@ def test_readme_states_the_source_line_count():
     [stated] = re.findall(r"`src/taxlab/` is ([\d,]+) lines", readme)
     total = sum(path.read_text(encoding="utf-8").count("\n") for path in SRC.glob("*.py"))
     assert int(stated.replace(",", "")) == total
+
+
+def audit_side_replays(source: str) -> list[str]:
+    """`.scaled_table` reads and `.run(...)` calls inside `_Outcomes`'
+    methods: the audit's side reads valuations by catalog index and plays
+    from the stored truthful messages, never hashing a table or asking the
+    session for a run."""
+    found = []
+    for name, fn in named_functions(source):
+        if not name.startswith("_Outcomes."):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Attribute) and node.attr == "scaled_table":
+                found.append(f"line {node.lineno}: {name} reads .scaled_table")
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "run"):
+                found.append(f"line {node.lineno}: {name} calls .run(")
+    return sorted(found)
+
+
+def test_audit_side_replays_are_found():
+    source = (
+        "class _Outcomes:\n"
+        "    def _play(self, u, w):\n"
+        "        memo = (u.scaled_table, w.scaled_table)\n"
+        "        return self.tables.session.run((u, w))\n"
+        "class Other:\n"
+        "    def run(self, v):\n"
+        "        return self.session.run(v.scaled_table)\n"
+    )
+    assert audit_side_replays(source) == [
+        "line 3: _Outcomes._play reads .scaled_table",
+        "line 3: _Outcomes._play reads .scaled_table",
+        "line 4: _Outcomes._play calls .run("]
+
+
+def test_the_audit_side_keys_plays_by_catalog_index():
+    source = (SRC / "transforms.py").read_text(encoding="utf-8")
+    assert {"_Outcomes.__init__", "_Outcomes._play", "_Outcomes.against"} <= {
+        name for name, _ in named_functions(source)}
+    assert audit_side_replays(source) == []

@@ -2,6 +2,7 @@
 checked against the direct computation it replaces."""
 
 import json
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -9,7 +10,7 @@ from pathlib import Path
 from hypothesis import given, note, settings
 from hypothesis import strategies as st
 
-from taxlab import suites
+from taxlab import cli, menus, protocol, suites
 from taxlab.bundles import all_bundles
 from taxlab.cli import audit_work
 from taxlab.demand_menus import extract_min_affine
@@ -151,6 +152,24 @@ def test_deviation_audit_matches_reference_loop():
         assert deviation_audit(tables) == reference_deviation_audit(tables)
 
 
+def test_a_valuation_at_two_catalog_indices_is_audited_at_each():
+    """The audit keys plays by catalog index.  A player's catalog refuses a
+    repeated valuation, so here player 1's catalog is player 0's rotated by
+    one: each valuation sits at index a for player 0 and a - 1 for player
+    1, and a play seated the wrong way round meets a different profile.
+    Rows, gap and worst row are the reference loop's, with `keep_rows` on
+    and off."""
+    for mech_id, params in suites.TWO_PLAYER_BENCH:
+        spec, catalog = suites.bench_instance(mech_id, params)
+        c0 = catalog.players[0]
+        tables = build_tables(Session(spec, ValuationCatalog((c0, c0[1:] + c0[:1]))))
+        for keep_rows in (False, True):
+            got = deviation_audit(tables, keep_rows)
+            want = reference_deviation_audit(tables, keep_rows)
+            assert got.rows == want.rows, (mech_id, keep_rows)
+            assert got.max_gap == want.max_gap and got.worst == want.worst, (mech_id, keep_rows)
+
+
 def planted_tables():
     """Tables over a mechanism that is not truthful, so the audit finds
     gains.  Player 0's win and payment are looked up from their own report,
@@ -269,6 +288,41 @@ def test_the_audit_calls_against_once_per_opponent_class_on_the_m8_set(monkeypat
         assert calls[0] == classes, entry["id"]
         deviating += classes
     assert (deviating, announcements) == (40, 4096)
+
+
+AUDIT_ENTRIES = ("warmup_tightness", "value_tightness", "drop_tie", "drop_tax", "posted_prices")
+
+
+def test_the_audit_entries_play_each_catalog_profile_once(monkeypatch, tmp_path, capsys):
+    """The transform suite on the demo's five audit entries (warmup_tightness,
+    value_tightness, drop_tie, drop_tax and posted_prices, the benchmark's
+    `audit` workload) asks the session for one run per catalog profile
+    (87), takes one profit argmax per (player, catalog index, faced menu
+    index) (90), and runs the mechanism 511 times: the menu extractions
+    and the 87 profiles."""
+    counts = {"Session.run": 0, "profit_argmax_set": 0, "run_mechanism": 0}
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for owner, name in ((menus, "profit_argmax_set"), (protocol, "run_mechanism")):
+        original, wrapped = getattr(owner, name), counting(name, getattr(owner, name))
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("taxlab") and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, wrapped)
+    monkeypatch.setattr(Session, "run", counting("Session.run", Session.run))
+    demo = json.loads((Path(__file__).parents[1] / "configs" / "demo.json").read_text())
+    doc = dict(demo, suites=["transform"],
+               mechanisms=[e for e in demo["mechanisms"] if e["id"] in AUDIT_ENTRIES])
+    assert len(doc["mechanisms"]) == len(AUDIT_ENTRIES)
+    config = tmp_path / "audit.json"
+    config.write_text(json.dumps(doc))
+    assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    assert counts == {"Session.run": 87, "profit_argmax_set": 90, "run_mechanism": 511}
 
 
 def reference_messages(menu_idx, bundles, inner=None) -> list[tuple]:
@@ -449,15 +503,17 @@ def m6_tables(mech_id):
     return _m6_tables[mech_id]
 
 
-def opponent_group(tables, i, strategy, w):
+def opponent_group(tables, i, strategy, k):
     """The `against` arguments of the group an opponent behavior belongs
-    to, and the behavior's place among the group's inner valuations."""
+    to, the opponent's valuation given by catalog index k, and the
+    behavior's place among the group's inner valuations."""
     theirs = tables.catalog.players[1 - i]
     own_menus = range(len(tables.presented[i]))
     if strategy == "truthful":
+        w = theirs[k]
         return (tables.index_of[1 - i][w.scaled_table],
-                [truthful_bundle(tables, 1 - i, w, menu) for menu in own_menus], [w]), 0
-    return ((strategy.menu_index, [strategy.bundle] * len(own_menus), theirs),
+                [truthful_bundle(tables, 1 - i, w, menu) for menu in own_menus], [k]), 0
+    return ((strategy.menu_index, [strategy.bundle] * len(own_menus), range(len(theirs))),
             theirs.index(strategy.inner))
 
 
@@ -471,20 +527,19 @@ def test_grouped_against_matches_the_per_opponent_reference_at_m6(mech_id, i, tr
     tables = m6_tables(mech_id)
     theirs = tables.catalog.players[1 - i]
     if truthful:
-        w = data.draw(st.sampled_from(theirs))
-        behaviors = [("truthful", w)]
+        behaviors = [("truthful", data.draw(st.integers(0, len(theirs) - 1)))]
     else:
         menu = data.draw(st.integers(0, len(tables.presented[1 - i]) - 1))
         announced = sorted({truthful_bundle(tables, 1 - i, w, k) for w in theirs
                             for k in range(len(tables.presented[i]))})
         bundle = data.draw(st.sampled_from(announced) | st.integers(0, (1 << tables.spec.m) - 1))
-        behaviors = [(DeviationStrategy(menu, bundle, w), theirs[0]) for w in theirs]
+        behaviors = [(DeviationStrategy(menu, bundle, w), 0) for w in theirs]
     group, _ = opponent_group(tables, i, *behaviors[0])
     side, reference = _Outcomes(tables, i), ReferenceOutcomes(tables, i)
     got = side.against(*group)
     assert len(got) == len(behaviors)
-    for result, (strategy, w) in zip(got, behaviors):
-        want = reference.against(strategy, w)
+    for result, (strategy, k) in zip(got, behaviors):
+        want = reference.against(strategy, theirs[k])
         assert named(side.outcomes, result) == named(reference.outcomes, want)
 
 
@@ -497,12 +552,13 @@ def test_grouped_outcomes_match_wrapper_runs_at_m6(mech_id, i, consistent, data)
     always admits the latter: misreport a type with its menu and bundle."""
     tables = m6_tables(mech_id)
     theirs = tables.catalog.players[1 - i]
-    opponents = [("truthful", w) for w in theirs]
+    opponents = [("truthful", k) for k in range(len(theirs))]
     if not consistent:
-        opponents += [(dev, theirs[0]) for dev in deviation_family(tables, 1 - i)]
-    strategy, w = data.draw(st.sampled_from(opponents))
+        opponents += [(dev, 0) for dev in deviation_family(tables, 1 - i)]
+    strategy, k = data.draw(st.sampled_from(opponents))
+    w = theirs[k]
     side = _Outcomes(tables, i)
-    group, place = opponent_group(tables, i, strategy, w)
+    group, place = opponent_group(tables, i, strategy, k)
     truthful, layout, first = side.against(*group)[place]
     valuations = tables.catalog.players[i]
     n = len(valuations)

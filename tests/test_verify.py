@@ -597,6 +597,15 @@ def test_a_non_submodular_staircase_table_fails_the_structural_check(monkeypatch
                     "[0 trials, 0 mismatches, probes structural: False]")
 
 
+def test_a_non_submodular_staircase_table_in_the_trials_is_a_fail_line(monkeypatch):
+    """The same planted table with trials on: the submodular rounds refuse
+    it, and the suite reports that as its FAIL line rather than raising."""
+    line = planted_verify_line(monkeypatch, "_staircase",
+                               lambda ints: tuple(ints[:-1] + [2 * ints[-1] + 1]), 2)
+    assert line == ("verify-menu[drop_tax(m=4)]: FAIL  "
+                    "[8 trials, 0 mismatches, probes structural: False]")
+
+
 def reference_staircase(m, level, bound):
     """The per-mask builder `_staircase` ran before its one comprehension."""
     k = size(level[0])
