@@ -281,7 +281,7 @@ def reconstruct_menu_comm(session: Session, i: int, v_minus_i: Sequence[Valuatio
 
     if len(live) != 1:
         raise SoundnessError("reconstruction did not isolate a single menu")
-    if live[0].price != truth.price:
+    if live[0] != truth:
         raise SoundnessError("reconstructed menu differs from the ground truth")
     bookkeeping = step_tag_bits * len(steps)  # one step tag per step
     total = price_bits + dis_bits + bookkeeping

@@ -57,13 +57,15 @@ def demand_ints(vs: Sequence[Valuation], den: int,
 
     Exact integer kernel: each valuation's values and the finite prices go
     over c = lcm(D, den), where `subset_sums` prices every bundle with one
-    int addition and `Valuation.ints_over` gives the values.  An INF item
-    weighs one more than the grand bundle's scaled value, so by monotonicity
-    (v(S + B) - v(S) <= v(grand)) a bundle holding it loses strictly to the
-    same bundle without it, whatever the finite prices.  The cost row
-    depends on (c, blocked weight) only, so valuations sharing that pair
-    share one row; the answer is the first maximizer of the profit list,
-    the empty bundle's 0 competing.
+    int addition.  The stored ints are scaled by c / D where they are
+    ranked: the stored tuple itself when c == D, else each value as its
+    profit is taken, the listed candidates' alone on the candidate scan.
+    An INF item weighs one more than the grand bundle's scaled value, so by
+    monotonicity (v(S + B) - v(S) <= v(grand)) a bundle holding it loses
+    strictly to the same bundle without it, whatever the finite prices.
+    The cost row depends on (c, blocked weight) only, so valuations sharing
+    that pair share one row; the answer is the first maximizer of the
+    profit list, the empty bundle's 0 competing.
 
     A valuation carrying its `candidates` is scanned on those masks alone
     when no price is negative, with the same answer: every item then weighs
@@ -81,9 +83,10 @@ def demand_ints(vs: Sequence[Valuation], den: int,
     for v in vs:
         if len(ints) != v.m:
             raise DomainError("price vector length must equal m")
-        c = lcm(v.scaled_table[0], den)
-        row = v.ints_over(c)
-        blocked = row[-1] + 1
+        d, vals = v.scaled_table
+        c = lcm(d, den)
+        k = c // d
+        blocked = vals[-1] * k + 1
         cost = rows.get((c, blocked))
         if cost is None:
             up = c // den
@@ -94,10 +97,11 @@ def demand_ints(vs: Sequence[Valuation], den: int,
             if nonnegative is None:
                 nonnegative = all(p is None or p >= 0 for p in ints)
             if nonnegative:
-                profits = [row[u] - cost[u] for u in cands]
+                profits = [vals[u] * k - cost[u] for u in cands]
                 out.append(cands[profits.index(max(profits))])
                 continue
-        profits = list(map(sub, row, cost))
+        profits = (list(map(sub, vals, cost)) if k == 1
+                   else [x * k - p for x, p in zip(vals, cost)])
         out.append(profits.index(max(profits)))
     return out
 

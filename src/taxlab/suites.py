@@ -118,7 +118,7 @@ def verify_menu_trials(session: Session, trials_per_class: int, seed: int) -> Ch
     """Random base functions per class against the brute-force predicate,
     plus the structural probe checks."""
     spec, catalog = session.spec, session.catalog
-    grid = menu_price_grid([mn for ms in session.report().menus for mn in ms])
+    grid = menu_price_grid([mn for i in range(spec.n) for mn in session.menus(i)])
     i = spec.n - 1
     v_minus = tuple(catalog.players[j][-1] for j in range(spec.n) if j != i)
     truth = session.menu(i, v_minus)
@@ -160,7 +160,7 @@ def value_reconstruction_check(session: Session) -> CheckLine:
             po = PriceOracle(truth)
             rec = reconstruct_menu_value(po, mc_bound=max(1, mc))
             count += 1
-            if rec.menu.price != truth.price:
+            if rec.menu != truth:
                 errors.append(f"player {i} mismatch")
             budget = max(1, mc) * useless_query_budget(spec.m, max(1, mc)) + max(1, mc)
             if rec.oracle_calls > budget:
@@ -353,7 +353,7 @@ def comm_reconstruction_check(session: Session, seed: int
             truth = session.menu(i, v_minus)
             rec = reconstruct_menu_comm(session, i, v_minus, seed=seed)
             done.append((i, len(pre), rec))
-            if rec.menu.price != truth.price:
+            if rec.menu != truth:
                 errors.append(f"player {i} wrong menu")
             if len(rec.steps) > max(1, (len(pre) - 1).bit_length()):
                 errors.append(f"player {i}: {len(rec.steps)} steps for {len(pre)} menus")

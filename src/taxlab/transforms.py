@@ -225,9 +225,11 @@ def to_dominant_run(tables: TwoPlayerTables, profile, strategies) -> DominantRun
     """One run of the wrapper under the given strategies ("truthful" or a
     DeviationStrategy per player), with both communication accountings."""
     spec = tables.spec
-    for i in (0, 1):
-        if strategies[i] != "truthful" and not isinstance(strategies[i], DeviationStrategy):
+    for s in strategies:
+        if s != "truthful" and not isinstance(s, DeviationStrategy):
             raise DomainError("strategies are 'truthful' or DeviationStrategy")
+        if s != "truthful" and not 0 <= s.bundle < 1 << spec.m:
+            raise DomainError(f"bundle {s.bundle} out of range for m={spec.m}")
     menu_idx, bundles, inner = _play(tables, profile, strategies)
     culprit, allocation, payments = settle(tables, menu_idx, bundles, inner)
     announce_bits = 2 * (tables.tax_bits + spec.m)
@@ -448,36 +450,28 @@ def deviation_audit(tables: TwoPlayerTables, keep_rows: bool = False) -> AuditRe
         valuations = tables.catalog.players[i]
         n = len(valuations)
         theirs = range(len(tables.catalog.players[other]))
+        n_opp = len(theirs)
         side = _Outcomes(tables, i)
         own_menus = range(len(tables.presented[i]))
-        results, firsts = [], []  # each class's results, and their first labels
+        results = []  # each class's results, in order of their first labels
         for k in theirs:
             results += side.against(plays.menus[other][k], plays.bundles[other][k], [k])
-            firsts.append(f"truthful:{k}")
-        classes = []  # per opponent menu: on-trie bundle -> its first result, the off class's
+        at = list(theirs)  # per opponent label, in label order, its result's index
         for opp_menu in range(len(tables.presented[other])):
-            on = side.on_trie(opp_menu)
-            off = next((bundle for bundle in range(width) if bundle not in on), None)
-            on_at, off_at = {}, None
-            for bundle in sorted(on if off is None else on | {off}):
+            on, off_at = side.on_trie(opp_menu), None
+            for bundle in range(width):
                 if bundle in on:
-                    on_at[bundle], ws = len(results), theirs
-                else:
-                    off_at, ws = len(results), theirs[:1]
-                results += side.against(opp_menu, [bundle] * len(own_menus), ws)
-                firsts += [f"dev:{(opp_menu * width + bundle) * len(theirs) + k}" for k in ws]
-            classes.append((on_at, off_at))
+                    at += range(len(results), len(results) + n_opp)
+                    results += side.against(opp_menu, [bundle] * len(own_menus), theirs)
+                    continue
+                if off_at is None:
+                    off_at = len(results)
+                    results += side.against(opp_menu, [bundle] * len(own_menus), theirs[:1])
+                at += [off_at] * n_opp
+        lead = dict(zip(reversed(at), range(len(at) - 1, -1, -1)))  # result -> first label
 
-        def labelled():
-            """Every opponent label, in order, with its result's index."""
-            yield from ((f"truthful:{k}", k) for k in theirs)
-            dev = 0
-            for on_at, off_at in classes:
-                for bundle in range(width):
-                    start = on_at.get(bundle)
-                    for k in theirs:
-                        yield f"dev:{dev}", off_at if start is None else start + k
-                        dev += 1
+        def label(pos: int) -> str:
+            return f"truthful:{pos}" if pos < n_opp else f"dev:{pos - n_opp}"
 
         d_paid, paid = common_denominator([paid for _, paid in side.outcomes])
         for vi, v in enumerate(valuations):
@@ -487,16 +481,16 @@ def deviation_audit(tables: TwoPlayerTables, keep_rows: bool = False) -> AuditRe
                  for (won, _), p in zip(side.outcomes, paid)]
             top = None  # (gap, opponent, deviation, truthful and deviating utility)
             truths, gains = [], []
-            for label, (truthful, _, first) in zip(firsts, results):
+            for r, (truthful, _, first) in enumerate(results):
                 u_truth = u[truthful[vi]]
                 best = max(map(u.__getitem__, first))
                 truths.append(u_truth)
                 gains.append(best > u_truth)
                 if top is None or best - u_truth > top[0]:
                     dev = next(dev for oid, dev in first.items() if u[oid] == best)
-                    top = (best - u_truth, label, dev, u_truth, best)
+                    top = (best - u_truth, lead[r], dev, u_truth, best)
             if keep_rows or any(gains):
-                for label, r in labelled():
+                for opp, r in enumerate(at):
                     if not (keep_rows or gains[r]):
                         continue
                     u_truth, layout = truths[r], results[r][1]
@@ -504,9 +498,9 @@ def deviation_audit(tables: TwoPlayerTables, keep_rows: bool = False) -> AuditRe
                     for pos, oids in enumerate(layout):
                         for k, oid in enumerate(oids if isinstance(oids, list) else [oids] * n):
                             if keep_rows or u[oid] > u_truth:
-                                rows.append(AuditRow(i, vi, label, pos * n + k,
+                                rows.append(AuditRow(i, vi, label(opp), pos * n + k,
                                                      truth, Fraction(u[oid], d)))
-            row = AuditRow(i, vi, top[1], top[2], Fraction(top[3], d), Fraction(top[4], d))
+            row = AuditRow(i, vi, label(top[1]), top[2], Fraction(top[3], d), Fraction(top[4], d))
             if worst is None or row.gap > worst.gap:
                 worst = row
     return AuditReport(tuple(rows), worst.gap if worst is not None else Fraction(0), worst)

@@ -66,25 +66,6 @@ class Valuation:
         exact = {x: Fraction(x, d) for x in set(ints)}
         return tuple([exact[x] for x in ints])
 
-    @cached_property
-    def _rescaled(self) -> list:
-        """[c, row]: the last `ints_over` row off D, kept outside the
-        fields, so equality, hashing and repr ignore it."""
-        return [None, None]
-
-    def ints_over(self, c: int) -> Sequence[int]:
-        """The table as ints over c, a multiple of D: the stored ints when
-        c == D, else the kept row for the last such c, rebuilt when c
-        changes, so a valuation holds at most one extra row."""
-        d, ints = self.scaled_table
-        if c == d:
-            return ints
-        kept = self._rescaled
-        if kept[0] != c:
-            k = c // d
-            kept[:] = c, tuple([x * k for x in ints])
-        return kept[1]
-
     def value(self, mask: int) -> Fraction:
         """v(mask), read from the stored ints: no `Fraction` table is built."""
         if not 0 <= mask < (1 << self.m):

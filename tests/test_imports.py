@@ -539,3 +539,67 @@ def test_the_audit_side_keys_plays_by_catalog_index():
     assert {"_Outcomes.__init__", "_Outcomes._play", "_Outcomes.against"} <= {
         name for name, _ in named_functions(source)}
     assert audit_side_replays(source) == []
+
+
+DEMAND_VALUATION_READS = {"m", "scaled_table", "candidates"}
+
+
+def valuation_reads(source: str, name: str) -> list[str]:
+    """Attributes the named function reads off a valuation, other than its
+    `m`, `scaled_table` and `candidates`: off a parameter annotated
+    `Valuation`, or off the loop variable of a `for` over a parameter
+    annotated `Sequence[Valuation]`.  The kernel scales the stored ints
+    where it ranks them and asks the valuation for no other form."""
+    fn = dict(named_functions(source))[name]
+    params = {a.arg: ast.unparse(a.annotation) for a in fn.args.args if a.annotation}
+    held = {arg for arg, ann in params.items() if ann == "Valuation"}
+    held |= {node.target.id for node in ast.walk(fn)
+             if isinstance(node, ast.For) and isinstance(node.target, ast.Name)
+             and isinstance(node.iter, ast.Name)
+             and params.get(node.iter.id) == "Sequence[Valuation]"}
+    return sorted(f"line {node.lineno}: .{node.attr}" for node in ast.walk(fn)
+                  if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in held and node.attr not in DEMAND_VALUATION_READS)
+
+
+def cached_lists(source: str) -> list[str]:
+    """`cached_property` getters that return a list: annotated `list`, or
+    returning a list display, a list comprehension or a `list(...)` call.
+    A cached list is a mutable cache on a frozen value."""
+    found = []
+    for name, fn in named_functions(source):
+        if not any((deco.id if isinstance(deco, ast.Name) else getattr(deco, "attr", ""))
+                   == "cached_property" for deco in fn.decorator_list):
+            continue
+        returned = [node.value for node in ast.walk(fn) if isinstance(node, ast.Return)]
+        if ((fn.returns is not None and ast.unparse(fn.returns).split("[")[0] == "list")
+                or any(isinstance(value, (ast.List, ast.ListComp))
+                       or (isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+                           and value.func.id == "list") for value in returned)):
+            found.append(f"line {fn.lineno}: {name}")
+    return found
+
+
+def test_valuation_reads_and_cached_lists_are_found():
+    source = (
+        "from functools import cached_property\n"
+        "def demand_ints(vs: Sequence[Valuation], den: int, w: Valuation) -> list[int]:\n"
+        "    for v in vs:\n"
+        "        row = v.ints_over(den) if v.m else v.scaled_table[1]\n"
+        "    return [w.table, v.candidates, den.real]\n"
+        "class Valuation:\n"
+        "    @cached_property\n    def table(self) -> tuple: return tuple([0])\n"
+        "    @cached_property\n    def a(self) -> list: return [None]\n"
+        "    @cached_property\n    def b(self): return [x for x in self.table]\n"
+        "    @functools.cached_property\n    def c(self): return list(self.table)\n"
+        "    def d(self) -> list: return []\n"
+    )
+    assert valuation_reads(source, "demand_ints") == ["line 4: .ints_over", "line 5: .table"]
+    assert cached_lists(source) == [
+        "line 10: Valuation.a", "line 12: Valuation.b", "line 14: Valuation.c"]
+
+
+def test_the_demand_kernel_reads_only_stored_valuation_fields():
+    assert valuation_reads((SRC / "queries.py").read_text(encoding="utf-8"),
+                           "demand_ints") == []
+    assert cached_lists((SRC / "valuations.py").read_text(encoding="utf-8")) == []

@@ -19,7 +19,7 @@ from taxlab.transforms import (DeviationStrategy, PrecisionError, _play,
                                reachable_menus, size_tilt, strictify,
                                strictify_catalog, to_dominant_run,
                                to_simultaneous)
-from taxlab.valuations import (ValuationCatalog, additive_valuation,
+from taxlab.valuations import (DomainError, ValuationCatalog, additive_valuation,
                                random_monotone_valuation, single_item_valuation, valuation,
                                valuation_from_values)
 
@@ -83,6 +83,19 @@ def test_out_of_range_menu_index_is_inconsistency():
     rogue = DeviationStrategy(99, 0, alice)
     run = to_dominant_run(tables, (alice, bob), (rogue, "truthful"))
     assert run.outcome.inconsistent == 0
+
+
+def test_out_of_range_deviation_bundle_is_refused():
+    """Player 0 leaves the trie with their bundle, so player 1 would win
+    theirs at its price in player 0's menu: at 2^m that index is missing,
+    and at -1 it would read the grand bundle's price.  Both are refused."""
+    spec, cat, tables = warmup_tables(2)
+    alice, bob = cat.players[0][0], cat.players[1][0]
+    off_trie = next(b for b in all_bundles(spec.m) if b not in tables.truthful_trie[0][0])
+    for bad in (-1, 1 << spec.m):
+        strategies = (DeviationStrategy(0, off_trie, alice), DeviationStrategy(0, bad, bob))
+        with pytest.raises(DomainError, match="out of range"):
+            to_dominant_run(tables, (alice, bob), strategies)
 
 
 def transcript_messages(menu_idx, bundles, inner):

@@ -578,6 +578,23 @@ def planted_verify_line(monkeypatch, name, perturb, trials):
     return suites.verify_menu_trials(session, trials, 0).render()
 
 
+def test_trials_on_an_unmeasured_session_run_no_price_protocol(monkeypatch):
+    """The trials' price grid is read from the session's menus: on a
+    session no `measure` has run they make no price-protocol run, and
+    their line is a measured session's."""
+    import taxlab.protocol as protocol
+
+    measured = Session(*suites.bench_instance("drop_tax", {"m": 4}))
+    measured.report()
+    want = suites.verify_menu_trials(measured, 5, 0).render()
+    calls = []
+    run = protocol.price_run
+    monkeypatch.setattr(protocol, "price_run", lambda *args: calls.append(args) or run(*args))
+    fresh = Session(*suites.bench_instance("drop_tax", {"m": 4}))
+    assert suites.verify_menu_trials(fresh, 5, 0).render() == want
+    assert calls == []
+
+
 def test_a_perturbed_xos_table_fails_the_structural_check(monkeypatch):
     """One xos round's table raised at the grand bundle (still a monotone
     probe, so the rounds run) is no longer its clauses' maximum."""
