@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from operator import gt, itemgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 MAX_ITEMS = 16
 
@@ -42,24 +42,6 @@ def size(mask: int) -> int:
 
 def contains(outer: int, inner: int) -> bool:
     return outer & inner == inner
-
-
-def subsets(mask: int) -> Iterator[int]:
-    """All submasks of mask, ascending."""
-    sub = 0
-    while True:
-        yield sub
-        if sub == mask:
-            return
-        sub = (sub - mask) & mask
-
-
-def supersets(mask: int, m: int) -> Iterator[int]:
-    """All supermasks of mask within m items, ascending."""
-    full = grand(m)
-    rest = full & ~mask
-    for extra in subsets(rest):
-        yield mask | extra
 
 
 @lru_cache(maxsize=16)  # every m in 1..MAX_ITEMS

@@ -40,7 +40,7 @@ from typing import Optional
 from . import suites
 from .bundles import MAX_ITEMS
 from .library import default_catalog, make_example, mechanism
-from .protocol import REPORT_FIELDS, Session, run_mechanism
+from .protocol import REPORT_FIELDS, Session
 from .reporting import audit_rows_to_csv, emit_report, write_text
 from .transforms import build_tables, deviation_audit, strictify_catalog, to_simultaneous
 from .valuations import DomainError, ValuationCatalog, valuation_from_json
@@ -325,7 +325,7 @@ def simultaneous_suite(cfg: Config, sessions: list[Session]):
         table = to_simultaneous(strictify_catalog(entry.spec, entry.catalog, seed=cfg.seed))
         ok = True
         for profile in table.tables.catalog.profiles():
-            base = run_mechanism(entry.spec, profile)
+            base = table.tables.session.run(profile)
             (s1, s2), bits = table.run(profile)
             ok &= base.allocation[0] & ~s1 == 0
             ok &= base.allocation[1] & ~s2 == 0

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Optional, Sequence
 
-from .valuations import DomainError, json_int, json_typed
+from .valuations import DomainError
 
 
 class PromiseError(RuntimeError):
@@ -25,19 +25,6 @@ class PromiseError(RuntimeError):
 
 def popcount(x: int) -> int:
     return x.bit_count()
-
-
-def bits_to_mask(bits: str) -> int:
-    """Bit k of the string (leftmost = bit 0) becomes bit k of the mask."""
-    if not isinstance(bits, str):
-        raise DomainError(f"a bit string must be a JSON string, got {bits!r}")
-    mask = 0
-    for k, ch in enumerate(bits):
-        if ch == "1":
-            mask |= 1 << k
-        elif ch != "0":
-            raise DomainError("bit strings must be over 0/1")
-    return mask
 
 
 def lowest_bit(a: int) -> Optional[int]:
@@ -53,10 +40,6 @@ def neighbourhood(strings: Sequence[int], k: int, live: int) -> int:
         if a >> k & 1:
             nb |= a & live
     return nb
-
-
-def mask_to_bits(mask: int, l: int) -> str:
-    return "".join("1" if mask >> k & 1 else "0" for k in range(l))
 
 
 def max_intersection(allowed: Sequence[Sequence[int]], l: int) -> int:
@@ -94,9 +77,6 @@ class ZDisjointnessInstance:
             raise PromiseError(
                 f"promise z={self.z} violated: some profile shares {worst} bits"
             )
-
-    def exact_promise(self) -> int:
-        return max_intersection(self.allowed, self.l)
 
 
 @dataclass(frozen=True)
@@ -182,12 +162,6 @@ def run_one_disjointness(n: int, l: int, allowed: Sequence[Sequence[int]],
         live = neighbourhood(allowed[speaker], announced[speaker], live)
 
 
-def solve_one_disjointness(inst: ZDisjointnessInstance) -> Verdict:
-    if inst.z != 1:
-        raise DomainError("the neighborhood protocol needs the promise z = 1")
-    return run_one_disjointness(inst.n, inst.l, inst.allowed, inst.inputs).verdict
-
-
 def combination_unrank(rank: int, l: int, z: int) -> tuple[int, ...]:
     """The z-tuple of index `rank` in `itertools.combinations(range(l), z)`
     order."""
@@ -268,25 +242,3 @@ def brute_force_verdict(inst: ZDisjointnessInstance) -> Optional[int]:
     for a in inst.inputs:
         common &= a
     return lowest_bit(common)
-
-
-def instance_to_json(inst: ZDisjointnessInstance) -> dict:
-    return {
-        "n": inst.n,
-        "l": inst.l,
-        "allowed": [[mask_to_bits(a, inst.l) for a in strings] for strings in inst.allowed],
-        "inputs": [mask_to_bits(a, inst.l) for a in inst.inputs],
-        "z": inst.z,
-    }
-
-
-def instance_from_json(doc: dict) -> ZDisjointnessInstance:
-    l = json_int(doc, "l", "bit width l")
-    return ZDisjointnessInstance(
-        n=json_int(doc, "n", "player count n"),
-        l=l,
-        allowed=tuple(tuple(bits_to_mask(s) for s in json_typed(strings, list, "allowed group"))
-                      for strings in json_typed(doc["allowed"], list, "allowed")),
-        inputs=tuple(bits_to_mask(s) for s in json_typed(doc["inputs"], list, "inputs")),
-        z=json_int(doc, "z", "promise z"),
-    )

@@ -23,10 +23,9 @@ from typing import Optional, Sequence
 
 from .bundles import (all_bundles, bit, check_m, flat_pairs, is_monotone, subset_sums,
                       superset_min)
-from .rational import (INF, Price, common_denominator, format_price, is_finite, parse_price,
-                       price_key, reduced_prices, scaled_prices, top_above)
-from .valuations import (DomainError, Valuation, json_item_count, json_typed, table_from_json,
-                         table_to_json)
+from .rational import (INF, Price, common_denominator, is_finite, price_key, reduced_prices,
+                       scaled_prices, top_above)
+from .valuations import DomainError, Valuation
 
 
 class ContractError(ValueError):
@@ -192,36 +191,3 @@ def eval_min_affine(ma: MinAffineMenu, s: int) -> Price:
     if not 0 <= s < (1 << ma.m):
         raise DomainError("bundle out of range")
     return ma.price_table[s]
-
-
-def min_affine_table(ma: MinAffineMenu) -> Menu:
-    return menu(ma.m, ma.price_table)
-
-
-def menu_to_json(menu: Menu) -> dict:
-    return table_to_json(menu.m, menu.price)
-
-
-def menu_from_json(doc: dict) -> Menu:
-    return menu(*table_from_json(doc))
-
-
-def min_affine_to_json(ma: MinAffineMenu) -> dict:
-    return {
-        "m": ma.m,
-        "vectors": [[format_price(p) for p in vec] for vec in ma.vectors],
-        "offsets": [format_price(r) for r in ma.offsets],
-        "exceptions": {str(s): format_price(p) for s, p in ma.exceptions},
-    }
-
-
-def min_affine_from_json(doc: dict) -> MinAffineMenu:
-    m = json_item_count(doc)
-    vectors = tuple(tuple(parse_price(p) for p in json_typed(vec, list, "a price vector"))
-                    for vec in json_typed(doc["vectors"], list, "vectors"))
-    offsets = tuple(parse_price(r) for r in json_typed(doc["offsets"], list, "offsets"))
-    exceptions = json_typed(doc.get("exceptions", {}), dict, "exceptions")
-    if not all(k.isdecimal() for k in exceptions):
-        raise DomainError(f"exception keys must be bundle masks, got {list(exceptions)!r}")
-    return MinAffineMenu(m, vectors, offsets,
-                         tuple(sorted((int(k), parse_price(v)) for k, v in exceptions.items())))

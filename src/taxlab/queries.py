@@ -1,5 +1,5 @@
-"""The two query oracles, the batched integer demand kernel behind the
-demand oracle, and the brute-force welfare optimizer."""
+"""The two query oracles and the batched integer demand kernel behind the
+demand oracle."""
 
 from __future__ import annotations
 
@@ -11,10 +11,6 @@ from typing import Iterable, Optional, Sequence
 from .bundles import bit, subset_sums
 from .rational import INF, Price, is_finite
 from .valuations import DomainError, Valuation
-
-
-class CapacityError(ValueError):
-    """Instance too large for the exhaustive mode."""
 
 
 def value_query(v: Valuation, s: int) -> Fraction:
@@ -114,28 +110,3 @@ def demand_query(v: Valuation, prices: Sequence[Price]) -> tuple[int, Fraction]:
                                else price_ints(prices)))[0]
     d, ints = v.scaled_table
     return best, Fraction(ints[best], d)
-
-
-def optimal_welfare(vs: Sequence[Valuation]) -> tuple[tuple[int, ...], Fraction]:
-    """Welfare-maximizing partition by enumerating all n^m item assignments;
-    ties broken by smallest (mask_1, ..., mask_n)."""
-    n = len(vs)
-    if not 1 <= n <= 4:
-        raise CapacityError("exhaustive welfare supports 1..4 players")
-    m = vs[0].m
-    if any(v.m != m for v in vs):
-        raise DomainError("players must share m")
-    best = None
-    best_welfare = None
-    for code in range(n ** m):
-        masks = [0] * n
-        c = code
-        for j in range(m):
-            masks[c % n] |= bit(j)
-            c //= n
-        welfare = sum((vs[i].table[masks[i]] for i in range(n)), Fraction(0))
-        key = tuple(masks)
-        if (best is None or welfare > best_welfare
-                or (welfare == best_welfare and key < best)):
-            best, best_welfare = key, welfare
-    return best, best_welfare

@@ -107,9 +107,3 @@ def parse_price(s: str) -> Price:
     if s == "inf":
         return INF
     return Fraction(s)
-
-
-def format_price(x: Price) -> str:
-    if isinstance(x, Infinite):
-        return "inf"
-    return str(x)

@@ -25,7 +25,7 @@ from math import lcm
 from operator import itemgetter
 from typing import NamedTuple, Optional
 
-from .bundles import all_bundles, grand, subset_sums
+from .bundles import grand, subset_sums
 from .menus import Menu, profit_argmax_set
 from .protocol import MechanismSpec, RunResult, Session, log2_ceil
 from .rational import Price, common_denominator, is_finite
@@ -241,16 +241,6 @@ def to_dominant_run(tables: TwoPlayerTables, profile, strategies) -> DominantRun
         inconsistent=culprit,
     )
     return DominantRun(outcome, bundles)
-
-
-def deviation_family(tables: TwoPlayerTables, i: int) -> list[DeviationStrategy]:
-    """Every menu-lie x bundle-lie x type-misreport available to player i."""
-    out = []
-    for idx in range(len(tables.presented[i])):
-        for bundle in all_bundles(tables.spec.m):
-            for inner in tables.catalog.players[i]:
-                out.append(DeviationStrategy(idx, bundle, inner))
-    return out
 
 
 @dataclass(frozen=True)

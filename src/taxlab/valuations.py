@@ -1,4 +1,5 @@
-"""Valuations over bundles: reduced integer tables, exact on demand, plus class checks."""
+"""Valuations over bundles: reduced integer tables, exact on demand, and
+the reader of the config's valuation JSON."""
 
 from __future__ import annotations
 
@@ -10,26 +11,8 @@ from math import gcd
 from typing import Optional, Sequence
 
 from .bundles import (DomainError, all_bundles, bit, check_m, flat_pairs, is_monotone,
-                      is_submodular, monotone_closure, size, subset_sums, subsets)
-from .rational import Price, common_denominator, format_price, is_finite, parse_price
-
-
-@dataclass(frozen=True)
-class XOSClauses:
-    """Additive clauses a_r; the induced valuation is v(S) = max_r a_r(S)."""
-
-    m: int
-    clauses: tuple[tuple[Fraction, ...], ...]
-
-    def __post_init__(self):
-        check_m(self.m)
-        if not self.clauses:
-            raise DomainError("XOS needs at least one clause")
-        for cl in self.clauses:
-            if len(cl) != self.m:
-                raise DomainError("clause length must equal m")
-            if any(not is_finite(a) or a < 0 for a in cl):
-                raise DomainError("clause entries must be finite and nonnegative")
+                      monotone_closure, size, subset_sums)
+from .rational import common_denominator, parse_price
 
 
 @dataclass(frozen=True)
@@ -41,7 +24,6 @@ class Valuation:
 
     m: int
     scaled_table: tuple[int, tuple[int, ...]]
-    clauses: Optional[XOSClauses] = field(default=None, compare=False)
     candidates: Optional[tuple[int, ...]] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
@@ -103,10 +85,9 @@ def reduced_table(d: int, ints: Sequence[int]) -> tuple[int, tuple[int, ...]]:
     return d, tuple(ints)
 
 
-def valuation_from_ints(m: int, d: int, ints: Sequence[int],
-                        clauses: Optional[XOSClauses] = None) -> Valuation:
+def valuation_from_ints(m: int, d: int, ints: Sequence[int]) -> Valuation:
     """The valuation with table[s] == ints[s] / d (d > 0), reduced by the gcd."""
-    return Valuation(m, reduced_table(d, ints), clauses)
+    return Valuation(m, reduced_table(d, ints))
 
 
 def valuation_from_values(m: int, pairs) -> Valuation:
@@ -156,29 +137,6 @@ def clause_max(m: int, ints: Sequence[int]) -> list[int]:
     return best
 
 
-def xos_from_clauses(c: XOSClauses) -> Valuation:
-    """v(S) = max_r a_r(S), over the clauses' common denominator."""
-    d, ints = common_denominator([a for cl in c.clauses for a in cl])
-    return valuation_from_ints(c.m, d, clause_max(c.m, ints), clauses=c)
-
-
-def classify_valuation(v: Valuation) -> frozenset[str]:
-    """Class flags {additive, submodular, xos, subadditive} by exhaustive
-    checks over the integer table; xos is set only for a verified clause
-    witness; subadditivity on disjoint splits, which suffice as t is monotone."""
-    flags = set()
-    m, t = v.m, v.scaled_table[1]
-    if list(t) == subset_sums([t[bit(j)] for j in range(m)]):
-        flags.add("additive")
-    if is_submodular(t, m):
-        flags.add("submodular")
-    if all(t[s] + t[u ^ s] >= t[u] for u in all_bundles(m) for s in subsets(u) if s < u ^ s):
-        flags.add("subadditive")
-    if v.clauses is not None and xos_from_clauses(v.clauses) == v:
-        flags.add("xos")
-    return frozenset(flags)
-
-
 @dataclass(frozen=True)
 class ValuationCatalog:
     """Finite per-player valuation lists; the domain complexities are
@@ -223,56 +181,22 @@ def random_monotone_valuation(m: int, rng, grid=8, scale=Fraction(4)) -> Valuati
     return valuation_from_ints(m, d, monotone_closure(raw, m))
 
 
-def table_to_json(m: int, table: Sequence[Price]) -> dict:
-    """Valuation or menu JSON: m and every mask's entry; `table_from_json`
-    reads it back."""
-    return {"m": m, "values": {str(s): format_price(table[s]) for s in all_bundles(m)}}
-
-
-def valuation_to_json(v: Valuation) -> dict:
-    return table_to_json(v.m, v.table)
-
-
-def json_int(doc: dict, key: str, name: str) -> int:
-    """doc[key] as a JSON integer, not 2.5, "2" or true."""
-    x = doc[key]
-    if type(x) is not int:
-        raise DomainError(f"{name} must be an integer, got {x!r}")
-    return x
-
-
-def json_typed(x, kind: type, name: str):
-    """x when it is a JSON list (kind list) or object (kind dict), not a string."""
-    if not isinstance(x, kind):
-        raise DomainError(f"{name} must be a JSON {'list' if kind is list else 'object'}, "
-                          f"got {x!r}")
-    return x
-
-
-def json_item_count(doc: dict) -> int:
-    """The item count m of valuation, XOS or menu JSON: a JSON integer in
-    1..MAX_ITEMS."""
-    m = json_int(doc, "m", "item count m")
-    check_m(m)
-    return m
-
-
-def table_from_json(doc: dict) -> tuple[int, tuple[Price, ...]]:
-    """m and the price table of valuation or menu JSON, with every mask."""
-    m = json_item_count(doc)
-    values = json_typed(doc["values"], dict, "values")
-    for s in all_bundles(m):
-        if str(s) not in values:
-            raise DomainError(f"JSON table omits mask {s}")
-    return m, tuple(parse_price(values[str(s)]) for s in all_bundles(m))
-
-
 def valuation_from_json(doc: dict) -> Valuation:
-    return valuation(*table_from_json(doc))
-
-
-def xos_from_json(doc: dict) -> Valuation:
-    m = json_item_count(doc)
-    clauses = tuple(tuple(parse_price(entry) for entry in json_typed(clause, list, "a clause"))
-                    for clause in json_typed(doc["clauses"], list, "clauses"))
-    return xos_from_clauses(XOSClauses(m, clauses))
+    """The config's valuation JSON, {"m": m, "values": {mask: price}}: m a
+    JSON integer in 1..MAX_ITEMS and one price string per bundle, keyed by
+    its mask in decimal.  Any other key, at either level, is refused."""
+    for key in sorted(doc.keys() - {"m", "values"}):
+        raise DomainError(f"valuation JSON has no key {key!r}; it takes ('m', 'values')")
+    m, values = doc["m"], doc["values"]
+    if type(m) is not int:
+        raise DomainError(f"item count m must be an integer, got {m!r}")
+    check_m(m)
+    if not isinstance(values, dict):
+        raise DomainError(f"values must be a JSON object, got {values!r}")
+    masks = [str(s) for s in all_bundles(m)]
+    for key in sorted(values.keys() - set(masks)):
+        raise DomainError(f"values key {key!r} is not a bundle mask in 0..{len(masks) - 1}")
+    for key in masks:
+        if key not in values:
+            raise DomainError(f"JSON table omits mask {key}")
+    return valuation(m, tuple([parse_price(values[key]) for key in masks]))

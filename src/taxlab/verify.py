@@ -51,7 +51,7 @@ from .bundles import (bit, bundles_of_size, is_submodular, monotone_closure, siz
 from .menus import ContractError, Menu
 from .protocol import Session
 from .rational import INF, Price, is_finite, reduced_prices, scaled_prices
-from .valuations import DomainError, Valuation, clause_max, valuation_from_ints
+from .valuations import DomainError, clause_max
 
 CLASSES = ("general", "subadditive", "xos", "submodular")
 Round = tuple[int, Sequence[int], Callable[[int, Price], bool]]  # (d, ints, beats), see below
@@ -99,11 +99,6 @@ class BaseFunction(Menu):
             raise DomainError("finite base values must stay within the price cap")
 
 
-def base_function(m: int, table: Sequence[Price]) -> BaseFunction:
-    """The base function of an exact price table, INF entries included."""
-    return BaseFunction(m, scaled_prices(table))
-
-
 def exceeds_somewhere(f: BaseFunction, menu: Menu) -> bool:
     """Brute-force reference predicate: does f beat the menu anywhere.
     Both integer forms, cross-multiplied: nothing beats an INF price, and
@@ -116,7 +111,6 @@ def exceeds_somewhere(f: BaseFunction, menu: Menu) -> bool:
 # A round is (d, ints, beats): the probe valuation probe(s) == ints[s] / d,
 # which `verify_menu` hands to `Session.probe_run`, and beats(won, paid),
 # true when the run shows f above the menu on a bundle the round covers.
-# `submodular_probe` wraps the staircase builder into a `Valuation`.
 
 def _over(f: BaseFunction, bound: Fraction) -> Over:
     """The general probe: f with infinite entries lifted to 3B, and B, as
@@ -181,19 +175,6 @@ def upward_closure(m: int, members: Sequence[int]) -> list[bool]:
     for s in members:
         up[s] = True
     return monotone_closure(up, m)
-
-
-def submodular_probe(f: BaseFunction, bound: Fraction, k: int, w: Price) -> Valuation:
-    """Staircase probe for the level set {|S| = k, f(S) = w}: below size k
-    the value climbs by t per item; bundles covering a level-set member are
-    worth exactly k*t; everything else falls short by t/2^|S|.  With
-    t = 2^(m+1) B every entry is an integer multiple of B."""
-    if not 1 <= k <= f.m:
-        raise DomainError("level size out of range")
-    level = f.level_ints.get((k, f.int_of(w)))
-    if not level:
-        raise DomainError("empty level set: skip this (k, w) pair")
-    return valuation_from_ints(f.m, *_staircase(f.m, level, bound.as_integer_ratio()))
 
 
 @lru_cache(maxsize=4096)
@@ -302,12 +283,6 @@ def draw_base_function(m: int, pool: Pool, rng) -> BaseFunction:
         draws.append(ints[q])
     closed = monotone_closure(draws, m)
     return BaseFunction(m, reduced_prices(p, [None if x == marker else x for x in closed]))
-
-
-def random_base_function(m: int, bound: Fraction, rng,
-                         values: Optional[Sequence[Price]] = None) -> BaseFunction:
-    """`draw_base_function` from the `price_pool` of the cap and values."""
-    return draw_base_function(m, price_pool(bound, values), rng)
 
 
 @lru_cache(maxsize=1024)

@@ -10,8 +10,9 @@ from taxlab.rng import stream
 from taxlab.transforms import (build_tables, deviation_audit, is_precise,
                                reachable_menus, strictify_catalog,
                                to_dominant_run, to_simultaneous)
-from taxlab.valuations import classify_valuation
-from taxlab.verify import menu_price_grid, random_base_function, submodular_probe
+from taxlab.verify import menu_price_grid
+
+from references import classify_valuation, random_base_function, submodular_probe
 
 ACCEPTANCE_BENCH = suites.STANDARD_BENCH + (
     ("value_tightness", {"c": 4, "m": 6}),

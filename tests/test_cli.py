@@ -7,7 +7,8 @@ from pathlib import Path
 from taxlab.cli import load_config, main
 from taxlab.library import warmup_catalog
 from taxlab.protocol import REPORT_FIELDS
-from taxlab.valuations import valuation_to_json
+
+from references import valuation_to_json
 
 
 def write_config(tmp_path: Path, doc) -> Path:
@@ -217,6 +218,12 @@ def test_oversized_m_and_non_object_config_exit_two(tmp_path, capsys, monkeypatc
         (dict(BASE, trials={"verfy": 1}), ("trials", "'verfy'")),
         ({"mechanisms": [{"id": "drop_tax", "params": {"m": 2}, "catalog": "default"}],
           "suites": []}, ("drop_tax", "'catalog'")),
+    ] + [
+        ({"mechanisms": [{"id": "warmup_tightness", "params": {"c": 1},
+                          "catalogs": [[stray], [{"m": 2, "values": values}]]}],
+          "suites": []}, ("warmup_tightness.catalogs", key))
+        for stray, key in (({"m": 2, "values": values, "clauses": 3}, "'clauses'"),
+                           ({"m": 2, "values": dict(values, **{"9": "5"})}, "'9'"))
     ]
     paths = [big, listed]
     for k, doc in enumerate(malformed + [doc for doc, _ in unknown]

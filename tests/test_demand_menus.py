@@ -25,6 +25,8 @@ from taxlab.valuations import (DomainError, Valuation, ValuationCatalog, additiv
                                demand_candidates, layered_valuation,
                                random_monotone_valuation, valuation_from_values)
 
+from references import min_affine_table
+
 F = Fraction
 
 
@@ -923,7 +925,6 @@ def test_min_affine_family_members_are_distinct_and_normalized():
     """What `make_min_affine_family` no longer checks at build time: item 1
     alone costs t/2 in menu t, and no price or offset is negative."""
     from taxlab.library import make_min_affine_family
-    from taxlab.menus import min_affine_table
 
     for m in range(2, 9):
         for alpha in (1, 2, 3, 8):

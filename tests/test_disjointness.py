@@ -8,21 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taxlab.disjointness import (PromiseError, ZDisjointnessInstance,
-                                 announce_cost, bits_to_mask, brute_force_verdict,
-                                 combination_unrank, instance_from_json, instance_to_json,
-                                 lowest_bit, mask_to_bits, max_intersection, neighbourhood,
-                                 run_one_disjointness, solve_one_disjointness,
+from taxlab.disjointness import (PromiseError, ZDisjointnessInstance, announce_cost,
+                                 brute_force_verdict, combination_unrank, lowest_bit,
+                                 max_intersection, neighbourhood, run_one_disjointness,
                                  solve_z_disjointness, z_product_mask)
 from taxlab.rng import stream
 from taxlab.suites import random_promise_instance
-from taxlab.valuations import DomainError
-
-
-def test_bits_mask_roundtrip():
-    assert bits_to_mask("0100") == 0b0010
-    assert mask_to_bits(0b0010, 4) == "0100"
-    assert announce_cost(4) == 3  # a bit index or "none" among five symbols
 
 
 def combination_rank(combo, l, z):
@@ -79,17 +70,18 @@ def test_combination_rank_is_the_lexicographic_index():
 
 
 def test_spec_examples():
+    assert announce_cost(4) == 3  # a bit index or "none" among five symbols
     shared = (0b0000, 0b0001, 0b0010)
     inst = ZDisjointnessInstance(2, 4, (shared, shared), (0b0001, 0b0001), 1)
-    v = solve_one_disjointness(inst)
+    v = solve_z_disjointness(inst)
     assert v.intersecting_bit == 0
 
     zeros = ZDisjointnessInstance(2, 4, ((0,), (0,)), (0, 0), 1)
-    assert solve_one_disjointness(zeros).disjoint
+    assert solve_z_disjointness(zeros).disjoint
 
     apart = ZDisjointnessInstance(2, 4, ((0b0001, 0), (0b0010, 0)),
                                   (0b0001, 0b0010), 1)
-    assert solve_one_disjointness(apart).disjoint
+    assert solve_z_disjointness(apart).disjoint
 
     pair = ZDisjointnessInstance(2, 4, ((0b0011, 0),) * 2, (0b0011, 0b0011), 2)
     got = solve_z_disjointness(pair)
@@ -112,7 +104,7 @@ def test_promise_validation():
     with pytest.raises(PromiseError):
         ZDisjointnessInstance(2, 4, ((0b0111,), (0b0111,)), (0b0111, 0b0111), 2)
     inst = ZDisjointnessInstance(2, 4, ((0b0111,), (0b0011,)), (0b0111, 0b0011), 2)
-    assert inst.exact_promise() == 2
+    assert max_intersection(inst.allowed, inst.l) == 2
 
 
 def test_max_intersection_dp():
@@ -152,7 +144,7 @@ def test_bits_nonincreasing_under_tighter_promise():
     compared = 0
     for _ in range(300):
         inst = random_promise_instance(rng, z_max=3)
-        exact = inst.exact_promise()
+        exact = max_intersection(inst.allowed, inst.l)
         if exact >= inst.z:
             continue
         loose = solve_z_disjointness(inst)
@@ -162,29 +154,6 @@ def test_bits_nonincreasing_under_tighter_promise():
         assert (tight.intersecting_bit is None) == (loose.intersecting_bit is None)
         compared += 1
     assert compared > 20
-
-
-def test_instance_json_roundtrip():
-    inst = ZDisjointnessInstance(2, 4, ((0b0001, 0), (0b0010,)),
-                                 (0b0001, 0b0010), 1)
-    doc = instance_to_json(inst)
-    back = instance_from_json(doc)
-    assert back == inst
-    assert doc["allowed"][0][0] == "1000"
-    for key, bad in (("l", 2.7), ("z", True), ("n", "2")):
-        with pytest.raises(DomainError, match="must be an integer"):
-            instance_from_json({**doc, key: bad})
-    # a string is not a list of bit strings, nor a number a bit string
-    one = {"n": 1, "l": 2, "allowed": [["10"]], "inputs": ["10"], "z": 1}
-    assert instance_from_json(one).allowed == ((0b01,),)
-    for key, bad, match in (("allowed", ["10"], "allowed group must be a JSON list"),
-                            ("allowed", "10", "allowed must be a JSON list"),
-                            ("allowed", 5, "allowed must be a JSON list"),
-                            ("allowed", [[1]], "bit string must be a JSON string"),
-                            ("inputs", "10", "inputs must be a JSON list"),
-                            ("inputs", [10], "bit string must be a JSON string")):
-        with pytest.raises(DomainError, match=match):
-            instance_from_json({**one, key: bad})
 
 
 @settings(max_examples=300, deadline=None)

@@ -603,3 +603,68 @@ def test_the_demand_kernel_reads_only_stored_valuation_fields():
     assert valuation_reads((SRC / "queries.py").read_text(encoding="utf-8"),
                            "demand_ints") == []
     assert cached_lists((SRC / "valuations.py").read_text(encoding="utf-8")) == []
+
+
+def unreferenced_names(sources: dict[str, str]) -> list[str]:
+    """"module: name" for each top-level function, class and assigned name
+    of the modules (file name -> source) that no module reads: no `Name`
+    load of it and no attribute of its name, outside its own definition.
+    An import binds and does not read, so a name that is only imported is
+    still listed."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    reads: dict[str, list] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                reads.setdefault(node.id, []).append(node)
+            elif isinstance(node, ast.Attribute):
+                reads.setdefault(node.attr, []).append(node)
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            inside = {id(n) for n in ast.walk(node)}
+            found += [f"{module}: {name}" for name in names
+                      if all(id(r) in inside for r in reads.get(name, []))]
+    return sorted(found)
+
+
+def test_unreferenced_names_are_found():
+    sources = {
+        "a.py": ("from .b import used\nVERSION: str = '1'\n"
+                 "def lone(n):\n    return lone(n - 1) if n else used()\n"
+                 "class Kept:\n    pass\n"),
+        "b.py": ("def used():\n    return Kept\n"
+                 "def method_named():\n    pass\n"
+                 "def imported_only():\n    pass\n"),
+        "c.py": "from .b import imported_only\nx = obj.method_named\n",
+    }
+    assert unreferenced_names(sources) == [
+        "a.py: VERSION", "a.py: lone", "b.py: imported_only", "c.py: x"]
+
+
+# Top-level names no package module reads, each reached from outside `src/`.
+READ_FROM_OUTSIDE = {
+    "__init__.py: __version__": "the package version",
+    "transforms.py: to_dominant_run": "a benchmark trace point, and the reference "
+                                      "`deviation_audit` must equal in test_session.py",
+    "suites.py: cover_grid_check": "called by the benchmark's trials workload",
+    "suites.py: gadget_trials": "called by the benchmark's trials workload",
+    "suites.py: warmup_scaling_lines": "an acceptance check no suite registers yet",
+    "suites.py: block_bound_check": "an acceptance check no suite registers yet",
+    "suites.py: drop_reduction_trials": "an acceptance check no suite registers yet",
+    "suites.py: STANDARD_BENCH": "the acceptance criteria's mechanism set",
+    "suites.py: TWO_PLAYER_BENCH": "the acceptance criteria's two-player mechanism set",
+}
+
+
+def test_the_package_holds_only_names_a_run_reaches():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    assert sources
+    assert unreferenced_names(sources) == sorted(READ_FROM_OUTSIDE)

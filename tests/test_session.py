@@ -20,10 +20,12 @@ from taxlab.protocol import (MechanismSpec, Session, Transcript, extract_menu,
 from taxlab.rational import is_finite
 from taxlab.reporting import audit_rows_to_csv
 from taxlab.transforms import (AuditReport, AuditRow, DeviationStrategy, _Outcomes, _play,
-                               _seated, build_tables, deviation_family, deviation_audit, settle,
-                               to_dominant_run, truthful_bundle)
+                               _seated, build_tables, deviation_audit, settle, to_dominant_run,
+                               truthful_bundle)
 from taxlab.valuations import (DomainError, Valuation, ValuationCatalog, additive_valuation,
                                valuation, valuation_from_ints)
+
+from references import deviation_family
 
 _sessions: dict[int, Session] = {}
 

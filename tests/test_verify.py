@@ -14,13 +14,14 @@ from taxlab.protocol import (MechanismSpec, Session, extract_menu, insert_player
                              measure_complexities, run_mechanism)
 from taxlab.rational import INF, common_denominator, is_finite
 from taxlab.rng import stream
-from taxlab.valuations import (Valuation, ValuationCatalog, XOSClauses, additive_valuation,
-                               clause_max, classify_valuation, random_monotone_valuation,
-                               valuation, valuation_from_ints, xos_from_clauses)
+from taxlab.valuations import (Valuation, ValuationCatalog, additive_valuation, clause_max,
+                               random_monotone_valuation, valuation, valuation_from_ints)
 from taxlab.verify import (CLASSES, BaseFunction, VerificationResult, _over, _staircase,
-                           _xos_round, _xos_rows, base_function, exceeds_somewhere, menu_price_grid,
-                           pairwise_submodular, probe_rounds, probes_structural,
-                           random_base_function, submodular_probe, upward_closure, verify_menu)
+                           _xos_round, _xos_rows, exceeds_somewhere, menu_price_grid,
+                           pairwise_submodular, probe_rounds, probes_structural, upward_closure,
+                           verify_menu)
+from references import (XOSClauses, base_function, classify_valuation, random_base_function,
+                        submodular_probe, xos_from_clauses)
 from test_core import max_below
 
 F = Fraction
@@ -67,8 +68,9 @@ def test_xos_probe_certified():
     f = base(2, {0b01: 1, 0b10: 2, 0b11: 2})
     over = _over(f, F(2))
     for r in (1, 2):
-        probe = reference_xos_probe(f, F(2), r)
-        assert "xos" in classify_valuation(probe)
+        clauses = reference_xos_clauses(f, F(2), r)
+        probe = xos_from_clauses(clauses)
+        assert "xos" in classify_valuation(probe, clauses)
         d, ints, _ = _xos_round(f, over, r)
         assert tuple(F(x, d) for x in ints) == probe.table
     d, single, _ = _xos_round(f, over, 1)
@@ -297,13 +299,17 @@ def reference_subadditive_probe(f, bound):
     return valuation(f.m, table), shift
 
 
-def reference_xos_probe(f, bound, r):
+def reference_xos_clauses(f, bound, r):
     clauses = []
     for t in bundles_of_size(f.m, r):
         ft = f.price[t]
         weight = (ft / r + 3 * bound) if is_finite(ft) else (2 * bound / r + 3 * bound)
         clauses.append(tuple(weight if t & bit(j) else F(0) for j in range(f.m)))
-    return xos_from_clauses(XOSClauses(f.m, tuple(clauses)))
+    return XOSClauses(f.m, tuple(clauses))
+
+
+def reference_xos_probe(f, bound, r):
+    return xos_from_clauses(reference_xos_clauses(f, bound, r))
 
 
 def reference_submodular_probe(f, bound, k, w):
@@ -392,7 +398,7 @@ def test_integer_builders_match_fraction_reference(question):
     for r in range(1, m + 1):
         d_r, rows = _xos_rows(f, _over(f, bound), r)
         clauses = tuple(tuple(F(x, d_r) for x in rows[q:q + m]) for q in range(0, len(rows), m))
-        assert clauses == reference_xos_probe(f, bound, r).clauses.clauses
+        assert clauses == reference_xos_clauses(f, bound, r).clauses
     grid = tuple({w for _, w in levels})
     assert tables("submodular", grid) == [reference_submodular_probe(f, bound, k, w).table
                                           for k in range(1, m + 1) for w in grid
