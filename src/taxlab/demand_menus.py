@@ -58,7 +58,7 @@ def extract_min_affine(session: Session, i: int,
     vectors: list[tuple[Price, ...]] = []
     offsets: list[Fraction] = []
     exceptions: list[tuple[int, Price]] = []
-    for kind, player, args, answer in res.qlog.trace:
+    for kind, player, args, answer in res.queries:
         if player != i:
             continue
         if kind == "dem":

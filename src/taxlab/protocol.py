@@ -2,11 +2,11 @@
 
 A mechanism is a program over a valuation profile that sends bits, makes
 value/demand queries, and returns a disjoint allocation plus payments.
-Every run is recorded: the transcript carries each atomic send with its
-bit cost (a number from an alphabet of k symbols costs ceil(log2 k) bits;
-in query modes the answers are the communication, charged ANSWER_BITS
-each, plus m for a demand answer's bundle), and the query log traces
-every oracle call; its per-player counts count that trace.
+Every run is recorded in one RunResult: its tokens carry each atomic send
+with its bit cost (a number from an alphabet of k symbols costs
+ceil(log2 k) bits; in query modes the answers are the communication,
+charged ANSWER_BITS each, plus m for a demand answer's bundle), and its
+queries list every oracle call, which its query counts count.
 
 extract_menu is the ground-truth menu oracle: it prices each bundle by
 running the mechanism against an additive probe worth 3B on the bundle's
@@ -48,65 +48,32 @@ def log2_ceil(count: int) -> int:
     return (count - 1).bit_length() if count > 0 else 0
 
 
-@dataclass(frozen=True)
-class Transcript:
-    tokens: tuple[tuple, ...]
-
-    @property
-    def bits(self) -> int:
-        return sum(t[3] for t in self.tokens)
-
-    def token_stream(self) -> tuple[tuple, ...]:
-        return tuple(t[:3] for t in self.tokens)
-
-    def is_prefix_of(self, other: "Transcript") -> bool:
-        a, b = self.token_stream(), other.token_stream()
-        return len(a) < len(b) and b[: len(a)] == a
-
-
-@dataclass
-class QueryLog:
-    n: int
-    trace: list[tuple] = field(default_factory=list)  # (kind, player, args, answer)
-
-    @property
-    def value_counts(self) -> list[int]:
-        return [sum(t[:2] == ("val", i) for t in self.trace) for i in range(self.n)]
-
-    @property
-    def demand_counts(self) -> list[int]:
-        return [sum(t[:2] == ("dem", i) for t in self.trace) for i in range(self.n)]
-
-
 class Recorder:
     """Execution context handed to mechanism programs."""
 
     def __init__(self, profile: Sequence[Valuation]):
         self.profile = tuple(profile)
-        self._tokens: list[tuple] = []
-        self.qlog = QueryLog(len(self.profile))
+        self.tokens: list[tuple] = []
+        self.queries: list[tuple] = []
 
     def send_bit(self, player: int, b: int) -> None:
-        self._tokens.append((player, "bit", int(b), 1))
+        self.tokens.append((player, "bit", int(b), 1))
 
     def send_number(self, player: int, value, alphabet: int) -> None:
-        self._tokens.append((player, "num", value, log2_ceil(alphabet)))
+        self.tokens.append((player, "num", value, log2_ceil(alphabet)))
 
     def value_query(self, player: int, s: int) -> Fraction:
         ans = value_query(self.profile[player], s)
-        self.qlog.trace.append(("val", player, s, ans))
-        self._tokens.append((player, "vans", (s, ans), ANSWER_BITS))
+        self.queries.append(("val", player, s, ans))
+        self.tokens.append((player, "vans", (s, ans), ANSWER_BITS))
         return ans
 
     def demand_query(self, player: int, prices: Sequence[Price]) -> tuple[int, Fraction]:
         mask, val = demand_query(self.profile[player], prices)
-        self.qlog.trace.append(("dem", player, tuple(prices), (mask, val)))
+        self.queries.append(("dem", player, tuple(prices), (mask, val)))
         m = self.profile[player].m
-        self._tokens.append((player, "dans", (mask, val), m + ANSWER_BITS))
+        self.tokens.append((player, "dans", (mask, val), m + ANSWER_BITS))
         return mask, val
-
-    def transcript(self) -> Transcript:
-        return Transcript(tuple(self._tokens))
 
 
 @dataclass(frozen=True)
@@ -147,10 +114,20 @@ class MechanismSpec:
 
 @dataclass(frozen=True)
 class RunResult:
+    """One mechanism run: its outcome and the Recorder's two lists, frozen."""
+
     allocation: tuple[int, ...]
     payments: tuple[Price, ...]
-    transcript: Transcript
-    qlog: QueryLog
+    tokens: tuple[tuple, ...]  # (player, kind, payload, bits), one per send
+    queries: tuple[tuple, ...]  # (kind, player, args, answer), one per oracle call
+
+    @property
+    def bits(self) -> int:
+        return sum(t[3] for t in self.tokens)
+
+    def query_count(self, kind: str, player: Optional[int] = None) -> int:
+        """The number of `kind` ("val" or "dem") queries, to player when given."""
+        return sum(q[0] == kind and (player is None or q[1] == player) for q in self.queries)
 
 
 def run_mechanism(spec: MechanismSpec, profile: Sequence[Valuation]) -> RunResult:
@@ -165,7 +142,7 @@ def run_mechanism(spec: MechanismSpec, profile: Sequence[Valuation]) -> RunResul
         if taken & mask:
             raise MechanismBugError(f"{spec.mech_id}: overlapping allocation")
         taken |= mask
-    return RunResult(tuple(allocation), tuple(payments), rec.transcript(), rec.qlog)
+    return RunResult(tuple(allocation), tuple(payments), tuple(rec.tokens), tuple(rec.queries))
 
 
 def insert_player(v_minus: Sequence[Valuation], i: int, v: Valuation) -> tuple[Valuation, ...]:
@@ -212,9 +189,7 @@ def default_price_run(spec: MechanismSpec, i: int, v_minus_i: Sequence[Valuation
     """Fallback price protocol: a single probe run; its transcript is the
     mechanism's transcript on the probe profile."""
     price, res = probe_price(spec, i, v_minus_i, s)
-    tokens = tuple(
-        (tok[0], (tok[1], tok[2]), 1 << tok[3]) for tok in res.transcript.tokens
-    )
+    tokens = tuple((tok[0], (tok[1], tok[2]), 1 << tok[3]) for tok in res.tokens)
     return PriceRun(price, tokens)
 
 
@@ -308,7 +283,7 @@ class Session:
         if hit is None:
             probe = Valuation(self.spec.m, scaled)
             res = run_mechanism(self.spec, insert_player(v_minus_i, i, probe))
-            hit = self._probes[key] = (res.allocation[i], res.payments[i], res.transcript.bits)
+            hit = self._probes[key] = (res.allocation[i], res.payments[i], res.bits)
         return hit
 
     def others(self, i: int) -> Iterator[tuple[Valuation, ...]]:
@@ -332,8 +307,8 @@ def measure_complexities(spec: MechanismSpec, catalog: ValuationCatalog,
                          session: Optional[Session] = None) -> ComplexityReport:
     """Enumerate all profiles: distinct menus per player, transcript and
     query maxima, declared price/tie protocol costs, and the per-profile
-    taxation-principle check.  A given session (over the same spec and
-    catalog) lends its memos."""
+    taxation-principle check.  Every run and menu comes from the session
+    (a given one over the same spec and catalog lends its memos)."""
     if session is None:
         session = Session(spec, catalog)
 
@@ -344,10 +319,10 @@ def measure_complexities(spec: MechanismSpec, catalog: ValuationCatalog,
     valid = True
     witness = None
     for profile in catalog.profiles():
-        res = run_mechanism(spec, profile)  # each profile runs once here
-        cc = max(cc, res.transcript.bits)
-        val = max(val, sum(res.qlog.value_counts))
-        dem = max(dem, sum(res.qlog.demand_counts))
+        res = session.run(profile)
+        cc = max(cc, res.bits)
+        val = max(val, res.query_count("val"))
+        dem = max(dem, res.query_count("dem"))
         tie_bits = max(tie_bits, spec.tie_cost(profile))
         for i in range(spec.n):
             menu = session.menu(i, profile[:i] + profile[i + 1:])

@@ -205,7 +205,7 @@ def min_affine_check(session: Session) -> CheckLine:
         for v_minus in session.others(i):
             truth = session.menu(i, v_minus)
             ma, res = extract_min_affine(session, i, v_minus)  # raises on mismatch
-            if ma.alpha > res.qlog.demand_counts[i] or ma.beta > res.qlog.value_counts[i]:
+            if ma.alpha > res.query_count("dem", i) or ma.beta > res.query_count("val", i):
                 errors.append(f"player {i}: alpha/beta exceed the trace")
             # at-most/exactly lemmas on the harvested pieces
             for s in all_bundles(spec.m):

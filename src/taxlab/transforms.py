@@ -185,7 +185,7 @@ def _walk(node: dict, messages) -> tuple[Optional[int], dict]:
 
 
 def _inner_messages(inner: RunResult):
-    return ((tok[0], tok[:3]) for tok in inner.transcript.tokens)
+    return ((tok[0], tok[:3]) for tok in inner.tokens)
 
 
 def settle(tables: TwoPlayerTables, menu_idx, bundles, inner: Optional[RunResult] = None):
@@ -236,7 +236,7 @@ def to_dominant_run(tables: TwoPlayerTables, profile, strategies) -> DominantRun
     outcome = WrapperOutcome(
         allocation=allocation,
         payments=payments,
-        bits_constructed=announce_bits + inner.transcript.bits,
+        bits_constructed=announce_bits + inner.bits,
         bits_theorem=announce_bits + spec.tie_cost(profile),
         inconsistent=culprit,
     )

@@ -184,9 +184,12 @@ def random_monotone_valuation(m: int, rng, grid=8, scale=Fraction(4)) -> Valuati
 def valuation_from_json(doc: dict) -> Valuation:
     """The config's valuation JSON, {"m": m, "values": {mask: price}}: m a
     JSON integer in 1..MAX_ITEMS and one price string per bundle, keyed by
-    its mask in decimal.  Any other key, at either level, is refused."""
+    its mask in decimal.  A missing key, or any other key at either level,
+    is refused."""
     for key in sorted(doc.keys() - {"m", "values"}):
         raise DomainError(f"valuation JSON has no key {key!r}; it takes ('m', 'values')")
+    for key in sorted({"m", "values"} - doc.keys()):
+        raise DomainError(f"valuation JSON lacks the key {key!r}")
     m, values = doc["m"], doc["values"]
     if type(m) is not int:
         raise DomainError(f"item count m must be an integer, got {m!r}")

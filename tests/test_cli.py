@@ -210,6 +210,11 @@ def test_oversized_m_and_non_object_config_exit_two(tmp_path, capsys, monkeypatc
         ({"id": "warmup_tightness", "params": {"c": 1},
           "catalogs": [[{"m": 2, "values": values}], [[2]]]},
          ".catalogs: player 1's catalog must be a list of valuation objects"),
+    ] + [
+        ({"id": "warmup_tightness", "params": {"c": 1},
+          "catalogs": [[partial], [{"m": 2, "values": values}]]},
+         f".catalogs: valuation JSON lacks the key {key!r}")
+        for partial, key in (({"values": values}, "m"), ({"m": 2}, "values"))
     ]
     # unknown keys at each level: each line names the key
     unknown = [

@@ -1,10 +1,12 @@
-"""Every module-level import in the package is used by its module."""
+"""Every module-level import in the package and its tests is used by its
+module."""
 
 import ast
 import re
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "taxlab"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "taxlab"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -28,9 +30,10 @@ def test_unused_imports_are_found():
 
 
 def test_no_module_imports_a_name_it_never_uses():
-    modules = sorted(SRC.glob("*.py"))
+    modules = sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
     assert modules
-    found = {path.name: unused_imports(path.read_text(encoding="utf-8")) for path in modules}
+    found = {f"{path.parent.name}/{path.name}": unused_imports(path.read_text(encoding="utf-8"))
+             for path in modules}
     assert {name: hits for name, hits in found.items() if hits} == {}
 
 

@@ -41,9 +41,10 @@ def test_query_log_counts_match_trace():
     spec = make_example("mt_gadget", {"m": 4})
     cat = default_catalog("mt_gadget", {"m": 4})
     for profile in cat.profiles():
-        log = run_mechanism(spec, profile).qlog
-        assert sum(log.value_counts) == sum(1 for t in log.trace if t[0] == "val")
-        assert sum(log.demand_counts) == sum(1 for t in log.trace if t[0] == "dem")
+        res = run_mechanism(spec, profile)
+        for kind in ("val", "dem"):
+            assert sum(res.query_count(kind, i) for i in range(spec.n)) == \
+                res.query_count(kind) == sum(1 for t in res.queries if t[0] == kind)
 
 
 def test_warmup_round_trip_trace():
@@ -53,11 +54,11 @@ def test_warmup_round_trip_trace():
     res = run_mechanism(spec, (alice, bob))
     assert res.allocation == (0, bit(0))
     assert res.payments == (F(0), F(2))
-    assert res.transcript.bits == 3  # two bits for the index, one to accept
+    assert res.bits == 3  # two bits for the index, one to accept
     low_bob = single_item_valuation(2, 0, 1)
     res2 = run_mechanism(spec, (alice, low_bob))
     assert res2.allocation == (0, 0) and res2.payments[1] == 0
-    assert res2.transcript.tokens[-1][2] == 0  # final refusal bit
+    assert res2.tokens[-1][2] == 0  # final refusal bit
 
 
 def test_run_is_deterministic_and_disjoint():
@@ -67,7 +68,7 @@ def test_run_is_deterministic_and_disjoint():
         profile = next(iter(cat.profiles()))
         a = run_mechanism(spec, profile)
         b = run_mechanism(spec, profile)
-        assert a.transcript.tokens == b.transcript.tokens
+        assert a.tokens == b.tokens
         assert a.allocation == b.allocation and a.payments == b.payments
         taken = 0
         for mask in a.allocation:
@@ -79,10 +80,10 @@ def test_transcripts_prefix_free():
     for mech_id, params in BENCH[:6]:
         spec = make_example(mech_id, params)
         cat = default_catalog(mech_id, params)
-        transcripts = [run_mechanism(spec, p).transcript for p in cat.profiles()]
-        for a in transcripts:
-            for b in transcripts:
-                assert not a.is_prefix_of(b), spec.mech_id
+        streams = [tuple(t[:3] for t in run_mechanism(spec, p).tokens) for p in cat.profiles()]
+        for a in streams:
+            for b in streams:
+                assert not (len(a) < len(b) and b[:len(a)] == a), spec.mech_id
 
 
 def test_all_zero_profile_pays_menu_prices():

@@ -15,7 +15,7 @@ from taxlab.bundles import all_bundles
 from taxlab.cli import audit_work
 from taxlab.demand_menus import extract_min_affine
 from taxlab.menus import menu
-from taxlab.protocol import (MechanismSpec, Session, Transcript, extract_menu,
+from taxlab.protocol import (MechanismSpec, Session, extract_menu,
                              measure_complexities, price_run, run_mechanism)
 from taxlab.rational import is_finite
 from taxlab.reporting import audit_rows_to_csv
@@ -295,13 +295,9 @@ def test_the_audit_calls_against_once_per_opponent_class_on_the_m8_set(monkeypat
 AUDIT_ENTRIES = ("warmup_tightness", "value_tightness", "drop_tie", "drop_tax", "posted_prices")
 
 
-def test_the_audit_entries_play_each_catalog_profile_once(monkeypatch, tmp_path, capsys):
-    """The transform suite on the demo's five audit entries (warmup_tightness,
-    value_tightness, drop_tie, drop_tax and posted_prices, the benchmark's
-    `audit` workload) asks the session for one run per catalog profile
-    (87), takes one profit argmax per (player, catalog index, faced menu
-    index) (90), and runs the mechanism 511 times: the menu extractions
-    and the 87 profiles."""
+def audit_entry_counts(monkeypatch, tmp_path, capsys, suite_names) -> dict[str, int]:
+    """`Session.run`, `profit_argmax_set` and `run_mechanism` calls made by
+    the given suites on the demo's five audit entries."""
     counts = {"Session.run": 0, "profit_argmax_set": 0, "run_mechanism": 0}
 
     def counting(name, fn):
@@ -317,14 +313,33 @@ def test_the_audit_entries_play_each_catalog_profile_once(monkeypatch, tmp_path,
                 monkeypatch.setattr(module, name, wrapped)
     monkeypatch.setattr(Session, "run", counting("Session.run", Session.run))
     demo = json.loads((Path(__file__).parents[1] / "configs" / "demo.json").read_text())
-    doc = dict(demo, suites=["transform"],
+    doc = dict(demo, suites=suite_names,
                mechanisms=[e for e in demo["mechanisms"] if e["id"] in AUDIT_ENTRIES])
     assert len(doc["mechanisms"]) == len(AUDIT_ENTRIES)
     config = tmp_path / "audit.json"
     config.write_text(json.dumps(doc))
     assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
     capsys.readouterr()
-    assert counts == {"Session.run": 87, "profit_argmax_set": 90, "run_mechanism": 511}
+    return counts
+
+
+def test_the_audit_entries_play_each_catalog_profile_once(monkeypatch, tmp_path, capsys):
+    """The transform suite on the demo's five audit entries (warmup_tightness,
+    value_tightness, drop_tie, drop_tax and posted_prices, the benchmark's
+    `audit` workload) asks the session for one run per catalog profile
+    (87), takes one profit argmax per (player, catalog index, faced menu
+    index) (90), and runs the mechanism 511 times: the menu extractions
+    and the 87 profiles."""
+    assert audit_entry_counts(monkeypatch, tmp_path, capsys, ["transform"]) == \
+        {"Session.run": 87, "profit_argmax_set": 90, "run_mechanism": 511}
+
+
+def test_measure_and_transform_share_each_profile_run(monkeypatch, tmp_path, capsys):
+    """`measure` takes each catalog profile's run from the session, so the
+    transform suite after it on the five audit entries runs no profile
+    again: 511 mechanism runs in all, as for the transform suite alone."""
+    counts = audit_entry_counts(monkeypatch, tmp_path, capsys, ["measure", "transform"])
+    assert counts["run_mechanism"] == 511
 
 
 def reference_messages(menu_idx, bundles, inner=None) -> list[tuple]:
@@ -333,7 +348,7 @@ def reference_messages(menu_idx, bundles, inner=None) -> list[tuple]:
     msgs = [("menu", 0, menu_idx[0]), ("menu", 1, menu_idx[1]),
             ("bundle", 0, bundles[0]), ("bundle", 1, bundles[1])]
     if inner is not None:
-        msgs += [("inner", tok[0], tok[:3]) for tok in inner.transcript.tokens]
+        msgs += [("inner", tok[0], tok[:3]) for tok in inner.tokens]
     return msgs
 
 
@@ -393,7 +408,7 @@ def test_trie_settle_matches_the_prefix_set_rule(k, with_inner, data):
     tables = settle_tables(k)
     profile = tuple(data.draw(st.sampled_from(group)) for group in tables.catalog.players)
     menu_idx, bundles, inner = _play(tables, profile, ("truthful", "truthful"))
-    menu_idx, bundles, tokens = list(menu_idx), list(bundles), list(inner.transcript.tokens)
+    menu_idx, bundles, tokens = list(menu_idx), list(bundles), list(inner.tokens)
     spot = data.draw(st.integers(0, 4 + len(tokens) if with_inner else 3))
     if spot < 2:
         menu_idx[spot] = data.draw(st.sampled_from(
@@ -403,9 +418,9 @@ def test_trie_settle_matches_the_prefix_set_rule(k, with_inner, data):
     else:
         pool = [(0, "bit", 1, 1), (1, "bit", 0, 1)] + sorted(
             {tok for p in tables.catalog.profiles()
-             for tok in tables.session.run(p).transcript.tokens}, key=repr)
+             for tok in tables.session.run(p).tokens}, key=repr)
         tokens[spot - 4:spot - 3] = [data.draw(st.sampled_from(pool))]
-    inner = replace(inner, transcript=Transcript(tuple(tokens))) if with_inner else None
+    inner = replace(inner, tokens=tuple(tokens)) if with_inner else None
     note(f"menus {menu_idx}, bundles {bundles}, tokens {tokens}")
     got = settle(tables, tuple(menu_idx), tuple(bundles), inner)
     assert got == reference_settle(tables, tuple(menu_idx), tuple(bundles), inner)

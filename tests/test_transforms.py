@@ -20,7 +20,7 @@ from taxlab.transforms import (DeviationStrategy, PrecisionError, _play,
                                strictify_catalog, to_dominant_run,
                                to_simultaneous)
 from taxlab.valuations import (DomainError, ValuationCatalog, additive_valuation,
-                               random_monotone_valuation, single_item_valuation, valuation,
+                               random_monotone_valuation, valuation,
                                valuation_from_values)
 
 F = Fraction
@@ -41,7 +41,7 @@ def test_truthful_path_reproduces_mechanism():
         assert run.outcome.payments == base.payments
         assert run.outcome.inconsistent is None
         assert run.outcome.bits_constructed == \
-            2 * (tables.tax_bits + spec.m) + base.transcript.bits
+            2 * (tables.tax_bits + spec.m) + base.bits
         assert run.outcome.bits_theorem == \
             2 * (tables.tax_bits + spec.m) + spec.tie_cost(profile)
 
@@ -103,7 +103,7 @@ def transcript_messages(menu_idx, bundles, inner):
     then the inner run's tokens."""
     return [("menu", 0, menu_idx[0]), ("menu", 1, menu_idx[1]),
             ("bundle", 0, bundles[0]), ("bundle", 1, bundles[1])] + [
-        ("inner", tok[0], tok[:3]) for tok in inner.transcript.tokens]
+        ("inner", tok[0], tok[:3]) for tok in inner.tokens]
 
 
 def reference_truthful_table(tables):

@@ -676,7 +676,7 @@ def reference_verify_menu(spec, i, v_minus_i, f, cls, grid):
 
     def run_with(probe):
         res = run_mechanism(spec, insert_player(tuple(v_minus_i), i, probe))
-        return res.allocation[i], res.payments[i], res.transcript.bits
+        return res.allocation[i], res.payments[i], res.bits
 
     if cls in ("general", "subadditive"):
         if cls == "general":
