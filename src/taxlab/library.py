@@ -83,6 +83,16 @@ def buyer_only(buyer: int, protocol):
     return run
 
 
+def menu_by_first_value(count: int, price_of):
+    """The price protocol of a mechanism in which only player 1 buys, from
+    menu t: player 0's value of item a, rounded into 1..count, picks t, and
+    the protocol announces it and charges price_of(t, s)."""
+    def protocol(spec, i, v_minus_i, s):
+        t = rounded_value(v_minus_i[0], ITEM_A, 1, count)
+        return PriceRun(price_of(t, s), ((0, t, count),))
+    return buyer_only(1, protocol)
+
+
 # ---------------------------------------------------------------- warm-up
 
 WARMUP_MAX_C = 8  # the catalog holds 2^(c+1) + 1 valuations
@@ -103,16 +113,6 @@ def warmup_tightness(c: int, m: int = 2) -> MechanismSpec:
         rec.send_bit(1, 0)
         return (0, 0), (ZERO, ZERO)
 
-    def price_protocol(spec, i, v_minus_i, s):
-        t = rounded_value(v_minus_i[0], ITEM_A, 1, top)
-        if s == 0:
-            price: Price = ZERO
-        elif s == ITEM_A:
-            price = Fraction(t)
-        else:
-            price = INF
-        return PriceRun(price, ((0, t, top),))
-
     return MechanismSpec(
         mech_id=f"warmup_tightness(c={c})",
         n=2,
@@ -120,7 +120,8 @@ def warmup_tightness(c: int, m: int = 2) -> MechanismSpec:
         bound=bound,
         mode="bit",
         program=program,
-        price_protocol=buyer_only(1, price_protocol),
+        price_protocol=menu_by_first_value(
+            top, lambda t, s: ZERO if s == 0 else Fraction(t) if s == ITEM_A else INF),
         tie_cost_fn=lambda profile: 1,
     )
 
@@ -159,10 +160,6 @@ def value_tightness(m: int, c: Optional[int] = None, bundles=None) -> MechanismS
         best_mask = best_answer(answers, d, ints)[0]
         return (0, best_mask), (ZERO, menus[t - 1].price[best_mask])
 
-    def price_protocol(spec, i, v_minus_i, s):
-        t = rounded_value(v_minus_i[0], ITEM_A, 1, c)
-        return PriceRun(menus[t - 1].price[s], ((0, t, c),))
-
     return MechanismSpec(
         mech_id=f"value_tightness(c={c},m={m})",
         n=2,
@@ -170,7 +167,7 @@ def value_tightness(m: int, c: Optional[int] = None, bundles=None) -> MechanismS
         bound=bound,
         mode="value",
         program=program,
-        price_protocol=buyer_only(1, price_protocol),
+        price_protocol=menu_by_first_value(c, lambda t, s: menus[t - 1].price[s]),
         tie_cost_fn=lambda profile: m,
     )
 
@@ -216,10 +213,6 @@ def demand_tightness(m: int, alpha: int, count: int) -> MechanismSpec:
         pay = eval_min_affine(ma, best_mask) if best_mask else ZERO
         return (0, best_mask), (ZERO, pay)
 
-    def price_protocol(spec, i, v_minus_i, s):
-        t = rounded_value(v_minus_i[0], ITEM_A, 1, len(menus))
-        return PriceRun(eval_min_affine(menus[t - 1], s), ((0, t, len(menus)),))
-
     return MechanismSpec(
         mech_id=f"demand_tightness(count={len(menus)},m={m})",
         n=2,
@@ -227,7 +220,8 @@ def demand_tightness(m: int, alpha: int, count: int) -> MechanismSpec:
         bound=bound,
         mode="demand",
         program=program,
-        price_protocol=buyer_only(1, price_protocol),
+        price_protocol=menu_by_first_value(
+            len(menus), lambda t, s: eval_min_affine(menus[t - 1], s)),
         tie_cost_fn=lambda profile: m,
     )
 

@@ -54,6 +54,8 @@ TWO_PLAYER_BENCH: tuple[tuple[str, dict], ...] = (
     ("posted_prices", {"prices": ["1", "2"], "n": 2}),
 )
 
+USELESS_MAX = 8  # the largest m and seed count a learner trial draws
+
 
 def bench_instance(mech_id: str, params: dict) -> tuple[MechanismSpec, ValuationCatalog]:
     spec = make_example(mech_id, params)
@@ -172,13 +174,12 @@ def value_reconstruction_check(session: Session) -> CheckLine:
     )
 
 
-def useless_learner_trials(trials: int, seed: int, m_max: int = 8, k_max: int = 8) -> CheckLine:
+def useless_learner_trials(trials: int, seed: int) -> CheckLine:
     rng = stream(seed, "useless-trials")
     worst = 0.0
     bad = 0
     for _ in range(trials):
-        m = rng.randrange(2, m_max + 1)
-        k = rng.randrange(1, k_max + 1)
+        m, k = rng.randrange(2, USELESS_MAX + 1), rng.randrange(1, USELESS_MAX + 1)
         seeds = [rng.randrange(1 << m) for _ in range(k)]
         zeros = {s for s in all_bundles(m) if any(s & t == s for t in seeds)}
         maximal = {s for s in seeds
@@ -373,7 +374,7 @@ def comm_reconstruction_check(session: Session, seed: int
     return line, done
 
 
-def block_bound_check(session: Session, seed: int) -> CheckLine:
+def block_bound_check(session: Session) -> CheckLine:
     """Every block of every instance built over the full catalogs carries
     at most one intersecting bit (checked by the exact DP per block)."""
     spec, players = session.spec, session.catalog.players

@@ -70,21 +70,24 @@ class TwoPlayerTables:
         return self.session.catalog
 
     @cached_property
+    def argmax(self) -> tuple:
+        """Per player i, catalog index a and faced menu index k: the profit
+        argmax set of catalog valuation a against presented[1 - i][k]."""
+        return tuple(tuple(tuple(tuple(profit_argmax_set(menu, v))
+                                 for menu in self.presented[1 - i])
+                           for v in self.catalog.players[i]) for i in (0, 1))
+
+    @cached_property
     def plays(self) -> TruthfulPlays:
         """The truthful plays over the catalog by index, built on first use:
-        one profit argmax per (player, catalog index, faced menu index) and
-        one session run per catalog profile."""
+        each argmax's first bundle and one session run per catalog profile."""
         players = self.catalog.players
         menus = tuple(tuple(self.index_of[i][v.scaled_table] for v in players[i]) for i in (0, 1))
-        bundles = tuple(tuple(tuple(profit_argmax_set(menu, v)[0] for menu in self.presented[1 - i])
-                              for v in players[i]) for i in (0, 1))
+        bundles = tuple(tuple(tuple(arg[0] for arg in row) for row in rows) for rows in self.argmax)
         profiles = {}
         for a, b in product(range(len(players[0])), range(len(players[1]))):
-            menu_idx = (menus[0][a], menus[1][b])
             run = self.session.run((players[0][a], players[1][b]))
-            profiles[a, b] = TruthfulPlay(menu_idx, (bundles[0][a][menu_idx[1]],
-                                                     bundles[1][b][menu_idx[0]]),
-                                          tuple(_inner_messages(run)), run.allocation,
+            profiles[a, b] = TruthfulPlay(tuple(_inner_messages(run)), run.allocation,
                                           run.payments)
         return TruthfulPlays(menus, bundles, profiles)
 
@@ -95,21 +98,21 @@ class TwoPlayerTables:
         bundles, then the inner run's (player, kind, payload) tokens.  A
         run's culprit owns its first message with no child here; an
         out-of-range menu index never has one."""
+        menus, bundles, profiles = self.plays.menus, self.plays.bundles, self.plays.profiles
         trie: dict = {}
-        for play in self.plays.profiles.values():
+        for (a, b), play in profiles.items():
             node = trie
-            for key in (*play.menus, *play.bundles, *(key for _, key in play.messages)):
+            k, j = menus[0][a], menus[1][b]
+            for key in (k, j, bundles[0][a][j], bundles[1][b][k],
+                        *(key for _, key in play.messages)):
                 node = node.setdefault(key, {})
         return trie
 
 
 class TruthfulPlay(NamedTuple):
-    """One catalog profile played truthfully: both announced menu indices
-    and bundles, then the inner run's (sender, token[:3]) messages and its
-    outcome."""
+    """One catalog profile played truthfully: the inner run's (sender,
+    token[:3]) messages and its outcome."""
 
-    menus: tuple[int, int]
-    bundles: tuple[int, int]
     messages: tuple[tuple[int, tuple], ...]
     allocation: tuple[int, ...]
     payments: tuple[Price, ...]
@@ -539,21 +542,16 @@ def default_grid_l(m: int, tax_bits: int) -> int:
     return (1 << (2 * m + tax_bits)) + 1
 
 
-def reachable_menus(tables: TwoPlayerTables, i: int) -> tuple[Menu, ...]:
-    """Menus player i may face: those presented by the other player."""
-    return tables.presented[1 - i]
-
-
 def is_precise(tables: TwoPlayerTables) -> Optional[str]:
     """None when every catalog valuation has a singleton argmax against
-    every reachable menu; else a description of the violation."""
+    every menu it may face; else a description of the first violation in
+    (player, faced menu, valuation) order."""
     for i in (0, 1):
-        for menu in reachable_menus(tables, i):
-            for v in tables.catalog.players[i]:
-                arg = profit_argmax_set(menu, v)
-                if len(arg) != 1:
+        for k in range(len(tables.presented[1 - i])):
+            for v, row in zip(tables.catalog.players[i], tables.argmax[i]):
+                if len(row[k]) != 1:
                     return (f"player {i} valuation {v.table} has "
-                            f"{len(arg)} profit maximizers")
+                            f"{len(row[k])} profit maximizers")
     return None
 
 
@@ -582,9 +580,9 @@ def strictify_catalog(spec: MechanismSpec, catalog: ValuationCatalog, seed: int 
         tables = build_tables(Session(spec, cat))
         dirty = False
         for i in (0, 1):
-            menus = reachable_menus(tables, i)
-            for idx, v in enumerate(players[i]):
-                if all(len(profit_argmax_set(menu, v)) == 1 for menu in menus):
+            menus = tables.presented[1 - i]
+            for idx, row in enumerate(tables.argmax[i]):
+                if all(len(arg) == 1 for arg in row):
                     continue
                 for _ in range(STRICTIFY_RESAMPLES):
                     attempts[i][idx] += 1
@@ -624,13 +622,10 @@ def to_simultaneous(tables: TwoPlayerTables) -> SimultaneousTable:
     flaw = is_precise(tables)
     if flaw is not None:
         raise PrecisionError(flaw)
-    union_win: dict = {}
-    for faced_idx, faced in enumerate(tables.presented[1]):
-        for shown_idx in range(len(tables.presented[0])):
-            mask = 0
-            for v in tables.catalog.players[0]:
-                if tables.index_of[0][v.scaled_table] != shown_idx:
-                    continue
-                mask |= profit_argmax_set(faced, v)[0]
-            union_win[(faced_idx, shown_idx)] = mask
+    union_win = dict.fromkeys(product(range(len(tables.presented[1])),
+                                      range(len(tables.presented[0]))), 0)
+    for v, row in zip(tables.catalog.players[0], tables.argmax[0]):
+        shown_idx = tables.index_of[0][v.scaled_table]
+        for faced_idx, arg in enumerate(row):
+            union_win[faced_idx, shown_idx] |= arg[0]
     return SimultaneousTable(tables, union_win)

@@ -7,8 +7,7 @@ from taxlab import suites
 from taxlab.bundles import bundles_of_size
 from taxlab.protocol import Session, measure_complexities, run_mechanism
 from taxlab.rng import stream
-from taxlab.transforms import (build_tables, deviation_audit, is_precise,
-                               reachable_menus, strictify_catalog,
+from taxlab.transforms import (build_tables, deviation_audit, is_precise, strictify_catalog,
                                to_dominant_run, to_simultaneous)
 from taxlab.verify import menu_price_grid
 
@@ -105,7 +104,7 @@ def test_criterion_04_value_query_ladder():
         spec, cat = suites.bench_instance(mech_id, params)
         assert spec.m <= 6
         lines.append(suites.value_reconstruction_check(Session(spec, cat)))
-    budget_line = suites.useless_learner_trials(500, seed=43, m_max=8, k_max=8)
+    budget_line = suites.useless_learner_trials(500, seed=43)
     lines.append(budget_line)
     ok = all(line.passed for line in lines)
     emit("4 (value-query ladder + learner budget)", ok,
@@ -173,7 +172,7 @@ def test_criterion_09_menu_reconstruction():
         assert all(len(group) <= 64 for group in cat.players)
         session = Session(spec, cat)
         lines.append(suites.comm_reconstruction_check(session, seed=47)[0])
-        lines.append(suites.block_bound_check(session, seed=47))
+        lines.append(suites.block_bound_check(session))
     ok = all(line.passed for line in lines)
     detail = "; ".join(line.detail for line in lines if "reconstruction" in line.detail)
     emit("9 (communication menu reconstruction)", ok,
@@ -216,7 +215,7 @@ def test_criterion_11_simultaneous_compiler():
         ok &= stats["max_resamples"] <= 3
         ok &= is_precise(table.tables) is None
         for i in (0, 1):
-            for menu in reachable_menus(table.tables, i):
+            for menu in table.tables.presented[1 - i]:
                 for v in scat.players[i]:
                     from taxlab.menus import profit_argmax_set
                     ok &= len(profit_argmax_set(menu, v)) == 1

@@ -374,7 +374,7 @@ def test_block_bound_check_skips_only_refused_constructions(monkeypatch):
     """A `ConstructionError` leaves an instance unchecked; any other error
     in the builder is a crash and propagates."""
     session = Session(*suites.bench_instance("drop_tax", {"m": 4}))
-    assert suites.block_bound_check(session, 0).render().endswith("[1 instances checked]")
+    assert suites.block_bound_check(session).render().endswith("[1 instances checked]")
 
     def refuse(*args):
         raise ConstructionError("outgrew desk scale")
@@ -383,8 +383,8 @@ def test_block_bound_check_skips_only_refused_constructions(monkeypatch):
         raise ValueError("planted")
 
     monkeypatch.setattr(suites, "build_disjointness_instance", refuse)
-    line = suites.block_bound_check(session, 0)
+    line = suites.block_bound_check(session)
     assert line.passed and line.render().endswith("[0 instances checked]")
     monkeypatch.setattr(suites, "build_disjointness_instance", crash)
     with pytest.raises(ValueError, match="planted"):
-        suites.block_bound_check(session, 0)
+        suites.block_bound_check(session)

@@ -652,6 +652,67 @@ def test_unreferenced_names_are_found():
         "a.py: VERSION", "a.py: lone", "b.py: imported_only", "c.py: x"]
 
 
+def unread_parameters(source: str) -> list[str]:
+    """"line N: name(param)" for each parameter that a module-level function
+    or a method never reads in its body, closures included.  Dunder methods
+    and nested callbacks are not checked: a protocol fixes their
+    signatures."""
+    functions = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef):
+            functions.append((node.name, node))
+        elif isinstance(node, ast.ClassDef):
+            functions += [(f"{node.name}.{fn.name}", fn) for fn in node.body
+                          if isinstance(fn, ast.FunctionDef)]
+    found = []
+    for name, fn in functions:
+        if fn.name.startswith("__") and fn.name.endswith("__"):
+            continue
+        args = fn.args
+        params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                  args.vararg, args.kwarg) if a is not None]
+        read = {node.id for stmt in fn.body for node in ast.walk(stmt)
+                if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+        found += [f"line {fn.lineno}: {name}({param})" for param in params if param not in read]
+    return found
+
+
+def test_unread_parameters_are_found():
+    source = (
+        "def check(session, seed, *extra, **options):\n"
+        "    seed = 0\n"
+        "    return session\n"
+        "def closure(count, price_of):\n"
+        "    def protocol(spec, s):\n"
+        "        return price_of(count, s)\n"
+        "    return protocol\n"
+        "class Table:\n"
+        "    def __init__(self, rows):\n"
+        "        pass\n"
+        "    def run(self, profile):\n"
+        "        return self\n"
+    )
+    assert unread_parameters(source) == [
+        "line 1: check(seed)", "line 1: check(extra)", "line 1: check(options)",
+        "line 11: Table.run(profile)"]
+
+
+# Parameters no body reads, each held to a signature its callers share.
+UNREAD_BY_SIGNATURE = {
+    "cli.py: extract_min_affine_suite(cfg)": "a suite in the registry, called as fn(cfg, sessions)",
+    "cli.py: disjointness_suite(sessions)": "a suite in the registry, called as fn(cfg, sessions)",
+    "cli.py: simultaneous_suite(sessions)": "a suite in the registry, called as fn(cfg, sessions)",
+    "library.py: demand_tightness_catalog(alpha)": "the registry passes every param to the "
+                                                   "catalog, which does not depend on alpha",
+}
+
+
+def test_every_parameter_is_read():
+    found = [f"{path.name}: {finding.split(': ', 1)[1]}" for path in sorted(SRC.glob("*.py"))
+             for finding in unread_parameters(path.read_text(encoding="utf-8"))]
+    assert sorted(found) == sorted(UNREAD_BY_SIGNATURE)
+
+
 # Top-level names no package module reads, each reached from outside `src/`.
 READ_FROM_OUTSIDE = {
     "__init__.py: __version__": "the package version",

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taxlab import suites
+from taxlab import suites, transforms
 from taxlab.bundles import all_bundles, bit, size
 from taxlab.library import default_catalog, make_example, warmup_catalog
 from taxlab.menus import profit_argmax_set
@@ -16,7 +16,7 @@ from taxlab.rational import is_finite
 from taxlab.rng import stream
 from taxlab.transforms import (DeviationStrategy, PrecisionError, _play,
                                build_tables, default_eps, deviation_audit, is_precise,
-                               reachable_menus, size_tilt, strictify,
+                               size_tilt, strictify,
                                strictify_catalog, to_dominant_run,
                                to_simultaneous)
 from taxlab.valuations import (DomainError, ValuationCatalog, additive_valuation,
@@ -282,7 +282,7 @@ def test_strictified_catalog_is_precise():
     assert stats["max_resamples"] <= 3
     assert is_precise(tables) is None
     for i in (0, 1):
-        for menu in reachable_menus(tables, i):
+        for menu in tables.presented[1 - i]:
             for v in scat.players[i]:
                 assert len(profit_argmax_set(menu, v)) == 1
 
@@ -322,3 +322,65 @@ def test_imprecise_catalog_rejected():
     cat = warmup_catalog(2)
     with pytest.raises(PrecisionError):
         to_simultaneous(build_tables(Session(spec, cat)))  # raw integer catalog ties everywhere
+
+
+def test_imprecise_catalog_reports_the_first_menu_major_violation():
+    spec = make_example("warmup_tightness", {"c": 2})
+    tables = build_tables(Session(spec, warmup_catalog(2)))
+    assert is_precise(tables) == ("player 1 valuation (Fraction(0, 1), Fraction(1, 1), "
+                                  "Fraction(0, 1), Fraction(1, 1)) has 2 profit maximizers")
+
+
+def bench_tables():
+    """Raw tables for each two-player bench mechanism, plus one strictified
+    catalog's."""
+    out = [build_tables(Session(*suites.bench_instance(mech_id, params)))
+           for mech_id, params in suites.TWO_PLAYER_BENCH]
+    spec, cat = suites.bench_instance("value_tightness", {"c": 2, "m": 2})
+    return out + [strictify_catalog(spec, cat, seed=48)]
+
+
+def test_argmax_table_holds_each_fresh_profit_argmax():
+    for tables in bench_tables():
+        for i in (0, 1):
+            faced = tables.presented[1 - i]
+            assert len(tables.argmax[i]) == len(tables.catalog.players[i])
+            for v, row in zip(tables.catalog.players[i], tables.argmax[i]):
+                assert row == tuple(tuple(profit_argmax_set(menu, v)) for menu in faced)
+
+
+def reference_union_win(tables):
+    """One catalog scan per (faced, shown) pair: the union of player 0's
+    argmax bundles over the valuations that show that menu."""
+    union_win = {}
+    for faced_idx, faced in enumerate(tables.presented[1]):
+        for shown_idx in range(len(tables.presented[0])):
+            mask = 0
+            for v in tables.catalog.players[0]:
+                if tables.index_of[0][v.scaled_table] != shown_idx:
+                    continue
+                mask |= profit_argmax_set(faced, v)[0]
+            union_win[(faced_idx, shown_idx)] = mask
+    return union_win
+
+
+def test_union_win_matches_the_per_pair_scan():
+    for mech_id, params in suites.TWO_PLAYER_BENCH:
+        tables = strictify_catalog(*suites.bench_instance(mech_id, params), seed=48)
+        union_win = to_simultaneous(tables).union_win
+        assert list(union_win.items()) == list(reference_union_win(tables).items())
+
+
+def test_compiler_reads_the_argmax_table_only(monkeypatch):
+    spec = make_example("warmup_tightness", {"c": 2})
+    tables = strictify_catalog(spec, warmup_catalog(2), seed=12)
+    assert tables.argmax
+    calls = []
+
+    def counted(menu, v):
+        calls.append(1)
+        return profit_argmax_set(menu, v)
+
+    monkeypatch.setattr(transforms, "profit_argmax_set", counted)
+    to_simultaneous(tables)
+    assert calls == []
