@@ -17,13 +17,13 @@ from functools import lru_cache
 from math import lcm
 from typing import Callable, Optional, Sequence
 
-from .bundles import (MAX_ITEMS, all_bundles, best_bundle, bit, bundles_of_size, size,
+from .bundles import (MAX_ITEMS, all_bundles, best_bundle, bit, bundles_of_size, size, sizes,
                       subset_sums)
 from .menus import Menu, MinAffineMenu, eval_min_affine
 from .protocol import RunResult, Session, insert_player
 from .queries import PriceVector, bundle_price, demand_ints
 from .rational import INF, Price, is_finite
-from .valuations import DomainError, Valuation, demand_candidates, valuation
+from .valuations import DomainError, Valuation, valuation
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -172,16 +172,17 @@ def mt_gadget_argmax(m: int, oracle: Callable[[Sequence[Price]], tuple[int, Frac
 @lru_cache(maxsize=256)
 def hidden_problem_valuation(m: int, t_mask: int) -> Valuation:
     """0 below half size, 1/4 on the hidden bundle alone, 1 above, as ints
-    over 4 (a t_mask off half size is refused), carrying its
-    `demand_candidates` (17 of 64 bundles at m = 6), which `demand_ints`
-    scans alone at nonnegative prices.
+    over 4 read off `sizes(m)` (a t_mask off half size is refused), listed:
+    its construction derives its `demand_candidates` (17 of 64 bundles at
+    m = 6), which `demand_ints` scans alone at nonnegative prices.
 
     Memoized: the valuation is immutable, so every caller shares the one
     built (and validated) per (m, t_mask).  256 entries hold every
     half-size bundle for m <= 10 without keeping thousands of 2^m tables
     at larger m."""
-    ints = tuple([4 if size(s) > m // 2 else int(s == t_mask) for s in all_bundles(m)])
-    return Valuation(m, (4, ints), candidates=demand_candidates(ints, m))
+    half = m // 2
+    ints = tuple([4 if k > half else int(s == t_mask) for s, k in enumerate(sizes(m))])
+    return Valuation(m, (4, ints), listed=True)
 
 
 def demand_cover(scaled: tuple[int, Sequence[Optional[int]]], m: int) -> set[int]:

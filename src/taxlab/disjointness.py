@@ -13,6 +13,7 @@ at z-1 on the allowed strings consistent with a "no" transcript.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 from typing import Optional, Sequence
 
@@ -176,19 +177,29 @@ def combination_unrank(rank: int, l: int, z: int) -> tuple[int, ...]:
     return tuple(combo)
 
 
+@lru_cache(maxsize=256)
+def z_block_offsets(l: int, z: int) -> tuple[int, ...]:
+    """Per position c, C(l, z) - C(l - c, z): the number of z-tuples of l
+    positions starting below c, where the block of those starting at c
+    begins in combination order."""
+    total = comb(l, z)
+    return tuple([total - comb(l - c, z) for c in range(l)])
+
+
 def z_product_mask(a: int, l: int, z: int) -> int:
     """One bit per z-tuple of positions, set when the l-bit string a holds
     every tuple bit.  In combination order the tuples starting at c follow
-    the C(l, z) - C(l - c, z) starting below c and rank as (z - 1)-tuples
-    of the positions above c: each bit c adds the product of a's bits
-    above it, shifted to that block."""
+    the `z_block_offsets(l, z)[c]` starting below c and rank as
+    (z - 1)-tuples of the positions above c: each set bit c, lowest first,
+    adds the product of a's bits above it, shifted to that block."""
     if z <= 1:
         return a if z else 1
-    total = comb(l, z)
+    offsets = z_block_offsets(l, z)
     out = 0
-    for c in range(l):
-        if a >> c & 1:
-            out |= z_product_mask(a >> (c + 1), l - c - 1, z - 1) << (total - comb(l - c, z))
+    while a:
+        c = (a & -a).bit_length() - 1
+        a &= a - 1
+        out |= z_product_mask(a >> (c + 1), l - c - 1, z - 1) << offsets[c]
     return out
 
 

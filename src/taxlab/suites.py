@@ -25,10 +25,10 @@ from .protocol import (ComplexityReport, MechanismSpec, Session, measure_complex
                        run_mechanism)
 from .queries import bundle_price, demand_query
 from .rational import is_finite
-from .rng import stream
+from .rng import below, stream
 from .valuations import ValuationCatalog, random_monotone_valuation
-from .value_reconstruct import (PriceOracle, learn_useless,
-                                reconstruct_menu_value, useless_query_budget)
+from .value_reconstruct import (PriceOracle, learn_useless, reconstruct_menu_value,
+                                useless_query_budget, useless_table)
 from .verify import (CLASSES, ProbeStructureError, draw_base_function, exceeds_somewhere,
                      menu_price_grid, price_pool, probes_structural, verify_menu)
 
@@ -180,11 +180,10 @@ def useless_learner_trials(trials: int, seed: int) -> CheckLine:
     bad = 0
     for _ in range(trials):
         m, k = rng.randrange(2, USELESS_MAX + 1), rng.randrange(1, USELESS_MAX + 1)
-        seeds = [rng.randrange(1 << m) for _ in range(k)]
-        zeros = {s for s in all_bundles(m) if any(s & t == s for t in seeds)}
+        seeds = below(rng, 1 << m, k)
         maximal = {s for s in seeds
                    if not any(s != t and s & t == s for t in seeds)}
-        found, q, trace = learn_useless(lambda s: 0 if s in zeros else 1, m, k)
+        found, q, trace = learn_useless(useless_table(m, seeds).__getitem__, m, k)
         budget = useless_query_budget(m, k)
         worst = max(worst, q / budget)
         if found != maximal or q > budget:
@@ -269,8 +268,8 @@ def cover_grid_check(m: int = 6, sample_cross: int = 500, seed: int = 0) -> Chec
             over += 1
     rng = stream(seed, "cover-cross")
     mismatch = 0
-    for _ in range(sample_cross):
-        scaled = COVER_DEN, grid[rng.randrange(len(grid))]
+    for q in below(rng, len(grid), sample_cross):
+        scaled = COVER_DEN, grid[q]
         brute = brute_cover(scaled, m)
         if demand_cover(scaled, m) != brute or len(brute) > 1:
             mismatch += 1
@@ -286,7 +285,8 @@ def random_promise_instance(rng, n_max=4, l_max=16, z_max=3) -> ZDisjointnessIns
     l = rng.randrange(4, l_max + 1)
     z = rng.randrange(1, z_max + 1)
     w_bits = rng.sample(range(l), min(z, l))
-    blockers = {b: rng.randrange(n) for b in range(l) if b not in w_bits}
+    free = [b for b in range(l) if b not in w_bits]
+    blockers = dict(zip(free, below(rng, n, len(free))))
     allowed = []
     for i in range(n):
         blocked = 0

@@ -29,7 +29,7 @@ from .bundles import grand, subset_sums
 from .menus import Menu, profit_argmax_set
 from .protocol import MechanismSpec, RunResult, Session, log2_ceil
 from .rational import Price, common_denominator, is_finite
-from .rng import stream
+from .rng import below, stream
 from .valuations import DomainError, Valuation, ValuationCatalog, valuation_from_ints
 
 ZERO = Fraction(0)  # the payment of whoever wins nothing, shared by every verdict
@@ -534,7 +534,7 @@ def strictify(v: Valuation, grid_l: int, seed: int, eps: Optional[Fraction] = No
     u, w = (eps / (2 * v.m)).as_integer_ratio()
     e = lcm(d, w * (grid_l - 1))
     k, step = e // d, u * (e // (w * (grid_l - 1)))
-    noise = [0] + [rng.randrange(grid_l) * step for _ in range(1, len(ints))]
+    noise = [0] + [r * step for r in below(rng, grid_l, len(ints) - 1)]
     return valuation_from_ints(v.m, e, [x * k + r for x, r in zip(ints, noise)])
 
 

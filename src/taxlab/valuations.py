@@ -13,18 +13,23 @@ from typing import Optional, Sequence
 from .bundles import (DomainError, all_bundles, bit, check_m, flat_pairs, is_monotone,
                       monotone_closure, size, subset_sums)
 from .rational import common_denominator, parse_price
+from .rng import below
 
 
 @dataclass(frozen=True)
 class Valuation:
     """Normalized monotone valuation stored as scaled_table == (D, ints),
     table[s] == ints[s] / D, gcd 1, so equal valuations store equal pairs.
-    `candidates`, when given, is `demand_candidates(ints, m)`: the masks
-    `demand_ints` scans at nonnegative prices."""
+    A `listed` valuation's construction stores `candidates`, its
+    `demand_candidates(ints, m)`: the masks `demand_ints` scans at
+    nonnegative prices (None when not listed).  `==`, `hash` and `repr`
+    ignore both."""
 
     m: int
     scaled_table: tuple[int, tuple[int, ...]]
-    candidates: Optional[tuple[int, ...]] = field(default=None, compare=False, repr=False)
+    listed: bool = field(default=False, compare=False, repr=False)
+    candidates: Optional[tuple[int, ...]] = field(default=None, init=False, compare=False,
+                                                  repr=False)
 
     def __post_init__(self):
         check_m(self.m)
@@ -37,9 +42,8 @@ class Valuation:
             raise DomainError("valuation must be normalized: v(empty) = 0")
         if not is_monotone(ints, self.m):
             raise DomainError("valuation must be monotone")
-        if self.candidates is not None and self.candidates != demand_candidates(ints, self.m):
-            raise DomainError("demand candidates must be the bundles no one-item-smaller "
-                              "subset matches in value")
+        if self.listed:
+            object.__setattr__(self, "candidates", demand_candidates(ints, self.m))
 
     @cached_property
     def table(self) -> tuple[Fraction, ...]:
@@ -176,7 +180,7 @@ def random_monotone_valuation(m: int, rng, grid=8, scale=Fraction(4)) -> Valuati
     draw and its subsets' values, the empty one stays 0.  The multiples
     stay integer numerators over the step's denominator."""
     step, d = (Fraction(scale) / grid).as_integer_ratio()
-    raw = [rng.randrange(grid + 1) * step for _ in all_bundles(m)]
+    raw = [k * step for k in below(rng, grid + 1, 1 << m)]
     raw[0] = 0
     return valuation_from_ints(m, d, monotone_closure(raw, m))
 

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
-from .bundles import bit, grand
+from .bundles import bit, grand, superset_min
 from .menus import Menu, in_menu_rebuild
 from .rational import Price, is_finite
 from .valuations import DomainError
@@ -116,6 +116,16 @@ def learn_useless(oracle: Callable[[int], int], m: int, k_bound: int) -> tuple[s
             f"learned {len(found)} maximal zero bundles, promised at most {k_bound}"
         )
     return found, trace.queries, trace
+
+
+def useless_table(m: int, seeds: Iterable[int]) -> list[int]:
+    """The 0/1 table of the k-useless valuation whose zero set is the
+    downward closure of the seeds: 0 at each seed, 1 elsewhere, lowered to
+    its supersets' smallest by one `superset_min` pass."""
+    table = [1] * (1 << m)
+    for t in seeds:
+        table[t] = 0
+    return superset_min(table, m)
 
 
 def useless_query_budget(m: int, k: int) -> int:

@@ -51,6 +51,7 @@ from .bundles import (bit, bundles_of_size, is_submodular, monotone_closure, siz
 from .menus import ContractError, Menu
 from .protocol import Session
 from .rational import INF, Price, is_finite, reduced_prices, scaled_prices
+from .rng import below
 from .valuations import DomainError, clause_max
 
 CLASSES = ("general", "subadditive", "xos", "submodular")
@@ -268,19 +269,11 @@ def price_pool(bound: Fraction, values: Optional[Sequence[Price]] = None) -> Poo
 
 def draw_base_function(m: int, pool: Pool, rng) -> BaseFunction:
     """Seeded random monotone base function: one pool entry per nonempty
-    bundle, drawn as `rng.randrange(len(ints))` draws it (the `getrandbits`
-    rejection loop, so the stream is the same), monotonized upward as ints
-    by `monotone_closure` and reduced once by the gcd."""
+    bundle, drawn by `rng.below` as `rng.randrange(len(ints))` draws it,
+    monotonized upward as ints by `monotone_closure` and reduced once by
+    the gcd."""
     p, ints, marker = pool
-    n = len(ints)
-    k = n.bit_length()
-    bits = rng.getrandbits
-    draws = [0]
-    for _ in range(1, 1 << m):
-        q = bits(k)
-        while q >= n:
-            q = bits(k)
-        draws.append(ints[q])
+    draws = [0] + [ints[q] for q in below(rng, len(ints), (1 << m) - 1)]
     closed = monotone_closure(draws, m)
     return BaseFunction(m, reduced_prices(p, [None if x == marker else x for x in closed]))
 

@@ -1,6 +1,7 @@
 """Helpers only the tests call: bundle enumeration, the valuation JSON
-writer, XOS clauses and the class checks, and builders of base functions,
-probes, min-affine tables and deviation families.  No run of the package
+writer, XOS clauses and the class checks, builders of base functions,
+probes, min-affine tables and deviation families, and the per-bundle
+zero set of a useless valuation.  No run of the package
 reaches them, so they live beside the tests that use them.
 
 An XOS valuation keeps no clauses: a test that builds one from
@@ -36,6 +37,12 @@ def supersets(mask: int, m: int) -> Iterator[int]:
     """All supermasks of mask within m items, ascending."""
     for extra in subsets(grand(m) & ~mask):
         yield mask | extra
+
+
+def useless_zero_set(m: int, seeds: Sequence[int]) -> set[int]:
+    """The bundles below some seed, one scan of the seeds per bundle: the
+    zero set `value_reconstruct.useless_table` builds in one pass."""
+    return {s for s in all_bundles(m) if any(s & t == s for t in seeds)}
 
 
 def format_price(x: Price) -> str:

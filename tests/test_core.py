@@ -14,7 +14,7 @@ from taxlab.bundles import (all_bundles, best_bundle, bit, bundles_of_size, is_m
                             superset_min)
 from taxlab.queries import bundle_price, demand_ints, demand_query, price_ints, value_query
 from taxlab.rational import INF, Infinite, common_denominator, is_finite, parse_price
-from taxlab.rng import stream
+from taxlab.rng import below, stream
 from taxlab.valuations import (DomainError, Valuation, ValuationCatalog,
                                additive_valuation, demand_candidates,
                                layered_valuation, random_monotone_valuation,
@@ -297,8 +297,8 @@ def test_demand_ints_match_the_fraction_reference_over_any_common_denominator(qu
 
 
 def listed(v):
-    """A copy of v carrying its demand candidates."""
-    return replace(v, candidates=demand_candidates(v.scaled_table[1], v.m))
+    """A listed copy of v: its construction derives its demand candidates."""
+    return replace(v, listed=True)
 
 
 @settings(max_examples=300, deadline=None)
@@ -335,16 +335,19 @@ def test_demand_candidates_are_the_bundles_no_proper_subset_matches():
 
 
 def test_a_wrong_candidate_list_is_refused_and_the_field_is_ignored():
+    """No caller passes a candidate list, right or wrong: a listed
+    valuation derives `demand_candidates` itself, and `==`, `hash` and
+    `repr` ignore the flag and the list."""
     v = random_monotone_valuation(3, random.Random(5), 2)
     good = demand_candidates(v.scaled_table[1], 3)
     assert 0 < len(good) < 8
     missing = next(u for u in all_bundles(3) if u not in good)
-    for wrong in (good[:-1], good[1:], tuple(sorted(good + (missing,))), good[::-1], list(good),
-                  ()):
-        with pytest.raises(DomainError, match="demand candidates"):
-            Valuation(3, v.scaled_table, candidates=wrong)
-    w = listed(v)
+    for given_list in (good, good[:-1], tuple(sorted(good + (missing,))), list(good), ()):
+        with pytest.raises(TypeError, match="candidates"):
+            Valuation(3, v.scaled_table, candidates=given_list)
+    w = Valuation(3, v.scaled_table, listed=True)
     assert w.candidates == good and v.candidates is None
+    assert listed(v).candidates == good
     assert w == v and hash(w) == hash(v) and repr(w) == repr(v) and len({v, w}) == 1
 
 
@@ -433,6 +436,31 @@ def test_random_valuations_match_the_fraction_builder(m, grid, scale, seed):
     assert all(type(x) is Fraction for x in v.table)
     assert v.scaled_table == common_denominator(v.table)
     assert rng.getstate() == twin.getstate()
+
+
+BOUNDS = st.one_of(st.integers(1, 2**70), st.integers(0, 70).map(lambda j: 1 << j),
+                   st.integers(0, 70).map(lambda j: (1 << j) + 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(BOUNDS, st.integers(0, 40), st.integers(0, 2**32))
+def test_the_bulk_draw_is_randranges_stream(n, count, seed):
+    """`below` draws what `count` calls of `randrange(n)` draw, in order,
+    and leaves the stream where they leave it."""
+    rng, twin = stream(seed, "below"), stream(seed, "below")
+    assert below(rng, n, count) == [twin.randrange(n) for _ in range(count)]
+    assert rng.random() == twin.random()
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_the_bulk_draw_refuses_an_empty_range(n):
+    """n <= 0 raises as `randrange(n)` does, at any count, instead of
+    looping on `getrandbits(0)`."""
+    for count in (0, 1, 5):
+        with pytest.raises(ValueError, match="empty range"):
+            below(stream(0, "below"), n, count)
+    with pytest.raises(ValueError, match="empty range"):
+        stream(0, "below").randrange(n)
 
 
 def test_integer_form_leaves_equality_hash_and_repr_alone():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from taxlab import valuations
 from taxlab.bundles import all_bundles, bundles_of_size, size
 from taxlab.demand_menus import (CharacterizationViolation, brute_cover, canonical_valuation,
                                  demand_cover, extract_min_affine, hidden_bump_price,
@@ -395,14 +396,14 @@ def test_both_cover_sets_refuse_an_odd_m_and_a_nonpositive_denominator(cover_set
 @pytest.mark.parametrize("m", range(2, 11, 2))
 def test_every_hidden_problem_valuation_carries_its_demand_candidates(m):
     """Every half-size target's valuation is the layered one it was built
-    as before and lists its candidates: 6 of 16 bundles at m = 4, 17 of 64
-    at m = 6, 58 of 256 at m = 8, 212 of 1,024 at m = 10.  A target off
-    half size is refused."""
+    as before and is listed, so it carries its derived candidates: 6 of 16
+    bundles at m = 4, 17 of 64 at m = 6, 58 of 256 at m = 8, 212 of 1,024
+    at m = 10.  A target off half size is refused."""
     counts = {2: 3, 4: 6, 6: 17, 8: 58, 10: 212}
     for t in bundles_of_size(m, m // 2):
         v = hidden_problem_valuation(m, t)
         assert v == layered_valuation(m, {t: F(1, 4)}, F(1))
-        assert v.candidates == demand_candidates(v.scaled_table[1], m)
+        assert v.listed and v.candidates == demand_candidates(v.scaled_table[1], m)
         assert len(v.candidates) == counts[m] and t in v.candidates
     for t in (0, bundles_of_size(m, m // 2 - 1)[-1], bundles_of_size(m, m // 2 + 1)[0]):
         with pytest.raises(DomainError):
@@ -473,6 +474,29 @@ def test_hidden_problem_valuation_is_built_once_per_bundle():
             assert hidden_problem_valuation(m, t_mask) is shared
             fresh = hidden_problem_valuation.__wrapped__(m, t_mask)
             assert fresh is not shared and fresh.table == shared.table
+
+
+def test_a_hidden_problem_valuation_derives_its_candidates_once(monkeypatch):
+    """Building one hidden-bundle valuation computes `demand_candidates`
+    once, in the constructor, with one `flat_pairs` pass."""
+    calls = {"demand_candidates": 0, "flat_pairs": 0}
+
+    def counted(name):
+        real = getattr(valuations, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(valuations, name, counted(name))
+    builds = 0
+    for m in (2, 4, 6, 8):
+        for t in bundles_of_size(m, m // 2):
+            hidden_problem_valuation.__wrapped__(m, t)
+            builds += 1
+    assert calls == {"demand_candidates": builds, "flat_pairs": builds}
 
 
 def covers(prices, t_mask, m):

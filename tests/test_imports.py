@@ -608,6 +608,76 @@ def test_the_demand_kernel_reads_only_stored_valuation_fields():
     assert cached_lists((SRC / "valuations.py").read_text(encoding="utf-8")) == []
 
 
+COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def looped_draws(source: str) -> list[str]:
+    """"function: call" for each `.randrange(...)` call that a module-level
+    function or method makes once per pass of a loop: in a `for` or
+    `while` body, or in a comprehension outside its first iterable (which
+    runs once).  A run of draws from one bound is one `rng.below` call."""
+    found = set()
+    for name, fn in named_functions(source):
+        for node in ast.walk(fn):
+            if isinstance(node, (ast.For, ast.While)):
+                parts = node.body
+            elif isinstance(node, COMPREHENSIONS):
+                first, *rest = node.generators
+                parts = ([node.key, node.value] if isinstance(node, ast.DictComp)
+                         else [node.elt]) + first.ifs + rest
+            else:
+                continue
+            found.update(f"{name}: {ast.unparse(hit)}" for part in parts for hit in ast.walk(part)
+                         if isinstance(hit, ast.Call) and isinstance(hit.func, ast.Attribute)
+                         and hit.func.attr == "randrange")
+    return sorted(found)
+
+
+def test_looped_draws_are_found():
+    source = (
+        "def draws(rng, m, xs):\n"
+        "    a = [rng.randrange(1) for _ in range(m)]\n"
+        "    b = {rng.randrange(2) for _ in range(rng.randrange(3))}\n"
+        "    c = rng.randrange(4)\n"
+        "    for _ in range(rng.randrange(5)):\n        d = xs[rng.randrange(len(xs))]\n"
+        "    while m:\n        m = rng.randrange(m)\n"
+        "    for q in below(rng, 6, m):\n        e = q\n"
+        "    f = {i: rng.randrange(7) for i in range(m) if rng.randrange(8)}\n"
+        "    g = [[x for x in range(rng.randrange(9))] for _ in xs]\n"
+        "    return tuple(x[rng.randrange(10)] for x in xs)\n"
+        "class K:\n    def pick(self, rng):\n"
+        "        return [rng.randrange(11) for _ in self.xs] + [random.randrange(12)]\n"
+    )
+    assert looped_draws(source) == [
+        "K.pick: rng.randrange(11)", "draws: rng.randrange(1)", "draws: rng.randrange(10)",
+        "draws: rng.randrange(2)", "draws: rng.randrange(7)", "draws: rng.randrange(8)",
+        "draws: rng.randrange(9)", "draws: rng.randrange(len(xs))", "draws: rng.randrange(m)"]
+
+
+# Scalar draws left in loops, each with why no bulk `rng.below` call takes them.
+LOOPED_SCALAR_DRAWS = {
+    "suites.py: gadget_trials: rng.randrange(len(sized))":
+        "each trial's target, drawn between two valuations' bulk draws",
+    "suites.py: useless_learner_trials: rng.randrange(2, USELESS_MAX + 1)":
+        "each trial's m, which sets the bound of its seeds' bulk draw",
+    "suites.py: useless_learner_trials: rng.randrange(1, USELESS_MAX + 1)":
+        "each trial's k, which sets the count of its seeds' bulk draw",
+    "suites.py: random_promise_instance: rng.randrange(1, 7)":
+        "each player's string count, drawn between two players' `getrandbits` strings",
+    "suites.py: random_promise_instance: rng.randrange(len(group))":
+        "each player's input pick, whose bound changes from one draw to the next",
+}
+
+
+def test_draws_in_loops_go_through_the_bulk_draw():
+    """A loop of `randrange` calls is one `rng.below` call, which draws
+    the same ints from the same stream without `randrange`'s per-call
+    checks; only the listed scalar draws stay in loops."""
+    found = [f"{path.name}: {hit}" for path in sorted(SRC.glob("*.py"))
+             for hit in looped_draws(path.read_text(encoding="utf-8"))]
+    assert sorted(found) == sorted(LOOPED_SCALAR_DRAWS)
+
+
 def unreferenced_names(sources: dict[str, str]) -> list[str]:
     """"module: name" for each top-level function, class and assigned name
     of the modules (file name -> source) that no module reads: no `Name`

@@ -3,8 +3,9 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from taxlab.bundles import all_bundles
 from taxlab.library import default_catalog, make_example
 from taxlab.menus import menu, menu_complexity
 from taxlab.protocol import extract_menu
@@ -12,14 +13,29 @@ from taxlab.rational import INF
 from taxlab.rng import stream
 from taxlab.value_reconstruct import (BoundViolation, OracleError, PriceOracle,
                                       learn_useless, reconstruct_menu_value,
-                                      useless_query_budget)
+                                      useless_query_budget, useless_table)
+
+from references import useless_zero_set
 
 F = Fraction
 
 
 def useless_oracle(m, maximal):
-    zeros = {s for s in all_bundles(m) if any(s & t == s for t in maximal)}
+    zeros = useless_zero_set(m, maximal)
     return lambda s: 0 if s in zeros else 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_the_useless_table_is_zero_on_the_seeds_downward_closure(data):
+    """One `superset_min` pass over the seeds' indicator gives the 0/1
+    table whose zero set is the per-bundle scan's, at m = 1..8 with 1..8
+    seeds, repeats allowed."""
+    m = data.draw(st.integers(1, 8))
+    seeds = data.draw(st.lists(st.integers(0, (1 << m) - 1), min_size=1, max_size=8))
+    table = useless_table(m, seeds)
+    assert len(table) == 1 << m and set(table) <= {0, 1}
+    assert {s for s, x in enumerate(table) if x == 0} == useless_zero_set(m, seeds)
 
 
 def test_learn_examples():
