@@ -137,14 +137,16 @@ def warmup_catalog(c: int, m: int = 2) -> ValuationCatalog:
 
 def value_tightness(m: int, c: Optional[int] = None, bundles=None) -> MechanismSpec:
     """Bundles priced by size, with the rounded first value query choosing
-    which one costs an extra half unit.  The bundle list is `bundles`, or
-    else the first c singletons."""
+    which one costs an extra half unit.  The bundle list is `bundles`, each
+    mask once, or else the first c singletons."""
     if (c is None) == (bundles is None):
         raise DomainError("value_tightness needs exactly one of c and bundles")
     bundle_list = tuple(bit(j) for j in range(c)) if bundles is None else tuple(bundles)
     c = len(bundle_list)
     if c < 1 or any(s == 0 or s >= (1 << m) for s in bundle_list):
         raise DomainError("value_tightness needs c <= m, or bundles within m items")
+    if len(set(bundle_list)) < c:
+        raise DomainError(f"value_tightness needs distinct bundles, got {list(bundle_list)}")
     bound = Fraction(max(size(s) for s in bundle_list)) + HALF
 
     # menu t prices each listed bundle at |s|, plus a half on the t-th; a

@@ -12,10 +12,11 @@ from typing import Sequence
 
 from .bundles import all_bundles, bit, bundles_of_size
 from .comm_reconstruct import (CommReconstruction, ConstructionError, ProofInstance,
-                               build_disjointness_instance, menu_catalog, most_frequent_prices,
-                               reconstruct_menu_comm)
-from .demand_menus import (QUARTER, brute_cover, demand_cover, extract_min_affine,
-                           hidden_bump_profits, hidden_problem_valuation, mt_gadget_argmax)
+                               SoundnessError, build_disjointness_instance, menu_catalog,
+                               most_frequent_prices, reconstruct_menu_comm)
+from .demand_menus import (QUARTER, CharacterizationViolation, brute_cover, demand_cover,
+                           extract_min_affine, hidden_bump_profits, hidden_problem_valuation,
+                           mt_gadget_argmax)
 from .disjointness import (ZDisjointnessInstance, brute_force_verdict,
                            max_intersection, solve_z_disjointness)
 from .library import (default_catalog, encode_disjointness_string, make_example,
@@ -23,8 +24,7 @@ from .library import (default_catalog, encode_disjointness_string, make_example,
 from .menus import menu_complexity
 from .protocol import (ComplexityReport, MechanismSpec, Session, measure_complexities,
                        run_mechanism)
-from .queries import bundle_price, demand_query
-from .rational import is_finite
+from .queries import demand_query
 from .rng import below, stream
 from .valuations import ValuationCatalog, random_monotone_valuation
 from .value_reconstruct import (PriceOracle, learn_useless, reconstruct_menu_value,
@@ -196,31 +196,19 @@ def useless_learner_trials(trials: int, seed: int) -> CheckLine:
 
 
 def min_affine_check(session: Session) -> CheckLine:
-    """Extraction evaluates to the ground truth everywhere with alpha/beta
-    within the canonical run's per-player query counts."""
+    """`extract_min_affine` for every player and profile of the others: it
+    raises unless the harvested menu equals the ground truth on every
+    bundle, and by construction its alpha and beta are at most the
+    player's demand and value query counts in the canonical run."""
     spec = session.spec
     errors = []
     count = 0
     for i in range(spec.n):
         for v_minus in session.others(i):
-            truth = session.menu(i, v_minus)
-            ma, res = extract_min_affine(session, i, v_minus)  # raises on mismatch
-            if ma.alpha > res.query_count("dem", i) or ma.beta > res.query_count("val", i):
-                errors.append(f"player {i}: alpha/beta exceed the trace")
-            # at-most/exactly lemmas on the harvested pieces
-            for s in all_bundles(spec.m):
-                price = truth.price[s]
-                if not is_finite(price) or s in dict(ma.exceptions):
-                    continue
-                terms = []
-                for vec, r in zip(ma.vectors, ma.offsets):
-                    t = bundle_price(vec, s)
-                    if is_finite(t):
-                        terms.append(t + r)
-                if any(price > t for t in terms):
-                    errors.append(f"at-most fails at {s}")
-                if s and not any(price == t for t in terms):
-                    errors.append(f"exactly fails at {s}")
+            try:
+                extract_min_affine(session, i, v_minus)
+            except CharacterizationViolation as exc:
+                errors.append(f"player {i}: {exc}")
             count += 1
     return CheckLine(
         f"min-affine[{spec.mech_id}]",
@@ -340,10 +328,12 @@ def blocks_with_two_intersecting_bits(proof: ProofInstance) -> list[int]:
 
 def comm_reconstruction_check(session: Session, seed: int
                               ) -> tuple[CheckLine, list[tuple[int, int, CommReconstruction]]]:
-    """Exact reconstruction for every profile and player; halving and the
-    one-intersecting-bit-per-block claim checked on the instances actually
-    built along the way.  Also returns each reconstruction as (player,
-    size of the player's menu catalog, result)."""
+    """Reconstruction for every profile and player: `reconstruct_menu_comm`
+    raises unless it isolates the true menu with every completed step
+    halving the live set.  The step bound and the one-intersecting-bit-per-
+    block claim are checked on the instances built along the way.  Also
+    returns each reconstruction as (player, size of the player's menu
+    catalog, result)."""
     spec = session.spec
     errors = []
     done = []
@@ -351,16 +341,14 @@ def comm_reconstruction_check(session: Session, seed: int
     for i in range(spec.n):
         pre = menu_catalog(session, i)
         for v_minus in session.others(i):
-            truth = session.menu(i, v_minus)
-            rec = reconstruct_menu_comm(session, i, v_minus, seed=seed)
+            try:
+                rec = reconstruct_menu_comm(session, i, v_minus, seed=seed)
+            except SoundnessError as exc:
+                errors.append(f"player {i}: {exc}")
+                continue
             done.append((i, len(pre), rec))
-            if rec.menu != truth:
-                errors.append(f"player {i} wrong menu")
             if len(rec.steps) > max(1, (len(pre) - 1).bit_length()):
                 errors.append(f"player {i}: {len(rec.steps)} steps for {len(pre)} menus")
-            for st in rec.steps:
-                if st.branch != "majority" and 2 * st.live_after > st.live_before:
-                    errors.append("halving failed")
             for proof in rec.proofs:
                 blocks_checked += len(proof.blocks)
                 errors += [f"block {s} holds two intersecting bits"

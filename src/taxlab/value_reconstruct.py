@@ -31,15 +31,12 @@ class BoundViolation(RuntimeError):
 
 
 class PriceOracle:
-    """Answers the hidden menu's price per bundle; each call stands for a
-    fixed number of value queries (the mechanism's declared per-price
-    cost)."""
+    """Answers the hidden menu's price per bundle, counting the calls."""
 
-    def __init__(self, menu: Menu, cost_per_call: int = 1):
+    def __init__(self, menu: Menu):
         if not menu.is_normalized():
             raise DomainError("price oracle needs a normalized menu")
         self.menu = menu
-        self.cost_per_call = cost_per_call
         self.calls = 0
 
     @property
@@ -49,10 +46,6 @@ class PriceOracle:
     def price(self, s: int) -> Price:
         self.calls += 1
         return self.menu.price[s]
-
-    @property
-    def value_queries(self) -> int:
-        return self.calls * self.cost_per_call
 
 
 @dataclass
@@ -143,7 +136,6 @@ class LadderStep:
 class ValueReconstruction:
     menu: Menu
     oracle_calls: int
-    value_queries: int
     steps: tuple[LadderStep, ...]
 
 
@@ -192,6 +184,5 @@ def reconstruct_menu_value(po: PriceOracle, mc_bound: int) -> ValueReconstructio
     return ValueReconstruction(
         menu=menu,
         oracle_calls=po.calls,
-        value_queries=po.value_queries,
         steps=tuple(steps),
     )

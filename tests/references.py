@@ -1,8 +1,8 @@
-"""Helpers only the tests call: bundle enumeration, the valuation JSON
-writer, XOS clauses and the class checks, builders of base functions,
-probes, min-affine tables and deviation families, and the per-bundle
-zero set of a useless valuation.  No run of the package
-reaches them, so they live beside the tests that use them.
+"""Helpers only the tests call: the acceptance mechanism set, bundle
+enumeration, the valuation JSON writer, XOS clauses and the class checks,
+builders of base functions, probes, min-affine tables and deviation
+families, and the per-bundle zero set of a useless valuation.  No run of
+the package reaches them, so they live beside the tests that use them.
 
 An XOS valuation keeps no clauses: a test that builds one from
 `XOSClauses` holds the clauses next to it and hands them to
@@ -18,9 +18,17 @@ from taxlab.bundles import (DomainError, all_bundles, bit, check_m, grand, is_su
                             subset_sums)
 from taxlab.menus import Menu, MinAffineMenu, menu
 from taxlab.rational import INF, Price, common_denominator, is_finite, scaled_prices
+from taxlab.suites import STANDARD_BENCH
 from taxlab.transforms import DeviationStrategy, TwoPlayerTables
 from taxlab.valuations import Valuation, clause_max, valuation_from_ints
 from taxlab.verify import BaseFunction, _staircase, draw_base_function, price_pool
+
+# the acceptance criteria's mechanisms: the standard set and three at m = 6
+ACCEPTANCE_BENCH = STANDARD_BENCH + (
+    ("value_tightness", {"c": 4, "m": 6}),
+    ("demand_tightness", {"m": 6, "alpha": 2, "count": 4}),
+    ("drop_tax", {"m": 6}),
+)
 
 
 def subsets(mask: int) -> Iterator[int]:

@@ -11,13 +11,8 @@ from taxlab.transforms import (build_tables, deviation_audit, is_precise, strict
                                to_dominant_run, to_simultaneous)
 from taxlab.verify import menu_price_grid
 
-from references import classify_valuation, random_base_function, submodular_probe
-
-ACCEPTANCE_BENCH = suites.STANDARD_BENCH + (
-    ("value_tightness", {"c": 4, "m": 6}),
-    ("demand_tightness", {"m": 6, "alpha": 2, "count": 4}),
-    ("drop_tax", {"m": 6}),
-)
+from references import (ACCEPTANCE_BENCH, classify_valuation, random_base_function,
+                        submodular_probe)
 
 _reports_cache = {}
 

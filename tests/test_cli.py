@@ -188,6 +188,7 @@ def test_oversized_m_and_non_object_config_exit_two(tmp_path, capsys, monkeypatc
         ({"id": "posted_prices", "params": {"prices": [0.5, "2"]}}, ".prices entry"),
         ({"id": "value_tightness", "params": {"c": 2, "m": 3, "bundles": [1, 2, 4]}},
          "c and bundles"),
+        ({"id": "value_tightness", "params": {"m": 2, "bundles": [1, 1]}}, "distinct bundles"),
         ({"id": "demand_tightness", "params": {"m": 4, "alpha": 200000}}, ".alpha must"),
         ({"id": "demand_tightness", "params": {"m": 16, "count": 100000}}, ".count must"),
         ({"id": "demand_tightness", "params": {"m": 10, "alpha": 8, "count": 64}},

@@ -13,14 +13,14 @@ from taxlab.bundles import all_bundles, bit
 import taxlab.comm_reconstruct as comm_reconstruct
 from taxlab import suites
 from taxlab.comm_reconstruct import (PRODUCT_CAP, ConstructionError, ProofInstance,
-                                     build_disjointness_instance, consistent_rectangle,
-                                     menu_catalog, most_frequent_prices, reconstruct_menu_comm,
-                                     representation_set, split_bundle, witness_bundles,
-                                     within_log_budget)
+                                     SoundnessError, build_disjointness_instance,
+                                     consistent_rectangle, menu_catalog, most_frequent_prices,
+                                     reconstruct_menu_comm, representation_set, split_bundle,
+                                     witness_bundles, within_log_budget)
 from taxlab.disjointness import ZDisjointnessInstance, max_intersection, solve_z_disjointness
 from taxlab.library import default_catalog, make_example, warmup_catalog
 from taxlab.menus import menu
-from taxlab.protocol import Session, extract_menu
+from taxlab.protocol import Session, extract_menu, price_run
 from taxlab.rational import INF
 from taxlab.valuations import single_item_valuation
 
@@ -153,6 +153,32 @@ def test_trivial_single_menu():
     actual = (cat.players[0][0],)
     rec = reconstruct_menu_comm(Session(spec, cat), 1, actual, seed=2)
     assert rec.steps == () and rec.bits == 0
+
+
+def test_a_mispriced_bundle_is_a_soundness_error_and_a_fail_line():
+    """A price protocol planted to misprice the bundle the reconstruction
+    asks about empties the live set: `reconstruct_menu_comm` raises, and
+    `comm_reconstruction_check` turns that into a FAIL line naming the
+    player."""
+    from dataclasses import replace
+
+    params = {"c": 2}
+    spec, cat = make_example("warmup_tightness", params), warmup_catalog(**params)
+    v_minus = (cat.players[0][0],)
+    [step] = reconstruct_menu_comm(Session(spec, cat), 1, v_minus).steps
+    assert step.branch == "direct"
+
+    def misprice(_spec, i, v_minus_i, s):
+        run = price_run(spec, i, v_minus_i, s)
+        return replace(run, price=spec.bound + 1) if s == step.bundle else run
+
+    session = Session(replace(spec, price_protocol=misprice), cat)
+    with pytest.raises(SoundnessError, match="the true menu was lost"):
+        reconstruct_menu_comm(session, 1, v_minus)
+    line, done = suites.comm_reconstruction_check(session, seed=0)
+    assert line.render().startswith(f"reconstruct-comm[{spec.mech_id}]: FAIL")
+    assert "player 1: the live set emptied" in line.detail
+    assert all(i == 0 for i, _, _ in done)
 
 
 def test_rich_catalog_multi_step_shrinkage():

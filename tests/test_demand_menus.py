@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taxlab import valuations
+from taxlab import suites, valuations
 from taxlab.bundles import all_bundles, bundles_of_size, size
 from taxlab.demand_menus import (CharacterizationViolation, brute_cover, canonical_valuation,
                                  demand_cover, extract_min_affine, hidden_bump_price,
@@ -18,7 +18,7 @@ from taxlab.demand_menus import (CharacterizationViolation, brute_cover, canonic
 from taxlab.library import default_catalog, make_example
 from taxlab.menus import MinAffineMenu, eval_min_affine
 from taxlab.protocol import MechanismSpec, PriceRun, Session, extract_menu, insert_player
-from taxlab.queries import demand_ints, demand_query, price_ints
+from taxlab.queries import bundle_price, demand_ints, demand_query, price_ints
 from taxlab.rational import INF, is_finite
 from taxlab.rng import stream
 from taxlab.suites import COVER_DEN, cover_grid
@@ -26,7 +26,7 @@ from taxlab.valuations import (DomainError, Valuation, ValuationCatalog, additiv
                                demand_candidates, layered_valuation,
                                random_monotone_valuation, valuation_from_values)
 
-from references import min_affine_table
+from references import ACCEPTANCE_BENCH, min_affine_table
 
 F = Fraction
 
@@ -60,15 +60,63 @@ def test_extract_degenerate_value_only():
     assert ma.exceptions == ((0b11, INF),)
 
 
-def test_extract_flags_unrepresentable_trace():
-    def silent(profile, rec):
-        # allocates a priced bundle without ever querying the winner
-        return (0, 0b01), (F(0), F(1))
+def silent(profile, rec):
+    # allocates a priced bundle without ever querying the winner
+    return (0, 0b01), (F(0), F(1))
 
-    spec = MechanismSpec("silent", 2, 2, F(2), "demand", silent)
+
+SILENT = MechanismSpec("silent", 2, 2, F(2), "demand", silent)
+
+
+def test_extract_flags_unrepresentable_trace():
     zero = additive_valuation([0, 0])
     with pytest.raises(CharacterizationViolation):
-        extract_min_affine(one_valuation_session(spec, zero), 1, (zero,))
+        extract_min_affine(one_valuation_session(SILENT, zero), 1, (zero,))
+
+
+def test_min_affine_check_reports_an_unrepresentable_trace_as_a_fail_line():
+    """The extractor's violation is the check's FAIL line, naming the
+    player, not a traceback."""
+    line = suites.min_affine_check(one_valuation_session(SILENT, additive_valuation([0, 0])))
+    assert line.render().startswith("min-affine[silent]: FAIL  [2 menus; ['player 1: silent:")
+
+
+def test_extracted_menus_meet_the_at_most_and_exactly_lemmas():
+    """The `Fraction` cross-check of the menus `extract_min_affine` returns
+    for every player and profile of each demand-mode acceptance entry:
+    alpha and beta within the canonical run's query counts, and on each
+    finite bundle outside the exceptions the price is at most every
+    finite affine piece and, off the empty bundle, equal to one."""
+    demand = [(mech_id, params) for mech_id, params in ACCEPTANCE_BENCH
+              if make_example(mech_id, params).mode == "demand"]
+    assert len(demand) >= 3
+    for mech_id, params in demand:
+        session = Session(*suites.bench_instance(mech_id, params))
+        spec = session.spec
+        errors = []
+        count = 0
+        for i in range(spec.n):
+            for v_minus in session.others(i):
+                truth = session.menu(i, v_minus)
+                ma, res = extract_min_affine(session, i, v_minus)
+                if ma.alpha > res.query_count("dem", i) or ma.beta > res.query_count("val", i):
+                    errors.append(f"player {i}: alpha/beta exceed the trace")
+                # at-most/exactly lemmas on the harvested pieces
+                for s in all_bundles(spec.m):
+                    price = truth.price[s]
+                    if not is_finite(price) or s in dict(ma.exceptions):
+                        continue
+                    terms = []
+                    for vec, r in zip(ma.vectors, ma.offsets):
+                        t = bundle_price(vec, s)
+                        if is_finite(t):
+                            terms.append(t + r)
+                    if any(price > t for t in terms):
+                        errors.append(f"at-most fails at {s}")
+                    if s and not any(price == t for t in terms):
+                        errors.append(f"exactly fails at {s}")
+                count += 1
+        assert count > 0 and errors == [], (mech_id, errors[:2])
 
 
 def test_extract_demand_tightness_alpha():
@@ -83,7 +131,6 @@ def test_min_affine_check_runs_each_canonical_profile_once(monkeypatch):
     through the session: one run per player and profile of the others, on
     the canonical profile, and none of its own."""
     import taxlab.protocol as protocol
-    import taxlab.suites as suites
 
     params = {"m": 2, "alpha": 2, "count": 4}
     spec = make_example("demand_tightness", params)

@@ -802,3 +802,49 @@ def test_the_package_holds_only_names_a_run_reaches():
     sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
     assert sources
     assert unreferenced_names(sources) == sorted(READ_FROM_OUTSIDE)
+
+
+def literal_verdicts(source: str) -> list[str]:
+    """"function: name" for each `CheckLine(...)` call (bare or as an
+    attribute) that a module-level function or method makes with a
+    constant verdict, as its second argument or `passed=`: a line that
+    reads the same whatever the check found."""
+    found = []
+    for name, fn in named_functions(source):
+        for call in ast.walk(fn):
+            if not (isinstance(call, ast.Call) and getattr(
+                    call.func, "id", getattr(call.func, "attr", None)) == "CheckLine"):
+                continue
+            verdicts = call.args[1:2] + [k.value for k in call.keywords if k.arg == "passed"]
+            if any(isinstance(v, ast.Constant) for v in verdicts):
+                found.append(f"{name}: {ast.unparse(call.args[0] if call.args else call)}")
+    return sorted(found)
+
+
+def test_literal_verdicts_are_found():
+    source = (
+        "def lines(tag, ok, rep):\n"
+        "    a = CheckLine(f'note[{tag}]', True, 'always')\n"
+        "    b = suites.CheckLine('b', passed=False)\n"
+        "    c = CheckLine('c', ok)\n"
+        "    d = suites.CheckLine(f'd[{tag}]', rep.tax <= rep.cc, f'tax={rep.tax}')\n"
+        "    return [a, b, c, d, CheckLine(name='e', passed=ok)]\n"
+        "class Suite:\n    def run(self):\n        return CheckLine('f', 1)\n"
+    )
+    assert literal_verdicts(source) == [
+        "Suite.run: 'f'", "lines: 'b'", "lines: f'note[{tag}]'"]
+
+
+# CheckLines whose verdict is a constant, each with why it reports no check.
+LITERAL_VERDICTS = {
+    "suites.py: theorem_check_lines: f'note[{tag}]'":
+        "a note that states value_tightness's in-menu count, not a check",
+}
+
+
+def test_every_check_line_takes_a_computed_verdict():
+    """A `CheckLine` reports a verdict its suite computed; a literal `True`
+    would print PASS whatever happened.  Only the listed note is exempt."""
+    found = [f"{path.name}: {hit}" for path in sorted(SRC.glob("*.py"))
+             for hit in literal_verdicts(path.read_text(encoding="utf-8"))]
+    assert sorted(found) == sorted(LITERAL_VERDICTS)
