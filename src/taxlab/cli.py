@@ -319,18 +319,18 @@ def transform_suite(cfg: Config, sessions: list[Session]):
 
 def simultaneous_suite(cfg: Config, sessions: list[Session]):
     checks = []
-    for entry in cfg.mechanisms:
-        if entry.spec.n != 2:
+    for session in sessions:
+        if session.spec.n != 2:
             continue
-        table = to_simultaneous(strictify_catalog(entry.spec, entry.catalog, seed=cfg.seed))
+        table = to_simultaneous(strictify_catalog(session.spec, session.catalog, seed=cfg.seed))
         ok = True
         for profile in table.tables.catalog.profiles():
             base = table.tables.session.run(profile)
-            (s1, s2), _ = table.run(profile)
+            s1, s2 = table.run(profile)
             ok &= base.allocation[0] & ~s1 == 0
             ok &= base.allocation[1] & ~s2 == 0
         checks.append(suites.CheckLine(
-            f"simultaneous[{entry.spec.mech_id}]", ok,
+            f"simultaneous[{session.spec.mech_id}]", ok,
             f"message bits {2 * table.tables.tax_bits}",
         ))
     return checks, []

@@ -73,6 +73,13 @@ def menu(m: int, table: Sequence[Price]) -> Menu:
     return Menu(m, scaled_prices(table))
 
 
+def menu_price_grid(menus: Sequence[Menu]) -> tuple[Price, ...]:
+    """Distinct prices appearing in the menus; the infinite price last."""
+    prices = {p for menu in menus for p in menu.price}
+    finite = sorted(p for p in prices if is_finite(p))
+    return tuple(finite + [INF] if INF in prices else finite)
+
+
 def normalize_menu(raw: Menu) -> Menu:
     """Canonical form: repair monotonicity by lowering each bundle to its
     cheapest superset price (never-winnable bundles inherit the cheapest

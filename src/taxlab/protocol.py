@@ -26,7 +26,8 @@ from itertools import product
 from typing import Callable, Iterator, Optional, Sequence
 
 from .bundles import all_bundles, bit, contains, is_monotone, subset_sums
-from .menus import Menu, ContractError, menu, menu_complexity, normalize_menu, profit_argmax_set
+from .menus import (Menu, ContractError, menu, menu_complexity, menu_price_grid, normalize_menu,
+                    profit_argmax_set)
 from .queries import demand_query, value_query
 from .rational import INF, Price, is_finite
 from .valuations import (DomainError, Valuation, ValuationCatalog, reduced_table,
@@ -305,10 +306,11 @@ class Session:
 
 def measure_complexities(spec: MechanismSpec, catalog: ValuationCatalog,
                          session: Optional[Session] = None) -> ComplexityReport:
-    """Enumerate all profiles: distinct menus per player, transcript and
-    query maxima, declared price/tie protocol costs, and the per-profile
-    taxation-principle check.  Every run and menu comes from the session
-    (a given one over the same spec and catalog lends its memos)."""
+    """Enumerate all profiles: distinct menus, transcript and query maxima,
+    declared price/tie costs, and the taxation-principle check of each run
+    and each price-protocol answer against its menu.  Every run and menu
+    comes from the session (a given one over the same spec and catalog
+    lends its memos)."""
     if session is None:
         session = Session(spec, catalog)
 
@@ -335,26 +337,25 @@ def measure_complexities(spec: MechanismSpec, catalog: ValuationCatalog,
     per_player_menus = [session.menus(i) for i in range(spec.n)]
     menu_counts = tuple(len(ms) for ms in per_player_menus)
     tax = max(log2_ceil(c) for c in menu_counts)
+    mc = max(menu_complexity(menu)[0] for ms in per_player_menus for menu in ms)
+    prices = [p for p in menu_price_grid([mn for ms in per_player_menus for mn in ms])
+              if is_finite(p)]
+    if prices and prices[-1] > spec.bound:
+        raise ContractError(
+            f"{spec.mech_id}: extracted price {prices[-1]} exceeds declared bound {spec.bound}")
 
-    mc = 0
-    prices_seen = set()
-    for ms in per_player_menus:
-        for menu in ms:
-            mc = max(mc, menu_complexity(menu)[0])
-            for p in menu.price:
-                if is_finite(p):
-                    prices_seen.add(p)
-                if is_finite(p) and p > spec.bound:
-                    raise ContractError(
-                        f"{spec.mech_id}: extracted price {p} exceeds declared bound {spec.bound}"
-                    )
-
-    price_bits = max(
-        session.price_run(i, v_minus, s).bits
-        for i in range(spec.n)
-        for v_minus in session.others(i)
-        for s in all_bundles(spec.m)
-    )
+    price_bits = 0
+    for i in range(spec.n):
+        for v_minus in session.others(i):
+            menu = session.menu(i, v_minus)
+            for s in all_bundles(spec.m):
+                run = session.price_run(i, v_minus, s)
+                price_bits = max(price_bits, run.bits)
+                if run.price != menu.price[s] and valid:
+                    valid = False
+                    witness = (f"player {i}, opponents {[str(v.table) for v in v_minus]}, "
+                               f"bundle {s}: protocol price {run.price}, menu price "
+                               f"{menu.price[s]}")
 
     return ComplexityReport(
         mechanism=spec.mech_id,
@@ -367,7 +368,7 @@ def measure_complexities(spec: MechanismSpec, catalog: ValuationCatalog,
         mc=mc,
         val=val,
         dem=dem,
-        d=len(prices_seen),
+        d=len(prices),
         valid=valid,
         witness=witness,
         menu_counts=menu_counts,

@@ -21,7 +21,7 @@ from .disjointness import (ZDisjointnessInstance, brute_force_verdict,
                            max_intersection, solve_z_disjointness)
 from .library import (default_catalog, encode_disjointness_string, make_example,
                       single_item_valuation)
-from .menus import menu_complexity
+from .menus import menu_complexity, menu_price_grid
 from .protocol import (ComplexityReport, MechanismSpec, Session, measure_complexities,
                        run_mechanism)
 from .queries import demand_query
@@ -30,7 +30,7 @@ from .valuations import ValuationCatalog, random_monotone_valuation
 from .value_reconstruct import (PriceOracle, learn_useless, reconstruct_menu_value,
                                 useless_query_budget, useless_table)
 from .verify import (CLASSES, ProbeStructureError, draw_base_function, exceeds_somewhere,
-                     menu_price_grid, price_pool, probes_structural, verify_menu)
+                     price_pool, probes_structural, verify_menu)
 
 STANDARD_BENCH: tuple[tuple[str, dict], ...] = (
     ("warmup_tightness", {"c": 2}),

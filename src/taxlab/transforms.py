@@ -153,6 +153,7 @@ class WrapperOutcome:
     bits_constructed: int  # 2(tax+m) + inner run bits
     bits_theorem: int      # 2(tax+m) + declared tie bits
     inconsistent: Optional[int]
+    bundles: tuple[int, int]  # the two announced bundles
 
 
 def truthful_bundle(tables: TwoPlayerTables, i: int, v: Valuation, faced_idx: int) -> int:
@@ -191,18 +192,15 @@ def _inner_messages(inner: RunResult):
     return ((tok[0], tok[:3]) for tok in inner.tokens)
 
 
-def settle(tables: TwoPlayerTables, menu_idx, bundles, inner: Optional[RunResult] = None):
+def settle(tables: TwoPlayerTables, menu_idx, bundles, inner: RunResult):
     """The wrapper's verdict as (culprit, allocation, payments).  The
     culprit sends the first message that leaves the truthful-transcript
     trie; they get nothing, and the other player wins the bundle they
     announced at its price in the menu the culprit announced (nothing at an
     infinite or out-of-range price).  With no culprit the inner outcome
-    stands.  Without `inner`, None when the four announcements stay on a
-    truthful transcript, so that only the inner run can settle it."""
+    stands."""
     culprit, node = _walk(tables.truthful_trie, zip((0, 1, 0, 1), (*menu_idx, *bundles)))
     if culprit is None:
-        if inner is None:
-            return None
         culprit, _ = _walk(node, _inner_messages(inner))
         if culprit is None:
             return None, inner.allocation, inner.payments
@@ -218,13 +216,7 @@ def settle(tables: TwoPlayerTables, menu_idx, bundles, inner: Optional[RunResult
     return culprit, tuple(allocation), tuple(payments)
 
 
-@dataclass(frozen=True)
-class DominantRun:
-    outcome: WrapperOutcome
-    bundles: tuple[int, int]
-
-
-def to_dominant_run(tables: TwoPlayerTables, profile, strategies) -> DominantRun:
+def to_dominant_run(tables: TwoPlayerTables, profile, strategies) -> WrapperOutcome:
     """One run of the wrapper under the given strategies ("truthful" or a
     DeviationStrategy per player), with both communication accountings."""
     spec = tables.spec
@@ -236,14 +228,14 @@ def to_dominant_run(tables: TwoPlayerTables, profile, strategies) -> DominantRun
     menu_idx, bundles, inner = _play(tables, profile, strategies)
     culprit, allocation, payments = settle(tables, menu_idx, bundles, inner)
     announce_bits = 2 * (tables.tax_bits + spec.m)
-    outcome = WrapperOutcome(
+    return WrapperOutcome(
         allocation=allocation,
         payments=payments,
         bits_constructed=announce_bits + inner.bits,
         bits_theorem=announce_bits + spec.tie_cost(profile),
         inconsistent=culprit,
+        bundles=bundles,
     )
-    return DominantRun(outcome, bundles)
 
 
 @dataclass(frozen=True)
@@ -602,18 +594,18 @@ def strictify_catalog(spec: MechanismSpec, catalog: ValuationCatalog, seed: int 
 
 @dataclass(frozen=True)
 class SimultaneousTable:
-    """For each (menu faced by player 1, menu presented by player 1):
-    the union of bundles player 1 might win."""
+    """For each (menu faced by player 1, menu presented by player 1): the
+    union of bundles player 1 might win.  A run sends 2 * tax_bits."""
 
     tables: TwoPlayerTables
     union_win: dict
 
-    def run(self, profile) -> tuple[tuple[int, int], int]:
+    def run(self, profile) -> tuple[int, int]:
         t = self.tables
         idx1 = t.index_of[0][profile[0].scaled_table]  # menu player 1 presents
         idx2 = t.index_of[1][profile[1].scaled_table]  # menu player 2 presents
         s1 = self.union_win[(idx2, idx1)]
-        return (s1, grand(t.spec.m) & ~s1), 2 * t.tax_bits
+        return s1, grand(t.spec.m) & ~s1
 
 
 def to_simultaneous(tables: TwoPlayerTables) -> SimultaneousTable:

@@ -244,13 +244,6 @@ def probes_structural(f: BaseFunction, bound: Fraction, grid: Sequence[Price]) -
                for k in range(1, f.m + 1) for x in map(f.int_of, grid[:3]) if (k, x) in levels)
 
 
-def menu_price_grid(menus: Sequence[Menu]) -> tuple[Price, ...]:
-    """Distinct prices appearing in the menus; the infinite price last."""
-    prices = {p for menu in menus for p in menu.price}
-    finite = sorted(p for p in prices if is_finite(p))
-    return tuple(finite + [INF] if INF in prices else finite)
-
-
 Pool = tuple[int, tuple[int, ...], int]  # drawable prices (P, ints, marker), see `price_pool`
 
 

@@ -5,6 +5,10 @@ stdout or of any artifact fails here and names the file.
 Re-record, only when an output change is intended, with
 
     PYTHONPATH=src python tests/test_byte_identity.py <commit>
+
+or print one config's seed-0 digests, recording nothing, with
+
+    PYTHONPATH=src python tests/test_byte_identity.py --print configs/m10.json
 """
 
 import hashlib
@@ -50,7 +54,10 @@ def test_outputs_match_the_recorded_digests(name, tmp_path):
         assert got["artifacts"][file] == digest, f"{name}: {file} differs"
 
 
-if __name__ == "__main__":
+if __name__ == "__main__" and sys.argv[1] == "--print":
+    with tempfile.TemporaryDirectory() as tmp:
+        print(json.dumps(run_digests(sys.argv[2], Path(tmp) / "out"), indent=2))
+elif __name__ == "__main__":
     sets = {}
     for name, config in SETS.items():
         with tempfile.TemporaryDirectory() as tmp:

@@ -280,3 +280,35 @@ def test_value_tightness_bundles_without_c_uses_default_catalog(tmp_path, capsys
     assert main(["validate", "--config", str(neither)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
+
+
+def test_a_wrong_price_protocol_answer_fails_the_taxation_check(tmp_path, capsys, monkeypatch):
+    """drop_tax(m=4) with its price protocol planted to answer INF for
+    bundle 0b0011: the runs still match their menus, but the answer does
+    not match the extracted menu, so the taxation-principle line fails
+    with the first mismatch as its witness and the run exits 1."""
+    from dataclasses import replace
+
+    import taxlab.library as library
+    from taxlab.rational import INF
+
+    real = library.MECHANISMS["drop_tax"]
+
+    def planted(**params):
+        spec = real.build(**params)
+
+        def protocol(spec_, i, v_minus, s):
+            run = spec.price_protocol(spec_, i, v_minus, s)
+            return replace(run, price=INF) if s == 0b0011 else run
+
+        return replace(spec, price_protocol=protocol)
+
+    monkeypatch.setitem(library.MECHANISMS, "drop_tax", replace(real, build=planted))
+    cfg = write_config(tmp_path, {"mechanisms": [{"id": "drop_tax", "params": {"m": 4}}],
+                                  "suites": ["measure", "theorem-check"],
+                                  "out": str(tmp_path / "out")})
+    assert main(["run", "--config", str(cfg)]) == 1
+    line = next(line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("taxation-principle["))
+    assert line.startswith("taxation-principle[drop_tax(m=4)]: FAIL  [player 1, opponents [")
+    assert line.endswith(", bundle 3: protocol price inf, menu price 1]")

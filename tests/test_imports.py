@@ -771,7 +771,6 @@ def test_unread_parameters_are_found():
 UNREAD_BY_SIGNATURE = {
     "cli.py: extract_min_affine_suite(cfg)": "a suite in the registry, called as fn(cfg, sessions)",
     "cli.py: disjointness_suite(sessions)": "a suite in the registry, called as fn(cfg, sessions)",
-    "cli.py: simultaneous_suite(sessions)": "a suite in the registry, called as fn(cfg, sessions)",
     "library.py: demand_tightness_catalog(alpha)": "the registry passes every param to the "
                                                    "catalog, which does not depend on alpha",
 }

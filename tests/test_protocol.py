@@ -1,5 +1,6 @@
 """Mechanism runs, menu extraction, and complexity measurement."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from taxlab.bundles import all_bundles, bit
 from taxlab.library import (default_catalog, make_example, posted_prices,
                             warmup_catalog, warmup_tightness)
+from taxlab.menus import ContractError
 from taxlab.protocol import (MechanismSpec, MechanismBugError, additive_probe, extract_menu,
                              measure_complexities, price_run, run_mechanism)
 from taxlab.rational import INF
@@ -166,6 +168,15 @@ def test_taxation_check_flags_bad_mechanism():
     cat = ValuationCatalog(((zero,), (one,)))
     rep = measure_complexities(spec, cat)
     assert not rep.valid and rep.witness
+
+
+def test_an_extracted_price_above_the_declared_bound_is_refused():
+    """drop_tax(m=4)'s menus price bundles at 0, 1 and INF: under a declared
+    bound of 1/2 the measurement refuses, naming the largest price above it."""
+    spec = make_example("drop_tax", {"m": 4})
+    cat = default_catalog("drop_tax", {"m": 4})
+    with pytest.raises(ContractError, match=r"extracted price 1 exceeds declared bound 1/2"):
+        measure_complexities(replace(spec, bound=F(1, 2)), cat)
 
 
 def test_library_measurements_are_valid():

@@ -130,11 +130,11 @@ def reference_deviation_audit(tables, keep_rows=False) -> AuditReport:
                 strategies[other] = opp_strategy
                 strategies[i] = "truthful"
                 base = to_dominant_run(tables, tuple(profile), tuple(strategies))
-                u_truth = utility(v_i, base.outcome.allocation[i], base.outcome.payments[i])
+                u_truth = utility(v_i, base.allocation[i], base.payments[i])
                 for dev_idx, dev in enumerate(my_devs):
                     strategies[i] = dev
                     alt = to_dominant_run(tables, tuple(profile), tuple(strategies))
-                    u_dev = utility(v_i, alt.outcome.allocation[i], alt.outcome.payments[i])
+                    u_dev = utility(v_i, alt.allocation[i], alt.payments[i])
                     row = AuditRow(i, vi_idx, opp_label, dev_idx, u_truth, u_dev)
                     if keep_rows or row.gap > 0:
                         rows.append(row)
@@ -400,8 +400,8 @@ def settle_tables(k: int):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(0, len(suites.TWO_PLAYER_BENCH)), st.booleans(), st.data())
-def test_trie_settle_matches_the_prefix_set_rule(k, with_inner, data):
+@given(st.integers(0, len(suites.TWO_PLAYER_BENCH)), st.data())
+def test_trie_settle_matches_the_prefix_set_rule(k, data):
     """A truthful transcript with one message perturbed: a menu index (in
     range, one past it, -1 or 99), a bundle, or one inner token replaced
     by, or extended with, a token of some catalog run or a lone bit."""
@@ -409,7 +409,7 @@ def test_trie_settle_matches_the_prefix_set_rule(k, with_inner, data):
     profile = tuple(data.draw(st.sampled_from(group)) for group in tables.catalog.players)
     menu_idx, bundles, inner = _play(tables, profile, ("truthful", "truthful"))
     menu_idx, bundles, tokens = list(menu_idx), list(bundles), list(inner.tokens)
-    spot = data.draw(st.integers(0, 4 + len(tokens) if with_inner else 3))
+    spot = data.draw(st.integers(0, 4 + len(tokens)))
     if spot < 2:
         menu_idx[spot] = data.draw(st.sampled_from(
             [-1, 99, *range(len(tables.presented[spot]) + 1)]))
@@ -420,7 +420,7 @@ def test_trie_settle_matches_the_prefix_set_rule(k, with_inner, data):
             {tok for p in tables.catalog.profiles()
              for tok in tables.session.run(p).tokens}, key=repr)
         tokens[spot - 4:spot - 3] = [data.draw(st.sampled_from(pool))]
-    inner = replace(inner, tokens=tuple(tokens)) if with_inner else None
+    inner = replace(inner, tokens=tuple(tokens))
     note(f"menus {menu_idx}, bundles {bundles}, tokens {tokens}")
     got = settle(tables, tuple(menu_idx), tuple(bundles), inner)
     assert got == reference_settle(tables, tuple(menu_idx), tuple(bundles), inner)
@@ -459,7 +459,7 @@ class ReferenceOutcomes:
         return self._settled[key]
 
     def played(self, profile, strategies):
-        run = to_dominant_run(self.tables, profile, strategies).outcome
+        run = to_dominant_run(self.tables, profile, strategies)
         return self._id(run.allocation, run.payments)
 
     def against(self, opp_strategy, opp_valuation):
@@ -582,7 +582,7 @@ def test_grouped_outcomes_match_wrapper_runs_at_m6(mech_id, i, consistent, data)
     devs = deviation_family(tables, i)
 
     def direct(profile, strategies):
-        run = to_dominant_run(tables, profile, strategies).outcome
+        run = to_dominant_run(tables, profile, strategies)
         return run, (run.allocation[i], run.payments[i])
 
     for vi, v in enumerate(valuations):

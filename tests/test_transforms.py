@@ -37,13 +37,11 @@ def test_truthful_path_reproduces_mechanism():
     for profile in cat.profiles():
         run = to_dominant_run(tables, profile, ("truthful", "truthful"))
         base = run_mechanism(spec, profile)
-        assert run.outcome.allocation == base.allocation
-        assert run.outcome.payments == base.payments
-        assert run.outcome.inconsistent is None
-        assert run.outcome.bits_constructed == \
-            2 * (tables.tax_bits + spec.m) + base.bits
-        assert run.outcome.bits_theorem == \
-            2 * (tables.tax_bits + spec.m) + spec.tie_cost(profile)
+        assert run.allocation == base.allocation
+        assert run.payments == base.payments
+        assert run.inconsistent is None
+        assert run.bits_constructed == 2 * (tables.tax_bits + spec.m) + base.bits
+        assert run.bits_theorem == 2 * (tables.tax_bits + spec.m) + spec.tie_cost(profile)
 
 
 def test_menu_lie_makes_player_inconsistent():
@@ -53,13 +51,13 @@ def test_menu_lie_makes_player_inconsistent():
     wrong_idx = 1 - tables.index_of[0][alice.scaled_table]
     lie = DeviationStrategy(wrong_idx, 0, alice)
     run = to_dominant_run(tables, (alice, bob), (lie, "truthful"))
-    assert run.outcome.inconsistent == 0
+    assert run.inconsistent == 0
     # the truthful side wins its announced bundle at the announced menu
     announced_menu = tables.presented[0][wrong_idx]
     t_bob = run.bundles[1]
-    assert run.outcome.allocation[1] == t_bob
-    assert run.outcome.payments[1] == announced_menu.price[t_bob]
-    assert run.outcome.allocation[0] == 0 and run.outcome.payments[0] == 0
+    assert run.allocation[1] == t_bob
+    assert run.payments[1] == announced_menu.price[t_bob]
+    assert run.allocation[0] == 0 and run.payments[0] == 0
 
 
 def test_consistent_misreport_plays_as_that_type():
@@ -73,8 +71,8 @@ def test_consistent_misreport_plays_as_that_type():
     )
     run = to_dominant_run(tables, (alice, bob), (pretend, "truthful"))
     base = run_mechanism(spec, (alias, bob))
-    assert run.outcome.allocation == base.allocation
-    assert run.outcome.payments == base.payments
+    assert run.allocation == base.allocation
+    assert run.payments == base.payments
 
 
 def test_out_of_range_menu_index_is_inconsistency():
@@ -82,7 +80,7 @@ def test_out_of_range_menu_index_is_inconsistency():
     alice, bob = cat.players[0][0], cat.players[1][1]
     rogue = DeviationStrategy(99, 0, alice)
     run = to_dominant_run(tables, (alice, bob), (rogue, "truthful"))
-    assert run.outcome.inconsistent == 0
+    assert run.inconsistent == 0
 
 
 def test_out_of_range_deviation_bundle_is_refused():
@@ -168,7 +166,7 @@ def wrapper_plays(draw):
 @given(wrapper_plays())
 def test_prefix_set_culprit_matches_transcript_table_scan(play):
     tables, profile, strategies = play
-    got = to_dominant_run(tables, profile, strategies).outcome
+    got = to_dominant_run(tables, profile, strategies)
     want = reference_outcome(tables, profile, strategies)
     assert (got.inconsistent, got.allocation, got.payments) == want
 
@@ -190,7 +188,7 @@ def test_truthful_vs_truthful_equal_utilities():
         run = to_dominant_run(tables, profile, ("truthful", "truthful"))
         base = run_mechanism(spec, profile)
         for i in (0, 1):
-            u_wrap = profile[i].value(run.outcome.allocation[i]) - run.outcome.payments[i]
+            u_wrap = profile[i].value(run.allocation[i]) - run.payments[i]
             u_base = profile[i].value(base.allocation[i]) - base.payments[i]
             assert u_wrap == u_base
 
@@ -294,7 +292,7 @@ def test_simultaneous_single_menu_each():
     cat = ValuationCatalog(((v0,), (v1,)))
     table = to_simultaneous(build_tables(Session(spec, cat)))
     assert len(table.union_win) == 1
-    (alloc, bits) = table.run((v0, v1))
+    alloc = table.run((v0, v1))
     base = run_mechanism(spec, (v0, v1))
     assert base.allocation[0] & ~alloc[0] == 0
     assert base.allocation[1] & ~alloc[1] == 0
@@ -307,10 +305,9 @@ def test_simultaneous_warmup_containment_and_welfare():
     scat = table.tables.catalog
     for profile in scat.profiles():
         base = run_mechanism(spec, profile)
-        (s1, s2), bits = table.run(profile)
+        s1, s2 = table.run(profile)
         assert base.allocation[0] & ~s1 == 0
         assert base.allocation[1] & ~s2 == 0
-        assert bits == 2 * table.tables.tax_bits
         welfare_sim = profile[0].value(s1) + profile[1].value(s2)
         welfare_base = profile[0].value(base.allocation[0]) + \
             profile[1].value(base.allocation[1])

@@ -97,7 +97,6 @@ def test_ladder_degenerate_and_warmup():
 
 
 def test_ladder_budget_and_bound_violation():
-    hidden = menu(3, tuple(F(s % 4) if s % 3 else F(s % 4) for s in range(8)))
     hidden = menu(3, (F(0), F(1), F(1), F(2), F(2), F(3), F(3), F(4)))
     po = PriceOracle(hidden)
     mc = menu_complexity(hidden)[0]

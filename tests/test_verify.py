@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from taxlab import suites
 from taxlab.bundles import DomainError, all_bundles, bit, bundles_of_size, monotone_closure, size
 from taxlab.library import default_catalog, make_example
-from taxlab.menus import ContractError, menu
+from taxlab.menus import ContractError, menu, menu_price_grid
 from taxlab.protocol import (MechanismSpec, Session, extract_menu, insert_player,
                              measure_complexities, run_mechanism)
 from taxlab.rational import INF, common_denominator, is_finite
@@ -17,9 +17,8 @@ from taxlab.rng import stream
 from taxlab.valuations import (Valuation, ValuationCatalog, additive_valuation, clause_max,
                                random_monotone_valuation, valuation, valuation_from_ints)
 from taxlab.verify import (CLASSES, BaseFunction, VerificationResult, _over, _staircase,
-                           _xos_round, _xos_rows, exceeds_somewhere, menu_price_grid,
-                           pairwise_submodular, probe_rounds, probes_structural, upward_closure,
-                           verify_menu)
+                           _xos_round, _xos_rows, exceeds_somewhere, pairwise_submodular,
+                           probe_rounds, probes_structural, upward_closure, verify_menu)
 from references import (XOSClauses, base_function, classify_valuation, random_base_function,
                         submodular_probe, xos_from_clauses)
 from test_core import max_below
