@@ -47,7 +47,7 @@ from .demand_menus import (HALF, ONE, QUARTER, SIZES, ZERO, best_answer, hidden_
 from .menus import MinAffineMenu, eval_min_affine, in_menu_rebuild
 from .protocol import MechanismSpec, PriceRun
 from .queries import PriceVector, demand_query, price_ints
-from .rational import INF, Price
+from .rational import INF
 from .valuations import (
     DomainError,
     Valuation,
@@ -122,7 +122,7 @@ def warmup_tightness(c: int, m: int = 2) -> MechanismSpec:
         program=program,
         price_protocol=menu_by_first_value(
             top, lambda t, s: ZERO if s == 0 else Fraction(t) if s == ITEM_A else INF),
-        tie_cost_fn=lambda profile: 1,
+        tie_cost=lambda profile: 1,
     )
 
 
@@ -170,7 +170,7 @@ def value_tightness(m: int, c: Optional[int] = None, bundles=None) -> MechanismS
         mode="value",
         program=program,
         price_protocol=menu_by_first_value(c, lambda t, s: menus[t - 1].price[s]),
-        tie_cost_fn=lambda profile: m,
+        tie_cost=lambda profile: m,
     )
 
 
@@ -224,7 +224,7 @@ def demand_tightness(m: int, alpha: int, count: int) -> MechanismSpec:
         program=program,
         price_protocol=menu_by_first_value(
             len(menus), lambda t, s: eval_min_affine(menus[t - 1], s)),
-        tie_cost_fn=lambda profile: m,
+        tie_cost=lambda profile: m,
     )
 
 
@@ -278,7 +278,7 @@ def mt_gadget(m: int) -> MechanismSpec:
         mode="demand",
         program=program,
         price_protocol=buyer_only(1, price_protocol),
-        tie_cost_fn=lambda profile: m,
+        tie_cost=lambda profile: m,
     )
 
 
@@ -353,8 +353,7 @@ def drop_tie(m: int) -> MechanismSpec:
         return (0, won), (ZERO, ZERO)
 
     def price_protocol(spec, i, v_minus_i, s):
-        price: Price = ZERO if s in (0, ITEM_A, ITEM_B) else INF
-        return PriceRun(price, ())
+        return PriceRun(ZERO if s in (0, ITEM_A, ITEM_B) else INF, ())
 
     def tie_cost(profile):
         v1, v2 = profile
@@ -373,7 +372,7 @@ def drop_tie(m: int) -> MechanismSpec:
         mode="bit",
         program=program,
         price_protocol=buyer_only(1, price_protocol),
-        tie_cost_fn=tie_cost,
+        tie_cost=tie_cost,
     )
 
 
@@ -416,7 +415,7 @@ def drop_tax(m: int) -> MechanismSpec:
         mode="bit",
         program=program,
         price_protocol=buyer_only(1, price_protocol),
-        tie_cost_fn=lambda profile: m,
+        tie_cost=lambda profile: m,
     )
 
 
@@ -464,7 +463,7 @@ def drop_price(m: int) -> MechanismSpec:
         mode="bit",
         program=program,
         price_protocol=buyer_only(2, price_protocol),
-        tie_cost_fn=lambda profile: 0,
+        tie_cost=lambda profile: 0,
     )
 
 
@@ -536,6 +535,7 @@ def posted_prices(prices, n: int = 2) -> MechanismSpec:
         mode="demand",
         program=program,
         price_protocol=price_protocol,
+        tie_cost=lambda profile: n * m,
     )
 
 

@@ -104,13 +104,8 @@ class MechanismSpec:
     bound: Fraction  # B: declared maximum finite menu price
     mode: str  # "bit" | "value" | "demand"
     program: Program
-    price_protocol: Optional[Callable[["MechanismSpec", int, Sequence[Valuation], int], PriceRun]] = None
-    tie_cost_fn: Optional[Callable[[Sequence[Valuation]], int]] = None
-
-    def tie_cost(self, profile: Sequence[Valuation]) -> int:
-        if self.tie_cost_fn is None:
-            return self.n * self.m
-        return self.tie_cost_fn(profile)
+    price_protocol: Callable[["MechanismSpec", int, Sequence[Valuation], int], PriceRun]
+    tie_cost: Callable[[Sequence[Valuation]], int]  # the declared tie protocol's bits
 
 
 @dataclass(frozen=True)
@@ -163,22 +158,19 @@ def additive_probe(m: int, bound: tuple[int, int], s: int) -> Valuation:
                                                     for j in range(m)]))
 
 
-def probe_price(spec: MechanismSpec, i: int, v_minus_i: Sequence[Valuation],
-                s: int) -> tuple[Price, RunResult]:
-    """Player i's menu price of s and the run it is read off.  The additive
-    probe worth 3B per item of s (Prop-E.1-style) wins some superset of s at
-    s's menu price whenever that price is finite, else nothing containing s."""
-    probe = additive_probe(spec.m, spec.bound.as_integer_ratio(), s)
-    res = run_mechanism(spec, insert_player(v_minus_i, i, probe))
-    return (res.payments[i] if contains(res.allocation[i], s) else INF), res
-
-
 def extract_menu(spec: MechanismSpec, i: int, v_minus_i: Sequence[Valuation]) -> Menu:
     """Ground-truth menu presented to player i by v_minus_i, via one probe
-    run per bundle."""
+    run per bundle.  The additive probe worth 3B per item of s
+    (Prop-E.1-style) wins some superset of s at s's menu price whenever
+    that price is finite, else nothing containing s."""
     if len(v_minus_i) != spec.n - 1:
         raise DomainError("v_minus_i must hold the other n-1 valuations")
-    check = menu(spec.m, [probe_price(spec, i, v_minus_i, s)[0] for s in all_bundles(spec.m)])
+    bound = spec.bound.as_integer_ratio()
+    prices = []
+    for s in all_bundles(spec.m):
+        res = run_mechanism(spec, insert_player(v_minus_i, i, additive_probe(spec.m, bound, s)))
+        prices.append(res.payments[i] if contains(res.allocation[i], s) else INF)
+    check = menu(spec.m, prices)
     if not is_monotone(check.scaled[1], spec.m):
         raise TaxationViolation(
             f"{spec.mech_id}: extracted prices for player {i} are not monotone"
@@ -186,18 +178,8 @@ def extract_menu(spec: MechanismSpec, i: int, v_minus_i: Sequence[Valuation]) ->
     return normalize_menu(check)
 
 
-def default_price_run(spec: MechanismSpec, i: int, v_minus_i: Sequence[Valuation], s: int) -> PriceRun:
-    """Fallback price protocol: a single probe run; its transcript is the
-    mechanism's transcript on the probe profile."""
-    price, res = probe_price(spec, i, v_minus_i, s)
-    tokens = tuple((tok[0], (tok[1], tok[2]), 1 << tok[3]) for tok in res.tokens)
-    return PriceRun(price, tokens)
-
-
 def price_run(spec: MechanismSpec, i: int, v_minus_i: Sequence[Valuation], s: int) -> PriceRun:
-    if spec.price_protocol is not None:
-        return spec.price_protocol(spec, i, v_minus_i, s)
-    return default_price_run(spec, i, v_minus_i, s)
+    return spec.price_protocol(spec, i, v_minus_i, s)
 
 
 REPORT_FIELDS = ("mechanism", "m", "n", "tax", "cc", "price", "tie",
@@ -219,8 +201,11 @@ class ComplexityReport:
     d: int
     valid: bool
     witness: Optional[str] = None
-    menu_counts: tuple[int, ...] = ()
     menus: tuple[tuple[Menu, ...], ...] = field(default=(), compare=False, repr=False)
+
+    @property
+    def menu_counts(self) -> tuple[int, ...]:
+        return tuple(len(ms) for ms in self.menus)
 
     def row(self) -> dict:
         return {name: getattr(self, name) for name in REPORT_FIELDS}
@@ -248,6 +233,7 @@ class Session:
         self._prices: dict[tuple, PriceRun] = {}
         self._probes: dict[tuple, tuple[int, Price, int]] = {}
         self._menu_lists: dict[int, tuple[Menu, ...]] = {}
+        self._grid: Optional[tuple[Price, ...]] = None
         self._report: Optional[ComplexityReport] = None
 
     def run(self, profile: Sequence[Valuation]) -> RunResult:
@@ -298,6 +284,12 @@ class Session:
             self._menu_lists[i] = tuple(sorted(seen, key=Menu.sort_key))
         return self._menu_lists[i]
 
+    def price_grid(self) -> tuple[Price, ...]:
+        """The distinct prices of every menu any player faces, INF last."""
+        if self._grid is None:
+            self._grid = menu_price_grid([mn for i in range(self.spec.n) for mn in self.menus(i)])
+        return self._grid
+
     def report(self) -> ComplexityReport:
         if self._report is None:
             self._report = measure_complexities(self.spec, self.catalog, self)
@@ -308,9 +300,9 @@ def measure_complexities(spec: MechanismSpec, catalog: ValuationCatalog,
                          session: Optional[Session] = None) -> ComplexityReport:
     """Enumerate all profiles: distinct menus, transcript and query maxima,
     declared price/tie costs, and the taxation-principle check of each run
-    and each price-protocol answer against its menu.  Every run and menu
-    comes from the session (a given one over the same spec and catalog
-    lends its memos)."""
+    and each price-protocol answer against its menu, whose witness names
+    each valuation by its catalog index.  Every run and menu comes from the
+    session (a given one over the same spec and catalog lends its memos)."""
     if session is None:
         session = Session(spec, catalog)
 
@@ -318,8 +310,7 @@ def measure_complexities(spec: MechanismSpec, catalog: ValuationCatalog,
     val = 0
     dem = 0
     tie_bits = 0
-    valid = True
-    witness = None
+    witness = None  # the first violation's; the report is valid without one
     for profile in catalog.profiles():
         res = session.run(profile)
         cc = max(cc, res.bits)
@@ -330,32 +321,30 @@ def measure_complexities(spec: MechanismSpec, catalog: ValuationCatalog,
             menu = session.menu(i, profile[:i] + profile[i + 1:])
             argmax = profit_argmax_set(menu, profile[i])
             ok = res.allocation[i] in argmax and res.payments[i] == menu.price[res.allocation[i]]
-            if not ok and valid:
-                valid = False
-                witness = f"player {i}, profile {[str(v.table) for v in profile]}"
+            if not ok and witness is None:
+                at = tuple(map(tuple.index, catalog.players, profile))
+                witness = f"player {i}, profile {at}"
 
-    per_player_menus = [session.menus(i) for i in range(spec.n)]
-    menu_counts = tuple(len(ms) for ms in per_player_menus)
-    tax = max(log2_ceil(c) for c in menu_counts)
+    per_player_menus = tuple(session.menus(i) for i in range(spec.n))
+    tax = max(log2_ceil(len(ms)) for ms in per_player_menus)
     mc = max(menu_complexity(menu)[0] for ms in per_player_menus for menu in ms)
-    prices = [p for p in menu_price_grid([mn for ms in per_player_menus for mn in ms])
-              if is_finite(p)]
+    prices = [p for p in session.price_grid() if is_finite(p)]
     if prices and prices[-1] > spec.bound:
         raise ContractError(
             f"{spec.mech_id}: extracted price {prices[-1]} exceeds declared bound {spec.bound}")
 
     price_bits = 0
     for i in range(spec.n):
+        opponents = catalog.players[:i] + catalog.players[i + 1:]
         for v_minus in session.others(i):
             menu = session.menu(i, v_minus)
             for s in all_bundles(spec.m):
                 run = session.price_run(i, v_minus, s)
                 price_bits = max(price_bits, run.bits)
-                if run.price != menu.price[s] and valid:
-                    valid = False
-                    witness = (f"player {i}, opponents {[str(v.table) for v in v_minus]}, "
-                               f"bundle {s}: protocol price {run.price}, menu price "
-                               f"{menu.price[s]}")
+                if run.price != menu.price[s] and witness is None:
+                    at = tuple(map(tuple.index, opponents, v_minus))
+                    witness = (f"player {i}, opponents {at}, bundle {s}: protocol price "
+                               f"{run.price}, menu price {menu.price[s]}")
 
     return ComplexityReport(
         mechanism=spec.mech_id,
@@ -369,8 +358,7 @@ def measure_complexities(spec: MechanismSpec, catalog: ValuationCatalog,
         val=val,
         dem=dem,
         d=len(prices),
-        valid=valid,
+        valid=witness is None,
         witness=witness,
-        menu_counts=menu_counts,
-        menus=tuple(per_player_menus),
+        menus=per_player_menus,
     )

@@ -1,6 +1,5 @@
-"""Reusable experiment suites: the benchmark mechanism set, the theorem
-battery, and the random-instance drivers shared by the CLI and the
-acceptance tests."""
+"""Reusable experiment suites: the theorem battery and the random-instance
+drivers shared by the CLI and the acceptance tests."""
 
 from __future__ import annotations
 
@@ -21,7 +20,7 @@ from .disjointness import (ZDisjointnessInstance, brute_force_verdict,
                            max_intersection, solve_z_disjointness)
 from .library import (default_catalog, encode_disjointness_string, make_example,
                       single_item_valuation)
-from .menus import menu_complexity, menu_price_grid
+from .menus import menu_complexity
 from .protocol import (ComplexityReport, MechanismSpec, Session, measure_complexities,
                        run_mechanism)
 from .queries import demand_query
@@ -31,28 +30,6 @@ from .value_reconstruct import (PriceOracle, learn_useless, reconstruct_menu_val
                                 useless_query_budget, useless_table)
 from .verify import (CLASSES, ProbeStructureError, draw_base_function, exceeds_somewhere,
                      price_pool, probes_structural, verify_menu)
-
-STANDARD_BENCH: tuple[tuple[str, dict], ...] = (
-    ("warmup_tightness", {"c": 2}),
-    ("value_tightness", {"c": 3, "m": 3}),
-    ("demand_tightness", {"m": 4, "alpha": 2, "count": 4}),
-    ("mt_gadget", {"m": 4}),
-    ("drop_tie", {"m": 4}),
-    ("drop_tax", {"m": 4}),
-    ("drop_price", {"m": 4}),
-    ("posted_prices", {"prices": ["1", "1", "2"], "n": 2}),
-    ("posted_prices", {"prices": ["1", "1", "2"], "n": 3}),
-)
-
-TWO_PLAYER_BENCH: tuple[tuple[str, dict], ...] = (
-    ("warmup_tightness", {"c": 2, "m": 2}),
-    ("value_tightness", {"c": 2, "m": 2}),
-    ("demand_tightness", {"m": 2, "alpha": 2, "count": 4}),
-    ("mt_gadget", {"m": 2}),
-    ("drop_tie", {"m": 2}),
-    ("drop_tax", {"m": 2}),
-    ("posted_prices", {"prices": ["1", "2"], "n": 2}),
-)
 
 USELESS_MAX = 8  # the largest m and seed count a learner trial draws
 
@@ -120,7 +97,7 @@ def verify_menu_trials(session: Session, trials_per_class: int, seed: int) -> Ch
     """Random base functions per class against the brute-force predicate,
     plus the structural probe checks."""
     spec, catalog = session.spec, session.catalog
-    grid = menu_price_grid([mn for i in range(spec.n) for mn in session.menus(i)])
+    grid = session.price_grid()
     i = spec.n - 1
     v_minus = tuple(catalog.players[j][-1] for j in range(spec.n) if j != i)
     truth = session.menu(i, v_minus)

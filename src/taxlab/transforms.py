@@ -537,13 +537,13 @@ def default_grid_l(m: int, tax_bits: int) -> int:
 def is_precise(tables: TwoPlayerTables) -> Optional[str]:
     """None when every catalog valuation has a singleton argmax against
     every menu it may face; else a description of the first violation in
-    (player, faced menu, valuation) order."""
+    (player, faced menu, valuation) order, naming the valuation by its
+    catalog index."""
     for i in (0, 1):
         for k in range(len(tables.presented[1 - i])):
-            for v, row in zip(tables.catalog.players[i], tables.argmax[i]):
+            for idx, row in enumerate(tables.argmax[i]):
                 if len(row[k]) != 1:
-                    return (f"player {i} valuation {v.table} has "
-                            f"{len(row[k])} profit maximizers")
+                    return f"player {i} valuation {idx} has {len(row[k])} profit maximizers"
     return None
 
 

@@ -1,8 +1,9 @@
-"""Helpers only the tests call: the acceptance mechanism set, bundle
-enumeration, the valuation JSON writer, XOS clauses and the class checks,
-builders of base functions, probes, min-affine tables and deviation
-families, and the per-bundle zero set of a useless valuation.  No run of
-the package reaches them, so they live beside the tests that use them.
+"""Helpers only the tests call: the acceptance mechanism sets, the
+hand-built spec that never prices, bundle enumeration, the valuation JSON
+writer, XOS clauses and the class checks, builders of base functions,
+probes, min-affine tables and deviation families, and the per-bundle zero
+set of a useless valuation.  No run of the package reaches them, so they
+live beside the tests that use them.
 
 An XOS valuation keeps no clauses: a test that builds one from
 `XOSClauses` holds the clauses next to it and hands them to
@@ -17,11 +18,35 @@ from typing import Iterator, Optional, Sequence
 from taxlab.bundles import (DomainError, all_bundles, bit, check_m, grand, is_submodular,
                             subset_sums)
 from taxlab.menus import Menu, MinAffineMenu, menu
+from taxlab.protocol import MechanismSpec
 from taxlab.rational import INF, Price, common_denominator, is_finite, scaled_prices
-from taxlab.suites import STANDARD_BENCH
 from taxlab.transforms import DeviationStrategy, TwoPlayerTables
 from taxlab.valuations import Valuation, clause_max, valuation_from_ints
 from taxlab.verify import BaseFunction, _staircase, draw_base_function, price_pool
+
+# the acceptance criteria's mechanism set
+STANDARD_BENCH: tuple[tuple[str, dict], ...] = (
+    ("warmup_tightness", {"c": 2}),
+    ("value_tightness", {"c": 3, "m": 3}),
+    ("demand_tightness", {"m": 4, "alpha": 2, "count": 4}),
+    ("mt_gadget", {"m": 4}),
+    ("drop_tie", {"m": 4}),
+    ("drop_tax", {"m": 4}),
+    ("drop_price", {"m": 4}),
+    ("posted_prices", {"prices": ["1", "1", "2"], "n": 2}),
+    ("posted_prices", {"prices": ["1", "1", "2"], "n": 3}),
+)
+
+# the acceptance criteria's two-player mechanism set
+TWO_PLAYER_BENCH: tuple[tuple[str, dict], ...] = (
+    ("warmup_tightness", {"c": 2, "m": 2}),
+    ("value_tightness", {"c": 2, "m": 2}),
+    ("demand_tightness", {"m": 2, "alpha": 2, "count": 4}),
+    ("mt_gadget", {"m": 2}),
+    ("drop_tie", {"m": 2}),
+    ("drop_tax", {"m": 2}),
+    ("posted_prices", {"prices": ["1", "2"], "n": 2}),
+)
 
 # the acceptance criteria's mechanisms: the standard set and three at m = 6
 ACCEPTANCE_BENCH = STANDARD_BENCH + (
@@ -29,6 +54,16 @@ ACCEPTANCE_BENCH = STANDARD_BENCH + (
     ("demand_tightness", {"m": 6, "alpha": 2, "count": 4}),
     ("drop_tax", {"m": 6}),
 )
+
+
+def unpriced_spec(mech_id: str, n: int, m: int, bound: Fraction, mode: str,
+                  program) -> MechanismSpec:
+    """A hand-built spec whose test prices no bundle: its price protocol
+    fails the test if it is asked, and its tie cost is 0."""
+    def never_priced(spec, i, v_minus_i, s):
+        raise AssertionError(f"{mech_id}: this test runs no price protocol")
+
+    return MechanismSpec(mech_id, n, m, bound, mode, program, never_priced, lambda profile: 0)
 
 
 def subsets(mask: int) -> Iterator[int]:

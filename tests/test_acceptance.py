@@ -11,8 +11,8 @@ from taxlab.rng import stream
 from taxlab.transforms import (build_tables, deviation_audit, is_precise, strictify_catalog,
                                to_dominant_run, to_simultaneous)
 
-from references import (ACCEPTANCE_BENCH, classify_valuation, random_base_function,
-                        submodular_probe)
+from references import (ACCEPTANCE_BENCH, STANDARD_BENCH, TWO_PLAYER_BENCH, classify_valuation,
+                        random_base_function, submodular_probe)
 
 _reports_cache = {}
 
@@ -62,7 +62,7 @@ def test_criterion_02_tax_bounded_by_cc():
 def test_criterion_03_menu_verification():
     t0 = time.time()
     lines = []
-    for mech_id, params in suites.STANDARD_BENCH:
+    for mech_id, params in STANDARD_BENCH:
         spec, cat = suites.bench_instance(mech_id, params)
         assert spec.m <= 5
         lines.append(suites.verify_menu_trials(Session(spec, cat), trials_per_class=500,
@@ -180,7 +180,7 @@ def test_criterion_10_dominant_strategy_transform():
     t0 = time.time()
     details = []
     ok = True
-    for mech_id, params in suites.TWO_PLAYER_BENCH:
+    for mech_id, params in TWO_PLAYER_BENCH:
         spec, cat = suites.bench_instance(mech_id, params)
         tables = build_tables(Session(spec, cat))
         for profile in cat.profiles():
@@ -201,7 +201,7 @@ def test_criterion_11_simultaneous_compiler():
     t0 = time.time()
     details = []
     ok = True
-    for mech_id, params in suites.TWO_PLAYER_BENCH:
+    for mech_id, params in TWO_PLAYER_BENCH:
         spec, cat = suites.bench_instance(mech_id, params)
         stats = {}
         table = to_simultaneous(strictify_catalog(spec, cat, seed=48, stats=stats))

@@ -286,7 +286,9 @@ def test_a_wrong_price_protocol_answer_fails_the_taxation_check(tmp_path, capsys
     """drop_tax(m=4) with its price protocol planted to answer INF for
     bundle 0b0011: the runs still match their menus, but the answer does
     not match the extracted menu, so the taxation-principle line fails
-    with the first mismatch as its witness and the run exits 1."""
+    with the first mismatch as its witness and the run exits 1.  The
+    witness names the opponents by catalog index, so at m = 8 it is no
+    longer than at m = 4."""
     from dataclasses import replace
 
     import taxlab.library as library
@@ -304,11 +306,16 @@ def test_a_wrong_price_protocol_answer_fails_the_taxation_check(tmp_path, capsys
         return replace(spec, price_protocol=protocol)
 
     monkeypatch.setitem(library.MECHANISMS, "drop_tax", replace(real, build=planted))
-    cfg = write_config(tmp_path, {"mechanisms": [{"id": "drop_tax", "params": {"m": 4}}],
-                                  "suites": ["measure", "theorem-check"],
-                                  "out": str(tmp_path / "out")})
-    assert main(["run", "--config", str(cfg)]) == 1
-    line = next(line for line in capsys.readouterr().out.splitlines()
-                if line.startswith("taxation-principle["))
-    assert line.startswith("taxation-principle[drop_tax(m=4)]: FAIL  [player 1, opponents [")
-    assert line.endswith(", bundle 3: protocol price inf, menu price 1]")
+    witnesses = []
+    for m in (4, 8):
+        cfg = write_config(tmp_path, {"mechanisms": [{"id": "drop_tax", "params": {"m": m}}],
+                                      "suites": ["measure", "theorem-check"],
+                                      "out": str(tmp_path / f"out{m}")})
+        assert main(["run", "--config", str(cfg)]) == 1
+        line = next(line for line in capsys.readouterr().out.splitlines()
+                    if line.startswith("taxation-principle["))
+        head, witness = line.split("  ", 1)
+        assert head == f"taxation-principle[drop_tax(m={m})]: FAIL"
+        assert witness == "[player 1, opponents (1,), bundle 3: protocol price inf, menu price 1]"
+        witnesses.append(witness)
+    assert len(witnesses[1]) == len(witnesses[0])

@@ -24,6 +24,8 @@ from taxlab.protocol import Session, extract_menu, price_run
 from taxlab.rational import INF
 from taxlab.valuations import single_item_valuation
 
+from references import STANDARD_BENCH
+
 F = Fraction
 
 
@@ -315,7 +317,7 @@ def test_one_pass_instances_match_the_reference_scan(monkeypatch):
         return proof
 
     monkeypatch.setattr(comm_reconstruct, "build_disjointness_instance", checked)
-    for mech_id, params in suites.STANDARD_BENCH:
+    for mech_id, params in STANDARD_BENCH:
         line, _ = suites.comm_reconstruction_check(
             Session(*suites.bench_instance(mech_id, params)), seed=0)
         assert line.passed, line.render()
@@ -326,7 +328,7 @@ def test_one_pass_instances_match_the_reference_scan(monkeypatch):
 @lru_cache(maxsize=None)
 def bench_session(k):
     """One shared Session per `STANDARD_BENCH` entry: its memos only grow."""
-    return Session(*suites.bench_instance(*suites.STANDARD_BENCH[k]))
+    return Session(*suites.bench_instance(*STANDARD_BENCH[k]))
 
 
 def reference_rectangle(session, i, cand, s, tid):
@@ -362,7 +364,7 @@ def subsequence(draw, items):
 
 @st.composite
 def rectangle_questions(draw):
-    session = bench_session(draw(st.integers(0, len(suites.STANDARD_BENCH) - 1)))
+    session = bench_session(draw(st.integers(0, len(STANDARD_BENCH) - 1)))
     i = draw(st.integers(0, session.spec.n - 1))
     players = session.catalog.players
     cand = [subsequence(draw, group) for group in players[:i] + players[i + 1:]]
@@ -384,7 +386,7 @@ def test_one_pass_rectangle_matches_the_per_party_loop(question):
 
 @st.composite
 def live_sets(draw):
-    session = bench_session(draw(st.integers(0, len(suites.STANDARD_BENCH) - 1)))
+    session = bench_session(draw(st.integers(0, len(STANDARD_BENCH) - 1)))
     i = draw(st.integers(0, session.spec.n - 1))
     return session.spec.m, subsequence(draw, session.menus(i))
 

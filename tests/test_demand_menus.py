@@ -17,7 +17,7 @@ from taxlab.demand_menus import (CharacterizationViolation, brute_cover, canonic
                                  min_affine_argmax, mt_gadget_argmax)
 from taxlab.library import default_catalog, make_example
 from taxlab.menus import MinAffineMenu, eval_min_affine
-from taxlab.protocol import MechanismSpec, PriceRun, Session, extract_menu, insert_player
+from taxlab.protocol import PriceRun, Session, extract_menu, insert_player
 from taxlab.queries import bundle_price, demand_ints, demand_query, price_ints
 from taxlab.rational import INF, is_finite
 from taxlab.rng import stream
@@ -26,7 +26,7 @@ from taxlab.valuations import (DomainError, Valuation, ValuationCatalog, additiv
                                demand_candidates, layered_valuation,
                                random_monotone_valuation, valuation_from_values)
 
-from references import ACCEPTANCE_BENCH, min_affine_table
+from references import ACCEPTANCE_BENCH, min_affine_table, unpriced_spec
 
 F = Fraction
 
@@ -53,7 +53,7 @@ def test_extract_degenerate_value_only():
         rec.value_query(1, 0b11)
         return (0, 0), (F(0), F(0))
 
-    spec = MechanismSpec("peek", 2, 2, F(1), "demand", peek_grand)
+    spec = unpriced_spec("peek", 2, 2, F(1), "demand", peek_grand)
     zero = additive_valuation([0, 0])
     ma, _ = extract_min_affine(one_valuation_session(spec, zero), 1, (zero,))
     assert ma.alpha == 0 and ma.beta == 1
@@ -65,7 +65,7 @@ def silent(profile, rec):
     return (0, 0b01), (F(0), F(1))
 
 
-SILENT = MechanismSpec("silent", 2, 2, F(2), "demand", silent)
+SILENT = unpriced_spec("silent", 2, 2, F(2), "demand", silent)
 
 
 def test_extract_flags_unrepresentable_trace():
@@ -913,11 +913,11 @@ def reference_spec(mech_id, params, spec):
                 "posted_prices": lambda profile: n * m}.get(mech_id, lambda profile: m)
     if mech_id == "posted_prices":
         program, protocol = reference_posted_parts(params["prices"], n)
-        return replace(spec, program=program, price_protocol=protocol, tie_cost_fn=tie_cost)
+        return replace(spec, program=program, price_protocol=protocol, tie_cost=tie_cost)
     if mech_id == "drop_price":
         program, protocol = reference_drop_price_parts(m)
         return replace(spec, program=program, price_protocol=buyer_only(2, protocol),
-                       tie_cost_fn=tie_cost)
+                       tie_cost=tie_cost)
     if mech_id == "mt_gadget":
         program = reference_mt_gadget_program(m)
     elif mech_id == "value_tightness":
@@ -931,7 +931,7 @@ def reference_spec(mech_id, params, spec):
     else:
         program = reference_demand_tightness_program(
             make_min_affine_family(m, params["alpha"], params["count"]))
-    return replace(spec, program=program, tie_cost_fn=tie_cost,
+    return replace(spec, program=program, tie_cost=tie_cost,
                    price_protocol=buyer_only(1, reference_buyer_protocol(mech_id, params, m)))
 
 

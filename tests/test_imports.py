@@ -792,8 +792,6 @@ READ_FROM_OUTSIDE = {
     "suites.py: warmup_scaling_lines": "an acceptance check no suite registers yet",
     "suites.py: block_bound_check": "an acceptance check no suite registers yet",
     "suites.py: drop_reduction_trials": "an acceptance check no suite registers yet",
-    "suites.py: STANDARD_BENCH": "the acceptance criteria's mechanism set",
-    "suites.py: TWO_PLAYER_BENCH": "the acceptance criteria's two-player mechanism set",
 }
 
 

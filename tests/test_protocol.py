@@ -1,6 +1,6 @@
 """Mechanism runs, menu extraction, and complexity measurement."""
 
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 from fractions import Fraction
 
 import pytest
@@ -11,11 +11,13 @@ from taxlab.bundles import all_bundles, bit
 from taxlab.library import (default_catalog, make_example, posted_prices,
                             warmup_catalog, warmup_tightness)
 from taxlab.menus import ContractError
-from taxlab.protocol import (MechanismSpec, MechanismBugError, additive_probe, extract_menu,
-                             measure_complexities, price_run, run_mechanism)
+from taxlab.protocol import (MechanismSpec, MechanismBugError, PriceRun, additive_probe,
+                             extract_menu, measure_complexities, price_run, run_mechanism)
 from taxlab.rational import INF
 from taxlab.valuations import (DomainError, ValuationCatalog, additive_valuation,
                                single_item_valuation)
+
+from references import unpriced_spec
 
 F = Fraction
 
@@ -113,7 +115,7 @@ def test_extract_menu_examples():
     def never_alloc(profile, rec):
         return (0, 0), (F(0), F(0))
 
-    lazy = MechanismSpec("never", 2, 2, F(1), "bit", never_alloc)
+    lazy = unpriced_spec("never", 2, 2, F(1), "bit", never_alloc)
     menu_l = extract_menu(lazy, 1, (zero,))
     assert menu_l.price == (F(0), INF, INF, INF)
 
@@ -121,7 +123,7 @@ def test_extract_menu_examples():
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 6), st.builds(F, st.integers(0, 9), st.sampled_from([1, 2, 3, 7])))
 def test_memoized_additive_probe_equals_a_fresh_build(m, bound):
-    """The probe `probe_price` reads from its memo, keyed by B's int pair,
+    """The probe `extract_menu` reads from its memo, keyed by B's int pair,
     for every bundle, is the additive valuation worth 3B on each of the
     bundle's items."""
     for s in all_bundles(m):
@@ -158,16 +160,37 @@ def test_measure_single_menu_posted_tax_zero():
     assert rep.tax == 0 and rep.menu_counts == (1,)
 
 
+def nothing_for_sale(spec, i, v_minus_i, s):
+    """The price protocol of a menu that offers only the empty bundle."""
+    return PriceRun(F(0) if s == 0 else INF, ())
+
+
 def test_taxation_check_flags_bad_mechanism():
     def charge_for_nothing(profile, rec):
         return (0, 0), (F(0), F(1))
 
-    spec = MechanismSpec("bad", 2, 2, F(10), "bit", charge_for_nothing)
+    spec = MechanismSpec("bad", 2, 2, F(10), "bit", charge_for_nothing, nothing_for_sale,
+                         lambda profile: 0)
     zero = additive_valuation([0, 0])
     one = additive_valuation([1, 1])
     cat = ValuationCatalog(((zero,), (one,)))
     rep = measure_complexities(spec, cat)
-    assert not rep.valid and rep.witness
+    # every protocol answer matches its menu; player 1's run pays 1 for nothing
+    assert not rep.valid and rep.witness == "player 1, profile (0, 0)"
+
+
+def test_a_spec_without_its_price_protocol_or_tie_cost_is_refused():
+    """Every mechanism declares both: there is no fallback to default to."""
+    def never_alloc(profile, rec):
+        return (0, 0), (F(0), F(0))
+
+    shape = ("bare", 2, 2, F(1), "bit", never_alloc)
+    with pytest.raises(TypeError, match="tie_cost"):
+        MechanismSpec(*shape, price_protocol=nothing_for_sale)
+    with pytest.raises(TypeError, match="price_protocol"):
+        MechanismSpec(*shape, tie_cost=lambda profile: 0)
+    assert all(f.default is MISSING and f.default_factory is MISSING
+               for f in fields(MechanismSpec))
 
 
 def test_an_extracted_price_above_the_declared_bound_is_refused():
@@ -186,8 +209,6 @@ def test_library_measurements_are_valid():
         rep = measure_complexities(spec, cat)
         assert rep.valid, (spec.mech_id, rep.witness)
         assert rep.tax <= rep.cc
-        for i in range(spec.n):
-            assert rep.menu_counts[i] == len(rep.menus[i])
 
 
 def test_price_protocols_match_extracted_menus():
@@ -240,7 +261,7 @@ def test_profile_shape_errors():
     def overlapping(profile, rec):
         return (0b01, 0b01), (F(0), F(0))
 
-    bad = MechanismSpec("overlap", 2, 2, F(1), "bit", overlapping)
+    bad = unpriced_spec("overlap", 2, 2, F(1), "bit", overlapping)
     zero = additive_valuation([0, 0])
     with pytest.raises(MechanismBugError):
         run_mechanism(bad, (zero, zero))

@@ -15,8 +15,8 @@ from taxlab.bundles import all_bundles
 from taxlab.cli import audit_work
 from taxlab.demand_menus import extract_min_affine
 from taxlab.menus import menu
-from taxlab.protocol import (MechanismSpec, Session, extract_menu,
-                             measure_complexities, price_run, run_mechanism)
+from taxlab.protocol import (Session, extract_menu, measure_complexities, price_run,
+                             run_mechanism)
 from taxlab.rational import is_finite
 from taxlab.reporting import audit_rows_to_csv
 from taxlab.transforms import (AuditReport, AuditRow, DeviationStrategy, _Outcomes, _play,
@@ -25,20 +25,20 @@ from taxlab.transforms import (AuditReport, AuditRow, DeviationStrategy, _Outcom
 from taxlab.valuations import (DomainError, Valuation, ValuationCatalog, additive_valuation,
                                valuation, valuation_from_ints)
 
-from references import deviation_family
+from references import STANDARD_BENCH, TWO_PLAYER_BENCH, deviation_family, unpriced_spec
 
 _sessions: dict[int, Session] = {}
 
 
 def bench_session(k: int) -> Session:
     if k not in _sessions:
-        _sessions[k] = Session(*suites.bench_instance(*suites.STANDARD_BENCH[k]))
+        _sessions[k] = Session(*suites.bench_instance(*STANDARD_BENCH[k]))
     return _sessions[k]
 
 
 @st.composite
 def oracle_questions(draw):
-    session = bench_session(draw(st.integers(0, len(suites.STANDARD_BENCH) - 1)))
+    session = bench_session(draw(st.integers(0, len(STANDARD_BENCH) - 1)))
     profile = tuple(draw(st.sampled_from(group)) for group in session.catalog.players)
     i = draw(st.integers(0, session.spec.n - 1))
     s = draw(st.integers(0, (1 << session.spec.m) - 1))
@@ -145,7 +145,7 @@ def reference_deviation_audit(tables, keep_rows=False) -> AuditReport:
 
 
 def test_deviation_audit_matches_reference_loop():
-    for mech_id, params in suites.TWO_PLAYER_BENCH:
+    for mech_id, params in TWO_PLAYER_BENCH:
         tables = build_tables(Session(*suites.bench_instance(mech_id, params)))
         got = deviation_audit(tables, keep_rows=True)
         want = reference_deviation_audit(tables, keep_rows=True)
@@ -161,7 +161,7 @@ def test_a_valuation_at_two_catalog_indices_is_audited_at_each():
     1, and a play seated the wrong way round meets a different profile.
     Rows, gap and worst row are the reference loop's, with `keep_rows` on
     and off."""
-    for mech_id, params in suites.TWO_PLAYER_BENCH:
+    for mech_id, params in TWO_PLAYER_BENCH:
         spec, catalog = suites.bench_instance(mech_id, params)
         c0 = catalog.players[0]
         tables = build_tables(Session(spec, ValuationCatalog((c0, c0[1:] + c0[:1]))))
@@ -192,7 +192,7 @@ def planted_tables():
         won, paid = looked_up.get(profile[0].table, (0, Fraction(0)))
         return (won, 0), (paid, Fraction(0))
 
-    spec = MechanismSpec("planted", 2, 2, Fraction(4), "bit", program)
+    spec = unpriced_spec("planted", 2, 2, Fraction(4), "bit", program)
     catalog = ValuationCatalog(((victim, cheap, bold, twin), (additive_valuation([1, 1]),)))
     return build_tables(Session(spec, catalog))
 
@@ -393,14 +393,14 @@ _settle_tables: dict = {}
 def settle_tables(k: int):
     """TWO_PLAYER_BENCH entry k, or the planted tables for k past its end."""
     if k not in _settle_tables:
-        _settle_tables[k] = (planted_tables() if k == len(suites.TWO_PLAYER_BENCH) else
+        _settle_tables[k] = (planted_tables() if k == len(TWO_PLAYER_BENCH) else
                              build_tables(Session(*suites.bench_instance(
-                                 *suites.TWO_PLAYER_BENCH[k]))))
+                                 *TWO_PLAYER_BENCH[k]))))
     return _settle_tables[k]
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(0, len(suites.TWO_PLAYER_BENCH)), st.data())
+@given(st.integers(0, len(TWO_PLAYER_BENCH)), st.data())
 def test_trie_settle_matches_the_prefix_set_rule(k, data):
     """A truthful transcript with one message perturbed: a menu index (in
     range, one past it, -1 or 99), a bundle, or one inner token replaced

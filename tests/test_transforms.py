@@ -23,6 +23,8 @@ from taxlab.valuations import (DomainError, ValuationCatalog, additive_valuation
                                random_monotone_valuation, valuation,
                                valuation_from_values)
 
+from references import TWO_PLAYER_BENCH
+
 F = Fraction
 
 
@@ -143,9 +145,9 @@ _two_player_tables: dict = {}
 def wrapper_plays(draw):
     """(tables, profile, strategies) over TWO_PLAYER_BENCH: each player is
     truthful or deviates, with menu indices in range or 99."""
-    k = draw(st.integers(0, len(suites.TWO_PLAYER_BENCH) - 1))
+    k = draw(st.integers(0, len(TWO_PLAYER_BENCH) - 1))
     if k not in _two_player_tables:
-        session = Session(*suites.bench_instance(*suites.TWO_PLAYER_BENCH[k]))
+        session = Session(*suites.bench_instance(*TWO_PLAYER_BENCH[k]))
         _two_player_tables[k] = build_tables(session)
     tables = _two_player_tables[k]
     profile, strategies = [], []
@@ -324,15 +326,14 @@ def test_imprecise_catalog_rejected():
 def test_imprecise_catalog_reports_the_first_menu_major_violation():
     spec = make_example("warmup_tightness", {"c": 2})
     tables = build_tables(Session(spec, warmup_catalog(2)))
-    assert is_precise(tables) == ("player 1 valuation (Fraction(0, 1), Fraction(1, 1), "
-                                  "Fraction(0, 1), Fraction(1, 1)) has 2 profit maximizers")
+    assert is_precise(tables) == "player 1 valuation 1 has 2 profit maximizers"
 
 
 def bench_tables():
     """Raw tables for each two-player bench mechanism, plus one strictified
     catalog's."""
     out = [build_tables(Session(*suites.bench_instance(mech_id, params)))
-           for mech_id, params in suites.TWO_PLAYER_BENCH]
+           for mech_id, params in TWO_PLAYER_BENCH]
     spec, cat = suites.bench_instance("value_tightness", {"c": 2, "m": 2})
     return out + [strictify_catalog(spec, cat, seed=48)]
 
@@ -362,7 +363,7 @@ def reference_union_win(tables):
 
 
 def test_union_win_matches_the_per_pair_scan():
-    for mech_id, params in suites.TWO_PLAYER_BENCH:
+    for mech_id, params in TWO_PLAYER_BENCH:
         tables = strictify_catalog(*suites.bench_instance(mech_id, params), seed=48)
         union_win = to_simultaneous(tables).union_win
         assert list(union_win.items()) == list(reference_union_win(tables).items())

@@ -10,8 +10,8 @@ from taxlab import suites
 from taxlab.bundles import DomainError, all_bundles, bit, bundles_of_size, monotone_closure, size
 from taxlab.library import default_catalog, make_example
 from taxlab.menus import ContractError, menu, menu_price_grid
-from taxlab.protocol import (MechanismSpec, Session, extract_menu, insert_player,
-                             measure_complexities, run_mechanism)
+from taxlab.protocol import (Session, extract_menu, insert_player, measure_complexities,
+                             run_mechanism)
 from taxlab.rational import INF, common_denominator, is_finite
 from taxlab.rng import stream
 from taxlab.valuations import (Valuation, ValuationCatalog, additive_valuation, clause_max,
@@ -19,8 +19,8 @@ from taxlab.valuations import (Valuation, ValuationCatalog, additive_valuation, 
 from taxlab.verify import (CLASSES, BaseFunction, VerificationResult, _over, _staircase,
                            _xos_round, _xos_rows, exceeds_somewhere, pairwise_submodular,
                            probe_rounds, probes_structural, upward_closure, verify_menu)
-from references import (XOSClauses, base_function, classify_valuation, random_base_function,
-                        submodular_probe, xos_from_clauses)
+from references import (STANDARD_BENCH, XOSClauses, base_function, classify_valuation,
+                        random_base_function, submodular_probe, unpriced_spec, xos_from_clauses)
 from test_core import max_below
 
 F = Fraction
@@ -707,7 +707,7 @@ def reference_verify_menu(spec, i, v_minus_i, f, cls, grid):
     return VerificationResult(answer, runs, bits)
 
 
-@pytest.mark.parametrize("mech_id, params", suites.STANDARD_BENCH)
+@pytest.mark.parametrize("mech_id, params", STANDARD_BENCH)
 def test_memoized_verification_matches_fresh_runs(mech_id, params):
     """Every class through one Session (so later rounds hit the memo) gives
     the answer, runs and bits of fresh unmemoized runs; each f is asked
@@ -736,7 +736,7 @@ def counting_spec(m, calls):
         if profile[1].max_value() > 1:
             return (0, (1 << m) - 1), (F(0), F(1))
         return (0, 0), (F(0), F(0))
-    return MechanismSpec("counting", 2, m, F(1), "bit", program)
+    return unpriced_spec("counting", 2, m, F(1), "bit", program)
 
 
 def test_probe_memo_runs_each_distinct_probe_once():
