@@ -28,8 +28,8 @@ from .rng import below, stream
 from .valuations import ValuationCatalog, random_monotone_valuation
 from .value_reconstruct import (PriceOracle, learn_useless, reconstruct_menu_value,
                                 useless_query_budget, useless_table)
-from .verify import (CLASSES, ProbeStructureError, draw_base_function, exceeds_somewhere,
-                     price_pool, probes_structural, verify_menu)
+from .verify import (CLASSES, draw_base_function, exceeds_somewhere, price_pool,
+                     probes_structural, verify_menu)
 
 USELESS_MAX = 8  # the largest m and seed count a learner trial draws
 
@@ -104,25 +104,19 @@ def verify_menu_trials(session: Session, trials_per_class: int, seed: int) -> Ch
     rng = stream(seed, "verify", spec.mech_id)
     quarters, on_grid = price_pool(spec.bound), price_pool(spec.bound, grid)
     mismatches = 0
-    done = 0
-    structural_ok = True  # the tables the rounds run are of their class
     for cls in CLASSES:
         pool = on_grid if cls == "submodular" else quarters
         for _ in range(trials_per_class):
             f = draw_base_function(spec.m, pool, rng)
             want = int(exceeds_somewhere(f, truth))
-            try:
-                got = verify_menu(session, i, v_minus, f, cls, price_grid=grid).answer
-            except ProbeStructureError:  # a round refused its own probe table
-                structural_ok = False
-            else:
-                mismatches += int(got != want)
-            done += 1
-    structural_ok &= probes_structural(draw_base_function(spec.m, on_grid, rng), spec.bound, grid)
+            got = verify_menu(session, i, v_minus, f, cls, price_grid=grid).answer
+            mismatches += int(got != want)
+    structural_ok = probes_structural(draw_base_function(spec.m, on_grid, rng), spec.bound, grid)
     return CheckLine(
         f"verify-menu[{spec.mech_id}]",
         mismatches == 0 and structural_ok,
-        f"{done} trials, {mismatches} mismatches, probes structural: {structural_ok}",
+        f"{len(CLASSES) * trials_per_class} trials, {mismatches} mismatches, "
+        f"probes structural: {structural_ok}",
     )
 
 
@@ -236,7 +230,7 @@ def cover_grid_check(m: int = 6, sample_cross: int = 500, seed: int = 0) -> Chec
     for q in below(rng, len(grid), sample_cross):
         scaled = COVER_DEN, grid[q]
         brute = brute_cover(scaled, m)
-        if demand_cover(scaled, m) != brute or len(brute) > 1:
+        if demand_cover(scaled, m) != brute:
             mismatch += 1
     return CheckLine(
         "demand-cover-grid",

@@ -34,9 +34,11 @@ function by `BaseFunction.int_of`.  Ints end at the mechanism's outcome: a
 run's payment and the grid price of the staircase test's `paid < w` stay
 `Fraction` (or INF).  `exceeds_somewhere`, the reference answer a trial is
 checked against, cross-multiplies the two integer forms, so it builds
-neither `Fraction` view.  `probes_structural` certifies the tables the
-rounds run: the staircase tables are submodular and each xos table is the
-`clause_max` of its clauses."""
+neither `Fraction` view.  No round re-checks the table it runs: both
+closed-form builders are certified by `probes_structural`, once per
+suite on an extra draw, and by the tests.  It compares each xos table with
+the `clause_max` of its clauses and checks the staircase tables with
+`pairwise_submodular`."""
 
 from __future__ import annotations
 
@@ -57,10 +59,6 @@ from .valuations import DomainError, clause_max
 CLASSES = ("general", "subadditive", "xos", "submodular")
 Round = tuple[int, Sequence[int], Callable[[int, Price], bool]]  # (d, ints, beats), see below
 Over = tuple[int, list[int], int]  # the general probe (E, lifted ints, B * E), see `_over`
-
-
-class ProbeStructureError(ContractError):
-    """A round's probe table is not of its verification class."""
 
 
 @dataclass(frozen=True)
@@ -132,8 +130,6 @@ def _xos_weights(f: BaseFunction, over: Over, r: int) -> list[int]:
     """Per bundle, the clause weight of an r-bundle T: f(T)/r + 3B (2B/r +
     3B where f(T) is infinite), over r * E with `over` = `_over(f, B)`.
     The entries of other bundles are not read."""
-    if not 1 <= r <= f.m:
-        raise DomainError("clause size out of range")
     _, lifted, b = over
     _, ints, top = f.scaled
     return [(2 * b if x == top else y) + 3 * b * r for x, y in zip(ints, lifted)]
@@ -184,7 +180,16 @@ def _staircase(m: int, level: tuple[int, ...],
     """The staircase probe's table of one level set over B's denominator,
     B == num / den for bound == (num, den), built once: base functions drawn
     from one price grid share their level sets.  Keyed by B's int pair,
-    which hashes faster than the `Fraction`."""
+    which hashes faster than the `Fraction`.
+
+    With k the level set's bundle size and t = 2^(m+1) (times num), a
+    bundle of n items is worth n t below size k; from size k on it is worth
+    k t on the level set's upward closure and k t - t/2^n elsewhere.  An
+    item added to a bundle of n items gains t below size k - 1, t or
+    t - t/2^k at size k - 1, and from size k on 0 inside the closure, t/2^n
+    on entering it and t/2^(n+1) outside it.  No gain is negative or rises
+    on a superset, so every such table is monotone and submodular, and the
+    rounds run it unchecked."""
     k, up = size(level[0]), m + 1
     num, den = bound
     return den, tuple([(n << up if n < k else k << up if hit else ((k << n) - 1) << (up - n)) * num
@@ -196,8 +201,6 @@ def _staircase_round(m: int, level: tuple[int, ...], bound: tuple[int, int], w: 
     bundle covering a member, worth k*t like the grand bundle, below w;
     bound is B's int pair, as `_staircase` takes it."""
     d, ints = _staircase(m, level, bound)
-    if not pairwise_submodular(m, ints):
-        raise ProbeStructureError("a staircase probe failed the submodularity check")
     return d, ints, lambda won, paid: ints[won] == ints[-1] and paid < w
 
 
@@ -240,7 +243,7 @@ def probes_structural(f: BaseFunction, bound: Fraction, grid: Sequence[Price]) -
         if (d, ints) != (want_d, clause_max(f.m, rows)):
             return False
     levels, ratio = f.level_ints, bound.as_integer_ratio()
-    return all(is_submodular(_staircase(f.m, levels[k, x], ratio)[1], f.m)
+    return all(pairwise_submodular(f.m, _staircase(f.m, levels[k, x], ratio)[1])
                for k in range(1, f.m + 1) for x in map(f.int_of, grid[:3]) if (k, x) in levels)
 
 
@@ -271,10 +274,9 @@ def draw_base_function(m: int, pool: Pool, rng) -> BaseFunction:
     return BaseFunction(m, reduced_prices(p, [None if x == marker else x for x in closed]))
 
 
-@lru_cache(maxsize=1024)
-def pairwise_submodular(m: int, ints: tuple[int, ...]) -> bool:
-    """`bundles.is_submodular` on one integer table; staircase probes
-    repeat tables, so each is checked once."""
+def pairwise_submodular(m: int, ints: Sequence[int]) -> bool:
+    """`bundles.is_submodular` on one integer table: the structural
+    check's staircase half, traced by name."""
     return is_submodular(ints, m)
 
 

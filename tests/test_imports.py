@@ -398,6 +398,50 @@ def test_verify_trial_kernels_stay_in_integers():
     assert fraction_builds(source, INTEGER_VERIFY_KERNELS) == []
 
 
+# the functions that build and run a verify round's probe table, and the
+# checks that certify such a table: those run only in `probes_structural`
+# and the tests, never per round
+ROUND_BUILDERS = ("probe_rounds", "_xos_round", "_staircase_round", "_staircase", "verify_menu")
+CERTIFICATES = ("is_submodular", "pairwise_submodular", "clause_max")
+
+
+def certificate_uses(source: str, names) -> list[str]:
+    """Every read of a `CERTIFICATES` name, bare or as an attribute, inside
+    the named functions: a call, or the function handed on to be called."""
+    found = []
+    for name, fn in named_functions(source):
+        if name not in names:
+            continue
+        for hit in ast.walk(fn):
+            used = hit.id if isinstance(hit, ast.Name) else getattr(hit, "attr", None)
+            if isinstance(hit, (ast.Name, ast.Attribute)) and used in CERTIFICATES:
+                found.append(f"line {hit.lineno}: {name} uses {used}")
+    return found
+
+
+def test_certificate_uses_are_found():
+    source = (
+        "def probe_rounds(f):\n    return [r for r in f if bundles.is_submodular(r, 2)]\n"
+        "def _staircase_round(m, ints):\n"
+        "    if not pairwise_submodular(m, ints):\n        raise ValueError\n"
+        "def verify_menu(rows):\n    return list(map(clause_max, rows))\n"
+        "def probes_structural(m, ints):\n    return pairwise_submodular(m, ints)\n"
+    )
+    assert certificate_uses(source, ROUND_BUILDERS) == [
+        "line 2: probe_rounds uses is_submodular",
+        "line 4: _staircase_round uses pairwise_submodular",
+        "line 7: verify_menu uses clause_max"]
+
+
+def test_verify_rounds_run_their_tables_unchecked():
+    """Each round's table comes from a builder the tests certify (and
+    `probes_structural` on one extra draw per suite), so no round re-runs
+    a certificate on the table it runs."""
+    source = (SRC / "verify.py").read_text(encoding="utf-8")
+    assert set(ROUND_BUILDERS) <= {name for name, _ in named_functions(source)}
+    assert certificate_uses(source, ROUND_BUILDERS) == []
+
+
 def test_price_reads_are_found():
     source = (
         "def normalize_menu(raw):\n    return raw.price[0]\n"

@@ -17,21 +17,9 @@ from taxlab.rational import INF
 from taxlab.valuations import (DomainError, ValuationCatalog, additive_valuation,
                                single_item_valuation)
 
-from references import unpriced_spec
+from references import STANDARD_BENCH, unpriced_spec
 
 F = Fraction
-
-BENCH = [
-    ("warmup_tightness", {"c": 2}),
-    ("value_tightness", {"c": 3, "m": 3}),
-    ("demand_tightness", {"m": 4, "alpha": 2, "count": 4}),
-    ("mt_gadget", {"m": 4}),
-    ("drop_tie", {"m": 4}),
-    ("drop_tax", {"m": 4}),
-    ("drop_price", {"m": 4}),
-    ("posted_prices", {"prices": ["1", "1", "2"], "n": 2}),
-]
-
 
 def test_warmup_minimal_example():
     spec = warmup_tightness(1)
@@ -66,7 +54,7 @@ def test_warmup_round_trip_trace():
 
 
 def test_run_is_deterministic_and_disjoint():
-    for mech_id, params in BENCH:
+    for mech_id, params in STANDARD_BENCH:
         spec = make_example(mech_id, params)
         cat = default_catalog(mech_id, params)
         profile = next(iter(cat.profiles()))
@@ -81,7 +69,7 @@ def test_run_is_deterministic_and_disjoint():
 
 
 def test_transcripts_prefix_free():
-    for mech_id, params in BENCH[:6]:
+    for mech_id, params in STANDARD_BENCH[:6]:
         spec = make_example(mech_id, params)
         cat = default_catalog(mech_id, params)
         streams = [tuple(t[:3] for t in run_mechanism(spec, p).tokens) for p in cat.profiles()]
@@ -91,7 +79,7 @@ def test_transcripts_prefix_free():
 
 
 def test_all_zero_profile_pays_menu_prices():
-    for mech_id, params in BENCH:
+    for mech_id, params in STANDARD_BENCH:
         spec = make_example(mech_id, params)
         zero = additive_valuation([0] * spec.m)
         profile = tuple(zero for _ in range(spec.n))
@@ -203,7 +191,7 @@ def test_an_extracted_price_above_the_declared_bound_is_refused():
 
 
 def test_library_measurements_are_valid():
-    for mech_id, params in BENCH:
+    for mech_id, params in STANDARD_BENCH:
         spec = make_example(mech_id, params)
         cat = default_catalog(mech_id, params)
         rep = measure_complexities(spec, cat)
@@ -212,7 +200,7 @@ def test_library_measurements_are_valid():
 
 
 def test_price_protocols_match_extracted_menus():
-    for mech_id, params in BENCH:
+    for mech_id, params in STANDARD_BENCH:
         spec = make_example(mech_id, params)
         cat = default_catalog(mech_id, params)
         for i in range(spec.n):

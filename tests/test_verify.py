@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taxlab import suites
-from taxlab.bundles import DomainError, all_bundles, bit, bundles_of_size, monotone_closure, size
+from taxlab.bundles import (DomainError, all_bundles, bit, bundles_of_size, is_monotone,
+                            is_submodular, monotone_closure, size)
 from taxlab.library import default_catalog, make_example
 from taxlab.menus import ContractError, menu, menu_price_grid
 from taxlab.protocol import (Session, extract_menu, insert_player, measure_complexities,
@@ -243,9 +244,9 @@ def test_a_non_submodular_staircase_probe_is_refused(monkeypatch):
     # complements: the pair is worth more than its items together
     complements = valuation(2, (F(0), F(0), F(0), F(1)))
     assert not pairwise_submodular(2, complements.scaled_table[1])
+    assert probes_structural(f, spec.bound, grid)
     monkeypatch.setattr(verify, "_staircase", lambda *args: complements.scaled_table)
-    with pytest.raises(ContractError, match="submodularity"):
-        verify_menu(session, 1, v_minus, f, "submodular", price_grid=grid)
+    assert not probes_structural(f, spec.bound, grid)
 
 
 def test_verification_bits_cover_menu_count():
@@ -620,12 +621,13 @@ def test_a_non_submodular_staircase_table_fails_the_structural_check(monkeypatch
 
 
 def test_a_non_submodular_staircase_table_in_the_trials_is_a_fail_line(monkeypatch):
-    """The same planted table with trials on: the submodular rounds refuse
-    it, and the suite reports that as its FAIL line rather than raising."""
+    """The same planted table with trials on: the submodular rounds run it
+    unchecked, a trial's answer differs from the brute-force one, and the
+    structural check on the extra draw reads it too."""
     line = planted_verify_line(monkeypatch, "_staircase",
                                lambda ints: tuple(ints[:-1] + [2 * ints[-1] + 1]), 2)
     assert line == ("verify-menu[drop_tax(m=4)]: FAIL  "
-                    "[8 trials, 0 mismatches, probes structural: False]")
+                    "[8 trials, 1 mismatches, probes structural: False]")
 
 
 def reference_staircase(m, level, bound):
@@ -654,6 +656,28 @@ def test_staircase_matches_the_per_mask_builder():
             bound = Fraction(rng.randrange(1, 9), rng.randrange(1, 4))
             assert _staircase(m, level, bound.as_integer_ratio()) == reference_staircase(
                 m, level, bound)
+
+
+@st.composite
+def staircase_questions(draw):
+    """m in 1..10, a nonempty set of k-bundles for some k, and a cap."""
+    m = draw(st.integers(1, 10))
+    sized = bundles_of_size(m, draw(st.integers(1, m)))
+    chosen = draw(st.integers(1, (1 << len(sized)) - 1))
+    level = tuple(s for q, s in enumerate(sized) if chosen >> q & 1)
+    return m, level, F(draw(st.integers(1, 9)), draw(st.integers(1, 4)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(staircase_questions())
+def test_every_staircase_table_is_a_monotone_submodular_probe(question):
+    """The lemma in `_staircase`'s docstring, on any level set and cap: the
+    certificate that lets the submodular rounds run their tables
+    unchecked."""
+    m, level, bound = question
+    d, ints = _staircase(m, level, bound.as_integer_ratio())
+    assert d == bound.denominator and ints[0] == 0
+    assert is_monotone(ints, m) and is_submodular(ints, m)
 
 
 def test_upward_closure_matches_member_scan():
