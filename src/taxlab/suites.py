@@ -5,11 +5,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import log2
 from typing import Sequence
 
-from .bundles import all_bundles, bit, bundles_of_size
+from .bundles import DomainError, all_bundles, bit, bundles_of_size, check_m
 from .comm_reconstruct import (CommReconstruction, ConstructionError, ProofInstance,
                                SoundnessError, build_disjointness_instance, menu_catalog,
                                most_frequent_prices, reconstruct_menu_comm)
@@ -211,31 +210,27 @@ def gadget_trials(trials: int, seed: int, ms=(4, 6)) -> CheckLine:
 COVER_DEN = 8  # the cover grid's prices 0, 1/8, 1/4, 1/2 and 1, as ints over 8
 
 
-def cover_grid(m: int) -> list[tuple[int, ...]]:
-    """Every price vector over 0, 1/8, 1/4, 1/2 and 1, as int tuples over
-    COVER_DEN, item 0 varying fastest."""
-    return [c[::-1] for c in product((0, 1, 2, 4, 8), repeat=m)]
+def cover_vector(q: int, m: int) -> tuple[int, ...]:
+    """Entry q of the 5^m cover grid, as ints over COVER_DEN: item j's
+    price is level q // 5**j % 5, so item 0 varies fastest."""
+    return tuple((0, 1, 2, 4, 8)[q // 5 ** j % 5] for j in range(m))
 
 
 def cover_grid_check(m: int = 6, sample_cross: int = 500, seed: int = 0) -> CheckLine:
-    """demand_cover stays a singleton-or-empty on the full price grid; a
-    seeded subsample is cross-checked against brute-force coverage."""
-    grid = cover_grid(m)
-    over = 0
-    for ints in grid:
-        if len(demand_cover((COVER_DEN, ints), m)) > 1:
-            over += 1
-    rng = stream(seed, "cover-cross")
-    mismatch = 0
-    for q in below(rng, len(grid), sample_cross):
-        scaled = COVER_DEN, grid[q]
-        brute = brute_cover(scaled, m)
-        if demand_cover(scaled, m) != brute:
-            mismatch += 1
+    """The hidden-bundle cover on a seeded sample of the 5^m price grid,
+    drawn by index: `demand_cover` (singleton-or-empty by construction)
+    must equal the brute-force `brute_cover` on each vector drawn."""
+    check_m(m)
+    if m % 2 or sample_cross < 0:
+        raise DomainError(f"even item count and nonnegative sample required, "
+                          f"got m = {m}, sample_cross = {sample_cross}")
+    draws = below(stream(seed, "cover-cross"), 5 ** m, sample_cross)
+    vectors = [(COVER_DEN, cover_vector(q, m)) for q in draws]
+    mismatch = sum(demand_cover(v, m) != brute_cover(v, m) for v in vectors)
     return CheckLine(
         "demand-cover-grid",
-        over == 0 and mismatch == 0,
-        f"{len(grid)} grid vectors, {sample_cross} cross-checked",
+        mismatch == 0,
+        f"{5 ** m} grid vectors, {sample_cross} cross-checked",
     )
 
 

@@ -1,9 +1,9 @@
 """Helpers only the tests call: the acceptance mechanism sets, the
-hand-built spec that never prices, bundle enumeration, the valuation JSON
-writer, XOS clauses and the class checks, builders of base functions,
-probes, min-affine tables and deviation families, and the per-bundle zero
-set of a useless valuation.  No run of the package reaches them, so they
-live beside the tests that use them.
+hand-built spec that never prices, bundle enumeration, the cover grid, the
+valuation JSON writer, XOS clauses and the class checks, builders of base
+functions, probes, min-affine tables and deviation families, and the
+per-bundle zero set of a useless valuation.  No run of the package reaches
+them, so they live beside the tests that use them.
 
 An XOS valuation keeps no clauses: a test that builds one from
 `XOSClauses` holds the clauses next to it and hands them to
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Iterator, Optional, Sequence
 
 from taxlab.bundles import (DomainError, all_bundles, bit, check_m, grand, is_submodular,
@@ -80,6 +81,13 @@ def supersets(mask: int, m: int) -> Iterator[int]:
     """All supermasks of mask within m items, ascending."""
     for extra in subsets(grand(m) & ~mask):
         yield mask | extra
+
+
+def cover_grid(m: int) -> list[tuple[int, ...]]:
+    """Every price vector over 0, 1/8, 1/4, 1/2 and 1, as int tuples over
+    `suites.COVER_DEN`, item 0 varying fastest: the grid whose indices
+    `suites.cover_grid_check` samples."""
+    return [c[::-1] for c in product((0, 1, 2, 4, 8), repeat=m)]
 
 
 def useless_zero_set(m: int, seeds: Sequence[int]) -> set[int]:

@@ -1,6 +1,7 @@
 """Byte identity: the demo, m6 and m8 sets at seed 0 print and write
 exactly what `byte_identity.json` recorded.  A change that moves a byte of
-stdout or of any artifact fails here and names the file.
+stdout or of any artifact fails here and names the file.  The benchmark's
+`trials` drivers print the stdout `taxbench/reference.json` recorded.
 
 Re-record, only when an output change is intended, with
 
@@ -12,6 +13,7 @@ or print one config's seed-0 digests, recording nothing, with
 """
 
 import hashlib
+import importlib
 import io
 import json
 import sys
@@ -21,6 +23,7 @@ from pathlib import Path
 
 import pytest
 
+from taxlab import suites
 from taxlab.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -52,6 +55,20 @@ def test_outputs_match_the_recorded_digests(name, tmp_path):
     assert sorted(got["artifacts"]) == sorted(want["artifacts"]), f"{name}: artifact names differ"
     for file, digest in want["artifacts"].items():
         assert got["artifacts"][file] == digest, f"{name}: {file} differs"
+
+
+def test_the_trials_drivers_print_the_recorded_stdout(monkeypatch):
+    """The four drivers of `taxbench/workloads.trial_calls`, run at the
+    benchmark's default seed by `taxbench/worker.run_trials`, pass and
+    print the stdout whose digest `taxbench/reference.json` recorded."""
+    monkeypatch.syspath_prepend(str(ROOT / "taxbench"))
+    worker = importlib.import_module("worker")
+    reference = json.loads((ROOT / "taxbench" / "reference.json").read_text())
+    want = reference["workloads"]["trials"]
+    got = worker.run_trials(suites, reference["default_seed"])
+    assert len(got["checks"]) == want["checks"]
+    assert all(passed for _, passed in got["checks"]), got["checks"]
+    assert got["digests"] == want["digests"]
 
 
 if __name__ == "__main__" and sys.argv[1] == "--print":

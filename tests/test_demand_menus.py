@@ -21,12 +21,12 @@ from taxlab.protocol import PriceRun, Session, extract_menu, insert_player
 from taxlab.queries import bundle_price, demand_ints, demand_query, price_ints
 from taxlab.rational import INF, is_finite
 from taxlab.rng import stream
-from taxlab.suites import COVER_DEN, cover_grid
+from taxlab.suites import COVER_DEN, cover_grid_check, cover_vector
 from taxlab.valuations import (DomainError, Valuation, ValuationCatalog, additive_valuation,
                                demand_candidates, layered_valuation,
                                random_monotone_valuation, valuation_from_values)
 
-from references import ACCEPTANCE_BENCH, min_affine_table, unpriced_spec
+from references import ACCEPTANCE_BENCH, cover_grid, min_affine_table, unpriced_spec
 
 F = Fraction
 
@@ -608,6 +608,53 @@ def test_the_int_cover_grid_is_the_fraction_grid_over_8_in_order():
         assert [tuple(F(x, COVER_DEN) for x in ints) for ints in grid] == old
         assert all(type(x) is int for ints in grid for x in ints)
         assert grid[1] == (1,) + (0,) * (m - 1)
+
+
+def test_the_decoder_reads_each_grid_index_as_its_vector():
+    """`cover_vector(q, m)` is `cover_grid(m)[q]` for every index, so the
+    check's draws by index land on the vectors the grid lists."""
+    for m in range(1, 7):
+        grid = cover_grid(m)
+        assert [cover_vector(q, m) for q in range(5 ** m)] == grid
+
+
+@pytest.mark.parametrize("m", (2, 4, 6))
+def test_demand_cover_is_brute_cover_on_every_vector_of_the_grid(m):
+    """The hidden-bundle cover lemma on the whole grid: one demand query
+    pins down at most one hidden bundle, and `demand_cover` finds exactly
+    the bundles brute force finds.  The grid reaches covered vectors."""
+    covered = 0
+    for ints in cover_grid(m):
+        brute = brute_cover((COVER_DEN, ints), m)
+        assert len(brute) <= 1, ints
+        assert demand_cover((COVER_DEN, ints), m) == brute, ints
+        covered += len(brute)
+    assert covered
+
+
+def test_the_cover_grid_check_refuses_bad_arguments_before_any_draw(monkeypatch):
+    """An odd m has no half-size bundle, m = 0 and m = 18 are off the item
+    range, and a negative sample is no sample: each is refused before the
+    seeded stream is drawn, even where no vector would be checked."""
+    def no_draw(*args):
+        raise AssertionError("drew from the stream")
+
+    monkeypatch.setattr(suites, "stream", no_draw)
+    for m in (1, 3, 5):
+        with pytest.raises(DomainError, match="even item count"):
+            cover_grid_check(m=m, sample_cross=0)
+    for m in (0, 18):
+        with pytest.raises(DomainError, match="item count must be in"):
+            cover_grid_check(m=m, sample_cross=0)
+    with pytest.raises(DomainError, match="got m = 4, sample_cross = -1"):
+        cover_grid_check(m=4, sample_cross=-1)
+
+
+def test_the_cover_grid_check_sizes_the_grid_without_building_it():
+    """The grid is sampled by index: at m = 16 its 5^16 vectors are
+    counted, not listed."""
+    line = cover_grid_check(m=16, sample_cross=0)
+    assert line.render() == "demand-cover-grid: PASS  [152587890625 grid vectors, 0 cross-checked]"
 
 
 def reference_demand_tightness_program(menus):

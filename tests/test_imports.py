@@ -468,18 +468,18 @@ def test_menu_kernels_read_no_fraction_price_table():
         assert price_reads(source, kernels) == [], module
 
 
-# the integer cover path: the kernel, the candidate builder, both cover sets
-# and the grid check
+# the integer cover path: the kernel, the candidate builder, both cover sets,
+# the grid decoder and the grid check
 INTEGER_COVER_KERNELS = {"queries.py": ("demand_ints",),
                          "valuations.py": ("demand_candidates",),
                          "demand_menus.py": ("demand_cover", "brute_cover"),
-                         "suites.py": ("cover_grid_check",)}
+                         "suites.py": ("cover_vector", "cover_grid_check")}
 
 
 def test_the_cover_grid_path_stays_in_integers():
-    """The demand kernel, the candidate builder, the two cover sets and the
-    grid check build no `Fraction` and read no `.table` or `.price`: the
-    grid is int tuples over 8 from end to end."""
+    """The demand kernel, the candidate builder, the two cover sets, the
+    grid decoder and the grid check build no `Fraction` and read no
+    `.table` or `.price`: the grid is int tuples over 8 from end to end."""
     for module, kernels in INTEGER_COVER_KERNELS.items():
         source = (SRC / module).read_text(encoding="utf-8")
         assert set(kernels) <= {name for name, _ in named_functions(source)}, module
